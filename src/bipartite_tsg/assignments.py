@@ -26,10 +26,12 @@ from functools import cached_property
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
+    PROFILE_SLOTS,
     FixedCount,
     FixedProfile,
     NecessityVerdict,
     TABLE_MODULUS,
+    counting_table,
     enumerate_profiles,
     necessity_verdict,
 )
@@ -214,10 +216,6 @@ class VertexAssignment:
             if isinstance(b, MarkerBlock) and b.swap_partner is not None
         }
 
-    @cached_property
-    def _rank_of(self) -> dict[str, int]:
-        return dict(self.copies)
-
     # ----------------------------------------------------------- group action
 
     @cached_property
@@ -342,29 +340,6 @@ class VertexAssignment:
             ) if names else ()
         parts = tuple(self._part_of.get(p) for p in slots)
         return AxisSlots(entry.elements, slots, parts, entry.has_centers)
-
-    def axis_for(self, e: Perm) -> AxisSlots | None:
-        for axis in self.axis_slots:
-            if e in axis.elements:
-                return axis
-        return None
-
-
-@dataclass(frozen=True)
-class AxisModel:
-    """Every rotation-axis circle of a placement, with slot occupancy."""
-
-    axes: tuple[AxisSlots, ...]
-
-    def axis_of(self, e: Perm) -> AxisSlots | None:
-        for axis in self.axes:
-            if e in axis.elements:
-                return axis
-        return None
-
-
-def build_axis_model(assignment: VertexAssignment) -> AxisModel:
-    return AxisModel(assignment.axis_slots)
 
 
 # --------------------------------------------------------------------------
@@ -558,23 +533,21 @@ def _compatible(count: int, expected: FixedCount) -> bool:
     return count % expected.value == 0
 
 
-def _counting_subgroup(assignment: VertexAssignment) -> tuple[str, FiniteGroup]:
+def _counting_subgroup(assignment: VertexAssignment) -> FiniteGroup:
     """The tetrahedral- or icosahedral-type subgroup whose fixed-vertex
-    pattern the counting tables constrain, with its table name."""
+    pattern the counting tables constrain."""
     model = assignment.model
-    if model.kind == "dodecahedron":
-        return "A5", model.group
-    if model.kind == "tetrahedron":
-        return "A4", model.group
+    if model.kind in ("dodecahedron", "tetrahedron"):
+        return model.group
     if model.kind == "tetrahedron-skeleton":
-        return "A4", model.even_subgroup()
+        return model.even_subgroup()
     # cube: the index-2 subgroup generated by third-turns and face half-turns
     members = [
         e
         for e in model.group.elements
         if class_label(model, e) in ("identity", "rotation-3", "face-half-turn")
     ]
-    return "A4", model.group.subgroup(members)
+    return model.group.subgroup(members)
 
 
 def necessity_profile_of(
@@ -584,8 +557,9 @@ def necessity_profile_of(
 
     Raises if no row matches or the row's residue differs from ``n``'s.
     """
-    table_group, subgroup = _counting_subgroup(assignment)
-    slots = {"A4": ("2", "3"), "A5": ("2", "3", "5")}[table_group]
+    table_group = counting_table(assignment.target_group)
+    subgroup = _counting_subgroup(assignment)
+    slots = PROFILE_SLOTS[table_group]
     observed: dict[str, tuple[int, int]] = {}
     for slot in slots:
         counts = {
@@ -664,10 +638,6 @@ def verify_fixed_counts(assignment: VertexAssignment) -> FixedCountReport:
 # the per-residue recipes
 
 
-def _centers(part: str) -> CenterPair:
-    return CenterPair(part)
-
-
 def _skeleton_recipe(n: int) -> tuple[str, str, tuple, tuple]:
     if n % 12 == 0:
         m = n // 12
@@ -694,7 +664,7 @@ def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return (FreeOrbitBlock(count, part),) if count else ()
 
     if r == 2:
-        v = (_centers("V"),) + frees(m + 1, "V")
+        v = (CenterPair("V"),) + frees(m + 1, "V")
         w = (
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("edge", "base", "W"),
@@ -703,7 +673,7 @@ def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "cube-2", "cube", single, (v, w)
     if r == 6:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("edge", "base", "V"),
             MarkerBlock("corner", "inner", "V"),
             MarkerBlock("corner", "outer", "V"),
@@ -711,11 +681,11 @@ def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         w = (MarkerBlock("face", "base", "W"),) + frees(m + 1, "W")
         return "cube-6", "cube", nested, (v, w)
     if r == 8:
-        v = (_centers("V"), MarkerBlock("face", "base", "V")) + frees(m, "V")
+        v = (CenterPair("V"), MarkerBlock("face", "base", "V")) + frees(m, "V")
         w = (MarkerBlock("corner", "base", "W"),) + frees(m, "W")
         return "cube-8", "cube", single, (v, w)
     if r == 14:
-        v = (_centers("V"), MarkerBlock("edge", "base", "V")) + frees(m, "V")
+        v = (CenterPair("V"), MarkerBlock("edge", "base", "V")) + frees(m, "V")
         w = (
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("face", "base", "W"),
@@ -723,7 +693,7 @@ def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "cube-14", "cube", single, (v, w)
     if r == 18:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("corner", "inner", "V"),
             MarkerBlock("corner", "outer", "V"),
         ) + frees(m, "V")
@@ -734,7 +704,7 @@ def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "cube-18", "cube", nested, (v, w)
     if r == 20:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("face", "inner", "V"),
             MarkerBlock("face", "base", "V"),
             MarkerBlock("face", "outer", "V"),
@@ -748,7 +718,7 @@ def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
 
 
 def _tetrahedron_six_recipe() -> tuple[str, str, tuple, tuple]:
-    v = (_centers("V"), MarkerBlock("corner", "base", "V"))
+    v = (CenterPair("V"), MarkerBlock("corner", "base", "V"))
     w = (MarkerBlock("edge", "base", "W"),)
     return "tetrahedron-6", "tetrahedron", (("base", 1),), (v, w)
 
@@ -770,7 +740,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         blocks = (frees(n // 60, "V"), frees(n // 60, "W"))
         return "dodecahedron-0", "dodecahedron", single, blocks
     if r == 2:
-        v = (_centers("V"),) + frees(m + 1, "V")
+        v = (CenterPair("V"),) + frees(m + 1, "V")
         w = (
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("edge", "base", "W"),
@@ -779,7 +749,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "dodecahedron-2", "dodecahedron", single, (v, w)
     if r == 12:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("corner", "base", "V"),
             MarkerBlock("edge", "base", "V"),
             MarkerBlock("corner", "outer", "V"),
@@ -788,7 +758,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "dodecahedron-12", "dodecahedron", pair, (v, w)
     if r == 20:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("face", "shell1", "V"),
             MarkerBlock("face", "shell2", "V"),
             MarkerBlock("face", "shell3", "V"),
@@ -799,7 +769,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "dodecahedron-20", "dodecahedron", quad, (v, w)
     if r == 30:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("face", "shell1", "V"),
             MarkerBlock("face", "shell2", "V"),
             MarkerBlock("face", "shell3", "V"),
@@ -810,7 +780,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         w = (MarkerBlock("edge", "shell1", "W"),) + frees(m + 1, "W")
         return "dodecahedron-30", "dodecahedron", quad, (v, w)
     if r == 32:
-        v = (_centers("V"), MarkerBlock("edge", "base", "V")) + frees(m, "V")
+        v = (CenterPair("V"), MarkerBlock("edge", "base", "V")) + frees(m, "V")
         w = (
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("face", "base", "W"),
@@ -818,7 +788,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "dodecahedron-32", "dodecahedron", single, (v, w)
     if r == 42:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("corner", "base", "V"),
             MarkerBlock("corner", "outer", "V"),
         ) + frees(m, "V")
@@ -829,7 +799,7 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
         return "dodecahedron-42", "dodecahedron", pair, (v, w)
     if r == 50:
         v = (
-            _centers("V"),
+            CenterPair("V"),
             MarkerBlock("face", "shell1", "V"),
             MarkerBlock("face", "shell2", "V"),
             MarkerBlock("face", "shell3", "V"),

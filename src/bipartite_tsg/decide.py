@@ -27,10 +27,12 @@ from .hypotheses import (
     verify_construction,
 )
 from .necessity import (
+    GROUPS,
     FixedProfile,
     NecessityVerdict,
     TABLE_MODULUS,
     necessity_verdict,
+    require_count,
 )
 
 __all__ = [
@@ -42,8 +44,6 @@ __all__ = [
     "sweep",
     "theorem_predicate",
 ]
-
-GROUPS = ("A4", "S4", "A5")
 
 _MOD12_RESIDUES = frozenset({0, 2, 4, 6, 8})
 _MOD60_RESIDUES = frozenset({0, 2, 12, 20, 30, 32, 42, 50})
@@ -145,17 +145,12 @@ def decide(n: int, group: str, strict: bool = True) -> Verdict:
     exactness witness.  With ``strict`` (the default) a disagreement with the
     closed-form classification raises :class:`InternalMismatch`.
     """
-    if n < 0:
-        raise ValueError("part size must be nonnegative")
     necessity = necessity_verdict(n, group)
     construction = None
     diagnostic = None
-    realizable = False
     if necessity.allowed:
         try:
-            assignment = build_assignment(group, n)
-            construction = verify_construction(assignment)
-            realizable = all(c.passed for c in construction.conditions)
+            construction = verify_construction(build_assignment(group, n))
         except (
             NotRealizable,
             HypothesisViolation,
@@ -166,7 +161,7 @@ def decide(n: int, group: str, strict: bool = True) -> Verdict:
     verdict = Verdict(
         n=n,
         group=group,
-        realizable=realizable,
+        realizable=construction is not None,
         necessity=necessity,
         construction=construction,
         citations=tuple(rule.id for rule in necessity.rules_fired),
@@ -201,7 +196,6 @@ class SweepTable:
 
 def sweep(group: str, n_max: int, strict: bool = True) -> SweepTable:
     """Decide every n from 1 to ``n_max`` (inclusive), in order."""
-    if n_max < 0:
-        raise ValueError("sweep limit must be nonnegative")
+    require_count(n_max, "sweep limit")
     rows = tuple(decide(n, group, strict=strict) for n in range(1, n_max + 1))
     return SweepTable(group=group, n_max=n_max, rows=rows)

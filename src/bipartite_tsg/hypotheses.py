@@ -32,11 +32,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .assignments import (
-    AxisModel,
     AxisSlots,
     Point,
     VertexAssignment,
-    build_axis_model,
     FixedCountReport,
     summarize_blocks,
     verify_fixed_counts,
@@ -118,16 +116,16 @@ class Arc:
 
 @dataclass(frozen=True)
 class ConditionResult:
-    """Outcome of one edge-routing condition."""
+    """A condition that held; a failing one raises :class:`HypothesisViolation`."""
 
     condition: int
-    passed: bool
     summary: str
 
     def as_dict(self) -> dict:
         return {
             "condition": self.condition,
-            "passed": self.passed,
+            # Always true: kept so the public report format stays unchanged.
+            "passed": True,
             "summary": self.summary,
         }
 
@@ -203,10 +201,6 @@ class HypothesisReport:
     subgroup_witness: SubgroupWitness | None = None
     corollary_edge: tuple[int, int] | None = field(default=None)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
     def as_dict(self) -> dict:
         out = {
             "case": self.case_name,
@@ -254,15 +248,18 @@ def _vertex_fixers(
     return {i: tuple(es) for i, es in out.items()}
 
 
+def _axis_index(axes: tuple[AxisSlots, ...]) -> dict[Perm, int]:
+    """Position in ``axes`` of the circle each element fixes pointwise."""
+    return {e: i for i, axis in enumerate(axes) for e in axis.elements}
+
+
 def _check_common_fixed_circles(
-    assignment: VertexAssignment, ax: AxisModel
+    assignment: VertexAssignment, axes: tuple[AxisSlots, ...]
 ) -> ConditionResult:
     """Condition (1): if two nontrivial elements both fix an adjacent pair
     pointwise, they fix the same circle."""
     n = assignment.n
-    axis_index = {
-        e: i for i, axis in enumerate(ax.axes) for e in axis.elements
-    }
+    axis_index = _axis_index(axes)
     fixers = _vertex_fixers(assignment)
     pairs_checked = 0
     for v, v_els in fixers.items():
@@ -293,7 +290,6 @@ def _check_common_fixed_circles(
                 )
     return ConditionResult(
         1,
-        True,
         f"{pairs_checked} co-fixed adjacent pairs, each on a single circle",
     )
 
@@ -378,13 +374,13 @@ def _match_pairs_to_gaps(
 
 
 def _choose_arcs(
-    assignment: VertexAssignment, ax: AxisModel
+    assignment: VertexAssignment, axes: tuple[AxisSlots, ...]
 ) -> tuple[tuple[Arc, ...], ConditionResult]:
     """Condition (2): on each circle, every adjacent placed pair gets an arc
     bounded by the pair, with interiors avoiding all vertices and pairwise
     disjoint across the whole family."""
     arcs: list[Arc] = []
-    for axis_i, axis in enumerate(ax.axes):
+    for axis_i, axis in enumerate(axes):
         occupied, gaps = _axis_gaps(axis)
         vs = [p for p, part in occupied if part == "V"]
         ws = [p for p, part in occupied if part == "W"]
@@ -426,7 +422,7 @@ def _choose_arcs(
                 )
             seen[p] = arc
     return tuple(arcs), ConditionResult(
-        2, True, f"{len(arcs)} disjoint arcs chosen across the axis circles"
+        2, f"{len(arcs)} disjoint arcs chosen across the axis circles"
     )
 
 
@@ -458,7 +454,7 @@ def _check_arc_equivariance(
                     "point does not map the arc to itself",
                 )
     return ConditionResult(
-        3, True, "the group permutes the arc family equivariantly"
+        3, "the group permutes the arc family equivariantly"
     )
 
 
@@ -496,7 +492,6 @@ def _check_swap_fixed_shapes(
     return (
         ConditionResult(
             4,
-            True,
             f"{len(interchangers)} edge-interchanging elements, all with "
             "arc-sized fixed subgraphs",
         ),
@@ -506,19 +501,20 @@ def _check_swap_fixed_shapes(
 
 def _check_swap_circles(
     assignment: VertexAssignment,
-    ax: AxisModel,
+    axes: tuple[AxisSlots, ...],
     interchangers: tuple[Perm, ...],
 ) -> ConditionResult:
     """Condition (5): an element interchanging the endpoints of an edge has a
     nonempty fixed circle shared with no other element."""
+    axis_index = _axis_index(axes)
     for e in interchangers:
-        axis = ax.axis_of(e)
-        if axis is None:
+        if e not in axis_index:
             raise HypothesisViolation(
                 5,
                 {"element": repr(e)},
                 "an edge-interchanging element has an empty fixed-point set",
             )
+        axis = axes[axis_index[e]]
         if len(axis.elements) != 1:
             raise HypothesisViolation(
                 5,
@@ -531,14 +527,13 @@ def _check_swap_circles(
             )
     return ConditionResult(
         5,
-        True,
         f"{len(interchangers)} edge-interchanging elements, each alone on "
         "its own circle",
     )
 
 
 def check_edge_embedding_hypotheses(
-    assignment: VertexAssignment, ax: AxisModel | None = None
+    assignment: VertexAssignment,
 ) -> HypothesisReport:
     """Check the five conditions under which the edges of a placed
     ``K_{n,n}`` can be routed equivariantly.
@@ -546,15 +541,14 @@ def check_edge_embedding_hypotheses(
     Raises :class:`HypothesisViolation` carrying the failed condition number
     and a witness; on success returns a report with the chosen arc family.
     """
-    if ax is None:
-        ax = build_axis_model(assignment)
-    results = [_check_common_fixed_circles(assignment, ax)]
-    arcs, cond2 = _choose_arcs(assignment, ax)
+    axes = assignment.axis_slots
+    results = [_check_common_fixed_circles(assignment, axes)]
+    arcs, cond2 = _choose_arcs(assignment, axes)
     results.append(cond2)
     results.append(_check_arc_equivariance(assignment, arcs))
     cond4, interchangers = _check_swap_fixed_shapes(assignment)
     results.append(cond4)
-    results.append(_check_swap_circles(assignment, ax, interchangers))
+    results.append(_check_swap_circles(assignment, axes, interchangers))
     return HypothesisReport(
         case_name=assignment.case_name,
         n=assignment.n,

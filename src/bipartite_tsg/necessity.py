@@ -38,6 +38,22 @@ GROUP_ORDER = {"A4": 12, "S4": 24, "A5": 60}
 TABLE_MODULUS = {"A4": 12, "S4": 12, "A5": 60}
 
 
+def counting_table(group: str) -> str:
+    """The group whose admissible-profile table constrains ``group``: the
+    octahedral group is held to the tetrahedral table through its index-2
+    rotation subgroup."""
+    return {"A4": "A4", "S4": "A4", "A5": "A5"}[group]
+
+
+def require_count(value: object, what: str) -> None:
+    """Reject anything but a nonnegative ``int`` with :class:`ValueError`;
+    ``bool`` is rejected too, although it is an ``int`` subclass."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class FixedCount:
     """How many vertices of one part an element of a given order fixes:
@@ -105,10 +121,6 @@ class FixedProfile:
 
     def w_count(self, slot: str) -> FixedCount:
         return dict(self.w)[slot]
-
-    def describe(self) -> str:
-        v = ", ".join(f"n{s}^v={c}" for s, c in self.v)
-        return v
 
 
 @dataclass(frozen=True)
@@ -460,22 +472,20 @@ def a5_small_case_analysis(n: int) -> A5SmallCase:
 
 @cache
 def allowed_residues(group: str) -> frozenset[int]:
-    """Residues of n admitted by the group's profile table (the octahedral
-    group inherits the tetrahedral table via its index-2 subgroup)."""
-    table_group = "A4" if group in ("A4", "S4") else "A5"
-    return frozenset(residue for _, residue in enumerate_profiles(table_group))
+    """Residues of n admitted by the group's profile table."""
+    return frozenset(
+        residue for _, residue in enumerate_profiles(counting_table(group))
+    )
 
 
 def necessity_verdict(n: int, group: str) -> NecessityVerdict:
     """Aggregate necessity decision for one (n, group) pair."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    if n < 0:
-        raise ValueError("part size must be nonnegative")
+    require_count(n, "part size")
     modulus = TABLE_MODULUS[group]
     residue = n % modulus
     rules: list[Rule] = []
-    table_group = "A4" if group in ("A4", "S4") else "A5"
 
     if residue not in allowed_residues(group):
         rules.append(RULES["residue-excluded"])
@@ -495,6 +505,6 @@ def necessity_verdict(n: int, group: str) -> NecessityVerdict:
         return NecessityVerdict(n, group, False, tuple(rules), None)
 
     witness = next(
-        p for p, r in enumerate_profiles(table_group) if r == residue
+        p for p, r in enumerate_profiles(counting_table(group)) if r == residue
     )
     return NecessityVerdict(n, group, True, (RULES["residue-admitted"],), witness)

@@ -9,7 +9,6 @@ enumeration deterministic.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -124,11 +123,6 @@ class Perm:
         return f"Perm[{body or 'id'}]"
 
 
-def perm_order(p: Perm) -> int:
-    """Order of a permutation: the lcm of its cycle lengths."""
-    return p.order()
-
-
 class FiniteGroup:
     """A fully enumerated permutation group on range(degree).
 
@@ -195,12 +189,6 @@ class FiniteGroup:
             classes.append(tuple(sorted(cls)))
         return tuple(sorted(classes, key=lambda c: c[0]))
 
-    def conjugacy_class_of(self, e: Perm) -> tuple[Perm, ...]:
-        return tuple(sorted({g * e * g.inverse() for g in self.elements}))
-
-    def centralizer_order(self, e: Perm) -> int:
-        return sum(1 for g in self.elements if g * e == e * g)
-
     def cyclic_subgroups(self) -> tuple[tuple[Perm, ...], ...]:
         """All cyclic subgroups, as sorted element tuples, deduplicated."""
         subs = {tuple(sorted({e ** k for k in range(e.order())})) for e in self.elements}
@@ -250,10 +238,6 @@ def generate_group(gens: Sequence[Perm]) -> FiniteGroup:
                     new.append(p)
         frontier = new
     return FiniteGroup(elements, generators=tuple(gens))
-
-
-def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[Perm, ...], ...]:
-    return group.conjugacy_classes()
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -309,7 +293,7 @@ class GroupAction:
     converted to a Perm on point indices at construction.  The homomorphism
     law act(g*a) = act(g) o act(a) is verified for every generator g against
     every element a, which pins the whole multiplication table for a
-    generated group; ``check="full"`` verifies all pairs outright.
+    generated group.
     """
 
     def __init__(
@@ -317,7 +301,6 @@ class GroupAction:
         group: FiniteGroup,
         points: Sequence[Hashable],
         act_fn: Callable[[Perm, Hashable], Hashable],
-        check: str = "generators",
     ):
         self.group = group
         self.points: tuple[Hashable, ...] = tuple(points)
@@ -337,19 +320,10 @@ class GroupAction:
         self.perms = perms
         if not perms[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
-        if check == "generators":
-            pairs: Iterable[tuple[Perm, Perm]] = (
-                (g, a) for g in group.generators for a in group.elements
-            )
-        elif check == "full":
-            pairs = itertools.product(group.elements, group.elements)
-        elif check == "none":
-            pairs = ()
-        else:
-            raise ValueError(f"unknown check mode {check!r}")
-        for g, a in pairs:
-            if perms[g * a] != perms[g] * perms[a]:
-                raise ValueError(f"not a homomorphism at ({g!r}, {a!r})")
+        for g in group.generators:
+            for a in group.elements:
+                if perms[g * a] != perms[g] * perms[a]:
+                    raise ValueError(f"not a homomorphism at ({g!r}, {a!r})")
 
     def perm_of(self, e: Perm) -> Perm:
         return self.perms[e]
@@ -412,11 +386,3 @@ def coset_action(group: FiniteGroup, sub: FiniteGroup) -> GroupAction:
         for x in coset:
             rep_of[x] = rep
     return GroupAction(group, tuple(sorted(reps)), lambda e, r: rep_of[e * r])
-
-
-def fixed_points(e: Perm, action: GroupAction) -> tuple[Hashable, ...]:
-    return action.fixed_points(e)
-
-
-def orbit_count(action: GroupAction) -> int:
-    return action.orbit_count()

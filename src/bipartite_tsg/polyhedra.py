@@ -123,10 +123,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
-def vneg(u: Vec) -> Vec:
-    return (-u[0], -u[1], -u[2])
-
-
 def vsum(vecs: Iterable[Vec]) -> Vec:
     total = vec(0, 0, 0)
     for v in vecs:
@@ -153,13 +149,6 @@ def dist2(u: Vec, v: Vec) -> Q5:
 
 def mat_apply(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)  # type: ignore[return-value]
-
-
-def mat_mul(m: Mat, n: Mat) -> Mat:
-    cols = tuple(zip(*n))
-    return tuple(
-        tuple(dot(row, col) for col in cols) for row in m
-    )  # type: ignore[return-value]
 
 
 def mat_det(m: Mat) -> Q5:
@@ -270,18 +259,6 @@ class PolyhedralModel:
 
     def class_sizes(self) -> tuple[int, int, int]:
         return (len(self.corner_vectors), len(self.edges), len(self.faces))
-
-    def vector_of(self, label: Label) -> Vec:
-        """Unnormalized direction vector of a special point (not centers)."""
-        cls, i = label
-        if cls == "corner":
-            return self.corner_vectors[i]
-        if cls == "edge":
-            a, b = self.edges[i]
-            return vadd(self.corner_vectors[a], self.corner_vectors[b])
-        if cls == "face":
-            return vsum(self.corner_vectors[k] for k in self.faces[i])
-        raise ValueError(f"no direction vector for {label!r}")
 
     def fixed_specials(self, g: Perm) -> tuple[Label, ...]:
         """Corner/edge/face labels fixed by g (centers excluded)."""
@@ -492,7 +469,7 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
             return label
         return ("center", 1 - i)
 
-    action = GroupAction(group, tuple(labels), act, check="generators")
+    action = GroupAction(group, tuple(labels), act)
 
     corner_vectors = tuple(corners)
 

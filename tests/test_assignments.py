@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bipartite_tsg.assignments import (
     NotRealizable,
     build_assignment,
-    build_axis_model,
     fixed_count_report,
     necessity_profile_of,
     summarize_blocks,
@@ -59,6 +58,12 @@ def test_not_realizable_raises_with_rule_ids():
         build_assignment("A5", 30)
     with pytest.raises(NotRealizable, match="part-size-minimum"):
         build_assignment("A4", 2)
+
+
+def test_non_integer_part_size_is_rejected_before_any_recipe():
+    for n in (16.0, True):
+        with pytest.raises(ValueError, match="part size must be an integer"):
+            build_assignment("A4", n)
 
 
 def test_part_sizes_and_distinct_points(assignments):
@@ -200,8 +205,7 @@ def test_free_point_counts(assignments):
 
 def test_axis_slots_structure(assignments):
     for a in assignments.values():
-        ax = build_axis_model(a)
-        for axis in ax.axes:
+        for axis in a.axis_slots:
             assert len(axis.slots) == len(axis.parts)
             if axis.has_centers:
                 centers = [p for p in axis.slots if p[0] == "center"]
@@ -213,24 +217,24 @@ def test_axis_slots_structure(assignments):
 
 def test_axis_lookup_matches_membership(assignments):
     a = assignments[("S4", 4)]
-    ax = build_axis_model(a)
     for e in a.model.group:
         if e.is_identity():
             continue
-        axis = ax.axis_of(e)
-        if axis is not None:
-            assert e in axis.elements
+        holding = [axis for axis in a.axis_slots if e in axis.elements]
+        entry = a.model.axis_of(e)
+        if entry is None:
+            assert holding == []
         else:
-            assert a.model.axis_of(e) is None
+            assert [axis.elements for axis in holding] == [entry.elements]
 
 
 def test_axis_markers_carry_every_concentric_copy(assignments):
     # skeleton-4 triple axes interleave the assigned inner and outer corner
     # copies around the bare 'base' copy (the skeleton surface itself).
     a = assignments[("S4", 4)]
-    ax = build_axis_model(a)
     triple = next(
-        axis for axis in ax.axes if axis.elements and axis.elements[0].order() == 3
+        axis for axis in a.axis_slots
+        if axis.elements and axis.elements[0].order() == 3
     )
     copies = {p[1] for p in triple.slots if p[0] == "corner"}
     assert copies == {"inner", "base", "outer"}

@@ -67,7 +67,7 @@ def test_allowed_verdict_carries_construction_and_profile():
     assert verdict.citations == ("residue-admitted",)
     assert verdict.necessity.witness_profile is not None
     assert verdict.construction is not None
-    assert verdict.construction.all_passed
+    assert [c.condition for c in verdict.construction.conditions] == [1, 2, 3, 4, 5]
     assert verdict.diagnostic is None
 
 
@@ -116,10 +116,19 @@ def test_verdicts_are_deterministic():
 
 
 def test_decide_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="part size must be nonnegative"):
         decide(-1, "A4")
     with pytest.raises(ValueError):
         decide(4, "D6")
+
+
+@pytest.mark.parametrize(
+    "n, group", [(True, "A4"), (False, "S4"), (62.0, "A5"), ("12", "A4")]
+)
+def test_decide_rejects_non_integer_part_sizes(n, group):
+    # bool is an int subclass: True used to be decided as n = 1
+    with pytest.raises(ValueError, match="part size must be an integer"):
+        decide(n, group)
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,3 +197,9 @@ def test_sweep_input_validation():
     with pytest.raises(ValueError):
         sweep("A4", -1)
     assert sweep("A4", 0).rows == ()
+
+
+@pytest.mark.parametrize("n_max", [True, 12.0, "12"])
+def test_sweep_rejects_non_integer_limits(n_max):
+    with pytest.raises(ValueError, match="sweep limit must be an integer"):
+        sweep("A4", n_max)

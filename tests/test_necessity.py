@@ -273,6 +273,9 @@ def test_verdict_input_validation():
         necessity_verdict(4, "D6")
     with pytest.raises(ValueError):
         necessity_verdict(-1, "A4")
+    for n in (True, 16.0):
+        with pytest.raises(ValueError, match="part size must be an integer"):
+            necessity_verdict(n, "A4")
 
 
 def test_denials_always_cite_a_rule():
