@@ -21,6 +21,7 @@ way the downstream edge-embedding checks require.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,7 +36,7 @@ from .necessity import (
     enumerate_profiles,
     necessity_verdict,
 )
-from .perms import FiniteGroup, GroupAction, Perm
+from .perms import FiniteGroup, GroupAction, Perm, compose_images
 from .polyhedra import AxisEntry, PolyhedralModel, build_polyhedral_model
 
 Point = tuple
@@ -218,51 +219,61 @@ class VertexAssignment:
 
     # ----------------------------------------------------------- group action
 
-    @cached_property
-    def _element_index(self) -> dict[Perm, int]:
-        return {e: j for j, e in enumerate(self.model.group.elements)}
-
-    @cached_property
-    def _left_mult_row(self) -> dict[Perm, tuple[int, ...]]:
-        """Row of the group's multiplication table for each element:
-        ``row[e][j]`` is the index of ``e * elements[j]``."""
-        elements = self.model.group.elements
-        index = self._element_index
-        return {
-            e: tuple(index[e * h] for h in elements) for e in elements
-        }
-
-    @cached_property
-    def _base_images(self) -> dict[Perm, dict[Point, Point]]:
-        """For each group element, the image map on the model's own labels."""
-        act = self.model.action
-        out: dict[Perm, dict[Point, Point]] = {}
-        for e in self.model.group.elements:
-            perm = act.perm_of(e)
-            out[e] = {
-                p: act.points[perm(i)] for i, p in enumerate(act.points)
-            }
-        return out
-
     def apply(self, e: Perm, point: Point) -> Point:
         """Image of a point label under a group element."""
-        kind = point[0]
-        base = self._base_images[e]
-        if kind == "center":
-            return base[point]
-        if kind == "free":
+        a = self.model.group.index(e)
+        if point[0] == "free":
             _, tag, k, j = point
-            return ("free", tag, k, self._left_mult_row[e][j])
+            return ("free", tag, k, self.model.cayley_rows[a][j])
+        if point[0] == "center":
+            return ("center", self.model.marker_images[a]["center"][point[1]])
         marker_class, copy_name, i = point
-        _, i2 = base[(marker_class, i)]
         if self.model.parity_of(e) == -1:
             copy_name = self._swap_map.get(copy_name, copy_name)
-        return (marker_class, copy_name, i2)
+        return (marker_class, copy_name, self.model.marker_images[a][marker_class][i])
 
     @cached_property
     def action(self) -> GroupAction:
-        act = GroupAction(self.model.group, self.points, self.apply)
-        if len(set(act.perms.values())) != len(self.model.group.elements):
+        """The induced action on the vertices, built block by block.
+
+        Every label ends in its index within its block: the pole number, the
+        marker index, or the element index of a free point.  A block's
+        images are its vertex-index list composed with one table of the
+        model (the pole or marker images, or the Cayley row), so no label is
+        mapped one at a time; :meth:`apply` is the per-label reference.
+        """
+        by_block: dict[Point, dict[int, int]] = {}
+        for v, p in enumerate(self.points):
+            by_block.setdefault(p[:-1], {})[p[-1]] = v
+        vertices = {
+            key: tuple(slots[k] for k in range(len(slots)))
+            for key, slots in by_block.items()
+        }
+        # position of each vertex in the block-by-block concatenation
+        position = [0] * len(self.points)
+        concatenation = (v for block in vertices.values() for v in block)
+        for s, v in enumerate(concatenation):
+            position[v] = s
+        model = self.model
+        images: dict[Perm, tuple[int, ...]] = {}
+        for a, e in enumerate(model.group.elements):
+            odd = model.parity_of(e) == -1
+            tables = model.marker_images[a]
+            concatenated: list[int] = []
+            for key, block in vertices.items():
+                if key[0] == "free":
+                    table, target = model.cayley_rows[a], block
+                elif key[0] == "center":
+                    table, target = tables["center"], block
+                else:
+                    marker_class, copy_name = key
+                    table, target = tables[marker_class], block
+                    if odd and copy_name in self._swap_map:
+                        target = vertices[(marker_class, self._swap_map[copy_name])]
+                concatenated.extend(compose_images(target, table))
+            images[e] = compose_images(concatenated, position)
+        act = GroupAction.from_images(model.group, self.points, images)
+        if len(set(act.perms.values())) != len(model.group.elements):
             raise AssertionError("the action on the vertices is not faithful")
         return act
 
@@ -280,14 +291,24 @@ class VertexAssignment:
             )
         return aut
 
+    @cached_property
+    def fixed_vertices(self) -> dict[Perm, tuple[int, ...]]:
+        """The vertices each element fixes, ascending."""
+        return {e: p.fixed_points() for e, p in self.action.perms.items()}
+
+    @cached_property
+    def inverse_images(self) -> dict[Perm, tuple[int, ...]]:
+        """Image tuple of the inverse of each induced permutation.  The action
+        is checked to be a homomorphism, so it is the induced permutation of
+        the inverse element."""
+        perms = self.action.perms
+        return {e: perms[e.inverse()].images for e in perms}
+
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
-        perm = self.induced_perm(e)
-        fixed = perm.fixed_points()
-        return (
-            sum(1 for i in fixed if i < self.n),
-            sum(1 for i in fixed if i >= self.n),
-        )
+        fixed = self.fixed_vertices[e]
+        in_v = bisect_left(fixed, self.n)
+        return (in_v, len(fixed) - in_v)
 
     def free_vertex_points(self) -> tuple[Point, ...]:
         return tuple(p for p in self.points if p[0] == "free")

@@ -196,6 +196,8 @@ class SweepTable:
 
 def sweep(group: str, n_max: int, strict: bool = True) -> SweepTable:
     """Decide every n from 1 to ``n_max`` (inclusive), in order."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
     require_count(n_max, "sweep limit")
     rows = tuple(decide(n, group, strict=strict) for n in range(1, n_max + 1))
     return SweepTable(group=group, n_max=n_max, rows=rows)

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .assignments import (
     AxisSlots,
@@ -243,7 +245,7 @@ def _vertex_fixers(
     """Map each vertex index to the nontrivial elements fixing it."""
     out: dict[int, list[Perm]] = {}
     for e in _nontrivial(assignment):
-        for i in assignment.action.perms[e].fixed_points():
+        for i in assignment.fixed_vertices[e]:
             out.setdefault(i, []).append(e)
     return {i: tuple(es) for i, es in out.items()}
 
@@ -571,17 +573,17 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
     """
     n = assignment.n
     perms = assignment.action.perms
+    fixed = assignment.fixed_vertices
     opposite = range(n, 2 * n) if x < n else range(n)
     stab = [
         e
         for e in _nontrivial(assignment)
         if perms[e](x) == x
     ]
-    good = {y for y in opposite if all(perms[e](y) == y for e in stab)}
+    good = set(opposite).intersection(*(fixed[e] for e in stab))
     for e in _nontrivial(assignment):
-        p = perms[e]
-        y0 = p.inverse()(x)
-        if y0 in good and p(x) != y0:
+        y0 = assignment.inverse_images[e][x]
+        if y0 in good and perms[e](x) != y0:
             good.discard(y0)
     return good
 
@@ -631,17 +633,20 @@ def forced_fix_closure(
     )
 
 
-def _witness_candidates(assignment: VertexAssignment) -> list[tuple[int, int]]:
-    """Candidate edges for the exactness witness, most promising first."""
+def _witness_candidates(
+    assignment: VertexAssignment,
+) -> Iterator[tuple[int, int]]:
+    """Candidate edges for the exactness witness, most promising first, each
+    yielded once and only when the search asks for it."""
     n = assignment.n
     points = assignment.points
-    out: list[tuple[int, int]] = []
+    head: list[tuple[int, int]] = []
     free_v = next((i for i in range(n) if points[i][0] == "free"), None)
     free_w = next((i for i in range(n, 2 * n) if points[i][0] == "free"), None)
     if free_v is not None:
-        out.append((free_v, n))
+        head.append((free_v, n))
     if free_w is not None:
-        out.append((0, free_w))
+        head.append((0, free_w))
     index = assignment.action.point_index
     center = index.get(("center", 0))
     if center is not None:
@@ -649,12 +654,14 @@ def _witness_candidates(assignment: VertexAssignment) -> list[tuple[int, int]]:
             non_center = next(
                 i for i in range(n) if points[i][0] != "center"
             )
-            out.append((non_center, n))
+            head.append((non_center, n))
         else:
             non_center = next(
                 i for i in range(n, 2 * n) if points[i][0] != "center"
             )
-            out.append((0, non_center))
+            head.append((0, non_center))
+    head = list(dict.fromkeys(head))
+    yield from head
     # fall back to one representative per V-orbit against every W-vertex
     reps = sorted(
         {
@@ -665,14 +672,8 @@ def _witness_candidates(assignment: VertexAssignment) -> list[tuple[int, int]]:
     )
     for x in reps:
         for y in range(n, 2 * n):
-            out.append((x, y))
-    seen: set[tuple[int, int]] = set()
-    unique = []
-    for e in out:
-        if e not in seen:
-            seen.add(e)
-            unique.append(e)
-    return unique
+            if (x, y) not in head:
+                yield (x, y)
 
 
 def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
@@ -684,22 +685,20 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     an adjacent pair without being contained in it (condition 2).  Raises
     :class:`NoWitnessFound` if neither witness exists.
     """
-    candidates = _witness_candidates(assignment)
-    for edge in candidates:
+    for edge in _witness_candidates(assignment):
         forced = forced_fix_closure(assignment, edge, stop_if_unembeddable=True)
         if not embeds_in_circle(forced.shape):
             return SubgroupWitness(edge, forced, 1)
     n = assignment.n
-    perms = assignment.action.perms
-    for edge in candidates:
+    for edge in _witness_candidates(assignment):
         forced = forced_fix_closure(assignment, edge)
         for psi in _nontrivial(assignment):
-            fix_psi = set(perms[psi].fixed_points())
-            meet = forced.vertices & fix_psi
+            fix_psi = assignment.fixed_vertices[psi]
+            meet = forced.vertices.intersection(fix_psi)
             if (
                 any(x < n for x in meet)
                 and any(x >= n for x in meet)
-                and not forced.vertices <= fix_psi
+                and not forced.vertices.issubset(fix_psi)
             ):
                 return SubgroupWitness(edge, forced, 2, psi)
     raise NoWitnessFound(
@@ -768,16 +767,17 @@ def _edge_fixer(
 
 def subgroup_corollary_witness(
     assignment: VertexAssignment,
-    candidate_edges: list[tuple[int, int]] | None = None,
+    candidate_edges: Iterable[tuple[int, int]] | None = None,
 ) -> tuple[int, int]:
     """An edge no nontrivial element fixes pointwise, for stepping an
     order-24 placement down to its order-12 rotation subgroup.
 
     Re-embedding such an edge asymmetrically destroys every symmetry that
     setwise fixes it and every symmetry taking it elsewhere is unaffected,
-    which cuts the realized group in half.  ``candidate_edges`` restricts the
-    search (used to exercise the error path); by default the documented edge
-    for the placement family is tried first, then all edges.  Raises
+    which cuts the realized group in half.  ``candidate_edges`` (any
+    iterable, consumed lazily) restricts the search (used to exercise the
+    error path); by default the documented edge for the placement family is
+    tried first, then all edges, generated one at a time.  Raises
     :class:`NoSuchEdge` when every candidate is pointwise fixed by some
     nontrivial element.
     """
@@ -787,16 +787,12 @@ def subgroup_corollary_witness(
         )
     n = assignment.n
     if candidate_edges is None:
-        candidates: list[tuple[int, int]] = []
         table = _table_step_down_edge(assignment)
-        if table is not None:
-            candidates.append(table)
-        candidates.extend(
-            (v, w) for v in range(n) for w in range(n, 2 * n)
+        candidate_edges = chain(
+            () if table is None else (table,),
+            ((v, w) for v in range(n) for w in range(n, 2 * n)),
         )
-    else:
-        candidates = list(candidate_edges)
-    for edge in candidates:
+    for edge in candidate_edges:
         if _edge_fixer(assignment, edge) is None:
             return edge
     raise NoSuchEdge(

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+
+
+def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the composite of two image sequences: ``p[q[i]]`` for
+    every ``i``."""
+    if len(q) < 2:  # itemgetter returns a bare item for one index
+        return tuple(p[i] for i in q)
+    return itemgetter(*q)(p)
 
 
 class Perm:
@@ -57,8 +66,7 @@ class Perm:
         """Composition: (p * q)(x) = p(q(x))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        imgs = self.images
-        return Perm(imgs[i] for i in other.images)
+        return Perm(compose_images(self.images, other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
@@ -290,8 +298,10 @@ class GroupAction:
     """A finite group acting on a finite labelled point set.
 
     ``act_fn(element, label) -> label`` defines the action; every element is
-    converted to a Perm on point indices at construction.  The homomorphism
-    law act(g*a) = act(g) o act(a) is verified for every generator g against
+    converted to its image list on point indices, and :meth:`from_images`
+    takes those lists directly.  Either way each list must be a permutation,
+    the identity must act trivially, and the homomorphism law
+    act(g*a) = act(g) o act(a) is verified for every generator g against
     every element a, which pins the whole multiplication table for a
     generated group.
     """
@@ -302,27 +312,57 @@ class GroupAction:
         points: Sequence[Hashable],
         act_fn: Callable[[Perm, Hashable], Hashable],
     ):
-        self.group = group
-        self.points: tuple[Hashable, ...] = tuple(points)
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("duplicate point labels")
-        index = {p: i for i, p in enumerate(self.points)}
-        self.point_index = index
-        perms: dict[Perm, Perm] = {}
+        self._set_points(group, points)
+        index = self.point_index
+        images: dict[Perm, list[int]] = {}
         for e in group.elements:
-            images = []
+            row = []
             for p in self.points:
                 q = act_fn(e, p)
                 if q not in index:
                     raise ValueError(f"action leaves the point set: {e!r} sends {p!r} to {q!r}")
-                images.append(index[q])
-            perms[e] = Perm(images)
+                row.append(index[q])
+            images[e] = row
+        self._set_perms(images)
+
+    @classmethod
+    def from_images(
+        cls,
+        group: FiniteGroup,
+        points: Sequence[Hashable],
+        images: Mapping[Perm, Sequence[int]],
+    ) -> "GroupAction":
+        """The action in which ``e`` sends point ``i`` to ``images[e][i]``,
+        checked exactly as an ``act_fn`` action is."""
+        action = cls.__new__(cls)
+        action._set_points(group, points)
+        action._set_perms(images)
+        return action
+
+    def _set_points(self, group: FiniteGroup, points: Sequence[Hashable]) -> None:
+        self.group = group
+        self.points: tuple[Hashable, ...] = tuple(points)
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("duplicate point labels")
+        self.point_index = {p: i for i, p in enumerate(self.points)}
+
+    def _set_perms(self, images: Mapping[Perm, Sequence[int]]) -> None:
+        group = self.group
+        perms: dict[Perm, Perm] = {}
+        for e in group.elements:
+            perm = Perm(images[e])
+            if perm.degree != len(self.points):
+                raise ValueError(
+                    f"{e!r} has {perm.degree} images for {len(self.points)} points"
+                )
+            perms[e] = perm
         self.perms = perms
         if not perms[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
         for g in group.generators:
+            pg = perms[g].images
             for a in group.elements:
-                if perms[g * a] != perms[g] * perms[a]:
+                if perms[g * a].images != compose_images(pg, perms[a].images):
                     raise ValueError(f"not a homomorphism at ({g!r}, {a!r})")
 
     def perm_of(self, e: Perm) -> Perm:

@@ -253,6 +253,30 @@ class PolyhedralModel:
     def parity_of(self, g: Perm) -> int:
         return self._parity_map[g]
 
+    @cached_property
+    def cayley_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Left multiplication table on element indices: ``cayley_rows[a][j]``
+        is the index of ``elements[a] * elements[j]``."""
+        group = self.group
+        return tuple(
+            tuple(group.index(e * h) for h in group.elements)
+            for e in group.elements
+        )
+
+    @cached_property
+    def marker_images(self) -> tuple[dict[str, tuple[int, ...]], ...]:
+        """Per element index and point class (``corner``, ``edge``, ``face``,
+        ``center``): ``marker_images[a][cls][i]`` is the index of the image
+        of label ``(cls, i)`` under ``elements[a]``."""
+        points = self.points
+        out = []
+        for e in self.group.elements:
+            by_class: dict[str, list[int]] = {}
+            for (cls, _), image in zip(points, self.action.perms[e].images):
+                by_class.setdefault(cls, []).append(points[image][1])
+            out.append({cls: tuple(ks) for cls, ks in by_class.items()})
+        return tuple(out)
+
     def even_subgroup(self) -> FiniteGroup:
         par = self._parity_map
         return FiniteGroup([g for g in self.group if par[g] == 1])

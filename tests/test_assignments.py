@@ -84,6 +84,17 @@ def test_every_element_induces_a_valid_automorphism(assignments):
             assert aut.part_behavior == expected
 
 
+def test_block_built_action_matches_the_per_label_map(assignments):
+    # The action is built block by block from the model's tables; ``apply``
+    # maps one label at a time and is the reference it must agree with.
+    for a in assignments.values():
+        index = a.action.point_index
+        for e in a.model.group:
+            assert a.induced_perm(e).images == tuple(
+                index[a.apply(e, p)] for p in a.points
+            )
+
+
 def test_actions_are_faithful(assignments):
     for a in assignments.values():
         perms = set(a.action.perms.values())

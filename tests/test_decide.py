@@ -199,6 +199,12 @@ def test_sweep_input_validation():
     assert sweep("A4", 0).rows == ()
 
 
+@pytest.mark.parametrize("n_max", [0, 12])
+def test_sweep_rejects_unknown_groups_at_every_limit(n_max):
+    with pytest.raises(ValueError, match="unknown group 'D6'"):
+        sweep("D6", n_max)
+
+
 @pytest.mark.parametrize("n_max", [True, 12.0, "12"])
 def test_sweep_rejects_non_integer_limits(n_max):
     with pytest.raises(ValueError, match="sweep limit must be an integer"):

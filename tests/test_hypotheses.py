@@ -2,6 +2,7 @@
 witnesses for the block-structured placements."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from bipartite_tsg.assignments import (
     CenterPair,
     MarkerBlock,
     VertexAssignment,
+    build_assignment,
 )
 from bipartite_tsg.bipartite import BipartiteAut, embeds_in_circle
 from bipartite_tsg.hypotheses import (
@@ -189,6 +191,33 @@ def test_corollary_accepts_explicit_unfixed_candidates(assignments):
         assignments[("S4", 4)], candidate_edges=((0, 4), (0, 5))
     )
     assert edge == (0, 5)
+
+
+def test_edge_searches_use_bounded_memory_at_large_n():
+    # At n = 1204 a list of all n^2 candidate edges alone would take over
+    # 100 MB; both searches must generate their candidates lazily.
+    a = build_assignment("A4", 1204)
+    for search in (check_subgroup_theorem, subgroup_corollary_witness):
+        tracemalloc.start()
+        try:
+            search(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, (search.__name__, peak)
+
+    # A generator of pointwise-fixed edges is consumed to the end.
+    n = a.n
+
+    def fixed_edges():
+        for e in a.model.group:
+            if not e.is_identity():
+                fixed = a.fixed_vertices[e]
+                yield from ((v, w) for v in fixed if v < n for w in fixed if w >= n)
+
+    assert next(fixed_edges(), None) is not None
+    with pytest.raises(NoSuchEdge):
+        subgroup_corollary_witness(a, candidate_edges=fixed_edges())
 
 
 # ----------------------------------------------------------- negative controls

@@ -174,6 +174,47 @@ def test_action_rejects_non_homomorphism():
         )
 
 
+def natural_images(group):
+    return {e: list(e.images) for e in group.elements}
+
+
+def test_image_list_constructor_matches_the_act_fn_constructor():
+    g = alternating_group(4)
+    built = GroupAction.from_images(g, range(4), natural_images(g))
+    assert built.perms == natural_action(g).perms
+
+
+def test_image_list_constructor_rejects_a_non_permutation():
+    g = symmetric_group(3)
+    images = natural_images(g)
+    images[g.elements[1]] = [0, 0, 1]
+    with pytest.raises(ValueError, match="not a permutation"):
+        GroupAction.from_images(g, range(3), images)
+    images[g.elements[1]] = [1, 0]
+    with pytest.raises(ValueError, match="2 images for 3 points"):
+        GroupAction.from_images(g, range(3), images)
+
+
+def test_image_list_constructor_rejects_a_non_trivial_identity():
+    g = symmetric_group(3)
+    images = natural_images(g)
+    images[g.identity] = [1, 0, 2]
+    with pytest.raises(ValueError, match="identity does not act trivially"):
+        GroupAction.from_images(g, range(3), images)
+
+
+def test_image_list_constructor_rejects_swapped_image_lists():
+    # Exchanging two transpositions while fixing the 3-cycles is no
+    # automorphism of S3, so the swapped lists break the homomorphism law.
+    g = symmetric_group(3)
+    images = natural_images(g)
+    a = Perm.from_cycles(3, [(0, 1)])
+    b = Perm.from_cycles(3, [(0, 2)])
+    images[a], images[b] = images[b], images[a]
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        GroupAction.from_images(g, range(3), images)
+
+
 def test_burnside_average_equals_direct_count():
     # S4 on ordered pairs (x, y): orbits are the diagonal and the rest.
     g = symmetric_group(4)
