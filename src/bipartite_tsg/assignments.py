@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
@@ -231,6 +231,28 @@ class VertexAssignment:
         if self.model.parity_of(e) == -1:
             copy_name = self._swap_map.get(copy_name, copy_name)
         return (marker_class, copy_name, self.model.marker_images[a][marker_class][i])
+
+    def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
+        """Images of several point labels under one element: :meth:`apply`
+        label by label, with the element's tables and parity looked up once."""
+        model = self.model
+        a = model.group.index(e)
+        row = model.cayley_rows[a]
+        tables = model.marker_images[a]
+        swap = self._swap_map if model.parity_of(e) == -1 else {}
+        out = []
+        for point in points:
+            if point[0] == "free":
+                _, tag, k, j = point
+                out.append(("free", tag, k, row[j]))
+            elif point[0] == "center":
+                out.append(("center", tables["center"][point[1]]))
+            else:
+                marker_class, copy_name, i = point
+                out.append(
+                    (marker_class, swap.get(copy_name, copy_name), tables[marker_class][i])
+                )
+        return tuple(out)
 
     @cached_property
     def action(self) -> GroupAction:
@@ -554,13 +576,15 @@ def _compatible(count: int, expected: FixedCount) -> bool:
     return count % expected.value == 0
 
 
-def _counting_subgroup(assignment: VertexAssignment) -> FiniteGroup:
-    """The tetrahedral- or icosahedral-type subgroup whose fixed-vertex
-    pattern the counting tables constrain."""
-    model = assignment.model
-    if model.kind in ("dodecahedron", "tetrahedron"):
+@cache
+def _counting_subgroup(kind: str) -> FiniteGroup:
+    """The tetrahedral- or icosahedral-type subgroup of the ``kind`` model
+    whose fixed-vertex pattern the counting tables constrain, built once per
+    model kind."""
+    model = build_polyhedral_model(kind)
+    if kind in ("dodecahedron", "tetrahedron"):
         return model.group
-    if model.kind == "tetrahedron-skeleton":
+    if kind == "tetrahedron-skeleton":
         return model.even_subgroup()
     # cube: the index-2 subgroup generated by third-turns and face half-turns
     members = [
@@ -579,7 +603,7 @@ def necessity_profile_of(
     Raises if no row matches or the row's residue differs from ``n``'s.
     """
     table_group = counting_table(assignment.target_group)
-    subgroup = _counting_subgroup(assignment)
+    subgroup = _counting_subgroup(assignment.model.kind)
     slots = PROFILE_SLOTS[table_group]
     observed: dict[str, tuple[int, int]] = {}
     for slot in slots:

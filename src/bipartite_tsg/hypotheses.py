@@ -105,9 +105,6 @@ class Arc:
     endpoints: tuple[Point, Point]
     interior: tuple[Point, ...]
 
-    def key(self) -> tuple[frozenset, frozenset]:
-        return (frozenset(self.endpoints), frozenset(self.interior))
-
     def as_dict(self) -> dict:
         return {
             "axis": self.axis_index,
@@ -233,18 +230,12 @@ class HypothesisReport:
 # the five edge-routing conditions
 
 
-def _nontrivial(assignment: VertexAssignment) -> tuple[Perm, ...]:
-    return tuple(
-        e for e in assignment.model.group.elements if not e.is_identity()
-    )
-
-
 def _vertex_fixers(
     assignment: VertexAssignment,
 ) -> dict[int, tuple[Perm, ...]]:
     """Map each vertex index to the nontrivial elements fixing it."""
     out: dict[int, list[Perm]] = {}
-    for e in _nontrivial(assignment):
+    for e in assignment.model.nontrivial:
         for i in assignment.fixed_vertices[e]:
             out.setdefault(i, []).append(e)
     return {i: tuple(es) for i, es in out.items()}
@@ -428,27 +419,58 @@ def _choose_arcs(
     )
 
 
+def _union(bits: list[int], ids: Iterable[int]) -> int:
+    """Bitwise OR of ``bits[i]`` over ``ids``: the bitmask of a label set."""
+    mask = 0
+    for i in ids:
+        mask |= bits[i]
+    return mask
+
+
 def _check_arc_equivariance(
     assignment: VertexAssignment, arcs: tuple[Arc, ...]
 ) -> ConditionResult:
     """Condition (3): the group permutes the chosen arc family, and any
     element that setwise fixes an arc's endpoint pair or fixes one of its
-    interior points maps that arc to itself."""
-    family = {arc.key(): arc for arc in arcs}
-    for e in _nontrivial(assignment):
-        for arc in arcs:
-            image_end = frozenset(assignment.apply(e, p) for p in arc.endpoints)
-            image_int = frozenset(assignment.apply(e, p) for p in arc.interior)
+    interior points maps that arc to itself.
+
+    Arcs are compared as the sets of their endpoints and of their interior
+    slots.  Each distinct slot label of the family gets one bit, so those
+    sets are bitmasks and each element maps each label once.  Labels no arc
+    uses share one extra bit, which no arc of the family contains.
+    """
+    labels = tuple(
+        dict.fromkeys(p for arc in arcs for p in arc.endpoints + arc.interior)
+    )
+    number = {p: i for i, p in enumerate(labels)}
+    own = [1 << i for i in range(len(labels))]
+    outside = 1 << len(labels)
+    spans = [
+        (
+            tuple(number[p] for p in arc.endpoints),
+            tuple(number[p] for p in arc.interior),
+        )
+        for arc in arcs
+    ]
+    keys = [(_union(own, ends), _union(own, interior)) for ends, interior in spans]
+    family = set(keys)
+    for e in assignment.model.nontrivial:
+        image = [
+            own[number[q]] if q in number else outside
+            for q in assignment.slot_images(e, labels)
+        ]
+        fixed = _union(own, (i for i, b in enumerate(image) if b == own[i]))
+        for arc, ((v, w), interior), key in zip(arcs, spans, keys):
+            image_end = image[v] | image[w]
+            image_int = _union(image, interior)
             if (image_end, image_int) not in family:
                 raise HypothesisViolation(
                     3,
                     {"element": repr(e), "arc": arc.as_dict()},
                     "an element maps a chosen arc outside the family",
                 )
-            stabilizes = image_end == frozenset(arc.endpoints) or any(
-                assignment.apply(e, p) == p for p in arc.interior
-            )
-            if stabilizes and (image_end, image_int) != arc.key():
+            stabilizes = image_end == key[0] or key[1] & fixed
+            if stabilizes and (image_end, image_int) != key:
                 raise HypothesisViolation(
                     3,
                     {"element": repr(e), "arc": arc.as_dict()},
@@ -477,7 +499,7 @@ def _check_swap_fixed_shapes(
     """Condition (4): an element interchanging the endpoints of an edge must
     pointwise fix a subgraph small enough for a proper sub-arc of a circle."""
     interchangers = []
-    for e in _nontrivial(assignment):
+    for e in assignment.model.nontrivial:
         if assignment.model.parity_of(e) == 1:
             continue
         if not _cross_two_cycle(assignment, e):
@@ -577,11 +599,11 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
     opposite = range(n, 2 * n) if x < n else range(n)
     stab = [
         e
-        for e in _nontrivial(assignment)
+        for e in assignment.model.nontrivial
         if perms[e](x) == x
     ]
     good = set(opposite).intersection(*(fixed[e] for e in stab))
-    for e in _nontrivial(assignment):
+    for e in assignment.model.nontrivial:
         y0 = assignment.inverse_images[e][x]
         if y0 in good and perms[e](x) != y0:
             good.discard(y0)
@@ -692,7 +714,7 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     n = assignment.n
     for edge in _witness_candidates(assignment):
         forced = forced_fix_closure(assignment, edge)
-        for psi in _nontrivial(assignment):
+        for psi in assignment.model.nontrivial:
             fix_psi = assignment.fixed_vertices[psi]
             meet = forced.vertices.intersection(fix_psi)
             if (
@@ -758,7 +780,7 @@ def _edge_fixer(
 ) -> Perm | None:
     """A nontrivial element fixing both endpoints of ``edge``, if any."""
     v, w = edge
-    for e in _nontrivial(assignment):
+    for e in assignment.model.nontrivial:
         p = assignment.action.perms[e]
         if p(v) == v and p(w) == w:
             return e

@@ -10,6 +10,7 @@ enumeration deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -181,20 +182,47 @@ class FiniteGroup:
     def is_subgroup(self, sub: "FiniteGroup") -> bool:
         return sub.degree == self.degree and all(h in self for h in sub.elements)
 
+    @cached_property
+    def product_table(self) -> tuple[tuple[int, ...], ...]:
+        """Multiplication on element indices, built on first use:
+        ``product_table[a][b]`` is the index of ``elements[a] * elements[b]``."""
+        index = {e.images: i for i, e in enumerate(self.elements)}
+        return tuple(
+            tuple(index[compose_images(a.images, b.images)] for b in self.elements)
+            for a in self.elements
+        )
+
+    @cached_property
+    def _by_order(self) -> dict[int, tuple[Perm, ...]]:
+        out: dict[int, list[Perm]] = {}
+        for e in self.elements:
+            out.setdefault(e.order(), []).append(e)
+        return {k: tuple(es) for k, es in out.items()}
+
     def elements_of_order(self, k: int) -> tuple[Perm, ...]:
-        return tuple(e for e in self.elements if e.order() == k)
+        return self._by_order.get(k, ())
 
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
         """Partition of the elements into conjugacy classes, each class sorted,
-        classes ordered by their least element."""
-        remaining = set(self.elements)
+        classes ordered by their least element.  Computed once per group."""
+        return self._conjugacy_classes
+
+    @cached_property
+    def _conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
+        return self._partition_into_classes()
+
+    def _partition_into_classes(self) -> tuple[tuple[Perm, ...], ...]:
+        table = self.product_table
+        one = self.index(self.identity)
+        inverse = [row.index(one) for row in table]
+        remaining = set(range(len(self.elements)))
         classes = []
-        for e in self.elements:
+        for e in range(len(self.elements)):
             if e not in remaining:
                 continue
-            cls = {g * e * g.inverse() for g in self.elements}
+            cls = {table[table[g][e]][inverse[g]] for g in range(len(table))}
             remaining -= cls
-            classes.append(tuple(sorted(cls)))
+            classes.append(tuple(sorted(self.elements[i] for i in cls)))
         return tuple(sorted(classes, key=lambda c: c[0]))
 
     def cyclic_subgroups(self) -> tuple[tuple[Perm, ...], ...]:
@@ -359,10 +387,12 @@ class GroupAction:
         self.perms = perms
         if not perms[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
+        elements = group.elements
         for g in group.generators:
             pg = perms[g].images
-            for a in group.elements:
-                if perms[g * a].images != compose_images(pg, perms[a].images):
+            row = group.product_table[group.index(g)]
+            for a, ga in zip(elements, row):
+                if perms[elements[ga]].images != compose_images(pg, perms[a].images):
                     raise ValueError(f"not a homomorphism at ({g!r}, {a!r})")
 
     def perm_of(self, e: Perm) -> Perm:

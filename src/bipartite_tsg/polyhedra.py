@@ -253,15 +253,16 @@ class PolyhedralModel:
     def parity_of(self, g: Perm) -> int:
         return self._parity_map[g]
 
-    @cached_property
+    @property
     def cayley_rows(self) -> tuple[tuple[int, ...], ...]:
         """Left multiplication table on element indices: ``cayley_rows[a][j]``
         is the index of ``elements[a] * elements[j]``."""
-        group = self.group
-        return tuple(
-            tuple(group.index(e * h) for h in group.elements)
-            for e in group.elements
-        )
+        return self.group.product_table
+
+    @cached_property
+    def nontrivial(self) -> tuple[Perm, ...]:
+        """The group elements other than the identity, in group order."""
+        return tuple(e for e in self.group.elements if not e.is_identity())
 
     @cached_property
     def marker_images(self) -> tuple[dict[str, tuple[int, ...]], ...]:

@@ -15,7 +15,7 @@ from bipartite_tsg.assignments import (
 from bipartite_tsg.bipartite import validate_automorphism
 from bipartite_tsg.necessity import TABLE_MODULUS
 
-from conftest import SAMPLE_PAIRS
+from conftest import MODEL_KINDS, SAMPLE_PAIRS
 
 EXPECTED_CASES = {
     ("A4", 6): "tetrahedron-6",
@@ -275,3 +275,50 @@ def test_fixed_counts_invariant_under_conjugation(assignments, pair, data):
     e = data.draw(st.sampled_from(elements))
     g = data.draw(st.sampled_from(elements))
     assert a.fixed_counts(e) == a.fixed_counts(g * e * g.inverse())
+
+
+# ------------------------------------------------- per-model invariants
+
+
+def test_a_second_placement_reuses_the_model_classes(monkeypatch):
+    from bipartite_tsg.perms import FiniteGroup
+
+    verify_fixed_counts(build_assignment("A5", 62))
+    calls = []
+    worker = FiniteGroup._partition_into_classes
+
+    def counting(self):
+        calls.append(self)
+        return worker(self)
+
+    monkeypatch.setattr(FiniteGroup, "_partition_into_classes", counting)
+    verify_fixed_counts(build_assignment("A5", 122))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_cached_model_invariants_equal_a_fresh_computation(models, kind):
+    from bipartite_tsg.assignments import _counting_subgroup
+
+    group = models[kind].group
+    # conjugacy classes, by direct conjugation of Perm objects
+    fresh = {
+        frozenset(g * e * g.inverse() for g in group.elements)
+        for e in group.elements
+    }
+    classes = group.conjugacy_classes()
+    assert isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)
+    assert {frozenset(c) for c in classes} == fresh
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    assert all(list(c) == sorted(c) for c in classes)
+    # element orders
+    for k in range(1, group.order + 1):
+        expected = tuple(e for e in group.elements if e.order() == k)
+        assert group.elements_of_order(k) == expected
+    # the counting subgroup
+    cached = _counting_subgroup(kind)
+    assert cached is _counting_subgroup(kind)
+    assert cached.elements == _counting_subgroup.__wrapped__(kind).elements
+    assert models[kind].nontrivial == tuple(
+        e for e in group.elements if not e.is_identity()
+    )

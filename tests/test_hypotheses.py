@@ -269,6 +269,78 @@ def test_truncated_arc_family_violates_equivariance(assignments, reports):
     assert exc.value.condition == 3
 
 
+def test_slot_images_match_apply(assignments, reports):
+    # Every arc slot label, plus every vertex point so the free-point branch
+    # is covered as well.
+    for pair, report in reports.items():
+        a = assignments[pair]
+        labels = tuple(
+            dict.fromkeys(
+                p for arc in report.arcs for p in arc.endpoints + arc.interior
+            )
+        ) + a.points
+        for e in a.model.nontrivial:
+            expected = tuple(a.apply(e, p) for p in labels)
+            assert a.slot_images(e, labels) == expected, (pair, e)
+
+
+def test_stabilizer_moving_its_arc_violates_equivariance(
+    assignments, reports, monkeypatch
+):
+    from bipartite_tsg.hypotheses import Arc, _check_arc_equivariance
+
+    # On an honest family only the "outside the family" branch can fire:
+    # each endpoint pair has one arc and interiors are disjoint.  So add a
+    # twin arc on the endpoints of ``arc`` and let an element that really
+    # fixes those endpoints send ``arc`` onto the twin; every other label,
+    # and every label under every other element, maps to itself.
+    a = assignments[("A5", 42)]
+    arcs = reports[("A5", 42)].arcs
+    arc, other = [x for x in arcs if x.interior][:2]
+    twin = Arc(arc.axis_index, arc.endpoints, other.interior[:1])
+    e0 = a.axis_slots[arc.axis_index].elements[0]
+    assert all(a.apply(e0, p) == p for p in arc.endpoints)
+
+    def doctored(self, e, points):
+        if e != e0:
+            return points
+        return tuple(other.interior[0] if p in arc.interior else p for p in points)
+
+    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    with pytest.raises(HypothesisViolation) as exc:
+        _check_arc_equivariance(a, arcs + (twin,))
+    assert exc.value.condition == 3
+    assert "stabilizing an arc's boundary" in str(exc.value)
+    assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
+
+
+def test_image_on_unused_labels_is_outside_the_family(
+    assignments, reports, monkeypatch
+):
+    from bipartite_tsg.hypotheses import _check_arc_equivariance
+
+    # One element sends the first endpoint of ``arc`` to the second and the
+    # second to a label that no arc uses; the image is then no member of the
+    # family, however unused labels are numbered.
+    a = assignments[("A4", 6)]
+    arc = reports[("A4", 6)].arcs[0]
+    e0 = a.model.nontrivial[0]
+    v, w = arc.endpoints
+    moved = {v: w, w: ("corner", "unused", 0)}
+
+    def doctored(self, e, points):
+        if e != e0:
+            return points
+        return tuple(moved.get(p, p) for p in points)
+
+    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    with pytest.raises(HypothesisViolation) as exc:
+        _check_arc_equivariance(a, (arc,))
+    assert exc.value.condition == 3
+    assert "outside the family" in str(exc.value)
+    assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
+
+
 def test_oversized_fixed_subgraph_violates_the_subarc_condition(
     assignments, monkeypatch
 ):

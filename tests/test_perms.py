@@ -117,6 +117,12 @@ def test_element_order_counts_in_a5():
     assert len(g.elements_of_order(5)) == 24
 
 
+def test_product_table_matches_multiplication():
+    g = symmetric_group(4)
+    for a, row in zip(g.elements, g.product_table):
+        assert [g.elements[ab] for ab in row] == [a * b for b in g.elements]
+
+
 def test_element_orders_divide_group_order():
     g = symmetric_group(4)
     assert all(g.order % e.order() == 0 for e in g)
