@@ -161,6 +161,10 @@ class VertexAssignment:
         out: list[tuple[Point, str]] = []
         free_base = {"V": 0, "W": 0, "VW": 0}
         elements = self.model.group.elements
+        # a split orbit's even half lies in V, its odd half in W
+        split_parts = tuple(
+            "V" if self.model.parity_of(e) == 1 else "W" for e in elements
+        )
         for block in self.all_blocks():
             if isinstance(block, CenterPair):
                 out.append((("center", 0), block.part))
@@ -175,13 +179,11 @@ class VertexAssignment:
                 tag = "VW" if block.part == "split" else block.part
                 base = free_base[tag]
                 free_base[tag] += block.count
+                parts = split_parts if tag == "VW" else (block.part,) * len(elements)
                 for k in range(base, base + block.count):
-                    for j, e in enumerate(elements):
-                        if tag == "VW":
-                            part = "V" if self.model.parity_of(e) == 1 else "W"
-                        else:
-                            part = block.part
-                        out.append((("free", tag, k, j), part))
+                    out.extend(
+                        (("free", tag, k, j), part) for j, part in enumerate(parts)
+                    )
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown block {block!r}")
         return tuple(out)
@@ -256,13 +258,17 @@ class VertexAssignment:
 
     @cached_property
     def action(self) -> GroupAction:
-        """The induced action on the vertices, built block by block.
+        """The induced action on the vertices, built from the generators.
 
+        Only the generators' image lists are assembled, block by block.
         Every label ends in its index within its block: the pole number, the
         marker index, or the element index of a free point.  A block's
         images are its vertex-index list composed with one table of the
         model (the pole or marker images, or the Cayley row), so no label is
         mapped one at a time; :meth:`apply` is the per-label reference.
+        :meth:`GroupAction.from_images` checks those lists and composes every
+        other element's along the product table, checking the homomorphism
+        law on every generator x element pair.
         """
         by_block: dict[Point, dict[int, int]] = {}
         for v, p in enumerate(self.points):
@@ -277,8 +283,10 @@ class VertexAssignment:
         for s, v in enumerate(concatenation):
             position[v] = s
         model = self.model
+        group = model.group
         images: dict[Perm, tuple[int, ...]] = {}
-        for a, e in enumerate(model.group.elements):
+        for e in group.generators:
+            a = group.index(e)
             odd = model.parity_of(e) == -1
             tables = model.marker_images[a]
             concatenated: list[int] = []
@@ -294,8 +302,8 @@ class VertexAssignment:
                         target = vertices[(marker_class, self._swap_map[copy_name])]
                 concatenated.extend(compose_images(target, table))
             images[e] = compose_images(concatenated, position)
-        act = GroupAction.from_images(model.group, self.points, images)
-        if len(set(act.perms.values())) != len(model.group.elements):
+        act = GroupAction.from_images(group, self.points, images)
+        if len(set(act.perms.values())) != len(group.elements):
             raise AssertionError("the action on the vertices is not faithful")
         return act
 

@@ -31,9 +31,19 @@ class Perm:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
+        n = len(images)
+        if n and (len(set(images)) != n or min(images) != 0 or max(images) != n - 1):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
         self.images: tuple[int, ...] = images
+
+    @classmethod
+    def _from_checked(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap the image tuple of a product or inverse of checked
+        permutations without checking it again: such a composite is a
+        permutation by construction."""
+        perm = cls.__new__(cls)
+        perm.images = images
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -67,13 +77,13 @@ class Perm:
         """Composition: (p * q)(x) = p(q(x))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Perm(compose_images(self.images, other.images))
+        return Perm._from_checked(compose_images(self.images, other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return Perm._from_checked(tuple(inv))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -327,11 +337,14 @@ class GroupAction:
 
     ``act_fn(element, label) -> label`` defines the action; every element is
     converted to its image list on point indices, and :meth:`from_images`
-    takes those lists directly.  Either way each list must be a permutation,
-    the identity must act trivially, and the homomorphism law
-    act(g*a) = act(g) o act(a) is verified for every generator g against
-    every element a, which pins the whole multiplication table for a
-    generated group.
+    takes such lists directly, for the generators and any other elements.
+    Either way each given list must be a permutation of the points and the
+    identity must act trivially.  Every element's permutation is then
+    composed from the generators' along the group's product table, which
+    verifies the homomorphism law act(g*a) = act(g) o act(a) for every
+    generator g against every element a and so pins the whole
+    multiplication table for a generated group; each given list must equal
+    the composed one.
     """
 
     def __init__(
@@ -361,7 +374,9 @@ class GroupAction:
         images: Mapping[Perm, Sequence[int]],
     ) -> "GroupAction":
         """The action in which ``e`` sends point ``i`` to ``images[e][i]``,
-        checked exactly as an ``act_fn`` action is."""
+        checked exactly as an ``act_fn`` action is.  ``images`` must hold
+        every generator's list; the lists of the elements it leaves out are
+        composed from the generators'."""
         action = cls.__new__(cls)
         action._set_points(group, points)
         action._set_perms(images)
@@ -376,24 +391,57 @@ class GroupAction:
 
     def _set_perms(self, images: Mapping[Perm, Sequence[int]]) -> None:
         group = self.group
-        perms: dict[Perm, Perm] = {}
-        for e in group.elements:
-            perm = Perm(images[e])
+        given: dict[Perm, Perm] = {}
+        for e, row in images.items():
+            perm = Perm(row)
             if perm.degree != len(self.points):
                 raise ValueError(
                     f"{e!r} has {perm.degree} images for {len(self.points)} points"
                 )
-            perms[e] = perm
-        self.perms = perms
-        if not perms[group.identity].is_identity():
+            given[e] = perm
+        if group.identity in given and not given[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
+        self.perms = self._generated_perms(given)
+        for e, perm in given.items():
+            if self.perms[e] != perm:
+                raise ValueError(f"not a homomorphism at {e!r}")
+
+    def _generated_perms(self, given: Mapping[Perm, Perm]) -> dict[Perm, Perm]:
+        """Every element's permutation, composed from the generators' along
+        the product table.
+
+        Breadth first from the identity, which acts trivially: each element
+        ``a`` is visited once, and each generator ``g`` sends it to ``g*a``
+        with the permutation ``act(g) o act(a)``.  The first pair to reach an
+        element assigns its permutation and every later pair must give the
+        same one, so the homomorphism law is checked for every generator
+        against every element.  Composites of checked permutations are
+        permutations, so they are not checked again.
+        """
+        group = self.group
         elements = group.elements
+        steps = []
         for g in group.generators:
-            pg = perms[g].images
-            row = group.product_table[group.index(g)]
-            for a, ga in zip(elements, row):
-                if perms[elements[ga]].images != compose_images(pg, perms[a].images):
-                    raise ValueError(f"not a homomorphism at ({g!r}, {a!r})")
+            if g not in given:
+                raise ValueError(f"no image list for the generator {g!r}")
+            steps.append((g, group.product_table[group.index(g)], given[g].images))
+        start = group.index(group.identity)
+        images: list[tuple[int, ...] | None] = [None] * len(elements)
+        images[start] = tuple(range(len(self.points)))
+        reached = [start]
+        for a in reached:  # appended to while it is read: a breadth-first queue
+            image = images[a]
+            for g, row, pg in steps:
+                composite = compose_images(pg, image)
+                ga = row[a]
+                if images[ga] is None:
+                    images[ga] = composite
+                    reached.append(ga)
+                elif images[ga] != composite:
+                    raise ValueError(f"not a homomorphism at ({g!r}, {elements[a]!r})")
+        if len(reached) != len(elements):
+            raise ValueError("the generators do not generate the group")
+        return {e: Perm._from_checked(images[i]) for i, e in enumerate(elements)}
 
     def perm_of(self, e: Perm) -> Perm:
         return self.perms[e]

@@ -14,6 +14,7 @@ from bipartite_tsg.assignments import (
 )
 from bipartite_tsg.bipartite import validate_automorphism
 from bipartite_tsg.necessity import TABLE_MODULUS
+from bipartite_tsg.perms import GroupAction, Perm
 
 from conftest import MODEL_KINDS, SAMPLE_PAIRS
 
@@ -99,6 +100,54 @@ def test_actions_are_faithful(assignments):
     for a in assignments.values():
         perms = set(a.action.perms.values())
         assert len(perms) == a.model.group.order
+
+
+def _doctor_generator_images(monkeypatch, doctor):
+    """Make every placement build pass its generator image lists through
+    ``doctor(points, images)`` before they are checked."""
+    checked = GroupAction.from_images.__func__
+
+    def doctored(cls, group, points, images):
+        return checked(cls, group, points, doctor(points, dict(images)))
+
+    monkeypatch.setattr(GroupAction, "from_images", classmethod(doctored))
+
+
+def test_a_doctored_generator_image_fails_the_build(monkeypatch):
+    def exchange_two_free_vertices(points, images):
+        g = next(iter(images))
+        u, v = [i for i, p in enumerate(points) if p[0] == "free"][:2]
+        row = list(images[g])
+        row[u], row[v] = row[v], row[u]
+        images[g] = row
+        return images
+
+    _doctor_generator_images(monkeypatch, exchange_two_free_vertices)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        build_assignment("A5", 62)
+
+
+def test_a_non_faithful_action_fails_the_build(monkeypatch):
+    def trivial(points, images):
+        return {g: range(len(points)) for g in images}
+
+    _doctor_generator_images(monkeypatch, trivial)
+    with pytest.raises(AssertionError, match="not faithful"):
+        build_assignment("A5", 62)
+
+
+def test_a_placement_checks_only_its_generators_image_lists(monkeypatch):
+    build_assignment("A5", 62)  # the shared model and its tables
+    calls = []
+    checked = Perm.__init__
+
+    def counting(self, images):
+        calls.append(self)
+        checked(self, images)
+
+    monkeypatch.setattr(Perm, "__init__", counting)
+    a = build_assignment("A5", 482)
+    assert 0 < len(calls) <= len(a.model.group.generators)
 
 
 def test_tetrahedral_and_icosahedral_targets_never_swap_parts(assignments):

@@ -27,6 +27,22 @@ def test_perm_rejects_non_permutation():
         Perm([0, 0, 1])
 
 
+@pytest.mark.parametrize(
+    "images",
+    [(0, 3, 3, 1), (2, -1, 0), (0, 1, 3), (3, 0, 1, 2, 5)],
+    ids=["duplicate", "negative", "out-of-range", "gap"],
+)
+def test_perm_rejects_each_kind_of_non_permutation(images):
+    with pytest.raises(ValueError, match="not a permutation"):
+        Perm(images)
+
+
+def test_perm_accepts_the_empty_and_the_one_point_permutation():
+    assert Perm(()).images == ()
+    assert Perm.identity(1).images == (0,)
+    assert Perm.identity(0) == Perm(())
+
+
 def test_from_cycles_and_call():
     p = Perm.from_cycles(5, [(0, 1, 2)])
     assert [p(i) for i in range(5)] == [1, 2, 0, 3, 4]
@@ -259,3 +275,35 @@ def test_union_find_components():
     uf.union(3, 4)
     assert uf.component_count() == 3
     assert uf.find(1) == uf.find(0)
+
+
+def test_generator_images_determine_the_action():
+    g = symmetric_group(4)
+    images = {e: list(e.images) for e in g.generators}
+    assert GroupAction.from_images(g, range(4), images).perms == natural_action(g).perms
+
+
+def test_generator_images_breaking_a_relation_are_rejected():
+    # (0 1) -> identity with (0 1 2) kept breaks s r s = r^-1.
+    g = symmetric_group(3)
+    s, r = Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])
+    assert set(g.generators) == {s, r}
+    images = {s: [0, 1, 2], r: list(r.images)}
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        GroupAction.from_images(g, range(3), images)
+
+
+def test_image_list_constructor_needs_every_generator():
+    g = symmetric_group(3)
+    images = natural_images(g)
+    del images[g.generators[0]]
+    with pytest.raises(ValueError, match="no image list for the generator"):
+        GroupAction.from_images(g, range(3), images)
+
+
+def test_image_list_constructor_rejects_generators_of_a_smaller_group():
+    s3 = symmetric_group(3)
+    r = Perm.from_cycles(3, [(0, 1, 2)])
+    g = FiniteGroup(s3.elements, generators=(r,))
+    with pytest.raises(ValueError, match="do not generate the group"):
+        GroupAction.from_images(g, range(3), {r: list(r.images)})
