@@ -268,7 +268,9 @@ class VertexAssignment:
         mapped one at a time; :meth:`apply` is the per-label reference.
         :meth:`GroupAction.from_images` checks those lists and composes every
         other element's along the product table, checking the homomorphism
-        law on every generator x element pair.
+        law on every generator x element pair.  The kernel of the action is
+        a normal subgroup, so the action is faithful exactly when no
+        nontrivial conjugacy class's least element acts as the identity.
         """
         by_block: dict[Point, dict[int, int]] = {}
         for v, p in enumerate(self.points):
@@ -303,7 +305,8 @@ class VertexAssignment:
                 concatenated.extend(compose_images(target, table))
             images[e] = compose_images(concatenated, position)
         act = GroupAction.from_images(group, self.points, images)
-        if len(set(act.perms.values())) != len(group.elements):
+        nontrivial_classes = group.conjugacy_classes()[1:]  # [0] is {identity}
+        if any(act.perms[cls[0]].is_identity() for cls in nontrivial_classes):
             raise AssertionError("the action on the vertices is not faithful")
         return act
 
@@ -323,8 +326,26 @@ class VertexAssignment:
 
     @cached_property
     def fixed_vertices(self) -> dict[Perm, tuple[int, ...]]:
-        """The vertices each element fixes, ascending."""
-        return {e: p.fixed_points() for e, p in self.action.perms.items()}
+        """The vertices each element fixes, ascending.
+
+        Every vertex is scanned once per conjugacy class, for its least
+        element ``r``.  The action is checked to be a homomorphism, so a
+        conjugate ``g r g^-1`` fixes exactly the images ``g(x)`` of the
+        vertices ``x`` that ``r`` fixes; the identity fixes every vertex.
+        """
+        group = self.model.group
+        perms = self.action.perms
+        elements = group.elements
+        scanned = {0: tuple(range(len(self.points)))}  # index 0 is the identity
+        out = {}
+        for e, (g, r) in zip(elements, group.conjugators):
+            if r not in scanned:
+                scanned[r] = perms[elements[r]].fixed_points()
+            fixed = scanned[r]
+            if g != 0:
+                fixed = tuple(sorted(compose_images(perms[elements[g]].images, fixed)))
+            out[e] = fixed
+        return out
 
     @cached_property
     def inverse_images(self) -> dict[Perm, tuple[int, ...]]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from .assignments import (
@@ -47,7 +47,7 @@ from .bipartite import (
     embeds_in_proper_subset_of_circle,
     fixed_shape,
 )
-from .perms import Perm
+from .perms import Perm, compose_images
 
 __all__ = [
     "Arc",
@@ -230,15 +230,15 @@ class HypothesisReport:
 # the five edge-routing conditions
 
 
-def _vertex_fixers(
-    assignment: VertexAssignment,
-) -> dict[int, tuple[Perm, ...]]:
-    """Map each vertex index to the nontrivial elements fixing it."""
-    out: dict[int, list[Perm]] = {}
-    for e in assignment.model.nontrivial:
+def _vertex_fixers(assignment: VertexAssignment) -> dict[int, int]:
+    """Map each vertex index fixed by a nontrivial element to the bitmask of
+    the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``."""
+    out: dict[int, int] = {}
+    for k, e in enumerate(assignment.model.nontrivial):
+        bit = 1 << k
         for i in assignment.fixed_vertices[e]:
-            out.setdefault(i, []).append(e)
-    return {i: tuple(es) for i, es in out.items()}
+            out[i] = out.get(i, 0) | bit
+    return out
 
 
 def _axis_index(axes: tuple[AxisSlots, ...]) -> dict[Perm, int]:
@@ -250,30 +250,39 @@ def _check_common_fixed_circles(
     assignment: VertexAssignment, axes: tuple[AxisSlots, ...]
 ) -> ConditionResult:
     """Condition (1): if two nontrivial elements both fix an adjacent pair
-    pointwise, they fix the same circle."""
+    pointwise, they fix the same circle.  The common fixers of a pair are the
+    AND of the two vertices' fixer bitmasks, and each distinct set of common
+    fixers is judged once."""
     n = assignment.n
+    nontrivial = assignment.model.nontrivial
     axis_index = _axis_index(axes)
+    circle_of = [axis_index.get(e) for e in nontrivial]
     fixers = _vertex_fixers(assignment)
+    on_one_circle: dict[int, bool] = {}
     pairs_checked = 0
-    for v, v_els in fixers.items():
+    for v, v_mask in fixers.items():
         if v >= n:
             continue
-        v_set = set(v_els)
-        for w, w_els in fixers.items():
+        for w, w_mask in fixers.items():
             if w < n:
                 continue
-            common = v_set.intersection(w_els)
+            common = v_mask & w_mask
             if not common:
                 continue
             pairs_checked += 1
-            circles = {axis_index.get(e) for e in common}
-            if len(circles) != 1 or None in circles:
+            ok = on_one_circle.get(common)
+            if ok is None:
+                circles = {c for k, c in enumerate(circle_of) if common >> k & 1}
+                ok = on_one_circle[common] = len(circles) == 1 and None not in circles
+            if not ok:
+                # ``nontrivial`` is in group order, so these come out sorted
+                elements = [e for k, e in enumerate(nontrivial) if common >> k & 1]
                 witness = {
                     "pair": [
                         point_str(assignment.points[v]),
                         point_str(assignment.points[w]),
                     ],
-                    "elements": [repr(e) for e in sorted(common)],
+                    "elements": [repr(e) for e in elements],
                 }
                 raise HypothesisViolation(
                     1,
@@ -435,16 +444,28 @@ def _check_arc_equivariance(
     interior points maps that arc to itself.
 
     Arcs are compared as the sets of their endpoints and of their interior
-    slots.  Each distinct slot label of the family gets one bit, so those
-    sets are bitmasks and each element maps each label once.  Labels no arc
-    uses share one extra bit, which no arc of the family contains.
+    slots.  The ``k`` distinct slot labels of the family are numbered, and
+    each element's map on them is read once from ``slot_images`` as a tuple
+    of numbers, with ``k`` for every label no arc uses; number ``i`` is bit
+    ``i``, so arcs are bitmasks, and no arc of the family contains bit ``k``.
+
+    The label maps are checked to compose along the product table on every
+    generator x element pair, so they form an action of the group.  Then a
+    family the generators map into itself is mapped into itself by every
+    element, and an element stabilizes an arc and moves it exactly when its
+    conjugate does so to the conjugate arc.  So both halves are checked on
+    the generators and on one element per conjugacy class.  If some pair
+    does not compose, both of its elements are checked too, and if no arc
+    check fails the broken composition is itself reported.
     """
+    model = assignment.model
+    group = model.group
     labels = tuple(
         dict.fromkeys(p for arc in arcs for p in arc.endpoints + arc.interior)
     )
+    k = len(labels)
     number = {p: i for i, p in enumerate(labels)}
-    own = [1 << i for i in range(len(labels))]
-    outside = 1 << len(labels)
+    own = [1 << i for i in range(k + 1)]
     spans = [
         (
             tuple(number[p] for p in arc.endpoints),
@@ -454,12 +475,27 @@ def _check_arc_equivariance(
     ]
     keys = [(_union(own, ends), _union(own, interior)) for ends, interior in spans]
     family = set(keys)
-    for e in assignment.model.nontrivial:
-        image = [
-            own[number[q]] if q in number else outside
-            for q in assignment.slot_images(e, labels)
-        ]
-        fixed = _union(own, (i for i, b in enumerate(image) if b == own[i]))
+    # maps[a]: element a's map on the label numbers, k sent to itself; the
+    # identity is element 0 and model.nontrivial lists elements 1, 2, ...
+    maps = [tuple(range(k + 1))]
+    for e in model.nontrivial:
+        images = assignment.slot_images(e, labels)
+        maps.append((*map(number.get, images, repeat(k)), k))
+    table = group.product_table
+    generators = [group.index(g) for g in group.generators]
+    broken = [
+        (g, a)
+        for g in generators
+        for a, map_a in enumerate(maps)
+        if maps[table[g][a]] != compose_images(maps[g], map_a)
+    ]
+    checked = set(generators).union(r for _, r in group.conjugators)
+    checked.update(x for g, a in broken for x in (a, table[g][a]))
+    for a, e in enumerate(model.nontrivial, start=1):
+        if a not in checked:
+            continue
+        image = [own[j] for j in maps[a]]
+        fixed = _union(own, (i for i in range(k) if maps[a][i] == i))
         for arc, ((v, w), interior), key in zip(arcs, spans, keys):
             image_end = image[v] | image[w]
             image_int = _union(image, interior)
@@ -477,36 +513,56 @@ def _check_arc_equivariance(
                     "an element stabilizing an arc's boundary or an interior "
                     "point does not map the arc to itself",
                 )
+    if broken:
+        g, a = broken[0]
+        raise HypothesisViolation(
+            3,
+            {
+                "generator": repr(group.elements[g]),
+                "element": repr(group.elements[a]),
+            },
+            "the slot map does not compose along the product table",
+        )
     return ConditionResult(
         3, "the group permutes the arc family equivariantly"
     )
-
-
-def _cross_two_cycle(assignment: VertexAssignment, e: Perm) -> bool:
-    """Whether ``e`` interchanges the two endpoints of some edge."""
-    perm = assignment.action.perms[e]
-    n = assignment.n
-    for v in range(n):
-        w = perm(v)
-        if w >= n and perm(w) == v:
-            return True
-    return False
 
 
 def _check_swap_fixed_shapes(
     assignment: VertexAssignment,
 ) -> tuple[ConditionResult, tuple[Perm, ...]]:
     """Condition (4): an element interchanging the endpoints of an edge must
-    pointwise fix a subgraph small enough for a proper sub-arc of a circle."""
+    pointwise fix a subgraph small enough for a proper sub-arc of a circle.
+
+    A part-swapping ``e`` interchanges the ends of an edge exactly when
+    ``e^2`` fixes a vertex of V.  A conjugator maps edges to edges and fixed
+    vertices to fixed vertices, at most swapping the parts, so whether ``e``
+    interchanges an edge and whether its fixed subgraph fits are decided on
+    the least element of its class; the interchangers come out in group
+    order."""
+    model = assignment.model
+    group = model.group
+    n = assignment.n
+    table = group.product_table
+    verdicts: dict[int, tuple[bool, bool]] = {}  # per class: interchanges, fits
     interchangers = []
-    for e in assignment.model.nontrivial:
-        if assignment.model.parity_of(e) == 1:
+    for e in model.nontrivial:
+        if model.parity_of(e) == 1:
             continue
-        if not _cross_two_cycle(assignment, e):
+        r = group.conjugators[group.index(e)][1]
+        if r not in verdicts:
+            fixed = assignment.fixed_vertices[group.elements[table[r][r]]]
+            interchanges = bool(fixed) and fixed[0] < n
+            fits = not interchanges or embeds_in_proper_subset_of_circle(
+                fixed_shape([assignment.induced_aut(group.elements[r])])
+            )
+            verdicts[r] = (interchanges, fits)
+        interchanges, fits = verdicts[r]
+        if not interchanges:
             continue
         interchangers.append(e)
-        shape = fixed_shape([assignment.induced_aut(e)])
-        if not embeds_in_proper_subset_of_circle(shape):
+        if not fits:
+            shape = fixed_shape([assignment.induced_aut(e)])
             raise HypothesisViolation(
                 4,
                 {"element": repr(e), "shape": [shape.a, shape.b]},

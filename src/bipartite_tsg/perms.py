@@ -222,18 +222,30 @@ class FiniteGroup:
         return self._partition_into_classes()
 
     def _partition_into_classes(self) -> tuple[tuple[Perm, ...], ...]:
+        members: dict[int, list[Perm]] = {}
+        for e, (_, r) in zip(self.elements, self.conjugators):
+            members.setdefault(r, []).append(e)
+        return tuple(tuple(cls) for _, cls in sorted(members.items()))
+
+    @cached_property
+    def conjugators(self) -> tuple[tuple[int, int], ...]:
+        """Per element index ``e``, a pair ``(g, r)`` of element indices with
+        ``elements[e] == elements[g] * elements[r] * elements[g]^-1``, where
+        ``r`` is the least element of the conjugacy class of ``e``.  Built
+        from the product table.  The identity is the least element, index 0,
+        so each representative is paired with it."""
         table = self.product_table
-        one = self.index(self.identity)
-        inverse = [row.index(one) for row in table]
-        remaining = set(range(len(self.elements)))
-        classes = []
-        for e in range(len(self.elements)):
-            if e not in remaining:
+        inverse = [row.index(0) for row in table]
+        order = len(self.elements)
+        pairs: list[tuple[int, int] | None] = [None] * order
+        for r in range(order):
+            if pairs[r] is not None:
                 continue
-            cls = {table[table[g][e]][inverse[g]] for g in range(len(table))}
-            remaining -= cls
-            classes.append(tuple(sorted(self.elements[i] for i in cls)))
-        return tuple(sorted(classes, key=lambda c: c[0]))
+            for g in range(order):
+                c = table[table[g][r]][inverse[g]]
+                if pairs[c] is None:
+                    pairs[c] = (g, r)
+        return tuple(pairs)
 
     def cyclic_subgroups(self) -> tuple[tuple[Perm, ...], ...]:
         """All cyclic subgroups, as sorted element tuples, deduplicated."""

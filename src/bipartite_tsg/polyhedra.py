@@ -329,8 +329,7 @@ def _rotation_matrices(kind: str) -> tuple[list[Mat], list[Vec]]:
             (PHI * half, half, (PHI - 1) * half),
             (-half, (PHI - 1) * half, PHI * half),
         )
-        r2: Mat = (vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, 1))
-        return [r5, r3, r2], corners
+        return [r5, r3], corners
     raise ValueError(f"unknown polyhedron kind {kind!r}")
 
 

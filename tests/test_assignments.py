@@ -136,6 +136,24 @@ def test_a_non_faithful_action_fails_the_build(monkeypatch):
         build_assignment("A5", 62)
 
 
+def test_an_action_with_a_proper_kernel_fails_the_build(monkeypatch):
+    # The cube group permuting the three coordinate axes, on vertices 0, 1, 2:
+    # the quarter turn about z swaps the x and y axes, the third turn
+    # x -> y -> z cycles them.  This is a homomorphism, so only the
+    # faithfulness check can reject it; its kernel is the normal Klein
+    # four-group of half-turns about the axes, which holds no generator.
+    def on_axes(points, images):
+        moves = {4: [(0, 1)], 3: [(0, 1, 2)]}
+        return {
+            g: Perm.from_cycles(len(points), moves[g.order()]).images
+            for g in images
+        }
+
+    _doctor_generator_images(monkeypatch, on_axes)
+    with pytest.raises(AssertionError, match="not faithful"):
+        build_assignment("S4", 26)
+
+
 def test_a_placement_checks_only_its_generators_image_lists(monkeypatch):
     build_assignment("A5", 62)  # the shared model and its tables
     calls = []
@@ -186,6 +204,15 @@ def test_fixed_count_invariants_frozen(assignments):
     assert by_order(assignments[("A5", 90)], 5) == {(10, 0)}
     # The skeleton at n = 4 keeps one corner of each part per triple axis.
     assert by_order(assignments[("S4", 4)], 3) == {(1, 1)}
+
+
+def test_class_derived_fixed_sets_equal_a_full_scan(assignments):
+    # ``fixed_vertices`` scans one element per conjugacy class and moves its
+    # fixed set to the conjugates; the full scan of each element is the
+    # reference.
+    for pair, a in assignments.items():
+        for e in a.model.group:
+            assert a.fixed_vertices[e] == a.action.perms[e].fixed_points(), (pair, e)
 
 
 def test_conjugate_elements_fix_equally_many_vertices(assignments):

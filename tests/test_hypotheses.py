@@ -341,6 +341,77 @@ def test_image_on_unused_labels_is_outside_the_family(
     assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
 
 
+def test_label_maps_that_do_not_compose_violate_equivariance(
+    assignments, reports, monkeypatch
+):
+    from bipartite_tsg.hypotheses import _check_arc_equivariance
+
+    # One element that is neither a generator nor the least element of its
+    # class is made to fix every label.  The arc family stays invariant and
+    # every arc check on that element passes, but its label map no longer
+    # composes along the product table.
+    a = assignments[("A5", 42)]
+    arcs = reports[("A5", 42)].arcs
+    group = a.model.group
+    labels = [p for arc in arcs for p in arc.endpoints + arc.interior]
+    skipped = set(group.generators) | {cls[0] for cls in group.conjugacy_classes()}
+    e1 = next(
+        e
+        for e in a.model.nontrivial
+        if e not in skipped and any(a.apply(e, p) != p for p in labels)
+    )
+    honest = VertexAssignment.slot_images
+
+    def doctored(self, e, points):
+        return points if e == e1 else honest(self, e, points)
+
+    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    with pytest.raises(HypothesisViolation) as exc:
+        _check_arc_equivariance(a, arcs)
+    assert exc.value.condition == 3
+    assert "does not compose along the product table" in str(exc.value)
+    by_repr = {repr(e): e for e in group}
+    g = by_repr[exc.value.witness["generator"]]
+    x = by_repr[exc.value.witness["element"]]
+    assert g in group.generators and e1 in (x, g * x)
+
+
+def test_a_placement_scans_fixed_points_once_per_class(monkeypatch):
+    verify_construction(build_assignment("A5", 62))  # the shared model tables
+    a = build_assignment("A5", 482)
+    calls = []
+    scan = Perm.fixed_points
+
+    def counting(self):
+        calls.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(Perm, "fixed_points", counting)
+    verify_construction(a)
+    nontrivial_classes = len(a.model.group.conjugacy_classes()) - 1
+    assert 0 < len(calls) <= nontrivial_classes
+
+
+def test_interchangers_agree_with_a_walk_over_v(assignments):
+    from bipartite_tsg.hypotheses import _check_swap_fixed_shapes
+
+    # Reference: an element interchanges the ends of an edge when it sends
+    # some v in V to a w in W and w back to v.
+    def walks(a, e):
+        perm = a.action.perms[e]
+        return any(perm(v) >= a.n and perm(perm(v)) == v for v in range(a.n))
+
+    odd_pairs = found = 0
+    for pair, a in assignments.items():
+        odd = [e for e in a.model.nontrivial if a.model.parity_of(e) == -1]
+        _, interchangers = _check_swap_fixed_shapes(a)
+        assert interchangers == tuple(e for e in odd if walks(a, e)), pair
+        odd_pairs += bool(odd)
+        found += len(interchangers)
+    assert odd_pairs == 3  # the skeleton placements
+    assert 0 < found < 3 * 12  # some, but not every, odd element interchanges
+
+
 def test_oversized_fixed_subgraph_violates_the_subarc_condition(
     assignments, monkeypatch
 ):

@@ -139,6 +139,20 @@ def test_product_table_matches_multiplication():
         assert [g.elements[ab] for ab in row] == [a * b for b in g.elements]
 
 
+@pytest.mark.parametrize(
+    "group", [symmetric_group(4), alternating_group(5)], ids=["S4", "A5"]
+)
+def test_conjugators_conjugate_each_class_representative(group):
+    elements = group.elements
+    classes = {e: cls for cls in group.conjugacy_classes() for e in cls}
+    for e, (g, r) in zip(elements, group.conjugators):
+        x, rep = elements[g], elements[r]
+        assert e == x * rep * x.inverse()
+        assert rep == classes[e][0]
+    for cls in group.conjugacy_classes():
+        assert group.conjugators[group.index(cls[0])] == (0, group.index(cls[0]))
+
+
 def test_element_orders_divide_group_order():
     g = symmetric_group(4)
     assert all(g.order % e.order() == 0 for e in g)

@@ -3,6 +3,7 @@ fixed-count oracles (geometric incidence vs. abstract coset actions)."""
 
 import pytest
 
+from bipartite_tsg.perms import generate_group
 from bipartite_tsg.polyhedra import (
     PHI,
     Q5,
@@ -57,6 +58,17 @@ def test_group_orders(models):
     assert models["tetrahedron-skeleton"].group.order == 24
     assert models["cube"].group.order == 24
     assert models["dodecahedron"].group.order == 60
+
+
+def test_generators_are_an_irredundant_generating_set(models):
+    # Every placement assembles one image list per generator and checks the
+    # homomorphism law per generator, so a redundant one is wasted work.
+    for kind, m in models.items():
+        gens = m.group.generators
+        assert generate_group(gens).elements == m.group.elements, kind
+        for i in range(len(gens)):
+            rest = gens[:i] + gens[i + 1:]
+            assert generate_group(rest).order < m.group.order, (kind, i)
 
 
 def test_parity_split(models):
