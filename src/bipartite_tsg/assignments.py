@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
@@ -36,7 +36,7 @@ from .necessity import (
     enumerate_profiles,
     necessity_verdict,
 )
-from .perms import FiniteGroup, GroupAction, Perm, compose_images
+from .perms import GroupAction, Perm, compose_images
 from .polyhedra import AxisEntry, PolyhedralModel, build_polyhedral_model
 
 Point = tuple
@@ -221,25 +221,12 @@ class VertexAssignment:
 
     # ----------------------------------------------------------- group action
 
-    def apply(self, e: Perm, point: Point) -> Point:
-        """Image of a point label under a group element."""
-        a = self.model.group.index(e)
-        if point[0] == "free":
-            _, tag, k, j = point
-            return ("free", tag, k, self.model.cayley_rows[a][j])
-        if point[0] == "center":
-            return ("center", self.model.marker_images[a]["center"][point[1]])
-        marker_class, copy_name, i = point
-        if self.model.parity_of(e) == -1:
-            copy_name = self._swap_map.get(copy_name, copy_name)
-        return (marker_class, copy_name, self.model.marker_images[a][marker_class][i])
-
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
-        """Images of several point labels under one element: :meth:`apply`
-        label by label, with the element's tables and parity looked up once."""
+        """Images of several point labels under one element, with the
+        element's tables and parity looked up once."""
         model = self.model
         a = model.group.index(e)
-        row = model.cayley_rows[a]
+        row = model.group.product_table[a]
         tables = model.marker_images[a]
         swap = self._swap_map if model.parity_of(e) == -1 else {}
         out = []
@@ -264,8 +251,8 @@ class VertexAssignment:
         Every label ends in its index within its block: the pole number, the
         marker index, or the element index of a free point.  A block's
         images are its vertex-index list composed with one table of the
-        model (the pole or marker images, or the Cayley row), so no label is
-        mapped one at a time; :meth:`apply` is the per-label reference.
+        model (the pole or marker images, or the product-table row), so no
+        label is mapped one at a time.
         :meth:`GroupAction.from_images` checks those lists and composes every
         other element's along the product table, checking the homomorphism
         law on every generator x element pair.  The kernel of the action is
@@ -294,7 +281,7 @@ class VertexAssignment:
             concatenated: list[int] = []
             for key, block in vertices.items():
                 if key[0] == "free":
-                    table, target = model.cayley_rows[a], block
+                    table, target = group.product_table[a], block
                 elif key[0] == "center":
                     table, target = tables["center"], block
                 else:
@@ -312,7 +299,7 @@ class VertexAssignment:
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``."""
-        return self.action.perm_of(e)
+        return self.action.perms[e]
 
     def induced_aut(self, e: Perm) -> BipartiteAut:
         aut = validate_automorphism(self.induced_perm(e), self.n)
@@ -360,6 +347,39 @@ class VertexAssignment:
         fixed = self.fixed_vertices[e]
         in_v = bisect_left(fixed, self.n)
         return (in_v, len(fixed) - in_v)
+
+    @cached_property
+    def fixers(self) -> dict[int, int]:
+        """Map each vertex fixed by a nontrivial element to the bitmask of
+        the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``."""
+        out: dict[int, int] = {}
+        for k, e in enumerate(self.model.nontrivial):
+            bit = 1 << k
+            for i in self.fixed_vertices[e]:
+                out[i] = out.get(i, 0) | bit
+        return out
+
+    @cached_property
+    def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
+        """Per nontrivial class label: the element order, the number of
+        elements and their fixed counts in V and W.
+
+        Every element's counts are read, so conjugates, whose fixed sets are
+        derived from their class's least element, are checked to agree;
+        classes sharing a label must agree too."""
+        model = self.model
+        by_label: dict[str, tuple[int, int, tuple[int, int]]] = {}
+        for cls in model.group.conjugacy_classes()[1:]:  # [0] is {identity}
+            label = class_label(model, cls[0])
+            counts = {self.fixed_counts(e) for e in cls}
+            if len(counts) != 1:
+                raise AssertionError(f"conjugate elements disagree in {label}")
+            computed = counts.pop()
+            order, size, first = by_label.get(label, (cls[0].order(), 0, computed))
+            if first != computed:
+                raise AssertionError(f"classes labelled {label} disagree")
+            by_label[label] = (order, size + len(cls), computed)
+        return by_label
 
     def free_vertex_points(self) -> tuple[Point, ...]:
         return tuple(p for p in self.points if p[0] == "free")
@@ -565,63 +585,36 @@ class FixedCountReport:
 
 
 def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
-    """Recompute each class's fixed-vertex counts and compare to the stated
-    table.  Classes sharing a label must agree exactly; disagreement with the
-    stated value is reported, not raised."""
-    model = assignment.model
+    """Compare each class label's computed fixed-vertex counts with the
+    stated table; disagreement with the stated value is reported, not
+    raised."""
     stated = STATED_FIXED_COUNTS[assignment.case_name]
-    by_label: dict[str, list[tuple[Perm, tuple[int, int]]]] = {}
-    for cls in model.group.conjugacy_classes():
-        rep = cls[0]
-        if rep.is_identity():
-            continue
-        label = class_label(model, rep)
-        counts = {assignment.fixed_counts(e) for e in cls}
-        if len(counts) != 1:
-            raise AssertionError(f"conjugate elements disagree in {label}")
-        by_label.setdefault(label, []).append((rep, (len(cls), counts.pop())))
-    rows = []
-    for label, entries in sorted(by_label.items()):
-        values = {v for _, (_, v) in entries}
-        if len(values) != 1:
-            raise AssertionError(f"classes labelled {label} disagree")
-        size = sum(s for _, (s, _) in entries)
-        rep = entries[0][0]
-        rows.append(
-            ClassFixedCounts(label, rep.order(), size, values.pop(), stated[label])
-        )
-    if set(by_label) != set(stated):
+    computed = assignment.class_counts
+    if set(computed) != set(stated):
         raise AssertionError("class labels do not match the stated table")
-    return FixedCountReport(assignment.case_name, tuple(rows))
+    rows = tuple(
+        ClassFixedCounts(label, order, size, counts, stated[label])
+        for label, (order, size, counts) in sorted(computed.items())
+    )
+    return FixedCountReport(assignment.case_name, rows)
 
 
 # --------------------------------------------------------------------------
 # matching a placement against the counting tables
+
+#: Labels of the classes whose fixed counts the counting tables constrain:
+#: the classes of the tetrahedral or icosahedral rotation subgroup.  The
+#: cube's quarter-turns and edge half-turns, and the skeleton's
+#: part-swapping classes, lie outside it.
+COUNTING_LABELS = frozenset(
+    {"half-turn", "face-half-turn", "rotation-3", "rotation-5"}
+)
 
 
 def _compatible(count: int, expected: FixedCount) -> bool:
     if expected.kind == "exact":
         return count == expected.value
     return count % expected.value == 0
-
-
-@cache
-def _counting_subgroup(kind: str) -> FiniteGroup:
-    """The tetrahedral- or icosahedral-type subgroup of the ``kind`` model
-    whose fixed-vertex pattern the counting tables constrain, built once per
-    model kind."""
-    model = build_polyhedral_model(kind)
-    if kind in ("dodecahedron", "tetrahedron"):
-        return model.group
-    if kind == "tetrahedron-skeleton":
-        return model.even_subgroup()
-    # cube: the index-2 subgroup generated by third-turns and face half-turns
-    members = [
-        e
-        for e in model.group.elements
-        if class_label(model, e) in ("identity", "rotation-3", "face-half-turn")
-    ]
-    return model.group.subgroup(members)
 
 
 def necessity_profile_of(
@@ -632,17 +625,12 @@ def necessity_profile_of(
     Raises if no row matches or the row's residue differs from ``n``'s.
     """
     table_group = counting_table(assignment.target_group)
-    subgroup = _counting_subgroup(assignment.model.kind)
     slots = PROFILE_SLOTS[table_group]
-    observed: dict[str, tuple[int, int]] = {}
-    for slot in slots:
-        counts = {
-            assignment.fixed_counts(e)
-            for e in subgroup.elements_of_order(int(slot))
-        }
-        if len(counts) != 1:
-            raise AssertionError(f"order-{slot} elements disagree on counts")
-        observed[slot] = counts.pop()
+    observed = {
+        str(order): counts
+        for label, (order, _, counts) in assignment.class_counts.items()
+        if label in COUNTING_LABELS
+    }
     matches = [
         (profile, residue)
         for profile, residue in enumerate_profiles(table_group)

@@ -230,17 +230,6 @@ class HypothesisReport:
 # the five edge-routing conditions
 
 
-def _vertex_fixers(assignment: VertexAssignment) -> dict[int, int]:
-    """Map each vertex index fixed by a nontrivial element to the bitmask of
-    the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``."""
-    out: dict[int, int] = {}
-    for k, e in enumerate(assignment.model.nontrivial):
-        bit = 1 << k
-        for i in assignment.fixed_vertices[e]:
-            out[i] = out.get(i, 0) | bit
-    return out
-
-
 def _axis_index(axes: tuple[AxisSlots, ...]) -> dict[Perm, int]:
     """Position in ``axes`` of the circle each element fixes pointwise."""
     return {e: i for i, axis in enumerate(axes) for e in axis.elements}
@@ -257,7 +246,7 @@ def _check_common_fixed_circles(
     nontrivial = assignment.model.nontrivial
     axis_index = _axis_index(axes)
     circle_of = [axis_index.get(e) for e in nontrivial]
-    fixers = _vertex_fixers(assignment)
+    fixers = assignment.fixers
     on_one_circle: dict[int, bool] = {}
     pairs_checked = 0
     for v, v_mask in fixers.items():
@@ -343,36 +332,20 @@ def _gap_preference(gap: dict) -> tuple[int, int, int]:
 def _match_pairs_to_gaps(
     pairs: list[tuple[Point, Point]], gaps: tuple[dict, ...]
 ) -> dict[tuple[Point, Point], dict] | None:
-    """Assign each adjacent pair on a circle its own gap (backtracking)."""
-    candidates = {
-        pair: sorted(
-            (g for g in gaps if g["endpoints"] == frozenset(pair)),
-            key=_gap_preference,
-        )
-        for pair in pairs
-    }
-    if any(not cands for cands in candidates.values()):
-        return None
-    order = sorted(pairs, key=lambda pair: len(candidates[pair]))
+    """Give each adjacent pair on a circle its preferred gap, in the order of
+    ``pairs``; None when some pair bounds no gap.  Each gap joins one
+    endpoint pair and no two pairs have the same endpoint set, so no two
+    pairs compete for a gap."""
+    by_endpoints: dict[frozenset, list[dict]] = {}
+    for gap in gaps:
+        by_endpoints.setdefault(gap["endpoints"], []).append(gap)
     chosen: dict[tuple[Point, Point], dict] = {}
-    used: set[int] = set()
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        pair = order[i]
-        for gap in candidates[pair]:
-            if gap["index"] in used:
-                continue
-            used.add(gap["index"])
-            chosen[pair] = gap
-            if place(i + 1):
-                return True
-            used.discard(gap["index"])
-            del chosen[pair]
-        return False
-
-    return chosen if place(0) else None
+    for pair in pairs:
+        candidates = by_endpoints.get(frozenset(pair))
+        if not candidates:
+            return None
+        chosen[pair] = min(candidates, key=_gap_preference)
+    return chosen
 
 
 def _choose_arcs(
@@ -652,14 +625,13 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
     n = assignment.n
     perms = assignment.action.perms
     fixed = assignment.fixed_vertices
+    nontrivial = assignment.model.nontrivial
     opposite = range(n, 2 * n) if x < n else range(n)
-    stab = [
-        e
-        for e in assignment.model.nontrivial
-        if perms[e](x) == x
-    ]
-    good = set(opposite).intersection(*(fixed[e] for e in stab))
-    for e in assignment.model.nontrivial:
+    stab = assignment.fixers.get(x, 0)
+    good = set(opposite).intersection(
+        *(fixed[e] for k, e in enumerate(nontrivial) if stab >> k & 1)
+    )
+    for e in nontrivial:
         y0 = assignment.inverse_images[e][x]
         if y0 in good and perms[e](x) != y0:
             good.discard(y0)
@@ -672,6 +644,15 @@ def _shape_of(assignment: VertexAssignment, vertices: set[int]) -> FixedSubgraph
         sum(1 for v in vertices if v < n),
         sum(1 for v in vertices if v >= n),
     )
+
+
+def _check_edge(assignment: VertexAssignment, edge: tuple[int, int]) -> None:
+    v, w = edge
+    n = assignment.n
+    if not (0 <= v < 2 * n and 0 <= w < 2 * n):
+        raise ValueError(f"edge {edge} out of range for n = {n}")
+    if (v < n) == (w < n):
+        raise ValueError(f"edge {edge} does not join the two parts")
 
 
 def forced_fix_closure(
@@ -687,12 +668,8 @@ def forced_fix_closure(
     ``stop_if_unembeddable`` the closure stops early once the forced shape
     already fails to embed in a circle (enough for the exactness argument).
     """
+    _check_edge(assignment, edge)
     v, w = edge
-    n = assignment.n
-    if not (0 <= v < 2 * n and 0 <= w < 2 * n):
-        raise ValueError(f"edge {edge} out of range for n = {n}")
-    if (v < n) == (w < n):
-        raise ValueError(f"edge {edge} does not join the two parts")
     vertices = {v, w}
     queue = deque((v, w))
     while queue:
@@ -831,18 +808,6 @@ def _table_step_down_edge(
     return None
 
 
-def _edge_fixer(
-    assignment: VertexAssignment, edge: tuple[int, int]
-) -> Perm | None:
-    """A nontrivial element fixing both endpoints of ``edge``, if any."""
-    v, w = edge
-    for e in assignment.model.nontrivial:
-        p = assignment.action.perms[e]
-        if p(v) == v and p(w) == w:
-            return e
-    return None
-
-
 def subgroup_corollary_witness(
     assignment: VertexAssignment,
     candidate_edges: Iterable[tuple[int, int]] | None = None,
@@ -857,7 +822,7 @@ def subgroup_corollary_witness(
     error path); by default the documented edge for the placement family is
     tried first, then all edges, generated one at a time.  Raises
     :class:`NoSuchEdge` when every candidate is pointwise fixed by some
-    nontrivial element.
+    nontrivial element, and ValueError for a candidate that is not an edge.
     """
     if assignment.model.group.order != 24:
         raise ValueError(
@@ -870,8 +835,11 @@ def subgroup_corollary_witness(
             () if table is None else (table,),
             ((v, w) for v in range(n) for w in range(n, 2 * n)),
         )
+    fixers = assignment.fixers
     for edge in candidate_edges:
-        if _edge_fixer(assignment, edge) is None:
+        _check_edge(assignment, edge)
+        v, w = edge
+        if not fixers.get(v, 0) & fixers.get(w, 0):
             return edge
     raise NoSuchEdge(
         "every candidate edge is pointwise fixed by a nontrivial element"

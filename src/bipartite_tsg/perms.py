@@ -397,9 +397,9 @@ class GroupAction:
     def _set_points(self, group: FiniteGroup, points: Sequence[Hashable]) -> None:
         self.group = group
         self.points: tuple[Hashable, ...] = tuple(points)
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("duplicate point labels")
         self.point_index = {p: i for i, p in enumerate(self.points)}
+        if len(self.point_index) != len(self.points):
+            raise ValueError("duplicate point labels")
 
     def _set_perms(self, images: Mapping[Perm, Sequence[int]]) -> None:
         group = self.group
@@ -454,9 +454,6 @@ class GroupAction:
         if len(reached) != len(elements):
             raise ValueError("the generators do not generate the group")
         return {e: Perm._from_checked(images[i]) for i, e in enumerate(elements)}
-
-    def perm_of(self, e: Perm) -> Perm:
-        return self.perms[e]
 
     def apply(self, e: Perm, label: Hashable) -> Hashable:
         return self.points[self.perms[e](self.point_index[label])]

@@ -253,12 +253,6 @@ class PolyhedralModel:
     def parity_of(self, g: Perm) -> int:
         return self._parity_map[g]
 
-    @property
-    def cayley_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Left multiplication table on element indices: ``cayley_rows[a][j]``
-        is the index of ``elements[a] * elements[j]``."""
-        return self.group.product_table
-
     @cached_property
     def nontrivial(self) -> tuple[Perm, ...]:
         """The group elements other than the identity, in group order."""

@@ -6,7 +6,7 @@ them as read-only.
 
 import pytest
 
-from bipartite_tsg.assignments import build_assignment
+from bipartite_tsg.assignments import MarkerBlock, build_assignment
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
 MODEL_KINDS = ("tetrahedron", "tetrahedron-skeleton", "cube", "dodecahedron")
@@ -45,3 +45,25 @@ def models():
 @pytest.fixture(scope="session")
 def assignments():
     return {pair: build_assignment(*pair) for pair in SAMPLE_PAIRS}
+
+
+def apply(a, e, point):
+    """Image of one point label of placement ``a`` under the element ``e``,
+    mapped label by label: the per-label reference for the block-built
+    vertex action and for ``slot_images``."""
+    model = a.model
+    i = model.group.index(e)
+    if point[0] == "free":
+        _, tag, k, j = point
+        return ("free", tag, k, model.group.product_table[i][j])
+    if point[0] == "center":
+        return ("center", model.marker_images[i]["center"][point[1]])
+    marker_class, copy_name, m = point
+    if model.parity_of(e) == -1:
+        swap = {
+            b.copy_name: b.swap_partner
+            for b in a.all_blocks()
+            if isinstance(b, MarkerBlock) and b.swap_partner is not None
+        }
+        copy_name = swap.get(copy_name, copy_name)
+    return (marker_class, copy_name, model.marker_images[i][marker_class][m])

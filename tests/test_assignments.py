@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartite_tsg.assignments import (
+    COUNTING_LABELS,
     NotRealizable,
     build_assignment,
+    class_label,
     fixed_count_report,
     necessity_profile_of,
     summarize_blocks,
@@ -14,9 +16,9 @@ from bipartite_tsg.assignments import (
 )
 from bipartite_tsg.bipartite import validate_automorphism
 from bipartite_tsg.necessity import TABLE_MODULUS
-from bipartite_tsg.perms import GroupAction, Perm
+from bipartite_tsg.perms import GroupAction, Perm, generate_group
 
-from conftest import MODEL_KINDS, SAMPLE_PAIRS
+from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply
 
 EXPECTED_CASES = {
     ("A4", 6): "tetrahedron-6",
@@ -92,7 +94,7 @@ def test_block_built_action_matches_the_per_label_map(assignments):
         index = a.action.point_index
         for e in a.model.group:
             assert a.induced_perm(e).images == tuple(
-                index[a.apply(e, p)] for p in a.points
+                index[apply(a, e, p)] for p in a.points
             )
 
 
@@ -213,6 +215,15 @@ def test_class_derived_fixed_sets_equal_a_full_scan(assignments):
     for pair, a in assignments.items():
         for e in a.model.group:
             assert a.fixed_vertices[e] == a.action.perms[e].fixed_points(), (pair, e)
+
+
+def test_fixer_table_equals_a_scan_of_every_permutation(assignments):
+    for pair, a in assignments.items():
+        expected: dict[int, int] = {}
+        for k, e in enumerate(a.model.nontrivial):
+            for i in a.action.perms[e].fixed_points():
+                expected[i] = expected.get(i, 0) | 1 << k
+        assert a.fixers == expected, pair
 
 
 def test_conjugate_elements_fix_equally_many_vertices(assignments):
@@ -374,8 +385,6 @@ def test_a_second_placement_reuses_the_model_classes(monkeypatch):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_cached_model_invariants_equal_a_fresh_computation(models, kind):
-    from bipartite_tsg.assignments import _counting_subgroup
-
     group = models[kind].group
     # conjugacy classes, by direct conjugation of Perm objects
     fresh = {
@@ -391,10 +400,13 @@ def test_cached_model_invariants_equal_a_fresh_computation(models, kind):
     for k in range(1, group.order + 1):
         expected = tuple(e for e in group.elements if e.order() == k)
         assert group.elements_of_order(k) == expected
-    # the counting subgroup
-    cached = _counting_subgroup(kind)
-    assert cached is _counting_subgroup(kind)
-    assert cached.elements == _counting_subgroup.__wrapped__(kind).elements
+    # the counting labels pick the order-2, -3 and -5 classes of the
+    # rotation subgroup that the order-3 elements generate
+    model = models[kind]
+    rotations = generate_group(group.elements_of_order(3))
+    assert {
+        e for e in model.nontrivial if class_label(model, e) in COUNTING_LABELS
+    } == {e for e in rotations.elements if e.order() in (2, 3, 5)}
     assert models[kind].nontrivial == tuple(
         e for e in group.elements if not e.is_identity()
     )

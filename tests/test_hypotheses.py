@@ -26,6 +26,8 @@ from bipartite_tsg.hypotheses import (
 from bipartite_tsg.perms import Perm
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
+from conftest import apply
+
 
 @pytest.fixture(scope="module")
 def reports(assignments):
@@ -193,6 +195,14 @@ def test_corollary_accepts_explicit_unfixed_candidates(assignments):
     assert edge == (0, 5)
 
 
+def test_corollary_rejects_candidates_that_are_not_edges(assignments):
+    a = assignments[("S4", 4)]
+    with pytest.raises(ValueError, match="out of range"):
+        subgroup_corollary_witness(a, candidate_edges=((0, 2 * a.n),))
+    with pytest.raises(ValueError, match="does not join the two parts"):
+        subgroup_corollary_witness(a, candidate_edges=((0, 1),))
+
+
 def test_edge_searches_use_bounded_memory_at_large_n():
     # At n = 1204 a list of all n^2 candidate edges alone would take over
     # 100 MB; both searches must generate their candidates lazily.
@@ -280,7 +290,7 @@ def test_slot_images_match_apply(assignments, reports):
             )
         ) + a.points
         for e in a.model.nontrivial:
-            expected = tuple(a.apply(e, p) for p in labels)
+            expected = tuple(apply(a, e, p) for p in labels)
             assert a.slot_images(e, labels) == expected, (pair, e)
 
 
@@ -299,7 +309,7 @@ def test_stabilizer_moving_its_arc_violates_equivariance(
     arc, other = [x for x in arcs if x.interior][:2]
     twin = Arc(arc.axis_index, arc.endpoints, other.interior[:1])
     e0 = a.axis_slots[arc.axis_index].elements[0]
-    assert all(a.apply(e0, p) == p for p in arc.endpoints)
+    assert all(apply(a, e0, p) == p for p in arc.endpoints)
 
     def doctored(self, e, points):
         if e != e0:
@@ -358,7 +368,7 @@ def test_label_maps_that_do_not_compose_violate_equivariance(
     e1 = next(
         e
         for e in a.model.nontrivial
-        if e not in skipped and any(a.apply(e, p) != p for p in labels)
+        if e not in skipped and any(apply(a, e, p) != p for p in labels)
     )
     honest = VertexAssignment.slot_images
 
