@@ -11,12 +11,13 @@ come from a small vocabulary:
 * free orbits of points inside a ball that meets no rotation axis and is
   disjoint from all its images.
 
-Each admissible residue class of ``n`` has a recipe assigning whole blocks
-of such points to the two parts.  The recipes are chosen so that the induced
-vertex permutations are faithful, each group element realizes the
-fixed-vertex pattern of a row of the matching counting table, and the fixed
-points along every rotation axis alternate or collapse into one part in the
-way the downstream edge-embedding checks require.
+Each admissible residue class of ``n`` has a recipe in ``RECIPES``: a core
+of poles and marker blocks in each part, plus whole free orbits.  The
+recipes are chosen so that the induced vertex permutations are faithful,
+each group element realizes the fixed-vertex pattern of a row of the
+matching counting table, and the fixed points along every rotation axis
+alternate or collapse into one part in the way the downstream
+edge-embedding checks require.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class MarkerBlock:
 
 @dataclass(frozen=True)
 class FreeOrbitBlock:
-    """``count`` regular orbits of free points.
+    """``count`` regular orbits of free points (possibly none).
 
     ``part`` is "V" or "W" for whole orbits, or "split" for orbits whose
     even half lies in V and odd half in W (the skeleton recipes, where the
@@ -334,14 +335,6 @@ class VertexAssignment:
             out[e] = fixed
         return out
 
-    @cached_property
-    def inverse_images(self) -> dict[Perm, tuple[int, ...]]:
-        """Image tuple of the inverse of each induced permutation.  The action
-        is checked to be a homomorphism, so it is the induced permutation of
-        the inverse element."""
-        perms = self.action.perms
-        return {e: perms[e.inverse()].images for e in perms}
-
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
         fixed = self.fixed_vertices[e]
@@ -435,7 +428,7 @@ class VertexAssignment:
 
 
 # --------------------------------------------------------------------------
-# conjugacy-class descriptors and the expected fixed-count tables
+# conjugacy-class descriptors and the fixed-count report
 
 
 def class_label(model: PolyhedralModel, rep: Perm) -> str:
@@ -451,112 +444,6 @@ def class_label(model: PolyhedralModel, rep: Perm) -> str:
         kinds = {label[0] for label in model.fixed_specials(rep)}
         return "face-half-turn" if "face" in kinds else "edge-half-turn"
     return "half-turn"
-
-
-#: Fixed-vertex counts (in V, in W) per conjugacy-class label, per recipe,
-#: as stated by the construction each recipe follows.  These are oracle
-#: values; ``fixed_count_report`` recomputes them from the placement and
-#: flags any entry that disagrees.
-STATED_FIXED_COUNTS: dict[str, dict[str, tuple[int, int]]] = {
-    "skeleton-0": {
-        "rotation-3": (0, 0),
-        "half-turn": (0, 0),
-        "cross-half-turn": (0, 0),
-        "cross-quarter-glide": (0, 0),
-    },
-    "skeleton-4": {
-        "rotation-3": (1, 1),
-        "half-turn": (0, 0),
-        "cross-half-turn": (0, 0),
-        "cross-quarter-glide": (0, 0),
-    },
-    "cube-2": {
-        "rotation-3": (2, 2),
-        "rotation-4": (2, 2),
-        "face-half-turn": (2, 2),
-        "edge-half-turn": (2, 2),
-    },
-    "cube-6": {
-        "rotation-3": (6, 0),
-        "rotation-4": (2, 2),
-        "face-half-turn": (2, 2),
-        "edge-half-turn": (4, 0),
-    },
-    "cube-8": {
-        "rotation-3": (2, 2),
-        "rotation-4": (4, 0),
-        "face-half-turn": (4, 0),
-        "edge-half-turn": (2, 0),
-    },
-    "cube-14": {
-        "rotation-3": (2, 2),
-        "rotation-4": (2, 2),
-        "face-half-turn": (2, 2),
-        "edge-half-turn": (4, 0),
-    },
-    "cube-18": {
-        "rotation-3": (6, 0),
-        "rotation-4": (2, 2),
-        "face-half-turn": (2, 2),
-        "edge-half-turn": (2, 2),
-    },
-    "cube-20": {
-        "rotation-3": (2, 2),
-        "rotation-4": (8, 0),
-        "face-half-turn": (8, 0),
-        "edge-half-turn": (2, 2),
-    },
-    "tetrahedron-6": {
-        "rotation-3": (3, 0),
-        "half-turn": (2, 2),
-    },
-    "dodecahedron-0": {
-        "rotation-5": (0, 0),
-        "rotation-3": (0, 0),
-        "half-turn": (0, 0),
-    },
-    "dodecahedron-2": {
-        "rotation-5": (2, 2),
-        "rotation-3": (2, 2),
-        "half-turn": (2, 2),
-    },
-    # The order-3 entry below reproduces the count stated by the source
-    # construction.  Recomputing from the placement gives (6, 0) -- the two
-    # poles plus one corner of each of the two concentric copies on every
-    # third-turn axis -- and only the recomputed value makes the orbit count
-    # an integer.  ``fixed_count_report`` flags the disagreement rather than
-    # hiding it.
-    "dodecahedron-12": {
-        "rotation-5": (2, 2),
-        "rotation-3": (4, 0),
-        "half-turn": (4, 0),
-    },
-    "dodecahedron-20": {
-        "rotation-5": (10, 0),
-        "rotation-3": (2, 2),
-        "half-turn": (4, 0),
-    },
-    "dodecahedron-30": {
-        "rotation-5": (10, 0),
-        "rotation-3": (6, 0),
-        "half-turn": (2, 2),
-    },
-    "dodecahedron-32": {
-        "rotation-5": (2, 2),
-        "rotation-3": (2, 2),
-        "half-turn": (4, 0),
-    },
-    "dodecahedron-42": {
-        "rotation-5": (2, 2),
-        "rotation-3": (6, 0),
-        "half-turn": (2, 2),
-    },
-    "dodecahedron-50": {
-        "rotation-5": (10, 0),
-        "rotation-3": (2, 2),
-        "half-turn": (2, 2),
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -588,7 +475,7 @@ def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
     """Compare each class label's computed fixed-vertex counts with the
     stated table; disagreement with the stated value is reported, not
     raised."""
-    stated = STATED_FIXED_COUNTS[assignment.case_name]
+    stated = RECIPES[assignment.case_name].stated
     computed = assignment.class_counts
     if set(computed) != set(stated):
         raise AssertionError("class labels do not match the stated table")
@@ -686,9 +573,9 @@ def verify_fixed_counts(assignment: VertexAssignment) -> FixedCountReport:
     The report compares the computed counts with the stated ones; any
     disagreement is surfaced in ``report.discrepancies`` rather than raised,
     because one stated entry is known not to satisfy the orbit-counting
-    integrality constraint (see ``STATED_FIXED_COUNTS``).  The call fails if
-    the computed table does not instantiate exactly one counting row of the
-    necessity engine for the target group.
+    integrality constraint (see ``RECIPES["dodecahedron-12"]``).  The call
+    fails if the computed table does not instantiate exactly one counting
+    row of the necessity engine for the target group.
     """
 
     report = fixed_count_report(assignment)
@@ -696,141 +583,210 @@ def verify_fixed_counts(assignment: VertexAssignment) -> FixedCountReport:
     return report
 
 
+
+
 # --------------------------------------------------------------------------
 # the per-residue recipes
 
 
-def _skeleton_recipe(n: int) -> tuple[str, str, tuple, tuple]:
-    if n % 12 == 0:
-        m = n // 12
-        blocks = ((FreeOrbitBlock(m, "split"),),)
-        return "skeleton-0", "tetrahedron-skeleton", (("base", 1),), blocks
-    m = (n - 4) // 12
-    copies = (("inner", 1), ("base", 2), ("outer", 3))
-    v = (MarkerBlock("corner", "inner", "V", swap_partner="outer"),)
-    w = (MarkerBlock("corner", "outer", "W", swap_partner="inner"),)
-    free = (FreeOrbitBlock(m, "split"),) if m else ()
-    return "skeleton-4", "tetrahedron-skeleton", copies, (v, w, free)
+@dataclass(frozen=True)
+class Recipe:
+    """One admissible residue class's placement: a fixed core of poles and
+    marker blocks in each part plus ``m`` regular free orbits, where
+    :func:`place` derives ``m`` from ``n``.
+
+    ``extra`` is the number of free orbits V and W get beyond ``m``, or None
+    for the skeleton recipes, whose ``m`` orbits are each split between the
+    parts.  Block order sets the vertex numbering.  ``stated`` gives the
+    fixed-vertex counts (in V, in W) per class label as the source
+    construction states them: oracle values that ``fixed_count_report``
+    compares with the recomputed ones.
+    """
+
+    kind: str
+    copies: tuple[tuple[str, int], ...]
+    v_core: tuple[Block, ...]
+    w_core: tuple[Block, ...]
+    extra: tuple[int, int] | None
+    stated: dict[str, tuple[int, int]]
 
 
-_CUBE_OFFSET = {2: 26, 6: 30, 8: 8, 14: 14, 18: 18, 20: 20}
+_SINGLE = (("base", 1),)
+_NESTED = (("inner", 1), ("base", 2), ("outer", 3))
+_PAIR = (("base", 1), ("outer", 2))
+_QUAD = tuple((f"shell{i}", i) for i in range(1, 5))
 
-
-def _cube_recipe(n: int) -> tuple[str, str, tuple, tuple]:
-    r = n % 24
-    m = (n - _CUBE_OFFSET[r]) // 24
-    single = (("base", 1),)
-    nested = (("inner", 1), ("base", 2), ("outer", 3))
-
-    def frees(count: int, part: str) -> tuple:
-        return (FreeOrbitBlock(count, part),) if count else ()
-
-    if r == 2:
-        v = (CenterPair("V"),) + frees(m + 1, "V")
-        w = (
+RECIPES: dict[str, Recipe] = {
+    "skeleton-0": Recipe(
+        "tetrahedron-skeleton", _SINGLE, extra=None,
+        v_core=(),
+        w_core=(),
+        stated={
+            "rotation-3": (0, 0),
+            "half-turn": (0, 0),
+            "cross-half-turn": (0, 0),
+            "cross-quarter-glide": (0, 0),
+        },
+    ),
+    "skeleton-4": Recipe(
+        "tetrahedron-skeleton", _NESTED, extra=None,
+        v_core=(MarkerBlock("corner", "inner", "V", swap_partner="outer"),),
+        w_core=(MarkerBlock("corner", "outer", "W", swap_partner="inner"),),
+        stated={
+            "rotation-3": (1, 1),
+            "half-turn": (0, 0),
+            "cross-half-turn": (0, 0),
+            "cross-quarter-glide": (0, 0),
+        },
+    ),
+    "cube-2": Recipe(
+        "cube", _SINGLE, extra=(1, 0),
+        v_core=(CenterPair("V"),),
+        w_core=(
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("edge", "base", "W"),
             MarkerBlock("face", "base", "W"),
-        ) + frees(m, "W")
-        return "cube-2", "cube", single, (v, w)
-    if r == 6:
-        v = (
+        ),
+        stated={
+            "rotation-3": (2, 2),
+            "rotation-4": (2, 2),
+            "face-half-turn": (2, 2),
+            "edge-half-turn": (2, 2),
+        },
+    ),
+    "cube-6": Recipe(
+        "cube", _NESTED, extra=(0, 1),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("edge", "base", "V"),
             MarkerBlock("corner", "inner", "V"),
             MarkerBlock("corner", "outer", "V"),
-        ) + frees(m, "V")
-        w = (MarkerBlock("face", "base", "W"),) + frees(m + 1, "W")
-        return "cube-6", "cube", nested, (v, w)
-    if r == 8:
-        v = (CenterPair("V"), MarkerBlock("face", "base", "V")) + frees(m, "V")
-        w = (MarkerBlock("corner", "base", "W"),) + frees(m, "W")
-        return "cube-8", "cube", single, (v, w)
-    if r == 14:
-        v = (CenterPair("V"), MarkerBlock("edge", "base", "V")) + frees(m, "V")
-        w = (
+        ),
+        w_core=(MarkerBlock("face", "base", "W"),),
+        stated={
+            "rotation-3": (6, 0),
+            "rotation-4": (2, 2),
+            "face-half-turn": (2, 2),
+            "edge-half-turn": (4, 0),
+        },
+    ),
+    "cube-8": Recipe(
+        "cube", _SINGLE, extra=(0, 0),
+        v_core=(CenterPair("V"), MarkerBlock("face", "base", "V")),
+        w_core=(MarkerBlock("corner", "base", "W"),),
+        stated={
+            "rotation-3": (2, 2),
+            "rotation-4": (4, 0),
+            "face-half-turn": (4, 0),
+            "edge-half-turn": (2, 0),
+        },
+    ),
+    "cube-14": Recipe(
+        "cube", _SINGLE, extra=(0, 0),
+        v_core=(CenterPair("V"), MarkerBlock("edge", "base", "V")),
+        w_core=(
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("face", "base", "W"),
-        ) + frees(m, "W")
-        return "cube-14", "cube", single, (v, w)
-    if r == 18:
-        v = (
+        ),
+        stated={
+            "rotation-3": (2, 2),
+            "rotation-4": (2, 2),
+            "face-half-turn": (2, 2),
+            "edge-half-turn": (4, 0),
+        },
+    ),
+    "cube-18": Recipe(
+        "cube", _NESTED, extra=(0, 0),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("corner", "inner", "V"),
             MarkerBlock("corner", "outer", "V"),
-        ) + frees(m, "V")
-        w = (
+        ),
+        w_core=(
             MarkerBlock("edge", "base", "W"),
             MarkerBlock("face", "base", "W"),
-        ) + frees(m, "W")
-        return "cube-18", "cube", nested, (v, w)
-    if r == 20:
-        v = (
+        ),
+        stated={
+            "rotation-3": (6, 0),
+            "rotation-4": (2, 2),
+            "face-half-turn": (2, 2),
+            "edge-half-turn": (2, 2),
+        },
+    ),
+    "cube-20": Recipe(
+        "cube", _NESTED, extra=(0, 0),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("face", "inner", "V"),
             MarkerBlock("face", "base", "V"),
             MarkerBlock("face", "outer", "V"),
-        ) + frees(m, "V")
-        w = (
+        ),
+        w_core=(
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("edge", "base", "W"),
-        ) + frees(m, "W")
-        return "cube-20", "cube", nested, (v, w)
-    raise AssertionError(f"no cube recipe for residue {r}")  # pragma: no cover
-
-
-def _tetrahedron_six_recipe() -> tuple[str, str, tuple, tuple]:
-    v = (CenterPair("V"), MarkerBlock("corner", "base", "V"))
-    w = (MarkerBlock("edge", "base", "W"),)
-    return "tetrahedron-6", "tetrahedron", (("base", 1),), (v, w)
-
-
-_DODECA_OFFSET = {0: 0, 2: 62, 12: 72, 20: 80, 30: 90, 32: 32, 42: 42, 50: 50}
-
-
-def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
-    r = n % 60
-    m = (n - _DODECA_OFFSET[r]) // 60
-    single = (("base", 1),)
-    pair = (("base", 1), ("outer", 2))
-    quad = tuple((f"shell{i}", i) for i in range(1, 5))
-
-    def frees(count: int, part: str) -> tuple:
-        return (FreeOrbitBlock(count, part),) if count else ()
-
-    if r == 0:
-        blocks = (frees(n // 60, "V"), frees(n // 60, "W"))
-        return "dodecahedron-0", "dodecahedron", single, blocks
-    if r == 2:
-        v = (CenterPair("V"),) + frees(m + 1, "V")
-        w = (
+        ),
+        stated={
+            "rotation-3": (2, 2),
+            "rotation-4": (8, 0),
+            "face-half-turn": (8, 0),
+            "edge-half-turn": (2, 2),
+        },
+    ),
+    "tetrahedron-6": Recipe(
+        "tetrahedron", _SINGLE, extra=(0, 0),
+        v_core=(CenterPair("V"), MarkerBlock("corner", "base", "V")),
+        w_core=(MarkerBlock("edge", "base", "W"),),
+        stated={"rotation-3": (3, 0), "half-turn": (2, 2)},
+    ),
+    "dodecahedron-0": Recipe(
+        "dodecahedron", _SINGLE, extra=(0, 0),
+        v_core=(),
+        w_core=(),
+        stated={"rotation-5": (0, 0), "rotation-3": (0, 0), "half-turn": (0, 0)},
+    ),
+    "dodecahedron-2": Recipe(
+        "dodecahedron", _SINGLE, extra=(1, 0),
+        v_core=(CenterPair("V"),),
+        w_core=(
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("edge", "base", "W"),
             MarkerBlock("face", "base", "W"),
-        ) + frees(m, "W")
-        return "dodecahedron-2", "dodecahedron", single, (v, w)
-    if r == 12:
-        v = (
+        ),
+        stated={"rotation-5": (2, 2), "rotation-3": (2, 2), "half-turn": (2, 2)},
+    ),
+    "dodecahedron-12": Recipe(
+        "dodecahedron", _PAIR, extra=(0, 1),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("corner", "base", "V"),
             MarkerBlock("edge", "base", "V"),
             MarkerBlock("corner", "outer", "V"),
-        ) + frees(m, "V")
-        w = (MarkerBlock("face", "base", "W"),) + frees(m + 1, "W")
-        return "dodecahedron-12", "dodecahedron", pair, (v, w)
-    if r == 20:
-        v = (
+        ),
+        w_core=(MarkerBlock("face", "base", "W"),),
+        # The order-3 entry below reproduces the count stated by the source
+        # construction.  Recomputing from the placement gives (6, 0) -- the
+        # two poles plus one corner of each of the two concentric copies on
+        # every third-turn axis -- and only the recomputed value makes the
+        # orbit count an integer.  ``fixed_count_report`` flags the
+        # disagreement rather than hiding it.
+        stated={"rotation-5": (2, 2), "rotation-3": (4, 0), "half-turn": (4, 0)},
+    ),
+    "dodecahedron-20": Recipe(
+        "dodecahedron", _QUAD, extra=(0, 1),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("face", "shell1", "V"),
             MarkerBlock("face", "shell2", "V"),
             MarkerBlock("face", "shell3", "V"),
             MarkerBlock("face", "shell4", "V"),
             MarkerBlock("edge", "shell1", "V"),
-        ) + frees(m, "V")
-        w = (MarkerBlock("corner", "shell1", "W"),) + frees(m + 1, "W")
-        return "dodecahedron-20", "dodecahedron", quad, (v, w)
-    if r == 30:
-        v = (
+        ),
+        w_core=(MarkerBlock("corner", "shell1", "W"),),
+        stated={"rotation-5": (10, 0), "rotation-3": (2, 2), "half-turn": (4, 0)},
+    ),
+    "dodecahedron-30": Recipe(
+        "dodecahedron", _QUAD, extra=(0, 1),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("face", "shell1", "V"),
             MarkerBlock("face", "shell2", "V"),
@@ -838,41 +794,88 @@ def _dodecahedron_recipe(n: int) -> tuple[str, str, tuple, tuple]:
             MarkerBlock("face", "shell4", "V"),
             MarkerBlock("corner", "shell1", "V"),
             MarkerBlock("corner", "shell2", "V"),
-        ) + frees(m, "V")
-        w = (MarkerBlock("edge", "shell1", "W"),) + frees(m + 1, "W")
-        return "dodecahedron-30", "dodecahedron", quad, (v, w)
-    if r == 32:
-        v = (CenterPair("V"), MarkerBlock("edge", "base", "V")) + frees(m, "V")
-        w = (
+        ),
+        w_core=(MarkerBlock("edge", "shell1", "W"),),
+        stated={"rotation-5": (10, 0), "rotation-3": (6, 0), "half-turn": (2, 2)},
+    ),
+    "dodecahedron-32": Recipe(
+        "dodecahedron", _SINGLE, extra=(0, 0),
+        v_core=(CenterPair("V"), MarkerBlock("edge", "base", "V")),
+        w_core=(
             MarkerBlock("corner", "base", "W"),
             MarkerBlock("face", "base", "W"),
-        ) + frees(m, "W")
-        return "dodecahedron-32", "dodecahedron", single, (v, w)
-    if r == 42:
-        v = (
+        ),
+        stated={"rotation-5": (2, 2), "rotation-3": (2, 2), "half-turn": (4, 0)},
+    ),
+    "dodecahedron-42": Recipe(
+        "dodecahedron", _PAIR, extra=(0, 0),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("corner", "base", "V"),
             MarkerBlock("corner", "outer", "V"),
-        ) + frees(m, "V")
-        w = (
+        ),
+        w_core=(
             MarkerBlock("face", "base", "W"),
             MarkerBlock("edge", "base", "W"),
-        ) + frees(m, "W")
-        return "dodecahedron-42", "dodecahedron", pair, (v, w)
-    if r == 50:
-        v = (
+        ),
+        stated={"rotation-5": (2, 2), "rotation-3": (6, 0), "half-turn": (2, 2)},
+    ),
+    "dodecahedron-50": Recipe(
+        "dodecahedron", _QUAD, extra=(0, 0),
+        v_core=(
             CenterPair("V"),
             MarkerBlock("face", "shell1", "V"),
             MarkerBlock("face", "shell2", "V"),
             MarkerBlock("face", "shell3", "V"),
             MarkerBlock("face", "shell4", "V"),
-        ) + frees(m, "V")
-        w = (
+        ),
+        w_core=(
             MarkerBlock("corner", "shell1", "W"),
             MarkerBlock("edge", "shell1", "W"),
-        ) + frees(m, "W")
-        return "dodecahedron-50", "dodecahedron", quad, (v, w)
-    raise AssertionError(f"no recipe for residue {r}")  # pragma: no cover
+        ),
+        stated={"rotation-5": (10, 0), "rotation-3": (2, 2), "half-turn": (2, 2)},
+    ),
+}
+
+
+def recipe_case(group: str, n: int) -> str:
+    """Name of the recipe for an admitted ``(n, group)``: A5 by ``n mod 60``,
+    A4/S4 by ``n mod 12`` for the skeleton and ``n mod 24`` for the cube,
+    and the tetrahedron for A4 at ``n = 6``."""
+    if group == "A5":
+        return f"dodecahedron-{n % 60}"
+    if group == "A4" and n == 6:
+        return "tetrahedron-6"
+    if n % 12 in (0, 4):
+        return f"skeleton-{n % 12}"
+    return f"cube-{n % 24}"
+
+
+def place(case: str, group: str, n: int) -> VertexAssignment:
+    """The placement recipe ``case`` gives for ``n`` and the target
+    ``group``, its action not yet built.  ``m`` is the number of whole
+    orbits that fill V after the core and the extra orbits; an ``n`` that
+    leaves a remainder is rejected."""
+    recipe = RECIPES[case]
+    model = build_polyhedral_model(recipe.kind)
+    core = sum(
+        2 if isinstance(b, CenterPair) else _marker_count(model, b.marker_class)
+        for b in recipe.v_core
+    )
+    split = recipe.extra is None
+    orbit = model.group.order // 2 if split else model.group.order
+    extra_v, extra_w = (0, 0) if split else recipe.extra
+    m, rest = divmod(n - core - extra_v * orbit, orbit)
+    if rest or m < 0:
+        raise AssertionError(f"recipe {case} cannot fill n = {n} with whole orbits")
+    if split:
+        blocks = (recipe.v_core, recipe.w_core, (FreeOrbitBlock(m, "split"),))
+    else:
+        blocks = (
+            recipe.v_core + (FreeOrbitBlock(m + extra_v, "V"),),
+            recipe.w_core + (FreeOrbitBlock(m + extra_w, "W"),),
+        )
+    return VertexAssignment(n, group, case, model, recipe.copies, blocks)
 
 
 def build_assignment(group: str, n: int) -> VertexAssignment:
@@ -884,16 +887,6 @@ def build_assignment(group: str, n: int) -> VertexAssignment:
     verdict = necessity_verdict(n, group)
     if not verdict.allowed:
         raise NotRealizable(verdict)
-    if group == "A5":
-        case, kind, copies, blocks = _dodecahedron_recipe(n)
-    elif group == "A4" and n == 6:
-        case, kind, copies, blocks = _tetrahedron_six_recipe()
-    elif n % 12 in (0, 4):
-        case, kind, copies, blocks = _skeleton_recipe(n)
-    else:
-        case, kind, copies, blocks = _cube_recipe(n)
-    assignment = VertexAssignment(
-        n, group, case, build_polyhedral_model(kind), copies, blocks
-    )
+    assignment = place(recipe_case(group, n), group, n)
     assignment.action  # force the faithfulness check
     return assignment

@@ -137,13 +137,13 @@ class Verdict:
         return out
 
 
-def decide(n: int, group: str, strict: bool = True) -> Verdict:
+def decide(n: int, group: str) -> Verdict:
     """Decide one (n, group) pair by running the whole pipeline.
 
     Runs the necessity engine; when it admits the pair, builds the placement
     and verifies fixed counts, the five edge-routing conditions, and the
-    exactness witness.  With ``strict`` (the default) a disagreement with the
-    closed-form classification raises :class:`InternalMismatch`.
+    exactness witness.  A disagreement with the closed-form classification
+    raises :class:`InternalMismatch`, which carries the verdict.
     """
     necessity = necessity_verdict(n, group)
     construction = None
@@ -168,7 +168,7 @@ def decide(n: int, group: str, strict: bool = True) -> Verdict:
         diagnostic=diagnostic,
     )
     expected = theorem_predicate(n, group)
-    if strict and verdict.realizable != expected:
+    if verdict.realizable != expected:
         raise InternalMismatch(verdict, expected)
     return verdict
 
@@ -194,10 +194,10 @@ class SweepTable:
         return dict(sorted(out.items()))
 
 
-def sweep(group: str, n_max: int, strict: bool = True) -> SweepTable:
+def sweep(group: str, n_max: int) -> SweepTable:
     """Decide every n from 1 to ``n_max`` (inclusive), in order."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     require_count(n_max, "sweep limit")
-    rows = tuple(decide(n, group, strict=strict) for n in range(1, n_max + 1))
+    rows = tuple(decide(n, group) for n in range(1, n_max + 1))
     return SweepTable(group=group, n_max=n_max, rows=rows)

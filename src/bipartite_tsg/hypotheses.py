@@ -632,9 +632,10 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
         *(fixed[e] for k, e in enumerate(nontrivial) if stab >> k & 1)
     )
     for e in nontrivial:
-        y0 = assignment.inverse_images[e][x]
-        if y0 in good and perms[e](x) != y0:
-            good.discard(y0)
+        images = perms[e].images
+        y = images[x]
+        if y in good and images[y] != x:
+            good.discard(y)
     return good
 
 

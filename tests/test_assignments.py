@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 
 from bipartite_tsg.assignments import (
     COUNTING_LABELS,
+    RECIPES,
+    FreeOrbitBlock,
     NotRealizable,
     build_assignment,
     class_label,
     fixed_count_report,
     necessity_profile_of,
+    place,
+    recipe_case,
     summarize_blocks,
     verify_fixed_counts,
 )
 from bipartite_tsg.bipartite import validate_automorphism
-from bipartite_tsg.necessity import TABLE_MODULUS
+from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
 
 from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply
@@ -50,6 +54,10 @@ EXPECTED_CASES = {
 def test_case_dispatch_frozen(assignments):
     for pair, a in assignments.items():
         assert a.case_name == EXPECTED_CASES[pair], pair
+
+
+def test_sample_pairs_cover_every_recipe(assignments):
+    assert {a.case_name for a in assignments.values()} == set(RECIPES)
 
 
 def test_not_realizable_raises_with_rule_ids():
@@ -290,6 +298,40 @@ def test_large_instance_reuses_case_blocks_plus_free_orbits(assignments):
     extra = set(large) - set(small)
     assert extra == {"1 free orbit -> V", "1 free orbit -> W"}
     assert len(assignments[("A5", 110)].free_vertex_points()) == 120
+
+
+def _first_admitted_pair(case):
+    return next(
+        (group, n)
+        for n in range(1, 121)
+        for group in GROUPS
+        if necessity_verdict(n, group).allowed and recipe_case(group, n) == case
+    )
+
+
+@pytest.mark.parametrize("case", sorted(set(RECIPES) - {"tetrahedron-6"}))
+def test_one_more_orbit_adds_only_free_points(case):
+    """Every recipe is a fixed core plus free orbits: one more orbit's worth
+    of ``n`` keeps every other block and adds one orbit's points per part."""
+    group, n0 = _first_admitted_pair(case)
+    small = build_assignment(group, n0)
+    order = small.model.group.order
+    orbit = order // 2 if RECIPES[case].extra is None else order
+    large = build_assignment(group, n0 + orbit)
+    assert large.case_name == case
+
+    def core(a):
+        return [b for b in a.all_blocks() if not isinstance(b, FreeOrbitBlock)]
+
+    assert core(large) == core(small)
+    added = len(large.free_vertex_points()) - len(small.free_vertex_points())
+    assert added == 2 * orbit
+
+
+@pytest.mark.parametrize("n", [2, 27])
+def test_recipe_rejects_n_its_core_cannot_fill_with_whole_orbits(n):
+    with pytest.raises(AssertionError, match="cannot fill"):
+        place("cube-2", "S4", n)
 
 
 def test_free_point_counts(assignments):

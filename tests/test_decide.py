@@ -158,7 +158,9 @@ def test_strict_decide_raises_on_pipeline_disagreement(monkeypatch):
 
 def test_lenient_decide_reports_the_diagnostic(monkeypatch):
     monkeypatch.setattr(decide_module, "build_assignment", _broken_build)
-    verdict = decide(16, "A4", strict=False)
+    with pytest.raises(InternalMismatch) as exc:
+        decide(16, "A4")
+    verdict = exc.value.verdict
     assert not verdict.realizable
     assert verdict.diagnostic == "AssertionError: injected build failure"
     assert "diagnostic" in verdict.as_dict()
