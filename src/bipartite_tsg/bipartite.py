@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
 
+from .necessity import require_integer
 from .perms import Perm
 
 
@@ -73,9 +74,10 @@ def validate_automorphism(p: Perm, n: int) -> BipartiteAut:
     An automorphism must map part V onto V or onto W; a permutation whose
     image of V meets both parts raises MixedParts.
     """
+    require_integer(n, "part size")
     if p.degree != 2 * n:
         raise ValueError(f"degree {p.degree} does not match 2n = {2 * n}")
-    image_in_v = sum(1 for i in range(n) if p(i) < n)
+    image_in_v = sum(map(n.__gt__, p.images[:n]))
     if image_in_v == n:
         return BipartiteAut(p, n, "preserves")
     if image_in_v == 0:
@@ -105,7 +107,7 @@ class CycleProfile:
         total = sum(self.v_cycles) + sum(self.w_cycles) + sum(self.cross_cycles)
         if total != 2 * self.n:
             raise ValueError(f"cycle lengths total {total}, expected {2 * self.n}")
-        lengths = self.v_cycles + self.w_cycles + self.cross_cycles
+        lengths = {*self.v_cycles, *self.w_cycles, *self.cross_cycles}
         if any(self.r % length for length in lengths):
             raise ValueError("a cycle length does not divide the order")
         if lcm(*lengths) != self.r:
@@ -125,24 +127,33 @@ class CycleProfile:
         """The profile of the same permutation after relabeling V as W."""
         return CycleProfile(self.n, self.r, self.w_cycles, self.v_cycles, self.cross_cycles)
 
+    @classmethod
+    def of_cycles(cls, n: int, cycles: Iterable[tuple[int, ...]]) -> "CycleProfile":
+        """The profile of a permutation of ``2n`` vertices from all its
+        cycles, fixed points included, each starting at its least point (as
+        :meth:`Perm.cycles` gives them).  The order is the lcm of the lengths.
+        A cycle lies in W when its least point does, in V when its greatest
+        point does, and meets both parts otherwise."""
+        on_v: list[int] = []
+        on_w: list[int] = []
+        cross: list[int] = []
+        for cycle in cycles:
+            if cycle[0] >= n:
+                on_w.append(len(cycle))
+            elif len(cycle) == 1 or max(cycle) < n:
+                on_v.append(len(cycle))
+            else:
+                cross.append(len(cycle))
+        on_v.sort()
+        on_w.sort()
+        cross.sort()
+        return cls(
+            n, lcm(*on_v, *on_w, *cross), tuple(on_v), tuple(on_w), tuple(cross)
+        )
+
 
 def cycle_profile(aut: BipartiteAut) -> CycleProfile:
-    n = aut.n
-    on_v: list[int] = []
-    on_w: list[int] = []
-    cross: list[int] = []
-    for cycle in aut.perm.cycles(include_fixed=True):
-        in_v = any(x < n for x in cycle)
-        in_w = any(x >= n for x in cycle)
-        if in_v and in_w:
-            cross.append(len(cycle))
-        elif in_v:
-            on_v.append(len(cycle))
-        else:
-            on_w.append(len(cycle))
-    return CycleProfile(
-        n, aut.perm.order(), tuple(sorted(on_v)), tuple(sorted(on_w)), tuple(sorted(cross))
-    )
+    return CycleProfile.of_cycles(aut.n, aut.perm.cycles(include_fixed=True))
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,15 @@ import argparse
 import json
 import sys
 
-from .bipartite import validate_automorphism
+from .bipartite import CycleProfile, validate_automorphism
 from .decide import GROUPS, InternalMismatch, Verdict, decide, sweep
 from .necessity import RULES, TABLE_MODULUS, counting_table, enumerate_profiles
-from .notation import NotationError, parse_cycles, print_cycles
+from .notation import NotationError, format_cycles, parse_cycles
 from .realizability import (
     CASE_DESCRIPTIONS,
     PartSizeTooSmall,
     RealizabilityResult,
-    check_realizable,
+    check_profile,
 )
 
 EXIT_DECIDED = 0
@@ -131,11 +131,14 @@ def check_automorphism_cmd(
     the nine realizable patterns.  Returns the result and a report dict."""
     perm = parse_cycles(text, n)
     aut = validate_automorphism(perm, n)
-    result = check_realizable(aut)
+    # The only walk over the cycles: profile, order and text all read it.
+    cycles = perm.cycles(include_fixed=True)
+    profile = CycleProfile.of_cycles(n, cycles)
+    result = check_profile(profile)
     report = {
         "n": n,
-        "cycles": print_cycles(perm, n) or "(identity)",
-        "order": perm.order(),
+        "cycles": format_cycles(cycles, n) or "(identity)",
+        "order": profile.r,
         "part_behavior": aut.part_behavior,
         "realizable": result.realizable,
         "orientation": result.orientation,

@@ -45,11 +45,16 @@ def counting_table(group: str) -> str:
     return {"A4": "A4", "S4": "A4", "A5": "A5"}[group]
 
 
-def require_count(value: object, what: str) -> None:
-    """Reject anything but a nonnegative ``int`` with :class:`ValueError`;
-    ``bool`` is rejected too, although it is an ``int`` subclass."""
+def require_integer(value: object, what: str) -> None:
+    """Reject anything but an ``int`` with :class:`ValueError`; ``bool`` is
+    rejected too, although it is an ``int`` subclass."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def require_count(value: object, what: str) -> None:
+    """Reject anything but a nonnegative ``int`` with :class:`ValueError`."""
+    require_integer(value, what)
     if value < 0:
         raise ValueError(f"{what} must be nonnegative")
 

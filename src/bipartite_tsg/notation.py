@@ -10,7 +10,10 @@ text is the identity.
 from __future__ import annotations
 
 import re
+from itertools import islice
+from typing import Iterable
 
+from .necessity import require_integer
 from .perms import Perm
 
 __all__ = [
@@ -18,12 +21,18 @@ __all__ = [
     "NotationError",
     "UnbalancedParenthesis",
     "UnknownToken",
+    "format_cycles",
     "parse_cycles",
     "print_cycles",
     "token_of",
 ]
 
+# One lexeme per match: a run of token characters, or any other single
+# non-space character (parentheses included).  Whitespace between lexemes is
+# skipped, so the n-th match is the n-th lexeme of the text.
+_LEXEME_RE = re.compile(r"[A-Za-z0-9_]+|\S")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
+_VERTEX_RE = re.compile(r"([vw])([1-9][0-9]*)")
 
 
 class NotationError(ValueError):
@@ -54,84 +63,113 @@ def token_of(index: int, n: int) -> str:
     return f"v{index + 1}" if index < n else f"w{index - n + 1}"
 
 
-def _index_of(token: str, n: int, position: int) -> int:
-    match = re.fullmatch(r"([vw])([1-9][0-9]*)", token)
-    if match is None:
-        raise UnknownToken(
+def _unknown_token(token: str, n: int, position: int) -> UnknownToken:
+    """The error for a token inside a cycle that is not a vertex ``v1..vn``
+    or ``w1..wn``."""
+    if _VERTEX_RE.fullmatch(token) is None:
+        return UnknownToken(
             f"token {token!r} is not of the form v<i> or w<i>", position
         )
-    part, i = match.group(1), int(match.group(2))
-    if i > n:
-        raise UnknownToken(
-            f"token {token!r} exceeds the part size n = {n}", position
+    return UnknownToken(
+        f"token {token!r} exceeds the part size n = {n}", position
+    )
+
+
+def _start(text: str, k: int) -> int:
+    """Character offset of the ``k``-th (0-based) lexeme of ``text``."""
+    return next(islice(_LEXEME_RE.finditer(text), k, None)).start()
+
+
+def _lexeme_error(
+    lexeme: str, n: int, position: int, in_cycle: bool
+) -> NotationError:
+    """The error for a lexeme that is neither a parenthesis nor a vertex
+    token inside a cycle, with the precedence of a left-to-right scan: a
+    stray character, then a token outside any cycle, then the token itself."""
+    if _TOKEN_RE.match(lexeme) is None:
+        return UnknownToken(f"unexpected character {lexeme!r}", position)
+    if not in_cycle:
+        return UnbalancedParenthesis(
+            f"token {lexeme!r} outside any cycle", position
         )
-    return i - 1 if part == "v" else n + i - 1
+    return _unknown_token(lexeme, n, position)
 
 
 def parse_cycles(text: str, n: int) -> Perm:
     """Parse cycle-notation text into a permutation of ``2n`` vertices.
 
     Raises :class:`UnbalancedParenthesis`, :class:`UnknownToken`, or
-    :class:`DuplicateToken`, each carrying the character position.
+    :class:`DuplicateToken`, each carrying the character position.  The text
+    is lexed in one pass; an error's position is looked up from its lexeme
+    number only once the error is found.
     """
+    require_integer(n, "part size")
     if n < 1:
         raise ValueError(f"part size must be positive, got n = {n}")
     images = list(range(2 * n))
-    seen: set[int] = set()
-    cycle: list[int] | None = None
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "(":
-            if cycle is not None:
-                raise UnbalancedParenthesis("nested opening parenthesis", pos)
-            cycle = []
-            pos += 1
-            continue
-        if ch == ")":
-            if cycle is None:
+    seen = bytearray(2 * n)
+    in_cycle = False
+    first = last = -1  # the open cycle's first and latest vertex
+    vertex = _VERTEX_RE.fullmatch
+    for k, lexeme in enumerate(_LEXEME_RE.findall(text)):
+        if lexeme == "(":
+            if in_cycle:
                 raise UnbalancedParenthesis(
-                    "closing parenthesis without an open cycle", pos
+                    "nested opening parenthesis", _start(text, k)
                 )
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-            cycle = None
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise UnknownToken(f"unexpected character {ch!r}", pos)
-        token = match.group(0)
-        if cycle is None:
-            raise UnbalancedParenthesis(
-                f"token {token!r} outside any cycle", pos
-            )
-        index = _index_of(token, n, pos)
-        if index in seen:
-            raise DuplicateToken(
-                f"vertex {token!r} appears more than once", pos
-            )
-        seen.add(index)
-        cycle.append(index)
-        pos = match.end()
-    if cycle is not None:
-        raise UnbalancedParenthesis("unclosed cycle at end of text", length)
+            in_cycle = True
+            last = -1
+        elif lexeme == ")":
+            if not in_cycle:
+                raise UnbalancedParenthesis(
+                    "closing parenthesis without an open cycle", _start(text, k)
+                )
+            if last >= 0:
+                images[last] = first
+            in_cycle = False
+        else:
+            match = vertex(lexeme)
+            if match is None or not in_cycle:
+                raise _lexeme_error(lexeme, n, _start(text, k), in_cycle)
+            part, i = match.groups()
+            i = int(i)
+            if i > n:
+                raise _unknown_token(lexeme, n, _start(text, k))
+            index = i - 1 if part == "v" else n + i - 1
+            if seen[index]:
+                raise DuplicateToken(
+                    f"vertex {lexeme!r} appears more than once", _start(text, k)
+                )
+            seen[index] = 1
+            if last < 0:
+                first = index
+            else:
+                images[last] = index
+            last = index
+    if in_cycle:
+        raise UnbalancedParenthesis("unclosed cycle at end of text", len(text))
     return Perm(images)
+
+
+def format_cycles(cycles: Iterable[tuple[int, ...]], n: int) -> str:
+    """Cycle notation for the cycles of a permutation of ``2n`` vertices, in
+    the order given; cycles of length 1 (fixed vertices) are omitted."""
+    return "".join(
+        "("
+        + " ".join([f"v{x + 1}" if x < n else f"w{x - n + 1}" for x in cycle])
+        + ")"
+        for cycle in cycles
+        if len(cycle) > 1
+    )
 
 
 def print_cycles(perm: Perm, n: int) -> str:
     """Normal-form cycle notation: cycles sorted by smallest vertex, each
     cycle starting at its smallest vertex, fixed vertices omitted.  The
     identity prints as the empty string."""
+    require_integer(n, "part size")
     if perm.degree != 2 * n:
         raise ValueError(
             f"permutation degree {perm.degree} does not match 2n = {2 * n}"
         )
-    return "".join(
-        "(" + " ".join(token_of(x, n) for x in cycle) + ")"
-        for cycle in perm.cycles()
-    )
+    return format_cycles(perm.cycles(), n)

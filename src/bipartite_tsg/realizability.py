@@ -162,12 +162,17 @@ def profile_cases(profile: CycleProfile) -> tuple[frozenset[int], str | None]:
     return cases, None
 
 
+def check_profile(profile: CycleProfile) -> RealizabilityResult:
+    """Match a cycle profile against the nine allowed patterns."""
+    if profile.n <= 2:
+        raise PartSizeTooSmall(f"criterion requires n > 2, got n = {profile.n}")
+    cases, orientation = profile_cases(profile)
+    return RealizabilityResult(bool(cases), cases, orientation)
+
+
 def check_realizable(aut: BipartiteAut) -> RealizabilityResult:
     """Match an automorphism's cycle profile against the nine allowed patterns."""
-    if aut.n <= 2:
-        raise PartSizeTooSmall(f"criterion requires n > 2, got n = {aut.n}")
-    cases, orientation = profile_cases(cycle_profile(aut))
-    return RealizabilityResult(bool(cases), cases, orientation)
+    return check_profile(cycle_profile(aut))
 
 
 def _multisets_summing_to(total: int, divisors: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

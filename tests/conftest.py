@@ -4,10 +4,30 @@ Both are expensive enough to build once per session; every consumer treats
 them as read-only.
 """
 
+import re
+
 import pytest
 
 from bipartite_tsg.assignments import MarkerBlock, build_assignment
+from bipartite_tsg.bipartite import (
+    BipartiteAut,
+    CycleProfile,
+    validate_automorphism,
+)
+from bipartite_tsg.notation import (
+    DuplicateToken,
+    UnbalancedParenthesis,
+    UnknownToken,
+    token_of,
+)
+from bipartite_tsg.perms import Perm
 from bipartite_tsg.polyhedra import build_polyhedral_model
+from bipartite_tsg.realizability import (
+    CASE_DESCRIPTIONS,
+    PartSizeTooSmall,
+    RealizabilityResult,
+    profile_cases,
+)
 
 MODEL_KINDS = ("tetrahedron", "tetrahedron-skeleton", "cube", "dodecahedron")
 
@@ -67,3 +87,129 @@ def apply(a, e, point):
         }
         copy_name = swap.get(copy_name, copy_name)
     return (marker_class, copy_name, model.marker_images[i][marker_class][m])
+
+
+# --------------------------------------------------------------------------
+# Reference automorphism check: the character-by-character parser, the
+# any()-based cycle profile and the per-point printer, with one cycle walk
+# per question asked.  The library's one-pass check must agree with it.
+
+_REFERENCE_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _reference_index_of(token: str, n: int, position: int) -> int:
+    match = re.fullmatch(r"([vw])([1-9][0-9]*)", token)
+    if match is None:
+        raise UnknownToken(
+            f"token {token!r} is not of the form v<i> or w<i>", position
+        )
+    part, i = match.group(1), int(match.group(2))
+    if i > n:
+        raise UnknownToken(
+            f"token {token!r} exceeds the part size n = {n}", position
+        )
+    return i - 1 if part == "v" else n + i - 1
+
+
+def reference_parse_cycles(text: str, n: int) -> Perm:
+    """Parse cycle-notation text into a permutation of ``2n`` vertices.
+
+    Raises :class:`UnbalancedParenthesis`, :class:`UnknownToken`, or
+    :class:`DuplicateToken`, each carrying the character position.
+    """
+    if n < 1:
+        raise ValueError(f"part size must be positive, got n = {n}")
+    images = list(range(2 * n))
+    seen: set[int] = set()
+    cycle: list[int] | None = None
+    pos = 0
+    length = len(text)
+    while pos < length:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == "(":
+            if cycle is not None:
+                raise UnbalancedParenthesis("nested opening parenthesis", pos)
+            cycle = []
+            pos += 1
+            continue
+        if ch == ")":
+            if cycle is None:
+                raise UnbalancedParenthesis(
+                    "closing parenthesis without an open cycle", pos
+                )
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+            cycle = None
+            pos += 1
+            continue
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise UnknownToken(f"unexpected character {ch!r}", pos)
+        token = match.group(0)
+        if cycle is None:
+            raise UnbalancedParenthesis(
+                f"token {token!r} outside any cycle", pos
+            )
+        index = _reference_index_of(token, n, pos)
+        if index in seen:
+            raise DuplicateToken(
+                f"vertex {token!r} appears more than once", pos
+            )
+        seen.add(index)
+        cycle.append(index)
+        pos = match.end()
+    if cycle is not None:
+        raise UnbalancedParenthesis("unclosed cycle at end of text", length)
+    return Perm(images)
+
+
+def reference_cycle_profile(aut: BipartiteAut) -> CycleProfile:
+    n = aut.n
+    on_v: list[int] = []
+    on_w: list[int] = []
+    cross: list[int] = []
+    for cycle in aut.perm.cycles(include_fixed=True):
+        in_v = any(x < n for x in cycle)
+        in_w = any(x >= n for x in cycle)
+        if in_v and in_w:
+            cross.append(len(cycle))
+        elif in_v:
+            on_v.append(len(cycle))
+        else:
+            on_w.append(len(cycle))
+    return CycleProfile(
+        n, aut.perm.order(), tuple(sorted(on_v)), tuple(sorted(on_w)), tuple(sorted(cross))
+    )
+
+
+def reference_print_cycles(perm: Perm, n: int) -> str:
+    return "".join(
+        "(" + " ".join(token_of(x, n) for x in cycle) + ")"
+        for cycle in perm.cycles()
+    )
+
+
+def reference_check_automorphism(text: str, n: int):
+    """``check_automorphism_cmd`` built from the reference pieces."""
+    perm = reference_parse_cycles(text, n)
+    aut = validate_automorphism(perm, n)
+    if n <= 2:
+        raise PartSizeTooSmall(f"criterion requires n > 2, got n = {n}")
+    cases, orientation = profile_cases(reference_cycle_profile(aut))
+    result = RealizabilityResult(bool(cases), cases, orientation)
+    report = {
+        "n": n,
+        "cycles": reference_print_cycles(perm, n) or "(identity)",
+        "order": perm.order(),
+        "part_behavior": aut.part_behavior,
+        "realizable": result.realizable,
+        "orientation": result.orientation,
+        "matched_cases": [
+            {"case": c, "pattern": CASE_DESCRIPTIONS[c]}
+            for c in sorted(result.matched_cases)
+        ],
+    }
+    return result, report

@@ -92,6 +92,12 @@ def test_validate_rejects_wrong_degree():
         validate_automorphism(Perm.identity(5), 3)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_validate_rejects_a_non_integer_part_size(n):
+    with pytest.raises(ValueError, match="part size must be an integer"):
+        validate_automorphism(Perm.identity(2), n)
+
+
 def test_every_adjacency_preserving_perm_validates():
     for p in adjacency_preserving_perms(3):
         validate_automorphism(p, 3)

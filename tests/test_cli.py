@@ -193,6 +193,13 @@ def test_check_automorphism_cmd_report():
     )
 
 
+@pytest.mark.parametrize("n", [True, 3.0])
+def test_check_automorphism_cmd_rejects_a_non_integer_part_size(n):
+    with pytest.raises(ValueError) as exc:
+        check_automorphism_cmd("(v1 v2 v3)", n)
+    assert str(exc.value) == f"part size must be an integer, got {n!r}"
+
+
 # ------------------------------------------------------------------- verify
 
 

@@ -3,7 +3,8 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import reference_parse_cycles
+from hypothesis import given, settings, strategies as st
 
 from bipartite_tsg.notation import (
     DuplicateToken,
@@ -189,7 +190,62 @@ def test_nonpositive_part_size_rejected():
         parse_cycles("", 0)
 
 
+@pytest.mark.parametrize("n", [True, False, 3.0, "3", None])
+def test_non_integer_part_size_rejected(n):
+    with pytest.raises(ValueError, match="part size must be an integer"):
+        parse_cycles("", n)
+    with pytest.raises(ValueError, match="part size must be an integer"):
+        print_cycles(Perm.identity(2), n)
+
+
 def test_error_hierarchy():
     for cls in (DuplicateToken, UnknownToken, UnbalancedParenthesis):
         assert issubclass(cls, NotationError)
     assert issubclass(NotationError, ValueError)
+
+
+# ------------------------------------------------- differential: reference
+
+
+def outcome(parse, text, n):
+    """The parsed permutation, or the error's class, message and position."""
+    try:
+        return parse(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+SYMBOLS = list("()vw0123456789_x\u00e9,") + [" ", "\t", "\n"]
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=1, max_value=5), st.text(SYMBOLS, max_size=40))
+def test_parser_agrees_with_the_reference_on_random_texts(n, text):
+    assert outcome(parse_cycles, text, n) == outcome(reference_parse_cycles, text, n)
+
+
+@st.composite
+def cycle_texts(draw):
+    """A well-formed text: disjoint cycles (singletons and empty ones
+    included) of a random vertex order, with random whitespace."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    order = draw(st.permutations([token_of(x, n) for x in range(2 * n)]))
+    cuts = sorted(draw(st.lists(st.integers(0, 2 * n), max_size=2 * n + 1)))
+    space = st.sampled_from(["", " ", "  ", "\t", "\n"])
+    gap = st.sampled_from([" ", "  ", "\t", "\n "])
+    text = draw(space)
+    for a, b in zip([0] + cuts, cuts + [2 * n]):
+        body = draw(space)
+        for i, token in enumerate(order[a:b]):
+            body += (draw(gap) if i else "") + token
+        text += "(" + body + draw(space) + ")" + draw(space)
+    return n, text
+
+
+@settings(max_examples=400)
+@given(cycle_texts())
+def test_parser_agrees_with_the_reference_on_cycle_texts(case):
+    n, text = case
+    parsed = outcome(parse_cycles, text, n)
+    assert isinstance(parsed, Perm)
+    assert parsed == outcome(reference_parse_cycles, text, n)

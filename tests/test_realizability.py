@@ -1,13 +1,20 @@
 """The nine-pattern matcher for single automorphisms of K_{n,n}."""
 
 import itertools
-from math import lcm
+import time
 
 import pytest
+from conftest import (
+    SAMPLE_PAIRS,
+    reference_check_automorphism,
+    reference_cycle_profile,
+    reference_print_cycles,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bipartite_tsg.bipartite import cycle_profile, validate_automorphism
+from bipartite_tsg.cli import check_automorphism_cmd
 from bipartite_tsg.perms import Perm
 from bipartite_tsg.realizability import (
     CASE_DESCRIPTIONS,
@@ -180,34 +187,113 @@ def test_enumerated_profiles_all_match():
         assert cases and orientation is not None
 
 
-def test_matcher_agrees_with_enumerator_on_k33():
-    """Brute force over all 72 automorphisms of K_{3,3}: the matcher accepts
-    exactly the profiles the desk enumerator lists for that order."""
-    enumerated = {}
-    for images_v in itertools.permutations(range(3)):
-        for images_w in itertools.permutations(range(3, 6)):
+def automorphisms(n):
+    """Every automorphism of K_{n,n}: a permutation of each part, then
+    optionally the exchange of the parts; 2 * (n!)^2 in all."""
+    for images_v in itertools.permutations(range(n)):
+        for images_w in itertools.permutations(range(n, 2 * n)):
             for swap in (False, True):
                 images = list(images_v) + list(images_w)
                 if swap:
-                    images = [
-                        x + 3 if x < 3 else x - 3 for x in images
-                    ]
-                p = Perm(images)
-                a = validate_automorphism(p, 3)
-                r = p.order()
-                key = r
-                if key not in enumerated:
-                    enumerated[key] = {
-                        (q.v_cycles, q.w_cycles, q.cross_cycles)
-                        for q in enumerate_realizable_profiles(3, r)
-                    }
-                profile = cycle_profile(a)
-                expected = (
-                    profile.v_cycles,
-                    profile.w_cycles,
-                    profile.cross_cycles,
-                ) in enumerated[key]
-                assert check_realizable(a).realizable == expected
+                    images = [x + n if x < n else x - n for x in images]
+                yield Perm(images)
+
+
+def assert_matcher_agrees_with_enumerator(n):
+    """The matcher accepts exactly the profiles the desk enumerator lists
+    for each automorphism's order, and the cycle profile equals the
+    any()-based reference.  Returns the number of automorphisms checked."""
+    enumerated = {}
+    checked = 0
+    for p in automorphisms(n):
+        a = validate_automorphism(p, n)
+        profile = cycle_profile(a)
+        assert profile == reference_cycle_profile(a)
+        r = p.order()
+        if r not in enumerated:
+            enumerated[r] = {
+                (q.v_cycles, q.w_cycles, q.cross_cycles)
+                for q in enumerate_realizable_profiles(n, r)
+            }
+        expected = (
+            profile.v_cycles,
+            profile.w_cycles,
+            profile.cross_cycles,
+        ) in enumerated[r]
+        assert check_realizable(a).realizable == expected
+        checked += 1
+    return checked
+
+
+def test_matcher_agrees_with_enumerator_on_k33():
+    """Brute force over all 72 automorphisms of K_{3,3}: the matcher accepts
+    exactly the profiles the desk enumerator lists for that order."""
+    assert assert_matcher_agrees_with_enumerator(3) == 72
+
+
+def test_matcher_agrees_with_enumerator_on_k44():
+    """Brute force over all 2 * (4!)^2 = 1152 automorphisms of K_{4,4}.
+
+    Time budget: 10 s; it takes about 0.1 s on a 2-vCPU VM."""
+    start = time.perf_counter()
+    assert assert_matcher_agrees_with_enumerator(4) == 1152
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+# ------------------------------------------------ the one-pass check command
+
+# The four non-realizable automorphisms of the negative tests above, as
+# (n, cycles).
+NOT_REALIZABLE = (
+    (4, ((0, 1, 2),)),
+    (6, ((0, 1, 2), (6, 7, 8))),
+    (8, ((0, 8, 1, 9), (2, 10, 3, 11), (4, 12, 5, 13, 6, 14, 7, 15))),
+    (6, ((0, 1), (2, 3, 4, 5), (6, 7), (8, 9), (10, 11))),
+)
+
+
+def check_texts(assignments):
+    """``(text, n)`` for the four non-realizable examples, then every class
+    representative's induced automorphism of one placement per recipe case."""
+    out = [
+        (reference_print_cycles(Perm.from_cycles(2 * n, cycles), n), n)
+        for n, cycles in NOT_REALIZABLE
+    ]
+    cases = set()
+    for pair in SAMPLE_PAIRS:
+        a = assignments[pair]
+        if a.case_name in cases:
+            continue
+        cases.add(a.case_name)
+        for cls in a.model.group.conjugacy_classes():
+            perm = a.induced_perm(cls[0])
+            out.append((reference_print_cycles(perm, a.n), a.n))
+    return out
+
+
+def test_check_command_reports_equal_the_reference_pipeline(assignments):
+    texts = check_texts(assignments)
+    assert len(texts) > 4 + 17
+    for text, n in texts:
+        assert check_automorphism_cmd(text, n) == reference_check_automorphism(text, n)
+    assert sum(not check_automorphism_cmd(t, n)[0].realizable for t, n in texts) == 4
+
+
+def test_a_check_walks_the_cycles_once(assignments, monkeypatch):
+    a = assignments[("A5", 62)]
+    text = reference_print_cycles(a.induced_perm(a.model.nontrivial[0]), a.n)
+    check_automorphism_cmd(text, a.n)  # warm
+    calls = []
+    walk = Perm.cycles
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(Perm, "cycles", counting)
+    check_automorphism_cmd(text, a.n)
+    assert 0 < len(calls) <= 1
 
 
 # --------------------------------------------------------- invariance property
