@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
@@ -158,59 +160,95 @@ class VertexAssignment:
     # ---------------------------------------------------------- point layout
 
     @cached_property
-    def _block_layout(self) -> tuple[tuple[Point, str], ...]:
-        out: list[tuple[Point, str]] = []
+    def _layout(self) -> tuple[int, tuple[tuple[Point, tuple[int, ...]], ...]]:
+        """The size of V and the vertices run by run, in block order.
+
+        A run is the two poles, one marker class on one copy, or one free
+        orbit.  Its labels are its prefix plus their position in the run,
+        and each comes with its vertex number: V is numbered from 0 and W
+        after V, each part in block order.  A split orbit's even half lies
+        in V and its odd half in W.
+        """
+        model = self.model
+        elements = model.group.elements
+        runs: list[tuple[Point, int, str | None]] = []  # prefix, size, part
         free_base = {"V": 0, "W": 0, "VW": 0}
-        elements = self.model.group.elements
-        # a split orbit's even half lies in V, its odd half in W
-        split_parts = tuple(
-            "V" if self.model.parity_of(e) == 1 else "W" for e in elements
-        )
         for block in self.all_blocks():
             if isinstance(block, CenterPair):
-                out.append((("center", 0), block.part))
-                out.append((("center", 1), block.part))
+                runs.append((("center",), 2, block.part))
             elif isinstance(block, MarkerBlock):
-                count = _marker_count(self.model, block.marker_class)
-                for i in range(count):
-                    out.append(
-                        ((block.marker_class, block.copy_name, i), block.part)
-                    )
+                count = _marker_count(model, block.marker_class)
+                runs.append(((block.marker_class, block.copy_name), count, block.part))
             elif isinstance(block, FreeOrbitBlock):
                 tag = "VW" if block.part == "split" else block.part
                 base = free_base[tag]
                 free_base[tag] += block.count
-                parts = split_parts if tag == "VW" else (block.part,) * len(elements)
+                part = None if tag == "VW" else tag
                 for k in range(base, base + block.count):
-                    out.extend(
-                        (("free", tag, k, j), part) for j, part in enumerate(parts)
-                    )
+                    runs.append((("free", tag, k), len(elements), part))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown block {block!r}")
-        return tuple(out)
+        # a split orbit's part per element, and its rank within that half
+        split = tuple("V" if model.parity_of(e) == 1 else "W" for e in elements)
+        half = {"V": 0, "W": 0}
+        split_rank = []
+        for part in split:
+            split_rank.append(half[part])
+            half[part] += 1
+        size = {"V": 0, "W": 0}
+        for _, count, part in runs:
+            if part is None:
+                size["V"] += half["V"]
+                size["W"] += half["W"]
+            else:
+                size[part] += count
+        v_size = size["V"]
+        next_vertex = {"V": 0, "W": v_size}
+        out = []
+        for prefix, count, part in runs:
+            if part is None:
+                starts = map(next_vertex.__getitem__, split)
+                vertices = tuple(map(add, split_rank, starts))
+                for p in half:
+                    next_vertex[p] += half[p]
+            else:
+                start = next_vertex[part]
+                vertices = tuple(range(start, start + count))
+                next_vertex[part] += count
+            out.append((prefix, vertices))
+        return v_size, tuple(out)
 
     def all_blocks(self) -> tuple[Block, ...]:
         return tuple(b for group in self.blocks for b in group)
 
     @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """All vertex points; graph vertex ``i`` sits at ``points[i]``."""
+        _, runs = self._layout
+        positions = tuple((j,) for j in range(max((len(v) for _, v in runs), default=0)))
+        label_of: dict[int, Point] = {}
+        for prefix, vertices in runs:
+            label_of.update(zip(vertices, map(prefix.__add__, positions)))
+        return compose_images(label_of, range(len(label_of)))
+
+    @cached_property
     def v_points(self) -> tuple[Point, ...]:
-        return tuple(p for p, part in self._block_layout if part == "V")
+        return self.points[: self._layout[0]]
 
     @cached_property
     def w_points(self) -> tuple[Point, ...]:
-        return tuple(p for p, part in self._block_layout if part == "W")
+        return self.points[self._layout[0] :]
 
     @cached_property
-    def points(self) -> tuple[Point, ...]:
-        """All vertex points; graph vertex ``i`` sits at ``points[i]``."""
-        return self.v_points + self.w_points
-
-    @cached_property
-    def _part_of(self) -> dict[Point, str]:
-        return dict(self._block_layout)
+    def _run_vertices(self) -> dict[Point, tuple[int, ...]]:
+        return dict(self._layout[1])
 
     def part_of_point(self, point: Point) -> str | None:
-        return self._part_of.get(point)
+        """The part of the vertex at ``point``, or None if no vertex is there."""
+        vertices = self._run_vertices.get(point[:-1])
+        if vertices is None or not 0 <= point[-1] < len(vertices):
+            return None
+        return "V" if vertices[point[-1]] < self._layout[0] else "W"
 
     @cached_property
     def _swap_map(self) -> dict[str, str]:
@@ -246,32 +284,42 @@ class VertexAssignment:
 
     @cached_property
     def action(self) -> GroupAction:
-        """The induced action on the vertices, built from the generators.
+        """The induced action on the vertices, checked on a transversal.
 
-        Only the generators' image lists are assembled, block by block.
+        The transversal is every core vertex (poles and markers) plus the
+        first free orbit of each free part (V, W or the split orbits).  Only
+        the generators' image lists on it are assembled, block by block.
         Every label ends in its index within its block: the pole number, the
         marker index, or the element index of a free point.  A block's
-        images are its vertex-index list composed with one table of the
-        model (the pole or marker images, or the product-table row), so no
-        label is mapped one at a time.
-        :meth:`GroupAction.from_images` checks those lists and composes every
-        other element's along the product table, checking the homomorphism
-        law on every generator x element pair.  The kernel of the action is
-        a normal subgroup, so the action is faithful exactly when no
-        nontrivial conjugacy class's least element acts as the identity.
+        images are its positions composed with one table of the model (the
+        pole or marker images, or the product-table row), so no label is
+        mapped one at a time.  :meth:`GroupAction.from_images` checks those
+        lists and composes every other element's along the product table,
+        checking the homomorphism law on every generator x element pair.
+        The kernel of the action is a normal subgroup, so the action is
+        faithful exactly when no nontrivial conjugacy class's least element
+        acts as the identity.
+
+        Every other free orbit is a translate of its part's first: ``e``
+        sends ``("free", tag, k, j)`` to ``("free", tag, k, row_e[j])`` for
+        every ``k``, so :meth:`GroupAction.translated` extends the checked
+        action to all ``2n`` vertices, each orbit ``k`` a copy of orbit 0.
         """
-        by_block: dict[Point, dict[int, int]] = {}
-        for v, p in enumerate(self.points):
-            by_block.setdefault(p[:-1], {})[p[-1]] = v
-        vertices = {
-            key: tuple(slots[k] for k in range(len(slots)))
-            for key, slots in by_block.items()
+        vertices = self._run_vertices
+        transversal = {
+            key: block
+            for key, block in vertices.items()
+            if key[0] != "free" or key[2] == 0
         }
-        # position of each vertex in the block-by-block concatenation
-        position = [0] * len(self.points)
-        concatenation = (v for block in vertices.values() for v in block)
-        for s, v in enumerate(concatenation):
-            position[v] = s
+        start: dict[Point, int] = {}  # each block's first transversal position
+        copies: list[tuple[int, ...]] = []
+        for key, block in transversal.items():
+            start[key] = len(copies)
+            if key[0] == "free":  # the part's orbits, in order
+                orbits = [b for k, b in vertices.items() if k[:2] == key[:2]]
+                copies.extend(zip(*orbits))
+            else:
+                copies.extend((v,) for v in block)
         model = self.model
         group = model.group
         images: dict[Perm, tuple[int, ...]] = {}
@@ -279,24 +327,27 @@ class VertexAssignment:
             a = group.index(e)
             odd = model.parity_of(e) == -1
             tables = model.marker_images[a]
-            concatenated: list[int] = []
-            for key, block in vertices.items():
+            row: list[int] = []
+            for key, block in transversal.items():
+                target = key
                 if key[0] == "free":
-                    table, target = group.product_table[a], block
+                    table = group.product_table[a]
                 elif key[0] == "center":
-                    table, target = tables["center"], block
+                    table = tables["center"]
                 else:
                     marker_class, copy_name = key
-                    table, target = tables[marker_class], block
+                    table = tables[marker_class]
                     if odd and copy_name in self._swap_map:
-                        target = vertices[(marker_class, self._swap_map[copy_name])]
-                concatenated.extend(compose_images(target, table))
-            images[e] = compose_images(concatenated, position)
-        act = GroupAction.from_images(group, self.points, images)
+                        target = (marker_class, self._swap_map[copy_name])
+                offset = start[target]
+                row.extend(compose_images(range(offset, offset + len(block)), table))
+            images[e] = tuple(row)
+        labels = [self.points[c[0]] for c in copies]
+        checked = GroupAction.from_images(group, labels, images)
         nontrivial_classes = group.conjugacy_classes()[1:]  # [0] is {identity}
-        if any(act.perms[cls[0]].is_identity() for cls in nontrivial_classes):
+        if any(checked.perms[cls[0]].is_identity() for cls in nontrivial_classes):
             raise AssertionError("the action on the vertices is not faithful")
-        return act
+        return checked.translated(self.points, copies)
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``."""
@@ -316,23 +367,29 @@ class VertexAssignment:
     def fixed_vertices(self) -> dict[Perm, tuple[int, ...]]:
         """The vertices each element fixes, ascending.
 
-        Every vertex is scanned once per conjugacy class, for its least
-        element ``r``.  The action is checked to be a homomorphism, so a
-        conjugate ``g r g^-1`` fixes exactly the images ``g(x)`` of the
-        vertices ``x`` that ``r`` fixes; the identity fixes every vertex.
+        Only the transversal is scanned, once per conjugacy class, for its
+        least element ``r``.  The action is checked to be a homomorphism, so
+        a conjugate ``g r g^-1`` fixes exactly the images ``g(x)`` of the
+        points ``x`` that ``r`` fixes, and a translated free vertex is fixed
+        exactly when its twin in the first free orbit is; the identity fixes
+        every vertex.
         """
+        action = self.action
+        perms = action.transversal.perms
         group = self.model.group
-        perms = self.action.perms
         elements = group.elements
-        scanned = {0: tuple(range(len(self.points)))}  # index 0 is the identity
+        scanned: dict[int, tuple[int, ...]] = {}
         out = {}
         for e, (g, r) in zip(elements, group.conjugators):
+            if r == 0:  # index 0 is the identity
+                out[e] = tuple(range(len(self.points)))
+                continue
             if r not in scanned:
                 scanned[r] = perms[elements[r]].fixed_points()
             fixed = scanned[r]
             if g != 0:
-                fixed = tuple(sorted(compose_images(perms[elements[g]].images, fixed)))
-            out[e] = fixed
+                fixed = compose_images(perms[elements[g]].images, fixed)
+            out[e] = action.lift(fixed)
         return out
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
@@ -423,7 +480,7 @@ class VertexAssignment:
                 (marker_class, names[0], i)
                 for marker_class, i in entry.circular_markers
             ) if names else ()
-        parts = tuple(self._part_of.get(p) for p in slots)
+        parts = tuple(map(self.part_of_point, slots))
         return AxisSlots(entry.elements, slots, parts, entry.has_centers)
 
 
@@ -580,7 +637,29 @@ def verify_fixed_counts(assignment: VertexAssignment) -> FixedCountReport:
 
     report = fixed_count_report(assignment)
     necessity_profile_of(assignment)
+    check_orbit_count(assignment)
     return report
+
+
+def check_orbit_count(assignment: VertexAssignment) -> int:
+    """The number of vertex orbits, counted two independent ways.
+
+    Burnside's lemma averages the fixed counts over the group: the identity
+    fixes all ``2n`` vertices and each class label contributes its size
+    times its fixed count.  Union-find counts the transversal's orbits under
+    the generators, each once per translate.  The average must be an
+    integer equal to the direct count.
+    """
+    fixed = sum(
+        size * (v + w) for _, size, (v, w) in assignment.class_counts.values()
+    )
+    average = Fraction(2 * assignment.n + fixed, assignment.model.group.order)
+    direct = assignment.action.orbit_count_unionfind()
+    if average != direct:
+        raise AssertionError(
+            f"orbit count mismatch: union-find {direct}, Burnside {average}"
+        )
+    return direct
 
 
 

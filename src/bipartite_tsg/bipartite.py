@@ -75,6 +75,8 @@ def validate_automorphism(p: Perm, n: int) -> BipartiteAut:
     image of V meets both parts raises MixedParts.
     """
     require_integer(n, "part size")
+    if n < 1:
+        raise ValueError(f"part size must be positive, got n = {n}")
     if p.degree != 2 * n:
         raise ValueError(f"degree {p.degree} does not match 2n = {2 * n}")
     image_in_v = sum(map(n.__gt__, p.images[:n]))

@@ -623,7 +623,7 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
     edge orbit must then fix that edge, hence ``y``.
     """
     n = assignment.n
-    perms = assignment.action.perms
+    image = assignment.action.image
     fixed = assignment.fixed_vertices
     nontrivial = assignment.model.nontrivial
     opposite = range(n, 2 * n) if x < n else range(n)
@@ -632,9 +632,8 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
         *(fixed[e] for k, e in enumerate(nontrivial) if stab >> k & 1)
     )
     for e in nontrivial:
-        images = perms[e].images
-        y = images[x]
-        if y in good and images[y] != x:
+        y = image(e, x)
+        if y in good and image(e, y) != x:
             good.discard(y)
     return good
 

@@ -132,7 +132,10 @@ def parse_cycles(text: str, n: int) -> Perm:
             if match is None or not in_cycle:
                 raise _lexeme_error(lexeme, n, _start(text, k), in_cycle)
             part, i = match.groups()
-            i = int(i)
+            try:
+                i = int(i)
+            except ValueError:  # past the interpreter's digit limit
+                raise _unknown_token(lexeme, n, _start(text, k)) from None
             if i > n:
                 raise _unknown_token(lexeme, n, _start(text, k))
             index = i - 1 if part == "v" else n + i - 1

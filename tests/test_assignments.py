@@ -10,6 +10,7 @@ from bipartite_tsg.assignments import (
     FreeOrbitBlock,
     NotRealizable,
     build_assignment,
+    check_orbit_count,
     class_label,
     fixed_count_report,
     necessity_profile_of,
@@ -19,6 +20,7 @@ from bipartite_tsg.assignments import (
     verify_fixed_counts,
 )
 from bipartite_tsg.bipartite import validate_automorphism
+from bipartite_tsg.hypotheses import verify_construction
 from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
 
@@ -176,6 +178,106 @@ def test_a_placement_checks_only_its_generators_image_lists(monkeypatch):
     monkeypatch.setattr(Perm, "__init__", counting)
     a = build_assignment("A5", 482)
     assert 0 < len(calls) <= len(a.model.group.generators)
+
+
+# Placements with at least two free orbits per free part, so that the
+# translated copies k >= 1 are compared too: V and W orbits with an extra V
+# orbit (dodecahedron-2), V and W orbits (cube-20), an extra W orbit
+# (cube-6), split orbits alone (skeleton-0) and around a marker core
+# (skeleton-4).
+TRANSLATION_PAIRS = (("A5", 482), ("S4", 500), ("S4", 78), ("A4", 48), ("S4", 28))
+
+
+@pytest.fixture(scope="module")
+def translated():
+    return {pair: build_assignment(*pair) for pair in TRANSLATION_PAIRS}
+
+
+def test_translation_pairs_have_several_free_orbits_per_part(translated):
+    cases = {a.case_name for a in translated.values()}
+    assert cases == {"dodecahedron-2", "cube-20", "cube-6", "skeleton-0", "skeleton-4"}
+    for pair, a in translated.items():
+        orbits = [b.count for b in a.all_blocks() if isinstance(b, FreeOrbitBlock)]
+        assert orbits and min(orbits) >= 2, pair
+
+
+@pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
+def test_translated_action_matches_the_per_label_map(translated, pair):
+    a = translated[pair]
+    index = a.action.point_index
+    for e in a.model.group:
+        expected = tuple(index[apply(a, e, p)] for p in a.points)
+        assert a.action.perms[e].images == expected, e
+        assert tuple(a.action.image(e, i) for i in range(2 * a.n)) == expected
+
+
+@pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
+def test_lifted_fixed_sets_equal_a_full_scan(translated, pair):
+    a = translated[pair]
+    for e in a.model.group:
+        assert a.fixed_vertices[e] == a.action.perms[e].fixed_points(), e
+
+
+@pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
+def test_translated_action_equals_the_action_checked_on_every_vertex(translated, pair):
+    # the reference checks the generators' lists on all 2n vertices
+    a = translated[pair]
+    group = a.model.group
+    full = GroupAction.from_images(
+        group, a.points, {g: a.action.perms[g].images for g in group.generators}
+    )
+    assert a.action.perms == full.perms
+    assert a.action.orbits() == full.orbits()
+    assert a.action.orbit_count_unionfind() == full.orbit_count() == check_orbit_count(a)
+    for e in group:
+        assert a.action.fixed_points(e) == full.fixed_points(e)
+
+
+@pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
+def test_a_doctored_first_free_orbit_fails_the_build(monkeypatch, pair):
+    def exchange_two_free_vertices(points, images):
+        g = next(iter(images))
+        u, v = [i for i, p in enumerate(points) if p[0] == "free"][-2:]
+        row = list(images[g])
+        row[u], row[v] = row[v], row[u]
+        images[g] = row
+        return images
+
+    _doctor_generator_images(monkeypatch, exchange_two_free_vertices)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        build_assignment(*pair)
+
+
+def test_a_placement_composes_at_most_one_full_permutation_per_class(monkeypatch):
+    # Warm A5 n = 482: the build and every check read the transversal.
+    # Only condition 4 composes a permutation of all 2n vertices, once per
+    # class of edge-interchanging elements, and A5 has none.
+    verify_construction(build_assignment("A5", 482))
+    n = 482
+    composed = []
+    wrap = Perm._from_checked.__func__
+
+    def counting(cls, images):
+        if len(images) == 2 * n:
+            composed.append(images)
+        return wrap(cls, images)
+
+    monkeypatch.setattr(Perm, "_from_checked", classmethod(counting))
+    a = build_assignment("A5", n)
+    verify_construction(a)
+    assert len(composed) <= len(a.model.group.conjugacy_classes()) - 1
+
+
+def test_the_orbit_count_check_rejects_a_wrong_fixed_count(monkeypatch):
+    # one vertex fewer fixed by every element of one class leaves the
+    # Burnside average short of the direct count (or not an integer)
+    a = build_assignment("S4", 500)
+    counts = dict(a.class_counts)
+    label, (order, size, (v, w)) = next(iter(counts.items()))
+    counts[label] = (order, size, (v - 1, w))
+    monkeypatch.setitem(a.__dict__, "class_counts", counts)
+    with pytest.raises(AssertionError, match="orbit count mismatch"):
+        check_orbit_count(a)
 
 
 def test_tetrahedral_and_icosahedral_targets_never_swap_parts(assignments):
@@ -341,6 +443,15 @@ def test_free_point_counts(assignments):
 
 
 # ---------------------------------------------------------------- axis slots
+
+
+def test_part_of_point_agrees_with_the_vertex_numbering(assignments):
+    for pair, a in assignments.items():
+        assert [a.part_of_point(p) for p in a.points] == ["V"] * a.n + ["W"] * a.n, pair
+        for p in a.points[:1] + a.points[-1:]:
+            assert a.part_of_point(p[:-1] + (10**6,)) is None
+            assert a.part_of_point(p[:-1] + (-1,)) is None
+        assert a.part_of_point(("free", "V", 10**6, 0)) is None
 
 
 def test_axis_slots_structure(assignments):

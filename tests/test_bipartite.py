@@ -92,6 +92,15 @@ def test_validate_rejects_wrong_degree():
         validate_automorphism(Perm.identity(5), 3)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_validate_rejects_a_nonpositive_part_size(n):
+    # the same message as parse_cycles; BipartiteGraph rejects these sizes too
+    with pytest.raises(ValueError, match=f"part size must be positive, got n = {n}"):
+        validate_automorphism(Perm.identity(0), n)
+    with pytest.raises(ValueError, match="part size must be positive"):
+        BipartiteGraph(n)
+
+
 @pytest.mark.parametrize("n", [True, 1.0, "1"])
 def test_validate_rejects_a_non_integer_part_size(n):
     with pytest.raises(ValueError, match="part size must be an integer"):

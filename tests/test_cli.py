@@ -15,6 +15,7 @@ from bipartite_tsg.cli import (
     main,
 )
 from bipartite_tsg.decide import InternalMismatch, decide
+from bipartite_tsg.notation import UnknownToken
 
 cli_module = importlib.import_module("bipartite_tsg.cli")
 
@@ -172,6 +173,28 @@ def test_check_aut_rejects_small_parts(capsys):
     )
     assert code == EXIT_INPUT
     assert "input error" in err
+
+
+# A vertex number longer than the interpreter's integer-string limit
+# (4300 digits by default) still names a vertex beyond the part size.
+HUGE_TOKEN = "v" + "1" * 5000
+
+
+def test_check_aut_rejects_a_token_past_the_digit_limit(capsys):
+    code, _, err = run(
+        capsys, "check-aut", "--n", "3", "--cycles", f"(w1 {HUGE_TOKEN})"
+    )
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: token ")
+    assert "exceeds the part size n = 3 (at position 4)" in err
+    assert "limit" not in err
+
+
+def test_check_automorphism_cmd_rejects_a_token_past_the_digit_limit():
+    with pytest.raises(UnknownToken) as exc:
+        check_automorphism_cmd(f"(v1 v2)(w2 {HUGE_TOKEN})", 3)
+    assert exc.value.position == 11
+    assert "exceeds the part size n = 3" in str(exc.value)
 
 
 def test_check_aut_rejects_part_mixing(capsys):

@@ -321,3 +321,61 @@ def test_image_list_constructor_rejects_generators_of_a_smaller_group():
     g = FiniteGroup(s3.elements, generators=(r,))
     with pytest.raises(ValueError, match="do not generate the group"):
         GroupAction.from_images(g, range(3), {r: list(r.images)})
+
+
+# ------------------------------------------------------------ translated action
+
+
+def s3_and_two_copies_of_its_points():
+    # S3 on {0, 1, 2}, to be translated to a second copy "a0", "a1", "a2"
+    g = symmetric_group(3)
+    base = natural_action(g)
+    points = ("a0", 0, "a1", 1, "a2", 2)
+    return g, base, points
+
+
+def test_a_translated_action_moves_each_copy_as_its_original():
+    g, base, points = s3_and_two_copies_of_its_points()
+    copies = ((1, 0), (3, 2), (5, 4))
+    act = base.translated(points, copies)
+    for e in g:
+        # c-th copy of s sits at copies[s][c]
+        expected = [0] * 6
+        for s in range(3):
+            for c in range(2):
+                expected[copies[s][c]] = copies[e(s)][c]
+        assert act.perms[e].images == tuple(expected)
+        assert [act.image(e, i) for i in range(6)] == expected
+        assert act.fixed_count(e) == 2 * len(e.fixed_points())
+        assert act.fixed_points(e) == tuple(
+            points[i] for i in sorted(copies[s][c] for s in e.fixed_points() for c in (0, 1))
+        )
+    assert len(act.perms) == g.order and set(act.perms) == set(g.elements)
+    assert act.transversal is base and base.transversal is base
+    assert act.orbits() == (("a0", "a1", "a2"), (0, 1, 2))
+    assert act.orbit_count() == 2
+    assert act.lift((2, 0)) == (0, 1, 4, 5)
+    assert act.apply(Perm.from_cycles(3, [(0, 1)]), "a1") == "a0"
+
+
+def test_a_translated_action_needs_copy_counts_constant_on_orbits():
+    g, base, points = s3_and_two_copies_of_its_points()
+    # point 0 has two copies, points 1 and 2 one each
+    with pytest.raises(ValueError, match="another number of copies"):
+        base.translated(("a0", 0, 1, 2), ((1, 0), (2,), (3,)))
+
+
+def test_a_translated_action_needs_every_point_listed_once():
+    g, base, points = s3_and_two_copies_of_its_points()
+    with pytest.raises(ValueError, match="every point once"):
+        base.translated(points, ((1, 0), (3, 0), (5, 4)))
+    with pytest.raises(ValueError, match="every point once"):
+        base.translated(points, ((1, 0), (3, 2), (5,)))
+    with pytest.raises(ValueError, match="starts with it"):
+        base.translated(points, ((1, 0), (3, 2)))
+
+
+def test_a_translated_action_keeps_the_transversal_labels():
+    g, base, points = s3_and_two_copies_of_its_points()
+    with pytest.raises(ValueError, match="carry its label"):
+        base.translated(points, ((0, 1), (3, 2), (5, 4)))
