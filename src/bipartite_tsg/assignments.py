@@ -75,7 +75,8 @@ class MarkerBlock:
 
     ``swap_partner`` names the copy this one trades places with under
     part-swapping elements (used only by the tetrahedron-skeleton model,
-    whose odd elements exchange the inside and outside of the skeleton).
+    whose odd elements exchange the inside and outside of the skeleton);
+    the partner copy holds a block of the same class naming this copy back.
     """
 
     marker_class: str  # "corner" | "edge" | "face"
@@ -149,6 +150,26 @@ class VertexAssignment:
         ranks = [r for _, r in self.copies]
         if sorted(ranks) != list(range(1, len(ranks) + 1)):
             raise ValueError("copy ranks must be 1..k")
+        names = {name for name, _ in self.copies}
+        markers = [b for b in self.all_blocks() if isinstance(b, MarkerBlock)]
+        held = {(b.marker_class, b.copy_name): b for b in markers}
+        swaps = any(sign == -1 for _, sign in self.model.parity)
+        for b in markers:
+            if b.copy_name not in names:
+                raise ValueError(f"{b} sits on no copy of the placement")
+            if b.swap_partner is None:
+                continue
+            if not swaps:
+                raise ValueError(
+                    f"{b} names a swap partner, but no element of the "
+                    f"{self.model.kind} model swaps the parts"
+                )
+            partner = held.get((b.marker_class, b.swap_partner))
+            if partner is None or partner.swap_partner != b.copy_name:
+                raise ValueError(
+                    f"{b} names a swap partner that holds no "
+                    f"{b.marker_class} block naming {b.copy_name!r} back"
+                )
         if len(self.v_points) != self.n or len(self.w_points) != self.n:
             raise ValueError(
                 f"blocks fill parts of sizes {len(self.v_points)}, "
@@ -680,6 +701,12 @@ class Recipe:
     fixed-vertex counts (in V, in W) per class label as the source
     construction states them: oracle values that ``fixed_count_report``
     compares with the recomputed ones.
+
+    Edges are (V label, W label) pairs, e.g. ``(("free", "V", 0, 0),
+    ("corner", "base", 0))``.  ``witness`` lists the exactness-witness edge:
+    the first pair whose labels are both vertices; a second pair covers the
+    smallest ``n``, which has no free point in V yet.  ``step_down``, on the
+    order-24 records only, is the edge no nontrivial element fixes.
     """
 
     kind: str
@@ -688,6 +715,8 @@ class Recipe:
     w_core: tuple[Block, ...]
     extra: tuple[int, int] | None
     stated: dict[str, tuple[int, int]]
+    witness: tuple[tuple[Point, Point], ...]
+    step_down: tuple[Point, Point] | None = None
 
 
 _SINGLE = (("base", 1),)
@@ -706,6 +735,8 @@ RECIPES: dict[str, Recipe] = {
             "cross-half-turn": (0, 0),
             "cross-quarter-glide": (0, 0),
         },
+        witness=((("free", "VW", 0, 0), ("free", "VW", 0, 1)),),
+        step_down=(("free", "VW", 0, 0), ("free", "VW", 0, 1)),
     ),
     "skeleton-4": Recipe(
         "tetrahedron-skeleton", _NESTED, extra=None,
@@ -717,6 +748,9 @@ RECIPES: dict[str, Recipe] = {
             "cross-half-turn": (0, 0),
             "cross-quarter-glide": (0, 0),
         },
+        witness=((("free", "VW", 0, 0), ("corner", "outer", 0)),
+                 (("corner", "inner", 0), ("corner", "outer", 1))),
+        step_down=(("corner", "inner", 0), ("corner", "outer", 1)),
     ),
     "cube-2": Recipe(
         "cube", _SINGLE, extra=(1, 0),
@@ -732,6 +766,8 @@ RECIPES: dict[str, Recipe] = {
             "face-half-turn": (2, 2),
             "edge-half-turn": (2, 2),
         },
+        witness=((("free", "V", 0, 0), ("corner", "base", 0)),),
+        step_down=(("free", "V", 0, 0), ("corner", "base", 0)),
     ),
     "cube-6": Recipe(
         "cube", _NESTED, extra=(0, 1),
@@ -748,6 +784,9 @@ RECIPES: dict[str, Recipe] = {
             "face-half-turn": (2, 2),
             "edge-half-turn": (4, 0),
         },
+        witness=((("free", "V", 0, 0), ("face", "base", 0)),
+                 (("center", 0), ("free", "W", 0, 0))),
+        step_down=(("center", 0), ("free", "W", 0, 0)),
     ),
     "cube-8": Recipe(
         "cube", _SINGLE, extra=(0, 0),
@@ -759,6 +798,9 @@ RECIPES: dict[str, Recipe] = {
             "face-half-turn": (4, 0),
             "edge-half-turn": (2, 0),
         },
+        witness=((("free", "V", 0, 0), ("corner", "base", 0)),
+                 (("face", "base", 0), ("corner", "base", 0))),
+        step_down=(("face", "base", 0), ("corner", "base", 0)),
     ),
     "cube-14": Recipe(
         "cube", _SINGLE, extra=(0, 0),
@@ -773,6 +815,9 @@ RECIPES: dict[str, Recipe] = {
             "face-half-turn": (2, 2),
             "edge-half-turn": (4, 0),
         },
+        witness=((("free", "V", 0, 0), ("corner", "base", 0)),
+                 (("edge", "base", 0), ("corner", "base", 0))),
+        step_down=(("edge", "base", 0), ("corner", "base", 0)),
     ),
     "cube-18": Recipe(
         "cube", _NESTED, extra=(0, 0),
@@ -791,6 +836,9 @@ RECIPES: dict[str, Recipe] = {
             "face-half-turn": (2, 2),
             "edge-half-turn": (2, 2),
         },
+        witness=((("free", "V", 0, 0), ("edge", "base", 0)),
+                 (("corner", "inner", 0), ("edge", "base", 0))),
+        step_down=(("corner", "outer", 0), ("edge", "base", 0)),
     ),
     "cube-20": Recipe(
         "cube", _NESTED, extra=(0, 0),
@@ -810,18 +858,23 @@ RECIPES: dict[str, Recipe] = {
             "face-half-turn": (8, 0),
             "edge-half-turn": (2, 2),
         },
+        witness=((("free", "V", 0, 0), ("corner", "base", 0)),
+                 (("face", "inner", 0), ("corner", "base", 0))),
+        step_down=(("face", "base", 0), ("corner", "base", 0)),
     ),
     "tetrahedron-6": Recipe(
         "tetrahedron", _SINGLE, extra=(0, 0),
         v_core=(CenterPair("V"), MarkerBlock("corner", "base", "V")),
         w_core=(MarkerBlock("edge", "base", "W"),),
         stated={"rotation-3": (3, 0), "half-turn": (2, 2)},
+        witness=((("corner", "base", 0), ("edge", "base", 0)),),
     ),
     "dodecahedron-0": Recipe(
         "dodecahedron", _SINGLE, extra=(0, 0),
         v_core=(),
         w_core=(),
         stated={"rotation-5": (0, 0), "rotation-3": (0, 0), "half-turn": (0, 0)},
+        witness=((("free", "V", 0, 0), ("free", "W", 0, 0)),),
     ),
     "dodecahedron-2": Recipe(
         "dodecahedron", _SINGLE, extra=(1, 0),
@@ -832,6 +885,7 @@ RECIPES: dict[str, Recipe] = {
             MarkerBlock("face", "base", "W"),
         ),
         stated={"rotation-5": (2, 2), "rotation-3": (2, 2), "half-turn": (2, 2)},
+        witness=((("free", "V", 0, 0), ("corner", "base", 0)),),
     ),
     "dodecahedron-12": Recipe(
         "dodecahedron", _PAIR, extra=(0, 1),
@@ -849,6 +903,8 @@ RECIPES: dict[str, Recipe] = {
         # orbit count an integer.  ``fixed_count_report`` flags the
         # disagreement rather than hiding it.
         stated={"rotation-5": (2, 2), "rotation-3": (4, 0), "half-turn": (4, 0)},
+        witness=((("free", "V", 0, 0), ("face", "base", 0)),
+                 (("center", 0), ("free", "W", 0, 0))),
     ),
     "dodecahedron-20": Recipe(
         "dodecahedron", _QUAD, extra=(0, 1),
@@ -862,6 +918,8 @@ RECIPES: dict[str, Recipe] = {
         ),
         w_core=(MarkerBlock("corner", "shell1", "W"),),
         stated={"rotation-5": (10, 0), "rotation-3": (2, 2), "half-turn": (4, 0)},
+        witness=((("free", "V", 0, 0), ("corner", "shell1", 0)),
+                 (("center", 0), ("free", "W", 0, 0))),
     ),
     "dodecahedron-30": Recipe(
         "dodecahedron", _QUAD, extra=(0, 1),
@@ -876,6 +934,8 @@ RECIPES: dict[str, Recipe] = {
         ),
         w_core=(MarkerBlock("edge", "shell1", "W"),),
         stated={"rotation-5": (10, 0), "rotation-3": (6, 0), "half-turn": (2, 2)},
+        witness=((("free", "V", 0, 0), ("edge", "shell1", 0)),
+                 (("center", 0), ("free", "W", 0, 0))),
     ),
     "dodecahedron-32": Recipe(
         "dodecahedron", _SINGLE, extra=(0, 0),
@@ -885,6 +945,8 @@ RECIPES: dict[str, Recipe] = {
             MarkerBlock("face", "base", "W"),
         ),
         stated={"rotation-5": (2, 2), "rotation-3": (2, 2), "half-turn": (4, 0)},
+        witness=((("free", "V", 0, 0), ("corner", "base", 0)),
+                 (("edge", "base", 0), ("corner", "base", 0))),
     ),
     "dodecahedron-42": Recipe(
         "dodecahedron", _PAIR, extra=(0, 0),
@@ -898,6 +960,8 @@ RECIPES: dict[str, Recipe] = {
             MarkerBlock("edge", "base", "W"),
         ),
         stated={"rotation-5": (2, 2), "rotation-3": (6, 0), "half-turn": (2, 2)},
+        witness=((("free", "V", 0, 0), ("face", "base", 0)),
+                 (("corner", "base", 0), ("face", "base", 0))),
     ),
     "dodecahedron-50": Recipe(
         "dodecahedron", _QUAD, extra=(0, 0),
@@ -913,6 +977,8 @@ RECIPES: dict[str, Recipe] = {
             MarkerBlock("edge", "shell1", "W"),
         ),
         stated={"rotation-5": (10, 0), "rotation-3": (2, 2), "half-turn": (2, 2)},
+        witness=((("free", "V", 0, 0), ("corner", "shell1", 0)),
+                 (("face", "shell1", 0), ("corner", "shell1", 0))),
     ),
 }
 

@@ -15,7 +15,7 @@ resulting symmetry is exact:
 * **Exactness witnesses.**  If a placement realized *more* symmetry than the
   acting group, some homeomorphism outside the group would pointwise fix a
   forced subgraph.  ``forced_fix_closure`` computes what an edge forces, and
-  ``check_subgroup_theorem`` finds an edge whose forced subgraph either does
+  ``check_subgroup_theorem`` checks an edge whose forced subgraph either does
   not fit in a circle or meets a second element's fixed circle incompatibly.
   Either way, no strictly larger group can act, so the realized group is
   exactly the target.
@@ -24,16 +24,21 @@ resulting symmetry is exact:
   rotation target: re-embedding along an edge that no nontrivial element
   fixes pointwise breaks the part-swapping symmetries while keeping the
   rotations.  ``subgroup_corollary_witness`` exhibits such an edge.
+
+Each recipe in ``assignments.RECIPES`` records both edges as vertex labels;
+a generic scan runs only when the recorded edge fails its check, or for a
+placement that follows no recipe.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .assignments import (
+    RECIPES,
     AxisSlots,
     Point,
     VertexAssignment,
@@ -688,73 +693,65 @@ def forced_fix_closure(
     )
 
 
-def _witness_candidates(
-    assignment: VertexAssignment,
-) -> Iterator[tuple[int, int]]:
-    """Candidate edges for the exactness witness, most promising first, each
-    yielded once and only when the search asks for it."""
+def _orbit_edges(assignment: VertexAssignment) -> Iterator[tuple[int, int]]:
+    """The generic witness scan: the least vertex of each orbit that meets
+    V (orbits come ordered by their least vertex) against every W vertex."""
     n = assignment.n
-    points = assignment.points
-    head: list[tuple[int, int]] = []
-    free_v = next((i for i in range(n) if points[i][0] == "free"), None)
-    free_w = next((i for i in range(n, 2 * n) if points[i][0] == "free"), None)
-    if free_v is not None:
-        head.append((free_v, n))
-    if free_w is not None:
-        head.append((0, free_w))
     index = assignment.action.point_index
-    center = index.get(("center", 0))
-    if center is not None:
-        if center < n:
-            non_center = next(
-                i for i in range(n) if points[i][0] != "center"
-            )
-            head.append((non_center, n))
-        else:
-            non_center = next(
-                i for i in range(n, 2 * n) if points[i][0] != "center"
-            )
-            head.append((0, non_center))
-    head = list(dict.fromkeys(head))
-    yield from head
-    # fall back to one representative per V-orbit against every W-vertex
-    reps = sorted(
-        {
-            min(i for i in (index[p] for p in orbit) if i < n)
-            for orbit in assignment.action.orbits()
-            if any(index[p] < n for p in orbit)
-        }
-    )
-    for x in reps:
-        for y in range(n, 2 * n):
-            if (x, y) not in head:
-                yield (x, y)
+    for orbit in assignment.action.orbits():
+        if index[orbit[0]] < n:
+            yield from ((index[orbit[0]], y) for y in range(n, 2 * n))
+
+
+def _all_edges(assignment: VertexAssignment) -> Iterator[tuple[int, int]]:
+    """The generic step-down scan: every edge."""
+    n = assignment.n
+    yield from ((v, w) for v in range(n) for w in range(n, 2 * n))
+
+
+def _recorded_first(
+    assignment: VertexAssignment,
+    field: str,
+    pairs: tuple[tuple[Point, Point], ...],
+    scan: Callable[[VertexAssignment], Iterator[tuple[int, int]]],
+) -> Iterator[tuple[int, int]]:
+    """The edge of the first of ``pairs``, what the placement's recipe
+    records in ``field``, whose labels are both vertices; then the edges of
+    ``scan``, started only if the search asks for more."""
+    index = assignment.action.point_index
+    resolved = [(index[v], index[w]) for v, w in pairs if v in index and w in index]
+    if pairs and not resolved:
+        missing = dict.fromkeys(p for pair in pairs for p in pair if p not in index)
+        raise ValueError(
+            f"recipe {assignment.case_name} records the {field} label "
+            f"{', '.join(map(repr, missing))}, which is no vertex of the "
+            f"placement at n = {assignment.n}"
+        )
+    yield from resolved[:1]
+    yield from scan(assignment)
 
 
 def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     """Certify that the realized symmetry group is not strictly larger than
     the acting group.
 
-    Searches for an edge whose forced fixed set either fails to embed in a
+    Looks for an edge whose forced fixed set either fails to embed in a
     circle (condition 1) or meets the fixed circle of some element ``psi`` in
-    an adjacent pair without being contained in it (condition 2).  Raises
-    :class:`NoWitnessFound` if neither witness exists.
+    an adjacent pair without being contained in it (condition 2).  The edge
+    the placement's recipe records is tried first; only if it fails does
+    the generic scan run, each candidate taking one closure.  Raises
+    :class:`NoWitnessFound` if no candidate is a witness.
     """
-    for edge in _witness_candidates(assignment):
+    pairs = getattr(RECIPES.get(assignment.case_name), "witness", ())
+    for edge in _recorded_first(assignment, "witness", pairs, _orbit_edges):
+        # a closure whose shape embeds ran to completion
         forced = forced_fix_closure(assignment, edge, stop_if_unembeddable=True)
         if not embeds_in_circle(forced.shape):
             return SubgroupWitness(edge, forced, 1)
-    n = assignment.n
-    for edge in _witness_candidates(assignment):
-        forced = forced_fix_closure(assignment, edge)
         for psi in assignment.model.nontrivial:
             fix_psi = assignment.fixed_vertices[psi]
-            meet = forced.vertices.intersection(fix_psi)
-            if (
-                any(x < n for x in meet)
-                and any(x >= n for x in meet)
-                and not forced.vertices.issubset(fix_psi)
-            ):
+            meet = _shape_of(assignment, forced.vertices.intersection(fix_psi))
+            if meet.a and meet.b and not forced.vertices.issubset(fix_psi):
                 return SubgroupWitness(edge, forced, 2, psi)
     raise NoWitnessFound(
         f"no exactness witness for the {assignment.case_name} placement "
@@ -764,48 +761,6 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
 
 # --------------------------------------------------------------------------
 # the step-down edge for order-24 placements
-
-
-def _table_step_down_edge(
-    assignment: VertexAssignment,
-) -> tuple[int, int] | None:
-    """The documented unfixed edge for each order-24 placement family."""
-    n = assignment.n
-    points = assignment.points
-    index = assignment.action.point_index
-    case = assignment.case_name
-    model = assignment.model
-    if case == "skeleton-0":
-        return (0, n)
-    if case == "skeleton-4":
-        return (index[("corner", "inner", 0)], index[("corner", "outer", 1)])
-    if case == "cube-2":
-        free_v = next(i for i in range(n) if points[i][0] == "free")
-        return (free_v, n)
-    if case == "cube-6":
-        free_w = next(i for i in range(n, 2 * n) if points[i][0] == "free")
-        return (0, free_w)
-    if case in ("cube-8", "cube-20"):
-        corner = model.faces[0][0]
-        return (
-            index[("face", "base", 0)],
-            index[("corner", "base", corner)],
-        )
-    if case == "cube-14":
-        corner = model.edges[0][0]
-        return (
-            index[("edge", "base", 0)],
-            index[("corner", "base", corner)],
-        )
-    if case == "cube-18":
-        edge_i = next(
-            i for i, pair in enumerate(model.edges) if 0 in pair
-        )
-        return (
-            index[("corner", "outer", 0)],
-            index[("edge", "base", edge_i)],
-        )
-    return None
 
 
 def subgroup_corollary_witness(
@@ -819,22 +774,20 @@ def subgroup_corollary_witness(
     setwise fixes it and every symmetry taking it elsewhere is unaffected,
     which cuts the realized group in half.  ``candidate_edges`` (any
     iterable, consumed lazily) restricts the search (used to exercise the
-    error path); by default the documented edge for the placement family is
+    error path); by default the edge the placement's recipe records is
     tried first, then all edges, generated one at a time.  Raises
     :class:`NoSuchEdge` when every candidate is pointwise fixed by some
-    nontrivial element, and ValueError for a candidate that is not an edge.
+    nontrivial element, and ValueError for a candidate that is not an edge
+    or a recorded label that is no vertex.
     """
     if assignment.model.group.order != 24:
         raise ValueError(
             "the step-down edge applies to the order-24 placements only"
         )
-    n = assignment.n
     if candidate_edges is None:
-        table = _table_step_down_edge(assignment)
-        candidate_edges = chain(
-            () if table is None else (table,),
-            ((v, w) for v in range(n) for w in range(n, 2 * n)),
-        )
+        step = getattr(RECIPES.get(assignment.case_name), "step_down", None)
+        pairs = () if step is None else (step,)
+        candidate_edges = _recorded_first(assignment, "step_down", pairs, _all_edges)
     fixers = assignment.fixers
     for edge in candidate_edges:
         _check_edge(assignment, edge)
@@ -867,12 +820,8 @@ def verify_construction(assignment: VertexAssignment) -> HypothesisReport:
         and assignment.model.group.order == 24
     ):
         corollary = subgroup_corollary_witness(assignment)
-    return HypothesisReport(
-        case_name=base.case_name,
-        n=base.n,
-        target_group=base.target_group,
-        conditions=base.conditions,
-        arcs=base.arcs,
+    return replace(
+        base,
         blocks=summarize_blocks(assignment),
         fixed_counts=counts,
         subgroup_witness=witness,

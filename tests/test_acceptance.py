@@ -5,6 +5,8 @@ line (visible with ``pytest -s`` or on failure).  Criteria with stated time
 budgets assert them with ``time.perf_counter``.
 """
 
+import hashlib
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -90,21 +92,31 @@ def test_criterion_2_icosahedral_profile_table():
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 
+#: SHA-256 over ``json.dumps(v.as_dict(), sort_keys=True)`` for every row of
+#: ``sweep(g, 500)``, ``g`` in ``GROUPS`` order: it pins every report byte,
+#: so each recorded witness and step-down edge at both of its free-orbit
+#: counts.
+SWEEP_500_SHA256 = "47c948dbb3b48a392a611c36da14a91e8a314e94acade3ae4cc0a3677f6f9d53"
+
+
 def test_criterion_3_decision_matches_the_closed_form_up_to_500():
     with criterion(
         3, "decide(n, group) equals the closed-form classification for "
         "all n <= 500 and all three groups, under 60 s",
     ):
         start = time.perf_counter()
+        digest = hashlib.sha256()
         for group in GROUPS:
             table = sweep(group, 500)  # strict: any mismatch raises
             for verdict in table.rows:
                 assert verdict.realizable == theorem_predicate(
                     verdict.n, group
                 ), (verdict.n, group)
+                digest.update(json.dumps(verdict.as_dict(), sort_keys=True).encode())
             assert not theorem_predicate(0, group)
             assert not decide(0, group).realizable
         elapsed = time.perf_counter() - start
+        assert digest.hexdigest() == SWEEP_500_SHA256
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 

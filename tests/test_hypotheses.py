@@ -7,12 +7,15 @@ import tracemalloc
 import pytest
 
 from bipartite_tsg.assignments import (
+    RECIPES,
     CenterPair,
     MarkerBlock,
     VertexAssignment,
     build_assignment,
+    recipe_case,
 )
 from bipartite_tsg.bipartite import BipartiteAut, embeds_in_circle
+from bipartite_tsg.decide import GROUPS, theorem_predicate
 from bipartite_tsg.hypotheses import (
     HypothesisViolation,
     NoSuchEdge,
@@ -162,14 +165,84 @@ def test_witness_kind_matches_its_forced_subgraph(reports):
             assert witness.psi is not None and witness.psi.order() >= 3
 
 
+# (0, 4) joins two corners on one third-turn axis of the skeleton-4
+# placement at n = 4; its forced set lies in that axis's fixed circle, so
+# it is no exactness witness, and the order-3 rotation fixes it pointwise.
+_SAME_AXIS = (("corner", "inner", 0), ("corner", "outer", 0))
+
+
 def test_no_witness_found_when_candidates_are_exhausted(
     assignments, monkeypatch
 ):
     import bipartite_tsg.hypotheses as hyp
 
-    monkeypatch.setattr(hyp, "_witness_candidates", lambda a: [])
+    recipe = RECIPES["skeleton-4"]
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, witness=(_SAME_AXIS,))
+    )
+    monkeypatch.setattr(hyp, "_orbit_edges", lambda a: iter([(0, 4)]))
     with pytest.raises(NoWitnessFound):
         check_subgroup_theorem(assignments[("S4", 4)])
+
+
+def test_a_failing_recorded_witness_falls_back_to_the_scan(
+    assignments, monkeypatch
+):
+    recipe = RECIPES["skeleton-4"]
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, witness=(_SAME_AXIS,))
+    )
+    witness = check_subgroup_theorem(assignments[("S4", 4)])
+    assert (witness.edge, witness.condition) == ((0, 5), 2)
+
+
+def test_a_failing_recorded_step_down_edge_falls_back_to_the_scan(
+    assignments, monkeypatch
+):
+    recipe = RECIPES["skeleton-4"]
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, step_down=_SAME_AXIS)
+    )
+    assert subgroup_corollary_witness(assignments[("S4", 4)]) == (0, 5)
+
+
+def test_a_placement_without_a_recipe_is_searched_by_the_scans(assignments):
+    a = dataclasses.replace(assignments[("S4", 4)], case_name="control")
+    witness = check_subgroup_theorem(a)
+    assert (witness.edge, witness.condition) == ((0, 5), 2)
+    assert subgroup_corollary_witness(a) == (0, 5)
+
+
+def _first_admitted(group, count, up_to=200):
+    """The ``count`` smallest admitted ``n`` of each record for ``group``."""
+    out = {}
+    for n in range(1, up_to):
+        if theorem_predicate(n, group):
+            found = out.setdefault(recipe_case(group, n), [])
+            if len(found) < count:
+                found.append(n)
+    return out
+
+
+def test_the_generic_scans_never_run_for_a_real_recipe(monkeypatch):
+    # Both recorded witness pairs and both m = 0 and m = 1 are reached at
+    # each record's two smallest admitted n.
+    import bipartite_tsg.hypotheses as hyp
+
+    def scan(a):
+        raise AssertionError(f"generic scan ran for {a.case_name} at n = {a.n}")
+
+    monkeypatch.setattr(hyp, "_orbit_edges", scan)
+    monkeypatch.setattr(hyp, "_all_edges", scan)
+    placements = 0
+    for group in GROUPS:
+        for ns in _first_admitted(group, 2).values():
+            for n in ns:
+                report = verify_construction(build_assignment(group, n))
+                assert report.subgroup_witness is not None, (group, n)
+                placements += 1
+    # 25 (group, record) pairs; tetrahedron-6 has the single n = 6
+    assert placements == 49
 
 
 def test_corollary_requires_an_order_24_model(assignments):

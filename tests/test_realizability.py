@@ -1,6 +1,7 @@
 """The nine-pattern matcher for single automorphisms of K_{n,n}."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -199,13 +200,24 @@ def automorphisms(n):
                 yield Perm(images)
 
 
-def assert_matcher_agrees_with_enumerator(n):
+def sampled_automorphisms(n, seed):
+    """Automorphisms of K_{n,n} drawn uniformly and endlessly with a seeded
+    generator, repeats allowed."""
+    rng = random.Random(seed)
+    while True:
+        images = rng.sample(range(n), n) + rng.sample(range(n, 2 * n), n)
+        if rng.random() < 0.5:
+            images = [x + n if x < n else x - n for x in images]
+        yield Perm(images)
+
+
+def assert_matcher_agrees_with_enumerator(n, perms):
     """The matcher accepts exactly the profiles the desk enumerator lists
     for each automorphism's order, and the cycle profile equals the
     any()-based reference.  Returns the number of automorphisms checked."""
     enumerated = {}
     checked = 0
-    for p in automorphisms(n):
+    for p in perms:
         a = validate_automorphism(p, n)
         profile = cycle_profile(a)
         assert profile == reference_cycle_profile(a)
@@ -228,7 +240,7 @@ def assert_matcher_agrees_with_enumerator(n):
 def test_matcher_agrees_with_enumerator_on_k33():
     """Brute force over all 72 automorphisms of K_{3,3}: the matcher accepts
     exactly the profiles the desk enumerator lists for that order."""
-    assert assert_matcher_agrees_with_enumerator(3) == 72
+    assert assert_matcher_agrees_with_enumerator(3, automorphisms(3)) == 72
 
 
 def test_matcher_agrees_with_enumerator_on_k44():
@@ -236,7 +248,22 @@ def test_matcher_agrees_with_enumerator_on_k44():
 
     Time budget: 10 s; it takes about 0.1 s on a 2-vCPU VM."""
     start = time.perf_counter()
-    assert assert_matcher_agrees_with_enumerator(4) == 1152
+    assert assert_matcher_agrees_with_enumerator(4, automorphisms(4)) == 1152
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_matcher_agrees_with_enumerator_on_a_k55_sample():
+    """A seeded sample of 3000 of the 2 * (5!)^2 = 28800 automorphisms of
+    K_{5,5}, drawn from those of order at most 12, the enumerator's range;
+    the other 3360, of orders 15, 20 and 30, lie outside it.
+
+    Time budget: 10 s; it takes about 0.3 s on a 2-vCPU VM."""
+    start = time.perf_counter()
+    within = (p for p in sampled_automorphisms(5, seed=55) if p.order() <= 12)
+    perms = list(itertools.islice(within, 3000))
+    assert {p.order() for p in perms} == {2, 3, 4, 5, 6, 8, 10, 12}
+    assert assert_matcher_agrees_with_enumerator(5, perms) == 3000
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
