@@ -23,10 +23,13 @@ edge-embedding checks require.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
+from threading import Lock
+from typing import Callable
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
@@ -120,6 +123,53 @@ class AxisSlots:
         return tuple(
             (p, part) for p, part in zip(self.slots, self.parts) if part
         )
+
+
+class CoreMemo:
+    """What was checked on a placement core, by stage, for a bounded number
+    of cores.
+
+    A residue class's placements share one core of poles and marker
+    blocks and differ only in ``m``, the number of regular free orbits.
+    No nontrivial element fixes a free point and no free point lies on an
+    axis, so the checked transversal action and the five routing
+    conditions read only the core: they are computed once per
+    :attr:`VertexAssignment.core_key` and kept here.  At most ``size``
+    cores are kept; the least recently used one is dropped first.  A stage
+    that raises keeps nothing.  The table is locked while it is read or
+    changed, not while a value is computed.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict[tuple, dict[str, object]] = OrderedDict()
+        self._lock = Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def get(self, key: tuple, stage: str, compute: Callable[[], object]) -> object:
+        """The value of ``stage`` for the core ``key``, computed on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and stage in entry:
+                self._entries.move_to_end(key)
+                return entry[stage]
+        value = compute()  # may itself fill another stage of this core
+        with self._lock:
+            self._entries.setdefault(key, {})[stage] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        return value
+
+
+#: The one memo of per-core checks, shared by every placement.
+CORE_MEMO = CoreMemo(64)
 
 
 _MARKER_COUNT_ATTR = {"corner": "corner_vectors", "edge": "edges", "face": "faces"}
@@ -304,12 +354,61 @@ class VertexAssignment:
         return tuple(out)
 
     @cached_property
+    def core_key(self) -> tuple:
+        """What the per-core checks read of the placement: the model kind,
+        the copies and every block, except that a free block enters only as
+        its part and whether it holds an orbit (whether its first orbit lies
+        on the transversal).  Placements of one residue class share it for
+        every ``n`` past the smallest; it keys :data:`CORE_MEMO`."""
+        return (
+            self.model.kind,
+            self.copies,
+            tuple(
+                tuple(
+                    FreeOrbitBlock(min(b.count, 1), b.part)
+                    if isinstance(b, FreeOrbitBlock)
+                    else b
+                    for b in group
+                )
+                for group in self.blocks
+            ),
+        )
+
+    @cached_property
     def action(self) -> GroupAction:
         """The induced action on the vertices, checked on a transversal.
 
         The transversal is every core vertex (poles and markers) plus the
-        first free orbit of each free part (V, W or the split orbits).  Only
-        the generators' image lists on it are assembled, block by block.
+        first free orbit of each free part (V, W or the split orbits).  Every
+        other free orbit is a translate of its part's first: ``e`` sends
+        ``("free", tag, k, j)`` to ``("free", tag, k, row_e[j])`` for every
+        ``k``, so :meth:`GroupAction.translated` extends the checked action
+        to all ``2n`` vertices, each orbit ``k`` a copy of orbit 0.
+
+        The transversal, its labels and so its checked action depend only
+        on :attr:`core_key`, so the action is checked once per core and
+        kept in :data:`CORE_MEMO` (see :meth:`_checked_transversal`); the
+        translation to this placement's ``2n`` vertices is made per call.
+        """
+        vertices = self._run_vertices
+        copies: list[tuple[int, ...]] = []  # each transversal point's translates
+        for key, block in vertices.items():
+            if key[0] != "free":
+                copies.extend((v,) for v in block)
+            elif key[2] == 0:  # the part's orbits, in order
+                orbits = [b for k, b in vertices.items() if k[:2] == key[:2]]
+                copies.extend(zip(*orbits))
+        checked = CORE_MEMO.get(
+            self.core_key,
+            "transversal",
+            lambda: self._checked_transversal([self.points[c[0]] for c in copies]),
+        )
+        return checked.translated(self.points, copies)
+
+    def _checked_transversal(self, labels: list[Point]) -> GroupAction:
+        """The action on the transversal ``labels``, checked.
+
+        Only the generators' image lists are assembled, block by block.
         Every label ends in its index within its block: the pole number, the
         marker index, or the element index of a free point.  A block's
         images are its positions composed with one table of the model (the
@@ -321,26 +420,24 @@ class VertexAssignment:
         faithful exactly when no nontrivial conjugacy class's least element
         acts as the identity.
 
-        Every other free orbit is a translate of its part's first: ``e``
-        sends ``("free", tag, k, j)`` to ``("free", tag, k, row_e[j])`` for
-        every ``k``, so :meth:`GroupAction.translated` extends the checked
-        action to all ``2n`` vertices, each orbit ``k`` a copy of orbit 0.
+        The free orbits are regular: no nontrivial element fixes a free
+        point, since ``row_e[j] == j`` only for the identity.  This is the
+        lemma that makes every later check independent of ``m``: fixed
+        vertices, fixers, axis slots, arcs, conditions 1-5 and condition 4's
+        interchangers all lie in the core.  It is asserted here on the least
+        element of each nontrivial class; conjugators send free points to
+        free points, so it then holds for every nontrivial element.
         """
-        vertices = self._run_vertices
         transversal = {
             key: block
-            for key, block in vertices.items()
+            for key, block in self._run_vertices.items()
             if key[0] != "free" or key[2] == 0
         }
         start: dict[Point, int] = {}  # each block's first transversal position
-        copies: list[tuple[int, ...]] = []
+        offset = 0
         for key, block in transversal.items():
-            start[key] = len(copies)
-            if key[0] == "free":  # the part's orbits, in order
-                orbits = [b for k, b in vertices.items() if k[:2] == key[:2]]
-                copies.extend(zip(*orbits))
-            else:
-                copies.extend((v,) for v in block)
+            start[key] = offset
+            offset += len(block)
         model = self.model
         group = model.group
         images: dict[Perm, tuple[int, ...]] = {}
@@ -363,12 +460,13 @@ class VertexAssignment:
                 offset = start[target]
                 row.extend(compose_images(range(offset, offset + len(block)), table))
             images[e] = tuple(row)
-        labels = [self.points[c[0]] for c in copies]
         checked = GroupAction.from_images(group, labels, images)
-        nontrivial_classes = group.conjugacy_classes()[1:]  # [0] is {identity}
-        if any(checked.perms[cls[0]].is_identity() for cls in nontrivial_classes):
+        reps = [checked.perms[cls[0]] for cls in group.conjugacy_classes()[1:]]
+        if any(r.is_identity() for r in reps):  # [0] above is {identity}
             raise AssertionError("the action on the vertices is not faithful")
-        return checked.translated(self.points, copies)
+        if any(labels[i][0] == "free" for r in reps for i in r.fixed_points()):
+            raise AssertionError("a nontrivial element fixes a free point")
+        return checked
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``."""
@@ -553,7 +651,13 @@ def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
     """Compare each class label's computed fixed-vertex counts with the
     stated table; disagreement with the stated value is reported, not
     raised."""
-    stated = RECIPES[assignment.case_name].stated
+    recipe = RECIPES.get(assignment.case_name)
+    if recipe is None:
+        raise ValueError(
+            f"placement case {assignment.case_name!r} follows no recipe, "
+            f"so no fixed counts are stated for it"
+        )
+    stated = recipe.stated
     computed = assignment.class_counts
     if set(computed) != set(stated):
         raise AssertionError("class labels do not match the stated table")

@@ -2,10 +2,10 @@
 
 Subcommands::
 
-    decide     --group {A4,S4,A5} --n N [--json]
+    decide     --group {A4,S4,A5} --n N [--json] [--cap N]
     sweep      --group {A4,S4,A5} --max N [--csv | --json] [--cap N]
     check-aut  --n N --cycles "(v1 v2 ...)..."
-    verify     --group {A4,S4,A5} --n N [--report out.json]
+    verify     --group {A4,S4,A5} --n N [--report out.json] [--cap N]
     tables     --group {A4,S4,A5}
 
 Exit codes: 0 = decided (whatever the answer), 2 = input error,
@@ -33,6 +33,11 @@ from .realizability import (
 EXIT_DECIDED = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
+
+# One decide of an admitted n holds about 17.6 MB for the imported library
+# plus about 0.85 KB per unit of n (33 MB at A5 n = 20042, 185 MB at
+# n = 200042), so the default cap keeps one call near 100 MB.
+DEFAULT_N_CAP = 100_000
 
 _GROUP_NAMES = {
     "A4": "tetrahedral (order 12)",
@@ -154,8 +159,16 @@ def check_automorphism_cmd(
 # subcommand handlers
 
 
+def _capped(value: int, cap: int, what: str) -> int:
+    if value > cap:
+        raise ValueError(
+            f"{what} {value} exceeds the cap {cap}; raise it with --cap"
+        )
+    return value
+
+
 def _cmd_decide(args) -> int:
-    verdict = decide(args.n, args.group)
+    verdict = decide(_capped(args.n, args.cap, "part size"), args.group)
     if args.json:
         print(json.dumps(verdict.as_dict(), indent=2))
     else:
@@ -164,12 +177,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.max > args.cap:
-        raise ValueError(
-            f"sweep limit {args.max} exceeds the cap {args.cap}; "
-            f"raise it with --cap"
-        )
-    table = sweep(args.group, args.max)
+    table = sweep(args.group, _capped(args.max, args.cap, "sweep limit"))
     if args.csv:
         print(_sweep_csv(table))
     elif args.json:
@@ -196,7 +204,7 @@ def _cmd_check_aut(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    verdict = decide(args.n, args.group)
+    verdict = decide(_capped(args.n, args.cap, "part size"), args.group)
     payload = json.dumps(verdict.as_dict(), indent=2)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -248,6 +256,15 @@ def _cmd_tables(args) -> int:
 # parser
 
 
+def _add_n_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_N_CAP,
+        help=f"hard limit on --n (default {DEFAULT_N_CAP}, about 100 MB)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bipartite-tsg",
@@ -263,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true", help="emit the JSON report")
+    _add_n_cap(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("sweep", help="decide every n up to a limit")
@@ -296,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--report", help="path for the JSON report")
+    _add_n_cap(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

@@ -38,6 +38,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .assignments import (
+    CORE_MEMO,
     RECIPES,
     AxisSlots,
     Point,
@@ -598,7 +599,28 @@ def check_edge_embedding_hypotheses(
 
     Raises :class:`HypothesisViolation` carrying the failed condition number
     and a witness; on success returns a report with the chosen arc family.
+
+    The report is given in point labels and reads only the placement's
+    core: no nontrivial element fixes a free point (asserted when the
+    core's action is checked) and no free point lies on an axis circle, so
+    the fixed vertices, the axis slots, the arcs and the edge interchangers
+    are the same for every ``m``.  The conditions are therefore checked
+    once per :attr:`VertexAssignment.core_key` and kept in ``CORE_MEMO``;
+    each placement gets that report with its own ``n``, case and target.
     """
+    report = CORE_MEMO.get(
+        assignment.core_key, "conditions", lambda: _check_conditions(assignment)
+    )
+    return replace(
+        report,
+        case_name=assignment.case_name,
+        n=assignment.n,
+        target_group=assignment.target_group,
+    )
+
+
+def _check_conditions(assignment: VertexAssignment) -> HypothesisReport:
+    """Conditions 1-5 and the arcs of one placement, checked in full."""
     axes = assignment.axis_slots
     results = [_check_common_fixed_circles(assignment, axes)]
     arcs, cond2 = _choose_arcs(assignment, axes)

@@ -550,18 +550,22 @@ class GroupAction:
         fixed = self.transversal.perms[e].fixed_points()
         return sum(map(len, compose_images(self.copies, fixed)))
 
-    def _transversal_orbits(self) -> list[list[int]]:
+    def _transversal_orbits(self) -> tuple[tuple[int, ...], ...]:
         """The transversal's orbits under the generators, each ascending,
-        ordered by their least point."""
-        base = self.transversal
-        uf = UnionFind(len(base.points))
+        ordered by their least point; found once per transversal, which
+        every action translated from it shares."""
+        return self.transversal._orbits_unionfind
+
+    @cached_property
+    def _orbits_unionfind(self) -> tuple[tuple[int, ...], ...]:
+        uf = UnionFind(len(self.points))
         for e in self.group.generators:
-            for i, j in enumerate(base.perms[e].images):
+            for i, j in enumerate(self.perms[e].images):
                 uf.union(i, j)
         buckets: dict[int, list[int]] = {}
-        for i in range(len(base.points)):
+        for i in range(len(self.points)):
             buckets.setdefault(uf.find(i), []).append(i)
-        return [b for _, b in sorted(buckets.items())]
+        return tuple(tuple(b) for _, b in sorted(buckets.items()))
 
     def orbits(self) -> tuple[tuple[Hashable, ...], ...]:
         """The orbits, each in point order, ordered by their first point.

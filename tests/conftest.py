@@ -1,14 +1,16 @@
 """Shared fixtures: polyhedral models and one placement per recipe case.
 
 Both are expensive enough to build once per session; every consumer treats
-them as read-only.
+them as read-only.  The memo of per-core checks is emptied before each
+test, so a test that doctors a stage the memo skips on a hit still reaches
+it, whatever ran before.
 """
 
 import re
 
 import pytest
 
-from bipartite_tsg.assignments import MarkerBlock, build_assignment
+from bipartite_tsg.assignments import CORE_MEMO, MarkerBlock, build_assignment
 from bipartite_tsg.bipartite import (
     BipartiteAut,
     CycleProfile,
@@ -55,6 +57,11 @@ SAMPLE_PAIRS = (
     ("A5", 90),   # dodecahedron-30
     ("A5", 110),  # dodecahedron-50 again (block-structure invariant)
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_core_memo():
+    CORE_MEMO.clear()
 
 
 @pytest.fixture(scope="session")

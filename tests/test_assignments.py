@@ -166,6 +166,24 @@ def test_an_action_with_a_proper_kernel_fails_the_build(monkeypatch):
         build_assignment("S4", 26)
 
 
+def test_an_action_fixing_a_free_point_fails_the_build(monkeypatch):
+    # the core still moves faithfully, but the free orbits stand still, so
+    # they are not regular and the per-core checks would not hold for all m
+    def fix_the_free_points(points, images):
+        free = [i for i, p in enumerate(points) if p[0] == "free"]
+        doctored = {}
+        for g, row in images.items():
+            row = list(row)
+            for i in free:
+                row[i] = i
+            doctored[g] = row
+        return doctored
+
+    _doctor_generator_images(monkeypatch, fix_the_free_points)
+    with pytest.raises(AssertionError, match="a nontrivial element fixes a free point"):
+        build_assignment("A5", 62)
+
+
 def test_a_placement_checks_only_its_generators_image_lists(monkeypatch):
     build_assignment("A5", 62)  # the shared model and its tables
     calls = []

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from bipartite_tsg.cli import (
+    DEFAULT_N_CAP,
     EXIT_DECIDED,
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -120,6 +121,38 @@ def test_sweep_enforces_the_cap(capsys):
         capsys, "sweep", "--group", "A4", "--max", "13", "--cap", "12"
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["decide", "verify"])
+def test_decide_and_verify_enforce_the_cap(capsys, command):
+    over = DEFAULT_N_CAP + 1
+    code, out, err = run(capsys, command, "--group", "A5", "--n", str(over))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert (
+        f"part size {over} exceeds the cap {DEFAULT_N_CAP}; raise it with --cap"
+        in err
+    )
+
+    code, _, _ = run(capsys, command, "--group", "A4", "--n", "12", "--cap", "12")
+    assert code == EXIT_DECIDED
+
+    code, out, err = run(
+        capsys, command, "--group", "A4", "--n", "13", "--cap", "12"
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "raise it with --cap" in err
+
+
+def test_verify_over_the_cap_writes_no_report(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "verify", "--group", "A4", "--n", "16", "--cap", "12",
+        "--report", str(target),
+    )
+    assert code == EXIT_INPUT
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------- check-aut

@@ -1,0 +1,125 @@
+"""The per-core memo: the transversal action and conditions 1-5 are checked
+once per placement core, and reusing them changes no report."""
+
+import sys
+from threading import Thread
+
+import pytest
+
+from bipartite_tsg.assignments import (
+    CORE_MEMO,
+    CoreMemo,
+    build_assignment,
+    place,
+    recipe_case,
+)
+from bipartite_tsg.decide import GROUPS, decide, sweep, theorem_predicate
+from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses
+
+# Distinct cores of the admitted placements up to n = 1200 over the three
+# groups: one per record, and one more wherever the smallest n leaves a
+# free part without an orbit.
+CORES_UP_TO_1200 = 31
+
+
+def _admitted(group, n_max):
+    return [n for n in range(1, n_max + 1) if theorem_predicate(n, group)]
+
+
+def test_a_warm_memo_gives_the_cold_report_for_every_admitted_n():
+    cold = {}
+    for group in GROUPS:
+        for n in _admitted(group, 500):
+            CORE_MEMO.clear()
+            cold[group, n] = decide(n, group).as_dict()
+    CORE_MEMO.clear()
+    for group in GROUPS:  # each core is checked at its smallest n only
+        for n in _admitted(group, 500):
+            assert decide(n, group).as_dict() == cold[group, n], (group, n)
+
+
+def test_a_sweep_to_1200_checks_each_distinct_core_once():
+    keys = {
+        place(recipe_case(group, n), group, n).core_key
+        for group in GROUPS
+        for n in _admitted(group, 1200)
+    }
+    assert len(keys) == CORES_UP_TO_1200 < CORE_MEMO.size
+    for group in GROUPS:
+        sweep(group, 1200)
+    # fewer cores than the bound, so none was dropped and none made twice
+    assert len(CORE_MEMO) == CORES_UP_TO_1200
+
+
+def test_placements_of_one_class_share_their_core_and_its_checks():
+    a, b = build_assignment("A5", 482), build_assignment("A5", 542)
+    assert a.case_name == b.case_name == "dodecahedron-2"
+    assert a.core_key == b.core_key
+    assert a.action.transversal is b.action.transversal
+    assert len(a.action.points) == 2 * 482 and len(b.action.points) == 2 * 542
+    first, second = map(check_edge_embedding_hypotheses, (a, b))
+    assert (first.n, second.n) == (482, 542)
+    assert first.conditions == second.conditions and first.arcs == second.arcs
+    assert len(CORE_MEMO) == 1
+
+
+def test_an_empty_free_part_is_another_core():
+    # dodecahedron-2 at n = 62 has no W orbit, so no W orbit on its transversal
+    assert build_assignment("A5", 62).core_key != build_assignment("A5", 122).core_key
+
+
+def test_the_memo_drops_the_least_recently_used_core():
+    memo = CoreMemo(2)
+    made = []
+
+    def make(value):
+        made.append(value)
+        return value
+
+    assert memo.get("a", "stage", lambda: make(1)) == 1
+    assert memo.get("b", "stage", lambda: make(2)) == 2
+    assert memo.get("a", "stage", lambda: make(3)) == 1  # a hit refreshes "a"
+    assert memo.get("c", "stage", lambda: make(4)) == 4  # drops "b"
+    assert len(memo) == 2
+    assert memo.get("b", "stage", lambda: make(5)) == 5
+    assert made == [1, 2, 4, 5]
+
+
+def test_a_stage_that_raises_keeps_nothing():
+    memo = CoreMemo(2)
+
+    def fail():
+        raise ValueError("broken core")
+
+    with pytest.raises(ValueError, match="broken core"):
+        memo.get("a", "stage", fail)
+    assert len(memo) == 0
+    assert memo.get("a", "stage", lambda: 7) == 7
+
+
+def test_threads_sharing_a_memo_keep_it_bounded_and_right():
+    memo = CoreMemo(2)
+    wrong = []
+
+    def work(offset):
+        try:
+            for i in range(1000):
+                key = (i + offset) % 5
+                if memo.get(key, "stage", lambda: key * 10) != key * 10:
+                    wrong.append(key)
+        except Exception as exc:  # a thread's error would otherwise be lost
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(memo) == 2

@@ -213,6 +213,14 @@ def test_a_placement_without_a_recipe_is_searched_by_the_scans(assignments):
     assert subgroup_corollary_witness(a) == (0, 5)
 
 
+def test_a_placement_without_a_recipe_fails_the_fixed_counts_by_name(
+    assignments,
+):
+    a = dataclasses.replace(assignments[("S4", 4)], case_name="control")
+    with pytest.raises(ValueError, match="placement case 'control' follows no recipe"):
+        verify_construction(a)
+
+
 def _first_admitted(group, count, up_to=200):
     """The ``count`` smallest admitted ``n`` of each record for ``group``."""
     out = {}

@@ -5,8 +5,18 @@ from dataclasses import replace
 
 import pytest
 
-from bipartite_tsg.assignments import MarkerBlock, build_assignment
-from bipartite_tsg.hypotheses import verify_construction
+from bipartite_tsg.assignments import (
+    CORE_MEMO,
+    MarkerBlock,
+    build_assignment,
+    verify_fixed_counts,
+)
+from bipartite_tsg.hypotheses import (
+    check_edge_embedding_hypotheses,
+    check_subgroup_theorem,
+    subgroup_corollary_witness,
+    verify_construction,
+)
 
 _OTHER_PART = {"V": "W", "W": "V", "split": "split"}
 
@@ -123,3 +133,55 @@ def test_a_copy_move_that_removes_a_recorded_label_names_it(
     message = f"recipe {case} records the {field} label {label}"
     with pytest.raises(ValueError, match=message):
         verify_construction(mutant)
+
+
+# ------------------------------------ a warm memo must hide no broken placement
+
+
+def _rejection(a):
+    """The stage of ``verify_construction`` that rejects ``a``, in its
+    order, with the exception's type and message; None if all pass."""
+    stages = [
+        ("build", lambda a: a.action),
+        ("fixed counts", verify_fixed_counts),
+        ("conditions", check_edge_embedding_hypotheses),
+        ("witness", check_subgroup_theorem),
+    ]
+    if a.target_group == "A4" and a.model.group.order == 24:
+        stages.append(("step-down", subgroup_corollary_witness))
+    for stage, check in stages:
+        try:
+            check(a)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return stage, type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "pair, mutate, stage",
+    [
+        (("S4", 32), flip_every_part, "fixed counts"),
+        (("S4", 44), flip_every_part, "fixed counts"),
+        (("A5", 72), flip_every_part, "fixed counts"),
+        (("A4", 16), drop_swap_partners, "conditions"),
+        (
+            ("A4", 42),
+            lambda a: edit_marker(a, ("corner", "outer"), copy_name="base"),
+            "step-down",
+        ),
+        (
+            ("A4", 44),
+            lambda a: edit_marker(a, ("corner", "base"), copy_name="inner"),
+            "witness",
+        ),
+    ],
+)
+def test_a_warm_memo_rejects_a_mutant_as_a_cold_one_does(pair, mutate, stage):
+    mutant = mutate(build_assignment(*pair))
+    CORE_MEMO.clear()
+    cold = _rejection(mutant)
+    assert cold is not None and cold[0] == stage
+
+    CORE_MEMO.clear()
+    verify_construction(build_assignment(*pair))  # the real placement's core
+    assert _rejection(mutate(build_assignment(*pair))) == cold
