@@ -651,13 +651,7 @@ def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
     """Compare each class label's computed fixed-vertex counts with the
     stated table; disagreement with the stated value is reported, not
     raised."""
-    recipe = RECIPES.get(assignment.case_name)
-    if recipe is None:
-        raise ValueError(
-            f"placement case {assignment.case_name!r} follows no recipe, "
-            f"so no fixed counts are stated for it"
-        )
-    stated = recipe.stated
+    stated = recipe_of(assignment).stated
     computed = assignment.class_counts
     if set(computed) != set(stated):
         raise AssertionError("class labels do not match the stated table")
@@ -1098,6 +1092,19 @@ def recipe_case(group: str, n: int) -> str:
     if n % 12 in (0, 4):
         return f"skeleton-{n % 12}"
     return f"cube-{n % 24}"
+
+
+def recipe_of(assignment: VertexAssignment) -> Recipe:
+    """The recipe a placement follows: its stated fixed counts and its
+    recorded witness and step-down edges.  Raises ValueError naming the
+    case of a placement that follows none."""
+    recipe = RECIPES.get(assignment.case_name)
+    if recipe is None:
+        raise ValueError(
+            f"placement case {assignment.case_name!r} follows no recipe, "
+            f"so it has no stated fixed counts and no recorded edges"
+        )
+    return recipe
 
 
 def place(case: str, group: str, n: int) -> VertexAssignment:

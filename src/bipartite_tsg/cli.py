@@ -207,8 +207,12 @@ def _cmd_verify(args) -> int:
     verdict = decide(_capped(args.n, args.cap, "part size"), args.group)
     payload = json.dumps(verdict.as_dict(), indent=2)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"input error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(_verdict_text(verdict))
         print(f"report written to {args.report}")
     else:

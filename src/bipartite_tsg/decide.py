@@ -23,6 +23,7 @@ from .assignments import NotRealizable, build_assignment
 from .hypotheses import (
     HypothesisReport,
     HypothesisViolation,
+    NoSuchEdge,
     NoWitnessFound,
     verify_construction,
 )
@@ -119,19 +120,7 @@ class Verdict:
                 self.necessity.witness_profile, self.n % modulus, modulus
             )
         if self.construction is not None:
-            c = self.construction.as_dict()
-            out["construction"] = {
-                "case": c["case"],
-                "blocks": c["blocks"],
-                "fixed_counts": c.get("fixed_counts"),
-                "hypotheses": {
-                    "conditions": c["conditions"],
-                    "arcs": len(self.construction.arcs),
-                },
-                "witness": c.get("subgroup_witness"),
-            }
-            if "step_down_edge" in c:
-                out["construction"]["step_down_edge"] = c["step_down_edge"]
+            out["construction"] = self.construction.as_dict()
         if self.diagnostic is not None:
             out["diagnostic"] = self.diagnostic
         return out
@@ -141,8 +130,9 @@ def decide(n: int, group: str) -> Verdict:
     """Decide one (n, group) pair by running the whole pipeline.
 
     Runs the necessity engine; when it admits the pair, builds the placement
-    and verifies fixed counts, the five edge-routing conditions, and the
-    exactness witness.  A disagreement with the closed-form classification
+    and verifies fixed counts, the five edge-routing conditions, the
+    exactness witness and, for an order-24 placement serving A4, the
+    step-down edge.  A disagreement with the closed-form classification
     raises :class:`InternalMismatch`, which carries the verdict.
     """
     necessity = necessity_verdict(n, group)
@@ -155,6 +145,7 @@ def decide(n: int, group: str) -> Verdict:
             NotRealizable,
             HypothesisViolation,
             NoWitnessFound,
+            NoSuchEdge,
             AssertionError,
         ) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"

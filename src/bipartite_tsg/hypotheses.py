@@ -15,19 +15,20 @@ resulting symmetry is exact:
 * **Exactness witnesses.**  If a placement realized *more* symmetry than the
   acting group, some homeomorphism outside the group would pointwise fix a
   forced subgraph.  ``forced_fix_closure`` computes what an edge forces, and
-  ``check_subgroup_theorem`` checks an edge whose forced subgraph either does
-  not fit in a circle or meets a second element's fixed circle incompatibly.
-  Either way, no strictly larger group can act, so the realized group is
-  exactly the target.
+  ``check_subgroup_theorem`` checks that an edge's forced subgraph either
+  does not fit in a circle or meets a second element's fixed circle
+  incompatibly.  Either way, no strictly larger group can act, so the
+  realized group is exactly the target.
 
 * **Step-down edge.**  The order-24 placements also serve the order-12
   rotation target: re-embedding along an edge that no nontrivial element
   fixes pointwise breaks the part-swapping symmetries while keeping the
-  rotations.  ``subgroup_corollary_witness`` exhibits such an edge.
+  rotations.  ``subgroup_corollary_witness`` checks such an edge.
 
-Each recipe in ``assignments.RECIPES`` records both edges as vertex labels;
-a generic scan runs only when the recorded edge fails its check, or for a
-placement that follows no recipe.
+Both edges are the certificate the placement's recipe records as vertex
+labels (``assignments.recipe_of``): each check resolves the recorded edge
+and checks that edge alone, and an edge that fails is a failed check, never
+replaced by another.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .assignments import (
     CORE_MEMO,
-    RECIPES,
     AxisSlots,
     Point,
     VertexAssignment,
     FixedCountReport,
+    recipe_of,
     summarize_blocks,
     verify_fixed_counts,
 )
@@ -91,11 +92,13 @@ class HypothesisViolation(ValueError):
 
 
 class NoWitnessFound(LookupError):
-    """No edge certifies that the realized group is exactly the target."""
+    """The recorded witness edge does not certify that the realized group is
+    exactly the target."""
 
 
 class NoSuchEdge(LookupError):
-    """Every candidate edge is pointwise fixed by a nontrivial element."""
+    """The recorded step-down edge is pointwise fixed by a nontrivial
+    element."""
 
 
 @dataclass(frozen=True)
@@ -207,16 +210,15 @@ class HypothesisReport:
     corollary_edge: tuple[int, int] | None = field(default=None)
 
     def as_dict(self) -> dict:
+        """The ``construction`` object of a verdict's JSON report: the arcs
+        are counted, not listed; a stage not run reads None, and the
+        step-down edge appears only when one was checked."""
         out = {
             "case": self.case_name,
-            "n": self.n,
-            "group": self.target_group,
             "blocks": list(self.blocks),
-            "conditions": [c.as_dict() for c in self.conditions],
-            "arcs": [a.as_dict() for a in self.arcs],
-        }
-        if self.fixed_counts is not None:
-            out["fixed_counts"] = [
+            "fixed_counts": None
+            if self.fixed_counts is None
+            else [
                 {
                     "class": row.label,
                     "order": row.order,
@@ -224,9 +226,15 @@ class HypothesisReport:
                     "fixed": list(row.computed),
                 }
                 for row in self.fixed_counts.rows
-            ]
-        if self.subgroup_witness is not None:
-            out["subgroup_witness"] = self.subgroup_witness.as_dict()
+            ],
+            "hypotheses": {
+                "conditions": [c.as_dict() for c in self.conditions],
+                "arcs": len(self.arcs),
+            },
+            "witness": None
+            if self.subgroup_witness is None
+            else self.subgroup_witness.as_dict(),
+        }
         if self.corollary_edge is not None:
             out["step_down_edge"] = list(self.corollary_edge)
         return out
@@ -715,69 +723,51 @@ def forced_fix_closure(
     )
 
 
-def _orbit_edges(assignment: VertexAssignment) -> Iterator[tuple[int, int]]:
-    """The generic witness scan: the least vertex of each orbit that meets
-    V (orbits come ordered by their least vertex) against every W vertex."""
-    n = assignment.n
-    index = assignment.action.point_index
-    for orbit in assignment.action.orbits():
-        if index[orbit[0]] < n:
-            yield from ((index[orbit[0]], y) for y in range(n, 2 * n))
-
-
-def _all_edges(assignment: VertexAssignment) -> Iterator[tuple[int, int]]:
-    """The generic step-down scan: every edge."""
-    n = assignment.n
-    yield from ((v, w) for v in range(n) for w in range(n, 2 * n))
-
-
-def _recorded_first(
+def _recorded_edge(
     assignment: VertexAssignment,
     field: str,
     pairs: tuple[tuple[Point, Point], ...],
-    scan: Callable[[VertexAssignment], Iterator[tuple[int, int]]],
-) -> Iterator[tuple[int, int]]:
+) -> tuple[int, int]:
     """The edge of the first of ``pairs``, what the placement's recipe
-    records in ``field``, whose labels are both vertices; then the edges of
-    ``scan``, started only if the search asks for more."""
+    records in ``field``, whose labels are both vertices."""
     index = assignment.action.point_index
-    resolved = [(index[v], index[w]) for v, w in pairs if v in index and w in index]
-    if pairs and not resolved:
-        missing = dict.fromkeys(p for pair in pairs for p in pair if p not in index)
-        raise ValueError(
-            f"recipe {assignment.case_name} records the {field} label "
-            f"{', '.join(map(repr, missing))}, which is no vertex of the "
-            f"placement at n = {assignment.n}"
-        )
-    yield from resolved[:1]
-    yield from scan(assignment)
+    for v, w in pairs:
+        if v in index and w in index:
+            return index[v], index[w]
+    missing = dict.fromkeys(p for pair in pairs for p in pair if p not in index)
+    raise ValueError(
+        f"recipe {assignment.case_name} records the {field} label "
+        f"{', '.join(map(repr, missing))}, which is no vertex of the "
+        f"placement at n = {assignment.n}"
+        if missing
+        else f"recipe {assignment.case_name} records no {field} edge"
+    )
 
 
 def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     """Certify that the realized symmetry group is not strictly larger than
     the acting group.
 
-    Looks for an edge whose forced fixed set either fails to embed in a
-    circle (condition 1) or meets the fixed circle of some element ``psi`` in
-    an adjacent pair without being contained in it (condition 2).  The edge
-    the placement's recipe records is tried first; only if it fails does
-    the generic scan run, each candidate taking one closure.  Raises
-    :class:`NoWitnessFound` if no candidate is a witness.
+    Checks the witness edge the placement's recipe records: its forced
+    fixed set must either fail to embed in a circle (condition 1) or meet
+    the fixed circle of some element ``psi`` in an adjacent pair without
+    being contained in it (condition 2).  Raises :class:`NoWitnessFound`
+    if it does neither, and ValueError for a placement that follows no
+    recipe or lacks a recorded label.
     """
-    pairs = getattr(RECIPES.get(assignment.case_name), "witness", ())
-    for edge in _recorded_first(assignment, "witness", pairs, _orbit_edges):
-        # a closure whose shape embeds ran to completion
-        forced = forced_fix_closure(assignment, edge, stop_if_unembeddable=True)
-        if not embeds_in_circle(forced.shape):
-            return SubgroupWitness(edge, forced, 1)
-        for psi in assignment.model.nontrivial:
-            fix_psi = assignment.fixed_vertices[psi]
-            meet = _shape_of(assignment, forced.vertices.intersection(fix_psi))
-            if meet.a and meet.b and not forced.vertices.issubset(fix_psi):
-                return SubgroupWitness(edge, forced, 2, psi)
+    edge = _recorded_edge(assignment, "witness", recipe_of(assignment).witness)
+    # a closure whose shape embeds ran to completion
+    forced = forced_fix_closure(assignment, edge, stop_if_unembeddable=True)
+    if not embeds_in_circle(forced.shape):
+        return SubgroupWitness(edge, forced, 1)
+    for psi in assignment.model.nontrivial:
+        fix_psi = assignment.fixed_vertices[psi]
+        meet = _shape_of(assignment, forced.vertices.intersection(fix_psi))
+        if meet.a and meet.b and not forced.vertices.issubset(fix_psi):
+            return SubgroupWitness(edge, forced, 2, psi)
     raise NoWitnessFound(
-        f"no exactness witness for the {assignment.case_name} placement "
-        f"at n = {assignment.n}"
+        f"the recorded witness edge {edge} certifies no exactness for the "
+        f"{assignment.case_name} placement at n = {assignment.n}"
     )
 
 
@@ -785,40 +775,33 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
 # the step-down edge for order-24 placements
 
 
-def subgroup_corollary_witness(
-    assignment: VertexAssignment,
-    candidate_edges: Iterable[tuple[int, int]] | None = None,
-) -> tuple[int, int]:
+def subgroup_corollary_witness(assignment: VertexAssignment) -> tuple[int, int]:
     """An edge no nontrivial element fixes pointwise, for stepping an
     order-24 placement down to its order-12 rotation subgroup.
 
     Re-embedding such an edge asymmetrically destroys every symmetry that
     setwise fixes it and every symmetry taking it elsewhere is unaffected,
-    which cuts the realized group in half.  ``candidate_edges`` (any
-    iterable, consumed lazily) restricts the search (used to exercise the
-    error path); by default the edge the placement's recipe records is
-    tried first, then all edges, generated one at a time.  Raises
-    :class:`NoSuchEdge` when every candidate is pointwise fixed by some
-    nontrivial element, and ValueError for a candidate that is not an edge
-    or a recorded label that is no vertex.
+    which cuts the realized group in half.  Checks the step-down edge the
+    placement's recipe records.  Raises :class:`NoSuchEdge` when a
+    nontrivial element fixes it pointwise, and ValueError for a recorded
+    pair that is not an edge, a recorded label that is no vertex, or a
+    placement that follows no recipe.
     """
     if assignment.model.group.order != 24:
         raise ValueError(
             "the step-down edge applies to the order-24 placements only"
         )
-    if candidate_edges is None:
-        step = getattr(RECIPES.get(assignment.case_name), "step_down", None)
-        pairs = () if step is None else (step,)
-        candidate_edges = _recorded_first(assignment, "step_down", pairs, _all_edges)
-    fixers = assignment.fixers
-    for edge in candidate_edges:
-        _check_edge(assignment, edge)
-        v, w = edge
-        if not fixers.get(v, 0) & fixers.get(w, 0):
-            return edge
-    raise NoSuchEdge(
-        "every candidate edge is pointwise fixed by a nontrivial element"
-    )
+    step = recipe_of(assignment).step_down
+    edge = _recorded_edge(assignment, "step_down", () if step is None else (step,))
+    _check_edge(assignment, edge)
+    v, w = edge
+    if assignment.fixers.get(v, 0) & assignment.fixers.get(w, 0):
+        raise NoSuchEdge(
+            f"the recorded step-down edge {edge} of the "
+            f"{assignment.case_name} placement at n = {assignment.n} is "
+            "pointwise fixed by a nontrivial element"
+        )
+    return edge
 
 
 # --------------------------------------------------------------------------

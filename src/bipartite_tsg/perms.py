@@ -26,9 +26,12 @@ def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 class Perm:
-    """An immutable permutation of range(degree), stored as its image tuple."""
+    """An immutable permutation of range(degree), stored as its image tuple.
 
-    __slots__ = ("images",)
+    The hash of the image tuple is kept once computed: a tuple does not
+    keep its own, and the per-placement tables are keyed by ``Perm``."""
+
+    __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -133,7 +136,11 @@ class Perm:
         return isinstance(other, Perm) and self.images == other.images
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.images)
+            return self._hash
 
     def __lt__(self, other: "Perm") -> bool:
         return self.images < other.images

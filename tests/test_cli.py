@@ -273,6 +273,19 @@ def test_verify_writes_a_report_file(capsys, tmp_path):
     assert payload["construction"]["case"] == "skeleton-0"
 
 
+def test_verify_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(
+        capsys, "verify", "--group", "A4", "--n", "12",
+        "--report", str(target),
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: cannot write the report: ")
+    assert str(target) in err and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_verify_without_report_prints_json(capsys):
     code, out, _ = run(capsys, "verify", "--group", "S4", "--n", "9")
     assert code == EXIT_DECIDED

@@ -1,11 +1,13 @@
 """Top-level decision API: pipeline verdicts, the closed-form predicate,
 and range sweeps."""
 
+import dataclasses
 import importlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipartite_tsg.assignments import RECIPES
 from bipartite_tsg.decide import (
     GROUPS,
     InternalMismatch,
@@ -164,6 +166,20 @@ def test_lenient_decide_reports_the_diagnostic(monkeypatch):
     assert not verdict.realizable
     assert verdict.diagnostic == "AssertionError: injected build failure"
     assert "diagnostic" in verdict.as_dict()
+
+
+def test_a_fixed_step_down_edge_is_a_mismatch_naming_no_such_edge(monkeypatch):
+    # the skeleton-4 corners on one third-turn axis: that rotation fixes
+    # the pair pointwise
+    same_axis = (("corner", "inner", 0), ("corner", "outer", 0))
+    recipe = RECIPES["skeleton-4"]
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, step_down=same_axis)
+    )
+    with pytest.raises(InternalMismatch) as exc:
+        decide(16, "A4")
+    assert exc.value.verdict.diagnostic.startswith("NoSuchEdge: ")
+    assert "NoSuchEdge" in str(exc.value)
 
 
 def test_denied_pairs_are_unaffected_by_build_failures(monkeypatch):

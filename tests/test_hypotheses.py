@@ -12,10 +12,8 @@ from bipartite_tsg.assignments import (
     MarkerBlock,
     VertexAssignment,
     build_assignment,
-    recipe_case,
 )
 from bipartite_tsg.bipartite import BipartiteAut, embeds_in_circle
-from bipartite_tsg.decide import GROUPS, theorem_predicate
 from bipartite_tsg.hypotheses import (
     HypothesisViolation,
     NoSuchEdge,
@@ -97,14 +95,19 @@ def test_step_down_edge_is_never_pointwise_fixed(assignments, reports):
             assert not (perm(v) == v and perm(w) == w), (pair, e)
 
 
-def test_report_dict_shape(reports):
+def test_report_dict_shape(assignments, reports):
     d = reports[("A4", 16)].as_dict()
+    assert list(d) == [
+        "case", "blocks", "fixed_counts", "hypotheses", "witness", "step_down_edge"
+    ]
     assert d["case"] == "skeleton-4"
-    assert d["n"] == 16
-    assert d["group"] == "A4"
-    assert len(d["conditions"]) == 5
-    assert d["subgroup_witness"]["edge"] == [4, 16]
+    assert len(d["hypotheses"]["conditions"]) == 5
+    assert d["hypotheses"]["arcs"] == len(reports[("A4", 16)].arcs)
+    assert d["witness"]["edge"] == [4, 16]
     assert d["step_down_edge"] == [0, 17]
+    d = check_edge_embedding_hypotheses(assignments[("A4", 16)]).as_dict()
+    assert list(d) == ["case", "blocks", "fixed_counts", "hypotheses", "witness"]
+    assert d["fixed_counts"] is None and d["witness"] is None
 
 
 # ------------------------------------------------------------ forced closures
@@ -174,43 +177,56 @@ _SAME_AXIS = (("corner", "inner", 0), ("corner", "outer", 0))
 def test_no_witness_found_when_candidates_are_exhausted(
     assignments, monkeypatch
 ):
-    import bipartite_tsg.hypotheses as hyp
-
+    # the first recorded pair whose labels are both vertices is the only
+    # one checked, even when a later pair would be a witness
     recipe = RECIPES["skeleton-4"]
+    witness = (_SAME_AXIS,) + recipe.witness
     monkeypatch.setitem(
-        RECIPES, "skeleton-4", dataclasses.replace(recipe, witness=(_SAME_AXIS,))
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, witness=witness)
     )
-    monkeypatch.setattr(hyp, "_orbit_edges", lambda a: iter([(0, 4)]))
-    with pytest.raises(NoWitnessFound):
+    with pytest.raises(NoWitnessFound, match=r"witness edge \(0, 4\)"):
         check_subgroup_theorem(assignments[("S4", 4)])
 
 
-def test_a_failing_recorded_witness_falls_back_to_the_scan(
+def test_a_failing_recorded_witness_raises_no_witness_found(
     assignments, monkeypatch
 ):
     recipe = RECIPES["skeleton-4"]
     monkeypatch.setitem(
         RECIPES, "skeleton-4", dataclasses.replace(recipe, witness=(_SAME_AXIS,))
     )
-    witness = check_subgroup_theorem(assignments[("S4", 4)])
-    assert (witness.edge, witness.condition) == ((0, 5), 2)
+    with pytest.raises(
+        NoWitnessFound,
+        match=r"edge \(0, 4\) certifies no exactness for the skeleton-4 "
+        r"placement at n = 4",
+    ):
+        check_subgroup_theorem(assignments[("S4", 4)])
 
 
-def test_a_failing_recorded_step_down_edge_falls_back_to_the_scan(
+def test_a_failing_recorded_step_down_edge_raises_no_such_edge(
     assignments, monkeypatch
 ):
     recipe = RECIPES["skeleton-4"]
     monkeypatch.setitem(
         RECIPES, "skeleton-4", dataclasses.replace(recipe, step_down=_SAME_AXIS)
     )
-    assert subgroup_corollary_witness(assignments[("S4", 4)]) == (0, 5)
+    with pytest.raises(
+        NoSuchEdge,
+        match=r"step-down edge \(0, 4\) of the skeleton-4 placement at n = 4 "
+        r"is pointwise fixed",
+    ):
+        subgroup_corollary_witness(assignments[("S4", 4)])
 
 
-def test_a_placement_without_a_recipe_is_searched_by_the_scans(assignments):
+def test_a_placement_without_a_recipe_fails_both_edge_checks_by_name(
+    assignments,
+):
     a = dataclasses.replace(assignments[("S4", 4)], case_name="control")
-    witness = check_subgroup_theorem(a)
-    assert (witness.edge, witness.condition) == ((0, 5), 2)
-    assert subgroup_corollary_witness(a) == (0, 5)
+    for check in (check_subgroup_theorem, subgroup_corollary_witness):
+        with pytest.raises(
+            ValueError, match="placement case 'control' follows no recipe"
+        ):
+            check(a)
 
 
 def test_a_placement_without_a_recipe_fails_the_fixed_counts_by_name(
@@ -221,38 +237,6 @@ def test_a_placement_without_a_recipe_fails_the_fixed_counts_by_name(
         verify_construction(a)
 
 
-def _first_admitted(group, count, up_to=200):
-    """The ``count`` smallest admitted ``n`` of each record for ``group``."""
-    out = {}
-    for n in range(1, up_to):
-        if theorem_predicate(n, group):
-            found = out.setdefault(recipe_case(group, n), [])
-            if len(found) < count:
-                found.append(n)
-    return out
-
-
-def test_the_generic_scans_never_run_for_a_real_recipe(monkeypatch):
-    # Both recorded witness pairs and both m = 0 and m = 1 are reached at
-    # each record's two smallest admitted n.
-    import bipartite_tsg.hypotheses as hyp
-
-    def scan(a):
-        raise AssertionError(f"generic scan ran for {a.case_name} at n = {a.n}")
-
-    monkeypatch.setattr(hyp, "_orbit_edges", scan)
-    monkeypatch.setattr(hyp, "_all_edges", scan)
-    placements = 0
-    for group in GROUPS:
-        for ns in _first_admitted(group, 2).values():
-            for n in ns:
-                report = verify_construction(build_assignment(group, n))
-                assert report.subgroup_witness is not None, (group, n)
-                placements += 1
-    # 25 (group, record) pairs; tetrahedron-6 has the single n = 6
-    assert placements == 49
-
-
 def test_corollary_requires_an_order_24_model(assignments):
     with pytest.raises(ValueError):
         subgroup_corollary_witness(assignments[("A4", 6)])
@@ -260,33 +244,39 @@ def test_corollary_requires_an_order_24_model(assignments):
         subgroup_corollary_witness(assignments[("A5", 60)])
 
 
-def test_corollary_rejects_fixed_candidate_edges(assignments):
+def test_corollary_rejects_fixed_candidate_edges(assignments, monkeypatch):
     # (0, 4) is pointwise fixed by an order-3 rotation of the skeleton-4
-    # placement, so a candidate list holding only that edge must fail.
-    with pytest.raises(NoSuchEdge):
-        subgroup_corollary_witness(
-            assignments[("S4", 4)], candidate_edges=((0, 4),)
-        )
-
-
-def test_corollary_accepts_explicit_unfixed_candidates(assignments):
-    edge = subgroup_corollary_witness(
-        assignments[("S4", 4)], candidate_edges=((0, 4), (0, 5))
+    # placement, so a recipe recording it as the step-down edge must fail.
+    recipe = RECIPES["skeleton-4"]
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, step_down=_SAME_AXIS)
     )
-    assert edge == (0, 5)
+    with pytest.raises(NoSuchEdge):
+        subgroup_corollary_witness(assignments[("S4", 4)])
 
 
-def test_corollary_rejects_candidates_that_are_not_edges(assignments):
+def test_corollary_rejects_candidates_that_are_not_edges(assignments, monkeypatch):
+    # two corners of V: the recorded pair resolves but joins no two parts
+    recipe = RECIPES["skeleton-4"]
+    in_v = (("corner", "inner", 0), ("corner", "inner", 1))
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", dataclasses.replace(recipe, step_down=in_v)
+    )
+    with pytest.raises(ValueError, match="does not join the two parts"):
+        subgroup_corollary_witness(assignments[("S4", 4)])
+
+
+def test_closure_rejects_pairs_that_are_not_edges(assignments):
     a = assignments[("S4", 4)]
     with pytest.raises(ValueError, match="out of range"):
-        subgroup_corollary_witness(a, candidate_edges=((0, 2 * a.n),))
+        forced_fix_closure(a, (0, 2 * a.n))
     with pytest.raises(ValueError, match="does not join the two parts"):
-        subgroup_corollary_witness(a, candidate_edges=((0, 1),))
+        forced_fix_closure(a, (0, 1))
 
 
 def test_edge_searches_use_bounded_memory_at_large_n():
-    # At n = 1204 a list of all n^2 candidate edges alone would take over
-    # 100 MB; both searches must generate their candidates lazily.
+    # At n = 1204 a list of all n^2 edges alone would take over 100 MB;
+    # both checks must stay far below it.
     a = build_assignment("A4", 1204)
     for search in (check_subgroup_theorem, subgroup_corollary_witness):
         tracemalloc.start()
@@ -296,19 +286,6 @@ def test_edge_searches_use_bounded_memory_at_large_n():
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20, (search.__name__, peak)
-
-    # A generator of pointwise-fixed edges is consumed to the end.
-    n = a.n
-
-    def fixed_edges():
-        for e in a.model.group:
-            if not e.is_identity():
-                fixed = a.fixed_vertices[e]
-                yield from ((v, w) for v in fixed if v < n for w in fixed if w >= n)
-
-    assert next(fixed_edges(), None) is not None
-    with pytest.raises(NoSuchEdge):
-        subgroup_corollary_witness(a, candidate_edges=fixed_edges())
 
 
 # ----------------------------------------------------------- negative controls

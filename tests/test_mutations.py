@@ -7,6 +7,7 @@ import pytest
 
 from bipartite_tsg.assignments import (
     CORE_MEMO,
+    RECIPES,
     MarkerBlock,
     build_assignment,
     verify_fixed_counts,
@@ -157,6 +158,25 @@ def _rejection(a):
     return None
 
 
+# Recipe-data mutants: the skeleton-4 recipe with its witness or its
+# step-down edge moved to two corners on one third-turn axis.  That rotation
+# fixes the pair pointwise, and the pair's forced subgraph lies in the axis
+# circle.  A placement follows an edited recipe by its case name.
+_SAME_AXIS = (("corner", "inner", 0), ("corner", "outer", 0))
+_EDITED_RECIPES = {
+    "skeleton-4/witness": {"witness": (_SAME_AXIS,)},
+    "skeleton-4/step_down": {"step_down": _SAME_AXIS},
+}
+
+
+def witness_on_one_axis(a):
+    return replace(a, case_name="skeleton-4/witness")
+
+
+def step_down_on_one_axis(a):
+    return replace(a, case_name="skeleton-4/step_down")
+
+
 @pytest.mark.parametrize(
     "pair, mutate, stage",
     [
@@ -174,9 +194,15 @@ def _rejection(a):
             lambda a: edit_marker(a, ("corner", "base"), copy_name="inner"),
             "witness",
         ),
+        (("A4", 16), witness_on_one_axis, "witness"),
+        (("A4", 16), step_down_on_one_axis, "step-down"),
     ],
 )
-def test_a_warm_memo_rejects_a_mutant_as_a_cold_one_does(pair, mutate, stage):
+def test_a_warm_memo_rejects_a_mutant_as_a_cold_one_does(
+    pair, mutate, stage, monkeypatch
+):
+    for case, edit in _EDITED_RECIPES.items():
+        monkeypatch.setitem(RECIPES, case, replace(RECIPES["skeleton-4"], **edit))
     mutant = mutate(build_assignment(*pair))
     CORE_MEMO.clear()
     cold = _rejection(mutant)

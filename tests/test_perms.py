@@ -55,6 +55,16 @@ def test_from_cycles_rejects_reuse_and_range():
         Perm.from_cycles(3, [(0, 5)])
 
 
+@given(perms_of_degree(5), perms_of_degree(5))
+def test_equal_perms_hash_alike_however_made(p, q):
+    # a composite wraps its images unchecked; its kept hash must still
+    # agree with the checked permutation of the same images
+    product = p * q
+    rebuilt = Perm(product.images)
+    assert {product: 1}[rebuilt] == 1  # hashes both, keeps both hashes
+    assert hash(product) == hash(rebuilt) == hash(product.images)
+
+
 def test_composition_is_right_to_left():
     p = Perm.from_cycles(3, [(0, 1)])
     q = Perm.from_cycles(3, [(1, 2)])
