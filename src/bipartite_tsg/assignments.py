@@ -43,7 +43,7 @@ from .necessity import (
     necessity_verdict,
 )
 from .perms import GroupAction, Perm, compose_images
-from .polyhedra import AxisEntry, PolyhedralModel, build_polyhedral_model
+from .polyhedra import Axis, PolyhedralModel, build_polyhedral_model
 
 Point = tuple
 # Point labels:
@@ -102,27 +102,6 @@ class FreeOrbitBlock:
 
 
 Block = CenterPair | MarkerBlock | FreeOrbitBlock
-
-
-@dataclass(frozen=True)
-class AxisSlots:
-    """One rotation-axis circle with every known point on it, in order.
-
-    ``slots`` lists the points in circular order around the fixed circle of
-    ``elements``; ``parts`` gives "V"/"W" for assigned vertices and None for
-    bare geometric markers.  ``has_centers`` tells whether the two poles are
-    among the slots (true exactly for part-preserving axes).
-    """
-
-    elements: tuple[Perm, ...]
-    slots: tuple[Point, ...]
-    parts: tuple[str | None, ...]
-    has_centers: bool
-
-    def occupied(self) -> tuple[tuple[Point, str], ...]:
-        return tuple(
-            (p, part) for p, part in zip(self.slots, self.parts) if part
-        )
 
 
 class CoreMemo:
@@ -332,8 +311,9 @@ class VertexAssignment:
     # ----------------------------------------------------------- group action
 
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
-        """Images of several point labels under one element, with the
-        element's tables and parity looked up once."""
+        """Images of several point labels under one element: the one rule
+        for how an element moves a label, read by the action build and by
+        condition 3.  The element's tables and parity are looked up once."""
         model = self.model
         a = model.group.index(e)
         row = model.group.product_table[a]
@@ -408,17 +388,15 @@ class VertexAssignment:
     def _checked_transversal(self, labels: list[Point]) -> GroupAction:
         """The action on the transversal ``labels``, checked.
 
-        Only the generators' image lists are assembled, block by block.
-        Every label ends in its index within its block: the pole number, the
-        marker index, or the element index of a free point.  A block's
-        images are its positions composed with one table of the model (the
-        pole or marker images, or the product-table row), so no label is
-        mapped one at a time.  :meth:`GroupAction.from_images` checks those
-        lists and composes every other element's along the product table,
-        checking the homomorphism law on every generator x element pair.
-        The kernel of the action is a normal subgroup, so the action is
-        faithful exactly when no nontrivial conjugacy class's least element
-        acts as the identity.
+        Each generator's image list is read from :meth:`slot_images`, the
+        one rule for how an element moves a label; a label sent to no label
+        of the transversal raises ValueError naming both.
+        :meth:`GroupAction.from_images` checks those lists and composes
+        every other element's along the product table, checking the
+        homomorphism law on every generator x element pair.  The kernel of
+        the action is a normal subgroup, so the action is faithful exactly
+        when no nontrivial conjugacy class's least element acts as the
+        identity.
 
         The free orbits are regular: no nontrivial element fixes a free
         point, since ``row_e[j] == j`` only for the identity.  This is the
@@ -428,38 +406,19 @@ class VertexAssignment:
         element of each nontrivial class; conjugators send free points to
         free points, so it then holds for every nontrivial element.
         """
-        transversal = {
-            key: block
-            for key, block in self._run_vertices.items()
-            if key[0] != "free" or key[2] == 0
-        }
-        start: dict[Point, int] = {}  # each block's first transversal position
-        offset = 0
-        for key, block in transversal.items():
-            start[key] = offset
-            offset += len(block)
-        model = self.model
-        group = model.group
+        group = self.model.group
+        index = dict(zip(labels, range(len(labels))))
         images: dict[Perm, tuple[int, ...]] = {}
         for e in group.generators:
-            a = group.index(e)
-            odd = model.parity_of(e) == -1
-            tables = model.marker_images[a]
-            row: list[int] = []
-            for key, block in transversal.items():
-                target = key
-                if key[0] == "free":
-                    table = group.product_table[a]
-                elif key[0] == "center":
-                    table = tables["center"]
-                else:
-                    marker_class, copy_name = key
-                    table = tables[marker_class]
-                    if odd and copy_name in self._swap_map:
-                        target = (marker_class, self._swap_map[copy_name])
-                offset = start[target]
-                row.extend(compose_images(range(offset, offset + len(block)), table))
-            images[e] = tuple(row)
+            moved = self.slot_images(e, labels)
+            row = tuple(map(index.get, moved))
+            if None in row:
+                i = row.index(None)
+                raise ValueError(
+                    f"action leaves the point set: {e!r} sends "
+                    f"{labels[i]!r} to {moved[i]!r}"
+                )
+            images[e] = row
         checked = GroupAction.from_images(group, labels, images)
         reps = [checked.perms[cls[0]] for cls in group.conjugacy_classes()[1:]]
         if any(r.is_identity() for r in reps):  # [0] above is {identity}
@@ -555,52 +514,36 @@ class VertexAssignment:
 
     # ------------------------------------------------------------ axis slots
 
-    def _expand_marker(self, label: Point, outward: bool) -> tuple[Point, ...]:
-        """Copies of a base marker along one ray, ordered along the ray.
-
-        ``outward`` means from the pole at the solid's center toward the
-        complementary pole, i.e. by increasing radial rank.
-        """
-        marker_class, i = label
-        ordered = sorted(self.copies, key=lambda item: item[1])
-        if not outward:
-            ordered = list(reversed(ordered))
-        return tuple((marker_class, name, i) for name, _ in ordered)
-
     @cached_property
-    def axis_slots(self) -> tuple[AxisSlots, ...]:
-        out = []
-        for entry in self.model.axes:
-            out.append(self._expand_axis(entry))
-        return tuple(out)
+    def axis_slots(self) -> tuple[Axis, ...]:
+        """The model's axes with each marker expanded to its concentric
+        copies, and each slot's part.
 
-    def _expand_axis(self, entry: AxisEntry) -> AxisSlots:
-        if entry.has_centers:
-            if len(entry.positive_side) != 1 or len(entry.negative_side) != 1:
-                raise AssertionError("rotation axes carry one marker per ray")
-            slots = (
-                (("center", 0),)
-                + self._expand_marker(entry.positive_side[0], outward=True)
-                + (("center", 1),)
-                + self._expand_marker(entry.negative_side[0], outward=False)
-            )
-        else:
-            # Part-swapping circle: concentric copies that are exchanged by
-            # the swap do not lie on it, so only unswapped copies appear.
-            names = [
-                name for name, _ in sorted(self.copies, key=lambda it: it[1])
-                if name not in self._swap_map
-            ]
-            if len(names) > 1:
+        Along a circle through the poles the copies are met by increasing
+        radial rank on the ray leaving pole 0 and by decreasing rank on the
+        ray leaving pole 1.  A part-swapping circle avoids the poles, and the
+        copies that the swap exchanges do not lie on it, so it holds the
+        unswapped copy, if any.
+        """
+        ranked = [name for name, _ in sorted(self.copies, key=lambda it: it[1])]
+        unswapped = [name for name in ranked if name not in self._swap_map]
+        out = []
+        for axis in self.model.axes:
+            if len(unswapped) > 1 and ("center", 0) not in axis.slots:
                 raise AssertionError(
                     "a swap-invariant circle admits at most one copy"
                 )
-            slots = tuple(
-                (marker_class, names[0], i)
-                for marker_class, i in entry.circular_markers
-            ) if names else ()
-        parts = tuple(map(self.part_of_point, slots))
-        return AxisSlots(entry.elements, slots, parts, entry.has_centers)
+            names = unswapped  # until a pole is passed; pole 0 comes first
+            slots: list[Point] = []
+            for label in axis.slots:
+                if label[0] == "center":
+                    slots.append(label)
+                    names = ranked if label[1] == 0 else ranked[::-1]
+                else:
+                    slots.extend((label[0], name, label[1]) for name in names)
+            parts = tuple(map(self.part_of_point, slots))
+            out.append(Axis(axis.elements, tuple(slots), parts))
+        return tuple(out)
 
 
 # --------------------------------------------------------------------------

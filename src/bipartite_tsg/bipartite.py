@@ -119,12 +119,6 @@ class CycleProfile:
     def swapping(self) -> bool:
         return bool(self.cross_cycles)
 
-    def fixed_v(self) -> int:
-        return sum(1 for length in self.v_cycles if length == 1)
-
-    def fixed_w(self) -> int:
-        return sum(1 for length in self.w_cycles if length == 1)
-
     def swapped(self) -> "CycleProfile":
         """The profile of the same permutation after relabeling V as W."""
         return CycleProfile(self.n, self.r, self.w_cycles, self.v_cycles, self.cross_cycles)

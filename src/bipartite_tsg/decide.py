@@ -19,14 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assignments import NotRealizable, build_assignment
-from .hypotheses import (
-    HypothesisReport,
-    HypothesisViolation,
-    NoSuchEdge,
-    NoWitnessFound,
-    verify_construction,
-)
+from .assignments import build_assignment
+from .hypotheses import HypothesisReport, verify_construction
 from .necessity import (
     GROUPS,
     FixedProfile,
@@ -132,8 +126,11 @@ def decide(n: int, group: str) -> Verdict:
     Runs the necessity engine; when it admits the pair, builds the placement
     and verifies fixed counts, the five edge-routing conditions, the
     exactness witness and, for an order-24 placement serving A4, the
-    step-down edge.  A disagreement with the closed-form classification
-    raises :class:`InternalMismatch`, which carries the verdict.
+    step-down edge.  Any ValueError, LookupError or AssertionError raised
+    while constructing an admitted pair (a failed check or a fault in the
+    pipeline or its recipe data) becomes the verdict's diagnostic.  A
+    disagreement with the closed-form classification raises
+    :class:`InternalMismatch`, which carries the verdict.
     """
     necessity = necessity_verdict(n, group)
     construction = None
@@ -141,13 +138,7 @@ def decide(n: int, group: str) -> Verdict:
     if necessity.allowed:
         try:
             construction = verify_construction(build_assignment(group, n))
-        except (
-            NotRealizable,
-            HypothesisViolation,
-            NoWitnessFound,
-            NoSuchEdge,
-            AssertionError,
-        ) as exc:
+        except (ValueError, LookupError, AssertionError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
     verdict = Verdict(
         n=n,

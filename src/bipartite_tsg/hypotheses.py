@@ -34,13 +34,12 @@ replaced by another.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterable
 
 from .assignments import (
     CORE_MEMO,
-    AxisSlots,
     Point,
     VertexAssignment,
     FixedCountReport,
@@ -55,6 +54,7 @@ from .bipartite import (
     fixed_shape,
 )
 from .perms import Perm, compose_images
+from .polyhedra import Axis
 
 __all__ = [
     "Arc",
@@ -200,14 +200,12 @@ class HypothesisReport:
     """
 
     case_name: str
-    n: int
-    target_group: str
     conditions: tuple[ConditionResult, ...]
     arcs: tuple[Arc, ...]
     blocks: tuple[str, ...] = ()
     fixed_counts: FixedCountReport | None = None
     subgroup_witness: SubgroupWitness | None = None
-    corollary_edge: tuple[int, int] | None = field(default=None)
+    corollary_edge: tuple[int, int] | None = None
 
     def as_dict(self) -> dict:
         """The ``construction`` object of a verdict's JSON report: the arcs
@@ -244,13 +242,13 @@ class HypothesisReport:
 # the five edge-routing conditions
 
 
-def _axis_index(axes: tuple[AxisSlots, ...]) -> dict[Perm, int]:
+def _axis_index(axes: tuple[Axis, ...]) -> dict[Perm, int]:
     """Position in ``axes`` of the circle each element fixes pointwise."""
     return {e: i for i, axis in enumerate(axes) for e in axis.elements}
 
 
 def _check_common_fixed_circles(
-    assignment: VertexAssignment, axes: tuple[AxisSlots, ...]
+    assignment: VertexAssignment, axes: tuple[Axis, ...]
 ) -> ConditionResult:
     """Condition (1): if two nontrivial elements both fix an adjacent pair
     pointwise, they fix the same circle.  The common fixers of a pair are the
@@ -300,7 +298,7 @@ def _check_common_fixed_circles(
 
 
 def _axis_gaps(
-    axis: AxisSlots,
+    axis: Axis,
 ) -> tuple[tuple[tuple[Point, str], ...], tuple[dict, ...]]:
     """Occupied slots of an axis and the gaps between consecutive ones.
 
@@ -363,7 +361,7 @@ def _match_pairs_to_gaps(
 
 
 def _choose_arcs(
-    assignment: VertexAssignment, axes: tuple[AxisSlots, ...]
+    assignment: VertexAssignment, axes: tuple[Axis, ...]
 ) -> tuple[tuple[Arc, ...], ConditionResult]:
     """Condition (2): on each circle, every adjacent placed pair gets an arc
     bounded by the pair, with interiors avoiding all vertices and pairwise
@@ -568,7 +566,7 @@ def _check_swap_fixed_shapes(
 
 def _check_swap_circles(
     assignment: VertexAssignment,
-    axes: tuple[AxisSlots, ...],
+    axes: tuple[Axis, ...],
     interchangers: tuple[Perm, ...],
 ) -> ConditionResult:
     """Condition (5): an element interchanging the endpoints of an edge has a
@@ -614,17 +612,12 @@ def check_edge_embedding_hypotheses(
     the fixed vertices, the axis slots, the arcs and the edge interchangers
     are the same for every ``m``.  The conditions are therefore checked
     once per :attr:`VertexAssignment.core_key` and kept in ``CORE_MEMO``;
-    each placement gets that report with its own ``n``, case and target.
+    each placement gets that report with its own case name.
     """
     report = CORE_MEMO.get(
         assignment.core_key, "conditions", lambda: _check_conditions(assignment)
     )
-    return replace(
-        report,
-        case_name=assignment.case_name,
-        n=assignment.n,
-        target_group=assignment.target_group,
-    )
+    return replace(report, case_name=assignment.case_name)
 
 
 def _check_conditions(assignment: VertexAssignment) -> HypothesisReport:
@@ -639,8 +632,6 @@ def _check_conditions(assignment: VertexAssignment) -> HypothesisReport:
     results.append(_check_swap_circles(assignment, axes, interchangers))
     return HypothesisReport(
         case_name=assignment.case_name,
-        n=assignment.n,
-        target_group=assignment.target_group,
         conditions=tuple(results),
         arcs=arcs,
     )

@@ -15,7 +15,7 @@ recorded as a rule with a stable id and a self-contained statement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Mapping

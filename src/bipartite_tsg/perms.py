@@ -255,24 +255,6 @@ class FiniteGroup:
                     pairs[c] = (g, r)
         return tuple(pairs)
 
-    def cyclic_subgroups(self) -> tuple[tuple[Perm, ...], ...]:
-        """All cyclic subgroups, as sorted element tuples, deduplicated."""
-        subs = {tuple(sorted({e ** k for k in range(e.order())})) for e in self.elements}
-        return tuple(sorted(subs))
-
-    def maximal_cyclic_subgroups(self) -> tuple[tuple[Perm, ...], ...]:
-        """Cyclic subgroups not properly contained in a larger cyclic subgroup."""
-        subs = self.cyclic_subgroups()
-        out = []
-        for s in subs:
-            sset = set(s)
-            if len(s) == 1:
-                continue
-            if any(sset < set(t) for t in subs):
-                continue
-            out.append(s)
-        return tuple(out)
-
     def subgroup(self, elements: Iterable[Perm]) -> "FiniteGroup":
         sub = FiniteGroup(elements)
         if not self.is_subgroup(sub):
@@ -347,9 +329,6 @@ class UnionFind:
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
-
-    def component_count(self) -> int:
-        return len({self.find(x) for x in range(len(self.parent))})
 
 
 class GroupAction:

@@ -203,32 +203,24 @@ def _girth_cycles(n_points: int, edges: list[tuple[int, int]], length: int) -> l
 
 
 @dataclass(frozen=True)
-class AxisEntry:
+class Axis:
     """One fixed circle in the geometric action: the nontrivial elements
-    whose fixed-point set is this circle, and the base special points on it.
+    whose fixed-point set is this circle, and the points on it in circular
+    order.
 
-    For circles through the two global centers (even elements), the markers
-    come split into the two rays from the center, so that nested-copy slots
-    can be interleaved radially.  Odd skeleton circles avoid the centers and
-    carry their markers in exact circular order instead.
+    On a model's axis the slots are the base polyhedron's markers.  A circle
+    through the two global centers (even elements) carries one marker on
+    each ray from the center, so its order is center 0, one ray's marker,
+    center 1, the other ray's marker.  Odd skeleton circles avoid the
+    centers and list their markers in exact circular order.  A placement's
+    axis (:attr:`VertexAssignment.axis_slots`) has each marker expanded to
+    its concentric copies and ``parts`` giving "V"/"W" for each assigned
+    vertex and None for each bare geometric marker.
     """
 
     elements: tuple[Perm, ...]
-    has_centers: bool
-    positive_side: tuple[Label, ...]
-    negative_side: tuple[Label, ...]
-    circular_markers: tuple[Label, ...]  # odd circles only, in circle order
-
-    def base_sequence(self) -> tuple[Label, ...]:
-        """Circular slot order with just the base polyhedron's markers."""
-        if not self.has_centers:
-            return self.circular_markers
-        return (
-            (("center", 0),)
-            + self.positive_side
-            + (("center", 1),)
-            + tuple(reversed(self.negative_side))
-        )
+    slots: tuple[tuple, ...]
+    parts: tuple[str | None, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,7 @@ class PolyhedralModel:
     group: FiniteGroup  # permutations of the corners
     parity: tuple[tuple[Perm, int], ...]  # +1 rotations, -1 skeleton-odd
     action: GroupAction  # on all labels: corners, edges, faces, centers
-    axes: tuple[AxisEntry, ...]
+    axes: tuple[Axis, ...]
 
     @property
     def points(self) -> tuple[Label, ...]:
@@ -285,7 +277,7 @@ class PolyhedralModel:
             p for p in self.action.fixed_points(g) if p[0] != "center"
         )
 
-    def axis_of(self, g: Perm) -> AxisEntry | None:
+    def axis_of(self, g: Perm) -> Axis | None:
         """The fixed circle of a nontrivial element, None for glides."""
         for entry in self.axes:
             if g in entry.elements:
@@ -375,7 +367,7 @@ def _build_axes(
     parity: dict[Perm, int],
     action: GroupAction,
     vector_of,
-) -> tuple[AxisEntry, ...]:
+) -> tuple[Axis, ...]:
     by_fixed: dict[tuple[Label, ...], list[Perm]] = {}
     for g in group:
         if g.is_identity():
@@ -396,7 +388,7 @@ def _build_axes(
                 raise AssertionError("unexpected fixed-point-free rotation")
             continue
         if parities == {1}:
-            # rotation axis through the two centers; split markers by ray
+            # rotation axis through the two centers: one marker per ray
             u = vector_of(fixed[0])
             pos, neg = [], []
             for label in fixed:
@@ -405,13 +397,13 @@ def _build_axes(
                 if c != vec(0, 0, 0):
                     raise AssertionError("axis markers must be collinear")
                 (pos if dot(u, v).sign() > 0 else neg).append(label)
-            entries.append(
-                AxisEntry(tuple(sorted(elements)), True, tuple(pos), tuple(neg), ())
-            )
+            if len(pos) != 1 or len(neg) != 1:
+                raise AssertionError("rotation axes carry one marker per ray")
+            slots = (("center", 0), pos[0], ("center", 1), neg[0])
         else:
             vectors = [vector_of(label) for label in fixed]
-            order = _angular_order(list(fixed), vectors)
-            entries.append(AxisEntry(tuple(sorted(elements)), False, (), (), order))
+            slots = _angular_order(list(fixed), vectors)
+        entries.append(Axis(tuple(sorted(elements)), slots))
     return tuple(entries)
 
 
@@ -520,8 +512,7 @@ def _sanity_check_axes(model: PolyhedralModel) -> None:
     covered = 0
     for entry in model.axes:
         covered += len(entry.elements)
-        seq = entry.base_sequence()
-        if len(set(seq)) != len(seq):
+        if len(set(entry.slots)) != len(entry.slots):
             raise AssertionError("axis sequence repeats a slot")
     glides = sum(
         1

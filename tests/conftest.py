@@ -76,8 +76,8 @@ def assignments():
 
 def apply(a, e, point):
     """Image of one point label of placement ``a`` under the element ``e``,
-    mapped label by label: the per-label reference for the block-built
-    vertex action and for ``slot_images``."""
+    mapped label by label from the model's tables: the reference for
+    ``slot_images`` and for the vertex action built from it."""
     model = a.model
     i = model.group.index(e)
     if point[0] == "free":

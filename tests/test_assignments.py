@@ -9,6 +9,7 @@ from bipartite_tsg.assignments import (
     RECIPES,
     FreeOrbitBlock,
     NotRealizable,
+    VertexAssignment,
     build_assignment,
     check_orbit_count,
     class_label,
@@ -20,6 +21,7 @@ from bipartite_tsg.assignments import (
     verify_fixed_counts,
 )
 from bipartite_tsg.bipartite import validate_automorphism
+from bipartite_tsg.decide import InternalMismatch, decide
 from bipartite_tsg.hypotheses import verify_construction
 from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
@@ -98,8 +100,9 @@ def test_every_element_induces_a_valid_automorphism(assignments):
 
 
 def test_block_built_action_matches_the_per_label_map(assignments):
-    # The action is built block by block from the model's tables; ``apply``
-    # maps one label at a time and is the reference it must agree with.
+    # The generators' image lists are read from ``slot_images`` and the rest
+    # composed and translated from them; ``apply`` maps one label at a time
+    # from the model's tables and is the reference they must agree with.
     for a in assignments.values():
         index = a.action.point_index
         for e in a.model.group:
@@ -473,15 +476,51 @@ def test_part_of_point_agrees_with_the_vertex_numbering(assignments):
 
 
 def test_axis_slots_structure(assignments):
-    for a in assignments.values():
+    occupied = 0
+    for pair, a in assignments.items():
+        assert [axis.elements for axis in a.axis_slots] == [
+            axis.elements for axis in a.model.axes
+        ], pair
         for axis in a.axis_slots:
             assert len(axis.slots) == len(axis.parts)
-            if axis.has_centers:
-                centers = [p for p in axis.slots if p[0] == "center"]
-                assert len(centers) == 2
-            for point, part in axis.occupied():
-                assert part in ("V", "W")
+            assert len(set(axis.slots)) == len(axis.slots)
+            # a part-preserving circle runs through both poles, pole 0 first
+            centers = [p for p in axis.slots if p[0] == "center"]
+            if a.model.parity_of(axis.elements[0]) == 1:
+                assert centers == [("center", 0), ("center", 1)]
+                assert axis.slots[0] == ("center", 0)
+            else:
+                assert centers == []
+            for point, part in zip(axis.slots, axis.parts):
+                assert part in ("V", "W", None)
                 assert a.part_of_point(point) == part
+                occupied += part is not None
+    assert occupied
+
+
+def test_an_image_that_is_no_vertex_fails_the_build_and_the_decision(
+    monkeypatch,
+):
+    honest = VertexAssignment.slot_images
+    lost = ("corner", "nowhere", 0)
+
+    def doctored(self, e, points):
+        images = honest(self, e, points)
+        return tuple(lost if p == ("center", 1) else q for p, q in zip(points, images))
+
+    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    message = (
+        r"action leaves the point set: .* sends \('center', 1\) "
+        r"to \('corner', 'nowhere', 0\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        build_assignment("S4", 32)
+    with pytest.raises(InternalMismatch) as exc:
+        decide(32, "S4")
+    assert not exc.value.verdict.realizable
+    assert exc.value.verdict.diagnostic.startswith(
+        "ValueError: action leaves the point set"
+    )
 
 
 def test_axis_lookup_matches_membership(assignments):

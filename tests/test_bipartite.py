@@ -134,7 +134,6 @@ def test_profile_of_preserving_automorphism():
     assert profile.w_cycles == (1, 1, 2)
     assert profile.cross_cycles == ()
     assert not profile.swapping
-    assert profile.fixed_v() == 1 and profile.fixed_w() == 2
 
 
 def test_profile_of_swapping_automorphism():

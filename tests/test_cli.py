@@ -4,9 +4,11 @@ import importlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from bipartite_tsg.assignments import RECIPES, VertexAssignment
 from bipartite_tsg.cli import (
     DEFAULT_N_CAP,
     EXIT_DECIDED,
@@ -343,6 +345,51 @@ def test_internal_mismatch_exits_with_three(capsys, monkeypatch):
     code, _, err = run(capsys, "decide", "--group", "A4", "--n", "7")
     assert code == EXIT_MISMATCH
     assert "internal verification mismatch" in err
+
+
+def _no_vertex_witness(monkeypatch):
+    witness = ((("corner", "nowhere", 0), ("corner", "outer", 0)),)
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", replace(RECIPES["skeleton-4"], witness=witness)
+    )
+
+
+def _step_down_within_v(monkeypatch):
+    step_down = (("corner", "inner", 0), ("corner", "inner", 1))
+    monkeypatch.setitem(
+        RECIPES, "skeleton-4", replace(RECIPES["skeleton-4"], step_down=step_down)
+    )
+
+
+def _two_labels_to_one_image(monkeypatch):
+    honest = VertexAssignment.slot_images
+
+    def doctored(self, e, points):
+        images = honest(self, e, points)
+        return images[:1] * 2 + images[2:]
+
+    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+
+
+@pytest.mark.parametrize(
+    "fault, group, n, message",
+    [
+        (_no_vertex_witness, "A4", 16, "ValueError: recipe skeleton-4 records "
+         "the witness label ('corner', 'nowhere', 0)"),
+        (_step_down_within_v, "A4", 16, "ValueError: edge (0, 1) does not "
+         "join the two parts"),
+        (_two_labels_to_one_image, "A5", 62, "ValueError: not a permutation"),
+    ],
+)
+def test_a_fault_in_the_pipeline_or_its_recipes_exits_with_three(
+    capsys, monkeypatch, fault, group, n, message
+):
+    fault(monkeypatch)
+    code, out, err = run(capsys, "decide", "--group", group, "--n", str(n))
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.startswith("internal verification mismatch: ")
+    assert message in err
 
 
 def test_exit_codes_are_stable():

