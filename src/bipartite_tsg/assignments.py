@@ -23,10 +23,11 @@ edge-embedding checks require.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import add
 from threading import Lock
 from typing import Callable
@@ -293,12 +294,19 @@ class VertexAssignment:
     def _run_vertices(self) -> dict[Point, tuple[int, ...]]:
         return dict(self._layout[1])
 
-    def part_of_point(self, point: Point) -> str | None:
-        """The part of the vertex at ``point``, or None if no vertex is there."""
+    def vertex_of(self, point: Point) -> int | None:
+        """The vertex at ``point``, or None if no vertex is there."""
         vertices = self._run_vertices.get(point[:-1])
         if vertices is None or not 0 <= point[-1] < len(vertices):
             return None
-        return "V" if vertices[point[-1]] < self._layout[0] else "W"
+        return vertices[point[-1]]
+
+    def part_of_point(self, point: Point) -> str | None:
+        """The part of the vertex at ``point``, or None if no vertex is there."""
+        vertex = self.vertex_of(point)
+        if vertex is None:
+            return None
+        return "V" if vertex < self._layout[0] else "W"
 
     @cached_property
     def _swap_map(self) -> dict[str, str]:
@@ -312,8 +320,9 @@ class VertexAssignment:
 
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
         """Images of several point labels under one element: the one rule
-        for how an element moves a label, read by the action build and by
-        condition 3.  The element's tables and parity are looked up once."""
+        for how an element moves a label, read by the transversal check, by
+        the vertex maps and by condition 3.  The element's tables and parity
+        are looked up once."""
         model = self.model
         a = model.group.index(e)
         row = model.group.product_table[a]
@@ -355,35 +364,40 @@ class VertexAssignment:
         )
 
     @cached_property
-    def action(self) -> GroupAction:
-        """The induced action on the vertices, checked on a transversal.
+    def transversal(self) -> GroupAction:
+        """The induced action on a transversal of the vertices, checked.
 
         The transversal is every core vertex (poles and markers) plus the
         first free orbit of each free part (V, W or the split orbits).  Every
         other free orbit is a translate of its part's first: ``e`` sends
         ``("free", tag, k, j)`` to ``("free", tag, k, row_e[j])`` for every
-        ``k``, so :meth:`GroupAction.translated` extends the checked action
-        to all ``2n`` vertices, each orbit ``k`` a copy of orbit 0.
+        ``k`` (:meth:`slot_images`), so the action on all ``2n`` vertices
+        is a permutation and a homomorphism once this one is, and it fixes a
+        vertex exactly when this one fixes its twin in the transversal.
 
         The transversal, its labels and so its checked action depend only
         on :attr:`core_key`, so the action is checked once per core and
-        kept in :data:`CORE_MEMO` (see :meth:`_checked_transversal`); the
-        translation to this placement's ``2n`` vertices is made per call.
+        kept in :data:`CORE_MEMO` (see :meth:`_checked_transversal`).
         """
-        vertices = self._run_vertices
-        copies: list[tuple[int, ...]] = []  # each transversal point's translates
-        for key, block in vertices.items():
-            if key[0] != "free":
-                copies.extend((v,) for v in block)
-            elif key[2] == 0:  # the part's orbits, in order
-                orbits = [b for k, b in vertices.items() if k[:2] == key[:2]]
-                copies.extend(zip(*orbits))
-        checked = CORE_MEMO.get(
+        return CORE_MEMO.get(
             self.core_key,
             "transversal",
-            lambda: self._checked_transversal([self.points[c[0]] for c in copies]),
+            lambda: self._checked_transversal(
+                [
+                    prefix + (j,)
+                    for prefix, vertices in self._transversal_runs
+                    for j in range(len(vertices))
+                ]
+            ),
         )
-        return checked.translated(self.points, copies)
+
+    @cached_property
+    def _transversal_runs(self) -> tuple[tuple[Point, tuple[int, ...]], ...]:
+        """The runs on the transversal, in block order: every core run and
+        the first free orbit of each free part."""
+        return tuple(
+            run for run in self._layout[1] if run[0][0] != "free" or run[0][2] == 0
+        )
 
     def _checked_transversal(self, labels: list[Point]) -> GroupAction:
         """The action on the transversal ``labels``, checked.
@@ -427,9 +441,17 @@ class VertexAssignment:
             raise AssertionError("a nontrivial element fixes a free point")
         return checked
 
+    def image(self, e: Perm, i: int) -> int:
+        """The vertex ``e`` sends vertex ``i`` to."""
+        return self.vertex_of(self.slot_images(e, (self.points[i],))[0])
+
     def induced_perm(self, e: Perm) -> Perm:
-        """Permutation of the graph vertices 0..2n-1 induced by ``e``."""
-        return self.action.perms[e]
+        """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
+        label by label from :meth:`slot_images`.  Once the transversal is
+        checked it is a permutation by construction."""
+        self.transversal  # check the core first
+        moved = self.slot_images(e, self.points)
+        return Perm._from_checked(tuple(map(self.vertex_of, moved)))
 
     def induced_aut(self, e: Perm) -> BipartiteAut:
         aut = validate_automorphism(self.induced_perm(e), self.n)
@@ -448,12 +470,12 @@ class VertexAssignment:
         Only the transversal is scanned, once per conjugacy class, for its
         least element ``r``.  The action is checked to be a homomorphism, so
         a conjugate ``g r g^-1`` fixes exactly the images ``g(x)`` of the
-        points ``x`` that ``r`` fixes, and a translated free vertex is fixed
-        exactly when its twin in the first free orbit is; the identity fixes
-        every vertex.
+        points ``x`` that ``r`` fixes.  No nontrivial element fixes a free
+        point, so these lie in the core, whose labels are vertices of every
+        placement sharing it; the identity fixes every vertex.
         """
-        action = self.action
-        perms = action.transversal.perms
+        perms = self.transversal.perms
+        vertex = tuple(chain.from_iterable(v for _, v in self._transversal_runs))
         group = self.model.group
         elements = group.elements
         scanned: dict[int, tuple[int, ...]] = {}
@@ -467,7 +489,7 @@ class VertexAssignment:
             fixed = scanned[r]
             if g != 0:
                 fixed = compose_images(perms[elements[g]].images, fixed)
-            out[e] = action.lift(fixed)
+            out[e] = tuple(sorted(compose_images(vertex, fixed)))
         return out
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
@@ -709,21 +731,24 @@ def check_orbit_count(assignment: VertexAssignment) -> int:
     Burnside's lemma averages the fixed counts over the group: the identity
     fixes all ``2n`` vertices and each class label contributes its size
     times its fixed count.  Union-find counts the transversal's orbits under
-    the generators, each once per translate.  The average must be an
-    integer equal to the direct count.
+    the generators; an orbit of a free part's first free orbit stands for
+    one orbit per free orbit of that part.  The average must be an integer
+    equal to the direct count.
     """
     fixed = sum(
         size * (v + w) for _, size, (v, w) in assignment.class_counts.values()
     )
     average = Fraction(2 * assignment.n + fixed, assignment.model.group.order)
-    direct = assignment.action.orbit_count_unionfind()
+    free = Counter(run[1] for run in assignment._run_vertices if run[0] == "free")
+    direct = sum(
+        free[orbit[0][1]] if orbit[0][0] == "free" else 1
+        for orbit in assignment.transversal.orbits()
+    )
     if average != direct:
         raise AssertionError(
             f"orbit count mismatch: union-find {direct}, Burnside {average}"
         )
     return direct
-
-
 
 
 # --------------------------------------------------------------------------
@@ -1087,5 +1112,5 @@ def build_assignment(group: str, n: int) -> VertexAssignment:
     if not verdict.allowed:
         raise NotRealizable(verdict)
     assignment = place(recipe_case(group, n), group, n)
-    assignment.action  # force the faithfulness check
+    assignment.transversal  # force the faithfulness check
     return assignment

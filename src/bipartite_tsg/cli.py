@@ -188,6 +188,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_aut(args) -> int:
+    if args.n > DEFAULT_N_CAP:
+        raise ValueError(f"part size {args.n} exceeds the cap {DEFAULT_N_CAP}")
     result, report = check_automorphism_cmd(args.cycles, args.n)
     print(f"automorphism of K_{{{args.n},{args.n}}}: {report['cycles']}")
     print(f"order {report['order']}, {report['part_behavior']} the parts")
@@ -304,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check-aut", help="check one automorphism given in cycle notation"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n", type=int, required=True, help=f"part size, at most {DEFAULT_N_CAP}"
+    )
     p.add_argument(
         "--cycles",
         required=True,

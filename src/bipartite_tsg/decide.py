@@ -45,7 +45,9 @@ _MOD60_RESIDUES = frozenset({0, 2, 12, 20, 30, 32, 42, 50})
 
 
 def theorem_predicate(n: int, group: str) -> bool:
-    """The closed-form classification, as a plain arithmetic test."""
+    """The closed-form classification, as a plain arithmetic test.  ``n``
+    is validated as :func:`decide` validates it."""
+    require_count(n, "part size")
     if group == "A4":
         return n % 12 in _MOD12_RESIDUES and n >= 4
     if group == "S4":

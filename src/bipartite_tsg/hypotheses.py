@@ -649,7 +649,7 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
     edge orbit must then fix that edge, hence ``y``.
     """
     n = assignment.n
-    image = assignment.action.image
+    image = assignment.image
     fixed = assignment.fixed_vertices
     nontrivial = assignment.model.nontrivial
     opposite = range(n, 2 * n) if x < n else range(n)
@@ -721,11 +721,14 @@ def _recorded_edge(
 ) -> tuple[int, int]:
     """The edge of the first of ``pairs``, what the placement's recipe
     records in ``field``, whose labels are both vertices."""
-    index = assignment.action.point_index
+    vertex_of = assignment.vertex_of
     for v, w in pairs:
-        if v in index and w in index:
-            return index[v], index[w]
-    missing = dict.fromkeys(p for pair in pairs for p in pair if p not in index)
+        edge = vertex_of(v), vertex_of(w)
+        if None not in edge:
+            return edge
+    missing = dict.fromkeys(
+        p for pair in pairs for p in pair if vertex_of(p) is None
+    )
     raise ValueError(
         f"recipe {assignment.case_name} records the {field} label "
         f"{', '.join(map(repr, missing))}, which is no vertex of the "

@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import add, itemgetter
+from operator import itemgetter
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -88,18 +87,6 @@ class Perm:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Perm._from_checked(tuple(inv))
-
-    def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = base * result
-            base = base * base
-            k >>= 1
-        return result
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -304,11 +291,6 @@ def alternating_group(n: int) -> FiniteGroup:
     return generate_group(three_cycles)
 
 
-def cyclic_group(n: int, degree: int | None = None) -> FiniteGroup:
-    degree = degree or n
-    return generate_group([Perm.from_cycles(degree, [tuple(range(n))])])
-
-
 class UnionFind:
     """Plain union-find over range(n), used for direct orbit counting."""
 
@@ -344,12 +326,6 @@ class GroupAction:
     generator g against every element a and so pins the whole
     multiplication table for a generated group; each given list must equal
     the composed one.
-
-    :meth:`translated` extends such an action to more points, each a copy of
-    one of its points that every element moves as it moves the original.
-    The extended action keeps the checked one as its ``transversal`` and
-    reads every answer from it; an action that was not extended is its own
-    transversal, and ``copies[s]`` is ``(s,)`` for each of its points.
     """
 
     def __init__(
@@ -406,14 +382,10 @@ class GroupAction:
             given[e] = perm
         if group.identity in given and not given[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
-        self.perms: Mapping[Perm, Perm] = self._generated_perms(given)
+        self.perms: dict[Perm, Perm] = self._generated_perms(given)
         for e, perm in given.items():
             if self.perms[e] != perm:
                 raise ValueError(f"not a homomorphism at {e!r}")
-        self._base: GroupAction | None = None
-        self.copies: tuple[tuple[int, ...], ...] = tuple(
-            (i,) for i in range(len(self.points))
-        )
 
     def _generated_perms(self, given: Mapping[Perm, Perm]) -> dict[Perm, Perm]:
         """Every element's permutation, composed from the generators' along
@@ -452,124 +424,33 @@ class GroupAction:
             raise ValueError("the generators do not generate the group")
         return {e: Perm._from_checked(images[i]) for i, e in enumerate(elements)}
 
-    def translated(
-        self, points: Sequence[Hashable], copies: Sequence[Sequence[int]]
-    ) -> "GroupAction":
-        """This action extended by translation to the labels ``points``.
-
-        ``copies[s]`` lists the indices in ``points`` of the copies of this
-        action's point ``s``; the first is ``s`` itself, under the same
-        label.  Every element sends the ``c``-th copy of ``s`` to the
-        ``c``-th copy of its image of ``s``.  Each index must be listed
-        once, and each generator must keep the number of copies of every
-        point, so each copy number spans whole orbits of this action.  The
-        extended action is then a homomorphism because this one is, it is
-        faithful exactly when this one is, and it fixes a copy exactly when
-        this one fixes the copy's original.  Nothing of size ``|G|`` times
-        the number of points is built: a permutation of all the points is
-        composed when ``perms`` is first read at its element, and
-        :meth:`image` reads one point's image.
-        """
-        copies = tuple(map(tuple, copies))
-        if len(copies) != len(self.points) or not all(copies):
-            raise ValueError("each point needs a copy list that starts with it")
-        action = GroupAction.__new__(GroupAction)
-        action._set_points(self.group, points)
-        flat = tuple(chain.from_iterable(copies))
-        size = len(points)
-        where = dict(zip(flat, range(size)))  # each point's position in flat
-        try:
-            order = compose_images(where, range(size))
-        except KeyError:  # an index left out, so another is out of range or repeated
-            order = None
-        if len(flat) != size or order is None:
-            raise ValueError("the copies do not list every point once")
-        if [action.points[cs[0]] for cs in copies] != list(self.points):
-            raise ValueError("the first copy of a point must carry its label")
-        counts = tuple(map(len, copies))
-        for g in self.group.generators:
-            if compose_images(counts, self.perms[g].images) != counts:
-                raise ValueError(
-                    f"{g!r} moves a point to one with another number of copies"
-                )
-        # ``flat`` lists the points by twin, then by copy number: the c-th
-        # copy of s is flat[start[s] + c].  ``order`` lists them by index.
-        twins = tuple(chain.from_iterable(map(repeat, range(len(copies)), counts)))
-        copy_numbers = tuple(chain.from_iterable(map(range, counts)))
-        action._base = self
-        action.copies = copies
-        action.perms = _TranslatedPerms(
-            self.group,
-            self.perms,
-            flat,
-            tuple(accumulate(counts, initial=0)),
-            compose_images(twins, order),
-            compose_images(copy_numbers, order),
-        )
-        return action
-
-    @property
-    def transversal(self) -> "GroupAction":
-        """The checked action this one was translated from, or this one."""
-        return self if self._base is None else self._base
-
-    def image(self, e: Perm, i: int) -> int:
-        """Index of the image of point ``i`` under ``e``, read without
-        composing the permutation of every point."""
-        if self._base is None:
-            return self.perms[e].images[i]
-        return self.perms.image(e, i)
-
-    def lift(self, indices: Iterable[int]) -> tuple[int, ...]:
-        """Every copy of the given points of the transversal, ascending."""
-        indices = tuple(indices)
-        return tuple(sorted(chain.from_iterable(compose_images(self.copies, indices))))
-
     def apply(self, e: Perm, label: Hashable) -> Hashable:
-        return self.points[self.image(e, self.point_index[label])]
+        return self.points[self.perms[e].images[self.point_index[label]]]
 
     def fixed_points(self, e: Perm) -> tuple[Hashable, ...]:
-        fixed = self.lift(self.transversal.perms[e].fixed_points())
-        return tuple(self.points[i] for i in fixed)
+        return tuple(self.points[i] for i in self.perms[e].fixed_points())
 
     def fixed_count(self, e: Perm) -> int:
-        fixed = self.transversal.perms[e].fixed_points()
-        return sum(map(len, compose_images(self.copies, fixed)))
-
-    def _transversal_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The transversal's orbits under the generators, each ascending,
-        ordered by their least point; found once per transversal, which
-        every action translated from it shares."""
-        return self.transversal._orbits_unionfind
+        return len(self.perms[e].fixed_points())
 
     @cached_property
-    def _orbits_unionfind(self) -> tuple[tuple[int, ...], ...]:
+    def _orbits(self) -> tuple[tuple[Hashable, ...], ...]:
         uf = UnionFind(len(self.points))
         for e in self.group.generators:
             for i, j in enumerate(self.perms[e].images):
                 uf.union(i, j)
-        buckets: dict[int, list[int]] = {}
-        for i in range(len(self.points)):
-            buckets.setdefault(uf.find(i), []).append(i)
+        buckets: dict[int, list[Hashable]] = {}
+        for i, p in enumerate(self.points):
+            buckets.setdefault(uf.find(i), []).append(p)
         return tuple(tuple(b) for _, b in sorted(buckets.items()))
 
     def orbits(self) -> tuple[tuple[Hashable, ...], ...]:
-        """The orbits, each in point order, ordered by their first point.
-        Each orbit of the transversal has one copy per copy number of its
-        points."""
-        copies = self.copies
-        orbits = sorted(
-            sorted(copies[s][c] for s in orbit)
-            for orbit in self._transversal_orbits()
-            for c in range(len(copies[orbit[0]]))
-        )
-        return tuple(tuple(self.points[i] for i in orbit) for orbit in orbits)
+        """The orbits under the generators, each in point order, ordered by
+        their first point; found once per action."""
+        return self._orbits
 
     def orbit_count_unionfind(self) -> int:
-        """The number of orbits: the transversal's orbits under the
-        generators, each counted once per copy number of its points."""
-        copies = self.copies
-        return sum(len(copies[orbit[0]]) for orbit in self._transversal_orbits())
+        return len(self._orbits)
 
     def orbit_count_burnside(self) -> Fraction:
         total = sum(self.fixed_count(e) for e in self.group.elements)
@@ -585,51 +466,6 @@ class GroupAction:
                 f"orbit count mismatch: union-find {direct}, Burnside {average}"
             )
         return direct
-
-
-class _TranslatedPerms(Mapping):
-    """Each element's permutation of all the points of a translated action,
-    composed from its transversal permutation when first read and kept.
-
-    Point ``i`` is copy ``copy[i]`` of the transversal point ``twin[i]``,
-    and the ``c``-th copy of ``s`` is ``flat[start[s] + c]``.
-    """
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        transversal: Mapping[Perm, Perm],
-        flat: tuple[int, ...],
-        start: tuple[int, ...],
-        twin: tuple[int, ...],
-        copy: tuple[int, ...],
-    ):
-        self._group = group
-        self._transversal = transversal
-        self._flat = flat
-        self._start = start
-        self._twin = twin
-        self._copy = copy
-        self._composed: dict[Perm, Perm] = {}
-
-    def image(self, e: Perm, i: int) -> int:
-        s = self._transversal[e].images[self._twin[i]]
-        return self._flat[self._start[s] + self._copy[i]]
-
-    def __getitem__(self, e: Perm) -> Perm:
-        perm = self._composed.get(e)
-        if perm is None:
-            moved = compose_images(self._transversal[e].images, self._twin)
-            at = map(add, compose_images(self._start, moved), self._copy)
-            images = compose_images(self._flat, tuple(at))
-            perm = self._composed[e] = Perm._from_checked(images)
-        return perm
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self._group.elements)
-
-    def __len__(self) -> int:
-        return self._group.order
 
 
 def coset_action(group: FiniteGroup, sub: FiniteGroup) -> GroupAction:

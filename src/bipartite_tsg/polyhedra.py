@@ -264,13 +264,6 @@ class PolyhedralModel:
             out.append({cls: tuple(ks) for cls, ks in by_class.items()})
         return tuple(out)
 
-    def even_subgroup(self) -> FiniteGroup:
-        par = self._parity_map
-        return FiniteGroup([g for g in self.group if par[g] == 1])
-
-    def class_sizes(self) -> tuple[int, int, int]:
-        return (len(self.corner_vectors), len(self.edges), len(self.faces))
-
     def fixed_specials(self, g: Perm) -> tuple[Label, ...]:
         """Corner/edge/face labels fixed by g (centers excluded)."""
         return tuple(

@@ -22,7 +22,7 @@ from bipartite_tsg.notation import (
     UnknownToken,
     token_of,
 )
-from bipartite_tsg.perms import Perm
+from bipartite_tsg.perms import GroupAction, Perm
 from bipartite_tsg.polyhedra import build_polyhedral_model
 from bipartite_tsg.realizability import (
     CASE_DESCRIPTIONS,
@@ -94,6 +94,17 @@ def apply(a, e, point):
         }
         copy_name = swap.get(copy_name, copy_name)
     return (marker_class, copy_name, model.marker_images[i][marker_class][m])
+
+
+def full_action(a):
+    """The action of placement ``a`` checked on all ``2n`` vertices: the
+    generators' permutations from ``induced_perm``, every other element's
+    composed from them and checked by ``GroupAction.from_images``.  The
+    reference for what ``a`` reads from its transversal."""
+    group = a.model.group
+    return GroupAction.from_images(
+        group, a.points, {g: a.induced_perm(g).images for g in group.generators}
+    )
 
 
 # --------------------------------------------------------------------------

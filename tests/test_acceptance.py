@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from bipartite_tsg.assignments import (
     build_assignment,
+    check_orbit_count,
     verify_fixed_counts,
 )
 from bipartite_tsg.decide import GROUPS, decide, sweep, theorem_predicate
@@ -36,6 +37,8 @@ from bipartite_tsg.polyhedra import (
     incidence_fixed_signature,
 )
 from bipartite_tsg.realizability import check_realizable
+
+from conftest import full_action
 
 
 @contextmanager
@@ -166,12 +169,14 @@ def test_criterion_6_burnside_oracle_and_the_edge_marker_average():
             action = build_polyhedral_model(kind).action
             assert action.orbit_count_unionfind() == action.orbit_count_burnside()
 
-        # every sampled placement action
+        # every sampled placement action, on all 2n vertices
         for (group, n) in (("A4", 16), ("S4", 32), ("A5", 62)):
-            action = build_assignment(group, n).action
+            assignment = build_assignment(group, n)
+            action = full_action(assignment)
             direct = action.orbit_count_unionfind()
             average = action.orbit_count_burnside()
             assert direct == average and average.denominator == 1
+            assert check_orbit_count(assignment) == direct
 
         # the quoted average: one orbit of the 30 edge midpoints
         model = build_polyhedral_model("dodecahedron")
@@ -279,7 +284,7 @@ def test_criterion_10_property_suite_over_the_construction_corpus():
                 )
 
             # orbit sizes divide the group order
-            for orbit in assignment.action.orbits():
+            for orbit in full_action(assignment).orbits():
                 assert model.group.order % len(orbit) == 0, (group, n)
 
             # realizability is invariant under within-part relabeling

@@ -26,7 +26,7 @@ from bipartite_tsg.hypotheses import verify_construction
 from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
 
-from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply
+from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply, full_action
 
 EXPECTED_CASES = {
     ("A4", 6): "tetrahedron-6",
@@ -100,11 +100,11 @@ def test_every_element_induces_a_valid_automorphism(assignments):
 
 
 def test_block_built_action_matches_the_per_label_map(assignments):
-    # The generators' image lists are read from ``slot_images`` and the rest
-    # composed and translated from them; ``apply`` maps one label at a time
-    # from the model's tables and is the reference they must agree with.
+    # Every element's permutation of all 2n vertices is read from
+    # ``slot_images``; ``apply`` maps one label at a time from the model's
+    # tables and is the reference it must agree with.
     for a in assignments.values():
-        index = a.action.point_index
+        index = {p: i for i, p in enumerate(a.points)}
         for e in a.model.group:
             assert a.induced_perm(e).images == tuple(
                 index[apply(a, e, p)] for p in a.points
@@ -112,9 +112,11 @@ def test_block_built_action_matches_the_per_label_map(assignments):
 
 
 def test_actions_are_faithful(assignments):
+    # on all 2n vertices, not only on the transversal
     for a in assignments.values():
-        perms = set(a.action.perms.values())
+        perms = {a.induced_perm(e) for e in a.model.group}
         assert len(perms) == a.model.group.order
+        assert all(p.degree == 2 * a.n for p in perms)
 
 
 def _doctor_generator_images(monkeypatch, doctor):
@@ -225,18 +227,19 @@ def test_translation_pairs_have_several_free_orbits_per_part(translated):
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
 def test_translated_action_matches_the_per_label_map(translated, pair):
     a = translated[pair]
-    index = a.action.point_index
+    index = {p: i for i, p in enumerate(a.points)}
     for e in a.model.group:
         expected = tuple(index[apply(a, e, p)] for p in a.points)
-        assert a.action.perms[e].images == expected, e
-        assert tuple(a.action.image(e, i) for i in range(2 * a.n)) == expected
+        assert a.induced_perm(e).images == expected, e
+        assert tuple(a.image(e, i) for i in range(2 * a.n)) == expected
 
 
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
 def test_lifted_fixed_sets_equal_a_full_scan(translated, pair):
+    # fixed sets found on the transversal, as vertex numbers of all 2n
     a = translated[pair]
     for e in a.model.group:
-        assert a.fixed_vertices[e] == a.action.perms[e].fixed_points(), e
+        assert a.fixed_vertices[e] == a.induced_perm(e).fixed_points(), e
 
 
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
@@ -244,14 +247,18 @@ def test_translated_action_equals_the_action_checked_on_every_vertex(translated,
     # the reference checks the generators' lists on all 2n vertices
     a = translated[pair]
     group = a.model.group
-    full = GroupAction.from_images(
-        group, a.points, {g: a.action.perms[g].images for g in group.generators}
-    )
-    assert a.action.perms == full.perms
-    assert a.action.orbits() == full.orbits()
-    assert a.action.orbit_count_unionfind() == full.orbit_count() == check_orbit_count(a)
+    full = full_action(a)
+    fixers: dict[int, int] = {}
     for e in group:
-        assert a.action.fixed_points(e) == full.fixed_points(e)
+        images = full.perms[e].images
+        assert a.induced_perm(e).images == images, e
+        assert tuple(a.image(e, i) for i in range(2 * a.n)) == images, e
+        assert a.fixed_vertices[e] == full.perms[e].fixed_points(), e
+    for k, e in enumerate(a.model.nontrivial):
+        for i in full.perms[e].fixed_points():
+            fixers[i] = fixers.get(i, 0) | 1 << k
+    assert a.fixers == fixers
+    assert check_orbit_count(a) == full.orbit_count()
 
 
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
@@ -318,7 +325,9 @@ def test_identity_induces_identity(assignments):
 def test_vertex_orbit_sizes_divide_group_order(assignments):
     for a in assignments.values():
         order = a.model.group.order
-        for orbit in a.action.orbits():
+        orbits = full_action(a).orbits()
+        assert sum(map(len, orbits)) == 2 * a.n
+        for orbit in orbits:
             assert order % len(orbit) == 0
 
 
@@ -345,14 +354,14 @@ def test_class_derived_fixed_sets_equal_a_full_scan(assignments):
     # reference.
     for pair, a in assignments.items():
         for e in a.model.group:
-            assert a.fixed_vertices[e] == a.action.perms[e].fixed_points(), (pair, e)
+            assert a.fixed_vertices[e] == a.induced_perm(e).fixed_points(), (pair, e)
 
 
 def test_fixer_table_equals_a_scan_of_every_permutation(assignments):
     for pair, a in assignments.items():
         expected: dict[int, int] = {}
         for k, e in enumerate(a.model.nontrivial):
-            for i in a.action.perms[e].fixed_points():
+            for i in a.induced_perm(e).fixed_points():
                 expected[i] = expected.get(i, 0) | 1 << k
         assert a.fixers == expected, pair
 

@@ -210,6 +210,19 @@ def test_check_aut_rejects_small_parts(capsys):
     assert "input error" in err
 
 
+def test_check_aut_enforces_the_cap(capsys):
+    over = DEFAULT_N_CAP + 1
+    code, out, err = run(capsys, "check-aut", "--n", str(over), "--cycles", "")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"input error: part size {over} exceeds the cap {DEFAULT_N_CAP}" in err
+    code, out, _ = run(
+        capsys, "check-aut", "--n", str(DEFAULT_N_CAP), "--cycles", "(v1 v2)"
+    )
+    assert code == EXIT_DECIDED
+    assert f"automorphism of K_{{{DEFAULT_N_CAP},{DEFAULT_N_CAP}}}" in out
+
+
 # A vertex number longer than the interpreter's integer-string limit
 # (4300 digits by default) still names a vertex beyond the part size.
 HUGE_TOKEN = "v" + "1" * 5000

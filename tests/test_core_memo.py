@@ -9,6 +9,7 @@ import pytest
 from bipartite_tsg.assignments import (
     CORE_MEMO,
     CoreMemo,
+    VertexAssignment,
     build_assignment,
     place,
     recipe_case,
@@ -55,12 +56,35 @@ def test_placements_of_one_class_share_their_core_and_its_checks():
     a, b = build_assignment("A5", 482), build_assignment("A5", 542)
     assert a.case_name == b.case_name == "dodecahedron-2"
     assert a.core_key == b.core_key
-    assert a.action.transversal is b.action.transversal
-    assert len(a.action.points) == 2 * 482 and len(b.action.points) == 2 * 542
+    assert a.transversal is b.transversal
+    g = a.model.group.generators[0]
+    assert a.induced_perm(g).degree == 2 * 482 and b.induced_perm(g).degree == 2 * 542
     first, second = map(check_edge_embedding_hypotheses, (a, b))
     assert first.case_name == second.case_name == "dodecahedron-2"
     assert first.conditions == second.conditions and first.arcs == second.arcs
     assert len(CORE_MEMO) == 1
+
+
+def test_a_warm_decide_composes_no_permutation_of_every_vertex(monkeypatch):
+    # Only condition 4 reads a permutation of all 2n vertices, for an
+    # edge-interchanging class, on its core's first call; a warm call reads
+    # the transversal and the label rule alone.
+    calls = []
+    composed = VertexAssignment.induced_perm
+
+    def counting(self, e):
+        calls.append((self.case_name, e))
+        return composed(self, e)
+
+    monkeypatch.setattr(VertexAssignment, "induced_perm", counting)
+    pairs = (("A4", 1164), ("S4", 1180), ("A5", 1142))
+    for group, n in pairs:
+        assert decide(n, group).realizable
+    assert {case for case, _ in calls} == {"skeleton-0", "skeleton-4"}  # cold
+    calls.clear()
+    for group, n in pairs:
+        assert decide(n, group).realizable
+    assert calls == []
 
 
 def test_an_empty_free_part_is_another_core():

@@ -133,6 +133,16 @@ def test_decide_rejects_non_integer_part_sizes(n, group):
         decide(n, group)
 
 
+@pytest.mark.parametrize(
+    "n, group", [(True, "A4"), (12.0, "A4"), ("12", "S4"), (-12, "A5")]
+)
+def test_theorem_predicate_validates_the_part_size_as_decide_does(n, group):
+    with pytest.raises(ValueError, match="part size must be"):
+        decide(n, group)
+    with pytest.raises(ValueError, match="part size must be"):
+        theorem_predicate(n, group)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=0, max_value=2000),

@@ -466,7 +466,7 @@ def test_interchangers_agree_with_a_walk_over_v(assignments):
     # Reference: an element interchanges the ends of an edge when it sends
     # some v in V to a w in W and w back to v.
     def walks(a, e):
-        perm = a.action.perms[e]
+        perm = a.induced_perm(e)
         return any(perm(v) >= a.n and perm(perm(v)) == v for v in range(a.n))
 
     odd_pairs = found = 0

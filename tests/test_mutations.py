@@ -143,7 +143,7 @@ def _rejection(a):
     """The stage of ``verify_construction`` that rejects ``a``, in its
     order, with the exception's type and message; None if all pass."""
     stages = [
-        ("build", lambda a: a.action),
+        ("build", lambda a: a.transversal),
         ("fixed counts", verify_fixed_counts),
         ("conditions", check_edge_embedding_hypotheses),
         ("witness", check_subgroup_theorem),
