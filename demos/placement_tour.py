@@ -9,6 +9,7 @@ Run:  python3 demos/placement_tour.py
 """
 
 from bipartite_tsg.assignments import (
+    FreeOrbitBlock,
     build_assignment,
     necessity_profile_of,
     summarize_blocks,
@@ -26,7 +27,9 @@ def main() -> None:
     print("vertex blocks:")
     for line in summarize_blocks(assignment):
         print(f"  {line}")
-    free = len(assignment.free_vertex_points())
+    free = assignment.model.group.order * sum(
+        b.count for b in assignment.all_blocks() if isinstance(b, FreeOrbitBlock)
+    )
     print(f"  ({free} of the 124 vertices sit in free orbits)\n")
 
     print("fixed vertices per rotation class (computed vs stated):")

@@ -22,15 +22,13 @@ edge-embedding checks require.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter, OrderedDict
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import add
 from threading import Lock
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
@@ -159,6 +157,24 @@ def _marker_count(model: PolyhedralModel, marker_class: str) -> int:
     return len(getattr(model, _MARKER_COUNT_ATTR[marker_class]))
 
 
+class _Run(NamedTuple):
+    """One block's vertices: ``count`` orbits (one for a core block), the
+    first numbered ``first``.  Label ``j`` of orbit ``first + o`` is vertex
+    ``vertices[j] + o * widths[p]``, where ``p`` is its part (0 for V, 1 for
+    W), ``widths`` counts an orbit's labels per part and ``starts`` holds
+    the first vertex the run fills in each part."""
+
+    prefix: Point
+    first: int
+    count: int
+    vertices: Sequence[int]
+    widths: tuple[int, int]
+    starts: tuple[int, int]
+
+    def label(self, o: int, j: int) -> Point:
+        return self.prefix + ((self.first + o, j) if self.prefix[0] == "free" else (j,))
+
+
 @dataclass(frozen=True)
 class VertexAssignment:
     """A block-structured placement of the vertices of ``K_{n,n}``.
@@ -200,113 +216,94 @@ class VertexAssignment:
                     f"{b} names a swap partner that holds no "
                     f"{b.marker_class} block naming {b.copy_name!r} back"
                 )
-        if len(self.v_points) != self.n or len(self.w_points) != self.n:
+        sizes = [sum(r.count * r.widths[p] for r in self._runs) for p in (0, 1)]
+        if sizes != [self.n, self.n]:
             raise ValueError(
-                f"blocks fill parts of sizes {len(self.v_points)}, "
-                f"{len(self.w_points)}; expected {self.n} each"
+                f"blocks fill parts of sizes {sizes[0]}, {sizes[1]}; "
+                f"expected {self.n} each"
             )
-        if len(set(self.v_points) | set(self.w_points)) != 2 * self.n:
+        keys = [(r.prefix, r.first) for r in self._runs if r.count]
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate point labels across the parts")
 
     # ---------------------------------------------------------- point layout
 
     @cached_property
-    def _layout(self) -> tuple[int, tuple[tuple[Point, tuple[int, ...]], ...]]:
-        """The size of V and the vertices run by run, in block order.
-
-        A run is the two poles, one marker class on one copy, or one free
-        orbit.  Its labels are its prefix plus their position in the run,
-        and each comes with its vertex number: V is numbered from 0 and W
-        after V, each part in block order.  A split orbit's even half lies
-        in V and its odd half in W.
-        """
+    def _runs(self) -> tuple[_Run, ...]:
+        """One run per block, in block order.  Free orbits are numbered per
+        tag across blocks.  V is numbered from 0 and W from ``n``; the
+        constructor checks that V holds ``n`` vertices."""
         model = self.model
         elements = model.group.elements
-        runs: list[tuple[Point, int, str | None]] = []  # prefix, size, part
-        free_base = {"V": 0, "W": 0, "VW": 0}
+        runs = []
+        start = (0, self.n)  # the next vertex of V and of W
+        orbits = {"V": 0, "W": 0, "split": 0}  # free orbits numbered so far
         for block in self.all_blocks():
-            if isinstance(block, CenterPair):
-                runs.append((("center",), 2, block.part))
-            elif isinstance(block, MarkerBlock):
-                count = _marker_count(model, block.marker_class)
-                runs.append(((block.marker_class, block.copy_name), count, block.part))
-            elif isinstance(block, FreeOrbitBlock):
-                tag = "VW" if block.part == "split" else block.part
-                base = free_base[tag]
-                free_base[tag] += block.count
-                part = None if tag == "VW" else tag
-                for k in range(base, base + block.count):
-                    runs.append((("free", tag, k), len(elements), part))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown block {block!r}")
-        # a split orbit's part per element, and its rank within that half
-        split = tuple("V" if model.parity_of(e) == 1 else "W" for e in elements)
-        half = {"V": 0, "W": 0}
-        split_rank = []
-        for part in split:
-            split_rank.append(half[part])
-            half[part] += 1
-        size = {"V": 0, "W": 0}
-        for _, count, part in runs:
-            if part is None:
-                size["V"] += half["V"]
-                size["W"] += half["W"]
+            first, count = 0, 1
+            if isinstance(block, FreeOrbitBlock):
+                prefix = ("free", "VW" if block.part == "split" else block.part)
+                first, count, size = orbits[block.part], block.count, len(elements)
+                orbits[block.part] += count
+            elif isinstance(block, CenterPair):
+                prefix, size = ("center",), 2
             else:
-                size[part] += count
-        v_size = size["V"]
-        next_vertex = {"V": 0, "W": v_size}
-        out = []
-        for prefix, count, part in runs:
-            if part is None:
-                starts = map(next_vertex.__getitem__, split)
-                vertices = tuple(map(add, split_rank, starts))
-                for p in half:
-                    next_vertex[p] += half[p]
+                prefix = (block.marker_class, block.copy_name)
+                size = _marker_count(model, block.marker_class)
+            end = list(start)
+            if block.part == "split":  # even elements in V, odd ones in W
+                vertices = []
+                for e in elements:
+                    p = int(model.parity_of(e) == -1)
+                    vertices.append(end[p])
+                    end[p] += 1
             else:
-                start = next_vertex[part]
-                vertices = tuple(range(start, start + count))
-                next_vertex[part] += count
-            out.append((prefix, vertices))
-        return v_size, tuple(out)
+                p = "VW".index(block.part)
+                end[p] += size
+                vertices = range(start[p], end[p])
+            widths = (end[0] - start[0], end[1] - start[1])
+            runs.append(_Run(prefix, first, count, vertices, widths, start))
+            start = (start[0] + count * widths[0], start[1] + count * widths[1])
+        return tuple(runs)
+
+    @cached_property
+    def _by_prefix(self) -> dict[Point, list[_Run]]:
+        """The runs of each label prefix (a free tag may span blocks)."""
+        out: dict[Point, list[_Run]] = {}
+        for run in self._runs:
+            out.setdefault(run.prefix, []).append(run)
+        return out
 
     def all_blocks(self) -> tuple[Block, ...]:
         return tuple(b for group in self.blocks for b in group)
 
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        """All vertex points; graph vertex ``i`` sits at ``points[i]``."""
-        _, runs = self._layout
-        positions = tuple((j,) for j in range(max((len(v) for _, v in runs), default=0)))
-        label_of: dict[int, Point] = {}
-        for prefix, vertices in runs:
-            label_of.update(zip(vertices, map(prefix.__add__, positions)))
-        return compose_images(label_of, range(len(label_of)))
-
-    @cached_property
-    def v_points(self) -> tuple[Point, ...]:
-        return self.points[: self._layout[0]]
-
-    @cached_property
-    def w_points(self) -> tuple[Point, ...]:
-        return self.points[self._layout[0] :]
-
-    @cached_property
-    def _run_vertices(self) -> dict[Point, tuple[int, ...]]:
-        return dict(self._layout[1])
-
     def vertex_of(self, point: Point) -> int | None:
         """The vertex at ``point``, or None if no vertex is there."""
-        vertices = self._run_vertices.get(point[:-1])
-        if vertices is None or not 0 <= point[-1] < len(vertices):
-            return None
-        return vertices[point[-1]]
+        if point[0] == "free":
+            runs, k = self._by_prefix.get(point[:-2], ()), point[-2]
+        else:
+            runs, k = self._by_prefix.get(point[:-1], ()), 0
+        j = point[-1]
+        for run in runs:
+            o = k - run.first
+            if 0 <= o < run.count and 0 <= j < len(run.vertices):
+                vertex = run.vertices[j]
+                return vertex + o * run.widths[vertex >= self.n] if o else vertex
+        return None
+
+    def label_of(self, i: int) -> Point:
+        """The label of vertex ``i``, from the last run of its part that
+        starts at or before it."""
+        if not 0 <= i < 2 * self.n:
+            raise IndexError(f"no vertex {i} in K_{{{self.n},{self.n}}}")
+        p = int(i >= self.n)
+        run = self._runs[bisect_right(self._runs, i, key=lambda r: r.starts[p]) - 1]
+        o, rank = divmod(i - run.starts[p], run.widths[p])
+        return run.label(o, run.vertices.index(run.starts[p] + rank))
 
     def part_of_point(self, point: Point) -> str | None:
         """The part of the vertex at ``point``, or None if no vertex is there."""
         vertex = self.vertex_of(point)
-        if vertex is None:
-            return None
-        return "V" if vertex < self._layout[0] else "W"
+        return None if vertex is None else "VW"[vertex >= self.n]
 
     @cached_property
     def _swap_map(self) -> dict[str, str]:
@@ -384,19 +381,12 @@ class VertexAssignment:
             "transversal",
             lambda: self._checked_transversal(
                 [
-                    prefix + (j,)
-                    for prefix, vertices in self._transversal_runs
-                    for j in range(len(vertices))
+                    run.label(0, j)
+                    for run in self._runs
+                    if run.first == 0 < run.count  # a core run or orbit 0
+                    for j in range(len(run.vertices))
                 ]
             ),
-        )
-
-    @cached_property
-    def _transversal_runs(self) -> tuple[tuple[Point, tuple[int, ...]], ...]:
-        """The runs on the transversal, in block order: every core run and
-        the first free orbit of each free part."""
-        return tuple(
-            run for run in self._layout[1] if run[0][0] != "free" or run[0][2] == 0
         )
 
     def _checked_transversal(self, labels: list[Point]) -> GroupAction:
@@ -441,16 +431,21 @@ class VertexAssignment:
             raise AssertionError("a nontrivial element fixes a free point")
         return checked
 
-    def image(self, e: Perm, i: int) -> int:
-        """The vertex ``e`` sends vertex ``i`` to."""
-        return self.vertex_of(self.slot_images(e, (self.points[i],))[0])
-
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
-        label by label from :meth:`slot_images`.  Once the transversal is
+        label by label from :meth:`slot_images`.  The ``2n`` labels are
+        built from the runs for this call only.  Once the transversal is
         checked it is a permutation by construction."""
         self.transversal  # check the core first
-        moved = self.slot_images(e, self.points)
+        labels = [
+            run.label(o, j)
+            for p in (0, 1)
+            for run in self._runs
+            for o in range(run.count)
+            for j, vertex in enumerate(run.vertices)
+            if (vertex >= self.n) == p
+        ]
+        moved = self.slot_images(e, labels)
         return Perm._from_checked(tuple(map(self.vertex_of, moved)))
 
     def induced_aut(self, e: Perm) -> BipartiteAut:
@@ -464,7 +459,7 @@ class VertexAssignment:
         return aut
 
     @cached_property
-    def fixed_vertices(self) -> dict[Perm, tuple[int, ...]]:
+    def fixed_vertices(self) -> dict[Perm, Sequence[int]]:
         """The vertices each element fixes, ascending.
 
         Only the transversal is scanned, once per conjugacy class, for its
@@ -475,14 +470,14 @@ class VertexAssignment:
         placement sharing it; the identity fixes every vertex.
         """
         perms = self.transversal.perms
-        vertex = tuple(chain.from_iterable(v for _, v in self._transversal_runs))
+        vertex = [v for run in self._runs if run.first == 0 < run.count for v in run.vertices]
         group = self.model.group
         elements = group.elements
         scanned: dict[int, tuple[int, ...]] = {}
         out = {}
         for e, (g, r) in zip(elements, group.conjugators):
             if r == 0:  # index 0 is the identity
-                out[e] = tuple(range(len(self.points)))
+                out[e] = range(2 * self.n)
                 continue
             if r not in scanned:
                 scanned[r] = perms[elements[r]].fixed_points()
@@ -531,9 +526,6 @@ class VertexAssignment:
             by_label[label] = (order, size + len(cls), computed)
         return by_label
 
-    def free_vertex_points(self) -> tuple[Point, ...]:
-        return tuple(p for p in self.points if p[0] == "free")
-
     # ------------------------------------------------------------ axis slots
 
     @cached_property
@@ -549,6 +541,8 @@ class VertexAssignment:
         """
         ranked = [name for name, _ in sorted(self.copies, key=lambda it: it[1])]
         unswapped = [name for name in ranked if name not in self._swap_map]
+        # every slot is a core label, and a core run lies in one part
+        part = {run.prefix: self.part_of_point(run.label(0, 0)) for run in self._runs}
         out = []
         for axis in self.model.axes:
             if len(unswapped) > 1 and ("center", 0) not in axis.slots:
@@ -563,7 +557,7 @@ class VertexAssignment:
                     names = ranked if label[1] == 0 else ranked[::-1]
                 else:
                     slots.extend((label[0], name, label[1]) for name in names)
-            parts = tuple(map(self.part_of_point, slots))
+            parts = tuple(part.get(label[:-1]) for label in slots)
             out.append(Axis(axis.elements, tuple(slots), parts))
         return tuple(out)
 
@@ -739,9 +733,10 @@ def check_orbit_count(assignment: VertexAssignment) -> int:
         size * (v + w) for _, size, (v, w) in assignment.class_counts.values()
     )
     average = Fraction(2 * assignment.n + fixed, assignment.model.group.order)
-    free = Counter(run[1] for run in assignment._run_vertices if run[0] == "free")
     direct = sum(
-        free[orbit[0][1]] if orbit[0][0] == "free" else 1
+        sum(r.count for r in assignment._by_prefix[orbit[0][:2]])
+        if orbit[0][0] == "free"
+        else 1
         for orbit in assignment.transversal.orbits()
     )
     if average != direct:

@@ -280,8 +280,8 @@ def _check_common_fixed_circles(
                 elements = [e for k, e in enumerate(nontrivial) if common >> k & 1]
                 witness = {
                     "pair": [
-                        point_str(assignment.points[v]),
-                        point_str(assignment.points[w]),
+                        point_str(assignment.label_of(v)),
+                        point_str(assignment.label_of(w)),
                     ],
                     "elements": [repr(e) for e in elements],
                 }
@@ -646,10 +646,15 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
 
     ``y`` qualifies when the orbit of the edge ``{x, y}`` contains no other
     edge incident to ``x``: a homeomorphism fixing ``x`` and permuting each
-    edge orbit must then fix that edge, hence ``y``.
+    edge orbit must then fix that edge, hence ``y``.  ``x``'s label is
+    moved once by every element; the action is a homomorphism, so ``e``
+    sends ``y = e(x)`` to the image of ``x`` under ``e * e``.
     """
     n = assignment.n
-    image = assignment.image
+    group = assignment.model.group
+    label = (assignment.label_of(x),)
+    slot_images, vertex_of = assignment.slot_images, assignment.vertex_of
+    image = [vertex_of(slot_images(e, label)[0]) for e in group]
     fixed = assignment.fixed_vertices
     nontrivial = assignment.model.nontrivial
     opposite = range(n, 2 * n) if x < n else range(n)
@@ -657,9 +662,8 @@ def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
     good = set(opposite).intersection(
         *(fixed[e] for k, e in enumerate(nontrivial) if stab >> k & 1)
     )
-    for e in nontrivial:
-        y = image(e, x)
-        if y in good and image(e, y) != x:
+    for a, y in enumerate(image):  # the identity's y is x, never in good
+        if y in good and image[group.product_table[a][a]] != x:
             good.discard(y)
     return good
 

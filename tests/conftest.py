@@ -96,15 +96,19 @@ def apply(a, e, point):
     return (marker_class, copy_name, model.marker_images[i][marker_class][m])
 
 
+def vertex_labels(a):
+    """Every vertex label of placement ``a``, in vertex order."""
+    return tuple(map(a.label_of, range(2 * a.n)))
+
+
 def full_action(a):
     """The action of placement ``a`` checked on all ``2n`` vertices: the
     generators' permutations from ``induced_perm``, every other element's
     composed from them and checked by ``GroupAction.from_images``.  The
     reference for what ``a`` reads from its transversal."""
     group = a.model.group
-    return GroupAction.from_images(
-        group, a.points, {g: a.induced_perm(g).images for g in group.generators}
-    )
+    images = {g: a.induced_perm(g).images for g in group.generators}
+    return GroupAction.from_images(group, vertex_labels(a), images)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Block-structured vertex placements and their induced group actions."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from bipartite_tsg.assignments import (
     COUNTING_LABELS,
     RECIPES,
+    CenterPair,
     FreeOrbitBlock,
+    MarkerBlock,
     NotRealizable,
     VertexAssignment,
     build_assignment,
@@ -25,8 +29,9 @@ from bipartite_tsg.decide import InternalMismatch, decide
 from bipartite_tsg.hypotheses import verify_construction
 from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
+from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply, full_action
+from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply, full_action, vertex_labels
 
 EXPECTED_CASES = {
     ("A4", 6): "tetrahedron-6",
@@ -83,9 +88,11 @@ def test_non_integer_part_size_is_rejected_before_any_recipe():
 
 def test_part_sizes_and_distinct_points(assignments):
     for (_, n), a in assignments.items():
-        assert len(a.v_points) == n
-        assert len(a.w_points) == n
-        assert len(set(a.points)) == 2 * n
+        points = vertex_labels(a)
+        parts = [a.part_of_point(p) for p in points]
+        assert parts.count("V") == n
+        assert parts.count("W") == n
+        assert len(set(points)) == 2 * n
 
 
 # ------------------------------------------------------------- induced action
@@ -104,10 +111,11 @@ def test_block_built_action_matches_the_per_label_map(assignments):
     # ``slot_images``; ``apply`` maps one label at a time from the model's
     # tables and is the reference it must agree with.
     for a in assignments.values():
-        index = {p: i for i, p in enumerate(a.points)}
+        points = vertex_labels(a)
+        index = {p: i for i, p in enumerate(points)}
         for e in a.model.group:
             assert a.induced_perm(e).images == tuple(
-                index[apply(a, e, p)] for p in a.points
+                index[apply(a, e, p)] for p in points
             )
 
 
@@ -227,11 +235,11 @@ def test_translation_pairs_have_several_free_orbits_per_part(translated):
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
 def test_translated_action_matches_the_per_label_map(translated, pair):
     a = translated[pair]
-    index = {p: i for i, p in enumerate(a.points)}
+    points = vertex_labels(a)
+    index = {p: i for i, p in enumerate(points)}
     for e in a.model.group:
-        expected = tuple(index[apply(a, e, p)] for p in a.points)
+        expected = tuple(index[apply(a, e, p)] for p in points)
         assert a.induced_perm(e).images == expected, e
-        assert tuple(a.image(e, i) for i in range(2 * a.n)) == expected
 
 
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
@@ -239,7 +247,7 @@ def test_lifted_fixed_sets_equal_a_full_scan(translated, pair):
     # fixed sets found on the transversal, as vertex numbers of all 2n
     a = translated[pair]
     for e in a.model.group:
-        assert a.fixed_vertices[e] == a.induced_perm(e).fixed_points(), e
+        assert tuple(a.fixed_vertices[e]) == a.induced_perm(e).fixed_points(), e
 
 
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
@@ -252,8 +260,7 @@ def test_translated_action_equals_the_action_checked_on_every_vertex(translated,
     for e in group:
         images = full.perms[e].images
         assert a.induced_perm(e).images == images, e
-        assert tuple(a.image(e, i) for i in range(2 * a.n)) == images, e
-        assert a.fixed_vertices[e] == full.perms[e].fixed_points(), e
+        assert tuple(a.fixed_vertices[e]) == full.perms[e].fixed_points(), e
     for k, e in enumerate(a.model.nontrivial):
         for i in full.perms[e].fixed_points():
             fixers[i] = fixers.get(i, 0) | 1 << k
@@ -354,7 +361,7 @@ def test_class_derived_fixed_sets_equal_a_full_scan(assignments):
     # reference.
     for pair, a in assignments.items():
         for e in a.model.group:
-            assert a.fixed_vertices[e] == a.induced_perm(e).fixed_points(), (pair, e)
+            assert tuple(a.fixed_vertices[e]) == a.induced_perm(e).fixed_points(), (pair, e)
 
 
 def test_fixer_table_equals_a_scan_of_every_permutation(assignments):
@@ -421,6 +428,10 @@ def test_block_summaries_frozen(assignments):
     )
 
 
+def free_count(a):
+    return sum(p[0] == "free" for p in vertex_labels(a))
+
+
 def test_large_instance_reuses_case_blocks_plus_free_orbits(assignments):
     """n = 110 must reuse the n = 50 marker blocks verbatim and absorb the
     extra 60 vertices per part as one free orbit on each side."""
@@ -429,7 +440,7 @@ def test_large_instance_reuses_case_blocks_plus_free_orbits(assignments):
     assert set(small) < set(large)
     extra = set(large) - set(small)
     assert extra == {"1 free orbit -> V", "1 free orbit -> W"}
-    assert len(assignments[("A5", 110)].free_vertex_points()) == 120
+    assert free_count(assignments[("A5", 110)]) == 120
 
 
 def _first_admitted_pair(case):
@@ -456,8 +467,21 @@ def test_one_more_orbit_adds_only_free_points(case):
         return [b for b in a.all_blocks() if not isinstance(b, FreeOrbitBlock)]
 
     assert core(large) == core(small)
-    added = len(large.free_vertex_points()) - len(small.free_vertex_points())
+    added = free_count(large) - free_count(small)
     assert added == 2 * orbit
+
+
+def test_a_warm_build_holds_memory_of_the_core_only():
+    # Vertices are numbered by runs, one per block, so once the core is
+    # checked a placement holds nothing that grows with n.
+    build_assignment("A5", 100052)
+    tracemalloc.start()
+    try:
+        build_assignment("A5", 100052)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("n", [2, 27])
@@ -467,21 +491,47 @@ def test_recipe_rejects_n_its_core_cannot_fill_with_whole_orbits(n):
 
 
 def test_free_point_counts(assignments):
-    assert len(assignments[("A4", 6)].free_vertex_points()) == 0
-    assert len(assignments[("A4", 12)].free_vertex_points()) == 24
-    assert len(assignments[("S4", 32)].free_vertex_points()) == 48
+    assert free_count(assignments[("A4", 6)]) == 0
+    assert free_count(assignments[("A4", 12)]) == 24
+    assert free_count(assignments[("S4", 32)]) == 48
 
 
 # ---------------------------------------------------------------- axis slots
 
 
 def test_part_of_point_agrees_with_the_vertex_numbering(assignments):
-    for pair, a in assignments.items():
-        assert [a.part_of_point(p) for p in a.points] == ["V"] * a.n + ["W"] * a.n, pair
-        for p in a.points[:1] + a.points[-1:]:
+    # Besides the recipes, two hand-built placements whose free tags span
+    # several blocks: whole orbits in V and in W around markers on the
+    # tetrahedron, and split orbits (one block empty) on the skeleton.
+    tetrahedron = VertexAssignment(
+        42, "A4", "hand-built", build_polyhedral_model("tetrahedron"), (("base", 1),),
+        (
+            (CenterPair("V"), FreeOrbitBlock(1, "V"),
+             MarkerBlock("corner", "base", "V"), FreeOrbitBlock(2, "V")),
+            (FreeOrbitBlock(2, "W"), MarkerBlock("edge", "base", "W"),
+             FreeOrbitBlock(1, "W")),
+        ),
+    )
+    skeleton = VertexAssignment(
+        40, "A4", "hand-built", build_polyhedral_model("tetrahedron-skeleton"),
+        RECIPES["skeleton-4"].copies,
+        (
+            RECIPES["skeleton-4"].v_core,
+            RECIPES["skeleton-4"].w_core,
+            (FreeOrbitBlock(1, "split"), FreeOrbitBlock(0, "split"),
+             FreeOrbitBlock(2, "split")),
+        ),
+    )
+    placements = [*assignments.items(), ("tetrahedron", tetrahedron), ("skeleton", skeleton)]
+    for pair, a in placements:
+        points = vertex_labels(a)
+        assert [a.part_of_point(p) for p in points] == ["V"] * a.n + ["W"] * a.n, pair
+        assert [a.vertex_of(p) for p in points] == list(range(2 * a.n)), pair
+        for p in points[:1] + points[-1:]:
             assert a.part_of_point(p[:-1] + (10**6,)) is None
             assert a.part_of_point(p[:-1] + (-1,)) is None
         assert a.part_of_point(("free", "V", 10**6, 0)) is None
+        assert a.part_of_point(("free", "V", 0)) is None
 
 
 def test_axis_slots_structure(assignments):

@@ -27,7 +27,7 @@ from bipartite_tsg.hypotheses import (
 from bipartite_tsg.perms import Perm
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import apply
+from conftest import apply, vertex_labels
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +346,7 @@ def test_slot_images_match_apply(assignments, reports):
             dict.fromkeys(
                 p for arc in report.arcs for p in arc.endpoints + arc.interior
             )
-        ) + a.points
+        ) + vertex_labels(a)
         for e in a.model.nontrivial:
             expected = tuple(apply(a, e, p) for p in labels)
             assert a.slot_images(e, labels) == expected, (pair, e)

@@ -8,6 +8,8 @@ import pytest
 from bipartite_tsg.assignments import (
     CORE_MEMO,
     RECIPES,
+    CenterPair,
+    FreeOrbitBlock,
     MarkerBlock,
     build_assignment,
     verify_fixed_counts,
@@ -112,6 +114,20 @@ def test_a_one_sided_swap_partner_is_rejected():
     a = build_assignment("A4", 16)
     with pytest.raises(ValueError, match="copy_name='outer'.*naming 'outer' back"):
         edit_marker(a, ("corner", "inner"), swap_partner=None)
+
+
+def test_a_block_repeated_in_the_placement_is_rejected():
+    # Part sizes still match, so only the duplicate-label check can refuse:
+    # a corner block moved onto the copy another corner block holds, and a
+    # second pair of poles in place of W's markers.
+    a = build_assignment("A4", 42)
+    assert a.case_name == "cube-18"
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        edit_marker(a, ("corner", "inner"), copy_name="outer")
+    a = build_assignment("A5", 62)
+    assert a.case_name == "dodecahedron-2"
+    with pytest.raises(ValueError, match="duplicate point labels"):
+        replace(a, blocks=(a.blocks[0], (CenterPair("W"), FreeOrbitBlock(1, "W"))))
 
 
 # ------------------------------------- recorded edges a copy move takes away

@@ -8,7 +8,8 @@ For every pair in ``SAMPLE_PAIRS`` this pins the SHA-256 of
 
 Every other test checks report fields; these digests catch any change to
 the report format itself (key order, wording, a field that appears or
-disappears).  A deliberate format change must update them.
+disappears).  A deliberate format change must update them, and
+``DECIDE_1200_SHA256``, which pins every verdict's JSON up to ``n = 1200``.
 """
 
 import hashlib
@@ -44,6 +45,11 @@ GOLDEN = {
 }
 
 
+#: SHA-256 over ``json.dumps(decide(n, g).as_dict(), sort_keys=True)``,
+#: concatenated for g in A4, S4, A5 (outer) and n in 0..1200 (inner).
+DECIDE_1200_SHA256 = "c4e3c20695371d57d8adc64e16ef0c65e39d9d8b835c780b49af49bd8d47a8b2"
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -59,3 +65,12 @@ def test_reports_are_byte_identical(pair):
     json_digest, text_digest = GOLDEN[pair]
     assert _sha256(json.dumps(verdict.as_dict(), indent=2)) == json_digest
     assert _sha256(cli._verdict_text(verdict)) == text_digest
+
+
+def test_every_verdict_up_to_1200_is_byte_identical():
+    digest = hashlib.sha256()
+    for group in ("A4", "S4", "A5"):
+        for n in range(1201):
+            report = json.dumps(decide(n, group).as_dict(), sort_keys=True)
+            digest.update(report.encode("utf-8"))
+    assert digest.hexdigest() == DECIDE_1200_SHA256
