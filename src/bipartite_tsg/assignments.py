@@ -22,7 +22,7 @@ edge-embedding checks require.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,8 +110,9 @@ class CoreMemo:
     A residue class's placements share one core of poles and marker
     blocks and differ only in ``m``, the number of regular free orbits.
     No nontrivial element fixes a free point and no free point lies on an
-    axis, so the checked transversal action and the five routing
-    conditions read only the core: they are computed once per
+    axis, so the checked transversal action, what each element fixes (the
+    class counts and the fixers), the matched counting row and the five
+    routing conditions read only the core: they are computed once per
     :attr:`VertexAssignment.core_key` and kept here.  At most ``size``
     cores are kept; the least recently used one is dropped first.  A stage
     that raises keeps nothing.  The table is locked while it is read or
@@ -173,6 +174,18 @@ class _Run(NamedTuple):
 
     def label(self, o: int, j: int) -> Point:
         return self.prefix + ((self.first + o, j) if self.prefix[0] == "free" else (j,))
+
+
+class _CoreFixed(NamedTuple):
+    """What the nontrivial elements fix of a placement core, found once per
+    core (:meth:`VertexAssignment._fixed_on_core`): each element's fixed
+    counts in V and W by element index (the identity's left empty), the
+    class counts, and the fixers, the bitmask of ``model.nontrivial`` fixing
+    each fixed transversal position."""
+
+    counts: tuple[tuple[int, int], ...]
+    class_counts: dict[str, tuple[int, int, tuple[int, int]]]
+    fixers: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -252,8 +265,8 @@ class VertexAssignment:
             end = list(start)
             if block.part == "split":  # even elements in V, odd ones in W
                 vertices = []
-                for e in elements:
-                    p = int(model.parity_of(e) == -1)
+                for sign in model.parities:
+                    p = int(sign == -1)
                     vertices.append(end[p])
                     end[p] += 1
             else:
@@ -318,13 +331,13 @@ class VertexAssignment:
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
         """Images of several point labels under one element: the one rule
         for how an element moves a label, read by the transversal check, by
-        the vertex maps and by condition 3.  The element's tables and parity
-        are looked up once."""
+        the vertex maps and by condition 3.  The element's index is looked
+        up once, and its tables and parity are read by index."""
         model = self.model
         a = model.group.index(e)
         row = model.group.product_table[a]
         tables = model.marker_images[a]
-        swap = self._swap_map if model.parity_of(e) == -1 else {}
+        swap = self._swap_map if model.parities[a] == -1 else {}
         out = []
         for point in points:
             if point[0] == "free":
@@ -435,7 +448,10 @@ class VertexAssignment:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
         label by label from :meth:`slot_images`.  The ``2n`` labels are
         built from the runs for this call only.  Once the transversal is
-        checked it is a permutation by construction."""
+        checked it is a permutation by construction; the images are still
+        checked in one linear pass, so a numbering fault raises ValueError
+        naming two labels sent to one vertex instead of passing on a map
+        that is no permutation."""
         self.transversal  # check the core first
         labels = [
             run.label(o, j)
@@ -445,8 +461,18 @@ class VertexAssignment:
             for j, vertex in enumerate(run.vertices)
             if (vertex >= self.n) == p
         ]
-        moved = self.slot_images(e, labels)
-        return Perm._from_checked(tuple(map(self.vertex_of, moved)))
+        images = tuple(map(self.vertex_of, self.slot_images(e, labels)))
+        source: list[int | None] = [None] * len(images)
+        for i, vertex in enumerate(images):
+            if vertex is None:
+                raise ValueError(f"{e!r} sends {labels[i]!r} to no vertex")
+            if source[vertex] is not None:
+                raise ValueError(
+                    f"{e!r} sends {labels[source[vertex]]!r} and {labels[i]!r} "
+                    f"to one vertex {vertex}"
+                )
+            source[vertex] = i
+        return Perm._from_checked(images)
 
     def induced_aut(self, e: Perm) -> BipartiteAut:
         aut = validate_automorphism(self.induced_perm(e), self.n)
@@ -459,72 +485,84 @@ class VertexAssignment:
         return aut
 
     @cached_property
-    def fixed_vertices(self) -> dict[Perm, Sequence[int]]:
-        """The vertices each element fixes, ascending.
+    def _transversal_vertices(self) -> list[int]:
+        """The vertex of each label of the transversal, in its order."""
+        return [v for run in self._runs if run.first == 0 < run.count for v in run.vertices]
+
+    @cached_property
+    def _core_fixed(self) -> _CoreFixed:
+        return CORE_MEMO.get(self.core_key, "fixed", self._fixed_on_core)
+
+    def _fixed_on_core(self) -> _CoreFixed:
+        """What each element fixes of the transversal, with the tables read
+        from it: every element's fixed counts, the class counts and the
+        fixers.
 
         Only the transversal is scanned, once per conjugacy class, for its
         least element ``r``.  The action is checked to be a homomorphism, so
         a conjugate ``g r g^-1`` fixes exactly the images ``g(x)`` of the
         points ``x`` that ``r`` fixes.  No nontrivial element fixes a free
         point, so these lie in the core, whose labels are vertices of every
-        placement sharing it; the identity fixes every vertex.
+        placement sharing it, each in the same part and in the same order.
+
+        Every element's counts are read, so conjugates are checked to agree
+        (a part-swapping conjugator moves a fixed set across the parts);
+        classes sharing a label must agree too.
         """
         perms = self.transversal.perms
-        vertex = [v for run in self._runs if run.first == 0 < run.count for v in run.vertices]
-        group = self.model.group
-        elements = group.elements
+        vertex = self._transversal_vertices
+        in_w = [v >= self.n for v in vertex]
+        model = self.model
+        elements = model.group.elements
         scanned: dict[int, tuple[int, ...]] = {}
-        out = {}
-        for e, (g, r) in zip(elements, group.conjugators):
-            if r == 0:  # index 0 is the identity
-                out[e] = range(2 * self.n)
-                continue
+        counts = [(0, 0)]  # index 0 is the identity
+        fixers: dict[int, int] = {}
+        members: dict[int, list[int]] = {}  # class by class, least element first
+        for a, (g, r) in enumerate(model.group.conjugators[1:], start=1):
             if r not in scanned:
                 scanned[r] = perms[elements[r]].fixed_points()
-            fixed = scanned[r]
+            found = scanned[r]
             if g != 0:
-                fixed = compose_images(perms[elements[g]].images, fixed)
-            out[e] = tuple(sorted(compose_images(vertex, fixed)))
-        return out
+                found = compose_images(perms[elements[g]].images, found)
+            w = sum(compose_images(in_w, found))
+            counts.append((len(found) - w, w))
+            members.setdefault(r, []).append(a)
+            bit = 1 << (a - 1)  # model.nontrivial[a - 1]
+            for i in sorted(found, key=vertex.__getitem__):
+                fixers[i] = fixers.get(i, 0) | bit
+        by_label: dict[str, tuple[int, int, tuple[int, int]]] = {}
+        for r, cls in members.items():
+            rep = elements[r]
+            label = class_label(model, rep)
+            found_counts = {counts[a] for a in cls}
+            if len(found_counts) != 1:
+                raise AssertionError(f"conjugate elements disagree in {label}")
+            computed = found_counts.pop()
+            order, size, first = by_label.get(label, (rep.order(), 0, computed))
+            if first != computed:
+                raise AssertionError(f"classes labelled {label} disagree")
+            by_label[label] = (order, size + len(cls), computed)
+        return _CoreFixed(tuple(counts), by_label, fixers)
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
-        fixed = self.fixed_vertices[e]
-        in_v = bisect_left(fixed, self.n)
-        return (in_v, len(fixed) - in_v)
+        a = self.model.group.index(e)
+        return self._core_fixed.counts[a] if a else (self.n, self.n)
 
     @cached_property
     def fixers(self) -> dict[int, int]:
         """Map each vertex fixed by a nontrivial element to the bitmask of
-        the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``."""
-        out: dict[int, int] = {}
-        for k, e in enumerate(self.model.nontrivial):
-            bit = 1 << k
-            for i in self.fixed_vertices[e]:
-                out[i] = out.get(i, 0) | bit
-        return out
+        the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
+        Read from the core's table, one entry per fixed core label."""
+        vertex = self._transversal_vertices
+        return {vertex[i]: mask for i, mask in self._core_fixed.fixers.items()}
 
     @cached_property
     def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
         """Per nontrivial class label: the element order, the number of
-        elements and their fixed counts in V and W.
-
-        Every element's counts are read, so conjugates, whose fixed sets are
-        derived from their class's least element, are checked to agree;
-        classes sharing a label must agree too."""
-        model = self.model
-        by_label: dict[str, tuple[int, int, tuple[int, int]]] = {}
-        for cls in model.group.conjugacy_classes()[1:]:  # [0] is {identity}
-            label = class_label(model, cls[0])
-            counts = {self.fixed_counts(e) for e in cls}
-            if len(counts) != 1:
-                raise AssertionError(f"conjugate elements disagree in {label}")
-            computed = counts.pop()
-            order, size, first = by_label.get(label, (cls[0].order(), 0, computed))
-            if first != computed:
-                raise AssertionError(f"classes labelled {label} disagree")
-            by_label[label] = (order, size + len(cls), computed)
-        return by_label
+        elements and their fixed counts in V and W.  The core's table, shared
+        by every placement of the core: read it, do not change it."""
+        return self._core_fixed.class_counts
 
     # ------------------------------------------------------------ axis slots
 
@@ -645,12 +683,34 @@ def necessity_profile_of(
     """The unique counting-table row this placement instantiates.
 
     Raises if no row matches or the row's residue differs from ``n``'s.
+    The row is matched against the class counts, which depend only on the
+    core, so it is matched once per core and counting table and kept in
+    :data:`CORE_MEMO`; only the residue is compared with ``n`` per call.
     """
     table_group = counting_table(assignment.target_group)
+    profile, residue = CORE_MEMO.get(
+        assignment.core_key,
+        f"counting row {table_group}",
+        lambda: _matching_row(assignment.class_counts, table_group),
+    )
+    modulus = TABLE_MODULUS[table_group]
+    if residue != assignment.n % modulus:
+        raise AssertionError(
+            f"matched row has residue {residue}, but n = {assignment.n} "
+            f"is {assignment.n % modulus} (mod {modulus})"
+        )
+    return profile, residue
+
+
+def _matching_row(
+    class_counts: dict[str, tuple[int, int, tuple[int, int]]], table_group: str
+) -> tuple[FixedProfile, int]:
+    """The one row of ``table_group``'s counting table whose fixed counts the
+    counting classes of ``class_counts`` fit."""
     slots = PROFILE_SLOTS[table_group]
     observed = {
         str(order): counts
-        for label, (order, _, counts) in assignment.class_counts.items()
+        for label, (order, _, counts) in class_counts.items()
         if label in COUNTING_LABELS
     }
     matches = [
@@ -666,14 +726,7 @@ def necessity_profile_of(
         raise AssertionError(
             f"placement matches {len(matches)} counting rows, expected 1"
         )
-    profile, residue = matches[0]
-    modulus = TABLE_MODULUS[table_group]
-    if residue != assignment.n % modulus:
-        raise AssertionError(
-            f"matched row has residue {residue}, but n = {assignment.n} "
-            f"is {assignment.n % modulus} (mod {modulus})"
-        )
-    return profile, residue
+    return matches[0]
 
 
 def summarize_blocks(assignment: VertexAssignment) -> tuple[str, ...]:

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Iterable
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 from .assignments import (
     CORE_MEMO,
@@ -64,6 +65,7 @@ __all__ = [
     "HypothesisViolation",
     "NoSuchEdge",
     "NoWitnessFound",
+    "PartSubset",
     "SubgroupWitness",
     "check_edge_embedding_hypotheses",
     "check_subgroup_theorem",
@@ -139,23 +141,54 @@ class ConditionResult:
 
 
 @dataclass(frozen=True)
+class PartSubset:
+    """A set of vertices of one part, ``range(start, stop)``: ``members``
+    when not ``whole``, else every vertex of the part except ``members``."""
+
+    start: int
+    stop: int
+    whole: bool
+    members: frozenset[int]
+
+    def __len__(self) -> int:
+        if self.whole:
+            return self.stop - self.start - len(self.members)
+        return len(self.members)
+
+    def __iter__(self) -> Iterator[int]:
+        """The vertices in ascending order."""
+        if self.whole:
+            return _ascending_except(self.start, self.stop, self.members)
+        return iter(sorted(self.members))
+
+
+def _ascending_except(start: int, stop: int, skip: frozenset[int]) -> Iterator[int]:
+    return (y for y in range(start, stop) if y not in skip)
+
+
+@dataclass(frozen=True)
 class ForcedFix:
     """Least vertex set that a symmetry fixing one edge must fix.
 
     Start from the endpoints of ``edge``; whenever an orbit of edges contains
     exactly one edge incident to an already-forced vertex, the other endpoint
     of that edge is forced as well.  ``shape`` records the complete bipartite
-    shape of the forced set.
+    shape of the forced set, and ``parts`` the set itself, in V and in W.
+    ``vertices`` lists it as one set, built only when it is read.
     """
 
     edge: tuple[int, int]
-    vertices: frozenset[int]
+    parts: tuple[PartSubset, PartSubset]
     shape: FixedSubgraphShape
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(chain(*self.parts))
 
     def as_dict(self) -> dict:
         return {
             "edge": list(self.edge),
-            "vertices": sorted(self.vertices),
+            "vertices": [*chain(*self.parts)],
             "shape": [self.shape.a, self.shape.b],
         }
 
@@ -527,7 +560,6 @@ def _check_swap_fixed_shapes(
     order."""
     model = assignment.model
     group = model.group
-    n = assignment.n
     table = group.product_table
     verdicts: dict[int, tuple[bool, bool]] = {}  # per class: interchanges, fits
     interchangers = []
@@ -536,8 +568,7 @@ def _check_swap_fixed_shapes(
             continue
         r = group.conjugators[group.index(e)][1]
         if r not in verdicts:
-            fixed = assignment.fixed_vertices[group.elements[table[r][r]]]
-            interchanges = bool(fixed) and fixed[0] < n
+            interchanges = assignment.fixed_counts(group.elements[table[r][r]])[0] > 0
             fits = not interchanges or embeds_in_proper_subset_of_circle(
                 fixed_shape([assignment.induced_aut(group.elements[r])])
             )
@@ -641,39 +672,48 @@ def _check_conditions(assignment: VertexAssignment) -> HypothesisReport:
 # forced fixed sets and the exactness witnesses
 
 
-def _forced_neighbors(assignment: VertexAssignment, x: int) -> set[int]:
-    """Opposite-part vertices forced to be fixed once ``x`` is fixed.
+def _forced_neighbors(
+    assignment: VertexAssignment, odd: list[int], x: int
+) -> tuple[bool, set[int]]:
+    """Opposite-part vertices forced to be fixed once ``x`` is fixed, as a
+    pair ``(whole, members)``: every vertex of the opposite part except
+    ``members`` when ``whole``, else ``members``.
 
     ``y`` qualifies when the orbit of the edge ``{x, y}`` contains no other
-    edge incident to ``x``: a homeomorphism fixing ``x`` and permuting each
-    edge orbit must then fix that edge, hence ``y``.  ``x``'s label is
-    moved once by every element; the action is a homomorphism, so ``e``
-    sends ``y = e(x)`` to the image of ``x`` under ``e * e``.
+    edge incident to ``x``.  Another such edge is either ``{x, s(y)}`` for an
+    ``s`` fixing ``x`` but not ``y``, or, when ``y = h(x)``, the image
+    ``{h^-1(x), x}`` of ``{x, y}`` under ``h^-1``, which is another edge
+    exactly when ``h(h(x)) != x``.  So ``y`` must be fixed by every
+    nontrivial element fixing ``x``: the whole opposite part when none does
+    (no free vertex is fixed), else the fixed core vertices whose fixer mask
+    holds ``x``'s.  And ``y`` must not be such an ``h(x)``.  Only a
+    part-swapping ``h`` moves ``x`` across the parts; ``odd`` lists their
+    element indices, none on a part-preserving model, so only ``x``'s images
+    under those are computed.  ``h(h(x)) == x`` exactly when ``h * h`` is the
+    identity or fixes ``x``, which ``x``'s fixer mask tells.
     """
     n = assignment.n
-    group = assignment.model.group
-    label = (assignment.label_of(x),)
-    slot_images, vertex_of = assignment.slot_images, assignment.vertex_of
-    image = [vertex_of(slot_images(e, label)[0]) for e in group]
-    fixed = assignment.fixed_vertices
-    nontrivial = assignment.model.nontrivial
-    opposite = range(n, 2 * n) if x < n else range(n)
-    stab = assignment.fixers.get(x, 0)
-    good = set(opposite).intersection(
-        *(fixed[e] for k, e in enumerate(nontrivial) if stab >> k & 1)
-    )
-    for a, y in enumerate(image):  # the identity's y is x, never in good
-        if y in good and image[group.product_table[a][a]] != x:
-            good.discard(y)
-    return good
-
-
-def _shape_of(assignment: VertexAssignment, vertices: set[int]) -> FixedSubgraphShape:
-    n = assignment.n
-    return FixedSubgraphShape(
-        sum(1 for v in vertices if v < n),
-        sum(1 for v in vertices if v >= n),
-    )
+    opposite_w = x < n
+    fixers = assignment.fixers
+    stab = fixers.get(x, 0)
+    excluded = set()
+    if odd:
+        model = assignment.model
+        elements, table = model.group.elements, model.group.product_table
+        label = (assignment.label_of(x),)
+        for a in odd:
+            square = table[a][a]  # index 0 is the identity, bit k is index k + 1
+            if square and not stab >> (square - 1) & 1:
+                y = assignment.vertex_of(assignment.slot_images(elements[a], label)[0])
+                if (y >= n) == opposite_w:
+                    excluded.add(y)
+    if not stab:
+        return True, excluded
+    return False, {
+        y
+        for y, mask in fixers.items()
+        if mask & stab == stab and (y >= n) == opposite_w and y not in excluded
+    }
 
 
 def _check_edge(assignment: VertexAssignment, edge: tuple[int, int]) -> None:
@@ -697,24 +737,65 @@ def forced_fix_closure(
     ``x``, the edge's other endpoint is forced too.  With
     ``stop_if_unembeddable`` the closure stops early once the forced shape
     already fails to embed in a circle (enough for the exactness argument).
+
+    The forced set is kept per part as a :class:`PartSubset`, so a free
+    vertex, which forces all of the opposite part but a few vertices, costs
+    no walk over the part.  Newly forced vertices wait in a first-in
+    first-out queue, in ascending order; those of a part that was forced
+    whole wait as one lazy ascending range.  A waiting vertex can force only
+    vertices of the other part, so once that part is wholly forced the
+    rest of its range forces nothing and is dropped unread: the result,
+    where the closure stops included, is that of taking every vertex in
+    turn.
     """
     _check_edge(assignment, edge)
     v, w = edge
-    vertices = {v, w}
-    queue = deque((v, w))
+    n = assignment.n
+    odd = [a for a, sign in enumerate(assignment.model.parities) if sign == -1]
+    whole = [False, False]  # per part: members are excluded, not included
+    members: list[set[int]] = [{v}, {w}] if v < n else [{w}, {v}]
+
+    def count(p: int) -> int:
+        return n - len(members[p]) if whole[p] else len(members[p])
+
+    queue: deque = deque((v, w))  # vertices, and (part, lazy range) pairs
     while queue:
         if stop_if_unembeddable and not embeds_in_circle(
-            _shape_of(assignment, vertices)
+            FixedSubgraphShape(count(0), count(1))
         ):
             break
-        x = queue.popleft()
-        new = _forced_neighbors(assignment, x) - vertices
-        vertices |= new
+        head = queue[0]
+        if isinstance(head, int):
+            x = queue.popleft()
+        else:
+            part, pending = head
+            x = next(pending, None) if count(1 - part) < n else None
+            if x is None:
+                queue.popleft()
+                continue
+        q = int(x < n)  # the part x's forced neighbors lie in
+        good_whole, good = _forced_neighbors(assignment, odd, x)
+        if good_whole and not whole[q]:  # new: all but good's exceptions, members
+            skip = frozenset(good | members[q])
+            queue.append((q, _ascending_except(q * n, q * n + n, skip)))
+            members[q] = good - members[q]
+            whole[q] = True
+            continue
+        if good_whole:  # both whole: new is what only the forced set excluded
+            new = members[q] - good
+            members[q] &= good
+        elif whole[q]:
+            new = good & members[q]
+            members[q] -= new
+        else:
+            new = good - members[q]
+            members[q] |= new
         queue.extend(sorted(new))
+    parts = tuple(
+        PartSubset(p * n, p * n + n, whole[p], frozenset(members[p])) for p in (0, 1)
+    )
     return ForcedFix(
-        edge=(v, w),
-        vertices=frozenset(vertices),
-        shape=_shape_of(assignment, vertices),
+        edge=(v, w), parts=parts, shape=FixedSubgraphShape(count(0), count(1))
     )
 
 
@@ -758,10 +839,13 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     forced = forced_fix_closure(assignment, edge, stop_if_unembeddable=True)
     if not embeds_in_circle(forced.shape):
         return SubgroupWitness(edge, forced, 1)
-    for psi in assignment.model.nontrivial:
-        fix_psi = assignment.fixed_vertices[psi]
-        meet = _shape_of(assignment, forced.vertices.intersection(fix_psi))
-        if meet.a and meet.b and not forced.vertices.issubset(fix_psi):
+    # the shape embeds, so at most two vertices of each part are forced; a
+    # vertex lies in psi's fixed set when psi's bit is in its fixer mask
+    n, fixers = assignment.n, assignment.fixers
+    forced_masks = [(x >= n, fixers.get(x, 0)) for x in forced.vertices]
+    for k, psi in enumerate(assignment.model.nontrivial):
+        meet = [in_w for in_w, mask in forced_masks if mask >> k & 1]
+        if any(meet) and not all(meet) and len(meet) < len(forced_masks):
             return SubgroupWitness(edge, forced, 2, psi)
     raise NoWitnessFound(
         f"the recorded witness edge {edge} certifies no exactness for the "

@@ -246,6 +246,12 @@ class PolyhedralModel:
         return self._parity_map[g]
 
     @cached_property
+    def parities(self) -> tuple[int, ...]:
+        """The parity of each element, in ``group.elements`` order, so that
+        a caller holding an element's index reads it without a lookup."""
+        return tuple(map(self._parity_map.__getitem__, self.group.elements))
+
+    @cached_property
     def nontrivial(self) -> tuple[Perm, ...]:
         """The group elements other than the identity, in group order."""
         return tuple(e for e in self.group.elements if not e.is_identity())

@@ -96,6 +96,15 @@ def apply(a, e, point):
     return (marker_class, copy_name, model.marker_images[i][marker_class][m])
 
 
+def fixed_vertices(a, e):
+    """The vertices ``e`` fixes in placement ``a``, ascending, as its fixer
+    table gives them; the identity fixes every vertex."""
+    if e.is_identity():
+        return tuple(range(2 * a.n))
+    k = a.model.nontrivial.index(e)
+    return tuple(sorted(x for x, mask in a.fixers.items() if mask >> k & 1))
+
+
 def vertex_labels(a):
     """Every vertex label of placement ``a``, in vertex order."""
     return tuple(map(a.label_of, range(2 * a.n)))

@@ -31,7 +31,14 @@ from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import MODEL_KINDS, SAMPLE_PAIRS, apply, full_action, vertex_labels
+from conftest import (
+    MODEL_KINDS,
+    SAMPLE_PAIRS,
+    apply,
+    fixed_vertices,
+    full_action,
+    vertex_labels,
+)
 
 EXPECTED_CASES = {
     ("A4", 6): "tetrahedron-6",
@@ -247,7 +254,7 @@ def test_lifted_fixed_sets_equal_a_full_scan(translated, pair):
     # fixed sets found on the transversal, as vertex numbers of all 2n
     a = translated[pair]
     for e in a.model.group:
-        assert tuple(a.fixed_vertices[e]) == a.induced_perm(e).fixed_points(), e
+        assert fixed_vertices(a, e) == a.induced_perm(e).fixed_points(), e
 
 
 @pytest.mark.parametrize("pair", TRANSLATION_PAIRS)
@@ -260,7 +267,7 @@ def test_translated_action_equals_the_action_checked_on_every_vertex(translated,
     for e in group:
         images = full.perms[e].images
         assert a.induced_perm(e).images == images, e
-        assert tuple(a.fixed_vertices[e]) == full.perms[e].fixed_points(), e
+        assert fixed_vertices(a, e) == full.perms[e].fixed_points(), e
     for k, e in enumerate(a.model.nontrivial):
         for i in full.perms[e].fixed_points():
             fixers[i] = fixers.get(i, 0) | 1 << k
@@ -356,12 +363,15 @@ def test_fixed_count_invariants_frozen(assignments):
 
 
 def test_class_derived_fixed_sets_equal_a_full_scan(assignments):
-    # ``fixed_vertices`` scans one element per conjugacy class and moves its
-    # fixed set to the conjugates; the full scan of each element is the
-    # reference.
+    # The fixer table and the fixed counts scan one element per conjugacy
+    # class and move its fixed set to the conjugates; the full scan of each
+    # element is the reference.
     for pair, a in assignments.items():
         for e in a.model.group:
-            assert tuple(a.fixed_vertices[e]) == a.induced_perm(e).fixed_points(), (pair, e)
+            scanned = a.induced_perm(e).fixed_points()
+            assert fixed_vertices(a, e) == scanned, (pair, e)
+            in_v = sum(1 for x in scanned if x < a.n)
+            assert a.fixed_counts(e) == (in_v, len(scanned) - in_v), (pair, e)
 
 
 def test_fixer_table_equals_a_scan_of_every_permutation(assignments):
@@ -481,6 +491,21 @@ def test_a_warm_build_holds_memory_of_the_core_only():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("group, n", [("A5", 100052), ("A4", 100008), ("S4", 100010)])
+def test_a_warm_decide_holds_memory_of_the_core_only(group, n):
+    # The per-core tables are read, and the witness closure keeps a wholly
+    # forced part as "every vertex but a few"; only ``as_dict`` lists it.
+    decide(n, group)
+    tracemalloc.start()
+    try:
+        verdict = decide(n, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.realizable
     assert peak < 2**20, peak
 
 

@@ -1,5 +1,6 @@
-"""The per-core memo: the transversal action and conditions 1-5 are checked
-once per placement core, and reusing them changes no report."""
+"""The per-core memo: the transversal action, the fixed-count tables, the
+counting row and conditions 1-5 are checked once per placement core, and
+reusing them changes no report."""
 
 import sys
 from threading import Thread
@@ -11,11 +12,20 @@ from bipartite_tsg.assignments import (
     CoreMemo,
     VertexAssignment,
     build_assignment,
+    class_label,
     place,
     recipe_case,
+    verify_fixed_counts,
 )
-from bipartite_tsg.decide import GROUPS, decide, sweep, theorem_predicate
+from bipartite_tsg.decide import (
+    GROUPS,
+    InternalMismatch,
+    decide,
+    sweep,
+    theorem_predicate,
+)
 from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses
+from bipartite_tsg.perms import Perm
 
 # Distinct cores of the admitted placements up to n = 1200 over the three
 # groups: one per record, and one more wherever the smallest n leaves a
@@ -85,6 +95,44 @@ def test_a_warm_decide_composes_no_permutation_of_every_vertex(monkeypatch):
     for group, n in pairs:
         assert decide(n, group).realizable
     assert calls == []
+
+
+def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
+    monkeypatch,
+):
+    # The least third-turn of skeleton-4 is made to fix an inner corner it
+    # moves.  Its conjugates by a part-swapping element then fix an outer
+    # corner instead, so the class's counts disagree in V and W.  The table
+    # that fails is not kept, so every placement of the core fails again.
+    a = build_assignment("S4", 16)
+    model, transversal = a.model, a.transversal
+    third_turn = next(
+        cls[0]
+        for cls in model.group.conjugacy_classes()
+        if class_label(model, cls[0]) == "rotation-3"
+    )
+    rep = transversal.perms[third_turn]
+    extra = transversal.points.index(("corner", "inner", 1))
+    assert rep(extra) != extra
+    honest = Perm.fixed_points
+
+    def doctored(self):
+        fixed = honest(self)
+        return tuple(sorted(fixed + (extra,))) if self is rep else fixed
+
+    monkeypatch.setattr(Perm, "fixed_points", doctored)
+    message = "conjugate elements disagree in rotation-3"
+    for n in (16, 28, 16):
+        with pytest.raises(AssertionError, match=message):
+            verify_fixed_counts(build_assignment("S4", n))
+        with pytest.raises(InternalMismatch, match=message):
+            decide(n, "S4")
+    kept = [
+        stage
+        for stage in ("fixed", "counting row A4")
+        if CORE_MEMO.get(a.core_key, stage, lambda: None) is not None
+    ]
+    assert kept == []
 
 
 def test_an_empty_free_part_is_another_core():

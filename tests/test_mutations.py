@@ -11,9 +11,11 @@ from bipartite_tsg.assignments import (
     CenterPair,
     FreeOrbitBlock,
     MarkerBlock,
+    VertexAssignment,
     build_assignment,
     verify_fixed_counts,
 )
+from bipartite_tsg.decide import InternalMismatch, decide
 from bipartite_tsg.hypotheses import (
     check_edge_embedding_hypotheses,
     check_subgroup_theorem,
@@ -227,3 +229,38 @@ def test_a_warm_memo_rejects_a_mutant_as_a_cold_one_does(
     CORE_MEMO.clear()
     verify_construction(build_assignment(*pair))  # the real placement's core
     assert _rejection(mutate(build_assignment(*pair))) == cold
+
+
+# ------------------------------------------ a numbering fault fails, and fast
+
+
+def vertex_of_ignoring_the_orbit(self, point):
+    """``VertexAssignment.vertex_of`` with the orbit offset dropped: every
+    free orbit of a run is numbered as its first, so the vertex map sends
+    two labels to one vertex and is no permutation."""
+    if point[0] == "free":
+        runs, k = self._by_prefix.get(point[:-2], ()), point[-2]
+    else:
+        runs, k = self._by_prefix.get(point[:-1], ()), 0
+    j = point[-1]
+    for run in runs:
+        if 0 <= k - run.first < run.count and 0 <= j < len(run.vertices):
+            return run.vertices[j]
+    return None
+
+
+@pytest.mark.parametrize("pair", [("A5", 182), ("S4", 56), ("A4", 24)])
+def test_a_vertex_map_that_drops_the_orbit_offset_names_two_labels(pair, monkeypatch):
+    monkeypatch.setattr(VertexAssignment, "vertex_of", vertex_of_ignoring_the_orbit)
+    a = build_assignment(*pair)
+    message = r"sends \('free', .*\) and \('free', .*\) to one vertex \d+"
+    for g in a.model.group.generators:
+        with pytest.raises(ValueError, match=message):
+            a.induced_perm(g)
+
+
+def test_a_cold_skeleton_decide_reports_the_numbering_fault(monkeypatch):
+    # condition 4 reads the permutation of every vertex on a core's first call
+    monkeypatch.setattr(VertexAssignment, "vertex_of", vertex_of_ignoring_the_orbit)
+    with pytest.raises(InternalMismatch, match="to one vertex"):
+        decide(24, "A4")

@@ -91,6 +91,13 @@ def test_parity_split(models):
         assert len(even_elements(m)) == m.group.order - odd
 
 
+def test_the_parity_tuple_agrees_with_parity_of(models):
+    for kind, m in models.items():
+        assert len(m.parities) == m.group.order, kind
+        for i, e in enumerate(m.group.elements):
+            assert m.parities[i] == m.parity_of(e), (kind, e)
+
+
 def even_elements(model):
     return [g for g in model.group if model.parity_of(g) == 1]
 
