@@ -23,12 +23,10 @@ edge-embedding checks require.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from threading import Lock
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 from .bipartite import BipartiteAut, validate_automorphism
 from .necessity import (
@@ -103,52 +101,52 @@ class FreeOrbitBlock:
 Block = CenterPair | MarkerBlock | FreeOrbitBlock
 
 
-class CoreMemo:
-    """What was checked on a placement core, by stage, for a bounded number
-    of cores.
+#: The number of cores whose checks are kept at once.  The admitted
+#: placements of every ``n`` have 31 distinct cores.
+CORE_CACHE_SIZE = 64
+
+
+@dataclass(eq=False)
+class CoreChecks:
+    """What was checked on one placement core, shared by every placement
+    with its :attr:`VertexAssignment.core_key`.
 
     A residue class's placements share one core of poles and marker
     blocks and differ only in ``m``, the number of regular free orbits.
     No nontrivial element fixes a free point and no free point lies on an
-    axis, so the checked transversal action, what each element fixes (the
-    class counts and the fixers), the matched counting row and the five
-    routing conditions read only the core: they are computed once per
-    :attr:`VertexAssignment.core_key` and kept here.  At most ``size``
-    cores are kept; the least recently used one is dropped first.  A stage
-    that raises keeps nothing.  The table is locked while it is read or
-    changed, not while a value is computed.
+    axis, so these checks read only the core:
+
+    * ``transversal``: the checked action on the transversal;
+    * ``counts``, ``class_counts`` and ``fixers``: each element's fixed
+      counts in V and W by element index (the identity's left empty), the
+      class counts, and the fixers, the bitmask of ``model.nontrivial``
+      fixing each fixed transversal position;
+    * ``rows``: the matched counting row and its residue, by counting table;
+    * ``conditions`` and ``arcs``: the results of conditions 1-5
+      (``hypotheses.ConditionResult``) and the chosen arcs, in labels.
+
+    The first placement that reads a field fills it.  A check that raises
+    leaves its field empty, so every later placement of the core makes it
+    again.  Fields filled together are assigned with ``counts`` and
+    ``conditions`` last, and those two are what a reader tests.
     """
 
-    def __init__(self, size: int):
-        self.size = size
-        self._entries: OrderedDict[tuple, dict[str, object]] = OrderedDict()
-        self._lock = Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def get(self, key: tuple, stage: str, compute: Callable[[], object]) -> object:
-        """The value of ``stage`` for the core ``key``, computed on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and stage in entry:
-                self._entries.move_to_end(key)
-                return entry[stage]
-        value = compute()  # may itself fill another stage of this core
-        with self._lock:
-            self._entries.setdefault(key, {})[stage] = value
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.size:
-                self._entries.popitem(last=False)
-        return value
+    transversal: GroupAction | None = None
+    class_counts: dict[str, tuple[int, int, tuple[int, int]]] | None = None
+    fixers: dict[int, int] | None = None
+    counts: tuple[tuple[int, int], ...] | None = None
+    rows: dict[str, tuple[FixedProfile, int]] = field(default_factory=dict)
+    arcs: tuple | None = None
+    conditions: tuple | None = None
 
 
-#: The one memo of per-core checks, shared by every placement.
-CORE_MEMO = CoreMemo(64)
+@lru_cache(maxsize=CORE_CACHE_SIZE)
+def core_checks(core_key: tuple) -> CoreChecks:
+    """The record of the core ``core_key``, empty when first made.  At most
+    :data:`CORE_CACHE_SIZE` cores are kept, the least recently used dropped
+    first; ``core_checks.cache_clear()`` forgets them all and
+    ``core_checks.cache_info()`` counts the lookups."""
+    return CoreChecks()
 
 
 _MARKER_COUNT_ATTR = {"corner": "corner_vectors", "edge": "edges", "face": "faces"}
@@ -174,18 +172,6 @@ class _Run(NamedTuple):
 
     def label(self, o: int, j: int) -> Point:
         return self.prefix + ((self.first + o, j) if self.prefix[0] == "free" else (j,))
-
-
-class _CoreFixed(NamedTuple):
-    """What the nontrivial elements fix of a placement core, found once per
-    core (:meth:`VertexAssignment._fixed_on_core`): each element's fixed
-    counts in V and W by element index (the identity's left empty), the
-    class counts, and the fixers, the bitmask of ``model.nontrivial`` fixing
-    each fixed transversal position."""
-
-    counts: tuple[tuple[int, int], ...]
-    class_counts: dict[str, tuple[int, int, tuple[int, int]]]
-    fixers: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -358,7 +344,7 @@ class VertexAssignment:
         the copies and every block, except that a free block enters only as
         its part and whether it holds an orbit (whether its first orbit lies
         on the transversal).  Placements of one residue class share it for
-        every ``n`` past the smallest; it keys :data:`CORE_MEMO`."""
+        every ``n`` past the smallest; it keys :func:`core_checks`."""
         return (
             self.model.kind,
             self.copies,
@@ -374,6 +360,11 @@ class VertexAssignment:
         )
 
     @cached_property
+    def core(self) -> CoreChecks:
+        """The record of this placement's core, looked up once."""
+        return core_checks(self.core_key)
+
+    @cached_property
     def transversal(self) -> GroupAction:
         """The induced action on a transversal of the vertices, checked.
 
@@ -387,20 +378,19 @@ class VertexAssignment:
 
         The transversal, its labels and so its checked action depend only
         on :attr:`core_key`, so the action is checked once per core and
-        kept in :data:`CORE_MEMO` (see :meth:`_checked_transversal`).
+        kept in its :attr:`core` record (see :meth:`_checked_transversal`).
         """
-        return CORE_MEMO.get(
-            self.core_key,
-            "transversal",
-            lambda: self._checked_transversal(
+        core = self.core
+        if core.transversal is None:
+            core.transversal = self._checked_transversal(
                 [
                     run.label(0, j)
                     for run in self._runs
                     if run.first == 0 < run.count  # a core run or orbit 0
                     for j in range(len(run.vertices))
                 ]
-            ),
-        )
+            )
+        return core.transversal
 
     def _checked_transversal(self, labels: list[Point]) -> GroupAction:
         """The action on the transversal ``labels``, checked.
@@ -490,13 +480,10 @@ class VertexAssignment:
         return [v for run in self._runs if run.first == 0 < run.count for v in run.vertices]
 
     @cached_property
-    def _core_fixed(self) -> _CoreFixed:
-        return CORE_MEMO.get(self.core_key, "fixed", self._fixed_on_core)
-
-    def _fixed_on_core(self) -> _CoreFixed:
-        """What each element fixes of the transversal, with the tables read
-        from it: every element's fixed counts, the class counts and the
-        fixers.
+    def _fixed(self) -> CoreChecks:
+        """The :attr:`core` record with what each element fixes of the
+        transversal filled in: the class counts, the fixers and every
+        element's fixed counts.
 
         Only the transversal is scanned, once per conjugacy class, for its
         least element ``r``.  The action is checked to be a homomorphism, so
@@ -509,6 +496,9 @@ class VertexAssignment:
         (a part-swapping conjugator moves a fixed set across the parts);
         classes sharing a label must agree too.
         """
+        core = self.core
+        if core.counts is not None:
+            return core
         perms = self.transversal.perms
         vertex = self._transversal_vertices
         in_w = [v >= self.n for v in vertex]
@@ -542,12 +532,13 @@ class VertexAssignment:
             if first != computed:
                 raise AssertionError(f"classes labelled {label} disagree")
             by_label[label] = (order, size + len(cls), computed)
-        return _CoreFixed(tuple(counts), by_label, fixers)
+        core.class_counts, core.fixers, core.counts = by_label, fixers, tuple(counts)
+        return core
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
         a = self.model.group.index(e)
-        return self._core_fixed.counts[a] if a else (self.n, self.n)
+        return self._fixed.counts[a] if a else (self.n, self.n)
 
     @cached_property
     def fixers(self) -> dict[int, int]:
@@ -555,14 +546,14 @@ class VertexAssignment:
         the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
         Read from the core's table, one entry per fixed core label."""
         vertex = self._transversal_vertices
-        return {vertex[i]: mask for i, mask in self._core_fixed.fixers.items()}
+        return {vertex[i]: mask for i, mask in self._fixed.fixers.items()}
 
     @cached_property
     def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
         """Per nontrivial class label: the element order, the number of
         elements and their fixed counts in V and W.  The core's table, shared
         by every placement of the core: read it, do not change it."""
-        return self._core_fixed.class_counts
+        return self._fixed.class_counts
 
     # ------------------------------------------------------------ axis slots
 
@@ -685,14 +676,14 @@ def necessity_profile_of(
     Raises if no row matches or the row's residue differs from ``n``'s.
     The row is matched against the class counts, which depend only on the
     core, so it is matched once per core and counting table and kept in
-    :data:`CORE_MEMO`; only the residue is compared with ``n`` per call.
+    the core's record (:attr:`VertexAssignment.core`); only the residue is
+    compared with ``n`` per call.
     """
     table_group = counting_table(assignment.target_group)
-    profile, residue = CORE_MEMO.get(
-        assignment.core_key,
-        f"counting row {table_group}",
-        lambda: _matching_row(assignment.class_counts, table_group),
-    )
+    rows = assignment.core.rows
+    if table_group not in rows:
+        rows[table_group] = _matching_row(assignment.class_counts, table_group)
+    profile, residue = rows[table_group]
     modulus = TABLE_MODULUS[table_group]
     if residue != assignment.n % modulus:
         raise AssertionError(

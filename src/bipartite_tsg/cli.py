@@ -34,9 +34,11 @@ EXIT_DECIDED = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
-# One decide of an admitted n holds about 17.6 MB for the imported library
-# plus about 0.85 KB per unit of n (33 MB at A5 n = 20042, 185 MB at
-# n = 200042), so the default cap keeps one call near 100 MB.
+# One cold decide of an admitted n peaks at about 18.4 MB of RSS, the
+# imported library, at A5 n = 20042 and n = 99992 alike.  The verify JSON
+# adds about 0.14 KB per unit of n for the witness's forced vertices (21 MB
+# at n = 20042, 32 MB at n = 99992), so the default cap keeps one call near
+# 32 MB.
 DEFAULT_N_CAP = 100_000
 
 _GROUP_NAMES = {
@@ -267,7 +269,7 @@ def _add_n_cap(p: argparse.ArgumentParser) -> None:
         "--cap",
         type=int,
         default=DEFAULT_N_CAP,
-        help=f"hard limit on --n (default {DEFAULT_N_CAP}, about 100 MB)",
+        help=f"hard limit on --n (default {DEFAULT_N_CAP}, about 32 MB)",
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assignments import build_assignment
+from .assignments import place, recipe_case
 from .hypotheses import HypothesisReport, verify_construction
 from .necessity import (
     GROUPS,
@@ -125,8 +125,9 @@ class Verdict:
 def decide(n: int, group: str) -> Verdict:
     """Decide one (n, group) pair by running the whole pipeline.
 
-    Runs the necessity engine; when it admits the pair, builds the placement
-    and verifies fixed counts, the five edge-routing conditions, the
+    Runs the necessity engine once; when it admits the pair, places the
+    vertices by the pair's recipe (:func:`~.assignments.recipe_case`) and
+    verifies fixed counts, the five edge-routing conditions, the
     exactness witness and, for an order-24 placement serving A4, the
     step-down edge.  Any ValueError, LookupError or AssertionError raised
     while constructing an admitted pair (a failed check or a fault in the
@@ -139,7 +140,8 @@ def decide(n: int, group: str) -> Verdict:
     diagnostic = None
     if necessity.allowed:
         try:
-            construction = verify_construction(build_assignment(group, n))
+            assignment = place(recipe_case(group, n), group, n)
+            construction = verify_construction(assignment)
         except (ValueError, LookupError, AssertionError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
     verdict = Verdict(

@@ -40,7 +40,6 @@ from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from .assignments import (
-    CORE_MEMO,
     Point,
     VertexAssignment,
     FixedCountReport,
@@ -641,18 +640,21 @@ def check_edge_embedding_hypotheses(
     core: no nontrivial element fixes a free point (asserted when the
     core's action is checked) and no free point lies on an axis circle, so
     the fixed vertices, the axis slots, the arcs and the edge interchangers
-    are the same for every ``m``.  The conditions are therefore checked
-    once per :attr:`VertexAssignment.core_key` and kept in ``CORE_MEMO``;
-    each placement gets that report with its own case name.
+    are the same for every ``m``.  The conditions and arcs are therefore
+    checked once per core and kept in its record
+    (:attr:`VertexAssignment.core`); each placement reports them under its
+    own case name.
     """
-    report = CORE_MEMO.get(
-        assignment.core_key, "conditions", lambda: _check_conditions(assignment)
-    )
-    return replace(report, case_name=assignment.case_name)
+    core = assignment.core
+    if core.conditions is None:
+        core.arcs, core.conditions = _check_conditions(assignment)
+    return HypothesisReport(assignment.case_name, core.conditions, core.arcs)
 
 
-def _check_conditions(assignment: VertexAssignment) -> HypothesisReport:
-    """Conditions 1-5 and the arcs of one placement, checked in full."""
+def _check_conditions(
+    assignment: VertexAssignment,
+) -> tuple[tuple[Arc, ...], tuple[ConditionResult, ...]]:
+    """The arcs and conditions 1-5 of one placement, checked in full."""
     axes = assignment.axis_slots
     results = [_check_common_fixed_circles(assignment, axes)]
     arcs, cond2 = _choose_arcs(assignment, axes)
@@ -661,11 +663,7 @@ def _check_conditions(assignment: VertexAssignment) -> HypothesisReport:
     cond4, interchangers = _check_swap_fixed_shapes(assignment)
     results.append(cond4)
     results.append(_check_swap_circles(assignment, axes, interchangers))
-    return HypothesisReport(
-        case_name=assignment.case_name,
-        conditions=tuple(results),
-        arcs=arcs,
-    )
+    return arcs, tuple(results)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared fixtures: polyhedral models and one placement per recipe case.
 
 Both are expensive enough to build once per session; every consumer treats
-them as read-only.  The memo of per-core checks is emptied before each
-test, so a test that doctors a stage the memo skips on a hit still reaches
+them as read-only.  The records of per-core checks are forgotten before
+each test, so a test that doctors a check a warm core skips still reaches
 it, whatever ran before.
 """
 
@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from bipartite_tsg.assignments import CORE_MEMO, MarkerBlock, build_assignment
+from bipartite_tsg.assignments import MarkerBlock, build_assignment, core_checks
 from bipartite_tsg.bipartite import (
     BipartiteAut,
     CycleProfile,
@@ -60,8 +60,8 @@ SAMPLE_PAIRS = (
 
 
 @pytest.fixture(autouse=True)
-def cold_core_memo():
-    CORE_MEMO.clear()
+def cold_core_checks():
+    core_checks.cache_clear()
 
 
 @pytest.fixture(scope="session")

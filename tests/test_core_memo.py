@@ -1,18 +1,20 @@
-"""The per-core memo: the transversal action, the fixed-count tables, the
-counting row and conditions 1-5 are checked once per placement core, and
-reusing them changes no report."""
+"""The per-core records: the transversal action, the fixed-count tables,
+the counting row and conditions 1-5 are checked once per placement core,
+kept in one record per core that a placement looks up once, and reusing
+them changes no report."""
 
+import json
 import sys
 from threading import Thread
 
 import pytest
 
 from bipartite_tsg.assignments import (
-    CORE_MEMO,
-    CoreMemo,
+    CORE_CACHE_SIZE,
     VertexAssignment,
     build_assignment,
     class_label,
+    core_checks,
     place,
     recipe_case,
     verify_fixed_counts,
@@ -41,9 +43,9 @@ def test_a_warm_memo_gives_the_cold_report_for_every_admitted_n():
     cold = {}
     for group in GROUPS:
         for n in _admitted(group, 500):
-            CORE_MEMO.clear()
+            core_checks.cache_clear()
             cold[group, n] = decide(n, group).as_dict()
-    CORE_MEMO.clear()
+    core_checks.cache_clear()
     for group in GROUPS:  # each core is checked at its smallest n only
         for n in _admitted(group, 500):
             assert decide(n, group).as_dict() == cold[group, n], (group, n)
@@ -55,24 +57,26 @@ def test_a_sweep_to_1200_checks_each_distinct_core_once():
         for group in GROUPS
         for n in _admitted(group, 1200)
     }
-    assert len(keys) == CORES_UP_TO_1200 < CORE_MEMO.size
+    assert len(keys) == CORES_UP_TO_1200 < CORE_CACHE_SIZE
+    core_checks.cache_clear()
     for group in GROUPS:
         sweep(group, 1200)
     # fewer cores than the bound, so none was dropped and none made twice
-    assert len(CORE_MEMO) == CORES_UP_TO_1200
+    info = core_checks.cache_info()
+    assert info.misses == info.currsize == CORES_UP_TO_1200
 
 
 def test_placements_of_one_class_share_their_core_and_its_checks():
     a, b = build_assignment("A5", 482), build_assignment("A5", 542)
     assert a.case_name == b.case_name == "dodecahedron-2"
     assert a.core_key == b.core_key
-    assert a.transversal is b.transversal
+    assert a.core is b.core and a.transversal is b.transversal
     g = a.model.group.generators[0]
     assert a.induced_perm(g).degree == 2 * 482 and b.induced_perm(g).degree == 2 * 542
     first, second = map(check_edge_embedding_hypotheses, (a, b))
     assert first.case_name == second.case_name == "dodecahedron-2"
     assert first.conditions == second.conditions and first.arcs == second.arcs
-    assert len(CORE_MEMO) == 1
+    assert core_checks.cache_info().currsize == 1
 
 
 def test_a_warm_decide_composes_no_permutation_of_every_vertex(monkeypatch):
@@ -127,12 +131,11 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
             verify_fixed_counts(build_assignment("S4", n))
         with pytest.raises(InternalMismatch, match=message):
             decide(n, "S4")
-    kept = [
-        stage
-        for stage in ("fixed", "counting row A4")
-        if CORE_MEMO.get(a.core_key, stage, lambda: None) is not None
-    ]
-    assert kept == []
+    core = a.core
+    assert build_assignment("S4", 28).core is core
+    assert core.transversal is a.transversal  # the check that passed is kept
+    assert core.class_counts is core.fixers is core.counts is None
+    assert core.rows == {}
 
 
 def test_an_empty_free_part_is_another_core():
@@ -140,45 +143,37 @@ def test_an_empty_free_part_is_another_core():
     assert build_assignment("A5", 62).core_key != build_assignment("A5", 122).core_key
 
 
-def test_the_memo_drops_the_least_recently_used_core():
-    memo = CoreMemo(2)
-    made = []
-
-    def make(value):
-        made.append(value)
-        return value
-
-    assert memo.get("a", "stage", lambda: make(1)) == 1
-    assert memo.get("b", "stage", lambda: make(2)) == 2
-    assert memo.get("a", "stage", lambda: make(3)) == 1  # a hit refreshes "a"
-    assert memo.get("c", "stage", lambda: make(4)) == 4  # drops "b"
-    assert len(memo) == 2
-    assert memo.get("b", "stage", lambda: make(5)) == 5
-    assert made == [1, 2, 4, 5]
+# Every admitted pair up to n = 180: all 31 cores, most of them met at
+# several n, and A4 and S4 share the order-24 cores.
+SHARED_CORE_PAIRS = tuple(
+    (group, n) for n in range(1, 181) for group in GROUPS if theorem_predicate(n, group)
+)
 
 
-def test_a_stage_that_raises_keeps_nothing():
-    memo = CoreMemo(2)
-
-    def fail():
-        raise ValueError("broken core")
-
-    with pytest.raises(ValueError, match="broken core"):
-        memo.get("a", "stage", fail)
-    assert len(memo) == 0
-    assert memo.get("a", "stage", lambda: 7) == 7
+def test_a_warm_admitted_decide_looks_its_core_up_once():
+    for group, n in SHARED_CORE_PAIRS:
+        decide(n, group)
+    for group, n in SHARED_CORE_PAIRS:
+        hits, misses = core_checks.cache_info()[:2]
+        assert decide(n, group).realizable
+        after = core_checks.cache_info()
+        assert (after.hits - hits, after.misses - misses) == (1, 0), (group, n)
 
 
-def test_threads_sharing_a_memo_keep_it_bounded_and_right():
-    memo = CoreMemo(2)
+def test_threads_deciding_pairs_that_share_cores_agree_with_one_thread():
+    def report(group, n):
+        return json.dumps(decide(n, group).as_dict(), sort_keys=True)
+
+    expected = {pair: report(*pair) for pair in SHARED_CORE_PAIRS}
+    core_checks.cache_clear()  # the threads race to fill every record
     wrong = []
 
     def work(offset):
         try:
-            for i in range(1000):
-                key = (i + offset) % 5
-                if memo.get(key, "stage", lambda: key * 10) != key * 10:
-                    wrong.append(key)
+            pairs = SHARED_CORE_PAIRS[offset:] + SHARED_CORE_PAIRS[:offset]
+            for pair in pairs[::2] + pairs[1::2]:
+                if report(*pair) != expected[pair]:
+                    wrong.append(pair)
         except Exception as exc:  # a thread's error would otherwise be lost
             wrong.append(exc)
 
@@ -189,9 +184,9 @@ def test_threads_sharing_a_memo_keep_it_bounded_and_right():
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=60)
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(memo) == 2
+    assert core_checks.cache_info().currsize <= CORE_CACHE_SIZE

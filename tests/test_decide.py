@@ -3,6 +3,7 @@ and range sweeps."""
 
 import dataclasses
 import importlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from bipartite_tsg.decide import (
 # the package re-exports the ``decide`` function under the same name as the
 # submodule, so reach the module itself for monkeypatching
 decide_module = importlib.import_module("bipartite_tsg.decide")
+necessity_module = importlib.import_module("bipartite_tsg.necessity")
 
 
 def test_groups_constant():
@@ -155,12 +157,12 @@ def test_pipeline_matches_predicate_on_random_inputs(n, group):
 # ----------------------------------------------------- injected build failure
 
 
-def _broken_build(group, n):
+def _broken_place(case, group, n):
     raise AssertionError("injected build failure")
 
 
 def test_strict_decide_raises_on_pipeline_disagreement(monkeypatch):
-    monkeypatch.setattr(decide_module, "build_assignment", _broken_build)
+    monkeypatch.setattr(decide_module, "place", _broken_place)
     with pytest.raises(InternalMismatch) as exc:
         decide(16, "A4")
     assert exc.value.expected is True
@@ -169,7 +171,7 @@ def test_strict_decide_raises_on_pipeline_disagreement(monkeypatch):
 
 
 def test_lenient_decide_reports_the_diagnostic(monkeypatch):
-    monkeypatch.setattr(decide_module, "build_assignment", _broken_build)
+    monkeypatch.setattr(decide_module, "place", _broken_place)
     with pytest.raises(InternalMismatch) as exc:
         decide(16, "A4")
     verdict = exc.value.verdict
@@ -193,9 +195,27 @@ def test_a_fixed_step_down_edge_is_a_mismatch_naming_no_such_edge(monkeypatch):
 
 
 def test_denied_pairs_are_unaffected_by_build_failures(monkeypatch):
-    monkeypatch.setattr(decide_module, "build_assignment", _broken_build)
+    monkeypatch.setattr(decide_module, "place", _broken_place)
     verdict = decide(7, "A4")  # never builds, so never trips the mock
     assert not verdict.realizable and verdict.diagnostic is None
+
+
+@pytest.mark.parametrize("n, group", [(16, "A4"), (18, "A4"), (62, "A5"), (7, "A4")])
+def test_decide_runs_the_necessity_engine_once(n, group, monkeypatch):
+    # counted wherever the package reads it, so a second verdict made while
+    # building the placement is seen too
+    calls = []
+    honest = necessity_module.necessity_verdict
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bipartite_tsg") and hasattr(module, "necessity_verdict"):
+            monkeypatch.setattr(module, "necessity_verdict", counting)
+    decide(n, group)
+    assert calls == [(n, group)]
 
 
 # ------------------------------------------------------------------- sweeps

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name it defines is read by some module."""
 
 import ast
 from pathlib import Path
@@ -33,15 +34,22 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Names the module reads, in code or in a quoted annotation, and the
-    names it exports through ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def quoted_names(tree: ast.Module) -> set[str]:
+    """Names read in the module's quoted annotations."""
+    out = set()
     for annotation in filter(None, annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+                out.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return out
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, in code or in a quoted annotation, and the
+    names it exports through ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= quoted_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -72,3 +80,66 @@ def test_every_imported_name_is_used(path):
         if name not in used_names(tree)
     }
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name the module binds at its top level, a ``_def``, a
+    ``_Class`` or a ``_CONSTANT``, with the line that binds it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names, attribute names (so
+    ``module._helper`` counts), imported names and quoted annotations."""
+    out = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    out.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return out | set(imported_names(tree)) | quoted_names(tree)
+
+
+def test_the_checker_sees_an_orphaned_private_name():
+    defining = ast.parse(
+        "def _helper(): pass\n"
+        "class _Record: pass\n"
+        "_LIMIT = 3\n"
+        "_TABLE: dict = {}\n"
+        "def _read() -> '_Shape': return _LIMIT\n"
+        "class _Shape: pass\n"
+        "def __getattr__(name): pass\n"
+        "public = 1\n"
+    )
+    reading = ast.parse("from .defining import _read\nprint(defining._Record)\n")
+    unread = set(private_definitions(defining)) - read_names(defining) - read_names(
+        reading
+    )
+    assert unread == {"_helper", "_TABLE"}
+
+
+def test_every_private_name_is_read_by_some_module():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES
+    }
+    read = set().union(*map(read_names, trees.values()))
+    orphans = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+    assert not orphans, f"private names no module reads: {orphans}"

@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 
 from bipartite_tsg.assignments import (
-    CORE_MEMO,
     RECIPES,
     CenterPair,
     FreeOrbitBlock,
     MarkerBlock,
     VertexAssignment,
     build_assignment,
+    core_checks,
     verify_fixed_counts,
 )
 from bipartite_tsg.decide import InternalMismatch, decide
@@ -154,7 +154,7 @@ def test_a_copy_move_that_removes_a_recorded_label_names_it(
         verify_construction(mutant)
 
 
-# ------------------------------------ a warm memo must hide no broken placement
+# ----------------------------- a warm core record must hide no broken placement
 
 
 def _rejection(a):
@@ -222,11 +222,11 @@ def test_a_warm_memo_rejects_a_mutant_as_a_cold_one_does(
     for case, edit in _EDITED_RECIPES.items():
         monkeypatch.setitem(RECIPES, case, replace(RECIPES["skeleton-4"], **edit))
     mutant = mutate(build_assignment(*pair))
-    CORE_MEMO.clear()
+    core_checks.cache_clear()
     cold = _rejection(mutant)
     assert cold is not None and cold[0] == stage
 
-    CORE_MEMO.clear()
+    core_checks.cache_clear()
     verify_construction(build_assignment(*pair))  # the real placement's core
     assert _rejection(mutate(build_assignment(*pair))) == cold
 
