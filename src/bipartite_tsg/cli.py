@@ -34,11 +34,10 @@ EXIT_DECIDED = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
-# One cold decide of an admitted n peaks at about 18.4 MB of RSS, the
-# imported library, at A5 n = 20042 and n = 99992 alike.  The verify JSON
-# adds about 0.14 KB per unit of n for the witness's forced vertices (21 MB
-# at n = 20042, 32 MB at n = 99992), so the default cap keeps one call near
-# 32 MB.
+# One cold verify of an admitted n, report written, peaks at about 18.7 MB
+# of RSS, the imported library, and writes a report of about 2.4 KB, at
+# A5 n = 20042 and n = 99992 alike: nothing in a call grows with n.  The
+# cap is a documented bound on the input, not a memory limit.
 DEFAULT_N_CAP = 100_000
 
 _GROUP_NAMES = {
@@ -269,7 +268,8 @@ def _add_n_cap(p: argparse.ArgumentParser) -> None:
         "--cap",
         type=int,
         default=DEFAULT_N_CAP,
-        help=f"hard limit on --n (default {DEFAULT_N_CAP}, about 32 MB)",
+        help=f"hard limit on --n (default {DEFAULT_N_CAP}; a call takes "
+        "about 19 MB at any n)",
     )
 
 

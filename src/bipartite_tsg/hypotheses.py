@@ -160,6 +160,10 @@ class PartSubset:
             return _ascending_except(self.start, self.stop, self.members)
         return iter(sorted(self.members))
 
+    def as_dict(self) -> dict:
+        """``{"only": members}`` or ``{"all_except": members}``, ascending."""
+        return {"all_except" if self.whole else "only": sorted(self.members)}
+
 
 def _ascending_except(start: int, stop: int, skip: frozenset[int]) -> Iterator[int]:
     return (y for y in range(start, stop) if y not in skip)
@@ -173,7 +177,8 @@ class ForcedFix:
     exactly one edge incident to an already-forced vertex, the other endpoint
     of that edge is forced as well.  ``shape`` records the complete bipartite
     shape of the forced set, and ``parts`` the set itself, in V and in W.
-    ``vertices`` lists it as one set, built only when it is read.
+    ``vertices`` lists it as one set, built only when it is read; the report
+    writes ``parts`` as they are, so its size does not grow with ``n``.
     """
 
     edge: tuple[int, int]
@@ -187,7 +192,8 @@ class ForcedFix:
     def as_dict(self) -> dict:
         return {
             "edge": list(self.edge),
-            "vertices": [*chain(*self.parts)],
+            "V": self.parts[0].as_dict(),
+            "W": self.parts[1].as_dict(),
             "shape": [self.shape.a, self.shape.b],
         }
 

@@ -120,6 +120,40 @@ def full_action(a):
     return GroupAction.from_images(group, vertex_labels(a), images)
 
 
+def forced_vertices(forced, n):
+    """Every vertex a report's ``witness.forced`` entry names, V then W,
+    ascending: an ``only`` part is its members, an ``all_except`` part is
+    its range, ``0..n-1`` or ``n..2n-1``, less its members."""
+    out = []
+    for start, part in ((0, forced["V"]), (n, forced["W"])):
+        ((kind, members),) = part.items()
+        assert members == sorted(members), members
+        assert all(start <= x < start + n for x in members), members
+        if kind == "only":
+            out.extend(members)
+        else:
+            assert kind == "all_except", kind
+            skip = set(members)
+            out.extend(x for x in range(start, start + n) if x not in skip)
+    return out
+
+
+def expanded_report(report):
+    """``report`` with its witness's forced set written as one ``vertices``
+    list, as reports listed it before the complement form."""
+    witness = (report.get("construction") or {}).get("witness")
+    if witness is None:
+        return report
+    forced = witness["forced"]
+    listed = {
+        "edge": forced["edge"],
+        "vertices": forced_vertices(forced, report["n"]),
+        "shape": forced["shape"],
+    }
+    construction = {**report["construction"], "witness": {**witness, "forced": listed}}
+    return {**report, "construction": construction}
+
+
 # --------------------------------------------------------------------------
 # Reference automorphism check: the character-by-character parser, the
 # any()-based cycle profile and the per-point printer, with one cycle walk

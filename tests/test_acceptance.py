@@ -38,7 +38,7 @@ from bipartite_tsg.polyhedra import (
 )
 from bipartite_tsg.realizability import check_realizable
 
-from conftest import full_action
+from conftest import expanded_report, full_action
 
 
 @contextmanager
@@ -99,7 +99,12 @@ def test_criterion_2_icosahedral_profile_table():
 #: ``sweep(g, 500)``, ``g`` in ``GROUPS`` order: it pins every report byte,
 #: so each recorded witness and step-down edge at both of its free-orbit
 #: counts.
-SWEEP_500_SHA256 = "47c948dbb3b48a392a611c36da14a91e8a314e94acade3ae4cc0a3677f6f9d53"
+SWEEP_500_SHA256 = "d87902cae55487790fa99d27382d5dd66fa60b125fb6a245bd0624b78851bda7"
+
+#: The same digest over ``expanded_report(v.as_dict())``: with the witness's
+#: forced set listed vertex by vertex, every report is the one written
+#: before the complement form.
+SWEEP_500_EXPANDED_SHA256 = "47c948dbb3b48a392a611c36da14a91e8a314e94acade3ae4cc0a3677f6f9d53"
 
 
 def test_criterion_3_decision_matches_the_closed_form_up_to_500():
@@ -109,17 +114,22 @@ def test_criterion_3_decision_matches_the_closed_form_up_to_500():
     ):
         start = time.perf_counter()
         digest = hashlib.sha256()
+        expanded = hashlib.sha256()
         for group in GROUPS:
             table = sweep(group, 500)  # strict: any mismatch raises
             for verdict in table.rows:
                 assert verdict.realizable == theorem_predicate(
                     verdict.n, group
                 ), (verdict.n, group)
-                digest.update(json.dumps(verdict.as_dict(), sort_keys=True).encode())
+                report = verdict.as_dict()
+                digest.update(json.dumps(report, sort_keys=True).encode())
+                listed = json.dumps(expanded_report(report), sort_keys=True)
+                expanded.update(listed.encode())
             assert not theorem_predicate(0, group)
             assert not decide(0, group).realizable
         elapsed = time.perf_counter() - start
         assert digest.hexdigest() == SWEEP_500_SHA256
+        assert expanded.hexdigest() == SWEEP_500_EXPANDED_SHA256
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 

@@ -1,5 +1,6 @@
 """Block-structured vertex placements and their induced group actions."""
 
+import json
 import tracemalloc
 
 import pytest
@@ -497,7 +498,7 @@ def test_a_warm_build_holds_memory_of_the_core_only():
 @pytest.mark.parametrize("group, n", [("A5", 100052), ("A4", 100008), ("S4", 100010)])
 def test_a_warm_decide_holds_memory_of_the_core_only(group, n):
     # The per-core tables are read, and the witness closure keeps a wholly
-    # forced part as "every vertex but a few"; only ``as_dict`` lists it.
+    # forced part as "every vertex but a few".
     decide(n, group)
     tracemalloc.start()
     try:
@@ -506,6 +507,21 @@ def test_a_warm_decide_holds_memory_of_the_core_only(group, n):
     finally:
         tracemalloc.stop()
     assert verdict.realizable
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("group, n", [("A5", 100052), ("A4", 100008), ("S4", 100010)])
+def test_a_warm_report_holds_the_core_only(group, n):
+    # The witness writes each part of its forced set as the closure keeps
+    # it, so the JSON report, like the call, does not grow with n.
+    decide(n, group)
+    tracemalloc.start()
+    try:
+        report = json.dumps(decide(n, group).as_dict(), indent=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.encode("utf-8")) < 4096, len(report)
     assert peak < 2**20, peak
 
 

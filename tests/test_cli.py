@@ -288,6 +288,20 @@ def test_verify_writes_a_report_file(capsys, tmp_path):
     assert payload["construction"]["case"] == "skeleton-0"
 
 
+def test_verify_writes_a_report_of_constant_size_near_the_cap(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "verify", "--group", "A5", "--n", "99992",
+        "--report", str(target),
+    )
+    assert code == EXIT_DECIDED
+    assert target.stat().st_size < 4096
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    forced = payload["construction"]["witness"]["forced"]
+    assert list(forced) == ["edge", "V", "W", "shape"]
+    assert forced["shape"] == [1, 99992]
+
+
 def test_verify_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(
