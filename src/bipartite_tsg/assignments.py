@@ -198,7 +198,7 @@ class VertexAssignment:
         names = {name for name, _ in self.copies}
         markers = [b for b in self.all_blocks() if isinstance(b, MarkerBlock)]
         held = {(b.marker_class, b.copy_name): b for b in markers}
-        swaps = any(sign == -1 for _, sign in self.model.parity)
+        swaps = -1 in self.model.parities
         for b in markers:
             if b.copy_name not in names:
                 raise ValueError(f"{b} sits on no copy of the placement")

@@ -157,7 +157,7 @@ class PartSubset:
     def __iter__(self) -> Iterator[int]:
         """The vertices in ascending order."""
         if self.whole:
-            return _ascending_except(self.start, self.stop, self.members)
+            return (y for y in range(self.start, self.stop) if y not in self.members)
         return iter(sorted(self.members))
 
     def as_dict(self) -> dict:
@@ -165,17 +165,14 @@ class PartSubset:
         return {"all_except" if self.whole else "only": sorted(self.members)}
 
 
-def _ascending_except(start: int, stop: int, skip: frozenset[int]) -> Iterator[int]:
-    return (y for y in range(start, stop) if y not in skip)
-
-
 @dataclass(frozen=True)
 class ForcedFix:
-    """Least vertex set that a symmetry fixing one edge must fix.
+    """Vertices that a symmetry fixing one edge must fix.
 
     Start from the endpoints of ``edge``; whenever an orbit of edges contains
     exactly one edge incident to an already-forced vertex, the other endpoint
-    of that edge is forced as well.  ``shape`` records the complete bipartite
+    of that edge is forced as well, until the forced set no longer embeds in
+    a circle (see :func:`forced_fix_closure`).  ``shape`` records the complete bipartite
     shape of the forced set, and ``parts`` the set itself, in V and in W.
     ``vertices`` lists it as one set, built only when it is read; the report
     writes ``parts`` as they are, so its size does not grow with ``n``.
@@ -730,77 +727,51 @@ def _check_edge(assignment: VertexAssignment, edge: tuple[int, int]) -> None:
 
 
 def forced_fix_closure(
-    assignment: VertexAssignment,
-    edge: tuple[int, int],
-    stop_if_unembeddable: bool = False,
+    assignment: VertexAssignment, edge: tuple[int, int]
 ) -> ForcedFix:
-    """Least vertex set a symmetry fixing ``edge`` pointwise must fix.
+    """Vertices a symmetry fixing ``edge`` pointwise must fix, until their
+    shape no longer embeds in a circle (all the exactness argument reads).
 
     Starts from the endpoints and repeatedly applies: if a forced vertex
     ``x`` has an incident edge that is the only edge of its orbit incident to
-    ``x``, the edge's other endpoint is forced too.  With
-    ``stop_if_unembeddable`` the closure stops early once the forced shape
-    already fails to embed in a circle (enough for the exactness argument).
-
-    The forced set is kept per part as a :class:`PartSubset`, so a free
-    vertex, which forces all of the opposite part but a few vertices, costs
-    no walk over the part.  Newly forced vertices wait in a first-in
-    first-out queue, in ascending order; those of a part that was forced
-    whole wait as one lazy ascending range.  A waiting vertex can force only
-    vertices of the other part, so once that part is wholly forced the
-    rest of its range forces nothing and is dropped unread: the result,
-    where the closure stops included, is that of taking every vertex in
-    turn.
+    ``x``, the edge's other endpoint is forced too.  Newly forced vertices
+    wait in a first-in first-out queue, in ascending order; while the shape
+    embeds, each part holds at most two of them.  A vertex no nontrivial
+    element fixes forces its whole opposite part but a few images; that part
+    is kept in complement form (a :class:`PartSubset` with ``whole``) and
+    stops the closure.  At least three of its vertices are left: a part
+    holding a free orbit has at least 12, at most 6 are excluded (images
+    under the skeleton's odd quarter-turns), and every core vertex lies on
+    an axis, so has a fixer.
     """
     _check_edge(assignment, edge)
     v, w = edge
     n = assignment.n
     odd = [a for a, sign in enumerate(assignment.model.parities) if sign == -1]
-    whole = [False, False]  # per part: members are excluded, not included
-    members: list[set[int]] = [{v}, {w}] if v < n else [{w}, {v}]
-
-    def count(p: int) -> int:
-        return n - len(members[p]) if whole[p] else len(members[p])
-
-    queue: deque = deque((v, w))  # vertices, and (part, lazy range) pairs
-    while queue:
-        if stop_if_unembeddable and not embeds_in_circle(
-            FixedSubgraphShape(count(0), count(1))
-        ):
-            break
-        head = queue[0]
-        if isinstance(head, int):
-            x = queue.popleft()
-        else:
-            part, pending = head
-            x = next(pending, None) if count(1 - part) < n else None
-            if x is None:
-                queue.popleft()
-                continue
+    members = [{v}, {w}] if v < n else [{w}, {v}]
+    whole = None  # the part forced whole, whose members are then excluded
+    queue = deque((v, w))
+    while queue and embeds_in_circle(FixedSubgraphShape(*map(len, members))):
+        x = queue.popleft()
         q = int(x < n)  # the part x's forced neighbors lie in
         good_whole, good = _forced_neighbors(assignment, odd, x)
-        if good_whole and not whole[q]:  # new: all but good's exceptions, members
-            skip = frozenset(good | members[q])
-            queue.append((q, _ascending_except(q * n, q * n + n, skip)))
+        if good_whole:
             members[q] = good - members[q]
-            whole[q] = True
-            continue
-        if good_whole:  # both whole: new is what only the forced set excluded
-            new = members[q] - good
-            members[q] &= good
-        elif whole[q]:
-            new = good & members[q]
-            members[q] -= new
-        else:
-            new = good - members[q]
-            members[q] |= new
+            whole = q
+            if n - len(members[q]) < 3:
+                raise AssertionError(
+                    f"edge {(v, w)} forces all but {len(members[q])} of the "
+                    f"{n} vertices of a part, a shape that still embeds"
+                )
+            break
+        new = good - members[q]
+        members[q] |= new
         queue.extend(sorted(new))
     parts = tuple(
-        PartSubset(p * n, p * n + n, whole[p], frozenset(members[p])) for p in (0, 1)
+        PartSubset(p * n, p * n + n, p == whole, frozenset(members[p])) for p in (0, 1)
     )
-    return ForcedFix(
-        edge=(v, w), parts=parts, shape=FixedSubgraphShape(count(0), count(1))
-    )
+    shape = FixedSubgraphShape(*map(len, parts))
+    return ForcedFix(edge=(v, w), parts=parts, shape=shape)
 
 
 def _recorded_edge(
@@ -840,7 +811,7 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     """
     edge = _recorded_edge(assignment, "witness", recipe_of(assignment).witness)
     # a closure whose shape embeds ran to completion
-    forced = forced_fix_closure(assignment, edge, stop_if_unembeddable=True)
+    forced = forced_fix_closure(assignment, edge)
     if not embeds_in_circle(forced.shape):
         return SubgroupWitness(edge, forced, 1)
     # the shape embeds, so at most two vertices of each part are forced; a

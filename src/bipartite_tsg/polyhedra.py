@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, cmp_to_key
 from typing import Iterable
 
 from .perms import (
@@ -230,7 +230,7 @@ class PolyhedralModel:
     edges: tuple[tuple[int, int], ...]
     faces: tuple[tuple[int, ...], ...]
     group: FiniteGroup  # permutations of the corners
-    parity: tuple[tuple[Perm, int], ...]  # +1 rotations, -1 skeleton-odd
+    parities: tuple[int, ...]  # per element index: +1 rotations, -1 skeleton-odd
     action: GroupAction  # on all labels: corners, edges, faces, centers
     axes: tuple[Axis, ...]
 
@@ -238,18 +238,8 @@ class PolyhedralModel:
     def points(self) -> tuple[Label, ...]:
         return self.action.points  # type: ignore[return-value]
 
-    @cached_property
-    def _parity_map(self) -> dict[Perm, int]:
-        return dict(self.parity)
-
     def parity_of(self, g: Perm) -> int:
-        return self._parity_map[g]
-
-    @cached_property
-    def parities(self) -> tuple[int, ...]:
-        """The parity of each element, in ``group.elements`` order, so that
-        a caller holding an element's index reads it without a lookup."""
-        return tuple(map(self._parity_map.__getitem__, self.group.elements))
+        return self.parities[self.group.index(g)]
 
     @cached_property
     def nontrivial(self) -> tuple[Perm, ...]:
@@ -346,8 +336,6 @@ def _angular_order(markers: list[Label], vectors: list[Vec]) -> tuple[Label, ...
             return 0
         return 1
 
-    import functools
-
     def compare(p, q):
         _, x1, y1 = p
         _, x2, y2 = q
@@ -357,7 +345,7 @@ def _angular_order(markers: list[Label], vectors: list[Vec]) -> tuple[Label, ...
         s = (x1 * y2 - x2 * y1).sign()
         return -s  # positive cross product means p comes first
 
-    ordered = sorted(coords, key=functools.cmp_to_key(compare))
+    ordered = sorted(coords, key=cmp_to_key(compare))
     return tuple(label for label, _, _ in ordered)
 
 
@@ -499,7 +487,7 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
         tuple(edges),
         tuple(faces),
         group,
-        tuple(sorted(parity.items())),
+        tuple(parity[g] for g in group.elements),
         action,
         axes,
     )

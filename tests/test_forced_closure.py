@@ -1,11 +1,12 @@
 """The forced-fix closure in complement form against the explicit closure.
 
-``forced_fix_closure`` keeps each part's forced set as a finite set or as
-"the whole part except a finite set", and drains a wholly forced part's
-queue lazily.  The reference below is the explicit closure it replaced:
-every forced vertex is a set member and is taken from the queue in turn,
-and each one's forced neighbors are read from the action checked on all
-``2n`` vertices.  It lives here as the oracle only.
+``forced_fix_closure`` stops once the forced shape no longer embeds in a
+circle, and keeps a wholly forced part as "the whole part except a finite
+set".  The reference below is the explicit closure it replaced: every
+forced vertex is a set member and is taken from the queue in turn, and each
+one's forced neighbors are read from the action checked on all ``2n``
+vertices.  It lives here as the oracle only, stopped as the closure is or
+run in full.
 """
 
 from collections import deque
@@ -95,14 +96,16 @@ def _smallest(case):
     )
 
 
-def _near_1000(case, group):
+def _near(case, group, target):
+    """The admitted ``n`` of ``case`` nearest ``target``, within a hundred
+    of it."""
     return min(
         (
             n
-            for n in range(900, 1101)
+            for n in range(target - 100, target + 101)
             if theorem_predicate(n, group) and recipe_case(group, n) == case
         ),
-        key=lambda n: abs(n - 1000),
+        key=lambda n: abs(n - target),
     )
 
 
@@ -113,7 +116,7 @@ def _placements():
         if case == "tetrahedron-6":  # A4 n = 6 only
             sizes = [n0]
         else:
-            sizes = [n0, n0 + _orbit(case, group), _near_1000(case, group)]
+            sizes = [n0, n0 + _orbit(case, group), _near(case, group, 1000)]
         out.extend((case, group, n) for n in sizes)
     return out
 
@@ -151,22 +154,20 @@ def test_the_complement_closure_equals_the_explicit_one(case, group, n):
     assert a.case_name == case
     neighbors = reference_neighbors(a)
     for edge in _edges(a, case):
-        for stop in (False, True):
-            forced = forced_fix_closure(a, edge, stop_if_unembeddable=stop)
-            vertices, shape = reference_closure(a, edge, stop, neighbors)
-            assert forced.vertices == vertices, (edge, stop)
-            assert forced.shape == shape, (edge, stop)
-            assert forced_vertices(forced.as_dict(), n) == sorted(vertices)
+        forced = forced_fix_closure(a, edge)
+        vertices, shape = reference_closure(a, edge, True, neighbors)
+        assert forced.vertices == vertices, edge
+        assert forced.shape == shape, edge
+        assert forced_vertices(forced.as_dict(), n) == sorted(vertices)
 
 
 def test_an_edge_given_from_w_to_v_matches_the_explicit_closure():
     a = build_assignment("A4", 16)
     neighbors = reference_neighbors(a)
     for v, w in ((0, 17), (4, 16), (2, 30)):
-        for stop in (False, True):
-            forced = forced_fix_closure(a, (w, v), stop_if_unembeddable=stop)
-            vertices, shape = reference_closure(a, (w, v), stop, neighbors)
-            assert (forced.vertices, forced.shape) == (vertices, shape)
+        forced = forced_fix_closure(a, (w, v))
+        vertices, shape = reference_closure(a, (w, v), True, neighbors)
+        assert (forced.vertices, forced.shape) == (vertices, shape)
 
 
 def edge_skeleton(m):
@@ -223,16 +224,13 @@ def test_odd_images_closing_as_the_explicit_closure(build, m):
     edges = [(v, w) for v in range(n) for w in range(n, 2 * n) if v < 6 or w < n + 6]
     edges += [(rng.randrange(n), rng.randrange(n, 2 * n)) for _ in range(40)]
     for v, w in edges:  # one end or both on a marker, then seeded pairs
-        for stop in (False, True):
-            forced = forced_fix_closure(a, (v, w), stop_if_unembeddable=stop)
-            vertices, shape = reference_closure(a, (v, w), stop, neighbors)
-            assert (forced.vertices, forced.shape) == (vertices, shape), (v, w)
+        forced = forced_fix_closure(a, (v, w))
+        vertices, shape = reference_closure(a, (v, w), True, neighbors)
+        assert (forced.vertices, forced.shape) == (vertices, shape), (v, w)
 
 
-@pytest.mark.parametrize("case", ["dodecahedron-2", "skeleton-0", "cube-6"])
-def test_the_closure_takes_as_many_steps_at_every_n(case, monkeypatch):
-    # A wholly forced part is dropped from the queue unread, so the full
-    # closure looks at the same vertices whatever the number of orbits.
+def counting_steps(monkeypatch):
+    """The vertices ``_forced_neighbors`` is asked about, from now on."""
     steps = []
     honest = hypotheses._forced_neighbors
 
@@ -241,6 +239,15 @@ def test_the_closure_takes_as_many_steps_at_every_n(case, monkeypatch):
         return honest(assignment, odd, x)
 
     monkeypatch.setattr(hypotheses, "_forced_neighbors", counting)
+    return steps
+
+
+@pytest.mark.parametrize("case", ["dodecahedron-2", "skeleton-0", "cube-6"])
+def test_the_closure_takes_as_many_steps_at_every_n(case, monkeypatch):
+    # A wholly forced part stops the closure, and every core vertex has a
+    # fixer, so the closure takes the same steps, on the same core vertices,
+    # whatever the number of orbits.
+    steps = counting_steps(monkeypatch)
     group, n0 = _smallest(case)
     orbit = _orbit(case, group)
     taken = []
@@ -249,5 +256,40 @@ def test_the_closure_takes_as_many_steps_at_every_n(case, monkeypatch):
         steps.clear()
         for edge in _recorded_edges(a, case):
             forced_fix_closure(a, edge)
-        taken.append(len(steps))
-    assert taken[0] == taken[1] == taken[2] > 0
+        taken.append([a.label_of(x) for x in steps])
+    assert taken[0] == taken[1] == taken[2] != []
+
+
+def _witness_placements():
+    """``_placements()``, plus an admitted ``n`` near 100000 per case."""
+    out = _placements()
+    for case in sorted(RECIPES):
+        if case != "tetrahedron-6":  # A4 n = 6 only
+            group, _ = _smallest(case)
+            out.append((case, group, _near(case, group, 100000)))
+    return out
+
+
+@pytest.mark.parametrize("case, group, n", _witness_placements(), ids=str)
+def test_the_witness_closure_takes_at_most_four_steps(case, group, n, monkeypatch):
+    a = build_assignment(group, n)
+    assert a.case_name == case
+    edge = _recorded_edge(a, "witness", RECIPES[case].witness)
+    steps = counting_steps(monkeypatch)
+    forced_fix_closure(a, edge)
+    assert 1 <= len(steps) <= 4, (edge, steps)
+
+
+def test_a_whole_part_that_could_still_embed_is_an_assertion(monkeypatch):
+    # A doctored neighbor rule by which a vertex forces only the first two
+    # vertices of the opposite part, in complement form: the two would
+    # still embed in a circle, which no placement allows.
+    a = build_assignment("A5", 90)
+    n = a.n
+
+    def leaves_two(assignment, odd, x):
+        return True, set(range(n + 2, 2 * n)) if x < n else set(range(2, n))
+
+    monkeypatch.setattr(hypotheses, "_forced_neighbors", leaves_two)
+    with pytest.raises(AssertionError, match=r"edge \(0, 90\) forces all but 88 of"):
+        forced_fix_closure(a, (0, n))

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name it defines is read by some module."""
+"""Every name a module of the package imports is used in that module, every
+import sits at a module's top level, and every private name a module or one
+of its classes defines is read by some module."""
 
 import ast
 from pathlib import Path
@@ -82,9 +83,40 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports unused names: {unused}"
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each private name the module binds at its top level, a ``_def``, a
-    ``_Class`` or a ``_CONSTANT``, with the line that binds it."""
+def local_imports(tree: ast.Module) -> list[int]:
+    """The lines of the module's imports that are not at its top level."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+
+
+def test_the_checker_sees_a_function_local_import():
+    tree = ast.parse(
+        "import os\n"
+        "from functools import cache\n"
+        "def f():\n"
+        "    import functools\n"
+        "    return functools\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        if self:\n"
+        "            from os import path\n"
+    )
+    assert local_imports(tree) == [4, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_at_the_top_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not local_imports(tree), f"{path.name} imports inside a body"
+
+
+def private_definitions(tree: ast.Module | ast.ClassDef) -> dict[str, int]:
+    """Each private name the module or class binds at its top level, a
+    ``_def``, a ``_Class`` or a ``_CONSTANT`` (in a class, a method, a
+    property or a class attribute), with the line that binds it."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -131,6 +163,37 @@ def test_the_checker_sees_an_orphaned_private_name():
     assert unread == {"_helper", "_TABLE"}
 
 
+def private_members(tree: ast.Module) -> dict[str, int]:
+    """Each private name a top-level class of the module binds in its body,
+    as ``Class._name``, with the line that binds it."""
+    return {
+        f"{node.name}.{name}": line
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for name, line in private_definitions(node).items()
+    }
+
+
+def test_the_checker_sees_an_orphaned_private_member():
+    defining = ast.parse(
+        "class Record:\n"
+        "    _size: int = 0\n"
+        "    _LIMIT = 3\n"
+        "    def __len__(self): return self._size\n"
+        "    def _check(self): pass\n"
+        "    @cached_property\n"
+        "    def _table(self): return {}\n"
+        "    @property\n"
+        "    def _shown(self): return 1\n"
+        "    def public(self): return self._shown\n"
+        "    class _Inner: pass\n"
+    )
+    reading = ast.parse("print(record._table)\n")
+    read = read_names(defining) | read_names(reading)
+    unread = {m for m in private_members(defining) if m.split(".")[1] not in read}
+    assert unread == {"Record._LIMIT", "Record._check", "Record._Inner"}
+
+
 def test_every_private_name_is_read_by_some_module():
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES
@@ -143,3 +206,15 @@ def test_every_private_name_is_read_by_some_module():
         if name not in read
     ]
     assert not orphans, f"private names no module reads: {orphans}"
+
+
+def test_every_private_class_member_is_read_by_some_module():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    read = set().union(*map(read_names, trees))
+    orphans = [
+        f"{path.name}:{line} {member}"
+        for path, tree in zip(MODULES, trees)
+        for member, line in private_members(tree).items()
+        if member.split(".")[1] not in read
+    ]
+    assert not orphans, f"private class members no module reads: {orphans}"

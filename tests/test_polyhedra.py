@@ -87,7 +87,7 @@ def test_parity_split(models):
         ("dodecahedron", 0),
     ):
         m = models[kind]
-        assert sum(1 for _, p in m.parity if p == -1) == odd
+        assert m.parities.count(-1) == odd
         assert len(even_elements(m)) == m.group.order - odd
 
 
