@@ -1114,12 +1114,16 @@ def recipe_of(assignment: VertexAssignment) -> Recipe:
     return recipe
 
 
-def place(case: str, group: str, n: int) -> VertexAssignment:
-    """The placement recipe ``case`` gives for ``n`` and the target
-    ``group``, its action not yet built.  ``m`` is the number of whole
-    orbits that fill V after the core and the extra orbits; an ``n`` that
-    leaves a remainder is rejected."""
-    recipe = RECIPES[case]
+def place(group: str, n: int) -> VertexAssignment:
+    """The placement that the recipe of :func:`recipe_case` gives for ``n``
+    and the target ``group``, its action not yet built.  ``m`` is the
+    number of whole orbits that fill V after the core and the extra orbits;
+    an ``n`` that leaves a remainder is rejected, and so is one whose case
+    has no recipe."""
+    case = recipe_case(group, n)
+    recipe = RECIPES.get(case)
+    if recipe is None:
+        raise ValueError(f"case {case!r} of n = {n} has no recipe")
     model = build_polyhedral_model(recipe.kind)
     core = sum(
         2 if isinstance(b, CenterPair) else _marker_count(model, b.marker_class)
@@ -1150,6 +1154,6 @@ def build_assignment(group: str, n: int) -> VertexAssignment:
     verdict = necessity_verdict(n, group)
     if not verdict.allowed:
         raise NotRealizable(verdict)
-    assignment = place(recipe_case(group, n), group, n)
+    assignment = place(group, n)
     assignment.transversal  # force the faithfulness check
     return assignment

@@ -22,33 +22,6 @@ class MixedParts(ValueError):
 
 
 @dataclass(frozen=True)
-class BipartiteGraph:
-    """K_{n,n} on vertices 0..2n-1; the first n are part V, the rest part W."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("part size must be positive")
-
-    @property
-    def vertices(self) -> range:
-        return range(2 * self.n)
-
-    def part_of(self, vertex: int) -> str:
-        return "V" if vertex < self.n else "W"
-
-    def v_vertices(self) -> range:
-        return range(self.n)
-
-    def w_vertices(self) -> range:
-        return range(self.n, 2 * self.n)
-
-    def adjacent(self, x: int, y: int) -> bool:
-        return (x < self.n) != (y < self.n)
-
-
-@dataclass(frozen=True)
 class BipartiteAut:
     """A validated automorphism of K_{n,n}.
 

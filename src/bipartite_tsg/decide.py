@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assignments import place, recipe_case
+from .assignments import place
 from .hypotheses import HypothesisReport, verify_construction
 from .necessity import (
     GROUPS,
@@ -126,7 +126,7 @@ def decide(n: int, group: str) -> Verdict:
     """Decide one (n, group) pair by running the whole pipeline.
 
     Runs the necessity engine once; when it admits the pair, places the
-    vertices by the pair's recipe (:func:`~.assignments.recipe_case`) and
+    vertices by the pair's recipe (:func:`~.assignments.place`) and
     verifies fixed counts, the five edge-routing conditions, the
     exactness witness and, for an order-24 placement serving A4, the
     step-down edge.  Any ValueError, LookupError or AssertionError raised
@@ -140,7 +140,7 @@ def decide(n: int, group: str) -> Verdict:
     diagnostic = None
     if necessity.allowed:
         try:
-            assignment = place(recipe_case(group, n), group, n)
+            assignment = place(group, n)
             construction = verify_construction(assignment)
         except (ValueError, LookupError, AssertionError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"

@@ -110,9 +110,6 @@ class Perm:
                 out.append(tuple(cycle))
         return tuple(out)
 
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
@@ -423,9 +420,6 @@ class GroupAction:
         if len(reached) != len(elements):
             raise ValueError("the generators do not generate the group")
         return {e: Perm._from_checked(images[i]) for i, e in enumerate(elements)}
-
-    def apply(self, e: Perm, label: Hashable) -> Hashable:
-        return self.points[self.perms[e].images[self.point_index[label]]]
 
     def fixed_points(self, e: Perm) -> tuple[Hashable, ...]:
         return tuple(self.points[i] for i in self.perms[e].fixed_points())

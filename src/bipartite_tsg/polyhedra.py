@@ -1,21 +1,21 @@
 """Exact combinatorial models of the regular tetrahedron, cube and
 dodecahedron with their orientation-preserving symmetry groups.
 
-Corners carry exact coordinates over Q(sqrt 5) so that edges, faces and
-rotation axes are derived, never hand-typed: edges are the closest corner
-pairs, faces are the girth cycles of the edge graph, and each rotation's
-axis is read off from its fixed incidence markers.  A fourth model,
-"tetrahedron-skeleton", extends the tetrahedral group to the full S4 action
-on the 1-skeleton, where odd permutations exchange the inside and outside of
-the tetrahedron (so they swap the two center markers, and the odd order-4
-elements fix no point at all).
+Corners carry exact coordinates in the ring Z[phi] of the golden ratio, as
+integer pairs, so that edges, faces and rotation axes are derived, never
+hand-typed: edges are the closest corner pairs, faces are the girth cycles
+of the edge graph, and each rotation's axis is read off from its fixed
+incidence markers.  A fourth model, "tetrahedron-skeleton", extends the
+tetrahedral group to the full S4 action on the 1-skeleton, where odd
+permutations exchange the inside and outside of the tetrahedron (so they
+swap the two center markers, and the odd order-4 elements fix no point at
+all).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 from typing import Iterable
 
@@ -30,93 +30,64 @@ from .perms import (
 )
 
 
-class Q5:
-    """Exact element a + b*sqrt(5) of the field Q(sqrt 5)."""
+class ZPhi:
+    """Exact element a + b*phi of the ring Z[phi], where phi = (1 + sqrt 5) / 2
+    is the golden ratio and phi^2 = phi + 1."""
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a: int, b: int = 0):
+        self.a = a
+        self.b = b
 
-    @classmethod
-    def of(cls, x) -> "Q5":
-        return x if isinstance(x, Q5) else cls(x)
+    def __add__(self, other: "ZPhi") -> "ZPhi":
+        return ZPhi(self.a + other.a, self.b + other.b)
 
-    def __add__(self, other):
-        other = Q5.of(other)
-        return Q5(self.a + other.a, self.b + other.b)
+    def __neg__(self) -> "ZPhi":
+        return ZPhi(-self.a, -self.b)
 
-    __radd__ = __add__
+    def __sub__(self, other: "ZPhi") -> "ZPhi":
+        return ZPhi(self.a - other.a, self.b - other.b)
 
-    def __neg__(self):
-        return Q5(-self.a, -self.b)
+    def __mul__(self, other: "ZPhi") -> "ZPhi":
+        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
+        bd = self.b * other.b
+        return ZPhi(self.a * other.a + bd, self.a * other.b + self.b * other.a + bd)
 
-    def __sub__(self, other):
-        return self + (-Q5.of(other))
-
-    def __rsub__(self, other):
-        return Q5.of(other) + (-self)
-
-    def __mul__(self, other):
-        other = Q5.of(other)
-        return Q5(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Q5":
-        norm = self.a * self.a - 5 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return Q5(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        return self * Q5.of(other).inverse()
+    def half(self) -> "ZPhi":
+        """The element halved; raises ValueError unless it is twice an
+        element of Z[phi], that is unless both components are even."""
+        if self.a % 2 or self.b % 2:
+            raise ValueError(f"{self!r} is not divisible by 2 in Z[phi]")
+        return ZPhi(self.a >> 1, self.b >> 1)
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(5)."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # opposite signs: compare a^2 with 5 b^2 on the side of the larger term
-        head = 1 if a > 0 else -1
-        diff = a * a - 5 * b * b
-        if diff == 0:
-            return 0
-        return head if diff > 0 else -head
+        """Exact sign of a + b*phi = ((2a + b) + b*sqrt 5) / 2."""
+        x, y = 2 * self.a + self.b, self.b
+        if x * y >= 0:  # same sign, or one term zero
+            head = x or y
+        else:  # opposite signs: the larger square wins (sqrt 5 is irrational: no tie)
+            head = x if x * x > 5 * y * y else y
+        return (head > 0) - (head < 0)
 
-    def __eq__(self, other):
-        other = Q5.of(other)
-        return self.a == other.a and self.b == other.b
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ZPhi) and self.a == other.a and self.b == other.b
 
-    def __hash__(self):
+    def __hash__(self) -> int:
         return hash((self.a, self.b))
 
-    def __lt__(self, other):
-        return (self - Q5.of(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - Q5.of(other)).sign() <= 0
-
-    def __repr__(self):
-        return f"Q5({self.a}, {self.b})"
+    def __repr__(self) -> str:
+        return f"ZPhi({self.a}, {self.b})"
 
 
-PHI = Q5(Fraction(1, 2), Fraction(1, 2))  # golden ratio (1 + sqrt 5) / 2
+PHI = ZPhi(0, 1)  # the golden ratio
 
-Vec = tuple[Q5, Q5, Q5]
+Vec = tuple[ZPhi, ZPhi, ZPhi]
 Mat = tuple[Vec, Vec, Vec]
 
 
-def vec(x, y, z) -> Vec:
-    return (Q5.of(x), Q5.of(y), Q5.of(z))
+def vec(x: int, y: int, z: int) -> Vec:
+    return (ZPhi(x), ZPhi(y), ZPhi(z))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -130,7 +101,7 @@ def vsum(vecs: Iterable[Vec]) -> Vec:
     return total
 
 
-def dot(u: Vec, v: Vec) -> Q5:
+def dot(u: Vec, v: Vec) -> ZPhi:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
@@ -142,7 +113,7 @@ def cross(u: Vec, v: Vec) -> Vec:
     )
 
 
-def dist2(u: Vec, v: Vec) -> Q5:
+def dist2(u: Vec, v: Vec) -> ZPhi:
     d = (u[0] - v[0], u[1] - v[1], u[2] - v[2])
     return dot(d, d)
 
@@ -151,7 +122,7 @@ def mat_apply(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)  # type: ignore[return-value]
 
 
-def mat_det(m: Mat) -> Q5:
+def mat_det(m: Mat) -> ZPhi:
     return dot(m[0], cross(m[1], m[2]))
 
 
@@ -161,11 +132,11 @@ Label = tuple[str, int]
 
 
 def _closest_pairs(points: list[Vec]) -> list[tuple[int, int]]:
-    best: Q5 | None = None
+    best: ZPhi | None = None
     pairs = []
     for i, j in itertools.combinations(range(len(points)), 2):
         d = dist2(points[i], points[j])
-        if best is None or d < best:
+        if best is None or (d - best).sign() < 0:
             best = d
             pairs = [(i, j)]
         elif d == best:
@@ -274,37 +245,36 @@ class PolyhedralModel:
         return None
 
 
-def _rotation_matrices(kind: str) -> tuple[list[Mat], list[Vec]]:
-    one, zero = Q5(1), Q5(0)
+def _rotation_matrices(kind: str) -> tuple[list[tuple[Mat, bool]], list[Vec]]:
+    """Generators of the solid's symmetry group and its corners.  Each
+    generator is a pair (matrix, doubled); a doubled matrix is twice the
+    symmetry, so that its entries lie in Z[phi], and its images are halved."""
     r3: Mat = (vec(0, 0, 1), vec(1, 0, 0), vec(0, 1, 0))  # cyclic x->y->z->x
     if kind in ("tetrahedron", "tetrahedron-skeleton"):
         corners = [vec(1, 1, 1), vec(1, -1, -1), vec(-1, 1, -1), vec(-1, -1, 1)]
         r2: Mat = (vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, 1))
-        gens = [r3, r2]
+        gens = [(r3, False), (r2, False)]
         if kind == "tetrahedron-skeleton":
             swap_xy: Mat = (vec(0, 1, 0), vec(1, 0, 0), vec(0, 0, 1))
-            gens.append(swap_xy)
+            gens.append((swap_xy, False))
         return gens, corners
     if kind == "cube":
         corners = [vec(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
         r4: Mat = (vec(0, -1, 0), vec(1, 0, 0), vec(0, 0, 1))  # quarter turn about z
-        return [r4, r3], corners
+        return [(r4, False), (r3, False)], corners
     if kind == "dodecahedron":
-        inv_phi = PHI - 1  # 1/phi = phi - 1
+        zero, one, inv_phi = ZPhi(0), ZPhi(1), ZPhi(-1, 1)  # 1/phi = phi - 1
         corners = [vec(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
         for s1 in (1, -1):
             for s2 in (1, -1):
-                a, b = PHI * s1, inv_phi * s2
-                corners.append((Q5(0), a, b))
-                corners.append((b, Q5(0), a))
-                corners.append((a, b, Q5(0)))
-        half = Q5(Fraction(1, 2))
-        r5: Mat = (
-            ((PHI - 1) * half, -PHI * half, half),
-            (PHI * half, half, (PHI - 1) * half),
-            (-half, (PHI - 1) * half, PHI * half),
+                a, b = ZPhi(0, s1), ZPhi(-s2, s2)  # s1 * phi, s2 * (phi - 1)
+                corners += [(zero, a, b), (b, zero, a), (a, b, zero)]
+        r5_doubled: Mat = (  # twice a fifth turn
+            (inv_phi, -PHI, one),
+            (PHI, one, inv_phi),
+            (-one, inv_phi, PHI),
         )
-        return [r5, r3], corners
+        return [(r5_doubled, True), (r3, False)], corners
     raise ValueError(f"unknown polyhedron kind {kind!r}")
 
 
@@ -324,13 +294,13 @@ def _angular_order(markers: list[Label], vectors: list[Vec]) -> tuple[Label, ...
     normal = cross(u, w)
     coords = []
     for label, v in zip(markers, vectors):
-        if dot(v, normal) != Q5(0):
+        if dot(v, normal).sign():
             raise ValueError(f"{label!r} is not coplanar with the circle")
         x = dot(v, u)
         y = dot(cross(normal, u), v)  # component along the in-plane normal of u
         coords.append((label, x, y))
 
-    def half(x: Q5, y: Q5) -> int:
+    def half(x: ZPhi, y: ZPhi) -> int:
         # 0 for angle in [0, pi), 1 for [pi, 2 pi)
         if y.sign() > 0 or (y.sign() == 0 and x.sign() > 0):
             return 0
@@ -396,21 +366,23 @@ def _build_axes(
 
 @cache
 def build_polyhedral_model(kind: str) -> PolyhedralModel:
-    matrices, corners = _rotation_matrices(kind)
+    generators, corners = _rotation_matrices(kind)
     n_corners = len(corners)
     index = {v: i for i, v in enumerate(corners)}
 
-    def corner_perm(m: Mat) -> Perm:
+    def corner_perm(m: Mat, doubled: bool) -> Perm:
         images = []
         for v in corners:
             w = mat_apply(m, v)
+            if doubled:
+                w = (w[0].half(), w[1].half(), w[2].half())
             if w not in index:
                 raise ValueError("matrix does not preserve the corner set")
             images.append(index[w])
         return Perm(images)
 
-    gen_perms = [corner_perm(m) for m in matrices]
-    gen_parity = [mat_det(m).sign() for m in matrices]
+    gen_perms = [corner_perm(m, doubled) for m, doubled in generators]
+    gen_parity = [mat_det(m).sign() for m, _ in generators]
     group = generate_group(gen_perms)
 
     # parity extends multiplicatively from the generators along the closure

@@ -192,7 +192,8 @@ def test_criterion_6_burnside_oracle_and_the_edge_marker_average():
         model = build_polyhedral_model("dodecahedron")
         edges = [p for p in model.action.points if p[0] == "edge"]
         assert len(edges) == 30
-        action = GroupAction(model.group, edges, model.action.apply)
+        points, index, perms = model.points, model.action.point_index, model.action.perms
+        action = GroupAction(model.group, edges, lambda e, p: points[perms[e](index[p])])
         by_order: dict[int, set[int]] = {}
         for e in model.group:
             by_order.setdefault(e.order(), set()).add(action.fixed_count(e))

@@ -525,10 +525,17 @@ def test_a_warm_report_holds_the_core_only(group, n):
     assert peak < 2**20, peak
 
 
-@pytest.mark.parametrize("n", [2, 27])
+@pytest.mark.parametrize("n", [2, 6])
 def test_recipe_rejects_n_its_core_cannot_fill_with_whole_orbits(n):
+    # S4 at n = 6 is the theorem's exception: its case, cube-6, puts 30
+    # core vertices in V, so no placement comes out
     with pytest.raises(AssertionError, match="cannot fill"):
-        place("cube-2", "S4", n)
+        place("S4", n)
+
+
+def test_an_n_whose_case_has_no_recipe_raises_naming_it():
+    with pytest.raises(ValueError, match="case 'cube-3' of n = 27 has no recipe"):
+        place("S4", 27)
 
 
 def test_free_point_counts(assignments):

@@ -16,7 +16,6 @@ from bipartite_tsg.assignments import (
     class_label,
     core_checks,
     place,
-    recipe_case,
     verify_fixed_counts,
 )
 from bipartite_tsg.decide import (
@@ -53,7 +52,7 @@ def test_a_warm_memo_gives_the_cold_report_for_every_admitted_n():
 
 def test_a_sweep_to_1200_checks_each_distinct_core_once():
     keys = {
-        place(recipe_case(group, n), group, n).core_key
+        place(group, n).core_key
         for group in GROUPS
         for n in _admitted(group, 1200)
     }

@@ -157,7 +157,7 @@ def test_pipeline_matches_predicate_on_random_inputs(n, group):
 # ----------------------------------------------------- injected build failure
 
 
-def _broken_place(case, group, n):
+def _broken_place(group, n):
     raise AssertionError("injected build failure")
 
 

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-import sits at a module's top level, and every private name a module or one
-of its classes defines is read by some module."""
+import sits at a module's top level, every private name a module or one of
+its classes defines is read by some module, and every local name a function
+binds is read."""
 
 import ast
 from pathlib import Path
@@ -218,3 +219,80 @@ def test_every_private_class_member_is_read_by_some_module():
         if member.split(".")[1] not in read
     ]
     assert not orphans, f"private class members no module reads: {orphans}"
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_scope(func: ast.FunctionDef | ast.AsyncFunctionDef):
+    """The nodes of a function's body that lie outside its nested functions
+    and classes; each nested definition itself is included."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(tree: ast.Module) -> list[str]:
+    """Each name a function binds in its own scope (an assignment or loop
+    target, a nested function or class) that no code of the function reads,
+    as ``function:line name``.  A read in a nested function counts, names
+    declared global or nonlocal are not locals, and names that start with
+    ``_`` are skipped."""
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        skip = {
+            name
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        skip |= {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        bound = []
+        for node in own_scope(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.append((node.lineno, node.id))
+            elif isinstance(node, _SCOPES) and not isinstance(node, ast.Lambda):
+                bound.append((node.lineno, node.name))
+        out.extend(
+            f"{func.name}:{line} {name}"
+            for line, name in sorted(set(bound))
+            if name not in skip and not name.startswith("_")
+        )
+    return out
+
+
+def test_the_checker_sees_an_unused_local():
+    tree = ast.parse(
+        "def f(arg):\n"
+        "    one, zero = 1, 0\n"
+        "    _skipped = 2\n"
+        "    total = 0\n"
+        "    for i, x in enumerate(arg):\n"
+        "        total += x\n"
+        "    def inner():\n"
+        "        return total\n"
+        "    def unused(): pass\n"
+        "    class Shape: pass\n"
+        "    global g\n"
+        "    g = 3\n"
+        "    return [y for y in inner()] + [0 for k in arg]\n"
+    )
+    assert unused_locals(tree) == [
+        "f:2 one", "f:2 zero", "f:5 i", "f:9 unused", "f:10 Shape", "f:13 k"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = unused_locals(tree)
+    assert not unused, f"{path.name} binds locals it never reads: {unused}"

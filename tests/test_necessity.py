@@ -17,6 +17,7 @@ from bipartite_tsg.necessity import (
     FixedCount,
     FixedProfile,
     LinearForm,
+    _order_options,
     a5_small_case_analysis,
     allowed_residues,
     burnside_residues,
@@ -26,6 +27,7 @@ from bipartite_tsg.necessity import (
     s4_burnside_orbits,
     s4_n6_analysis,
 )
+from bipartite_tsg.realizability import enumerate_realizable_profiles
 
 
 def table_as_strings(group):
@@ -111,6 +113,43 @@ def test_allowed_residues_frozen():
     assert allowed_residues("A4") == frozenset({0, 2, 4, 6, 8})
     assert allowed_residues("S4") == frozenset({0, 2, 4, 6, 8})
     assert allowed_residues("A5") == frozenset({0, 2, 12, 20, 30, 32, 42, 50})
+
+
+def _menu_pairs(order, n_max):
+    """The (V, W) fixed counts the per-order menu and its mirror allow, a
+    multiple of the order instantiated up to ``n_max``."""
+
+    def values(count):
+        if count.kind == "exact":
+            return {count.value}
+        return set(range(0, n_max + 1, count.value))
+
+    pairs = set()
+    for v, w in _order_options(order):
+        pairs |= set(itertools.product(values(v), values(w)))
+        pairs |= set(itertools.product(values(w), values(v)))
+    return pairs
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_the_order_menu_and_its_mirror_are_the_realizable_fixed_counts(order):
+    """The necessity menu and the realizability patterns type the same fact
+    twice: which (V, W) fixed counts one realizable part-preserving
+    automorphism of the given order can have.  At desk scale they agree:
+    (1, 1), (2, 2), (k * order, 0) and (0, k * order)."""
+    seen = set()
+    for n in range(3, 13):
+        fixed = {
+            (p.v_cycles.count(1), p.w_cycles.count(1))
+            for p in enumerate_realizable_profiles(n, order)
+            if not p.cross_cycles
+        }
+        assert fixed <= _menu_pairs(order, n), n
+        seen |= fixed
+    multiples = range(0, 13, order)
+    assert seen == _menu_pairs(order, 12) == {(1, 1), (2, 2)} | {
+        pair for m in multiples for pair in ((m, 0), (0, m))
+    }
 
 
 def test_each_row_residue_is_consistent_with_burnside():

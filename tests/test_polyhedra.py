@@ -1,12 +1,15 @@
 """Exact polyhedral models, their rotation groups, and the two independent
 fixed-count oracles (geometric incidence vs. abstract coset actions)."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from bipartite_tsg.perms import generate_group
 from bipartite_tsg.polyhedra import (
     PHI,
-    Q5,
+    ZPhi,
     build_coset_model,
     build_polyhedral_model,
     cross,
@@ -25,20 +28,34 @@ ROTATION_KINDS = ("tetrahedron", "cube", "dodecahedron")
 
 
 def test_golden_ratio_identity():
-    assert PHI * PHI == PHI + 1
-    assert PHI * (PHI - 1) == Q5(1)
+    assert PHI * PHI == PHI + ZPhi(1)
+    assert PHI * (PHI - ZPhi(1)) == ZPhi(1)
 
 
-def test_q5_is_exact():
-    # (1 + sqrt5)/2 * (1 - sqrt5)/2 = -1: no floating point in sight.
-    conjugate = 1 - PHI
-    assert PHI * conjugate == -1
-    assert (PHI / PHI) == Q5(1)
-    assert Q5(0, 1) * Q5(0, 1) == Q5(5)
-    assert Q5(2, -1).sign() == -1  # 2 < sqrt 5
-    assert Q5(2) < Q5(0, 1) < Q5(3)  # 2 < sqrt 5 < 3, decided exactly
-    with pytest.raises(ZeroDivisionError):
-        Q5(0).inverse()
+def test_zphi_is_exact():
+    # phi * (1 - phi) = -1: no floating point in sight.
+    assert PHI * (ZPhi(1) - PHI) == ZPhi(-1)
+    assert (PHI + PHI - ZPhi(1)) * (PHI + PHI - ZPhi(1)) == ZPhi(5)  # sqrt 5 squared
+    assert ZPhi(3, -2).sign() == -1  # 3 - 2 phi = 2 - sqrt 5
+    assert ZPhi(-2, 2).sign() == 1  # 2 phi - 2 = sqrt 5 - 1
+    assert ZPhi(0).sign() == 0
+
+
+def test_the_exact_sign_agrees_with_floating_point():
+    # A nonzero a + b phi times its conjugate is a nonzero integer, so on
+    # this grid it is at least 1/50 away from zero: far beyond float error.
+    phi = (1 + 5**0.5) / 2
+    for a, b in itertools.product(range(-30, 31), repeat=2):
+        value = a + b * phi
+        assert ZPhi(a, b).sign() == (value > 0) - (value < 0), (a, b)
+
+
+def test_halving_is_exact_and_an_odd_component_raises():
+    assert ZPhi(4, -2).half() == ZPhi(2, -1)
+    assert ZPhi(-6, 0).half() == ZPhi(-3)
+    for odd in (ZPhi(1), ZPhi(0, 3), ZPhi(-3, 2), ZPhi(2, -1)):
+        with pytest.raises(ValueError, match="not divisible by 2"):
+            odd.half()
 
 
 # ----------------------------------------------------------- model structure
@@ -120,7 +137,7 @@ def test_edges_all_same_length(models):
 
 
 def test_corners_all_same_radius(models):
-    origin = (Q5(0), Q5(0), Q5(0))
+    origin = vec(0, 0, 0)
     for kind in ROTATION_KINDS:
         m = models[kind]
         norms = {dist2(v, origin) for v in m.corner_vectors}
@@ -140,6 +157,41 @@ def test_group_acts_transitively_on_each_marker_class(models):
         assert by_class["edge"] == [len(m.edges)]
         assert by_class["face"] == [len(m.faces)]
         assert by_class["center"] == [1, 1]
+
+
+# The SHA-256 of each model's combinatorial content: its edges and faces,
+# its group's elements and generators, the parities, each axis (elements,
+# slots, parts), and the action's labels and permutations.  Whatever number
+# type the build derives them in, the models must come out the same.
+MODEL_SHA256 = {
+    "tetrahedron": "11a7d2ddf18d1f5e69d80d9b57d9d5632c95833ae4d82d7a7d95df816d0645cc",
+    "tetrahedron-skeleton": "29d96928491b2c76d5688af5ba889c3ec6ddf6d1439e20a6f10b5b98e1a4b270",
+    "cube": "13513c76f14a42d35bc662655986bfc486d367721daf23714d48f1367dd21f1f",
+    "dodecahedron": "936ad3d9054dacb4a8f975cc30d79752a18b3fce13e01dcac1bd1feca298e1f8",
+}
+
+
+def model_digest(m):
+    elements = m.group.elements
+    payload = (
+        m.edges,
+        m.faces,
+        tuple(e.images for e in elements),
+        tuple(e.images for e in m.group.generators),
+        m.parities,
+        tuple(
+            (tuple(e.images for e in axis.elements), axis.slots, axis.parts)
+            for axis in m.axes
+        ),
+        m.action.points,
+        tuple(m.action.perms[e].images for e in elements),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", MODEL_SHA256)
+def test_every_model_matches_its_frozen_digest(models, kind):
+    assert model_digest(models[kind]) == MODEL_SHA256[kind]
 
 
 # ----------------------------------------------------------------------- axes
@@ -202,7 +254,7 @@ def test_a_circle_through_the_poles_lists_pole_ray_pole_ray(models):
             assert (first, second) == (("center", 0), ("center", 1))
             u, v = _vector(m, ray), _vector(m, other_ray)
             assert cross(u, v) == vec(0, 0, 0)  # one line through the center
-            assert dot(u, v) < 0  # on opposite rays
+            assert dot(u, v).sign() < 0  # on opposite rays
 
 
 # ------------------------------------------------------------ fixed-count table
