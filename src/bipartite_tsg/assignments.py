@@ -106,6 +106,17 @@ Block = CenterPair | MarkerBlock | FreeOrbitBlock
 CORE_CACHE_SIZE = 64
 
 
+class FixedTable(NamedTuple):
+    """What each element fixes of a core's transversal: its fixed counts in
+    V and W by element index (the identity's left empty), the class counts,
+    and the fixers, the bitmask of ``model.nontrivial`` fixing each fixed
+    transversal position."""
+
+    counts: tuple[tuple[int, int], ...]
+    class_counts: dict[str, tuple[int, int, tuple[int, int]]]
+    fixers: dict[int, int]
+
+
 @dataclass(eq=False)
 class CoreChecks:
     """What was checked on one placement core, shared by every placement
@@ -117,27 +128,20 @@ class CoreChecks:
     axis, so these checks read only the core:
 
     * ``transversal``: the checked action on the transversal;
-    * ``counts``, ``class_counts`` and ``fixers``: each element's fixed
-      counts in V and W by element index (the identity's left empty), the
-      class counts, and the fixers, the bitmask of ``model.nontrivial``
-      fixing each fixed transversal position;
-    * ``rows``: the matched counting row and its residue, by counting table;
-    * ``conditions`` and ``arcs``: the results of conditions 1-5
+    * ``fixed``: the :class:`FixedTable` read from it;
+    * ``row``: the matched counting row and its residue;
+    * ``routing``: the results of conditions 1-5
       (``hypotheses.ConditionResult``) and the chosen arcs, in labels.
 
-    The first placement that reads a field fills it.  A check that raises
-    leaves its field empty, so every later placement of the core makes it
-    again.  Fields filled together are assigned with ``counts`` and
-    ``conditions`` last, and those two are what a reader tests.
+    The first placement that reads a field fills it, with one assignment
+    once its check has passed.  A check that raises leaves its field empty,
+    so every later placement of the core makes it again.
     """
 
     transversal: GroupAction | None = None
-    class_counts: dict[str, tuple[int, int, tuple[int, int]]] | None = None
-    fixers: dict[int, int] | None = None
-    counts: tuple[tuple[int, int], ...] | None = None
-    rows: dict[str, tuple[FixedProfile, int]] = field(default_factory=dict)
-    arcs: tuple | None = None
-    conditions: tuple | None = None
+    fixed: FixedTable | None = None
+    row: tuple[FixedProfile, int] | None = None
+    routing: tuple[tuple, tuple] | None = None
 
 
 @lru_cache(maxsize=CORE_CACHE_SIZE)
@@ -341,12 +345,13 @@ class VertexAssignment:
     @cached_property
     def core_key(self) -> tuple:
         """What the per-core checks read of the placement: the model kind,
-        the copies and every block, except that a free block enters only as
-        its part and whether it holds an orbit (whether its first orbit lies
-        on the transversal).  Placements of one residue class share it for
-        every ``n`` past the smallest; it keys :func:`core_checks`."""
+        the target's counting table, the copies and every block, except that
+        a free block enters only as its part and whether it holds an orbit
+        (whether its first orbit lies on the transversal).  Placements of
+        one residue class share it for every ``n`` past the smallest."""
         return (
             self.model.kind,
+            counting_table(self.target_group),
             self.copies,
             tuple(
                 tuple(
@@ -361,7 +366,7 @@ class VertexAssignment:
 
     @cached_property
     def core(self) -> CoreChecks:
-        """The record of this placement's core, looked up once."""
+        """The record of this placement's core, looked up once by key."""
         return core_checks(self.core_key)
 
     @cached_property
@@ -480,10 +485,9 @@ class VertexAssignment:
         return [v for run in self._runs if run.first == 0 < run.count for v in run.vertices]
 
     @cached_property
-    def _fixed(self) -> CoreChecks:
-        """The :attr:`core` record with what each element fixes of the
-        transversal filled in: the class counts, the fixers and every
-        element's fixed counts.
+    def _fixed(self) -> FixedTable:
+        """What each element fixes of the transversal, from the :attr:`core`
+        record, made and kept there on the core's first call.
 
         Only the transversal is scanned, once per conjugacy class, for its
         least element ``r``.  The action is checked to be a homomorphism, so
@@ -497,8 +501,8 @@ class VertexAssignment:
         classes sharing a label must agree too.
         """
         core = self.core
-        if core.counts is not None:
-            return core
+        if core.fixed is not None:
+            return core.fixed
         perms = self.transversal.perms
         vertex = self._transversal_vertices
         in_w = [v >= self.n for v in vertex]
@@ -532,8 +536,8 @@ class VertexAssignment:
             if first != computed:
                 raise AssertionError(f"classes labelled {label} disagree")
             by_label[label] = (order, size + len(cls), computed)
-        core.class_counts, core.fixers, core.counts = by_label, fixers, tuple(counts)
-        return core
+        core.fixed = FixedTable(tuple(counts), by_label, fixers)
+        return core.fixed
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
@@ -675,15 +679,15 @@ def necessity_profile_of(
 
     Raises if no row matches or the row's residue differs from ``n``'s.
     The row is matched against the class counts, which depend only on the
-    core, so it is matched once per core and counting table and kept in
-    the core's record (:attr:`VertexAssignment.core`); only the residue is
-    compared with ``n`` per call.
+    core, so it is matched once per core (whose key holds the counting
+    table) and kept in the core's record (:attr:`VertexAssignment.core`);
+    only the residue is compared with ``n`` per call.
     """
     table_group = counting_table(assignment.target_group)
-    rows = assignment.core.rows
-    if table_group not in rows:
-        rows[table_group] = _matching_row(assignment.class_counts, table_group)
-    profile, residue = rows[table_group]
+    core = assignment.core
+    if core.row is None:
+        core.row = _matching_row(assignment.class_counts, table_group)
+    profile, residue = core.row
     modulus = TABLE_MODULUS[table_group]
     if residue != assignment.n % modulus:
         raise AssertionError(
@@ -753,14 +757,29 @@ def verify_fixed_counts(assignment: VertexAssignment) -> FixedCountReport:
     disagreement is surfaced in ``report.discrepancies`` rather than raised,
     because one stated entry is known not to satisfy the orbit-counting
     integrality constraint (see ``RECIPES["dodecahedron-12"]``).  The call
-    fails if the computed table does not instantiate exactly one counting
-    row of the necessity engine for the target group.
+    fails if the numbering is faulty or the computed table does not
+    instantiate exactly one counting row of the target's table.
     """
 
+    _check_numbering(assignment)
     report = fixed_count_report(assignment)
     necessity_profile_of(assignment)
     check_orbit_count(assignment)
     return report
+
+
+def _check_numbering(assignment: VertexAssignment) -> None:
+    """Check that the label and vertex rules agree on the last vertex of
+    each part, in the last orbit of its last run, where a run whose later
+    orbits are misnumbered sends two labels to one vertex (named)."""
+    for i in (assignment.n - 1, 2 * assignment.n - 1):
+        label = assignment.label_of(i)
+        j = assignment.vertex_of(label)
+        if j is None:
+            raise ValueError(f"the numbering sends {label!r} to no vertex")
+        if j != i:
+            other = assignment.label_of(j)
+            raise ValueError(f"the numbering sends {other!r} and {label!r} to one vertex {j}")
 
 
 def check_orbit_count(assignment: VertexAssignment) -> int:

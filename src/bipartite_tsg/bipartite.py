@@ -1,5 +1,5 @@
-"""The complete bipartite graph K_{n,n}: automorphism validation, cycle
-profiles, fixed subgraphs, and circle-embeddability of fixed subgraphs.
+"""The complete bipartite graph K_{n,n}: checks of input counts, automorphism
+validation, cycle profiles, fixed subgraphs and their circle-embeddability.
 
 Vertices are plain indices: part V is 0..n-1, part W is n..2n-1.  Adjacency
 is implicit (every V-vertex meets every W-vertex), so nothing here ever
@@ -12,8 +12,21 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
 
-from .necessity import require_integer
 from .perms import Perm
+
+
+def require_integer(value: object, what: str) -> None:
+    """Reject anything but an ``int`` with :class:`ValueError`; ``bool`` is
+    rejected too, although it is an ``int`` subclass."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def require_count(value: object, what: str) -> None:
+    """Reject anything but a nonnegative ``int`` with :class:`ValueError`."""
+    require_integer(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
 
 
 class MixedParts(ValueError):

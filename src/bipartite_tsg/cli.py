@@ -34,10 +34,10 @@ EXIT_DECIDED = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
-# One cold verify of an admitted n, report written, peaks at about 18.7 MB
-# of RSS, the imported library, and writes a report of about 2.4 KB, at
-# A5 n = 20042 and n = 99992 alike: nothing in a call grows with n.  The
-# cap is a documented bound on the input, not a memory limit.
+# One cold verify of an admitted n, report written, peaks at 18.1-18.7 MB
+# of RSS, the imported library, and writes a report of about 2.5 KB, at
+# A4 n = 99996 and 99988 and A5 n = 99992 alike: nothing in a call grows
+# with n.  The cap is a documented bound on the input, not a memory limit.
 DEFAULT_N_CAP = 100_000
 
 _GROUP_NAMES = {
@@ -269,7 +269,7 @@ def _add_n_cap(p: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_N_CAP,
         help=f"hard limit on --n (default {DEFAULT_N_CAP}; a call takes "
-        "about 19 MB at any n)",
+        "at most about 19 MB at any n)",
     )
 
 

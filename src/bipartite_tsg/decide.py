@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assignments import place
+from .bipartite import require_count
 from .hypotheses import HypothesisReport, verify_construction
 from .necessity import (
     GROUPS,
@@ -27,7 +28,6 @@ from .necessity import (
     NecessityVerdict,
     TABLE_MODULUS,
     necessity_verdict,
-    require_count,
 )
 
 __all__ = [

@@ -51,7 +51,6 @@ from .bipartite import (
     FixedSubgraphShape,
     embeds_in_circle,
     embeds_in_proper_subset_of_circle,
-    fixed_shape,
 )
 from .perms import Perm, compose_images
 from .polyhedra import Axis
@@ -555,32 +554,18 @@ def _check_swap_fixed_shapes(
     pointwise fix a subgraph small enough for a proper sub-arc of a circle.
 
     A part-swapping ``e`` interchanges the ends of an edge exactly when
-    ``e^2`` fixes a vertex of V.  A conjugator maps edges to edges and fixed
-    vertices to fixed vertices, at most swapping the parts, so whether ``e``
-    interchanges an edge and whether its fixed subgraph fits are decided on
-    the least element of its class; the interchangers come out in group
+    ``e^2`` fixes a vertex of V, and the subgraph ``e`` fixes pointwise is
+    the complete bipartite graph on the vertices ``e`` fixes.  Both are read
+    from the core's fixed table; the interchangers come out in group
     order."""
     model = assignment.model
-    group = model.group
-    table = group.product_table
-    verdicts: dict[int, tuple[bool, bool]] = {}  # per class: interchanges, fits
     interchangers = []
     for e in model.nontrivial:
-        if model.parity_of(e) == 1:
-            continue
-        r = group.conjugators[group.index(e)][1]
-        if r not in verdicts:
-            interchanges = assignment.fixed_counts(group.elements[table[r][r]])[0] > 0
-            fits = not interchanges or embeds_in_proper_subset_of_circle(
-                fixed_shape([assignment.induced_aut(group.elements[r])])
-            )
-            verdicts[r] = (interchanges, fits)
-        interchanges, fits = verdicts[r]
-        if not interchanges:
+        if model.parity_of(e) == 1 or not assignment.fixed_counts(e * e)[0]:
             continue
         interchangers.append(e)
-        if not fits:
-            shape = fixed_shape([assignment.induced_aut(e)])
+        shape = FixedSubgraphShape(*assignment.fixed_counts(e))
+        if not embeds_in_proper_subset_of_circle(shape):
             raise HypothesisViolation(
                 4,
                 {"element": repr(e), "shape": [shape.a, shape.b]},
@@ -640,33 +625,27 @@ def check_edge_embedding_hypotheses(
     and a witness; on success returns a report with the chosen arc family.
 
     The report is given in point labels and reads only the placement's
-    core: no nontrivial element fixes a free point (asserted when the
-    core's action is checked) and no free point lies on an axis circle, so
-    the fixed vertices, the axis slots, the arcs and the edge interchangers
-    are the same for every ``m``.  The conditions and arcs are therefore
-    checked once per core and kept in its record
-    (:attr:`VertexAssignment.core`); each placement reports them under its
-    own case name.
+    core (see :class:`~.assignments.CoreChecks`), so it is checked once per
+    core and kept in its record (:attr:`VertexAssignment.core`); each
+    placement reports it under its own case name.
     """
     core = assignment.core
-    if core.conditions is None:
-        core.arcs, core.conditions = _check_conditions(assignment)
-    return HypothesisReport(assignment.case_name, core.conditions, core.arcs)
+    if core.routing is None:
+        core.routing = _check_conditions(assignment)
+    return HypothesisReport(assignment.case_name, *core.routing)
 
 
 def _check_conditions(
     assignment: VertexAssignment,
-) -> tuple[tuple[Arc, ...], tuple[ConditionResult, ...]]:
-    """The arcs and conditions 1-5 of one placement, checked in full."""
+) -> tuple[tuple[ConditionResult, ...], tuple[Arc, ...]]:
+    """Conditions 1-5 of one placement, checked in full, and the arcs."""
     axes = assignment.axis_slots
     results = [_check_common_fixed_circles(assignment, axes)]
     arcs, cond2 = _choose_arcs(assignment, axes)
-    results.append(cond2)
-    results.append(_check_arc_equivariance(assignment, arcs))
+    results += [cond2, _check_arc_equivariance(assignment, arcs)]
     cond4, interchangers = _check_swap_fixed_shapes(assignment)
-    results.append(cond4)
-    results.append(_check_swap_circles(assignment, axes, interchangers))
-    return arcs, tuple(results)
+    results += [cond4, _check_swap_circles(assignment, axes, interchangers)]
+    return tuple(results), arcs
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping
 
+from .bipartite import require_count
+
 GROUPS = ("A4", "S4", "A5")
 
 # Number of elements of each relevant order, counted in the abstract group.
@@ -43,20 +45,6 @@ def counting_table(group: str) -> str:
     octahedral group is held to the tetrahedral table through its index-2
     rotation subgroup."""
     return {"A4": "A4", "S4": "A4", "A5": "A5"}[group]
-
-
-def require_integer(value: object, what: str) -> None:
-    """Reject anything but an ``int`` with :class:`ValueError`; ``bool`` is
-    rejected too, although it is an ``int`` subclass."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def require_count(value: object, what: str) -> None:
-    """Reject anything but a nonnegative ``int`` with :class:`ValueError`."""
-    require_integer(value, what)
-    if value < 0:
-        raise ValueError(f"{what} must be nonnegative")
 
 
 @dataclass(frozen=True)

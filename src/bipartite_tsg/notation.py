@@ -13,7 +13,7 @@ import re
 from itertools import islice
 from typing import Iterable
 
-from .necessity import require_integer
+from .bipartite import require_integer
 from .perms import Perm
 
 __all__ = [

@@ -18,6 +18,7 @@ from bipartite_tsg.assignments import (
     build_assignment,
     check_orbit_count,
     class_label,
+    core_checks,
     fixed_count_report,
     necessity_profile_of,
     place,
@@ -26,7 +27,7 @@ from bipartite_tsg.assignments import (
     verify_fixed_counts,
 )
 from bipartite_tsg.bipartite import validate_automorphism
-from bipartite_tsg.decide import InternalMismatch, decide
+from bipartite_tsg.decide import InternalMismatch, decide, theorem_predicate
 from bipartite_tsg.hypotheses import verify_construction
 from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group
@@ -292,9 +293,8 @@ def test_a_doctored_first_free_orbit_fails_the_build(monkeypatch, pair):
 
 
 def test_a_placement_composes_at_most_one_full_permutation_per_class(monkeypatch):
-    # Warm A5 n = 482: the build and every check read the transversal.
-    # Only condition 4 composes a permutation of all 2n vertices, once per
-    # class of edge-interchanging elements, and A5 has none.
+    # Warm A5 n = 482: the build and every check read the transversal and
+    # the core's tables, so none composes a permutation of all 2n vertices.
     verify_construction(build_assignment("A5", 482))
     n = 482
     composed = []
@@ -308,7 +308,7 @@ def test_a_placement_composes_at_most_one_full_permutation_per_class(monkeypatch
     monkeypatch.setattr(Perm, "_from_checked", classmethod(counting))
     a = build_assignment("A5", n)
     verify_construction(a)
-    assert len(composed) <= len(a.model.group.conjugacy_classes()) - 1
+    assert composed == []
 
 
 def test_the_orbit_count_check_rejects_a_wrong_fixed_count(monkeypatch):
@@ -523,6 +523,40 @@ def test_a_warm_report_holds_the_core_only(group, n):
         tracemalloc.stop()
     assert len(report.encode("utf-8")) < 4096, len(report)
     assert peak < 2**20, peak
+
+
+def _first_pair_of_each_case(n_min):
+    """The least admitted ``n >= n_min`` of each (group, recipe case)."""
+    out = {}
+    for group in GROUPS:
+        for n in range(n_min, n_min + 120):
+            if theorem_predicate(n, group):
+                out.setdefault((group, recipe_case(group, n)), n)
+    return sorted((group, n) for (group, _), n in out.items())
+
+
+COLD_PAIRS = _first_pair_of_each_case(100000)
+
+
+def test_a_cold_decide_holds_memory_of_the_core_only():
+    # A core's first call checks the core alone: condition 4 reads the
+    # fixed table, so no check builds anything of size 2n, cold or warm.
+    assert len(COLD_PAIRS) == 24
+    for kind in MODEL_KINDS:
+        build_polyhedral_model(kind)
+    too_large = []
+    for group, n in COLD_PAIRS:
+        core_checks.cache_clear()
+        tracemalloc.start()
+        try:
+            report = json.dumps(decide(n, group).as_dict(), indent=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = len(report.encode("utf-8"))
+        if peak >= 2**20 or size >= 4096:
+            too_large.append((group, n, recipe_case(group, n), peak, size))
+    assert too_large == []
 
 
 @pytest.mark.parametrize("n", [2, 6])

@@ -13,7 +13,7 @@ from bipartite_tsg.assignments import (
     VertexAssignment,
     build_assignment,
 )
-from bipartite_tsg.bipartite import BipartiteAut, embeds_in_circle
+from bipartite_tsg.bipartite import embeds_in_circle
 from bipartite_tsg.hypotheses import (
     HypothesisViolation,
     NoSuchEdge,
@@ -489,11 +489,9 @@ def test_oversized_fixed_subgraph_violates_the_subarc_condition(
 
     a = assignments[("S4", 4)]
     # An honest part-swapping automorphism fixes no vertex, so the failure
-    # has to be injected: report a pointwise-fixed K_{2,2} for everything.
-    fixed_k22 = BipartiteAut(Perm.from_cycles(8, [(2, 3), (6, 7)]), 4, "swaps")
-    monkeypatch.setattr(
-        VertexAssignment, "induced_aut", lambda self, e: fixed_k22
-    )
+    # has to be injected: the fixed table reports a pointwise-fixed K_{2,2}
+    # for every element (so every square fixes a vertex of V too).
+    monkeypatch.setattr(VertexAssignment, "fixed_counts", lambda self, e: (2, 2))
     with pytest.raises(HypothesisViolation) as exc:
         _check_swap_fixed_shapes(a)
     assert exc.value.condition == 4

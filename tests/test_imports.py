@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 import sits at a module's top level, every private name a module or one of
-its classes defines is read by some module, and every local name a function
-binds is read."""
+its classes defines is read by some module, every local name a function
+binds is read, and each module imports only modules below it in one fixed
+order."""
 
 import ast
 from pathlib import Path
@@ -296,3 +297,82 @@ def test_every_local_name_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = unused_locals(tree)
     assert not unused, f"{path.name} binds locals it never reads: {unused}"
+
+
+#: The package's modules from the bottom of the import graph up: each one
+#: imports only modules earlier in this order.  ``__init__`` is exempt.
+IMPORT_ORDER = (
+    "perms",
+    "polyhedra",
+    "bipartite",
+    "notation",
+    "realizability",
+    "necessity",
+    "assignments",
+    "hypotheses",
+    "decide",
+    "cli",
+)
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The modules of the package that a module of it imports, relatively
+    (``from .x import y``, ``from . import x``) or by the package's name."""
+    package = SRC.name
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                path = node.module
+            elif node.level == 0 and (node.module or "").startswith(package + "."):
+                path = node.module[len(package) + 1:]
+            else:
+                continue
+            if path is None:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(path.split(".")[0])
+        elif isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith(package + ".")
+            )
+    return out
+
+
+def upward_imports(trees: dict[str, ast.Module], order: tuple[str, ...]) -> list[str]:
+    """Each import of a module that is not earlier in ``order``, as
+    ``module -> imported``."""
+    return [
+        f"{module} -> {imported}"
+        for module, tree in trees.items()
+        for imported in sorted(package_imports(tree))
+        if imported not in order[: order.index(module)]
+    ]
+
+
+def test_the_checker_sees_an_upward_import():
+    trees = {
+        "low": ast.parse("from .mid import f\nimport os\n"),
+        "mid": ast.parse("from .low import g\nfrom . import top\n"),
+        "top": ast.parse(
+            "from .low import g\nfrom .mid.sub import h\n"
+            "import bipartite_tsg.top\nfrom bipartite_tsg.low import k\n"
+        ),
+    }
+    assert upward_imports(trees, ("low", "mid", "top")) == [
+        "low -> mid",
+        "mid -> top",
+        "top -> top",
+    ]
+
+
+def test_each_module_imports_only_modules_below_it():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in MODULES
+        if path.stem != "__init__"
+    }
+    assert sorted(trees) == sorted(IMPORT_ORDER)
+    assert upward_imports(trees, IMPORT_ORDER) == []

@@ -260,7 +260,33 @@ def test_a_vertex_map_that_drops_the_orbit_offset_names_two_labels(pair, monkeyp
 
 
 def test_a_cold_skeleton_decide_reports_the_numbering_fault(monkeypatch):
-    # condition 4 reads the permutation of every vertex on a core's first call
+    # the fixed-count stage checks the numbering of each part's last vertex
     monkeypatch.setattr(VertexAssignment, "vertex_of", vertex_of_ignoring_the_orbit)
     with pytest.raises(InternalMismatch, match="to one vertex"):
         decide(24, "A4")
+
+
+@pytest.mark.parametrize("pair", [("A4", 24), ("S4", 56), ("A5", 182)])
+def test_the_numbering_fault_fails_a_cold_and_a_warm_decide(pair, monkeypatch):
+    # The check runs on every call, not only on a core's first one.
+    group, n = pair
+    core_checks.cache_clear()
+    assert decide(n, group).realizable  # the honest numbering warms the core
+    monkeypatch.setattr(VertexAssignment, "vertex_of", vertex_of_ignoring_the_orbit)
+    message = r"the numbering sends \('free', .*\) and \('free', .*\) to one vertex"
+    with pytest.raises(InternalMismatch, match=message):
+        decide(n, group)  # warm
+    core_checks.cache_clear()
+    with pytest.raises(InternalMismatch, match=message):
+        decide(n, group)  # cold
+
+
+def test_a_vertex_map_that_loses_a_later_orbit_names_the_label(monkeypatch):
+    honest = VertexAssignment.vertex_of
+
+    def vertex_of_orbit_zero_only(self, point):
+        return None if point[0] == "free" and point[-2] else honest(self, point)
+
+    monkeypatch.setattr(VertexAssignment, "vertex_of", vertex_of_orbit_zero_only)
+    with pytest.raises(ValueError, match=r"sends \('free', 'VW', 1, \d+\) to no vertex"):
+        verify_fixed_counts(build_assignment("A4", 24))
