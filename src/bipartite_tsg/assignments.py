@@ -28,8 +28,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
-from .bipartite import BipartiteAut, validate_automorphism
+from .bipartite import BipartiteAut, require_count, validate_automorphism
 from .necessity import (
+    GROUPS,
     PROFILE_SLOTS,
     FixedCount,
     FixedProfile,
@@ -160,6 +161,64 @@ def _marker_count(model: PolyhedralModel, marker_class: str) -> int:
     return len(getattr(model, _MARKER_COUNT_ATTR[marker_class]))
 
 
+class SlotTable(NamedTuple):
+    """Where each element sends each point label of one layout's copies.
+
+    ``slots`` lists both poles, then every marker of each class on each copy
+    (class by class, copies in the layout's order), whether or not a vertex
+    sits there; ``number`` gives each label's position.  ``images[a][s]`` is
+    the slot that element ``a`` (by index) sends slot ``s`` to.  ``broken``
+    lists the (generator, element) index pairs whose images do not compose
+    along the product table, none for an honest model."""
+
+    slots: tuple[Point, ...]
+    number: dict[Point, int]
+    images: tuple[tuple[int, ...], ...]
+    broken: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=CORE_CACHE_SIZE)
+def layout_slots(layout: tuple) -> SlotTable:
+    """The slot table of ``layout`` = (model kind, copies, swap partners as a
+    frozenset of (copy, partner) pairs).  The recipes' 31 cores have 8
+    layouts; at most :data:`CORE_CACHE_SIZE` tables are kept, the least
+    recently used dropped first, and ``layout_slots.cache_clear()`` forgets
+    them all.
+
+    Marker ``(cls, copy, i)`` goes under element ``a`` to ``(cls, copy',
+    marker_images[a][cls][i])``, where ``copy'`` is ``copy``'s swap partner
+    when ``a`` swaps the parts and ``copy`` otherwise; a pole goes to
+    ``marker_images[a]["center"]``.  Each (class, copy) block is one run of
+    slots, so an element's images are built block by block."""
+    kind, copies, swaps = layout
+    model = build_polyhedral_model(kind)
+    partner = dict(swaps)
+    blocks = [(cls, name) for cls in _MARKER_COUNT_ATTR for name, _ in copies]
+    slots: list[Point] = [("center", 0), ("center", 1)]
+    first = {}
+    for cls, name in blocks:
+        first[cls, name] = len(slots)
+        slots.extend((cls, name, i) for i in range(_marker_count(model, cls)))
+    images = []
+    for tables, sign in zip(model.marker_images, model.parities):
+        swap = partner if sign == -1 else {}
+        image = list(tables["center"])
+        for cls, name in blocks:
+            start = first[cls, swap.get(name, name)]
+            image.extend([start + i for i in tables[cls]])
+        images.append(tuple(image))
+    group = model.group
+    product = group.product_table
+    broken = tuple(
+        (g, a)
+        for g in map(group.index, group.generators)
+        for a, image in enumerate(images)
+        if images[product[g][a]] != compose_images(images[g], image)
+    )
+    number = dict(zip(slots, range(len(slots))))
+    return SlotTable(tuple(slots), number, tuple(images), broken)
+
+
 class _Run(NamedTuple):
     """One block's vertices: ``count`` orbits (one for a core block), the
     first numbered ``first``.  Label ``j`` of orbit ``first + o`` is vertex
@@ -185,7 +244,9 @@ class VertexAssignment:
     ``target_group`` is the symmetry group the placement is built to
     realize; the acting model may be larger (the order-24 skeleton and cube
     models also serve the order-12 target, which is cut down afterwards by
-    re-embedding along an unfixed edge).
+    re-embedding along an unfixed edge).  ``model`` must be the one
+    :func:`~.polyhedra.build_polyhedral_model` builds for its kind, since
+    the per-core checks and the slot tables are shared by kind.
     """
 
     n: int
@@ -196,6 +257,11 @@ class VertexAssignment:
     blocks: tuple[tuple[Block, ...], ...] = field(repr=False)
 
     def __post_init__(self):
+        # the per-core memo and the slot tables know the model by its kind
+        if self.model is not build_polyhedral_model(self.model.kind):
+            raise ValueError(
+                f"the model must be build_polyhedral_model({self.model.kind!r})"
+            )
         ranks = [r for _, r in self.copies]
         if sorted(ranks) != list(range(1, len(ranks) + 1)):
             raise ValueError("copy ranks must be 1..k")
@@ -318,28 +384,32 @@ class VertexAssignment:
 
     # ----------------------------------------------------------- group action
 
+    @cached_property
+    def slot_table(self) -> SlotTable:
+        """The :class:`SlotTable` of this placement's layout, built on the
+        first check of a core with that layout and shared by every placement
+        with it."""
+        layout = (self.model.kind, self.copies, frozenset(self._swap_map.items()))
+        return layout_slots(layout)
+
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
         """Images of several point labels under one element: the one rule
         for how an element moves a label, read by the transversal check, by
-        the vertex maps and by condition 3.  The element's index is looked
-        up once, and its tables and parity are read by index."""
-        model = self.model
-        a = model.group.index(e)
-        row = model.group.product_table[a]
-        tables = model.marker_images[a]
-        swap = self._swap_map if model.parities[a] == -1 else {}
+        the vertex maps and by the forced closure.  A pole or marker is read
+        from the :attr:`slot_table`; free point ``("free", tag, k, j)`` goes
+        to ``("free", tag, k, row_e[j])``, ``row_e`` the element's row of the
+        product table."""
+        group = self.model.group
+        a = group.index(e)
+        row = group.product_table[a]
+        slots, number, images, _ = self.slot_table
+        image = images[a]
         out = []
-        for point in points:
-            if point[0] == "free":
-                _, tag, k, j = point
-                out.append(("free", tag, k, row[j]))
-            elif point[0] == "center":
-                out.append(("center", tables["center"][point[1]]))
+        for p in points:
+            if p[0] == "free":
+                out.append(("free", p[1], p[2], row[p[3]]))
             else:
-                marker_class, copy_name, i = point
-                out.append(
-                    (marker_class, swap.get(copy_name, copy_name), tables[marker_class][i])
-                )
+                out.append(slots[image[number[p]]])
         return tuple(out)
 
     @cached_property
@@ -1110,7 +1180,11 @@ RECIPES: dict[str, Recipe] = {
 def recipe_case(group: str, n: int) -> str:
     """Name of the recipe for an admitted ``(n, group)``: A5 by ``n mod 60``,
     A4/S4 by ``n mod 12`` for the skeleton and ``n mod 24`` for the cube,
-    and the tetrahedron for A4 at ``n = 6``."""
+    and the tetrahedron for A4 at ``n = 6``.  ``group`` and ``n`` are
+    validated as :func:`~.decide.decide` validates them."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    require_count(n, "part size")
     if group == "A5":
         return f"dodecahedron-{n % 60}"
     if group == "A4" and n == 6:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .assignments import (
@@ -286,25 +286,27 @@ def _check_common_fixed_circles(
 ) -> ConditionResult:
     """Condition (1): if two nontrivial elements both fix an adjacent pair
     pointwise, they fix the same circle.  The common fixers of a pair are the
-    AND of the two vertices' fixer bitmasks, and each distinct set of common
-    fixers is judged once."""
+    AND of the two vertices' fixer bitmasks, so the vertices of each part
+    are grouped by mask, and each pair of a V mask and a W mask is judged
+    once and counts for every pair of vertices holding them.  Groups are
+    met in the order of their first vertices, so a failure names the first
+    failing pair of an ordered V x W scan: an earlier vertex with either
+    mask would have failed first."""
     n = assignment.n
     nontrivial = assignment.model.nontrivial
     axis_index = _axis_index(axes)
     circle_of = [axis_index.get(e) for e in nontrivial]
-    fixers = assignment.fixers
+    # holders[part][mask]: the vertices of that part with that fixer mask
+    holders: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+    for vertex, mask in assignment.fixers.items():
+        holders[vertex >= n].setdefault(mask, []).append(vertex)
     on_one_circle: dict[int, bool] = {}
     pairs_checked = 0
-    for v, v_mask in fixers.items():
-        if v >= n:
-            continue
-        for w, w_mask in fixers.items():
-            if w < n:
-                continue
+    for v_mask, vs in holders[0].items():
+        for w_mask, ws in holders[1].items():
             common = v_mask & w_mask
             if not common:
                 continue
-            pairs_checked += 1
             ok = on_one_circle.get(common)
             if ok is None:
                 circles = {c for k, c in enumerate(circle_of) if common >> k & 1}
@@ -314,8 +316,8 @@ def _check_common_fixed_circles(
                 elements = [e for k, e in enumerate(nontrivial) if common >> k & 1]
                 witness = {
                     "pair": [
-                        point_str(assignment.label_of(v)),
-                        point_str(assignment.label_of(w)),
+                        point_str(assignment.label_of(vs[0])),
+                        point_str(assignment.label_of(ws[0])),
                     ],
                     "elements": [repr(e) for e in elements],
                 }
@@ -325,6 +327,7 @@ def _check_common_fixed_circles(
                     "an adjacent pair is pointwise fixed by elements with "
                     "different fixed circles",
                 )
+            pairs_checked += len(vs) * len(ws)
     return ConditionResult(
         1,
         f"{pairs_checked} co-fixed adjacent pairs, each on a single circle",
@@ -464,21 +467,24 @@ def _check_arc_equivariance(
 
     Arcs are compared as the sets of their endpoints and of their interior
     slots.  The ``k`` distinct slot labels of the family are numbered, and
-    each element's map on them is read once from ``slot_images`` as a tuple
-    of numbers, with ``k`` for every label no arc uses; number ``i`` is bit
+    an element's map on them is gathered from its row of the placement's
+    :attr:`~.assignments.VertexAssignment.slot_table` as a tuple of
+    numbers, with ``k`` for every label no arc uses; number ``i`` is bit
     ``i``, so arcs are bitmasks, and no arc of the family contains bit ``k``.
 
-    The label maps are checked to compose along the product table on every
-    generator x element pair, so they form an action of the group.  Then a
-    family the generators map into itself is mapped into itself by every
-    element, and an element stabilizes an arc and moves it exactly when its
-    conjugate does so to the conjugate arc.  So both halves are checked on
-    the generators and on one element per conjugacy class.  If some pair
-    does not compose, both of its elements are checked too, and if no arc
-    check fails the broken composition is itself reported.
+    The table's maps are checked to compose along the product table on
+    every generator x element pair (its ``broken`` pairs), so they form an
+    action of the group.  Then a family the generators map into itself is
+    mapped into itself by every element, and an element stabilizes an arc
+    and moves it exactly when its conjugate does so to the conjugate arc.
+    So both halves are checked on the generators and on one element per
+    conjugacy class.  If some pair does not compose, both of its elements
+    are checked too, and if no arc check fails the broken composition is
+    itself reported.
     """
     model = assignment.model
     group = model.group
+    table = assignment.slot_table
     labels = tuple(
         dict.fromkeys(p for arc in arcs for p in arc.endpoints + arc.interior)
     )
@@ -494,27 +500,20 @@ def _check_arc_equivariance(
     ]
     keys = [(_union(own, ends), _union(own, interior)) for ends, interior in spans]
     family = set(keys)
-    # maps[a]: element a's map on the label numbers, k sent to itself; the
-    # identity is element 0 and model.nontrivial lists elements 1, 2, ...
-    maps = [tuple(range(k + 1))]
-    for e in model.nontrivial:
-        images = assignment.slot_images(e, labels)
-        maps.append((*map(number.get, images, repeat(k)), k))
-    table = group.product_table
-    generators = [group.index(g) for g in group.generators]
-    broken = [
-        (g, a)
-        for g in generators
-        for a, map_a in enumerate(maps)
-        if maps[table[g][a]] != compose_images(maps[g], map_a)
-    ]
-    checked = set(generators).union(r for _, r in group.conjugators)
-    checked.update(x for g, a in broken for x in (a, table[g][a]))
+    # family label i is slot fam[i]; back sends a slot to its family number
+    fam = [table.number[p] for p in labels]
+    back = [k] * len(table.slots)
+    for i, slot in enumerate(fam):
+        back[slot] = i
+    checked = set(map(group.index, group.generators))
+    checked.update(r for _, r in group.conjugators)
+    checked.update(x for g, a in table.broken for x in (a, group.product_table[g][a]))
     for a, e in enumerate(model.nontrivial, start=1):
         if a not in checked:
             continue
-        image = [own[j] for j in maps[a]]
-        fixed = _union(own, (i for i in range(k) if maps[a][i] == i))
+        map_a = compose_images(back, compose_images(table.images[a], fam))
+        image = [own[j] for j in map_a]
+        fixed = _union(own, (i for i in range(k) if map_a[i] == i))
         for arc, ((v, w), interior), key in zip(arcs, spans, keys):
             image_end = image[v] | image[w]
             image_int = _union(image, interior)
@@ -532,8 +531,8 @@ def _check_arc_equivariance(
                     "an element stabilizing an arc's boundary or an interior "
                     "point does not map the arc to itself",
                 )
-    if broken:
-        g, a = broken[0]
+    if table.broken:
+        g, a = table.broken[0]
         raise HypothesisViolation(
             3,
             {

@@ -1,5 +1,6 @@
 """Block-structured vertex placements and their induced group actions."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -20,6 +21,7 @@ from bipartite_tsg.assignments import (
     class_label,
     core_checks,
     fixed_count_report,
+    layout_slots,
     necessity_profile_of,
     place,
     recipe_case,
@@ -541,12 +543,14 @@ COLD_PAIRS = _first_pair_of_each_case(100000)
 def test_a_cold_decide_holds_memory_of_the_core_only():
     # A core's first call checks the core alone: condition 4 reads the
     # fixed table, so no check builds anything of size 2n, cold or warm.
+    # The layout's slot table is dropped too, so each call pays for its own.
     assert len(COLD_PAIRS) == 24
     for kind in MODEL_KINDS:
         build_polyhedral_model(kind)
     too_large = []
     for group, n in COLD_PAIRS:
         core_checks.cache_clear()
+        layout_slots.cache_clear()
         tracemalloc.start()
         try:
             report = json.dumps(decide(n, group).as_dict(), indent=2)
@@ -565,6 +569,38 @@ def test_recipe_rejects_n_its_core_cannot_fill_with_whole_orbits(n):
     # core vertices in V, so no placement comes out
     with pytest.raises(AssertionError, match="cannot fill"):
         place("S4", n)
+
+
+@pytest.mark.parametrize(
+    "group, n, message",
+    [
+        ("X", 14, "unknown group 'X'"),
+        ("a4", 14, "unknown group 'a4'"),
+        ("A4", 14.0, "part size must be an integer, got 14.0"),
+        ("A4", True, "part size must be an integer, got True"),
+    ],
+)
+def test_place_validates_its_inputs_as_decide_does(group, n, message):
+    for call in (place, recipe_case, build_assignment):
+        with pytest.raises(ValueError) as exc:
+            call(group, n)
+        assert str(exc.value) == message, call
+    with pytest.raises(ValueError) as exc:
+        decide(n, group)
+    assert str(exc.value) == message
+
+
+def test_a_placement_holds_the_shared_model_of_its_kind():
+    # The per-core checks and the slot tables know a model by its kind, so
+    # a placement on an equal but separate model object is refused rather
+    # than checked through the shared model's tables.
+    a = place("A5", 60)
+    copy = dataclasses.replace(a.model)
+    assert copy == a.model and copy is not a.model
+    with pytest.raises(
+        ValueError, match=r"model must be build_polyhedral_model\('dodecahedron'\)"
+    ):
+        dataclasses.replace(a, model=copy)
 
 
 def test_an_n_whose_case_has_no_recipe_raises_naming_it():

@@ -15,6 +15,7 @@ from bipartite_tsg.assignments import (
     build_assignment,
     class_label,
     core_checks,
+    layout_slots,
     place,
     verify_fixed_counts,
 )
@@ -58,11 +59,15 @@ def test_a_sweep_to_1200_checks_each_distinct_core_once():
     }
     assert len(keys) == CORES_UP_TO_1200 < CORE_CACHE_SIZE
     core_checks.cache_clear()
+    layout_slots.cache_clear()
     for group in GROUPS:
         sweep(group, 1200)
     # fewer cores than the bound, so none was dropped and none made twice
     info = core_checks.cache_info()
     assert info.misses == info.currsize == CORES_UP_TO_1200
+    # the cores share 8 layouts, and each layout's slot table is built once
+    layouts = layout_slots.cache_info()
+    assert layouts.misses == layouts.currsize == 8
 
 
 def test_placements_of_one_class_share_their_core_and_its_checks():

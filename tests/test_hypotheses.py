@@ -12,8 +12,10 @@ from bipartite_tsg.assignments import (
     MarkerBlock,
     VertexAssignment,
     build_assignment,
+    place,
 )
 from bipartite_tsg.bipartite import embeds_in_circle
+from bipartite_tsg.decide import GROUPS, theorem_predicate
 from bipartite_tsg.hypotheses import (
     HypothesisViolation,
     NoSuchEdge,
@@ -21,6 +23,7 @@ from bipartite_tsg.hypotheses import (
     check_edge_embedding_hypotheses,
     check_subgroup_theorem,
     forced_fix_closure,
+    point_str,
     subgroup_corollary_witness,
     verify_construction,
 )
@@ -34,6 +37,28 @@ from test_forced_closure import reference_closure, reference_neighbors
 @pytest.fixture(scope="module")
 def reports(assignments):
     return {pair: verify_construction(a) for pair, a in assignments.items()}
+
+
+def slot_map(table, moves):
+    """The identity on the slots of ``table``, except that label ``p`` goes
+    to ``moves[p]``, as a tuple of slot numbers."""
+    return tuple(table.number[moves.get(p, p)] for p in table.slots)
+
+
+def doctor_slot_table(monkeypatch, a, images):
+    """Give placement ``a``, for this test only, the slot table whose element
+    maps are ``images`` (by element index), with its broken pairs read off
+    the product table as generator x element composition failures."""
+    group = a.model.group
+    product = group.product_table
+    broken = tuple(
+        (g, x)
+        for g in map(group.index, group.generators)
+        for x in range(group.order)
+        if images[product[g][x]] != tuple(images[g][s] for s in images[x])
+    )
+    table = a.slot_table._replace(images=tuple(images), broken=broken)
+    monkeypatch.setitem(a.__dict__, "slot_table", table)
 
 
 # -------------------------------------------------------------- positive path
@@ -339,6 +364,23 @@ def test_truncated_arc_family_violates_equivariance(assignments, reports):
     assert exc.value.condition == 3
 
 
+def one_placement_per_layout():
+    """The least admitted placement of each layout (model kind, copies and
+    swap partners) that the recipes use."""
+    out = {}
+    for group in GROUPS:
+        for n in range(4, 124):
+            if theorem_predicate(n, group):
+                a = place(group, n)
+                swaps = frozenset(
+                    (b.copy_name, b.swap_partner)
+                    for b in a.all_blocks()
+                    if isinstance(b, MarkerBlock) and b.swap_partner is not None
+                )
+                out.setdefault((a.model.kind, a.copies, swaps), a)
+    return out
+
+
 def test_slot_images_match_apply(assignments, reports):
     # Every arc slot label, plus every vertex point so the free-point branch
     # is covered as well.
@@ -352,6 +394,96 @@ def test_slot_images_match_apply(assignments, reports):
         for e in a.model.nontrivial:
             expected = tuple(apply(a, e, p) for p in labels)
             assert a.slot_images(e, labels) == expected, (pair, e)
+    # Every slot of every layout, occupied or not, under every element.
+    layouts = one_placement_per_layout()
+    assert len(layouts) == 8
+    for a in layouts.values():
+        table = a.slot_table
+        assert dict(zip(table.slots, range(len(table.slots)))) == table.number
+        assert table.broken == ()
+        labels = table.slots + vertex_labels(a)
+        for e in a.model.group:
+            expected = tuple(apply(a, e, p) for p in labels)
+            assert a.slot_images(e, labels) == expected, (a.case_name, e)
+
+
+def test_condition_3_reads_no_slot_images(assignments, reports, monkeypatch):
+    from bipartite_tsg.hypotheses import _check_arc_equivariance
+
+    # Condition 3 gathers each element's map from the slot table.
+    calls = []
+    honest = VertexAssignment.slot_images
+
+    def counting(self, e, points):
+        calls.append(e)
+        return honest(self, e, points)
+
+    monkeypatch.setattr(VertexAssignment, "slot_images", counting)
+    for pair, report in reports.items():
+        result = _check_arc_equivariance(assignments[pair], report.arcs)
+        assert result.condition == 3
+    assert calls == []
+
+
+def scan_co_fixed_pairs(a, axes):
+    """Condition 1 pair by pair: the number of V x W pairs of fixed vertices
+    with a common nontrivial fixer, and the first, in fixer-table order,
+    whose common fixers lie on no single circle, as its witness (or None)."""
+    circle = {e: i for i, axis in enumerate(axes) for e in axis.elements}
+    pairs, first = 0, None
+    for v, v_mask in a.fixers.items():
+        for w, w_mask in a.fixers.items():
+            common = v_mask & w_mask
+            if not (v < a.n <= w and common):
+                continue
+            pairs += 1
+            elements = [e for k, e in enumerate(a.model.nontrivial) if common >> k & 1]
+            circles = {circle.get(e) for e in elements}
+            if first is None and (len(circles) != 1 or None in circles):
+                first = {
+                    "pair": [point_str(a.label_of(v)), point_str(a.label_of(w))],
+                    "elements": [repr(e) for e in elements],
+                }
+    return pairs, first
+
+
+def test_condition_1_counts_the_pairs_a_vertex_scan_counts(assignments):
+    from bipartite_tsg.hypotheses import _check_common_fixed_circles
+
+    for pair, a in assignments.items():
+        pairs, first = scan_co_fixed_pairs(a, a.axis_slots)
+        assert first is None, pair
+        result = _check_common_fixed_circles(a, a.axis_slots)
+        assert result.summary == (
+            f"{pairs} co-fixed adjacent pairs, each on a single circle"
+        ), pair
+
+
+def test_condition_1_names_the_first_failing_pair_of_a_vertex_scan(
+    assignments, monkeypatch
+):
+    from bipartite_tsg.hypotheses import _check_common_fixed_circles
+
+    # A doctored fixer table of three vertices of each part, in number
+    # order: v1, v3, w2 and w3 are fixed by the elements x and y, v2 and w1
+    # by z and t, and each pair of elements lies on two circles.  So every
+    # pair of v1 or v3 with w2 or w3 fails, and so does (v2, w1); a scan of
+    # V first names (v1, w2), the first vertices holding their masks.
+    for pair, a in assignments.items():
+        axes = a.axis_slots
+        bit = {e: 1 << k for k, e in enumerate(a.model.nontrivial)}
+        x, y, z, t = (bit[axis.elements[0]] for axis in axes[:4])
+        v1, v2, v3, w1, w2, w3 = 0, 1, 2, a.n, a.n + 1, a.n + 2
+        doctored = {
+            v1: x | y, v2: z | t, v3: x | y, w1: z | t, w2: x | y, w3: x | y
+        }
+        monkeypatch.setitem(a.__dict__, "fixers", doctored)
+        _, first = scan_co_fixed_pairs(a, axes)
+        assert first["pair"] == [point_str(a.label_of(v1)), point_str(a.label_of(w2))]
+        with pytest.raises(HypothesisViolation) as exc:
+            _check_common_fixed_circles(a, axes)
+        assert exc.value.condition == 1
+        assert exc.value.witness == first, pair
 
 
 def test_stabilizer_moving_its_arc_violates_equivariance(
@@ -371,12 +503,12 @@ def test_stabilizer_moving_its_arc_violates_equivariance(
     e0 = a.axis_slots[arc.axis_index].elements[0]
     assert all(apply(a, e0, p) == p for p in arc.endpoints)
 
-    def doctored(self, e, points):
-        if e != e0:
-            return points
-        return tuple(other.interior[0] if p in arc.interior else p for p in points)
-
-    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    table = a.slot_table
+    images = [slot_map(table, {})] * a.model.group.order
+    images[a.model.group.index(e0)] = slot_map(
+        table, dict.fromkeys(arc.interior, other.interior[0])
+    )
+    doctor_slot_table(monkeypatch, a, images)
     with pytest.raises(HypothesisViolation) as exc:
         _check_arc_equivariance(a, arcs + (twin,))
     assert exc.value.condition == 3
@@ -390,20 +522,17 @@ def test_image_on_unused_labels_is_outside_the_family(
     from bipartite_tsg.hypotheses import _check_arc_equivariance
 
     # One element sends the first endpoint of ``arc`` to the second and the
-    # second to a label that no arc uses; the image is then no member of the
+    # second to a slot that no arc uses; the image is then no member of the
     # family, however unused labels are numbered.
     a = assignments[("A4", 6)]
     arc = reports[("A4", 6)].arcs[0]
     e0 = a.model.nontrivial[0]
     v, w = arc.endpoints
-    moved = {v: w, w: ("corner", "unused", 0)}
-
-    def doctored(self, e, points):
-        if e != e0:
-            return points
-        return tuple(moved.get(p, p) for p in points)
-
-    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    table = a.slot_table
+    unused = next(p for p in table.slots if p not in arc.endpoints + arc.interior)
+    images = [slot_map(table, {})] * a.model.group.order
+    images[a.model.group.index(e0)] = slot_map(table, {v: w, w: unused})
+    doctor_slot_table(monkeypatch, a, images)
     with pytest.raises(HypothesisViolation) as exc:
         _check_arc_equivariance(a, (arc,))
     assert exc.value.condition == 3
@@ -417,7 +546,7 @@ def test_label_maps_that_do_not_compose_violate_equivariance(
     from bipartite_tsg.hypotheses import _check_arc_equivariance
 
     # One element that is neither a generator nor the least element of its
-    # class is made to fix every label.  The arc family stays invariant and
+    # class is made to fix every slot.  The arc family stays invariant and
     # every arc check on that element passes, but its label map no longer
     # composes along the product table.
     a = assignments[("A5", 42)]
@@ -430,12 +559,9 @@ def test_label_maps_that_do_not_compose_violate_equivariance(
         for e in a.model.nontrivial
         if e not in skipped and any(apply(a, e, p) != p for p in labels)
     )
-    honest = VertexAssignment.slot_images
-
-    def doctored(self, e, points):
-        return points if e == e1 else honest(self, e, points)
-
-    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    images = list(a.slot_table.images)
+    images[group.index(e1)] = slot_map(a.slot_table, {})
+    doctor_slot_table(monkeypatch, a, images)
     with pytest.raises(HypothesisViolation) as exc:
         _check_arc_equivariance(a, arcs)
     assert exc.value.condition == 3
