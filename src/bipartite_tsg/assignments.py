@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from .bipartite import BipartiteAut, require_count, validate_automorphism
@@ -103,19 +103,22 @@ Block = CenterPair | MarkerBlock | FreeOrbitBlock
 
 
 #: The number of cores whose checks are kept at once.  The admitted
-#: placements of every ``n`` have 31 distinct cores.
+#: placements of every ``n`` have 17 distinct cores, one per recipe and
+#: target counting table.
 CORE_CACHE_SIZE = 64
 
 
 class FixedTable(NamedTuple):
-    """What each element fixes of a core's transversal: its fixed counts in
-    V and W by element index (the identity's left empty), the class counts,
-    and the fixers, the bitmask of ``model.nontrivial`` fixing each fixed
-    transversal position."""
+    """What each element fixes of a core: its fixed counts in V and W by
+    element index (the identity's left empty), the class counts, the fixers,
+    the bitmask of ``model.nontrivial`` fixing each fixed core label (by its
+    position among the core's labels, in block order), and the number of
+    orbits of the core's vertices."""
 
     counts: tuple[tuple[int, int], ...]
     class_counts: dict[str, tuple[int, int, tuple[int, int]]]
     fixers: dict[int, int]
+    orbits: int
 
 
 @dataclass(eq=False)
@@ -126,20 +129,27 @@ class CoreChecks:
     A residue class's placements share one core of poles and marker
     blocks and differ only in ``m``, the number of regular free orbits.
     No nontrivial element fixes a free point and no free point lies on an
-    axis, so these checks read only the core:
+    axis, so these checks read only the core, and each is the same for
+    every ``m``, ``m = 0`` included:
 
-    * ``transversal``: the checked action on the transversal;
-    * ``fixed``: the :class:`FixedTable` read from it;
+    * ``transversal``: the checked action on the transversal, the core's
+      labels plus orbit 0 of every free part the key names;
+    * ``core_faithful``: whether the core's labels alone act faithfully,
+      which decides a placement without any free orbit;
+    * ``fixed``: the :class:`FixedTable` read from the layout's fixer masks
+      and slot orbits;
     * ``row``: the matched counting row and its residue;
     * ``routing``: the results of conditions 1-5
       (``hypotheses.ConditionResult``) and the chosen arcs, in labels.
 
     The first placement that reads a field fills it, with one assignment
-    once its check has passed.  A check that raises leaves its field empty,
-    so every later placement of the core makes it again.
+    once its check has passed (``core_faithful`` just before
+    ``transversal``).  A check that raises leaves its field empty, so every
+    later placement of the core makes it again.
     """
 
     transversal: GroupAction | None = None
+    core_faithful: bool | None = None
     fixed: FixedTable | None = None
     row: tuple[FixedProfile, int] | None = None
     routing: tuple[tuple, tuple] | None = None
@@ -169,18 +179,30 @@ class SlotTable(NamedTuple):
     sits there; ``number`` gives each label's position.  ``images[a][s]`` is
     the slot that element ``a`` (by index) sends slot ``s`` to.  ``broken``
     lists the (generator, element) index pairs whose images do not compose
-    along the product table, none for an honest model."""
+    along the product table, none for an honest model.
+
+    Read from ``images`` once per layout: ``fixers[s]``, the bitmask of the
+    elements fixing slot ``s``, bit ``a - 1`` for element ``a`` (so bit
+    ``k`` is ``model.nontrivial[k]``); ``orbit[s]``, the least slot of the
+    orbit of ``s`` under the generators' rows; and ``axes``, each of the
+    model's axes as slot numbers in circular order, with each marker
+    expanded to its concentric copies (see
+    :attr:`VertexAssignment.axis_slots`), or None when a part-swapping
+    circle would cross two or more copies, which no placement admits."""
 
     slots: tuple[Point, ...]
     number: dict[Point, int]
     images: tuple[tuple[int, ...], ...]
     broken: tuple[tuple[int, int], ...]
+    fixers: tuple[int, ...]
+    orbit: tuple[int, ...]
+    axes: tuple[tuple[int, ...], ...] | None
 
 
 @lru_cache(maxsize=CORE_CACHE_SIZE)
 def layout_slots(layout: tuple) -> SlotTable:
     """The slot table of ``layout`` = (model kind, copies, swap partners as a
-    frozenset of (copy, partner) pairs).  The recipes' 31 cores have 8
+    frozenset of (copy, partner) pairs).  The recipes' 17 cores have 8
     layouts; at most :data:`CORE_CACHE_SIZE` tables are kept, the least
     recently used dropped first, and ``layout_slots.cache_clear()`` forgets
     them all.
@@ -209,14 +231,80 @@ def layout_slots(layout: tuple) -> SlotTable:
         images.append(tuple(image))
     group = model.group
     product = group.product_table
+    generators = tuple(map(group.index, group.generators))
     broken = tuple(
         (g, a)
-        for g in map(group.index, group.generators)
+        for g in generators
         for a, image in enumerate(images)
         if images[product[g][a]] != compose_images(images[g], image)
     )
-    number = dict(zip(slots, range(len(slots))))
-    return SlotTable(tuple(slots), number, tuple(images), broken)
+    fixers = []
+    for s, column in enumerate(zip(*images)):  # column[a] is images[a][s]
+        mask = a = 0
+        for _ in range(column[1:].count(s)):  # index 0 is the identity
+            a = column.index(s, a + 1)
+            mask |= 1 << (a - 1)
+        fixers.append(mask)
+    return SlotTable(
+        tuple(slots),
+        dict(zip(slots, range(len(slots)))),
+        tuple(images),
+        broken,
+        tuple(fixers),
+        _orbit_roots([images[g] for g in generators]),
+        _axis_numbers(model, copies, partner, first),
+    )
+
+
+def _orbit_roots(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Each point's least point in its orbit under the permutations
+    ``rows``, found
+    by walking each orbit once from its least point."""
+    root = [-1] * len(rows[0])
+    for s in range(len(root)):
+        if root[s] < 0:
+            root[s] = s
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for row in rows:
+                    if root[row[x]] < 0:
+                        root[row[x]] = s
+                        stack.append(row[x])
+    return tuple(root)
+
+
+def _axis_numbers(
+    model: PolyhedralModel,
+    copies: tuple[tuple[str, int], ...],
+    partner: dict[str, str],
+    first: dict[tuple[str, str], int],
+) -> tuple[tuple[int, ...], ...] | None:
+    """The model's axes as slot numbers, each marker expanded to its copies.
+
+    Along a circle through the poles the copies are met by increasing
+    radial rank on the ray leaving pole 0 and by decreasing rank on the
+    ray leaving pole 1.  A part-swapping circle avoids the poles, and the
+    copies that the swap exchanges do not lie on it, so it holds the
+    unswapped copy, if any; None if there are two or more.  Pole ``k`` is
+    slot ``k`` and marker ``(cls, copy, i)`` is slot ``first[cls, copy] +
+    i``."""
+    ranked = [name for name, _ in sorted(copies, key=lambda it: it[1])]
+    unswapped = [name for name in ranked if name not in partner]
+    out = []
+    for axis in model.axes:
+        if len(unswapped) > 1 and ("center", 0) not in axis.slots:
+            return None
+        names = unswapped  # until a pole is passed; pole 0 comes first
+        numbers: list[int] = []
+        for label in axis.slots:
+            if label[0] == "center":
+                numbers.append(label[1])
+                names = ranked if label[1] == 0 else ranked[::-1]
+            else:
+                numbers.extend(first[label[0], name] + label[1] for name in names)
+        out.append(tuple(numbers))
+    return tuple(out)
 
 
 class _Run(NamedTuple):
@@ -374,14 +462,6 @@ class VertexAssignment:
         vertex = self.vertex_of(point)
         return None if vertex is None else "VW"[vertex >= self.n]
 
-    @cached_property
-    def _swap_map(self) -> dict[str, str]:
-        return {
-            b.copy_name: b.swap_partner
-            for b in self.all_blocks()
-            if isinstance(b, MarkerBlock) and b.swap_partner is not None
-        }
-
     # ----------------------------------------------------------- group action
 
     @cached_property
@@ -389,8 +469,12 @@ class VertexAssignment:
         """The :class:`SlotTable` of this placement's layout, built on the
         first check of a core with that layout and shared by every placement
         with it."""
-        layout = (self.model.kind, self.copies, frozenset(self._swap_map.items()))
-        return layout_slots(layout)
+        swaps = frozenset(
+            (b.copy_name, b.swap_partner)
+            for b in self.all_blocks()
+            if isinstance(b, MarkerBlock) and b.swap_partner is not None
+        )
+        return layout_slots((self.model.kind, self.copies, swaps))
 
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
         """Images of several point labels under one element: the one rule
@@ -402,8 +486,8 @@ class VertexAssignment:
         group = self.model.group
         a = group.index(e)
         row = group.product_table[a]
-        slots, number, images, _ = self.slot_table
-        image = images[a]
+        table = self.slot_table
+        slots, number, image = table.slots, table.number, table.images[a]
         out = []
         for p in points:
             if p[0] == "free":
@@ -416,18 +500,16 @@ class VertexAssignment:
     def core_key(self) -> tuple:
         """What the per-core checks read of the placement: the model kind,
         the target's counting table, the copies and every block, except that
-        a free block enters only as its part and whether it holds an orbit
-        (whether its first orbit lies on the transversal).  Placements of
-        one residue class share it for every ``n`` past the smallest."""
+        a free block enters only as its part.  Placements of one residue
+        class share it for every ``n``, whether or not a free part holds an
+        orbit."""
         return (
             self.model.kind,
             counting_table(self.target_group),
             self.copies,
             tuple(
                 tuple(
-                    FreeOrbitBlock(min(b.count, 1), b.part)
-                    if isinstance(b, FreeOrbitBlock)
-                    else b
+                    ("free", b.part) if isinstance(b, FreeOrbitBlock) else b
                     for b in group
                 )
                 for group in self.blocks
@@ -440,35 +522,49 @@ class VertexAssignment:
         return core_checks(self.core_key)
 
     @cached_property
+    def _free_orbits(self) -> int:
+        """The number of free orbits, of every part."""
+        return sum(run.count for run in self._runs if run.prefix[0] == "free")
+
+    @cached_property
     def transversal(self) -> GroupAction:
         """The induced action on a transversal of the vertices, checked.
 
-        The transversal is every core vertex (poles and markers) plus the
-        first free orbit of each free part (V, W or the split orbits).  Every
-        other free orbit is a translate of its part's first: ``e`` sends
-        ``("free", tag, k, j)`` to ``("free", tag, k, row_e[j])`` for every
-        ``k`` (:meth:`slot_images`), so the action on all ``2n`` vertices
-        is a permutation and a homomorphism once this one is, and it fixes a
-        vertex exactly when this one fixes its twin in the transversal.
+        The transversal is every core label (poles and markers) plus orbit
+        0 of each free part the :attr:`core_key` names (V, W or the split
+        orbits), in block order, whether or not that part holds an orbit at
+        this ``n``: :meth:`slot_images` moves a free label along the product
+        table whether or not it is a vertex.  Every free orbit is a
+        translate of its part's orbit 0: ``e`` sends ``("free", tag, k, j)``
+        to ``("free", tag, k, row_e[j])`` for every ``k``, so the action on
+        all ``2n`` vertices is a permutation and a homomorphism once this
+        one is, and it fixes a vertex exactly when this one fixes its twin
+        in the transversal.
 
-        The transversal, its labels and so its checked action depend only
-        on :attr:`core_key`, so the action is checked once per core and
-        kept in its :attr:`core` record (see :meth:`_checked_transversal`).
+        The transversal and so its checked action depend only on the core
+        key, so the action is checked once per core and kept in its
+        :attr:`core` record (see :meth:`_checked_transversal`), with whether
+        the core's labels alone act faithfully.  A free orbit acts
+        faithfully, so only a placement without any free orbit reads that.
         """
         core = self.core
         if core.transversal is None:
-            core.transversal = self._checked_transversal(
-                [
-                    run.label(0, j)
-                    for run in self._runs
-                    if run.first == 0 < run.count  # a core run or orbit 0
-                    for j in range(len(run.vertices))
-                ]
+            # every core run, and each free tag's orbit 0 once, at its first block
+            labels = dict.fromkeys(
+                run.label(0, j)
+                for run in self._runs
+                if run.first == 0
+                for j in range(len(run.vertices))
             )
+            checked, core.core_faithful = self._checked_transversal(list(labels))
+            core.transversal = checked
+        if not (core.core_faithful or self._free_orbits):
+            raise AssertionError("the action on the vertices is not faithful")
         return core.transversal
 
-    def _checked_transversal(self, labels: list[Point]) -> GroupAction:
-        """The action on the transversal ``labels``, checked.
+    def _checked_transversal(self, labels: list[Point]) -> tuple[GroupAction, bool]:
+        """The action on the transversal ``labels``, checked, and whether its
+        core labels alone act faithfully.
 
         Each generator's image list is read from :meth:`slot_images`, the
         one rule for how an element moves a label; a label sent to no label
@@ -476,9 +572,9 @@ class VertexAssignment:
         :meth:`GroupAction.from_images` checks those lists and composes
         every other element's along the product table, checking the
         homomorphism law on every generator x element pair.  The kernel of
-        the action is a normal subgroup, so the action is faithful exactly
-        when no nontrivial conjugacy class's least element acts as the
-        identity.
+        the action is a normal subgroup, so the action (or its restriction
+        to the core's labels, an invariant set) is faithful exactly when no
+        nontrivial conjugacy class's least element acts as the identity.
 
         The free orbits are regular: no nontrivial element fixes a free
         point, since ``row_e[j] == j`` only for the identity.  This is the
@@ -502,12 +598,15 @@ class VertexAssignment:
                 )
             images[e] = row
         checked = GroupAction.from_images(group, labels, images)
-        reps = [checked.perms[cls[0]] for cls in group.conjugacy_classes()[1:]]
-        if any(r.is_identity() for r in reps):  # [0] above is {identity}
+        classes = group.conjugacy_classes()[1:]  # [0] is {identity}
+        reps = [checked.perms[cls[0]].images for cls in classes]
+        if tuple(range(len(labels))) in reps:
             raise AssertionError("the action on the vertices is not faithful")
-        if any(labels[i][0] == "free" for r in reps for i in r.fixed_points()):
+        free = [i for i, p in enumerate(labels) if p[0] == "free"]
+        if any(rep[i] == i for rep in reps for i in free):
             raise AssertionError("a nontrivial element fixes a free point")
-        return checked
+        core = [i for i, p in enumerate(labels) if p[0] != "free"]
+        return checked, all(any(rep[i] != i for i in core) for rep in reps)
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
@@ -550,63 +649,78 @@ class VertexAssignment:
         return aut
 
     @cached_property
-    def _transversal_vertices(self) -> list[int]:
-        """The vertex of each label of the transversal, in its order."""
-        return [v for run in self._runs if run.first == 0 < run.count for v in run.vertices]
+    def _core_vertices(self) -> list[int]:
+        """The vertex of each core label, in block order."""
+        return [
+            v for run in self._runs if run.prefix[0] != "free" for v in run.vertices
+        ]
+
+    @cached_property
+    def _core_slots(self) -> list[int]:
+        """The slot of each core label, in block order, read on the core's
+        first check."""
+        number = self.slot_table.number
+        return [
+            number[run.label(0, j)]
+            for run in self._runs
+            if run.prefix[0] != "free"
+            for j in range(len(run.vertices))
+        ]
 
     @cached_property
     def _fixed(self) -> FixedTable:
-        """What each element fixes of the transversal, from the :attr:`core`
+        """What each element fixes of the core, from the :attr:`core`
         record, made and kept there on the core's first call.
 
-        Only the transversal is scanned, once per conjugacy class, for its
-        least element ``r``.  The action is checked to be a homomorphism, so
-        a conjugate ``g r g^-1`` fixes exactly the images ``g(x)`` of the
-        points ``x`` that ``r`` fixes.  No nontrivial element fixes a free
-        point, so these lie in the core, whose labels are vertices of every
-        placement sharing it, each in the same part and in the same order.
+        No nontrivial element fixes a free point, so an element's fixed
+        vertices are the core labels whose slots it fixes, each in the same
+        part and the same order for every placement of the core.  One pass
+        over the core's slots reads their fixer masks from the
+        :attr:`slot_table`, grouped by mask: each element's counts are then
+        the sum over the masks holding its bit.  The masks read every
+        element's images in the table, which compose along the product
+        table exactly when its ``broken`` is empty (condition 3 reports a
+        table that does not).
 
         Every element's counts are read, so conjugates are checked to agree
         (a part-swapping conjugator moves a fixed set across the parts);
-        classes sharing a label must agree too.
+        classes sharing a label must agree too.  The core's orbits are the
+        distinct slot orbits among its slots.
         """
         core = self.core
         if core.fixed is not None:
             return core.fixed
-        perms = self.transversal.perms
-        vertex = self._transversal_vertices
-        in_w = [v >= self.n for v in vertex]
+        self.transversal  # the action is checked first
+        table = self.slot_table
         model = self.model
-        elements = model.group.elements
-        scanned: dict[int, tuple[int, ...]] = {}
-        counts = [(0, 0)]  # index 0 is the identity
         fixers: dict[int, int] = {}
-        members: dict[int, list[int]] = {}  # class by class, least element first
-        for a, (g, r) in enumerate(model.group.conjugators[1:], start=1):
-            if r not in scanned:
-                scanned[r] = perms[elements[r]].fixed_points()
-            found = scanned[r]
-            if g != 0:
-                found = compose_images(perms[elements[g]].images, found)
-            w = sum(compose_images(in_w, found))
-            counts.append((len(found) - w, w))
-            members.setdefault(r, []).append(a)
-            bit = 1 << (a - 1)  # model.nontrivial[a - 1]
-            for i in sorted(found, key=vertex.__getitem__):
-                fixers[i] = fixers.get(i, 0) | bit
+        held: dict[int, list[int]] = {}  # mask -> its holders in V and in W
+        for i, (s, vertex) in enumerate(zip(self._core_slots, self._core_vertices)):
+            mask = table.fixers[s]
+            if mask:
+                fixers[i] = mask
+                held.setdefault(mask, [0, 0])[vertex >= self.n] += 1
+        order = model.group.order
+        in_v, in_w = [0] * order, [0] * order  # index 0, the identity, left empty
+        for mask, (v, w) in held.items():
+            while mask:
+                a = (mask & -mask).bit_length()  # the lowest bit, a - 1, is element a
+                in_v[a] += v
+                in_w[a] += w
+                mask &= mask - 1
+        counts = tuple(zip(in_v, in_w))
         by_label: dict[str, tuple[int, int, tuple[int, int]]] = {}
-        for r, cls in members.items():
-            rep = elements[r]
-            label = class_label(model, rep)
+        for label, rep_order, cls in _nontrivial_classes(model.kind):
             found_counts = {counts[a] for a in cls}
             if len(found_counts) != 1:
                 raise AssertionError(f"conjugate elements disagree in {label}")
             computed = found_counts.pop()
-            order, size, first = by_label.get(label, (rep.order(), 0, computed))
+            rep_order, size, first = by_label.get(label, (rep_order, 0, computed))
             if first != computed:
                 raise AssertionError(f"classes labelled {label} disagree")
-            by_label[label] = (order, size + len(cls), computed)
-        core.fixed = FixedTable(tuple(counts), by_label, fixers)
+            by_label[label] = (rep_order, size + len(cls), computed)
+        orbits = len({table.orbit[s] for s in self._core_slots})
+        core.fixed = FixedTable(counts, by_label, fixers, orbits)
         return core.fixed
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
@@ -619,7 +733,7 @@ class VertexAssignment:
         """Map each vertex fixed by a nontrivial element to the bitmask of
         the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
         Read from the core's table, one entry per fixed core label."""
-        vertex = self._transversal_vertices
+        vertex = self._core_vertices
         return {vertex[i]: mask for i, mask in self._fixed.fixers.items()}
 
     @cached_property
@@ -632,9 +746,30 @@ class VertexAssignment:
     # ------------------------------------------------------------ axis slots
 
     @cached_property
+    def slot_parts(self) -> list[str | None]:
+        """The part, "V" or "W", of the vertex at each slot of the
+        :attr:`slot_table`, None where no vertex sits: one gather over the
+        core's slots, read on the core's first check."""
+        parts: list[str | None] = [None] * len(self.slot_table.slots)
+        for s, vertex in zip(self._core_slots, self._core_vertices):
+            parts[s] = "VW"[vertex >= self.n]
+        return parts
+
+    @property
+    def slot_axes(self) -> tuple[tuple[int, ...], ...]:
+        """The model's axes as slot numbers of the :attr:`slot_table`, each
+        marker expanded to its concentric copies; a layout whose
+        part-swapping circle would cross two or more copies raises."""
+        axes = self.slot_table.axes
+        if axes is None:
+            raise AssertionError("a swap-invariant circle admits at most one copy")
+        return axes
+
+    @cached_property
     def axis_slots(self) -> tuple[Axis, ...]:
         """The model's axes with each marker expanded to its concentric
-        copies, and each slot's part.
+        copies, and each slot's part: :attr:`slot_axes` and
+        :attr:`slot_parts` in labels.
 
         Along a circle through the poles the copies are met by increasing
         radial rank on the ray leaving pole 0 and by decreasing rank on the
@@ -642,31 +777,32 @@ class VertexAssignment:
         copies that the swap exchanges do not lie on it, so it holds the
         unswapped copy, if any.
         """
-        ranked = [name for name, _ in sorted(self.copies, key=lambda it: it[1])]
-        unswapped = [name for name in ranked if name not in self._swap_map]
-        # every slot is a core label, and a core run lies in one part
-        part = {run.prefix: self.part_of_point(run.label(0, 0)) for run in self._runs}
-        out = []
-        for axis in self.model.axes:
-            if len(unswapped) > 1 and ("center", 0) not in axis.slots:
-                raise AssertionError(
-                    "a swap-invariant circle admits at most one copy"
-                )
-            names = unswapped  # until a pole is passed; pole 0 comes first
-            slots: list[Point] = []
-            for label in axis.slots:
-                if label[0] == "center":
-                    slots.append(label)
-                    names = ranked if label[1] == 0 else ranked[::-1]
-                else:
-                    slots.extend((label[0], name, label[1]) for name in names)
-            parts = tuple(part.get(label[:-1]) for label in slots)
-            out.append(Axis(axis.elements, tuple(slots), parts))
-        return tuple(out)
+        slots, parts = self.slot_table.slots, self.slot_parts
+        return tuple(
+            Axis(
+                axis.elements,
+                tuple(slots[s] for s in numbers),
+                tuple(parts[s] for s in numbers),
+            )
+            for axis, numbers in zip(self.model.axes, self.slot_axes)
+        )
 
 
 # --------------------------------------------------------------------------
 # conjugacy-class descriptors and the fixed-count report
+
+
+@cache
+def _nontrivial_classes(kind: str) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """Each nontrivial conjugacy class of the model of ``kind``, in the order
+    of their least elements: its label, its element order and its members'
+    indices, ascending."""
+    model = build_polyhedral_model(kind)
+    group = model.group
+    return tuple(
+        (class_label(model, cls[0]), cls[0].order(), tuple(map(group.index, cls)))
+        for cls in group.conjugacy_classes()[1:]  # [0] is {identity}
+    )
 
 
 def class_label(model: PolyhedralModel, rep: Perm) -> str:
@@ -857,24 +993,20 @@ def check_orbit_count(assignment: VertexAssignment) -> int:
 
     Burnside's lemma averages the fixed counts over the group: the identity
     fixes all ``2n`` vertices and each class label contributes its size
-    times its fixed count.  Union-find counts the transversal's orbits under
-    the generators; an orbit of a free part's first free orbit stands for
-    one orbit per free orbit of that part.  The average must be an integer
-    equal to the direct count.
+    times its fixed count.  The direct count is the core's orbits under the
+    generators' rows of the slot table (kept in the core's fixed table), and
+    one more per free orbit.  The average must be an integer equal to
+    the direct count; it is compared in integers.
     """
     fixed = sum(
         size * (v + w) for _, size, (v, w) in assignment.class_counts.values()
     )
-    average = Fraction(2 * assignment.n + fixed, assignment.model.group.order)
-    direct = sum(
-        sum(r.count for r in assignment._by_prefix[orbit[0][:2]])
-        if orbit[0][0] == "free"
-        else 1
-        for orbit in assignment.transversal.orbits()
-    )
-    if average != direct:
+    total, order = 2 * assignment.n + fixed, assignment.model.group.order
+    direct = assignment._fixed.orbits + assignment._free_orbits
+    if divmod(total, order) != (direct, 0):
         raise AssertionError(
-            f"orbit count mismatch: union-find {direct}, Burnside {average}"
+            f"orbit count mismatch: union-find {direct}, "
+            f"Burnside {Fraction(total, order)}"
         )
     return direct
 

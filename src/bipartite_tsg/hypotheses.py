@@ -335,116 +335,96 @@ def _check_common_fixed_circles(
 
 
 def _axis_gaps(
-    axis: Axis,
-) -> tuple[tuple[tuple[Point, str], ...], tuple[dict, ...]]:
-    """Occupied slots of an axis and the gaps between consecutive ones.
+    circle: tuple[int, ...], occupied: list[int]
+) -> dict[frozenset[int], list[tuple[tuple[bool, int, int], tuple[int, ...]]]]:
+    """The gaps between consecutive occupied slots of a circle, by their
+    endpoint pair.
 
-    Each gap records its endpoint pair and the (unoccupied) slots strictly
-    inside it, walking the circle from one occupied slot to the next.
+    ``circle`` lists slot numbers in circular order and ``occupied`` the
+    positions in it of the slots holding a vertex.  Each gap is walked from
+    one occupied slot to the next and kept as its preference and its
+    interior, the (unoccupied) slots strictly inside.  The preference is a
+    deterministic choice order: avoid the poles (slots 0 and 1), then prefer
+    short gaps, then the first.  Every part-preserving axis circle passes
+    through both poles, so two arcs through the same pole on different
+    circles would intersect.
     """
-    occupied = [
-        (i, p, part)
-        for i, (p, part) in enumerate(zip(axis.slots, axis.parts))
-        if part
-    ]
     k = len(occupied)
-    total = len(axis.slots)
-    gaps = []
+    gaps: dict[frozenset[int], list] = {}
     for t in range(k):
-        i0, p0, _ = occupied[t]
-        i1, p1, _ = occupied[(t + 1) % k]
-        interior = []
-        j = (i0 + 1) % total
-        while j != i1:
-            interior.append(axis.slots[j])
-            j = (j + 1) % total
-        gaps.append(
-            {
-                "index": t,
-                "endpoints": frozenset((p0, p1)),
-                "interior": tuple(interior),
-            }
-        )
-    return tuple((p, part) for _, p, part in occupied), tuple(gaps)
-
-
-def _gap_preference(gap: dict) -> tuple[int, int, int]:
-    """Deterministic choice order: avoid the poles, then prefer short gaps.
-
-    Gaps through a pole slot are penalized because every part-preserving
-    axis circle passes through both poles; two arcs through the same pole
-    on different circles would intersect."""
-    has_center = any(p[0] == "center" for p in gap["interior"])
-    return (1 if has_center else 0, len(gap["interior"]), gap["index"])
-
-
-def _match_pairs_to_gaps(
-    pairs: list[tuple[Point, Point]], gaps: tuple[dict, ...]
-) -> dict[tuple[Point, Point], dict] | None:
-    """Give each adjacent pair on a circle its preferred gap, in the order of
-    ``pairs``; None when some pair bounds no gap.  Each gap joins one
-    endpoint pair and no two pairs have the same endpoint set, so no two
-    pairs compete for a gap."""
-    by_endpoints: dict[frozenset, list[dict]] = {}
-    for gap in gaps:
-        by_endpoints.setdefault(gap["endpoints"], []).append(gap)
-    chosen: dict[tuple[Point, Point], dict] = {}
-    for pair in pairs:
-        candidates = by_endpoints.get(frozenset(pair))
-        if not candidates:
-            return None
-        chosen[pair] = min(candidates, key=_gap_preference)
-    return chosen
+        i0, i1 = occupied[t], occupied[(t + 1) % k]
+        interior = circle[i0 + 1 : i1] if i0 < i1 else circle[i0 + 1 :] + circle[:i1]
+        preference = (any(s < 2 for s in interior), len(interior), t)
+        ends = frozenset((circle[i0], circle[i1]))
+        gaps.setdefault(ends, []).append((preference, interior))
+    return gaps
 
 
 def _choose_arcs(
-    assignment: VertexAssignment, axes: tuple[Axis, ...]
+    assignment: VertexAssignment, circles: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[Arc, ...], ConditionResult]:
     """Condition (2): on each circle, every adjacent placed pair gets an arc
     bounded by the pair, with interiors avoiding all vertices and pairwise
-    disjoint across the whole family."""
-    arcs: list[Arc] = []
-    for axis_i, axis in enumerate(axes):
-        occupied, gaps = _axis_gaps(axis)
-        vs = [p for p, part in occupied if part == "V"]
-        ws = [p for p, part in occupied if part == "W"]
+    disjoint across the whole family.
+
+    The ``circles`` are walked in slot numbers
+    (:attr:`~.assignments.VertexAssignment.slot_axes`), with each slot's
+    part gathered once per core
+    (:attr:`~.assignments.VertexAssignment.slot_parts`); the arcs are
+    given in labels.  Each gap joins one endpoint pair and no two pairs
+    have the same endpoint set, so each pair takes its preferred gap, V
+    vertices in circle order, each with the W vertices in circle order."""
+    slots = assignment.slot_table.slots
+    part = assignment.slot_parts
+    chosen: list[tuple[int, int, int, tuple[int, ...]]] = []
+    for axis_i, circle in enumerate(circles):
+        occupied = [i for i, s in enumerate(circle) if part[s]]
+        vs = [circle[i] for i in occupied if part[circle[i]] == "V"]
+        ws = [circle[i] for i in occupied if part[circle[i]] == "W"]
         if not vs or not ws:
             continue
-        pairs = [(pv, pw) for pv in vs for pw in ws]
-        chosen = _match_pairs_to_gaps(pairs, gaps)
-        if chosen is None:
-            pattern = [part for _, part in occupied]
-            raise HypothesisViolation(
-                2,
-                {"axis": axis_i, "occupied": pattern},
-                "the placed vertices on a circle admit no family of "
-                "disjoint arcs, one per adjacent pair",
-            )
-        for pair, gap in chosen.items():
-            arcs.append(Arc(axis_i, pair, gap["interior"]))
+        gaps = _axis_gaps(circle, occupied)
+        for v in vs:
+            for w in ws:
+                candidates = gaps.get(frozenset((v, w)))
+                if not candidates:
+                    pattern = [part[circle[i]] for i in occupied]
+                    raise HypothesisViolation(
+                        2,
+                        {"axis": axis_i, "occupied": pattern},
+                        "the placed vertices on a circle admit no family of "
+                        "disjoint arcs, one per adjacent pair",
+                    )
+                chosen.append((axis_i, v, w, min(candidates)[1]))
+    arcs = [
+        Arc(axis_i, (slots[v], slots[w]), tuple(slots[s] for s in interior))
+        for axis_i, v, w, interior in chosen
+    ]
     # interiors contain no placed vertex (they are unoccupied slots by
-    # construction, but check against the global placement anyway) ...
-    for arc in arcs:
-        for p in arc.interior:
-            if assignment.part_of_point(p) is not None:
+    # construction, but check anyway) ...
+    for arc, (*_, interior) in zip(arcs, chosen):
+        for s in interior:
+            if part[s] is not None:
                 raise HypothesisViolation(
                     2,
-                    {"arc": arc.as_dict(), "vertex": point_str(p)},
+                    {"arc": arc.as_dict(), "vertex": point_str(slots[s])},
                     "an arc interior passes through a placed vertex",
                 )
     # ... and are pairwise disjoint, also across different circles (two
-    # circles meet only in shared slot labels, e.g. the poles).
-    seen: dict[Point, Arc] = {}
-    for arc in arcs:
-        for p in arc.interior:
-            other = seen.get(p)
-            if other is not None and other is not arc:
+    # circles meet only in shared slots, e.g. the poles).
+    seen: dict[int, int] = {}
+    for k, (*_, interior) in enumerate(chosen):
+        for s in interior:
+            other = seen.setdefault(s, k)
+            if other != k:
                 raise HypothesisViolation(
                     2,
-                    {"arcs": [arc.as_dict(), other.as_dict()], "slot": point_str(p)},
+                    {
+                        "arcs": [arcs[k].as_dict(), arcs[other].as_dict()],
+                        "slot": point_str(slots[s]),
+                    },
                     "two arcs share an interior point",
                 )
-            seen[p] = arc
     return tuple(arcs), ConditionResult(
         2, f"{len(arcs)} disjoint arcs chosen across the axis circles"
     )
@@ -637,10 +617,13 @@ def check_edge_embedding_hypotheses(
 def _check_conditions(
     assignment: VertexAssignment,
 ) -> tuple[tuple[ConditionResult, ...], tuple[Arc, ...]]:
-    """Conditions 1-5 of one placement, checked in full, and the arcs."""
-    axes = assignment.axis_slots
+    """Conditions 1-5 of one placement, checked in full, and the arcs.
+    Conditions 1 and 5 read which elements share a circle from the model's
+    axes; condition 2 walks the circles in slot numbers."""
+    circles = assignment.slot_axes  # a layout that admits none fails first
+    axes = assignment.model.axes
     results = [_check_common_fixed_circles(assignment, axes)]
-    arcs, cond2 = _choose_arcs(assignment, axes)
+    arcs, cond2 = _choose_arcs(assignment, circles)
     results += [cond2, _check_arc_equivariance(assignment, arcs)]
     cond4, interchangers = _check_swap_fixed_shapes(assignment)
     results += [cond4, _check_swap_circles(assignment, axes, interchangers)]

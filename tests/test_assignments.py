@@ -210,6 +210,7 @@ def test_an_action_fixing_a_free_point_fails_the_build(monkeypatch):
 
 def test_a_placement_checks_only_its_generators_image_lists(monkeypatch):
     build_assignment("A5", 62)  # the shared model and its tables
+    core_checks.cache_clear()  # 62 and 482 share their core
     calls = []
     checked = Perm.__init__
 
@@ -322,6 +323,21 @@ def test_the_orbit_count_check_rejects_a_wrong_fixed_count(monkeypatch):
     counts[label] = (order, size, (v - 1, w))
     monkeypatch.setitem(a.__dict__, "class_counts", counts)
     with pytest.raises(AssertionError, match="orbit count mismatch"):
+        check_orbit_count(a)
+
+
+def test_the_orbit_count_check_rejects_a_fractional_burnside_average(monkeypatch):
+    # one vertex more fixed by every element of a class smaller than the
+    # group raises the sum by less than |G|: the average rounds down to the
+    # direct count, but it is no integer
+    a = build_assignment("S4", 500)
+    counts = dict(a.class_counts)
+    label, (order, size, (v, w)) = next(iter(counts.items()))
+    assert size < a.model.group.order
+    counts[label] = (order, size, (v + 1, w))
+    monkeypatch.setitem(a.__dict__, "class_counts", counts)
+    message = r"orbit count mismatch: union-find \d+, Burnside \d+/\d+"
+    with pytest.raises(AssertionError, match=message):
         check_orbit_count(a)
 
 

@@ -9,8 +9,10 @@ from threading import Thread
 
 import pytest
 
+from bipartite_tsg import assignments
 from bipartite_tsg.assignments import (
     CORE_CACHE_SIZE,
+    FreeOrbitBlock,
     VertexAssignment,
     build_assignment,
     class_label,
@@ -27,12 +29,13 @@ from bipartite_tsg.decide import (
     theorem_predicate,
 )
 from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses
-from bipartite_tsg.perms import Perm
+
+from test_hypotheses import doctor_slot_table
 
 # Distinct cores of the admitted placements up to n = 1200 over the three
-# groups: one per record, and one more wherever the smallest n leaves a
-# free part without an orbit.
-CORES_UP_TO_1200 = 31
+# groups: one per recipe and target counting table (A4 and S4 share the
+# order-24 cores), whether or not a free part holds an orbit.
+CORES_UP_TO_1200 = 17
 
 
 def _admitted(group, n_max):
@@ -110,26 +113,31 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
     monkeypatch,
 ):
     # The least third-turn of skeleton-4 is made to fix an inner corner it
-    # moves.  Its conjugates by a part-swapping element then fix an outer
-    # corner instead, so the class's counts disagree in V and W.  The table
-    # that fails is not kept, so every placement of the core fails again.
+    # moves, through the fixer masks of the layout's slot table.  The other
+    # third-turns of its class still fix one corner of each part, so the
+    # class's counts disagree in V.  The table that fails is not kept, so
+    # every placement of the core fails again.
     a = build_assignment("S4", 16)
-    model, transversal = a.model, a.transversal
+    model, table = a.model, a.slot_table
     third_turn = next(
         cls[0]
         for cls in model.group.conjugacy_classes()
         if class_label(model, cls[0]) == "rotation-3"
     )
-    rep = transversal.perms[third_turn]
-    extra = transversal.points.index(("corner", "inner", 1))
-    assert rep(extra) != extra
-    honest = Perm.fixed_points
+    r = model.group.index(third_turn)
+    extra = table.number[("corner", "inner", 1)]
+    assert table.images[r][extra] != extra
+    bit = 1 << (r - 1)  # model.nontrivial[r - 1]
+    assert not table.fixers[extra] & bit
+    fixers = list(table.fixers)
+    fixers[extra] |= bit
+    doctored = table._replace(fixers=tuple(fixers))
 
-    def doctored(self):
-        fixed = honest(self)
-        return tuple(sorted(fixed + (extra,))) if self is rep else fixed
+    def doctored_slots(layout):
+        honest = layout_slots(layout)
+        return doctored if honest is table else honest
 
-    monkeypatch.setattr(Perm, "fixed_points", doctored)
+    monkeypatch.setattr(assignments, "layout_slots", doctored_slots)
     message = "conjugate elements disagree in rotation-3"
     for n in (16, 28, 16):
         with pytest.raises(AssertionError, match=message):
@@ -142,12 +150,98 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
     assert core.fixed is None and core.row is None
 
 
-def test_an_empty_free_part_is_another_core():
-    # dodecahedron-2 at n = 62 has no W orbit, so no W orbit on its transversal
-    assert build_assignment("A5", 62).core_key != build_assignment("A5", 122).core_key
+def test_an_empty_free_part_shares_its_core():
+    # dodecahedron-2 at n = 62 has no W orbit, and at n = 122 one: the key
+    # holds each free part, not whether it holds an orbit
+    small, large = build_assignment("A5", 62), build_assignment("A5", 122)
+    assert small.core_key == large.core_key
+    assert small.core is large.core
+    assert core_checks.cache_info().currsize == 1
 
 
-# Every admitted pair up to n = 180: all 31 cores, most of them met at
+def _cores_with_an_empty_free_part():
+    """Each core whose smallest admitted ``n`` leaves a free part without an
+    orbit: its group, that ``n`` and the next ``n`` of the core's class."""
+    smallest, larger = {}, {}
+    for n in range(1, 200):
+        for group in GROUPS:
+            if theorem_predicate(n, group):
+                a = place(group, n)
+                first = smallest.setdefault(a.core_key, a)
+                if first is not a and first.target_group == group:
+                    larger.setdefault(a.core_key, n)
+    return [
+        (a.target_group, a.n, larger[key])
+        for key, a in smallest.items()
+        if key in larger
+        and any(isinstance(b, FreeOrbitBlock) and not b.count for b in a.all_blocks())
+    ]
+
+
+EMPTY_PART_CORES = _cores_with_an_empty_free_part()
+
+
+def test_fourteen_cores_have_a_free_part_empty_at_their_smallest_n():
+    assert len(EMPTY_PART_CORES) == 14
+
+
+@pytest.mark.parametrize("group, small, large", EMPTY_PART_CORES)
+def test_both_placements_of_an_empty_part_core_read_one_record(group, small, large):
+    def report(n):
+        return json.dumps(decide(n, group).as_dict(), indent=2)
+
+    cold = {}
+    for n in (small, large):
+        core_checks.cache_clear()
+        cold[n] = report(n)
+    for order in ((large, small), (small, large)):
+        core_checks.cache_clear()
+        for n in order:
+            assert report(n) == cold[n], (group, n)
+        info = core_checks.cache_info()
+        assert info.misses == info.currsize == 1, order
+
+
+def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbits(
+    monkeypatch,
+):
+    # Every element of the doctored slot table fixes every slot, so the core
+    # of dodecahedron-32 acts trivially, while free labels still move along
+    # the product table: the transversal check passes and is kept.  At
+    # n = 32 no free orbit is placed, so the action on the vertices is not
+    # faithful; at n = 92 a free orbit in each part makes it faithful.
+    small, large = place("A5", 32), place("A5", 92)
+    assert small.core is large.core
+    identity = tuple(range(len(small.slot_table.slots)))
+    doctor_slot_table(monkeypatch, small, [identity] * small.model.group.order)
+    message = "the action on the vertices is not faithful"
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=message):
+            small.transversal
+    assert large.transversal is small.core.transversal
+    assert small.core.core_faithful is False
+    with pytest.raises(InternalMismatch, match=message):
+        decide(32, "A5")  # reads the kept record
+
+
+def test_the_bench_sweep_checks_each_core_it_meets_once():
+    # The benchmark's sweep decides n <= 12 for each group as its warm-up,
+    # then 1..500 in GROUPS order.  With one record per core the pass checks
+    # 13 cores, not 27, and builds the 4 slot tables the warm-up left.
+    core_checks.cache_clear()
+    layout_slots.cache_clear()
+    for group in GROUPS:
+        for n in range(1, 13):
+            decide(n, group)
+    records, layouts = core_checks.cache_info().misses, layout_slots.cache_info().misses
+    for group in GROUPS:
+        for n in range(1, 501):
+            decide(n, group)
+    assert core_checks.cache_info().misses - records == 13
+    assert layout_slots.cache_info().misses - layouts == 4
+
+
+# Every admitted pair up to n = 180: all 17 cores, most of them met at
 # several n, and A4 and S4 share the order-24 cores.
 SHARED_CORE_PAIRS = tuple(
     (group, n) for n in range(1, 181) for group in GROUPS if theorem_predicate(n, group)

@@ -12,6 +12,7 @@ from bipartite_tsg.assignments import (
     MarkerBlock,
     VertexAssignment,
     build_assignment,
+    core_checks,
     place,
 )
 from bipartite_tsg.bipartite import embeds_in_circle
@@ -27,7 +28,7 @@ from bipartite_tsg.hypotheses import (
     subgroup_corollary_witness,
     verify_construction,
 )
-from bipartite_tsg.perms import Perm
+from bipartite_tsg.perms import Perm, UnionFind
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
 from conftest import apply, vertex_labels
@@ -407,6 +408,24 @@ def test_slot_images_match_apply(assignments, reports):
             assert a.slot_images(e, labels) == expected, (a.case_name, e)
 
 
+def test_slot_table_masks_and_orbits_equal_a_scan_of_its_images():
+    # Every element's fixed slots scanned one by one, and the orbits joined
+    # by union-find over the generators' rows, on every layout.
+    for a in one_placement_per_layout().values():
+        table, group = a.slot_table, a.model.group
+        fixers = [0] * len(table.slots)
+        for k, e in enumerate(a.model.nontrivial):
+            for s, image in enumerate(table.images[group.index(e)]):
+                if image == s:
+                    fixers[s] |= 1 << k
+        assert table.fixers == tuple(fixers), a.case_name
+        orbits = UnionFind(len(table.slots))
+        for g in group.generators:
+            for s, image in enumerate(table.images[group.index(g)]):
+                orbits.union(s, image)
+        assert table.orbit == tuple(map(orbits.find, range(len(table.slots))))
+
+
 def test_condition_3_reads_no_slot_images(assignments, reports, monkeypatch):
     from bipartite_tsg.hypotheses import _check_arc_equivariance
 
@@ -572,9 +591,12 @@ def test_label_maps_that_do_not_compose_violate_equivariance(
     assert g in group.generators and e1 in (x, g * x)
 
 
-def test_a_placement_scans_fixed_points_once_per_class(monkeypatch):
+def test_a_placement_scans_no_fixed_points(monkeypatch):
+    # A core's first check reads fixed sets from the layout's fixer masks
+    # and asserts the free-point lemma on the free labels alone, so neither
+    # the build nor any check scans a permutation's fixed points.
     verify_construction(build_assignment("A5", 62))  # the shared model tables
-    a = build_assignment("A5", 482)
+    core_checks.cache_clear()  # 62 and 482 share their core
     calls = []
     scan = Perm.fixed_points
 
@@ -583,9 +605,10 @@ def test_a_placement_scans_fixed_points_once_per_class(monkeypatch):
         return scan(self)
 
     monkeypatch.setattr(Perm, "fixed_points", counting)
+    a = build_assignment("A5", 482)
     verify_construction(a)
-    nontrivial_classes = len(a.model.group.conjugacy_classes()) - 1
-    assert 0 < len(calls) <= nontrivial_classes
+    assert core_checks.cache_info().misses == 1  # a cold check of the core
+    assert calls == []
 
 
 def test_interchangers_agree_with_a_walk_over_v(assignments):

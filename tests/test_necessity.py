@@ -152,6 +152,20 @@ def test_the_order_menu_and_its_mirror_are_the_realizable_fixed_counts(order):
     }
 
 
+@pytest.mark.parametrize("group", ["A4", "A5"])
+def test_the_mirrored_table_admits_no_residue_outside_the_table(group):
+    """The engine counts fixed vertices on the V side only.  Swapping V and
+    W in every row gives the tables of the mirror convention; every residue
+    their Burnside sums admit is one the table already admits, so the
+    convention loses no n.  S4 reads A4's table."""
+    mirrored = set()
+    for profile, _ in enumerate_profiles(group):
+        mirror = FixedProfile(group, profile.w, profile.v)
+        mirrored |= burnside_residues(group, mirror)
+    assert mirrored <= allowed_residues(group)
+    assert mirrored  # some mirrored row fixes a residue
+
+
 def test_each_row_residue_is_consistent_with_burnside():
     for group in ("A4", "A5"):
         modulus = TABLE_MODULUS[group]
