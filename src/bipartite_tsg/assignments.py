@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .bipartite import BipartiteAut, require_count, validate_automorphism
 from .necessity import (
@@ -309,20 +309,276 @@ def _axis_numbers(
 
 class _Run(NamedTuple):
     """One block's vertices: ``count`` orbits (one for a core block), the
-    first numbered ``first``.  Label ``j`` of orbit ``first + o`` is vertex
-    ``vertices[j] + o * widths[p]``, where ``p`` is its part (0 for V, 1 for
-    W), ``widths`` counts an orbit's labels per part and ``starts`` holds
-    the first vertex the run fills in each part."""
+    first numbered ``first`` among its tag's orbits.  Label ``j`` lies in
+    part ``p = parts[j]`` (0 for V, 1 for W), and label ``j`` of orbit
+    ``first + o`` is vertex ``vertices[j] + o * widths[p]``, where
+    ``widths`` counts an orbit's labels per part and ``starts`` holds the
+    first vertex the run fills in each part.
+
+    A :class:`PlacementTemplate` numbers each part from 0, and a run that
+    ``grows`` holds ``count + m`` orbits in a placement with ``m``; a
+    placement's own runs (``VertexAssignment._by_prefix``) number W from ``n``
+    and hold their counts."""
 
     prefix: Point
     first: int
     count: int
-    vertices: Sequence[int]
+    vertices: tuple[int, ...]
+    parts: tuple[int, ...]
     widths: tuple[int, int]
     starts: tuple[int, int]
+    grows: bool
 
     def label(self, o: int, j: int) -> Point:
         return self.prefix + ((self.first + o, j) if self.prefix[0] == "free" else (j,))
+
+
+def _check_blocks(
+    model: PolyhedralModel,
+    copies: tuple[tuple[str, int], ...],
+    blocks: tuple[tuple[Block, ...], ...],
+) -> None:
+    """Every check of a placement's blocks that does not read ``n``: the
+    model is the shared one of its kind, the copy ranks are 1..k, each
+    marker sits on a copy of the placement, each swap partner names its
+    block back, and no pole or marker label is held twice (free orbits are
+    numbered along their tag, so only a core label can repeat)."""
+    # the per-core memo and the slot tables know the model by its kind
+    if model is not build_polyhedral_model(model.kind):
+        raise ValueError(
+            f"the model must be build_polyhedral_model({model.kind!r})"
+        )
+    ranks = [r for _, r in copies]
+    if sorted(ranks) != list(range(1, len(ranks) + 1)):
+        raise ValueError("copy ranks must be 1..k")
+    names = {name for name, _ in copies}
+    core = [b for group in blocks for b in group if not isinstance(b, FreeOrbitBlock)]
+    markers = [b for b in core if isinstance(b, MarkerBlock)]
+    held = {(b.marker_class, b.copy_name): b for b in markers}
+    swaps = -1 in model.parities
+    for b in markers:
+        if b.copy_name not in names:
+            raise ValueError(f"{b} sits on no copy of the placement")
+        if b.swap_partner is None:
+            continue
+        if not swaps:
+            raise ValueError(
+                f"{b} names a swap partner, but no element of the "
+                f"{model.kind} model swaps the parts"
+            )
+        partner = held.get((b.marker_class, b.swap_partner))
+        if partner is None or partner.swap_partner != b.copy_name:
+            raise ValueError(
+                f"{b} names a swap partner that holds no "
+                f"{b.marker_class} block naming {b.copy_name!r} back"
+            )
+    labels = [
+        (b.marker_class, b.copy_name) if isinstance(b, MarkerBlock) else "center"
+        for b in core
+    ]
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate point labels across the parts")
+
+
+class CoreFacts:
+    """What the witness and step-down checks read of a core's record, with
+    each part numbered from 0, so the same for every ``m``.  A template
+    keeps them with the record they were read from (``core``) and reads
+    them again once that record is dropped (``core_checks.cache_clear()``).
+
+    * ``masks[p][r]``: the fixer mask (see :attr:`VertexAssignment.fixers`)
+      of vertex ``r`` of part ``p``, for each vertex some nontrivial
+      element fixes, all of them core vertices;
+    * ``neighbors[p][r]``: vertex ``r``'s forced neighbors in the other
+      part, as ``hypotheses._forced_neighbors`` reads them, filled as the
+      closures ask;
+    * ``report``: the fixed-count report, with the recipe whose stated
+      counts it compares with, filled by :func:`fixed_count_report`.
+    """
+
+    def __init__(
+        self, core: CoreChecks, fixed: FixedTable, template: PlacementTemplate
+    ):
+        self.core = core
+        self.masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        for i, mask in fixed.fixers.items():
+            p, r = template.core_vertices[i]
+            self.masks[p][r] = mask
+        self.neighbors: tuple[dict, dict] = ({}, {})
+        self.report: tuple[Recipe, FixedCountReport] | None = None
+
+
+class PlacementTemplate:
+    """What a placement's checks read of its blocks that depends on ``n``
+    only through ``m``, the number of regular free orbits a recipe adds.
+    :func:`place` makes one per recipe, on its first placement, and the
+    :class:`VertexAssignment` constructor one per placement, whose blocks
+    give every count (``m`` = 0).  The blocks are checked when it is made
+    (:func:`_check_blocks`); each placement checks its part sizes.
+
+    * ``runs``: one :class:`_Run` per block, each part numbered from 0.  A
+      recipe's free blocks grow by ``m`` and each is the last block of the
+      parts it fills, so no other run moves with ``m``;
+    * ``by_prefix``: the runs of each label prefix (a free tag may span
+      blocks); ``by_part[p]``: the first vertices of the runs filling part
+      ``p``, and those runs with the label of each rank, for the label rule;
+    * ``sizes[p]`` and ``free_orbits``: each part's size and the number of
+      free orbits, as ``(value at m = 0, growth per unit of m)``;
+    * ``core_labels``: the pole and marker labels, in block order, and
+      ``core_vertices``: each one's part and vertex in it; ``transversal``:
+      the labels the action is checked on (see
+      :attr:`VertexAssignment.transversal`);
+    * ``core_key`` and ``layout``, the keys of the core's record and of
+      the slot table; ``odd``: the indices of the part-swapping elements;
+    * ``lines``: each block's summary line, a free block's without its
+      count;
+    * ``facts``: the :class:`CoreFacts` of the core's current record.
+    """
+
+    def __init__(
+        self,
+        model: PolyhedralModel,
+        copies: tuple[tuple[str, int], ...],
+        blocks: tuple[tuple[Block, ...], ...],
+        target_group: str,
+        recipe: Recipe | None = None,
+    ):
+        _check_blocks(model, copies, blocks)
+        self.model, self.copies, self.blocks = model, copies, blocks
+        self.recipe = recipe
+        order = model.group.order
+        runs: list[_Run] = []
+        lines: list[str] = []
+        core_labels: list[Point] = []
+        core_vertices: list[tuple[int, int]] = []
+        transversal: list[Point] = []
+        by_prefix: dict[Point, list[_Run]] = {}
+        start = (0, 0)  # the next vertex of V and of W
+        orbits = {"V": 0, "W": 0, "split": 0}  # free orbits numbered so far
+        for block in (b for group in blocks for b in group):
+            first, count, free = 0, 1, isinstance(block, FreeOrbitBlock)
+            if free:
+                prefix = ("free", "VW" if block.part == "split" else block.part)
+                first, count, size = orbits[block.part], block.count, order
+                orbits[block.part] += count
+                split = block.part == "split"
+                lines.append("split between the parts" if split else f"-> {block.part}")
+            elif isinstance(block, CenterPair):
+                prefix, size = ("center",), 2
+                lines.append(f"both poles -> {block.part}")
+            else:
+                prefix = (block.marker_class, block.copy_name)
+                size = _marker_count(model, block.marker_class)
+                line = (
+                    f"{size} {block.marker_class} markers on copy "
+                    f"'{block.copy_name}' -> {block.part}"
+                )
+                if block.swap_partner is not None:
+                    line += f" (trades places with copy '{block.swap_partner}')"
+                lines.append(line)
+            if block.part == "split":  # even elements in V, odd ones in W
+                parts = tuple(int(sign == -1) for sign in model.parities)
+                end = list(start)
+                vertices = []
+                for p in parts:
+                    vertices.append(end[p])
+                    end[p] += 1
+                widths = (end[0] - start[0], end[1] - start[1])
+            else:
+                p = "VW".index(block.part)
+                parts = (p,) * size
+                vertices = range(start[p], start[p] + size)
+                widths = (size, 0) if p == 0 else (0, size)
+            grows = free and recipe is not None
+            run = _Run(
+                prefix, first, count, tuple(vertices), parts, widths, start, grows
+            )
+            runs.append(run)
+            start = (start[0] + count * widths[0], start[1] + count * widths[1])
+            if prefix not in by_prefix:  # a core run, or a free tag's first
+                head = prefix + (0,) if free else prefix
+                labels = [head + (j,) for j in range(size)]
+                transversal += labels  # each free tag's orbit 0 once
+                if not free:
+                    core_labels += labels
+                    core_vertices += zip(parts, vertices)
+            by_prefix.setdefault(prefix, []).append(run)
+        growth = [0, 0]
+        for run in runs:
+            if growth[0] and run.widths[0] or growth[1] and run.widths[1]:
+                raise AssertionError(
+                    "a recipe's free block must end each part it fills"
+                )
+            if run.grows:
+                growth = [growth[0] + run.widths[0], growth[1] + run.widths[1]]
+        self.runs = tuple(runs)
+        self.sizes = ((start[0], growth[0]), (start[1], growth[1]))
+        free_runs = [run for run in runs if run.prefix[0] == "free"]
+        self.free_orbits = (
+            sum(run.count for run in free_runs),
+            sum(run.grows for run in free_runs),
+        )
+        self.by_prefix = by_prefix
+        self.by_part = []
+        for p in (0, 1):
+            filling = [run for run in runs if run.widths[p]]
+            labels = [  # the label of each rank in part p: j itself unless split
+                tuple(j for j, q in enumerate(run.parts) if q == p)
+                if run.widths[p] < len(run.parts)
+                else range(run.widths[p])
+                for run in filling
+            ]
+            starts = [run.starts[p] for run in filling]
+            self.by_part.append((starts, list(zip(filling, labels))))
+        self.core_labels = tuple(core_labels)
+        self.core_vertices = tuple(core_vertices)
+        self.transversal = tuple(transversal)
+        self.core_key = (
+            model.kind,
+            counting_table(target_group),
+            copies,
+            tuple(
+                tuple(
+                    ("free", b.part) if isinstance(b, FreeOrbitBlock) else b
+                    for b in group
+                )
+                for group in blocks
+            ),
+        )
+        swaps = frozenset(
+            (b.copy_name, b.swap_partner)
+            for group in blocks
+            for b in group
+            if isinstance(b, MarkerBlock) and b.swap_partner is not None
+        )
+        self.layout = (model.kind, copies, swaps)
+        self.odd = tuple(a for a, sign in enumerate(model.parities) if sign == -1)
+        self.lines = tuple(lines)
+        self.facts: CoreFacts | None = None
+
+    def check_sizes(self, n: int, m: int) -> None:
+        """Check that the blocks with ``m`` more orbits each fill ``n``
+        vertices of each part."""
+        sizes = [size + m * growth for size, growth in self.sizes]
+        if sizes != [n, n]:
+            raise ValueError(
+                f"blocks fill parts of sizes {sizes[0]}, {sizes[1]}; "
+                f"expected {n} each"
+            )
+
+    def blocks_with(self, m: int) -> tuple[tuple[Block, ...], ...]:
+        """The blocks with ``m`` more orbits in each free block."""
+        if not m:
+            return self.blocks
+        return tuple(
+            tuple(
+                FreeOrbitBlock(b.count + m, b.part)
+                if isinstance(b, FreeOrbitBlock)
+                else b
+                for b in group
+            )
+            for group in self.blocks
+        )
 
 
 @dataclass(frozen=True)
@@ -335,6 +591,13 @@ class VertexAssignment:
     re-embedding along an unfixed edge).  ``model`` must be the one
     :func:`~.polyhedra.build_polyhedral_model` builds for its kind, since
     the per-core checks and the slot tables are shared by kind.
+
+    The constructor checks the blocks and makes the placement's own
+    :class:`PlacementTemplate`; :func:`place` reads its recipe's template,
+    whose blocks were checked once.  ``m`` is the number of orbits each
+    free block holds beyond its count in the template: the ``m`` that fills
+    ``n`` for a recipe, 0 for a placement the constructor builds.  Either
+    way the part sizes are checked against ``n``.
     """
 
     n: int
@@ -343,91 +606,53 @@ class VertexAssignment:
     model: PolyhedralModel
     copies: tuple[tuple[str, int], ...]  # (copy name, radial rank), rank 1 inner
     blocks: tuple[tuple[Block, ...], ...] = field(repr=False)
+    template: PlacementTemplate = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the per-core memo and the slot tables know the model by its kind
-        if self.model is not build_polyhedral_model(self.model.kind):
-            raise ValueError(
-                f"the model must be build_polyhedral_model({self.model.kind!r})"
-            )
-        ranks = [r for _, r in self.copies]
-        if sorted(ranks) != list(range(1, len(ranks) + 1)):
-            raise ValueError("copy ranks must be 1..k")
-        names = {name for name, _ in self.copies}
-        markers = [b for b in self.all_blocks() if isinstance(b, MarkerBlock)]
-        held = {(b.marker_class, b.copy_name): b for b in markers}
-        swaps = -1 in self.model.parities
-        for b in markers:
-            if b.copy_name not in names:
-                raise ValueError(f"{b} sits on no copy of the placement")
-            if b.swap_partner is None:
-                continue
-            if not swaps:
-                raise ValueError(
-                    f"{b} names a swap partner, but no element of the "
-                    f"{self.model.kind} model swaps the parts"
-                )
-            partner = held.get((b.marker_class, b.swap_partner))
-            if partner is None or partner.swap_partner != b.copy_name:
-                raise ValueError(
-                    f"{b} names a swap partner that holds no "
-                    f"{b.marker_class} block naming {b.copy_name!r} back"
-                )
-        sizes = [sum(r.count * r.widths[p] for r in self._runs) for p in (0, 1)]
-        if sizes != [self.n, self.n]:
-            raise ValueError(
-                f"blocks fill parts of sizes {sizes[0]}, {sizes[1]}; "
-                f"expected {self.n} each"
-            )
-        keys = [(r.prefix, r.first) for r in self._runs if r.count]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate point labels across the parts")
+        template = PlacementTemplate(
+            self.model, self.copies, self.blocks, self.target_group
+        )
+        template.check_sizes(self.n, 0)
+        self.__dict__.update(template=template, m=0)
+
+    @classmethod
+    def _of_template(
+        cls, template: PlacementTemplate, n: int, group: str, case: str, m: int
+    ) -> VertexAssignment:
+        """The placement of ``template`` with ``m`` more orbits in each free
+        block, its part sizes checked against ``n``."""
+        template.check_sizes(n, m)
+        a = object.__new__(cls)
+        a.__dict__.update(
+            n=n,
+            target_group=group,
+            case_name=case,
+            model=template.model,
+            copies=template.copies,
+            blocks=template.blocks_with(m),
+            template=template,
+            m=m,
+        )
+        return a
 
     # ---------------------------------------------------------- point layout
 
     @cached_property
-    def _runs(self) -> tuple[_Run, ...]:
-        """One run per block, in block order.  Free orbits are numbered per
-        tag across blocks.  V is numbered from 0 and W from ``n``; the
-        constructor checks that V holds ``n`` vertices."""
-        model = self.model
-        elements = model.group.elements
-        runs = []
-        start = (0, self.n)  # the next vertex of V and of W
-        orbits = {"V": 0, "W": 0, "split": 0}  # free orbits numbered so far
-        for block in self.all_blocks():
-            first, count = 0, 1
-            if isinstance(block, FreeOrbitBlock):
-                prefix = ("free", "VW" if block.part == "split" else block.part)
-                first, count, size = orbits[block.part], block.count, len(elements)
-                orbits[block.part] += count
-            elif isinstance(block, CenterPair):
-                prefix, size = ("center",), 2
-            else:
-                prefix = (block.marker_class, block.copy_name)
-                size = _marker_count(model, block.marker_class)
-            end = list(start)
-            if block.part == "split":  # even elements in V, odd ones in W
-                vertices = []
-                for sign in model.parities:
-                    p = int(sign == -1)
-                    vertices.append(end[p])
-                    end[p] += 1
-            else:
-                p = "VW".index(block.part)
-                end[p] += size
-                vertices = range(start[p], end[p])
-            widths = (end[0] - start[0], end[1] - start[1])
-            runs.append(_Run(prefix, first, count, vertices, widths, start))
-            start = (start[0] + count * widths[0], start[1] + count * widths[1])
-        return tuple(runs)
-
-    @cached_property
     def _by_prefix(self) -> dict[Point, list[_Run]]:
-        """The runs of each label prefix (a free tag may span blocks)."""
+        """The template's runs of each label prefix (a free tag may span
+        blocks), numbered for this ``n``: V from 0 and W from ``n``, each
+        holding its count of orbits."""
+        n, m = self.n, self.m
         out: dict[Point, list[_Run]] = {}
-        for run in self._runs:
-            out.setdefault(run.prefix, []).append(run)
+        for run in self.template.runs:
+            out.setdefault(run.prefix, []).append(
+                run._replace(
+                    count=run.count + m * run.grows,
+                    vertices=tuple(v + p * n for v, p in zip(run.vertices, run.parts)),
+                    starts=(run.starts[0], run.starts[1] + n),
+                )
+            )
         return out
 
     def all_blocks(self) -> tuple[Block, ...]:
@@ -435,32 +660,31 @@ class VertexAssignment:
 
     def vertex_of(self, point: Point) -> int | None:
         """The vertex at ``point``, or None if no vertex is there."""
+        by_prefix = self.template.by_prefix
         if point[0] == "free":
-            runs, k = self._by_prefix.get(point[:-2], ()), point[-2]
+            runs, k = by_prefix.get(point[:-2], ()), point[-2]
         else:
-            runs, k = self._by_prefix.get(point[:-1], ()), 0
+            runs, k = by_prefix.get(point[:-1], ()), 0
         j = point[-1]
         for run in runs:
             o = k - run.first
-            if 0 <= o < run.count and 0 <= j < len(run.vertices):
-                vertex = run.vertices[j]
-                return vertex + o * run.widths[vertex >= self.n] if o else vertex
+            if 0 <= o < run.count + self.m * run.grows and 0 <= j < len(run.vertices):
+                p = run.parts[j]
+                return run.vertices[j] + o * run.widths[p] + p * self.n
         return None
 
     def label_of(self, i: int) -> Point:
         """The label of vertex ``i``, from the last run of its part that
         starts at or before it."""
-        if not 0 <= i < 2 * self.n:
-            raise IndexError(f"no vertex {i} in K_{{{self.n},{self.n}}}")
-        p = int(i >= self.n)
-        run = self._runs[bisect_right(self._runs, i, key=lambda r: r.starts[p]) - 1]
+        n = self.n
+        if not 0 <= i < 2 * n:
+            raise IndexError(f"no vertex {i} in K_{{{n},{n}}}")
+        p = int(i >= n)
+        starts, runs = self.template.by_part[p]
+        i -= p * n
+        run, labels = runs[bisect_right(starts, i) - 1]
         o, rank = divmod(i - run.starts[p], run.widths[p])
-        return run.label(o, run.vertices.index(run.starts[p] + rank))
-
-    def part_of_point(self, point: Point) -> str | None:
-        """The part of the vertex at ``point``, or None if no vertex is there."""
-        vertex = self.vertex_of(point)
-        return None if vertex is None else "VW"[vertex >= self.n]
+        return run.label(o, labels[rank])
 
     # ----------------------------------------------------------- group action
 
@@ -469,12 +693,7 @@ class VertexAssignment:
         """The :class:`SlotTable` of this placement's layout, built on the
         first check of a core with that layout and shared by every placement
         with it."""
-        swaps = frozenset(
-            (b.copy_name, b.swap_partner)
-            for b in self.all_blocks()
-            if isinstance(b, MarkerBlock) and b.swap_partner is not None
-        )
-        return layout_slots((self.model.kind, self.copies, swaps))
+        return layout_slots(self.template.layout)
 
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
         """Images of several point labels under one element: the one rule
@@ -496,35 +715,25 @@ class VertexAssignment:
                 out.append(slots[image[number[p]]])
         return tuple(out)
 
-    @cached_property
+    @property
     def core_key(self) -> tuple:
         """What the per-core checks read of the placement: the model kind,
         the target's counting table, the copies and every block, except that
         a free block enters only as its part.  Placements of one residue
         class share it for every ``n``, whether or not a free part holds an
-        orbit."""
-        return (
-            self.model.kind,
-            counting_table(self.target_group),
-            self.copies,
-            tuple(
-                tuple(
-                    ("free", b.part) if isinstance(b, FreeOrbitBlock) else b
-                    for b in group
-                )
-                for group in self.blocks
-            ),
-        )
+        orbit; it is the template's."""
+        return self.template.core_key
 
     @cached_property
     def core(self) -> CoreChecks:
         """The record of this placement's core, looked up once by key."""
-        return core_checks(self.core_key)
+        return core_checks(self.template.core_key)
 
-    @cached_property
+    @property
     def _free_orbits(self) -> int:
         """The number of free orbits, of every part."""
-        return sum(run.count for run in self._runs if run.prefix[0] == "free")
+        orbits, growth = self.template.free_orbits
+        return orbits + self.m * growth
 
     @cached_property
     def transversal(self) -> GroupAction:
@@ -549,14 +758,8 @@ class VertexAssignment:
         """
         core = self.core
         if core.transversal is None:
-            # every core run, and each free tag's orbit 0 once, at its first block
-            labels = dict.fromkeys(
-                run.label(0, j)
-                for run in self._runs
-                if run.first == 0
-                for j in range(len(run.vertices))
-            )
-            checked, core.core_faithful = self._checked_transversal(list(labels))
+            labels = list(self.template.transversal)
+            checked, core.core_faithful = self._checked_transversal(labels)
             core.transversal = checked
         if not (core.core_faithful or self._free_orbits):
             raise AssertionError("the action on the vertices is not faithful")
@@ -611,20 +814,19 @@ class VertexAssignment:
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
         label by label from :meth:`slot_images`.  The ``2n`` labels are
-        built from the runs for this call only.  Once the transversal is
-        checked it is a permutation by construction; the images are still
-        checked in one linear pass, so a numbering fault raises ValueError
-        naming two labels sent to one vertex instead of passing on a map
-        that is no permutation."""
+        set at their vertices from the runs for this call only.  Once the
+        transversal is checked it is a permutation by construction; the
+        images are still checked in one linear pass, so a numbering fault
+        raises ValueError naming two labels sent to one vertex instead of
+        passing on a map that is no permutation."""
         self.transversal  # check the core first
-        labels = [
-            run.label(o, j)
-            for p in (0, 1)
-            for run in self._runs
-            for o in range(run.count)
-            for j, vertex in enumerate(run.vertices)
-            if (vertex >= self.n) == p
-        ]
+        n = self.n
+        labels: list[Point] = [()] * (2 * n)
+        for runs in self._by_prefix.values():
+            for run in runs:
+                for o in range(run.count):
+                    for j, vertex in enumerate(run.vertices):
+                        labels[vertex + o * run.widths[vertex >= n]] = run.label(o, j)
         images = tuple(map(self.vertex_of, self.slot_images(e, labels)))
         source: list[int | None] = [None] * len(images)
         for i, vertex in enumerate(images):
@@ -649,23 +851,11 @@ class VertexAssignment:
         return aut
 
     @cached_property
-    def _core_vertices(self) -> list[int]:
-        """The vertex of each core label, in block order."""
-        return [
-            v for run in self._runs if run.prefix[0] != "free" for v in run.vertices
-        ]
-
-    @cached_property
     def _core_slots(self) -> list[int]:
         """The slot of each core label, in block order, read on the core's
         first check."""
         number = self.slot_table.number
-        return [
-            number[run.label(0, j)]
-            for run in self._runs
-            if run.prefix[0] != "free"
-            for j in range(len(run.vertices))
-        ]
+        return [number[label] for label in self.template.core_labels]
 
     @cached_property
     def _fixed(self) -> FixedTable:
@@ -695,11 +885,12 @@ class VertexAssignment:
         model = self.model
         fixers: dict[int, int] = {}
         held: dict[int, list[int]] = {}  # mask -> its holders in V and in W
-        for i, (s, vertex) in enumerate(zip(self._core_slots, self._core_vertices)):
+        at = self.template.core_vertices
+        for i, (s, (p, _)) in enumerate(zip(self._core_slots, at)):
             mask = table.fixers[s]
             if mask:
                 fixers[i] = mask
-                held.setdefault(mask, [0, 0])[vertex >= self.n] += 1
+                held.setdefault(mask, [0, 0])[p] += 1
         order = model.group.order
         in_v, in_w = [0] * order, [0] * order  # index 0, the identity, left empty
         for mask, (v, w) in held.items():
@@ -733,8 +924,24 @@ class VertexAssignment:
         """Map each vertex fixed by a nontrivial element to the bitmask of
         the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
         Read from the core's table, one entry per fixed core label."""
-        vertex = self._core_vertices
-        return {vertex[i]: mask for i, mask in self._fixed.fixers.items()}
+        n, at = self.n, self.template.core_vertices
+        return {at[i][1] + at[i][0] * n: mask for i, mask in self._fixed.fixers.items()}
+
+    @cached_property
+    def core_facts(self) -> CoreFacts:
+        """The template's :class:`CoreFacts`, read again from the
+        :attr:`core` record when they were read from another one."""
+        core = self.core
+        facts = self.template.facts
+        if facts is None or facts.core is not core:
+            facts = self.template.facts = CoreFacts(core, self._fixed, self.template)
+        return facts
+
+    def fixer_mask(self, x: int) -> int:
+        """The :attr:`fixers` mask of vertex ``x``, 0 if no nontrivial
+        element fixes it, read from the :attr:`core_facts`."""
+        p = int(x >= self.n)
+        return self.core_facts.masks[p].get(x - p * self.n, 0)
 
     @cached_property
     def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
@@ -751,8 +958,8 @@ class VertexAssignment:
         :attr:`slot_table`, None where no vertex sits: one gather over the
         core's slots, read on the core's first check."""
         parts: list[str | None] = [None] * len(self.slot_table.slots)
-        for s, vertex in zip(self._core_slots, self._core_vertices):
-            parts[s] = "VW"[vertex >= self.n]
+        for s, (p, _) in zip(self._core_slots, self.template.core_vertices):
+            parts[s] = "VW"[p]
         return parts
 
     @property
@@ -848,16 +1055,22 @@ class FixedCountReport:
 def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
     """Compare each class label's computed fixed-vertex counts with the
     stated table; disagreement with the stated value is reported, not
-    raised."""
-    stated = recipe_of(assignment).stated
-    computed = assignment.class_counts
-    if set(computed) != set(stated):
-        raise AssertionError("class labels do not match the stated table")
-    rows = tuple(
-        ClassFixedCounts(label, order, size, counts, stated[label])
-        for label, (order, size, counts) in sorted(computed.items())
-    )
-    return FixedCountReport(assignment.case_name, rows)
+    raised.  The report is kept in the placement's
+    :attr:`~VertexAssignment.core_facts` with the recipe it compares with."""
+    recipe = recipe_of(assignment)
+    facts = assignment.core_facts
+    kept = facts.report
+    if kept is None or kept[0] is not recipe:
+        stated = recipe.stated
+        computed = assignment.class_counts
+        if set(computed) != set(stated):
+            raise AssertionError("class labels do not match the stated table")
+        rows = tuple(
+            ClassFixedCounts(label, order, size, counts, stated[label])
+            for label, (order, size, counts) in sorted(computed.items())
+        )
+        kept = facts.report = (recipe, FixedCountReport(assignment.case_name, rows))
+    return kept[1]
 
 
 # --------------------------------------------------------------------------
@@ -931,28 +1144,15 @@ def _matching_row(
 
 
 def summarize_blocks(assignment: VertexAssignment) -> tuple[str, ...]:
-    """One human-readable line per block of the placement."""
+    """One human-readable line per block of the placement, a free block's
+    only when it holds an orbit."""
     out = []
-    for block in assignment.all_blocks():
-        if isinstance(block, CenterPair):
-            out.append(f"both poles -> {block.part}")
-        elif isinstance(block, MarkerBlock):
-            count = _marker_count(assignment.model, block.marker_class)
-            line = (
-                f"{count} {block.marker_class} markers on copy "
-                f"'{block.copy_name}' -> {block.part}"
-            )
-            if block.swap_partner is not None:
-                line += f" (trades places with copy '{block.swap_partner}')"
+    template, m = assignment.template, assignment.m
+    for line, run in zip(template.lines, template.runs):
+        if run.prefix[0] != "free":
             out.append(line)
-        elif block.count:
-            target = (
-                "split between the parts"
-                if block.part == "split"
-                else f"-> {block.part}"
-            )
-            orbits = "orbit" if block.count == 1 else "orbits"
-            out.append(f"{block.count} free {orbits} {target}")
+        elif count := run.count + m * run.grows:
+            out.append(f"{count} free {'orbit' if count == 1 else 'orbits'} {line}")
     return tuple(out)
 
 
@@ -1339,35 +1539,45 @@ def recipe_of(assignment: VertexAssignment) -> Recipe:
     return recipe
 
 
+#: Each recipe's :class:`PlacementTemplate`, by case name, made on the
+#: recipe's first placement and made again when ``RECIPES`` holds another
+#: recipe under that name.
+_TEMPLATES: dict[str, PlacementTemplate] = {}
+
+
 def place(group: str, n: int) -> VertexAssignment:
     """The placement that the recipe of :func:`recipe_case` gives for ``n``
     and the target ``group``, its action not yet built.  ``m`` is the
     number of whole orbits that fill V after the core and the extra orbits;
     an ``n`` that leaves a remainder is rejected, and so is one whose case
-    has no recipe."""
+    has no recipe.
+
+    The recipe's blocks are checked once, when its template is made: a
+    recipe's free blocks are ``m`` plus its extra orbits.  Every group a
+    case serves has one counting table (A4 for the cube and skeleton
+    recipes), so the template's core key holds for each."""
     case = recipe_case(group, n)
     recipe = RECIPES.get(case)
     if recipe is None:
         raise ValueError(f"case {case!r} of n = {n} has no recipe")
-    model = build_polyhedral_model(recipe.kind)
-    core = sum(
-        2 if isinstance(b, CenterPair) else _marker_count(model, b.marker_class)
-        for b in recipe.v_core
-    )
-    split = recipe.extra is None
-    orbit = model.group.order // 2 if split else model.group.order
-    extra_v, extra_w = (0, 0) if split else recipe.extra
-    m, rest = divmod(n - core - extra_v * orbit, orbit)
+    template = _TEMPLATES.get(case)
+    if template is None or template.recipe is not recipe:
+        if recipe.extra is None:
+            blocks = (recipe.v_core, recipe.w_core, (FreeOrbitBlock(0, "split"),))
+        else:
+            extra_v, extra_w = recipe.extra
+            blocks = (
+                recipe.v_core + (FreeOrbitBlock(extra_v, "V"),),
+                recipe.w_core + (FreeOrbitBlock(extra_w, "W"),),
+            )
+        model = build_polyhedral_model(recipe.kind)
+        template = PlacementTemplate(model, recipe.copies, blocks, group, recipe)
+        _TEMPLATES[case] = template
+    size, orbit = template.sizes[0]
+    m, rest = divmod(n - size, orbit)
     if rest or m < 0:
         raise AssertionError(f"recipe {case} cannot fill n = {n} with whole orbits")
-    if split:
-        blocks = (recipe.v_core, recipe.w_core, (FreeOrbitBlock(m, "split"),))
-    else:
-        blocks = (
-            recipe.v_core + (FreeOrbitBlock(m + extra_v, "V"),),
-            recipe.w_core + (FreeOrbitBlock(m + extra_w, "W"),),
-        )
-    return VertexAssignment(n, group, case, model, recipe.copies, blocks)
+    return VertexAssignment._of_template(template, n, group, case, m)
 
 
 def build_assignment(group: str, n: int) -> VertexAssignment:

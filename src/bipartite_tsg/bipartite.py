@@ -46,10 +46,6 @@ class BipartiteAut:
     n: int
     part_behavior: str
 
-    @property
-    def preserves_parts(self) -> bool:
-        return self.part_behavior == "preserves"
-
     def order(self) -> int:
         return self.perm.order()
 

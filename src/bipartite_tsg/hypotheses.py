@@ -34,7 +34,7 @@ replaced by another.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
@@ -400,18 +400,10 @@ def _choose_arcs(
         Arc(axis_i, (slots[v], slots[w]), tuple(slots[s] for s in interior))
         for axis_i, v, w, interior in chosen
     ]
-    # interiors contain no placed vertex (they are unoccupied slots by
-    # construction, but check anyway) ...
-    for arc, (*_, interior) in zip(arcs, chosen):
-        for s in interior:
-            if part[s] is not None:
-                raise HypothesisViolation(
-                    2,
-                    {"arc": arc.as_dict(), "vertex": point_str(slots[s])},
-                    "an arc interior passes through a placed vertex",
-                )
-    # ... and are pairwise disjoint, also across different circles (two
-    # circles meet only in shared slots, e.g. the poles).
+    # An interior lies strictly between consecutive occupied positions of
+    # its circle, so it holds no vertex.  Interiors must also be pairwise
+    # disjoint, across different circles too (two circles meet only in
+    # shared slots, e.g. the poles).
     seen: dict[int, int] = {}
     for k, (*_, interior) in enumerate(chosen):
         for s in interior:
@@ -635,7 +627,7 @@ def _check_conditions(
 
 
 def _forced_neighbors(
-    assignment: VertexAssignment, odd: list[int], x: int
+    assignment: VertexAssignment, odd: tuple[int, ...], x: int
 ) -> tuple[bool, set[int]]:
     """Opposite-part vertices forced to be fixed once ``x`` is fixed, as a
     pair ``(whole, members)``: every vertex of the opposite part except
@@ -653,29 +645,49 @@ def _forced_neighbors(
     element indices, none on a part-preserving model, so only ``x``'s images
     under those are computed.  ``h(h(x)) == x`` exactly when ``h * h`` is the
     identity or fixes ``x``, which ``x``'s fixer mask tells.
+
+    With each part numbered from 0 the answer is the same for every ``m``:
+    a core vertex's images and co-fixed vertices are core vertices, and a
+    free vertex's images lie in its own orbit, which no ``m`` moves since a
+    recipe's free block ends its part.  So it is kept per vertex in the
+    placement's :attr:`~.assignments.VertexAssignment.core_facts` and
+    shifted into place.  Only a vertex the template holds at ``m = 1`` is
+    kept, which bounds what is kept.
     """
     n = assignment.n
-    opposite_w = x < n
-    fixers = assignment.fixers
-    stab = fixers.get(x, 0)
-    excluded = set()
-    if odd:
-        model = assignment.model
-        elements, table = model.group.elements, model.group.product_table
-        label = (assignment.label_of(x),)
-        for a in odd:
-            square = table[a][a]  # index 0 is the identity, bit k is index k + 1
-            if square and not stab >> (square - 1) & 1:
-                y = assignment.vertex_of(assignment.slot_images(elements[a], label)[0])
-                if (y >= n) == opposite_w:
-                    excluded.add(y)
-    if not stab:
-        return True, excluded
-    return False, {
-        y
-        for y, mask in fixers.items()
-        if mask & stab == stab and (y >= n) == opposite_w and y not in excluded
-    }
+    p = int(x >= n)
+    r = x - p * n
+    kept = assignment.core_facts.neighbors[p]
+    found = kept.get(r)
+    if found is None:
+        stab = assignment.fixer_mask(x)
+        excluded = set()  # numbered within the opposite part
+        if odd:
+            model = assignment.model
+            elements, table = model.group.elements, model.group.product_table
+            label = (assignment.label_of(x),)
+            for a in odd:
+                square = table[a][a]  # index 0 is the identity, bit k is index k + 1
+                if square and not stab >> (square - 1) & 1:
+                    image = assignment.slot_images(elements[a], label)[0]
+                    y = assignment.vertex_of(image)
+                    if (y >= n) != p:
+                        excluded.add(y - (1 - p) * n)
+        if not stab:
+            found = True, frozenset(excluded)
+        else:
+            masks = assignment.core_facts.masks[1 - p]
+            found = False, frozenset(
+                y
+                for y, mask in masks.items()
+                if mask & stab == stab and y not in excluded
+            )
+        size, growth = assignment.template.sizes[p]
+        if r < size + growth:
+            kept[r] = found
+    whole, members = found
+    shift = (1 - p) * n  # the opposite part's first vertex
+    return whole, {y + shift for y in members}
 
 
 def _check_edge(assignment: VertexAssignment, edge: tuple[int, int]) -> None:
@@ -708,7 +720,7 @@ def forced_fix_closure(
     _check_edge(assignment, edge)
     v, w = edge
     n = assignment.n
-    odd = [a for a, sign in enumerate(assignment.model.parities) if sign == -1]
+    odd = assignment.template.odd
     members = [{v}, {w}] if v < n else [{w}, {v}]
     whole = None  # the part forced whole, whose members are then excluded
     queue = deque((v, w))
@@ -775,14 +787,22 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     forced = forced_fix_closure(assignment, edge)
     if not embeds_in_circle(forced.shape):
         return SubgroupWitness(edge, forced, 1)
-    # the shape embeds, so at most two vertices of each part are forced; a
-    # vertex lies in psi's fixed set when psi's bit is in its fixer mask
-    n, fixers = assignment.n, assignment.fixers
-    forced_masks = [(x >= n, fixers.get(x, 0)) for x in forced.vertices]
-    for k, psi in enumerate(assignment.model.nontrivial):
-        meet = [in_w for in_w, mask in forced_masks if mask >> k & 1]
-        if any(meet) and not all(meet) and len(meet) < len(forced_masks):
-            return SubgroupWitness(edge, forced, 2, psi)
+    # The shape embeds, so at most two vertices of each part are forced; a
+    # vertex lies in psi's fixed set when psi's bit is in its fixer mask.
+    # psi meets the forced set in an adjacent pair without holding all of
+    # it when its bit is in a mask of each part but not in every mask; the
+    # least such bit is the first such element in group order.
+    fixed_in = [0, 0]  # the bits of some forced vertex's mask, per part
+    in_all = -1  # the bits of every forced vertex's mask
+    for p, part in enumerate(forced.parts):
+        for x in part:
+            mask = assignment.fixer_mask(x)
+            fixed_in[p] |= mask
+            in_all &= mask
+    bits = fixed_in[0] & fixed_in[1] & ~in_all
+    if bits:
+        psi = assignment.model.nontrivial[(bits & -bits).bit_length() - 1]
+        return SubgroupWitness(edge, forced, 2, psi)
     raise NoWitnessFound(
         f"the recorded witness edge {edge} certifies no exactness for the "
         f"{assignment.case_name} placement at n = {assignment.n}"
@@ -813,7 +833,7 @@ def subgroup_corollary_witness(assignment: VertexAssignment) -> tuple[int, int]:
     edge = _recorded_edge(assignment, "step_down", () if step is None else (step,))
     _check_edge(assignment, edge)
     v, w = edge
-    if assignment.fixers.get(v, 0) & assignment.fixers.get(w, 0):
+    if assignment.fixer_mask(v) & assignment.fixer_mask(w):
         raise NoSuchEdge(
             f"the recorded step-down edge {edge} of the "
             f"{assignment.case_name} placement at n = {assignment.n} is "
@@ -843,10 +863,12 @@ def verify_construction(assignment: VertexAssignment) -> HypothesisReport:
         and assignment.model.group.order == 24
     ):
         corollary = subgroup_corollary_witness(assignment)
-    return replace(
-        base,
-        blocks=summarize_blocks(assignment),
-        fixed_counts=counts,
-        subgroup_witness=witness,
-        corollary_edge=corollary,
+    return HypothesisReport(
+        base.case_name,
+        base.conditions,
+        base.arcs,
+        summarize_blocks(assignment),
+        counts,
+        witness,
+        corollary,
     )

@@ -105,6 +105,13 @@ def fixed_vertices(a, e):
     return tuple(sorted(x for x, mask in a.fixers.items() if mask >> k & 1))
 
 
+def part_at(a, point):
+    """The part, "V" or "W", of the vertex at ``point`` of placement ``a``,
+    None if no vertex is there."""
+    vertex = a.vertex_of(point)
+    return None if vertex is None else "VW"[vertex >= a.n]
+
+
 def vertex_labels(a):
     """Every vertex label of placement ``a``, in vertex order."""
     return tuple(map(a.label_of, range(2 * a.n)))

@@ -41,6 +41,7 @@ from conftest import (
     apply,
     fixed_vertices,
     full_action,
+    part_at,
     vertex_labels,
 )
 
@@ -100,7 +101,7 @@ def test_non_integer_part_size_is_rejected_before_any_recipe():
 def test_part_sizes_and_distinct_points(assignments):
     for (_, n), a in assignments.items():
         points = vertex_labels(a)
-        parts = [a.part_of_point(p) for p in points]
+        parts = [part_at(a, p) for p in points]
         assert parts.count("V") == n
         assert parts.count("W") == n
         assert len(set(points)) == 2 * n
@@ -347,7 +348,7 @@ def test_tetrahedral_and_icosahedral_targets_never_swap_parts(assignments):
         if group in ("A4", "A5") and a.model.kind != "tetrahedron-skeleton":
             for e in a.model.group:
                 assert a.model.parity_of(e) == 1
-                assert a.induced_aut(e).preserves_parts
+                assert a.induced_aut(e).part_behavior == "preserves"
 
 
 def test_identity_induces_identity(assignments):
@@ -619,6 +620,33 @@ def test_a_placement_holds_the_shared_model_of_its_kind():
         dataclasses.replace(a, model=copy)
 
 
+def test_blocks_that_do_not_fill_both_parts_are_rejected(monkeypatch):
+    # n = 32 of cube-8 holds one free orbit in each part; a second one in W,
+    # or an n the blocks do not fill, is refused by the constructor, and a
+    # recipe whose W comes out short or long is refused by ``place``.
+    a = place("S4", 32)
+    assert a.case_name == "cube-8"
+    w_core = a.blocks[1][:-1]
+    message = r"blocks fill parts of sizes 32, 56; expected 32 each"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(a, blocks=(a.blocks[0], w_core + (FreeOrbitBlock(2, "W"),)))
+    with pytest.raises(ValueError, match=r"sizes 32, 32; expected 33 each"):
+        dataclasses.replace(a, n=33)
+    recipe = RECIPES["cube-8"]
+    monkeypatch.setitem(RECIPES, "cube-8", dataclasses.replace(recipe, extra=(0, 1)))
+    with pytest.raises(ValueError, match=message):
+        place("S4", 32)
+
+
+def test_a_recipe_whose_free_block_does_not_end_its_part_is_refused(monkeypatch):
+    # A recipe's free blocks grow with n, so a block after one would move.
+    recipe = RECIPES["cube-8"]
+    v_core = (FreeOrbitBlock(0, "V"),) + recipe.v_core
+    monkeypatch.setitem(RECIPES, "cube-8", dataclasses.replace(recipe, v_core=v_core))
+    with pytest.raises(AssertionError, match="free block must end each part it fills"):
+        place("S4", 32)
+
+
 def test_an_n_whose_case_has_no_recipe_raises_naming_it():
     with pytest.raises(ValueError, match="case 'cube-3' of n = 27 has no recipe"):
         place("S4", 27)
@@ -633,10 +661,55 @@ def test_free_point_counts(assignments):
 # ---------------------------------------------------------------- axis slots
 
 
-def test_part_of_point_agrees_with_the_vertex_numbering(assignments):
+def numbered_labels(a):
+    """Every label of placement ``a`` in the documented vertex order, read
+    from its blocks alone: V, then W; in each part the blocks in order, a
+    block's orbits in order (free orbits numbered along their tag), and an
+    orbit's labels by index, a split orbit's even elements in V."""
+    model = a.model
+    sizes = {"corner": len(model.corner_vectors), "edge": len(model.edges),
+             "face": len(model.faces)}
+    parts, numbered = ([], []), {}
+    for b in a.all_blocks():
+        if isinstance(b, CenterPair):
+            parts["VW".index(b.part)].extend([("center", 0), ("center", 1)])
+        elif isinstance(b, MarkerBlock):
+            parts["VW".index(b.part)].extend(
+                (b.marker_class, b.copy_name, i) for i in range(sizes[b.marker_class])
+            )
+        else:
+            tag = "VW" if b.part == "split" else b.part
+            first = numbered.get(tag, 0)
+            numbered[tag] = first + b.count
+            for k in range(first, first + b.count):
+                for j, sign in enumerate(model.parities):
+                    p = int(sign == -1) if b.part == "split" else "VW".index(b.part)
+                    parts[p].append(("free", tag, k, j))
+    return parts[0] + parts[1]
+
+
+def _with_two_free_orbits():
+    """The first admitted placement of each recipe case holding at least two
+    free orbits (tetrahedron-6, at n = 6 only, holds none)."""
+    found = {}
+    for n in range(1, 300):
+        for group in GROUPS:
+            if theorem_predicate(n, group):
+                a = place(group, n)
+                orbits = sum(
+                    b.count for b in a.all_blocks() if isinstance(b, FreeOrbitBlock)
+                )
+                if orbits >= 2:
+                    found.setdefault(a.case_name, a)
+    return found
+
+
+def test_the_label_and_vertex_rules_invert_each_other():
     # Besides the recipes, two hand-built placements whose free tags span
     # several blocks: whole orbits in V and in W around markers on the
     # tetrahedron, and split orbits (one block empty) on the skeleton.
+    by_case = _with_two_free_orbits()
+    assert set(by_case) == set(RECIPES) - {"tetrahedron-6"}
     tetrahedron = VertexAssignment(
         42, "A4", "hand-built", build_polyhedral_model("tetrahedron"), (("base", 1),),
         (
@@ -656,16 +729,16 @@ def test_part_of_point_agrees_with_the_vertex_numbering(assignments):
              FreeOrbitBlock(2, "split")),
         ),
     )
-    placements = [*assignments.items(), ("tetrahedron", tetrahedron), ("skeleton", skeleton)]
-    for pair, a in placements:
+    placements = [*by_case.items(), ("tetrahedron", tetrahedron), ("skeleton", skeleton)]
+    for case, a in placements:
         points = vertex_labels(a)
-        assert [a.part_of_point(p) for p in points] == ["V"] * a.n + ["W"] * a.n, pair
-        assert [a.vertex_of(p) for p in points] == list(range(2 * a.n)), pair
+        assert list(points) == numbered_labels(a), case
+        assert [a.vertex_of(p) for p in points] == list(range(2 * a.n)), case
         for p in points[:1] + points[-1:]:
-            assert a.part_of_point(p[:-1] + (10**6,)) is None
-            assert a.part_of_point(p[:-1] + (-1,)) is None
-        assert a.part_of_point(("free", "V", 10**6, 0)) is None
-        assert a.part_of_point(("free", "V", 0)) is None
+            assert a.vertex_of(p[:-1] + (10**6,)) is None
+            assert a.vertex_of(p[:-1] + (-1,)) is None
+        assert a.vertex_of(("free", "V", 10**6, 0)) is None
+        assert a.vertex_of(("free", "V", 0)) is None
 
 
 def test_axis_slots_structure(assignments):
@@ -686,7 +759,7 @@ def test_axis_slots_structure(assignments):
                 assert centers == []
             for point, part in zip(axis.slots, axis.parts):
                 assert part in ("V", "W", None)
-                assert a.part_of_point(point) == part
+                assert part_at(a, point) == part
                 occupied += part is not None
     assert occupied
 
@@ -739,9 +812,9 @@ def test_axis_markers_carry_every_concentric_copy(assignments):
     )
     copies = {p[1] for p in triple.slots if p[0] == "corner"}
     assert copies == {"inner", "base", "outer"}
-    assert a.part_of_point(("corner", "base", 0)) is None
-    assert {a.part_of_point(("corner", "inner", 0)),
-            a.part_of_point(("corner", "outer", 0))} == {"V", "W"}
+    assert a.vertex_of(("corner", "base", 0)) is None
+    assert {part_at(a, ("corner", "inner", 0)),
+            part_at(a, ("corner", "outer", 0))} == {"V", "W"}
 
 
 # ------------------------------------------------------------------ properties

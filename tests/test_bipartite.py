@@ -60,14 +60,14 @@ def test_automorphism_group_of_k22_is_dihedral_of_order_8():
 def test_validate_part_preserving():
     p = Perm.from_cycles(6, [(0, 1, 2), (3, 4, 5)])
     aut = validate_automorphism(p, 3)
-    assert aut.part_behavior == "preserves" and aut.preserves_parts
+    assert aut.part_behavior == "preserves"
     assert aut.order() == 3
 
 
 def test_validate_part_swapping():
     p = Perm.from_cycles(6, [(0, 3), (1, 4), (2, 5)])
     aut = validate_automorphism(p, 3)
-    assert aut.part_behavior == "swaps" and not aut.preserves_parts
+    assert aut.part_behavior == "swaps"
 
 
 def test_validate_rejects_mixing():

@@ -5,6 +5,7 @@ them changes no report."""
 
 import json
 import sys
+from dataclasses import replace
 from threading import Thread
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from bipartite_tsg import assignments
 from bipartite_tsg.assignments import (
     CORE_CACHE_SIZE,
+    RECIPES,
     FreeOrbitBlock,
     VertexAssignment,
     build_assignment,
@@ -241,6 +243,84 @@ def test_the_bench_sweep_checks_each_core_it_meets_once():
     assert layout_slots.cache_info().misses - layouts == 4
 
 
+def test_a_recipe_s_blocks_are_checked_once_and_never_on_a_warm_call(monkeypatch):
+    # A recipe's template checks its blocks on the recipe's first placement;
+    # every later placement reads the template and checks only its sizes.
+    checked = []
+    honest = assignments._check_blocks
+
+    def counting(model, copies, blocks):
+        checked.append(blocks)
+        honest(model, copies, blocks)
+
+    monkeypatch.setattr(assignments, "_check_blocks", counting)
+    monkeypatch.setattr(assignments, "_TEMPLATES", {})
+    for group in GROUPS:
+        sweep(group, 500)
+    assert len(checked) == len(RECIPES)
+    assert set(assignments._TEMPLATES) == set(RECIPES)
+    for group in GROUPS:
+        sweep(group, 500)
+    assert len(checked) == len(RECIPES)
+
+
+# Two corners of skeleton-4 on one third-turn axis, which that rotation fixes
+# pointwise: no step-down edge.
+_SAME_AXIS = (("corner", "inner", 0), ("corner", "outer", 0))
+
+
+def test_a_warm_decide_sees_a_patched_step_down_edge_at_once(monkeypatch):
+    assert decide(16, "A4").realizable
+    misses = core_checks.cache_info().misses
+    recipe = RECIPES["skeleton-4"]
+    with monkeypatch.context() as patch:
+        patch.setitem(RECIPES, "skeleton-4", replace(recipe, step_down=_SAME_AXIS))
+        with pytest.raises(InternalMismatch, match="NoSuchEdge"):
+            decide(16, "A4")
+    assert RECIPES["skeleton-4"] is recipe
+    assert decide(16, "A4").realizable
+    assert core_checks.cache_info().misses == misses  # each call after the first warm
+
+
+def test_a_patched_recipe_is_placed_and_reported_at_once(monkeypatch):
+    # cube-2 with its W blocks in reverse order is another core, and a
+    # changed stated count is a discrepancy of the next report, also of a
+    # placement made before the patch; the recipe put back is placed and
+    # reported as before.
+    recipe = RECIPES["cube-2"]
+    before = place("S4", 26)
+    assert verify_fixed_counts(before).discrepancies == ()
+    stated = {**recipe.stated, "rotation-3": (0, 0)}
+    with monkeypatch.context() as patch:
+        patch.setitem(RECIPES, "cube-2", replace(recipe, stated=stated))
+        for a in (before, place("S4", 26)):
+            (row,) = verify_fixed_counts(a).discrepancies
+            assert (row.label, row.stated) == ("rotation-3", (0, 0))
+        reversed_w = replace(recipe, w_core=recipe.w_core[::-1])
+        patch.setitem(RECIPES, "cube-2", reversed_w)
+        after = place("S4", 26)
+        assert after.blocks[1][:3] == reversed_w.w_core
+        assert after.core_key != before.core_key
+    again = place("S4", 26)
+    assert again.blocks == before.blocks and again.core_key == before.core_key
+    assert verify_fixed_counts(again).discrepancies == ()
+
+
+def test_a_cleared_record_makes_the_template_read_its_facts_again():
+    # The facts a template keeps are those of the record they were read
+    # from; a placement of a cleared record reads them from its own.
+    warm = place("A4", 16)
+    assert decide(16, "A4").realizable
+    facts = warm.core_facts
+    assert facts.core is warm.core
+    core_checks.cache_clear()
+    cold = place("A4", 16)
+    assert cold.template is warm.template and cold.core is not warm.core
+    assert decide(16, "A4").realizable
+    assert cold.core_facts is not facts and cold.core_facts.core is cold.core
+    assert cold.core_facts.masks == facts.masks
+
+
 # Every admitted pair up to n = 180: all 17 cores, most of them met at
 # several n, and A4 and S4 share the order-24 cores.
 SHARED_CORE_PAIRS = tuple(
@@ -258,12 +338,14 @@ def test_a_warm_admitted_decide_looks_its_core_up_once():
         assert (after.hits - hits, after.misses - misses) == (1, 0), (group, n)
 
 
-def test_threads_deciding_pairs_that_share_cores_agree_with_one_thread():
+def test_threads_deciding_pairs_that_share_cores_agree_with_one_thread(monkeypatch):
     def report(group, n):
         return json.dumps(decide(n, group).as_dict(), sort_keys=True)
 
     expected = {pair: report(*pair) for pair in SHARED_CORE_PAIRS}
-    core_checks.cache_clear()  # the threads race to fill every record
+    # the threads race to make every template and fill every record
+    monkeypatch.setattr(assignments, "_TEMPLATES", {})
+    core_checks.cache_clear()
     wrong = []
 
     def work(offset):

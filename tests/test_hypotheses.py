@@ -3,6 +3,7 @@ witnesses for the block-structured placements."""
 
 import dataclasses
 import tracemalloc
+from random import Random
 
 import pytest
 
@@ -31,7 +32,7 @@ from bipartite_tsg.hypotheses import (
 from bipartite_tsg.perms import Perm, UnionFind
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import apply, vertex_labels
+from conftest import apply, part_at, vertex_labels
 from test_forced_closure import reference_closure, reference_neighbors
 
 
@@ -81,9 +82,9 @@ def test_arcs_pair_one_vertex_from_each_part(assignments, reports):
             assert len(ends) == 2
             assert ends not in seen, "two arcs for the same adjacent pair"
             seen.add(ends)
-            parts = {a.part_of_point(p) for p in arc.endpoints}
+            parts = {part_at(a, p) for p in arc.endpoints}
             assert parts == {"V", "W"}
-            assert all(a.part_of_point(p) is None for p in arc.interior)
+            assert all(a.vertex_of(p) is None for p in arc.interior)
 
 
 def test_arc_interiors_are_pairwise_disjoint(reports):
@@ -214,6 +215,46 @@ def test_no_witness_found_when_candidates_are_exhausted(
     )
     with pytest.raises(NoWitnessFound, match=r"witness edge \(0, 4\)"):
         check_subgroup_theorem(assignments[("S4", 4)])
+
+
+def reference_witness(a, edge):
+    """The witness condition for ``edge`` and its ``psi``, found by a scan
+    of the nontrivial elements in group order; None if it certifies
+    nothing."""
+    forced = forced_fix_closure(a, edge)
+    if not embeds_in_circle(forced.shape):
+        return 1, None
+    masks = [(x >= a.n, a.fixers.get(x, 0)) for x in forced.vertices]
+    for k, psi in enumerate(a.model.nontrivial):
+        meet = [in_w for in_w, mask in masks if mask >> k & 1]
+        if any(meet) and not all(meet) and len(meet) < len(masks):
+            return 2, psi
+    return None
+
+
+def test_the_witness_finds_the_element_a_scan_finds(assignments, monkeypatch):
+    # Seeded V x W pairs of fixed core vertices recorded as the witness:
+    # the condition and psi agree with the scan, and an edge the scan finds
+    # nothing for raises NoWitnessFound.
+    rng = Random("witness scan")
+    found = set()
+    for pair, a in assignments.items():
+        recipe = RECIPES[a.case_name]
+        fixed = sorted(a.fixers)
+        vs, ws = [x for x in fixed if x < a.n], [x for x in fixed if x >= a.n]
+        for edge in [(rng.choice(vs), rng.choice(ws)) for _ in range(20) if vs and ws]:
+            labels = tuple(map(a.label_of, edge))
+            edited = dataclasses.replace(recipe, witness=(labels,))
+            monkeypatch.setitem(RECIPES, a.case_name, edited)
+            expected = reference_witness(a, edge)
+            if expected is None:
+                with pytest.raises(NoWitnessFound):
+                    check_subgroup_theorem(a)
+            else:
+                witness = check_subgroup_theorem(a)
+                assert (witness.condition, witness.psi) == expected, (pair, edge)
+            found.add(expected and expected[0])
+    assert found == {1, 2, None}
 
 
 def test_a_failing_recorded_witness_raises_no_witness_found(
