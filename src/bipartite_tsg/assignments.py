@@ -102,10 +102,9 @@ class FreeOrbitBlock:
 Block = CenterPair | MarkerBlock | FreeOrbitBlock
 
 
-#: The number of cores whose checks are kept at once.  The admitted
-#: placements of every ``n`` have 17 distinct cores, one per recipe and
-#: target counting table.
-CORE_CACHE_SIZE = 64
+#: The number of slot tables kept at once.  The recipes' 17 templates have
+#: 8 layouts.
+LAYOUT_CACHE_SIZE = 64
 
 
 class FixedTable(NamedTuple):
@@ -119,49 +118,6 @@ class FixedTable(NamedTuple):
     class_counts: dict[str, tuple[int, int, tuple[int, int]]]
     fixers: dict[int, int]
     orbits: int
-
-
-@dataclass(eq=False)
-class CoreChecks:
-    """What was checked on one placement core, shared by every placement
-    with its :attr:`VertexAssignment.core_key`.
-
-    A residue class's placements share one core of poles and marker
-    blocks and differ only in ``m``, the number of regular free orbits.
-    No nontrivial element fixes a free point and no free point lies on an
-    axis, so these checks read only the core, and each is the same for
-    every ``m``, ``m = 0`` included:
-
-    * ``transversal``: the checked action on the transversal, the core's
-      labels plus orbit 0 of every free part the key names;
-    * ``core_faithful``: whether the core's labels alone act faithfully,
-      which decides a placement without any free orbit;
-    * ``fixed``: the :class:`FixedTable` read from the layout's fixer masks
-      and slot orbits;
-    * ``row``: the matched counting row and its residue;
-    * ``routing``: the results of conditions 1-5
-      (``hypotheses.ConditionResult``) and the chosen arcs, in labels.
-
-    The first placement that reads a field fills it, with one assignment
-    once its check has passed (``core_faithful`` just before
-    ``transversal``).  A check that raises leaves its field empty, so every
-    later placement of the core makes it again.
-    """
-
-    transversal: GroupAction | None = None
-    core_faithful: bool | None = None
-    fixed: FixedTable | None = None
-    row: tuple[FixedProfile, int] | None = None
-    routing: tuple[tuple, tuple] | None = None
-
-
-@lru_cache(maxsize=CORE_CACHE_SIZE)
-def core_checks(core_key: tuple) -> CoreChecks:
-    """The record of the core ``core_key``, empty when first made.  At most
-    :data:`CORE_CACHE_SIZE` cores are kept, the least recently used dropped
-    first; ``core_checks.cache_clear()`` forgets them all and
-    ``core_checks.cache_info()`` counts the lookups."""
-    return CoreChecks()
 
 
 _MARKER_COUNT_ATTR = {"corner": "corner_vectors", "edge": "edges", "face": "faces"}
@@ -199,11 +155,11 @@ class SlotTable(NamedTuple):
     axes: tuple[tuple[int, ...], ...] | None
 
 
-@lru_cache(maxsize=CORE_CACHE_SIZE)
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def layout_slots(layout: tuple) -> SlotTable:
     """The slot table of ``layout`` = (model kind, copies, swap partners as a
-    frozenset of (copy, partner) pairs).  The recipes' 17 cores have 8
-    layouts; at most :data:`CORE_CACHE_SIZE` tables are kept, the least
+    frozenset of (copy, partner) pairs).  The recipes' 17 templates have 8
+    layouts; at most :data:`LAYOUT_CACHE_SIZE` tables are kept, the least
     recently used dropped first, and ``layout_slots.cache_clear()`` forgets
     them all.
 
@@ -316,9 +272,8 @@ class _Run(NamedTuple):
     first vertex the run fills in each part.
 
     A :class:`PlacementTemplate` numbers each part from 0, and a run that
-    ``grows`` holds ``count + m`` orbits in a placement with ``m``; a
-    placement's own runs (``VertexAssignment._by_prefix``) number W from ``n``
-    and hold their counts."""
+    ``grows`` holds ``count + m`` orbits in a placement with ``m``, whose
+    numbering starts W at ``n``."""
 
     prefix: Point
     first: int
@@ -343,7 +298,7 @@ def _check_blocks(
     marker sits on a copy of the placement, each swap partner names its
     block back, and no pole or marker label is held twice (free orbits are
     numbered along their tag, so only a core label can repeat)."""
-    # the per-core memo and the slot tables know the model by its kind
+    # the slot tables know the model by its kind
     if model is not build_polyhedral_model(model.kind):
         raise ValueError(
             f"the model must be build_polyhedral_model({model.kind!r})"
@@ -380,38 +335,11 @@ def _check_blocks(
         raise ValueError("duplicate point labels across the parts")
 
 
-class CoreFacts:
-    """What the witness and step-down checks read of a core's record, with
-    each part numbered from 0, so the same for every ``m``.  A template
-    keeps them with the record they were read from (``core``) and reads
-    them again once that record is dropped (``core_checks.cache_clear()``).
-
-    * ``masks[p][r]``: the fixer mask (see :attr:`VertexAssignment.fixers`)
-      of vertex ``r`` of part ``p``, for each vertex some nontrivial
-      element fixes, all of them core vertices;
-    * ``neighbors[p][r]``: vertex ``r``'s forced neighbors in the other
-      part, as ``hypotheses._forced_neighbors`` reads them, filled as the
-      closures ask;
-    * ``report``: the fixed-count report, with the recipe whose stated
-      counts it compares with, filled by :func:`fixed_count_report`.
-    """
-
-    def __init__(
-        self, core: CoreChecks, fixed: FixedTable, template: PlacementTemplate
-    ):
-        self.core = core
-        self.masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for i, mask in fixed.fixers.items():
-            p, r = template.core_vertices[i]
-            self.masks[p][r] = mask
-        self.neighbors: tuple[dict, dict] = ({}, {})
-        self.report: tuple[Recipe, FixedCountReport] | None = None
-
-
 class PlacementTemplate:
     """What a placement's checks read of its blocks that depends on ``n``
-    only through ``m``, the number of regular free orbits a recipe adds.
-    :func:`place` makes one per recipe, on its first placement, and the
+    only through ``m``, the number of regular free orbits a recipe adds,
+    and the record of what was checked on its core.  :func:`place` makes
+    one per recipe, on its first placement, and the
     :class:`VertexAssignment` constructor one per placement, whose blocks
     give every count (``m`` = 0).  The blocks are checked when it is made
     (:func:`_check_blocks`); each placement checks its part sizes.
@@ -425,14 +353,41 @@ class PlacementTemplate:
     * ``sizes[p]`` and ``free_orbits``: each part's size and the number of
       free orbits, as ``(value at m = 0, growth per unit of m)``;
     * ``core_labels``: the pole and marker labels, in block order, and
-      ``core_vertices``: each one's part and vertex in it; ``transversal``:
-      the labels the action is checked on (see
+      ``core_vertices``: each one's part and vertex in it;
+      ``transversal_labels``: the labels the action is checked on (see
       :attr:`VertexAssignment.transversal`);
-    * ``core_key`` and ``layout``, the keys of the core's record and of
-      the slot table; ``odd``: the indices of the part-swapping elements;
+    * ``layout``, the key of the slot table; ``odd``: the indices of the
+      part-swapping elements;
     * ``lines``: each block's summary line, a free block's without its
-      count;
-    * ``facts``: the :class:`CoreFacts` of the core's current record.
+      count.
+
+    A residue class's placements share one core of poles and marker blocks
+    and differ only in ``m``.  No nontrivial element fixes a free point and
+    no free point lies on an axis, so the core's checks are the same for
+    every ``m``, ``m = 0`` included, and the template keeps their results:
+
+    * ``transversal``: the checked action on the transversal;
+    * ``core_faithful``: whether the core's labels alone act faithfully,
+      which decides a placement without any free orbit;
+    * ``fixed``: the :class:`FixedTable` read from the layout's fixer masks
+      and slot orbits, and ``masks[p][r]``: the fixer mask (see
+      :attr:`VertexAssignment.fixers`) of vertex ``r`` of part ``p``, for
+      each vertex some nontrivial element fixes, all of them core vertices;
+    * ``row``: the matched counting row and its residue;
+    * ``routing``: the results of conditions 1-5
+      (``hypotheses.ConditionResult``) and the chosen arcs, in labels;
+    * ``neighbors[p][r]``: vertex ``r``'s forced neighbors in the other
+      part, as ``hypotheses._forced_neighbors`` reads them, filled as the
+      closures ask;
+    * ``report``: the fixed-count report, with the recipe whose stated
+      counts it compares with, filled by :func:`fixed_count_report`.
+
+    Each part is numbered from 0 here, so each entry is the same for every
+    ``m``.  The first placement that reads a check's field fills it, with
+    one assignment once the check has passed (``core_faithful`` just before
+    ``transversal``, ``masks`` just before ``fixed``).  A check that raises
+    leaves its field empty, so every later placement of the template makes
+    it again.
     """
 
     def __init__(
@@ -440,7 +395,6 @@ class PlacementTemplate:
         model: PolyhedralModel,
         copies: tuple[tuple[str, int], ...],
         blocks: tuple[tuple[Block, ...], ...],
-        target_group: str,
         recipe: Recipe | None = None,
     ):
         _check_blocks(model, copies, blocks)
@@ -532,19 +486,7 @@ class PlacementTemplate:
             self.by_part.append((starts, list(zip(filling, labels))))
         self.core_labels = tuple(core_labels)
         self.core_vertices = tuple(core_vertices)
-        self.transversal = tuple(transversal)
-        self.core_key = (
-            model.kind,
-            counting_table(target_group),
-            copies,
-            tuple(
-                tuple(
-                    ("free", b.part) if isinstance(b, FreeOrbitBlock) else b
-                    for b in group
-                )
-                for group in blocks
-            ),
-        )
+        self.transversal_labels = tuple(transversal)
         swaps = frozenset(
             (b.copy_name, b.swap_partner)
             for group in blocks
@@ -554,7 +496,14 @@ class PlacementTemplate:
         self.layout = (model.kind, copies, swaps)
         self.odd = tuple(a for a, sign in enumerate(model.parities) if sign == -1)
         self.lines = tuple(lines)
-        self.facts: CoreFacts | None = None
+        self.transversal: GroupAction | None = None
+        self.core_faithful: bool | None = None
+        self.masks: tuple[dict[int, int], dict[int, int]] | None = None
+        self.fixed: FixedTable | None = None
+        self.row: tuple[FixedProfile, int] | None = None
+        self.routing: tuple[tuple, tuple] | None = None
+        self.neighbors: tuple[dict, dict] = ({}, {})
+        self.report: tuple[Recipe, FixedCountReport] | None = None
 
     def check_sizes(self, n: int, m: int) -> None:
         """Check that the blocks with ``m`` more orbits each fill ``n``
@@ -590,14 +539,16 @@ class VertexAssignment:
     models also serve the order-12 target, which is cut down afterwards by
     re-embedding along an unfixed edge).  ``model`` must be the one
     :func:`~.polyhedra.build_polyhedral_model` builds for its kind, since
-    the per-core checks and the slot tables are shared by kind.
+    the slot tables are shared by kind.
 
     The constructor checks the blocks and makes the placement's own
-    :class:`PlacementTemplate`; :func:`place` reads its recipe's template,
-    whose blocks were checked once.  ``m`` is the number of orbits each
-    free block holds beyond its count in the template: the ``m`` that fills
-    ``n`` for a recipe, 0 for a placement the constructor builds.  Either
-    way the part sizes are checked against ``n``.
+    :class:`PlacementTemplate`, so its core is checked in full;
+    :func:`place` reads its recipe's template, whose blocks were checked
+    once and whose core checks are kept for every ``n`` of the recipe.
+    ``m`` is the number of orbits each free block holds beyond its count in
+    the template: the ``m`` that fills ``n`` for a recipe, 0 for a
+    placement the constructor builds.  Either way the part sizes are
+    checked against ``n``.
     """
 
     n: int
@@ -610,9 +561,7 @@ class VertexAssignment:
     m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        template = PlacementTemplate(
-            self.model, self.copies, self.blocks, self.target_group
-        )
+        template = PlacementTemplate(self.model, self.copies, self.blocks)
         template.check_sizes(self.n, 0)
         self.__dict__.update(template=template, m=0)
 
@@ -637,23 +586,6 @@ class VertexAssignment:
         return a
 
     # ---------------------------------------------------------- point layout
-
-    @cached_property
-    def _by_prefix(self) -> dict[Point, list[_Run]]:
-        """The template's runs of each label prefix (a free tag may span
-        blocks), numbered for this ``n``: V from 0 and W from ``n``, each
-        holding its count of orbits."""
-        n, m = self.n, self.m
-        out: dict[Point, list[_Run]] = {}
-        for run in self.template.runs:
-            out.setdefault(run.prefix, []).append(
-                run._replace(
-                    count=run.count + m * run.grows,
-                    vertices=tuple(v + p * n for v, p in zip(run.vertices, run.parts)),
-                    starts=(run.starts[0], run.starts[1] + n),
-                )
-            )
-        return out
 
     def all_blocks(self) -> tuple[Block, ...]:
         return tuple(b for group in self.blocks for b in group)
@@ -716,20 +648,6 @@ class VertexAssignment:
         return tuple(out)
 
     @property
-    def core_key(self) -> tuple:
-        """What the per-core checks read of the placement: the model kind,
-        the target's counting table, the copies and every block, except that
-        a free block enters only as its part.  Placements of one residue
-        class share it for every ``n``, whether or not a free part holds an
-        orbit; it is the template's."""
-        return self.template.core_key
-
-    @cached_property
-    def core(self) -> CoreChecks:
-        """The record of this placement's core, looked up once by key."""
-        return core_checks(self.template.core_key)
-
-    @property
     def _free_orbits(self) -> int:
         """The number of free orbits, of every part."""
         orbits, growth = self.template.free_orbits
@@ -740,9 +658,9 @@ class VertexAssignment:
         """The induced action on a transversal of the vertices, checked.
 
         The transversal is every core label (poles and markers) plus orbit
-        0 of each free part the :attr:`core_key` names (V, W or the split
-        orbits), in block order, whether or not that part holds an orbit at
-        this ``n``: :meth:`slot_images` moves a free label along the product
+        0 of each free part of the blocks (V, W or the split orbits), in
+        block order, whether or not that part holds an orbit at this
+        ``n``: :meth:`slot_images` moves a free label along the product
         table whether or not it is a vertex.  Every free orbit is a
         translate of its part's orbit 0: ``e`` sends ``("free", tag, k, j)``
         to ``("free", tag, k, row_e[j])`` for every ``k``, so the action on
@@ -750,20 +668,20 @@ class VertexAssignment:
         one is, and it fixes a vertex exactly when this one fixes its twin
         in the transversal.
 
-        The transversal and so its checked action depend only on the core
-        key, so the action is checked once per core and kept in its
-        :attr:`core` record (see :meth:`_checked_transversal`), with whether
-        the core's labels alone act faithfully.  A free orbit acts
-        faithfully, so only a placement without any free orbit reads that.
+        The transversal and so its checked action are the same for every
+        ``m``, so the action is checked once per template and kept there
+        (see :meth:`_checked_transversal`), with whether the core's labels
+        alone act faithfully.  A free orbit acts faithfully, so only a
+        placement without any free orbit reads that.
         """
-        core = self.core
-        if core.transversal is None:
-            labels = list(self.template.transversal)
-            checked, core.core_faithful = self._checked_transversal(labels)
-            core.transversal = checked
-        if not (core.core_faithful or self._free_orbits):
+        template = self.template
+        if template.transversal is None:
+            labels = list(template.transversal_labels)
+            checked, template.core_faithful = self._checked_transversal(labels)
+            template.transversal = checked
+        if not (template.core_faithful or self._free_orbits):
             raise AssertionError("the action on the vertices is not faithful")
-        return core.transversal
+        return template.transversal
 
     def _checked_transversal(self, labels: list[Point]) -> tuple[GroupAction, bool]:
         """The action on the transversal ``labels``, checked, and whether its
@@ -814,19 +732,20 @@ class VertexAssignment:
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
         label by label from :meth:`slot_images`.  The ``2n`` labels are
-        set at their vertices from the runs for this call only.  Once the
-        transversal is checked it is a permutation by construction; the
-        images are still checked in one linear pass, so a numbering fault
-        raises ValueError naming two labels sent to one vertex instead of
-        passing on a map that is no permutation."""
+        set at their vertices from the template's runs, W shifted by ``n``,
+        for this call only.  Once the transversal is checked it is a
+        permutation by construction; the images are still checked in one
+        linear pass, so a numbering fault raises ValueError naming two
+        labels sent to one vertex instead of passing on a map that is no
+        permutation."""
         self.transversal  # check the core first
-        n = self.n
+        n, m = self.n, self.m
         labels: list[Point] = [()] * (2 * n)
-        for runs in self._by_prefix.values():
-            for run in runs:
-                for o in range(run.count):
-                    for j, vertex in enumerate(run.vertices):
-                        labels[vertex + o * run.widths[vertex >= n]] = run.label(o, j)
+        for run in self.template.runs:
+            at = [v + p * n for v, p in zip(run.vertices, run.parts)]
+            for o in range(run.count + m * run.grows):
+                for j, p in enumerate(run.parts):
+                    labels[at[j] + o * run.widths[p]] = run.label(o, j)
         images = tuple(map(self.vertex_of, self.slot_images(e, labels)))
         source: list[int | None] = [None] * len(images)
         for i, vertex in enumerate(images):
@@ -857,10 +776,10 @@ class VertexAssignment:
         number = self.slot_table.number
         return [number[label] for label in self.template.core_labels]
 
-    @cached_property
+    @property
     def _fixed(self) -> FixedTable:
-        """What each element fixes of the core, from the :attr:`core`
-        record, made and kept there on the core's first call.
+        """What each element fixes of the core, made and kept in the
+        template on the core's first call, with the fixed vertices' masks.
 
         No nontrivial element fixes a free point, so an element's fixed
         vertices are the core labels whose slots it fixes, each in the same
@@ -877,19 +796,20 @@ class VertexAssignment:
         classes sharing a label must agree too.  The core's orbits are the
         distinct slot orbits among its slots.
         """
-        core = self.core
-        if core.fixed is not None:
-            return core.fixed
+        template = self.template
+        if template.fixed is not None:
+            return template.fixed
         self.transversal  # the action is checked first
         table = self.slot_table
         model = self.model
         fixers: dict[int, int] = {}
+        masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
         held: dict[int, list[int]] = {}  # mask -> its holders in V and in W
-        at = self.template.core_vertices
-        for i, (s, (p, _)) in enumerate(zip(self._core_slots, at)):
+        at = template.core_vertices
+        for i, (s, (p, r)) in enumerate(zip(self._core_slots, at)):
             mask = table.fixers[s]
             if mask:
-                fixers[i] = mask
+                fixers[i] = masks[p][r] = mask
                 held.setdefault(mask, [0, 0])[p] += 1
         order = model.group.order
         in_v, in_w = [0] * order, [0] * order  # index 0, the identity, left empty
@@ -911,8 +831,9 @@ class VertexAssignment:
                 raise AssertionError(f"classes labelled {label} disagree")
             by_label[label] = (rep_order, size + len(cls), computed)
         orbits = len({table.orbit[s] for s in self._core_slots})
-        core.fixed = FixedTable(counts, by_label, fixers, orbits)
-        return core.fixed
+        template.masks = masks
+        template.fixed = FixedTable(counts, by_label, fixers, orbits)
+        return template.fixed
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
@@ -927,21 +848,12 @@ class VertexAssignment:
         n, at = self.n, self.template.core_vertices
         return {at[i][1] + at[i][0] * n: mask for i, mask in self._fixed.fixers.items()}
 
-    @cached_property
-    def core_facts(self) -> CoreFacts:
-        """The template's :class:`CoreFacts`, read again from the
-        :attr:`core` record when they were read from another one."""
-        core = self.core
-        facts = self.template.facts
-        if facts is None or facts.core is not core:
-            facts = self.template.facts = CoreFacts(core, self._fixed, self.template)
-        return facts
-
     def fixer_mask(self, x: int) -> int:
         """The :attr:`fixers` mask of vertex ``x``, 0 if no nontrivial
-        element fixes it, read from the :attr:`core_facts`."""
+        element fixes it, read from the template's ``masks``."""
+        self._fixed  # fills the masks on the core's first check
         p = int(x >= self.n)
-        return self.core_facts.masks[p].get(x - p * self.n, 0)
+        return self.template.masks[p].get(x - p * self.n, 0)
 
     @cached_property
     def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
@@ -1055,11 +967,11 @@ class FixedCountReport:
 def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
     """Compare each class label's computed fixed-vertex counts with the
     stated table; disagreement with the stated value is reported, not
-    raised.  The report is kept in the placement's
-    :attr:`~VertexAssignment.core_facts` with the recipe it compares with."""
+    raised.  The report is kept in the placement's template with the recipe
+    it compares with."""
     recipe = recipe_of(assignment)
-    facts = assignment.core_facts
-    kept = facts.report
+    template = assignment.template
+    kept = template.report
     if kept is None or kept[0] is not recipe:
         stated = recipe.stated
         computed = assignment.class_counts
@@ -1069,7 +981,7 @@ def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
             ClassFixedCounts(label, order, size, counts, stated[label])
             for label, (order, size, counts) in sorted(computed.items())
         )
-        kept = facts.report = (recipe, FixedCountReport(assignment.case_name, rows))
+        kept = template.report = (recipe, FixedCountReport(assignment.case_name, rows))
     return kept[1]
 
 
@@ -1098,15 +1010,15 @@ def necessity_profile_of(
 
     Raises if no row matches or the row's residue differs from ``n``'s.
     The row is matched against the class counts, which depend only on the
-    core, so it is matched once per core (whose key holds the counting
-    table) and kept in the core's record (:attr:`VertexAssignment.core`);
-    only the residue is compared with ``n`` per call.
+    core, so it is matched once per template and kept there; only the
+    residue is compared with ``n`` per call.  Every group a recipe serves
+    has one counting table, so the kept row holds for each.
     """
     table_group = counting_table(assignment.target_group)
-    core = assignment.core
-    if core.row is None:
-        core.row = _matching_row(assignment.class_counts, table_group)
-    profile, residue = core.row
+    template = assignment.template
+    if template.row is None:
+        template.row = _matching_row(assignment.class_counts, table_group)
+    profile, residue = template.row
     modulus = TABLE_MODULUS[table_group]
     if residue != assignment.n % modulus:
         raise AssertionError(
@@ -1205,7 +1117,7 @@ def check_orbit_count(assignment: VertexAssignment) -> int:
     direct = assignment._fixed.orbits + assignment._free_orbits
     if divmod(total, order) != (direct, 0):
         raise AssertionError(
-            f"orbit count mismatch: union-find {direct}, "
+            f"orbit count mismatch: direct {direct}, "
             f"Burnside {Fraction(total, order)}"
         )
     return direct
@@ -1555,7 +1467,7 @@ def place(group: str, n: int) -> VertexAssignment:
     The recipe's blocks are checked once, when its template is made: a
     recipe's free blocks are ``m`` plus its extra orbits.  Every group a
     case serves has one counting table (A4 for the cube and skeleton
-    recipes), so the template's core key holds for each."""
+    recipes), so the template's kept checks hold for each."""
     case = recipe_case(group, n)
     recipe = RECIPES.get(case)
     if recipe is None:
@@ -1571,7 +1483,7 @@ def place(group: str, n: int) -> VertexAssignment:
                 recipe.w_core + (FreeOrbitBlock(extra_w, "W"),),
             )
         model = build_polyhedral_model(recipe.kind)
-        template = PlacementTemplate(model, recipe.copies, blocks, group, recipe)
+        template = PlacementTemplate(model, recipe.copies, blocks, recipe)
         _TEMPLATES[case] = template
     size, orbit = template.sizes[0]
     m, rest = divmod(n - size, orbit)

@@ -596,14 +596,14 @@ def check_edge_embedding_hypotheses(
     and a witness; on success returns a report with the chosen arc family.
 
     The report is given in point labels and reads only the placement's
-    core (see :class:`~.assignments.CoreChecks`), so it is checked once per
-    core and kept in its record (:attr:`VertexAssignment.core`); each
-    placement reports it under its own case name.
+    core, so it is checked once per template and kept there (see
+    :class:`~.assignments.PlacementTemplate`); each placement reports it
+    under its own case name.
     """
-    core = assignment.core
-    if core.routing is None:
-        core.routing = _check_conditions(assignment)
-    return HypothesisReport(assignment.case_name, *core.routing)
+    template = assignment.template
+    if template.routing is None:
+        template.routing = _check_conditions(assignment)
+    return HypothesisReport(assignment.case_name, *template.routing)
 
 
 def _check_conditions(
@@ -650,14 +650,15 @@ def _forced_neighbors(
     a core vertex's images and co-fixed vertices are core vertices, and a
     free vertex's images lie in its own orbit, which no ``m`` moves since a
     recipe's free block ends its part.  So it is kept per vertex in the
-    placement's :attr:`~.assignments.VertexAssignment.core_facts` and
-    shifted into place.  Only a vertex the template holds at ``m = 1`` is
-    kept, which bounds what is kept.
+    placement's template (``neighbors``) and shifted into place.  Only a
+    vertex the template holds at ``m = 1`` is kept, which bounds what is
+    kept.
     """
     n = assignment.n
     p = int(x >= n)
     r = x - p * n
-    kept = assignment.core_facts.neighbors[p]
+    template = assignment.template
+    kept = template.neighbors[p]
     found = kept.get(r)
     if found is None:
         stab = assignment.fixer_mask(x)
@@ -676,13 +677,13 @@ def _forced_neighbors(
         if not stab:
             found = True, frozenset(excluded)
         else:
-            masks = assignment.core_facts.masks[1 - p]
+            masks = template.masks[1 - p]
             found = False, frozenset(
                 y
                 for y, mask in masks.items()
                 if mask & stab == stab and y not in excluded
             )
-        size, growth = assignment.template.sizes[p]
+        size, growth = template.sizes[p]
         if r < size + growth:
             kept[r] = found
     whole, members = found

@@ -1,16 +1,16 @@
 """Shared fixtures: polyhedral models and one placement per recipe case.
 
 Both are expensive enough to build once per session; every consumer treats
-them as read-only.  The records of per-core checks are forgotten before
-each test, so a test that doctors a check a warm core skips still reaches
-it, whatever ran before.
+them as read-only.  The recipes' templates, which keep what was checked on
+each core, are forgotten before each test, so a test that doctors a check a
+warm template skips still reaches it, whatever ran before.
 """
 
 import re
 
 import pytest
 
-from bipartite_tsg.assignments import MarkerBlock, build_assignment, core_checks
+from bipartite_tsg.assignments import _TEMPLATES, MarkerBlock, build_assignment
 from bipartite_tsg.bipartite import (
     BipartiteAut,
     CycleProfile,
@@ -60,8 +60,8 @@ SAMPLE_PAIRS = (
 
 
 @pytest.fixture(autouse=True)
-def cold_core_checks():
-    core_checks.cache_clear()
+def cold_templates():
+    _TEMPLATES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -19,11 +19,11 @@ from bipartite_tsg.assignments import (
     build_assignment,
     check_orbit_count,
     class_label,
-    core_checks,
     fixed_count_report,
     layout_slots,
     necessity_profile_of,
     place,
+    _TEMPLATES,
     recipe_case,
     summarize_blocks,
     verify_fixed_counts,
@@ -211,7 +211,7 @@ def test_an_action_fixing_a_free_point_fails_the_build(monkeypatch):
 
 def test_a_placement_checks_only_its_generators_image_lists(monkeypatch):
     build_assignment("A5", 62)  # the shared model and its tables
-    core_checks.cache_clear()  # 62 and 482 share their core
+    _TEMPLATES.clear()  # 62 and 482 share their template
     calls = []
     checked = Perm.__init__
 
@@ -337,7 +337,7 @@ def test_the_orbit_count_check_rejects_a_fractional_burnside_average(monkeypatch
     assert size < a.model.group.order
     counts[label] = (order, size, (v + 1, w))
     monkeypatch.setitem(a.__dict__, "class_counts", counts)
-    message = r"orbit count mismatch: union-find \d+, Burnside \d+/\d+"
+    message = r"orbit count mismatch: direct \d+, Burnside \d+/\d+"
     with pytest.raises(AssertionError, match=message):
         check_orbit_count(a)
 
@@ -566,7 +566,7 @@ def test_a_cold_decide_holds_memory_of_the_core_only():
         build_polyhedral_model(kind)
     too_large = []
     for group, n in COLD_PAIRS:
-        core_checks.cache_clear()
+        _TEMPLATES.clear()
         layout_slots.cache_clear()
         tracemalloc.start()
         try:

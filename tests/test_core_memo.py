@@ -1,26 +1,27 @@
-"""The per-core records: the transversal action, the fixed-count tables,
-the counting row and conditions 1-5 are checked once per placement core,
-kept in one record per core that a placement looks up once, and reusing
+"""The per-recipe records: each recipe's :class:`PlacementTemplate` keeps
+the transversal action, the fixed-count tables, the counting row and
+conditions 1-5, checked once on the recipe's first placement, and reusing
 them changes no report."""
 
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from threading import Thread
 
 import pytest
 
-from bipartite_tsg import assignments
+from bipartite_tsg import assignments, hypotheses
 from bipartite_tsg.assignments import (
-    CORE_CACHE_SIZE,
+    _TEMPLATES,
     RECIPES,
     FreeOrbitBlock,
     VertexAssignment,
     build_assignment,
     class_label,
-    core_checks,
     layout_slots,
     place,
+    recipe_case,
     verify_fixed_counts,
 )
 from bipartite_tsg.decide import (
@@ -30,62 +31,118 @@ from bipartite_tsg.decide import (
     sweep,
     theorem_predicate,
 )
-from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses
+from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses, verify_construction
+from bipartite_tsg.necessity import counting_table
 
 from test_hypotheses import doctor_slot_table
 
-# Distinct cores of the admitted placements up to n = 1200 over the three
-# groups: one per recipe and target counting table (A4 and S4 share the
-# order-24 cores), whether or not a free part holds an orbit.
-CORES_UP_TO_1200 = 17
+# What the ``checks`` fixture counts: the templates made, and each kept
+# check by the name of the template field it fills.
+CHECKS = ("template", "transversal", "fixed", "row", "routing", "report")
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """How many times each of :data:`CHECKS` was made: the template on a
+    recipe's first placement or by the constructor, each check on the
+    template's first call."""
+    made = Counter()
+
+    def spy(owner, name, key):
+        honest = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            made[key] += 1
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    spy(assignments, "PlacementTemplate", "template")
+    spy(VertexAssignment, "_checked_transversal", "transversal")
+    spy(assignments, "FixedTable", "fixed")
+    spy(assignments, "_matching_row", "row")
+    spy(hypotheses, "_check_conditions", "routing")
+    spy(assignments, "FixedCountReport", "report")
+    return made
+
+
+def _each(count):
+    return {key: count for key in CHECKS}
 
 
 def _admitted(group, n_max):
     return [n for n in range(1, n_max + 1) if theorem_predicate(n, group)]
 
 
+def test_every_case_is_served_by_groups_of_one_counting_table():
+    # A template keeps one counting row, so every group whose admitted n
+    # fall in its case must read one counting table.
+    tables = {}
+    for group in GROUPS:
+        for n in _admitted(group, 1200):
+            tables.setdefault(recipe_case(group, n), set()).add(counting_table(group))
+    assert set(tables) == set(RECIPES)
+    assert all(len(t) == 1 for t in tables.values()), tables
+
+
+def test_the_a4_and_s4_placements_of_one_case_share_one_template():
+    first = {}
+    shared = set()
+    for n in range(1, 300):
+        for group in ("A4", "S4"):
+            if theorem_predicate(n, group):
+                a = place(group, n)
+                other = first.setdefault(a.case_name, a)
+                assert a.template is other.template, (group, n)
+                if other.target_group != group:
+                    shared.add(a.case_name)
+    # every case but the tetrahedron (A4 at n = 6 only) serves both groups
+    assert shared == set(first) - {"tetrahedron-6"}
+    assert len(shared) == 8
+
+
 def test_a_warm_memo_gives_the_cold_report_for_every_admitted_n():
     cold = {}
     for group in GROUPS:
         for n in _admitted(group, 500):
-            core_checks.cache_clear()
+            _TEMPLATES.clear()
             cold[group, n] = decide(n, group).as_dict()
-    core_checks.cache_clear()
-    for group in GROUPS:  # each core is checked at its smallest n only
+    _TEMPLATES.clear()
+    for group in GROUPS:  # each recipe is checked at its smallest n only
         for n in _admitted(group, 500):
             assert decide(n, group).as_dict() == cold[group, n], (group, n)
 
 
-def test_a_sweep_to_1200_checks_each_distinct_core_once():
-    keys = {
-        place(group, n).core_key
+def test_a_sweep_to_1200_checks_each_distinct_core_once(checks):
+    templates = {
+        id(place(group, n).template)
         for group in GROUPS
         for n in _admitted(group, 1200)
     }
-    assert len(keys) == CORES_UP_TO_1200 < CORE_CACHE_SIZE
-    core_checks.cache_clear()
+    assert len(templates) == len(RECIPES) == 17
+    _TEMPLATES.clear()
     layout_slots.cache_clear()
+    checks.clear()
     for group in GROUPS:
         sweep(group, 1200)
-    # fewer cores than the bound, so none was dropped and none made twice
-    info = core_checks.cache_info()
-    assert info.misses == info.currsize == CORES_UP_TO_1200
-    # the cores share 8 layouts, and each layout's slot table is built once
+    # one template per recipe, each check made once on it
+    assert checks == _each(len(RECIPES))
+    assert set(_TEMPLATES) == set(RECIPES)
+    # the templates share 8 layouts, and each layout's slot table is built once
     layouts = layout_slots.cache_info()
     assert layouts.misses == layouts.currsize == 8
 
 
-def test_placements_of_one_class_share_their_core_and_its_checks():
+def test_placements_of_one_class_share_their_core_and_its_checks(checks):
     a, b = build_assignment("A5", 482), build_assignment("A5", 542)
     assert a.case_name == b.case_name == "dodecahedron-2"
-    assert a.core_key == b.core_key
-    assert a.core is b.core and a.transversal is b.transversal
+    assert a.template is b.template and a.transversal is b.transversal
     g = a.model.group.generators[0]
     assert a.induced_perm(g).degree == 2 * 482 and b.induced_perm(g).degree == 2 * 542
     first, second = map(check_edge_embedding_hypotheses, (a, b))
     assert first.case_name == second.case_name == "dodecahedron-2"
     assert first.conditions == second.conditions and first.arcs == second.arcs
-    assert core_checks.cache_info().currsize == 1
+    assert (checks["template"], checks["transversal"], checks["routing"]) == (1, 1, 1)
 
 
 def test_a_warm_decide_composes_no_permutation_of_every_vertex(monkeypatch):
@@ -101,7 +158,6 @@ def test_a_warm_decide_composes_no_permutation_of_every_vertex(monkeypatch):
         return composed(self, e)
 
     monkeypatch.setattr(VertexAssignment, "induced_perm", counting)
-    core_checks.cache_clear()
     pairs = (("A4", 1164), ("S4", 1180), ("A5", 1142))
     for group, n in pairs:
         assert decide(n, group).realizable
@@ -118,7 +174,7 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
     # moves, through the fixer masks of the layout's slot table.  The other
     # third-turns of its class still fix one corner of each part, so the
     # class's counts disagree in V.  The table that fails is not kept, so
-    # every placement of the core fails again.
+    # every placement of the recipe fails again.
     a = build_assignment("S4", 16)
     model, table = a.model, a.slot_table
     third_turn = next(
@@ -146,19 +202,18 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
             verify_fixed_counts(build_assignment("S4", n))
         with pytest.raises(InternalMismatch, match=message):
             decide(n, "S4")
-    core = a.core
-    assert build_assignment("S4", 28).core is core
-    assert core.transversal is a.transversal  # the check that passed is kept
-    assert core.fixed is None and core.row is None
+    template = a.template
+    assert build_assignment("S4", 28).template is template
+    assert template.transversal is a.transversal  # the check that passed is kept
+    assert template.fixed is template.masks is template.row is None
 
 
-def test_an_empty_free_part_shares_its_core():
-    # dodecahedron-2 at n = 62 has no W orbit, and at n = 122 one: the key
-    # holds each free part, not whether it holds an orbit
+def test_an_empty_free_part_shares_its_core(checks):
+    # dodecahedron-2 at n = 62 has no W orbit, and at n = 122 one: the
+    # template holds each free part, whether or not it holds an orbit
     small, large = build_assignment("A5", 62), build_assignment("A5", 122)
-    assert small.core_key == large.core_key
-    assert small.core is large.core
-    assert core_checks.cache_info().currsize == 1
+    assert small.template is large.template
+    assert checks["template"] == checks["transversal"] == 1
 
 
 def _cores_with_an_empty_free_part():
@@ -169,13 +224,13 @@ def _cores_with_an_empty_free_part():
         for group in GROUPS:
             if theorem_predicate(n, group):
                 a = place(group, n)
-                first = smallest.setdefault(a.core_key, a)
+                first = smallest.setdefault(a.case_name, a)
                 if first is not a and first.target_group == group:
-                    larger.setdefault(a.core_key, n)
+                    larger.setdefault(a.case_name, n)
     return [
-        (a.target_group, a.n, larger[key])
-        for key, a in smallest.items()
-        if key in larger
+        (a.target_group, a.n, larger[case])
+        for case, a in smallest.items()
+        if case in larger
         and any(isinstance(b, FreeOrbitBlock) and not b.count for b in a.all_blocks())
     ]
 
@@ -188,20 +243,22 @@ def test_fourteen_cores_have_a_free_part_empty_at_their_smallest_n():
 
 
 @pytest.mark.parametrize("group, small, large", EMPTY_PART_CORES)
-def test_both_placements_of_an_empty_part_core_read_one_record(group, small, large):
+def test_both_placements_of_an_empty_part_core_read_one_record(
+    group, small, large, checks
+):
     def report(n):
         return json.dumps(decide(n, group).as_dict(), indent=2)
 
     cold = {}
     for n in (small, large):
-        core_checks.cache_clear()
+        _TEMPLATES.clear()
         cold[n] = report(n)
     for order in ((large, small), (small, large)):
-        core_checks.cache_clear()
+        _TEMPLATES.clear()
+        checks.clear()
         for n in order:
             assert report(n) == cold[n], (group, n)
-        info = core_checks.cache_info()
-        assert info.misses == info.currsize == 1, order
+        assert checks == _each(1), order
 
 
 def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbits(
@@ -213,33 +270,33 @@ def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbit
     # n = 32 no free orbit is placed, so the action on the vertices is not
     # faithful; at n = 92 a free orbit in each part makes it faithful.
     small, large = place("A5", 32), place("A5", 92)
-    assert small.core is large.core
+    assert small.template is large.template
     identity = tuple(range(len(small.slot_table.slots)))
     doctor_slot_table(monkeypatch, small, [identity] * small.model.group.order)
     message = "the action on the vertices is not faithful"
     for _ in range(2):
         with pytest.raises(AssertionError, match=message):
             small.transversal
-    assert large.transversal is small.core.transversal
-    assert small.core.core_faithful is False
+    assert large.transversal is small.template.transversal
+    assert small.template.core_faithful is False
     with pytest.raises(InternalMismatch, match=message):
         decide(32, "A5")  # reads the kept record
 
 
-def test_the_bench_sweep_checks_each_core_it_meets_once():
+def test_the_bench_sweep_checks_each_core_it_meets_once(checks):
     # The benchmark's sweep decides n <= 12 for each group as its warm-up,
-    # then 1..500 in GROUPS order.  With one record per core the pass checks
-    # 13 cores, not 27, and builds the 4 slot tables the warm-up left.
-    core_checks.cache_clear()
+    # then 1..500 in GROUPS order.  With one record per recipe the pass
+    # checks 13 cores, not 27, and builds the 4 slot tables the warm-up left.
     layout_slots.cache_clear()
     for group in GROUPS:
         for n in range(1, 13):
             decide(n, group)
-    records, layouts = core_checks.cache_info().misses, layout_slots.cache_info().misses
+    layouts = layout_slots.cache_info().misses
+    checks.clear()
     for group in GROUPS:
         for n in range(1, 501):
             decide(n, group)
-    assert core_checks.cache_info().misses - records == 13
+    assert checks == _each(13)
     assert layout_slots.cache_info().misses - layouts == 4
 
 
@@ -271,7 +328,6 @@ _SAME_AXIS = (("corner", "inner", 0), ("corner", "outer", 0))
 
 def test_a_warm_decide_sees_a_patched_step_down_edge_at_once(monkeypatch):
     assert decide(16, "A4").realizable
-    misses = core_checks.cache_info().misses
     recipe = RECIPES["skeleton-4"]
     with monkeypatch.context() as patch:
         patch.setitem(RECIPES, "skeleton-4", replace(recipe, step_down=_SAME_AXIS))
@@ -279,7 +335,6 @@ def test_a_warm_decide_sees_a_patched_step_down_edge_at_once(monkeypatch):
             decide(16, "A4")
     assert RECIPES["skeleton-4"] is recipe
     assert decide(16, "A4").realizable
-    assert core_checks.cache_info().misses == misses  # each call after the first warm
 
 
 def test_a_patched_recipe_is_placed_and_reported_at_once(monkeypatch):
@@ -300,52 +355,48 @@ def test_a_patched_recipe_is_placed_and_reported_at_once(monkeypatch):
         patch.setitem(RECIPES, "cube-2", reversed_w)
         after = place("S4", 26)
         assert after.blocks[1][:3] == reversed_w.w_core
-        assert after.core_key != before.core_key
+        assert after.template is not before.template
     again = place("S4", 26)
-    assert again.blocks == before.blocks and again.core_key == before.core_key
+    assert again.blocks == before.blocks and again.template.recipe is recipe
     assert verify_fixed_counts(again).discrepancies == ()
 
 
-def test_a_cleared_record_makes_the_template_read_its_facts_again():
-    # The facts a template keeps are those of the record they were read
-    # from; a placement of a cleared record reads them from its own.
+def test_a_placement_built_by_hand_owns_its_template(checks):
+    # The constructor makes a template of its own, so a placement built or
+    # doctored by hand is checked in full, however warm its recipe's is.
     warm = place("A4", 16)
-    assert decide(16, "A4").realizable
-    facts = warm.core_facts
-    assert facts.core is warm.core
-    core_checks.cache_clear()
-    cold = place("A4", 16)
-    assert cold.template is warm.template and cold.core is not warm.core
-    assert decide(16, "A4").realizable
-    assert cold.core_facts is not facts and cold.core_facts.core is cold.core
-    assert cold.core_facts.masks == facts.masks
+    verify_construction(warm)
+    checks.clear()
+    twin = replace(warm)
+    assert twin == warm and twin.template is not warm.template
+    assert verify_construction(twin) == verify_construction(warm)
+    assert checks == _each(1)
 
 
-# Every admitted pair up to n = 180: all 17 cores, most of them met at
-# several n, and A4 and S4 share the order-24 cores.
+# Every admitted pair up to n = 180: all 17 recipes, most of them met at
+# several n, and A4 and S4 share the order-24 ones.
 SHARED_CORE_PAIRS = tuple(
     (group, n) for n in range(1, 181) for group in GROUPS if theorem_predicate(n, group)
 )
 
 
-def test_a_warm_admitted_decide_looks_its_core_up_once():
+def test_a_warm_admitted_decide_checks_nothing_again(checks):
     for group, n in SHARED_CORE_PAIRS:
         decide(n, group)
+    assert checks == _each(len(RECIPES))
+    checks.clear()
     for group, n in SHARED_CORE_PAIRS:
-        hits, misses = core_checks.cache_info()[:2]
         assert decide(n, group).realizable
-        after = core_checks.cache_info()
-        assert (after.hits - hits, after.misses - misses) == (1, 0), (group, n)
+    assert checks == {}
 
 
-def test_threads_deciding_pairs_that_share_cores_agree_with_one_thread(monkeypatch):
+def test_threads_deciding_pairs_that_share_cores_agree_with_one_thread():
     def report(group, n):
         return json.dumps(decide(n, group).as_dict(), sort_keys=True)
 
     expected = {pair: report(*pair) for pair in SHARED_CORE_PAIRS}
     # the threads race to make every template and fill every record
-    monkeypatch.setattr(assignments, "_TEMPLATES", {})
-    core_checks.cache_clear()
+    _TEMPLATES.clear()
     wrong = []
 
     def work(offset):
@@ -369,4 +420,4 @@ def test_threads_deciding_pairs_that_share_cores_agree_with_one_thread(monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert core_checks.cache_info().currsize <= CORE_CACHE_SIZE
+    assert set(_TEMPLATES) == set(RECIPES)

@@ -12,8 +12,8 @@ from bipartite_tsg.assignments import (
     CenterPair,
     MarkerBlock,
     VertexAssignment,
+    _TEMPLATES,
     build_assignment,
-    core_checks,
     place,
 )
 from bipartite_tsg.bipartite import embeds_in_circle
@@ -450,8 +450,9 @@ def test_slot_images_match_apply(assignments, reports):
 
 
 def test_slot_table_masks_and_orbits_equal_a_scan_of_its_images():
-    # Every element's fixed slots scanned one by one, and the orbits joined
-    # by union-find over the generators' rows, on every layout.
+    # Every element's fixed slots scanned one by one, and the slot orbit
+    # roots (the direct orbit count reads them) against orbits joined by
+    # union-find over the generators' rows, on every layout.
     for a in one_placement_per_layout().values():
         table, group = a.slot_table, a.model.group
         fixers = [0] * len(table.slots)
@@ -636,8 +637,9 @@ def test_a_placement_scans_no_fixed_points(monkeypatch):
     # A core's first check reads fixed sets from the layout's fixer masks
     # and asserts the free-point lemma on the free labels alone, so neither
     # the build nor any check scans a permutation's fixed points.
-    verify_construction(build_assignment("A5", 62))  # the shared model tables
-    core_checks.cache_clear()  # 62 and 482 share their core
+    warm = build_assignment("A5", 62)
+    verify_construction(warm)  # the shared model tables
+    _TEMPLATES.clear()  # 62 and 482 share their template
     calls = []
     scan = Perm.fixed_points
 
@@ -648,7 +650,7 @@ def test_a_placement_scans_no_fixed_points(monkeypatch):
     monkeypatch.setattr(Perm, "fixed_points", counting)
     a = build_assignment("A5", 482)
     verify_construction(a)
-    assert core_checks.cache_info().misses == 1  # a cold check of the core
+    assert a.template is not warm.template  # a cold check of the core
     assert calls == []
 
 

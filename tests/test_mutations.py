@@ -10,9 +10,9 @@ from bipartite_tsg.assignments import (
     CenterPair,
     FreeOrbitBlock,
     MarkerBlock,
+    _TEMPLATES,
     VertexAssignment,
     build_assignment,
-    core_checks,
     verify_fixed_counts,
 )
 from bipartite_tsg.decide import InternalMismatch, decide
@@ -222,11 +222,11 @@ def test_a_warm_memo_rejects_a_mutant_as_a_cold_one_does(
     for case, edit in _EDITED_RECIPES.items():
         monkeypatch.setitem(RECIPES, case, replace(RECIPES["skeleton-4"], **edit))
     mutant = mutate(build_assignment(*pair))
-    core_checks.cache_clear()
+    _TEMPLATES.clear()
     cold = _rejection(mutant)
     assert cold is not None and cold[0] == stage
 
-    core_checks.cache_clear()
+    _TEMPLATES.clear()
     verify_construction(build_assignment(*pair))  # the real placement's core
     assert _rejection(mutate(build_assignment(*pair))) == cold
 
@@ -238,14 +238,16 @@ def vertex_of_ignoring_the_orbit(self, point):
     """``VertexAssignment.vertex_of`` with the orbit offset dropped: every
     free orbit of a run is numbered as its first, so the vertex map sends
     two labels to one vertex and is no permutation."""
+    by_prefix = self.template.by_prefix
     if point[0] == "free":
-        runs, k = self._by_prefix.get(point[:-2], ()), point[-2]
+        runs, k = by_prefix.get(point[:-2], ()), point[-2]
     else:
-        runs, k = self._by_prefix.get(point[:-1], ()), 0
+        runs, k = by_prefix.get(point[:-1], ()), 0
     j = point[-1]
     for run in runs:
-        if 0 <= k - run.first < run.count and 0 <= j < len(run.vertices):
-            return run.vertices[j]
+        count = run.count + self.m * run.grows
+        if 0 <= k - run.first < count and 0 <= j < len(run.vertices):
+            return run.vertices[j] + run.parts[j] * self.n
     return None
 
 
@@ -270,13 +272,13 @@ def test_a_cold_skeleton_decide_reports_the_numbering_fault(monkeypatch):
 def test_the_numbering_fault_fails_a_cold_and_a_warm_decide(pair, monkeypatch):
     # The check runs on every call, not only on a core's first one.
     group, n = pair
-    core_checks.cache_clear()
+    _TEMPLATES.clear()
     assert decide(n, group).realizable  # the honest numbering warms the core
     monkeypatch.setattr(VertexAssignment, "vertex_of", vertex_of_ignoring_the_orbit)
     message = r"the numbering sends \('free', .*\) and \('free', .*\) to one vertex"
     with pytest.raises(InternalMismatch, match=message):
         decide(n, group)  # warm
-    core_checks.cache_clear()
+    _TEMPLATES.clear()
     with pytest.raises(InternalMismatch, match=message):
         decide(n, group)  # cold
 
