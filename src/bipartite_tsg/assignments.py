@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
@@ -109,14 +110,11 @@ LAYOUT_CACHE_SIZE = 64
 
 class FixedTable(NamedTuple):
     """What each element fixes of a core: its fixed counts in V and W by
-    element index (the identity's left empty), the class counts, the fixers,
-    the bitmask of ``model.nontrivial`` fixing each fixed core label (by its
-    position among the core's labels, in block order), and the number of
-    orbits of the core's vertices."""
+    element index (the identity's left empty), the class counts, and the
+    number of orbits of the core's vertices."""
 
     counts: tuple[tuple[int, int], ...]
     class_counts: dict[str, tuple[int, int, tuple[int, int]]]
-    fixers: dict[int, int]
     orbits: int
 
 
@@ -163,28 +161,45 @@ def layout_slots(layout: tuple) -> SlotTable:
     recently used dropped first, and ``layout_slots.cache_clear()`` forgets
     them all.
 
-    Marker ``(cls, copy, i)`` goes under element ``a`` to ``(cls, copy',
-    marker_images[a][cls][i])``, where ``copy'`` is ``copy``'s swap partner
-    when ``a`` swaps the parts and ``copy`` otherwise; a pole goes to
-    ``marker_images[a]["center"]``.  Each (class, copy) block is one run of
-    slots, so an element's images are built block by block."""
+    Marker ``(cls, copy, i)`` goes under element ``a`` to the slot of the
+    model label that ``a`` sends ``(cls, i)`` to, on ``copy``'s swap partner
+    when ``a`` swaps the parts and on ``copy`` otherwise; a pole goes to the
+    pole that ``a`` sends its center to.  So an element's images are two
+    gathers: its label permutation read through each copy's slot numbering,
+    then those read at each slot's copy and label.  By the same rule a slot
+    is fixed by the elements that fix its label (the model's ``fixers``)
+    and keep its copy in place."""
     kind, copies, swaps = layout
     model = build_polyhedral_model(kind)
     partner = dict(swaps)
-    blocks = [(cls, name) for cls in _MARKER_COUNT_ATTR for name, _ in copies]
+    points = model.points
+    labels = len(points)  # the model's labels: corners, edges, faces, centers
+    start = {}  # each point class's first label
+    for i, (cls, _) in enumerate(points):
+        start.setdefault(cls, i)
+    odd_bits = sum(1 << (a - 1) for a, sign in enumerate(model.parities) if sign == -1)
     slots: list[Point] = [("center", 0), ("center", 1)]
+    fixers = list(model.fixers[labels - 2 :])
     first = {}
-    for cls, name in blocks:
-        first[cls, name] = len(slots)
-        slots.extend((cls, name, i) for i in range(_marker_count(model, cls)))
+    source = [labels - 2, labels - 1]  # each slot as copy * labels + label
+    # each copy's slot of each label; the centers are the poles on every copy
+    on_copy = {name: [0] * (labels - 2) + [0, 1] for name, _ in copies}
+    for cls in _MARKER_COUNT_ATTR:
+        count, at = _marker_count(model, cls), start[cls]
+        for k, (name, _) in enumerate(copies):
+            first[cls, name] = len(slots)
+            on_copy[name][at : at + count] = range(len(slots), len(slots) + count)
+            source += range(k * labels + at, k * labels + at + count)
+            slots += ((cls, name, i) for i in range(count))
+            keep = ~odd_bits if name in partner else -1
+            fixers += (mask & keep for mask in model.fixers[at : at + count])
+    even = [on_copy[name] for name, _ in copies]
+    odd = [on_copy[partner.get(name, name)] for name, _ in copies]
     images = []
-    for tables, sign in zip(model.marker_images, model.parities):
-        swap = partner if sign == -1 else {}
-        image = list(tables["center"])
-        for cls, name in blocks:
-            start = first[cls, swap.get(name, name)]
-            image.extend([start + i for i in tables[cls]])
-        images.append(tuple(image))
+    for e, sign in zip(model.group.elements, model.parities):
+        label_images = model.action.perms[e].images
+        through = [compose_images(c, label_images) for c in (even if sign == 1 else odd)]
+        images.append(compose_images(tuple(chain.from_iterable(through)), source))
     group = model.group
     product = group.product_table
     generators = tuple(map(group.index, group.generators))
@@ -194,13 +209,6 @@ def layout_slots(layout: tuple) -> SlotTable:
         for a, image in enumerate(images)
         if images[product[g][a]] != compose_images(images[g], image)
     )
-    fixers = []
-    for s, column in enumerate(zip(*images)):  # column[a] is images[a][s]
-        mask = a = 0
-        for _ in range(column[1:].count(s)):  # index 0 is the identity
-            a = column.index(s, a + 1)
-            mask |= 1 << (a - 1)
-        fixers.append(mask)
     return SlotTable(
         tuple(slots),
         dict(zip(slots, range(len(slots)))),
@@ -802,14 +810,12 @@ class VertexAssignment:
         self.transversal  # the action is checked first
         table = self.slot_table
         model = self.model
-        fixers: dict[int, int] = {}
         masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
         held: dict[int, list[int]] = {}  # mask -> its holders in V and in W
-        at = template.core_vertices
-        for i, (s, (p, r)) in enumerate(zip(self._core_slots, at)):
+        for s, (p, r) in zip(self._core_slots, template.core_vertices):
             mask = table.fixers[s]
             if mask:
-                fixers[i] = masks[p][r] = mask
+                masks[p][r] = mask
                 held.setdefault(mask, [0, 0])[p] += 1
         order = model.group.order
         in_v, in_w = [0] * order, [0] * order  # index 0, the identity, left empty
@@ -832,7 +838,7 @@ class VertexAssignment:
             by_label[label] = (rep_order, size + len(cls), computed)
         orbits = len({table.orbit[s] for s in self._core_slots})
         template.masks = masks
-        template.fixed = FixedTable(counts, by_label, fixers, orbits)
+        template.fixed = FixedTable(counts, by_label, orbits)
         return template.fixed
 
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
@@ -844,9 +850,11 @@ class VertexAssignment:
     def fixers(self) -> dict[int, int]:
         """Map each vertex fixed by a nontrivial element to the bitmask of
         the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
-        Read from the core's table, one entry per fixed core label."""
-        n, at = self.n, self.template.core_vertices
-        return {at[i][1] + at[i][0] * n: mask for i, mask in self._fixed.fixers.items()}
+        Read from the template's ``masks``, V's vertices then W's shifted
+        by ``n``, each part in vertex order."""
+        self._fixed  # fills the masks on the core's first check
+        in_v, in_w = self.template.masks
+        return {**in_v, **{r + self.n: mask for r, mask in in_w.items()}}
 
     def fixer_mask(self, x: int) -> int:
         """The :attr:`fixers` mask of vertex ``x``, 0 if no nontrivial
@@ -855,7 +863,7 @@ class VertexAssignment:
         p = int(x >= self.n)
         return self.template.masks[p].get(x - p * self.n, 0)
 
-    @cached_property
+    @property
     def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
         """Per nontrivial class label: the element order, the number of
         elements and their fixed counts in V and W.  The core's table, shared

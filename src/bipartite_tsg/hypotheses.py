@@ -36,8 +36,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from .assignments import (
     Point,
@@ -101,13 +101,13 @@ class NoSuchEdge(LookupError):
     element."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """A chosen arc of one axis circle joining an adjacent placed pair.
 
     ``endpoints`` are the two vertex points (one per part) and ``interior``
     lists the unoccupied slots strictly inside the chosen gap, so two arcs
     intersect geometrically only if they share a slot label or an endpoint.
+    A named tuple: a placement's first check makes one per arc.
     """
 
     axis_index: int
@@ -276,9 +276,20 @@ class HypothesisReport:
 # the five edge-routing conditions
 
 
-def _axis_index(axes: tuple[Axis, ...]) -> dict[Perm, int]:
-    """Position in ``axes`` of the circle each element fixes pointwise."""
-    return {e: i for i, axis in enumerate(axes) for e in axis.elements}
+def _circle_of(
+    assignment: VertexAssignment, axes: tuple[Axis, ...]
+) -> Sequence[int | None]:
+    """Per element index, the position in ``axes`` of the circle the element
+    fixes pointwise, None if it fixes none: the model's own index
+    (``axis_at``) when ``axes`` are the model's axes."""
+    model = assignment.model
+    if axes is model.axes:
+        return model.axis_at
+    at: list[int | None] = [None] * model.group.order
+    for i, axis in enumerate(axes):
+        for e in axis.elements:
+            at[model.group.index(e)] = i
+    return at
 
 
 def _check_common_fixed_circles(
@@ -288,14 +299,13 @@ def _check_common_fixed_circles(
     pointwise, they fix the same circle.  The common fixers of a pair are the
     AND of the two vertices' fixer bitmasks, so the vertices of each part
     are grouped by mask, and each pair of a V mask and a W mask is judged
-    once and counts for every pair of vertices holding them.  Groups are
-    met in the order of their first vertices, so a failure names the first
-    failing pair of an ordered V x W scan: an earlier vertex with either
-    mask would have failed first."""
+    once, by the circles of its bits, and counts for every pair of vertices
+    holding them.  Groups are met in the order of their first vertices, so
+    a failure names the first failing pair of an ordered V x W scan: an
+    earlier vertex with either mask would have failed first."""
     n = assignment.n
     nontrivial = assignment.model.nontrivial
-    axis_index = _axis_index(axes)
-    circle_of = [axis_index.get(e) for e in nontrivial]
+    circle_of = _circle_of(assignment, axes)  # bit k is element index k + 1
     # holders[part][mask]: the vertices of that part with that fixer mask
     holders: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
     for vertex, mask in assignment.fixers.items():
@@ -309,7 +319,12 @@ def _check_common_fixed_circles(
                 continue
             ok = on_one_circle.get(common)
             if ok is None:
-                circles = {c for k, c in enumerate(circle_of) if common >> k & 1}
+                circles = set()
+                bits = common
+                while bits:
+                    low = bits & -bits
+                    circles.add(circle_of[low.bit_length()])
+                    bits ^= low
                 ok = on_one_circle[common] = len(circles) == 1 and None not in circles
             if not ok:
                 # ``nontrivial`` is in group order, so these come out sorted
@@ -335,28 +350,31 @@ def _check_common_fixed_circles(
 
 
 def _axis_gaps(
-    circle: tuple[int, ...], occupied: list[int]
-) -> dict[frozenset[int], list[tuple[tuple[bool, int, int], tuple[int, ...]]]]:
-    """The gaps between consecutive occupied slots of a circle, by their
-    endpoint pair.
+    circle: tuple[int, ...], occupied: list[int], part: list[str | None]
+) -> dict[tuple[int, int], tuple[tuple[bool, int, int], tuple[int, ...]]]:
+    """The preferred gap between consecutive occupied slots of a circle
+    that joins a V vertex and a W vertex, by that (V, W) pair of slots.
 
-    ``circle`` lists slot numbers in circular order and ``occupied`` the
-    positions in it of the slots holding a vertex.  Each gap is walked from
-    one occupied slot to the next and kept as its preference and its
-    interior, the (unoccupied) slots strictly inside.  The preference is a
-    deterministic choice order: avoid the poles (slots 0 and 1), then prefer
-    short gaps, then the first.  Every part-preserving axis circle passes
-    through both poles, so two arcs through the same pole on different
-    circles would intersect.
+    ``circle`` lists slot numbers in circular order, ``occupied`` the
+    positions in it of the slots holding a vertex and ``part`` each slot's
+    part.  Each gap is walked from one occupied slot to the next and kept
+    as its preference and its interior, the (unoccupied) slots strictly
+    inside.  The preference is a deterministic choice order: avoid the
+    poles (slots 0 and 1), then prefer short gaps, then the first.  Every
+    part-preserving axis circle passes through both poles, so two arcs
+    through the same pole on different circles would intersect.
     """
-    k = len(occupied)
-    gaps: dict[frozenset[int], list] = {}
-    for t in range(k):
-        i0, i1 = occupied[t], occupied[(t + 1) % k]
+    gaps: dict[tuple[int, int], tuple[tuple[bool, int, int], tuple[int, ...]]] = {}
+    for t, i0 in enumerate(occupied):
+        i1 = occupied[t + 1 - len(occupied)]  # the next, circularly
+        a, b = circle[i0], circle[i1]
+        if part[a] == part[b]:
+            continue
         interior = circle[i0 + 1 : i1] if i0 < i1 else circle[i0 + 1 :] + circle[:i1]
-        preference = (any(s < 2 for s in interior), len(interior), t)
-        ends = frozenset((circle[i0], circle[i1]))
-        gaps.setdefault(ends, []).append((preference, interior))
+        preference = (0 in interior or 1 in interior, len(interior), t)
+        ends = (a, b) if part[a] == "V" else (b, a)
+        if ends not in gaps or preference < gaps[ends][0]:
+            gaps[ends] = preference, interior
     return gaps
 
 
@@ -371,9 +389,9 @@ def _choose_arcs(
     (:attr:`~.assignments.VertexAssignment.slot_axes`), with each slot's
     part gathered once per core
     (:attr:`~.assignments.VertexAssignment.slot_parts`); the arcs are
-    given in labels.  Each gap joins one endpoint pair and no two pairs
-    have the same endpoint set, so each pair takes its preferred gap, V
-    vertices in circle order, each with the W vertices in circle order."""
+    given in labels.  A V vertex and a W vertex of a circle are joined only
+    along the gaps between them, so each pair takes its preferred such gap,
+    V vertices in circle order, each with the W vertices in circle order."""
     slots = assignment.slot_table.slots
     part = assignment.slot_parts
     chosen: list[tuple[int, int, int, tuple[int, ...]]] = []
@@ -383,11 +401,11 @@ def _choose_arcs(
         ws = [circle[i] for i in occupied if part[circle[i]] == "W"]
         if not vs or not ws:
             continue
-        gaps = _axis_gaps(circle, occupied)
+        gaps = _axis_gaps(circle, occupied, part)
         for v in vs:
             for w in ws:
-                candidates = gaps.get(frozenset((v, w)))
-                if not candidates:
+                gap = gaps.get((v, w))
+                if gap is None:
                     pattern = [part[circle[i]] for i in occupied]
                     raise HypothesisViolation(
                         2,
@@ -395,9 +413,9 @@ def _choose_arcs(
                         "the placed vertices on a circle admit no family of "
                         "disjoint arcs, one per adjacent pair",
                     )
-                chosen.append((axis_i, v, w, min(candidates)[1]))
+                chosen.append((axis_i, v, w, gap[1]))
     arcs = [
-        Arc(axis_i, (slots[v], slots[w]), tuple(slots[s] for s in interior))
+        Arc(axis_i, (slots[v], slots[w]), tuple(map(slots.__getitem__, interior)))
         for axis_i, v, w, interior in chosen
     ]
     # An interior lies strictly between consecutive occupied positions of
@@ -422,12 +440,49 @@ def _choose_arcs(
     )
 
 
-def _union(bits: list[int], ids: Iterable[int]) -> int:
-    """Bitwise OR of ``bits[i]`` over ``ids``: the bitmask of a label set."""
-    mask = 0
-    for i in ids:
-        mask |= bits[i]
-    return mask
+def _check_arcs_one_by_one(
+    e: Perm,
+    image: tuple[int, ...],
+    arcs: tuple[Arc, ...],
+    ends_v: tuple[int, ...],
+    ends_w: tuple[int, ...],
+    interiors: list[tuple[int, ...]],
+) -> None:
+    """Condition (3) for the element ``e``, whose slot map is ``image``,
+    arc by arc: raise for the first arc it maps outside the family, or
+    moves although it fixes the arc's endpoint pair setwise or one of its
+    interior slots.  An arc is compared as the bitmasks of its endpoint
+    slots and of its interior slots, slot ``s`` being bit ``s``; a slot no
+    arc uses is a bit no arc of the family holds."""
+    bit = [1 << s for s in range(len(image))]
+    keys = []
+    for v, w, interior in zip(ends_v, ends_w, interiors):
+        inside = 0
+        for s in interior:
+            inside |= bit[s]
+        keys.append((bit[v] | bit[w], inside))
+    family = set(keys)
+    for arc, v, w, interior, key in zip(arcs, ends_v, ends_w, interiors, keys):
+        image_end = bit[image[v]] | bit[image[w]]
+        image_int = 0
+        for s in interior:
+            image_int |= bit[image[s]]
+        moved = image_end, image_int
+        if moved not in family:
+            raise HypothesisViolation(
+                3,
+                {"element": repr(e), "arc": arc.as_dict()},
+                "an element maps a chosen arc outside the family",
+            )
+        if moved != key and (
+            image_end == key[0] or any(image[s] == s for s in interior)
+        ):
+            raise HypothesisViolation(
+                3,
+                {"element": repr(e), "arc": arc.as_dict()},
+                "an element stabilizing an arc's boundary or an interior "
+                "point does not map the arc to itself",
+            )
 
 
 def _check_arc_equivariance(
@@ -438,11 +493,10 @@ def _check_arc_equivariance(
     interior points maps that arc to itself.
 
     Arcs are compared as the sets of their endpoints and of their interior
-    slots.  The ``k`` distinct slot labels of the family are numbered, and
-    an element's map on them is gathered from its row of the placement's
-    :attr:`~.assignments.VertexAssignment.slot_table` as a tuple of
-    numbers, with ``k`` for every label no arc uses; number ``i`` is bit
-    ``i``, so arcs are bitmasks, and no arc of the family contains bit ``k``.
+    slots, each set a bitmask over the slots of the placement's
+    :attr:`~.assignments.VertexAssignment.slot_table` (slot ``s`` is bit
+    ``s``), and an element's map is its row of that table.  A slot no arc
+    uses is a bit no arc of the family holds.
 
     The table's maps are checked to compose along the product table on
     every generator x element pair (its ``broken`` pairs), so they form an
@@ -453,56 +507,50 @@ def _check_arc_equivariance(
     conjugacy class.  If some pair does not compose, both of its elements
     are checked too, and if no arc check fails the broken composition is
     itself reported.
+
+    When no two arcs share their endpoint pair and no two interiors meet,
+    as in a family condition 2 chose, an element is first read on all arcs
+    at once, by gathers: it passes both halves when it sends each arc's
+    endpoint pair onto the endpoint pair of an arc ``t`` of the family and
+    the arc's interior slots into ``t``'s interior, of the same size.  Then
+    each arc goes onto ``t``, and an arc whose endpoint pair or some
+    interior slot stays put has ``t`` itself.  An element that does not
+    pass so is checked arc by arc (:func:`_check_arcs_one_by_one`), which
+    finds the first arc it fails on.
     """
     model = assignment.model
     group = model.group
     table = assignment.slot_table
-    labels = tuple(
-        dict.fromkeys(p for arc in arcs for p in arc.endpoints + arc.interior)
-    )
-    k = len(labels)
-    number = {p: i for i, p in enumerate(labels)}
-    own = [1 << i for i in range(k + 1)]
-    spans = [
-        (
-            tuple(number[p] for p in arc.endpoints),
-            tuple(number[p] for p in arc.interior),
-        )
-        for arc in arcs
-    ]
-    keys = [(_union(own, ends), _union(own, interior)) for ends, interior in spans]
-    family = set(keys)
-    # family label i is slot fam[i]; back sends a slot to its family number
-    fam = [table.number[p] for p in labels]
-    back = [k] * len(table.slots)
-    for i, slot in enumerate(fam):
-        back[slot] = i
+    number = table.number.__getitem__
+    ends_v, ends_w = [
+        tuple(map(number, side)) for side in zip(*(arc.endpoints for arc in arcs))
+    ] or [(), ()]
+    interiors = [tuple(map(number, arc.interior)) for arc in arcs]
+    sizes = tuple(map(len, interiors))
+    inner = tuple(chain.from_iterable(interiors))
+    inner_arc = tuple(chain.from_iterable(map(repeat, range(len(arcs)), sizes)))
+    arc_at = dict(zip(zip(ends_w, ends_v), range(len(arcs))))  # either way round
+    arc_at.update(zip(zip(ends_v, ends_w), range(len(arcs))))
+    owner = dict(zip(inner, inner_arc))  # each interior slot's arc
+    distinct = len(arc_at) == 2 * len(arcs) and len(owner) == len(inner)
     checked = set(map(group.index, group.generators))
     checked.update(r for _, r in group.conjugators)
     checked.update(x for g, a in table.broken for x in (a, group.product_table[g][a]))
     for a, e in enumerate(model.nontrivial, start=1):
         if a not in checked:
             continue
-        map_a = compose_images(back, compose_images(table.images[a], fam))
-        image = [own[j] for j in map_a]
-        fixed = _union(own, (i for i in range(k) if map_a[i] == i))
-        for arc, ((v, w), interior), key in zip(arcs, spans, keys):
-            image_end = image[v] | image[w]
-            image_int = _union(image, interior)
-            if (image_end, image_int) not in family:
-                raise HypothesisViolation(
-                    3,
-                    {"element": repr(e), "arc": arc.as_dict()},
-                    "an element maps a chosen arc outside the family",
-                )
-            stabilizes = image_end == key[0] or key[1] & fixed
-            if stabilizes and (image_end, image_int) != key:
-                raise HypothesisViolation(
-                    3,
-                    {"element": repr(e), "arc": arc.as_dict()},
-                    "an element stabilizing an arc's boundary or an interior "
-                    "point does not map the arc to itself",
-                )
+        image = table.images[a]
+        if distinct:
+            moved = zip(compose_images(image, ends_v), compose_images(image, ends_w))
+            targets = tuple(map(arc_at.get, moved))
+            if (
+                None not in targets
+                and compose_images(sizes, targets) == sizes
+                and tuple(map(owner.get, compose_images(image, inner)))
+                == compose_images(targets, inner_arc)
+            ):
+                continue
+        _check_arcs_one_by_one(e, image, arcs, ends_v, ends_w, interiors)
     if table.broken:
         g, a = table.broken[0]
         raise HypothesisViolation(
@@ -560,15 +608,16 @@ def _check_swap_circles(
 ) -> ConditionResult:
     """Condition (5): an element interchanging the endpoints of an edge has a
     nonempty fixed circle shared with no other element."""
-    axis_index = _axis_index(axes)
+    circle_of = _circle_of(assignment, axes)
+    index = assignment.model.group.index
     for e in interchangers:
-        if e not in axis_index:
+        if circle_of[index(e)] is None:
             raise HypothesisViolation(
                 5,
                 {"element": repr(e)},
                 "an edge-interchanging element has an empty fixed-point set",
             )
-        axis = axes[axis_index[e]]
+        axis = axes[circle_of[index(e)]]
         if len(axis.elements) != 1:
             raise HypothesisViolation(
                 5,

@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from math import lcm
-from operator import itemgetter
+from operator import eq, itemgetter
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ class Perm:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i == j)
+        return tuple(compress(count(), map(eq, self.images, count())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -187,12 +188,31 @@ class FiniteGroup:
     @cached_property
     def product_table(self) -> tuple[tuple[int, ...], ...]:
         """Multiplication on element indices, built on first use:
-        ``product_table[a][b]`` is the index of ``elements[a] * elements[b]``."""
+        ``product_table[a][b]`` is the index of ``elements[a] * elements[b]``.
+
+        Only the generators' rows are composed element by element.  Every
+        other row is reached breadth first from the identity's, and the row
+        of ``g * a`` is the row of ``a`` read through the row of ``g``:
+        ``row(g*a)[b] = row_g[row_a[b]]``, the index of ``g * (a * b)``.
+        Raises ValueError if the generators do not reach every element."""
         index = {e.images: i for i, e in enumerate(self.elements)}
-        return tuple(
-            tuple(index[compose_images(a.images, b.images)] for b in self.elements)
-            for a in self.elements
-        )
+        steps = [
+            tuple(index[compose_images(g.images, b.images)] for b in self.elements)
+            for g in self.generators
+        ]
+        start = index[self.identity.images]
+        rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
+        rows[start] = tuple(range(len(self.elements)))
+        reached = [start]
+        for a in reached:  # appended to while it is read: a breadth-first queue
+            for row in steps:
+                ga = row[a]
+                if rows[ga] is None:
+                    rows[ga] = compose_images(row, rows[a])
+                    reached.append(ga)
+        if len(reached) != len(self.elements):
+            raise ValueError("the generators do not generate the group")
+        return tuple(rows)
 
     @cached_property
     def _by_order(self) -> dict[int, tuple[Perm, ...]]:
@@ -395,22 +415,30 @@ class GroupAction:
         same one, so the homomorphism law is checked for every generator
         against every element.  Composites of checked permutations are
         permutations, so they are not checked again.
+
+        Image lists of at most 256 points are composed as byte strings:
+        ``q.translate(p)``, ``p`` padded to 256 bytes, is ``p o q`` gathered
+        in C.
         """
         group = self.group
         elements = group.elements
+        degree = len(self.points)
+        small = degree <= 256
         steps = []
         for g in group.generators:
             if g not in given:
                 raise ValueError(f"no image list for the generator {g!r}")
-            steps.append((g, group.product_table[group.index(g)], given[g].images))
+            pg = given[g].images
+            pg = bytes(pg).ljust(256, b"\0") if small else pg
+            steps.append((g, group.product_table[group.index(g)], pg))
         start = group.index(group.identity)
-        images: list[tuple[int, ...] | None] = [None] * len(elements)
-        images[start] = tuple(range(len(self.points)))
+        images: list[bytes | tuple[int, ...] | None] = [None] * len(elements)
+        images[start] = bytes(range(degree)) if small else tuple(range(degree))
         reached = [start]
         for a in reached:  # appended to while it is read: a breadth-first queue
             image = images[a]
             for g, row, pg in steps:
-                composite = compose_images(pg, image)
+                composite = image.translate(pg) if small else compose_images(pg, image)
                 ga = row[a]
                 if images[ga] is None:
                     images[ga] = composite
@@ -419,7 +447,7 @@ class GroupAction:
                     raise ValueError(f"not a homomorphism at ({g!r}, {elements[a]!r})")
         if len(reached) != len(elements):
             raise ValueError("the generators do not generate the group")
-        return {e: Perm._from_checked(images[i]) for i, e in enumerate(elements)}
+        return {e: Perm._from_checked(tuple(images[i])) for i, e in enumerate(elements)}
 
     def fixed_points(self, e: Perm) -> tuple[Hashable, ...]:
         return tuple(self.points[i] for i in self.perms[e].fixed_points())

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, cmp_to_key
+from operator import itemgetter
 from typing import Iterable
 
 from .perms import (
@@ -24,6 +25,7 @@ from .perms import (
     GroupAction,
     Perm,
     alternating_group,
+    compose_images,
     coset_action,
     generate_group,
     symmetric_group,
@@ -204,6 +206,7 @@ class PolyhedralModel:
     parities: tuple[int, ...]  # per element index: +1 rotations, -1 skeleton-odd
     action: GroupAction  # on all labels: corners, edges, faces, centers
     axes: tuple[Axis, ...]
+    axis_at: tuple[int | None, ...]  # per element index: its position in axes
 
     @property
     def points(self) -> tuple[Label, ...]:
@@ -218,18 +221,15 @@ class PolyhedralModel:
         return tuple(e for e in self.group.elements if not e.is_identity())
 
     @cached_property
-    def marker_images(self) -> tuple[dict[str, tuple[int, ...]], ...]:
-        """Per element index and point class (``corner``, ``edge``, ``face``,
-        ``center``): ``marker_images[a][cls][i]`` is the index of the image
-        of label ``(cls, i)`` under ``elements[a]``."""
-        points = self.points
-        out = []
-        for e in self.group.elements:
-            by_class: dict[str, list[int]] = {}
-            for (cls, _), image in zip(points, self.action.perms[e].images):
-                by_class.setdefault(cls, []).append(points[image][1])
-            out.append({cls: tuple(ks) for cls, ks in by_class.items()})
-        return tuple(out)
+    def fixers(self) -> tuple[int, ...]:
+        """Per label index of :attr:`points`, the bitmask of the nontrivial
+        elements fixing that label: bit ``k`` stands for
+        ``nontrivial[k]``."""
+        fixers = [0] * len(self.points)
+        for k, e in enumerate(self.nontrivial):
+            for i in self.action.perms[e].fixed_points():
+                fixers[i] |= 1 << k
+        return tuple(fixers)
 
     def fixed_specials(self, g: Perm) -> tuple[Label, ...]:
         """Corner/edge/face labels fixed by g (centers excluded)."""
@@ -239,10 +239,8 @@ class PolyhedralModel:
 
     def axis_of(self, g: Perm) -> Axis | None:
         """The fixed circle of a nontrivial element, None for glides."""
-        for entry in self.axes:
-            if g in entry.elements:
-                return entry
-        return None
+        i = self.axis_at[self.group.index(g)]
+        return None if i is None else self.axes[i]
 
 
 def _rotation_matrices(kind: str) -> tuple[list[tuple[Mat, bool]], list[Vec]]:
@@ -321,22 +319,24 @@ def _angular_order(markers: list[Label], vectors: list[Vec]) -> tuple[Label, ...
 
 def _build_axes(
     group: FiniteGroup,
-    parity: dict[Perm, int],
+    parities: list[int],
     action: GroupAction,
     vector_of,
 ) -> tuple[Axis, ...]:
     by_fixed: dict[tuple[Label, ...], list[Perm]] = {}
-    for g in group:
+    parity: dict[Perm, int] = {}
+    for g, sign in zip(group.elements, parities):
         if g.is_identity():
             continue
+        parity[g] = sign
         fixed = tuple(
             p for p in action.fixed_points(g) if p[0] != "center"
         )
         by_fixed.setdefault(fixed, []).append(g)
     entries = []
     for fixed, elements in sorted(by_fixed.items()):
-        parities = {parity[g] for g in elements}
-        if len(parities) != 1:
+        signs = {parity[g] for g in elements}
+        if len(signs) != 1:
             raise AssertionError("elements sharing a fixed set must share parity")
         if not fixed:
             # No fixed special points: glide-type elements with empty fixed
@@ -344,7 +344,7 @@ def _build_axes(
             if any(parity[g] == 1 or g.order() != 4 for g in elements):
                 raise AssertionError("unexpected fixed-point-free rotation")
             continue
-        if parities == {1}:
+        if signs == {1}:
             # rotation axis through the two centers: one marker per ray
             u = vector_of(fixed[0])
             pos, neg = [], []
@@ -362,6 +362,44 @@ def _build_axes(
             slots = _angular_order(list(fixed), vectors)
         entries.append(Axis(tuple(sorted(elements)), slots))
     return tuple(entries)
+
+
+def _label_images(
+    group: FiniteGroup,
+    parities: list[int],
+    edges: list[tuple[int, int]],
+    faces: list[tuple[int, ...]],
+    labels: list[Label],
+) -> dict[Perm, list[int]]:
+    """Each element's image list on ``labels`` (corners, edges, faces, then
+    the two centers), built a point class at a time: a corner goes to the
+    element's image of it, an edge or face to the edge or face on the images
+    of its corners, and an odd element swaps the centers."""
+    n_corners = len(group.identity.images)
+    edge_index = {}
+    for i, (a, b) in enumerate(edges, start=n_corners):
+        edge_index[a, b] = edge_index[b, a] = i
+    face_index = {
+        frozenset(f): i for i, f in enumerate(faces, start=n_corners + len(edges))
+    }
+    ends = [tuple(end) for end in zip(*edges)]  # every edge's first, second corner
+    face_corners = [itemgetter(*f) for f in faces]
+    centers = len(labels) - 2
+    images = {}
+    for e, sign in zip(group.elements, parities):
+        g = e.images
+        row = list(g)
+        row += map(edge_index.get, zip(*(compose_images(g, end) for end in ends)))
+        row += (face_index.get(frozenset(corners(g))) for corners in face_corners)
+        row += (centers, centers + 1) if sign == 1 else (centers + 1, centers)
+        if None in row:
+            i = row.index(None)
+            raise ValueError(
+                f"action leaves the point set: {e!r} sends {labels[i]!r} "
+                f"to no {labels[i][0]}"
+            )
+        images[e] = row
+    return images
 
 
 @cache
@@ -386,17 +424,17 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
     group = generate_group(gen_perms)
 
     # parity extends multiplicatively from the generators along the closure
-    parity: dict[Perm, int] = {group.identity: 1}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g, sign in zip(gen_perms, gen_parity):
-                p = g * e
-                if p not in parity:
-                    parity[p] = sign * parity[e]
-                    new.append(p)
-        frontier = new
+    table = group.product_table
+    steps = [(table[group.index(g)], sign) for g, sign in zip(gen_perms, gen_parity)]
+    start = group.index(group.identity)
+    parities = [0] * group.order
+    parities[start] = 1
+    reached = [start]
+    for a in reached:  # appended to while it is read: a breadth-first queue
+        for row, sign in steps:
+            if not parities[row[a]]:
+                parities[row[a]] = sign * parities[a]
+                reached.append(row[a])
 
     edges = sorted(_closest_pairs(corners))
     faces = _girth_cycles(n_corners, edges, _FACE_LENGTH[kind])
@@ -415,30 +453,14 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
     if set(edge_count.values()) != {2}:
         raise AssertionError("every edge must bound exactly two faces")
 
-    edge_index = {e: i for i, e in enumerate(edges)}
-    face_sets = [frozenset(f) for f in faces]
-    face_index = {s: i for i, s in enumerate(face_sets)}
     labels: list[Label] = (
         [("corner", i) for i in range(n_corners)]
         + [("edge", i) for i in range(len(edges))]
         + [("face", i) for i in range(len(faces))]
         + [("center", 0), ("center", 1)]
     )
-
-    def act(g: Perm, label: Label) -> Label:
-        cls, i = label
-        if cls == "corner":
-            return ("corner", g(i))
-        if cls == "edge":
-            a, b = edges[i]
-            return ("edge", edge_index[(min(g(a), g(b)), max(g(a), g(b)))])
-        if cls == "face":
-            return ("face", face_index[frozenset(g(k) for k in face_sets[i])])
-        if parity[g] == 1:
-            return label
-        return ("center", 1 - i)
-
-    action = GroupAction(group, tuple(labels), act)
+    images = _label_images(group, parities, edges, faces, labels)
+    action = GroupAction.from_images(group, tuple(labels), images)
 
     corner_vectors = tuple(corners)
 
@@ -451,7 +473,11 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
             return vadd(corner_vectors[a], corner_vectors[b])
         return vsum(corner_vectors[k] for k in faces[i])
 
-    axes = _build_axes(group, parity, action, vector_of)
+    axes = _build_axes(group, parities, action, vector_of)
+    axis_at: list[int | None] = [None] * group.order
+    for i, entry in enumerate(axes):
+        for e in entry.elements:
+            axis_at[group.index(e)] = i
 
     model = PolyhedralModel(
         kind,
@@ -459,9 +485,10 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
         tuple(edges),
         tuple(faces),
         group,
-        tuple(parity[g] for g in group.elements),
+        tuple(parities),
         action,
         axes,
+        tuple(axis_at),
     )
     _sanity_check_axes(model)
     return model
@@ -475,8 +502,8 @@ def _sanity_check_axes(model: PolyhedralModel) -> None:
             raise AssertionError("axis sequence repeats a slot")
     glides = sum(
         1
-        for g in model.group
-        if not g.is_identity() and model.axis_of(g) is None
+        for g, i in zip(model.group, model.axis_at)
+        if i is None and not g.is_identity()
     )
     if covered + glides != model.group.order - 1:
         raise AssertionError("every nontrivial element needs a fixed-set record")

@@ -74,17 +74,33 @@ def assignments():
     return {pair: build_assignment(*pair) for pair in SAMPLE_PAIRS}
 
 
+def label_image(model, e, label):
+    """Image of one label of ``model`` under the element ``e``, by the
+    per-label rule: a corner goes to its image, an edge or a face to the
+    one on the images of its corners, and an element of parity -1 swaps
+    the two centers.  The reference for the model's action."""
+    cls, i = label
+    if cls == "corner":
+        return ("corner", e(i))
+    if cls == "edge":
+        a, b = model.edges[i]
+        return ("edge", model.edges.index((min(e(a), e(b)), max(e(a), e(b)))))
+    if cls == "face":
+        corners = {e(k) for k in model.faces[i]}
+        return ("face", [set(f) for f in model.faces].index(corners))
+    return label if model.parity_of(e) == 1 else ("center", 1 - i)
+
+
 def apply(a, e, point):
     """Image of one point label of placement ``a`` under the element ``e``,
-    mapped label by label from the model's tables: the reference for
+    mapped label by label by the model's per-label rule: the reference for
     ``slot_images`` and for the vertex action built from it."""
     model = a.model
-    i = model.group.index(e)
     if point[0] == "free":
         _, tag, k, j = point
-        return ("free", tag, k, model.group.product_table[i][j])
+        return ("free", tag, k, model.group.product_table[model.group.index(e)][j])
     if point[0] == "center":
-        return ("center", model.marker_images[i]["center"][point[1]])
+        return label_image(model, e, point)
     marker_class, copy_name, m = point
     if model.parity_of(e) == -1:
         swap = {
@@ -93,7 +109,7 @@ def apply(a, e, point):
             if isinstance(b, MarkerBlock) and b.swap_partner is not None
         }
         copy_name = swap.get(copy_name, copy_name)
-    return (marker_class, copy_name, model.marker_images[i][marker_class][m])
+    return (marker_class, copy_name, label_image(model, e, (marker_class, m))[1])
 
 
 def fixed_vertices(a, e):

@@ -322,7 +322,8 @@ def test_the_orbit_count_check_rejects_a_wrong_fixed_count(monkeypatch):
     counts = dict(a.class_counts)
     label, (order, size, (v, w)) = next(iter(counts.items()))
     counts[label] = (order, size, (v - 1, w))
-    monkeypatch.setitem(a.__dict__, "class_counts", counts)
+    doctored = a.template.fixed._replace(class_counts=counts)
+    monkeypatch.setattr(a.template, "fixed", doctored)
     with pytest.raises(AssertionError, match="orbit count mismatch"):
         check_orbit_count(a)
 
@@ -336,7 +337,8 @@ def test_the_orbit_count_check_rejects_a_fractional_burnside_average(monkeypatch
     label, (order, size, (v, w)) = next(iter(counts.items()))
     assert size < a.model.group.order
     counts[label] = (order, size, (v + 1, w))
-    monkeypatch.setitem(a.__dict__, "class_counts", counts)
+    doctored = a.template.fixed._replace(class_counts=counts)
+    monkeypatch.setattr(a.template, "fixed", doctored)
     message = r"orbit count mismatch: direct \d+, Burnside \d+/\d+"
     with pytest.raises(AssertionError, match=message):
         check_orbit_count(a)

@@ -577,6 +577,31 @@ def test_stabilizer_moving_its_arc_violates_equivariance(
     assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
 
 
+def test_an_arc_and_its_twin_alone_are_checked_arc_by_arc(
+    assignments, reports, monkeypatch
+):
+    from bipartite_tsg.hypotheses import Arc, _check_arc_equivariance
+
+    # The arc and the twin of the test above, as a family of two.  Read on
+    # all arcs at once, the element would send the arc and the twin each
+    # onto the twin, whose endpoint pair both share; a family holding an
+    # endpoint pair twice is checked arc by arc, which reports the arc.
+    a = assignments[("A5", 42)]
+    arc, other = [x for x in reports[("A5", 42)].arcs if x.interior][:2]
+    twin = Arc(arc.axis_index, arc.endpoints, other.interior[:1])
+    e0 = a.axis_slots[arc.axis_index].elements[0]
+    table = a.slot_table
+    images = [slot_map(table, {})] * a.model.group.order
+    images[a.model.group.index(e0)] = slot_map(
+        table, dict.fromkeys(arc.interior, other.interior[0])
+    )
+    doctor_slot_table(monkeypatch, a, images)
+    with pytest.raises(HypothesisViolation) as exc:
+        _check_arc_equivariance(a, (arc, twin))
+    assert "stabilizing an arc's boundary" in str(exc.value)
+    assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
+
+
 def test_image_on_unused_labels_is_outside_the_family(
     assignments, reports, monkeypatch
 ):
@@ -599,6 +624,35 @@ def test_image_on_unused_labels_is_outside_the_family(
     assert exc.value.condition == 3
     assert "outside the family" in str(exc.value)
     assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
+
+
+@pytest.mark.parametrize("sizes", [(0, 3), (3, 3)], ids=["longer", "same-size"])
+def test_an_arc_sent_onto_another_arc_s_ends_alone_is_outside_the_family(
+    assignments, reports, monkeypatch, sizes
+):
+    from bipartite_tsg.hypotheses import _check_arc_equivariance
+
+    # A family of two arcs, and one element that sends the endpoints of the
+    # first onto those of the second and every other slot to itself.  By
+    # its endpoints the first arc lands on the second, but its image holds
+    # its own interior, not the second's: a shorter one, or one of the
+    # same size elsewhere.  So it is no member of the family, and the
+    # element is reported for it rather than the broken composition.
+    a = assignments[("A5", 50)]
+    source, target = (
+        [x for x in reports[("A5", 50)].arcs if len(x.interior) == size][k]
+        for k, size in enumerate(sizes)
+    )
+    e0 = a.model.nontrivial[0]
+    table = a.slot_table
+    images = [slot_map(table, {})] * a.model.group.order
+    moves = dict(zip(source.endpoints, target.endpoints))
+    images[a.model.group.index(e0)] = slot_map(table, moves)
+    doctor_slot_table(monkeypatch, a, images)
+    with pytest.raises(HypothesisViolation) as exc:
+        _check_arc_equivariance(a, (source, target))
+    assert "outside the family" in str(exc.value)
+    assert exc.value.witness == {"element": repr(e0), "arc": source.as_dict()}
 
 
 def test_label_maps_that_do_not_compose_violate_equivariance(

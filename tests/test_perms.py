@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bipartite_tsg import perms
+from bipartite_tsg.polyhedra import build_polyhedral_model
 from bipartite_tsg.perms import (
     FiniteGroup,
     GroupAction,
@@ -147,6 +149,58 @@ def test_product_table_matches_multiplication():
     g = symmetric_group(4)
     for a, row in zip(g.elements, g.product_table):
         assert [g.elements[ab] for ab in row] == [a * b for b in g.elements]
+
+
+MODEL_KINDS = ("tetrahedron", "tetrahedron-skeleton", "cube", "dodecahedron")
+
+
+def fresh_copy(group):
+    """The same elements and generators, no table built yet."""
+    return FiniteGroup(group.elements, group.generators)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda kind=kind: fresh_copy(build_polyhedral_model(kind).group)
+          for kind in MODEL_KINDS),
+        lambda: symmetric_group(4),
+        lambda: alternating_group(5),
+        lambda: FiniteGroup(alternating_group(4).elements),  # every element generates
+    ],
+    ids=[*MODEL_KINDS, "S4", "A5", "A4-elements-alone"],
+)
+def test_product_table_equals_the_index_of_every_product(make):
+    g = make()
+    assert g.product_table == tuple(
+        tuple(g.index(a * b) for b in g.elements) for a in g.elements
+    )
+
+
+def test_product_table_rejects_generators_that_miss_an_element():
+    s3 = symmetric_group(3)
+    r = Perm.from_cycles(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="do not generate the group"):
+        FiniteGroup(s3.elements, generators=(r,)).product_table
+
+
+def test_the_dodecahedron_table_composes_only_the_generators_rows(monkeypatch):
+    # Each other row is a gather of rows already built, of length |G|; a
+    # composition of two elements has their degree, 20.
+    g = fresh_copy(build_polyhedral_model("dodecahedron").group)
+    assert g.degree != g.order
+    direct = []
+    honest = perms.compose_images
+
+    def counting(p, q):
+        if len(q) == g.degree:
+            direct.append(q)
+        return honest(p, q)
+
+    monkeypatch.setattr(perms, "compose_images", counting)
+    table = g.product_table
+    assert 0 < len(direct) <= len(g.generators) * g.order
+    assert table == build_polyhedral_model("dodecahedron").group.product_table
 
 
 @pytest.mark.parametrize(
@@ -327,6 +381,24 @@ def test_image_list_constructor_needs_every_generator():
     del images[g.generators[0]]
     with pytest.raises(ValueError, match="no image list for the generator"):
         GroupAction.from_images(g, range(3), images)
+
+
+def test_an_action_on_more_than_256_points_is_composed_and_checked_alike():
+    # A4 on 75 copies of its 4 letters: image lists too long for the byte
+    # strings that shorter ones are composed as.
+    g = alternating_group(4)
+    points = range(300)
+
+    def images(e):
+        return [4 * (i // 4) + e(i % 4) for i in points]
+
+    lists = {e: images(e) for e in g.generators}
+    action = GroupAction.from_images(g, points, lists)
+    assert all(action.perms[e].images == tuple(images(e)) for e in g)
+    row = lists[g.generators[0]]
+    row[0], row[1] = row[1], row[0]
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        GroupAction.from_images(g, points, lists)
 
 
 def test_image_list_constructor_rejects_generators_of_a_smaller_group():

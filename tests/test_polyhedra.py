@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from bipartite_tsg import polyhedra
 from bipartite_tsg.perms import generate_group
 from bipartite_tsg.polyhedra import (
     PHI,
@@ -20,6 +21,8 @@ from bipartite_tsg.polyhedra import (
     vec,
     vsum,
 )
+
+from conftest import MODEL_KINDS, label_image
 
 ROTATION_KINDS = ("tetrahedron", "cube", "dodecahedron")
 
@@ -192,6 +195,54 @@ def model_digest(m):
 @pytest.mark.parametrize("kind", MODEL_SHA256)
 def test_every_model_matches_its_frozen_digest(models, kind):
     assert model_digest(models[kind]) == MODEL_SHA256[kind]
+
+
+def test_every_element_moves_every_label_by_the_per_label_rule(models):
+    # The action is built a point class at a time from bulk image lists;
+    # the per-label rule maps one label at a time and is its reference.
+    for kind, m in models.items():
+        for e in m.group:
+            images = m.action.perms[e].images
+            assert [m.points[j] for j in images] == [
+                label_image(m, e, label) for label in m.points
+            ], (kind, e)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_doctored_label_list_fails_the_model_build(monkeypatch, kind):
+    # Two edges exchanged in the list of the last element that is no
+    # generator: it is still compared with the list composed from the
+    # generators', so the build fails.
+    honest = polyhedra._label_images
+
+    def doctored(group, parities, edges, faces, labels):
+        images = honest(group, parities, edges, faces, labels)
+        e = next(x for x in reversed(group.elements) if x not in group.generators)
+        row = list(images[e])
+        i, j = [k for k, label in enumerate(labels) if label[0] == "edge"][:2]
+        row[i], row[j] = row[j], row[i]
+        images[e] = row
+        return images
+
+    monkeypatch.setattr(polyhedra, "_label_images", doctored)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        build_polyhedral_model.__wrapped__(kind)  # past the cache
+
+
+def test_the_axis_index_names_each_element_s_axis(models):
+    for kind, m in models.items():
+        for e, at in zip(m.group, m.axis_at):
+            holding = [i for i, axis in enumerate(m.axes) if e in axis.elements]
+            assert holding == ([] if at is None else [at]), (kind, e)
+
+
+def test_label_fixers_equal_a_scan_of_the_action(models):
+    for kind, m in models.items():
+        for k, e in enumerate(m.nontrivial):
+            fixed = m.action.perms[e].images
+            assert [i for i, mask in enumerate(m.fixers) if mask >> k & 1] == [
+                i for i, j in enumerate(fixed) if i == j
+            ], (kind, e)
 
 
 # ----------------------------------------------------------------------- axes
