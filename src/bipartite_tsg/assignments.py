@@ -26,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import eq, ne
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
@@ -647,13 +648,14 @@ class VertexAssignment:
         row = group.product_table[a]
         table = self.slot_table
         slots, number, image = table.slots, table.number, table.images[a]
-        out = []
-        for p in points:
-            if p[0] == "free":
-                out.append(("free", p[1], p[2], row[p[3]]))
-            else:
-                out.append(slots[image[number[p]]])
-        return tuple(out)
+        return tuple(
+            [
+                ("free", p[1], p[2], row[p[3]])
+                if p[0] == "free"
+                else slots[image[number[p]]]
+                for p in points
+            ]
+        )
 
     @property
     def _free_orbits(self) -> int:
@@ -732,10 +734,10 @@ class VertexAssignment:
         if tuple(range(len(labels))) in reps:
             raise AssertionError("the action on the vertices is not faithful")
         free = [i for i, p in enumerate(labels) if p[0] == "free"]
-        if any(rep[i] == i for rep in reps for i in free):
+        if any(any(map(eq, compose_images(rep, free), free)) for rep in reps):
             raise AssertionError("a nontrivial element fixes a free point")
         core = [i for i, p in enumerate(labels) if p[0] != "free"]
-        return checked, all(any(rep[i] != i for i in core) for rep in reps)
+        return checked, all(any(map(ne, compose_images(rep, core), core)) for rep in reps)
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read

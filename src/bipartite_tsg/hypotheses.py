@@ -579,8 +579,8 @@ def _check_swap_fixed_shapes(
     order."""
     model = assignment.model
     interchangers = []
-    for e in model.nontrivial:
-        if model.parity_of(e) == 1 or not assignment.fixed_counts(e * e)[0]:
+    for e, sign in zip(model.group.elements, model.parities):
+        if sign == 1 or not assignment.fixed_counts(e * e)[0]:
             continue
         interchangers.append(e)
         shape = FixedSubgraphShape(*assignment.fixed_counts(e))
