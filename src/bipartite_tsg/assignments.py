@@ -25,9 +25,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from operator import eq, ne
-from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 from .bipartite import BipartiteAut, require_count, validate_automorphism
@@ -198,9 +198,11 @@ def layout_slots(layout: tuple) -> SlotTable:
     odd = [on_copy[partner.get(name, name)] for name, _ in copies]
     images = []
     for e, sign in zip(model.group.elements, model.parities):
-        label_images = model.action.perms[e].images
-        through = [compose_images(c, label_images) for c in (even if sign == 1 else odd)]
-        images.append(compose_images(tuple(chain.from_iterable(through)), source))
+        moved = model.action.perms[e].images  # its permutation of the labels
+        through = chain.from_iterable(
+            compose_images(c, moved) for c in (even if sign == 1 else odd)
+        )
+        images.append(compose_images(tuple(through), source))
     group = model.group
     product = group.product_table
     generators = tuple(map(group.index, group.generators))
@@ -737,7 +739,8 @@ class VertexAssignment:
         if any(any(map(eq, compose_images(rep, free), free)) for rep in reps):
             raise AssertionError("a nontrivial element fixes a free point")
         core = [i for i, p in enumerate(labels) if p[0] != "free"]
-        return checked, all(any(map(ne, compose_images(rep, core), core)) for rep in reps)
+        faithful = all(any(map(ne, compose_images(rep, core), core)) for rep in reps)
+        return checked, faithful
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read

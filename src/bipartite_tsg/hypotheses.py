@@ -512,9 +512,9 @@ def _check_arc_equivariance(
     as in a family condition 2 chose, an element is first read on all arcs
     at once, by gathers: it passes both halves when it sends each arc's
     endpoint pair onto the endpoint pair of an arc ``t`` of the family and
-    the arc's interior slots into ``t``'s interior, of the same size.  Then
-    each arc goes onto ``t``, and an arc whose endpoint pair or some
-    interior slot stays put has ``t`` itself.  An element that does not
+    the arc's interior slots into ``t``'s interior, of the same size, no two
+    interior slots onto one.  Then each arc goes onto ``t``, and an arc
+    whose endpoint pair or some interior slot stays put has ``t`` itself.  An element that does not
     pass so is checked arc by arc (:func:`_check_arcs_one_by_one`), which
     finds the first arc it fails on.
     """
@@ -543,11 +543,12 @@ def _check_arc_equivariance(
         if distinct:
             moved = zip(compose_images(image, ends_v), compose_images(image, ends_w))
             targets = tuple(map(arc_at.get, moved))
+            inside = compose_images(image, inner)
             if (
                 None not in targets
                 and compose_images(sizes, targets) == sizes
-                and tuple(map(owner.get, compose_images(image, inner)))
-                == compose_images(targets, inner_arc)
+                and tuple(map(owner.get, inside)) == compose_images(targets, inner_arc)
+                and len(set(inside)) == len(inside)
             ):
                 continue
         _check_arcs_one_by_one(e, image, arcs, ends_v, ends_w, interiors)

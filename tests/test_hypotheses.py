@@ -577,6 +577,29 @@ def test_stabilizer_moving_its_arc_violates_equivariance(
     assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
 
 
+def test_an_arc_whose_interior_folds_onto_fewer_slots_is_outside_the_family(
+    assignments, reports, monkeypatch
+):
+    from bipartite_tsg.hypotheses import _check_arc_equivariance
+
+    # One element fixes an arc's endpoints and sends the first of its three
+    # interior slots onto the second: every interior slot lands in the
+    # arc's own interior, but the image holds two of its three slots.
+    a = assignments[("A5", 50)]
+    arc = next(x for x in reports[("A5", 50)].arcs if len(x.interior) == 3)
+    e0 = a.model.nontrivial[0]
+    table = a.slot_table
+    images = [slot_map(table, {})] * a.model.group.order
+    images[a.model.group.index(e0)] = slot_map(
+        table, {arc.interior[0]: arc.interior[1]}
+    )
+    doctor_slot_table(monkeypatch, a, images)
+    with pytest.raises(HypothesisViolation) as exc:
+        _check_arc_equivariance(a, (arc,))
+    assert "outside the family" in str(exc.value)
+    assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
+
+
 def test_an_arc_and_its_twin_alone_are_checked_arc_by_arc(
     assignments, reports, monkeypatch
 ):
