@@ -136,7 +136,7 @@ class SlotTable(NamedTuple):
     lists the (generator, element) index pairs whose images do not compose
     along the product table, none for an honest model.
 
-    Read from ``images`` once per layout: ``fixers[s]``, the bitmask of the
+    Made once per layout with them: ``fixers[s]``, the bitmask of the
     elements fixing slot ``s``, bit ``a - 1`` for element ``a`` (so bit
     ``k`` is ``model.nontrivial[k]``); ``orbit[s]``, the least slot of the
     orbit of ``s`` under the generators' rows; and ``axes``, each of the
@@ -799,10 +799,10 @@ class VertexAssignment:
         part and the same order for every placement of the core.  One pass
         over the core's slots reads their fixer masks from the
         :attr:`slot_table`, grouped by mask: each element's counts are then
-        the sum over the masks holding its bit.  The masks read every
-        element's images in the table, which compose along the product
-        table exactly when its ``broken`` is empty (condition 3 reports a
-        table that does not).
+        the sum over the masks holding its bit.  The masks follow the rule
+        of the table's images, which compose along the product table
+        exactly when its ``broken`` is empty (condition 3 reports a table
+        that does not).
 
         Every element's counts are read, so conjugates are checked to agree
         (a part-swapping conjugator moves a fixed set across the parts);
