@@ -514,9 +514,10 @@ def _check_arc_equivariance(
     endpoint pair onto the endpoint pair of an arc ``t`` of the family and
     the arc's interior slots into ``t``'s interior, of the same size, no two
     interior slots onto one.  Then each arc goes onto ``t``, and an arc
-    whose endpoint pair or some interior slot stays put has ``t`` itself.  An element that does not
-    pass so is checked arc by arc (:func:`_check_arcs_one_by_one`), which
-    finds the first arc it fails on.
+    whose endpoint pair or some interior slot stays put has ``t`` itself.
+    An element that does not pass so is checked arc by arc
+    (:func:`_check_arcs_one_by_one`), which finds the first arc it fails
+    on.
     """
     model = assignment.model
     group = model.group

@@ -319,24 +319,22 @@ def _angular_order(markers: list[Label], vectors: list[Vec]) -> tuple[Label, ...
 
 def _build_axes(
     group: FiniteGroup,
-    parities: list[int],
+    parity: dict[Perm, int],
     action: GroupAction,
     vector_of,
 ) -> tuple[Axis, ...]:
     by_fixed: dict[tuple[Label, ...], list[Perm]] = {}
-    parity: dict[Perm, int] = {}
-    for g, sign in zip(group.elements, parities):
+    for g in group:
         if g.is_identity():
             continue
-        parity[g] = sign
         fixed = tuple(
             p for p in action.fixed_points(g) if p[0] != "center"
         )
         by_fixed.setdefault(fixed, []).append(g)
     entries = []
     for fixed, elements in sorted(by_fixed.items()):
-        signs = {parity[g] for g in elements}
-        if len(signs) != 1:
+        parities = {parity[g] for g in elements}
+        if len(parities) != 1:
             raise AssertionError("elements sharing a fixed set must share parity")
         if not fixed:
             # No fixed special points: glide-type elements with empty fixed
@@ -344,7 +342,7 @@ def _build_axes(
             if any(parity[g] == 1 or g.order() != 4 for g in elements):
                 raise AssertionError("unexpected fixed-point-free rotation")
             continue
-        if signs == {1}:
+        if parities == {1}:
             # rotation axis through the two centers: one marker per ray
             u = vector_of(fixed[0])
             pos, neg = [], []
@@ -473,7 +471,7 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
             return vadd(corner_vectors[a], corner_vectors[b])
         return vsum(corner_vectors[k] for k in faces[i])
 
-    axes = _build_axes(group, parities, action, vector_of)
+    axes = _build_axes(group, dict(zip(group.elements, parities)), action, vector_of)
     axis_at: list[int | None] = [None] * group.order
     for i, entry in enumerate(axes):
         for e in entry.elements:
