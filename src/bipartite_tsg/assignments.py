@@ -732,7 +732,7 @@ class VertexAssignment:
             images[e] = row
         checked = GroupAction.from_images(group, labels, images)
         classes = group.conjugacy_classes()[1:]  # [0] is {identity}
-        reps = [checked.perms[cls[0]].images for cls in classes]
+        reps = [checked.images_of(cls[0]) for cls in classes]
         if tuple(range(len(labels))) in reps:
             raise AssertionError("the action on the vertices is not faithful")
         free = [i for i, p in enumerate(labels) if p[0] == "free"]

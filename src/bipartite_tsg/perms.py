@@ -342,7 +342,8 @@ class GroupAction:
     verifies the homomorphism law act(g*a) = act(g) o act(a) for every
     generator g against every element a and so pins the whole
     multiplication table for a generated group; each given list must equal
-    the composed one.
+    the composed one.  The permutations of all elements (:attr:`perms`) are
+    made when first read; :meth:`images_of` reads one element's.
     """
 
     def __init__(
@@ -399,14 +400,28 @@ class GroupAction:
             given[e] = perm
         if group.identity in given and not given[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
-        self.perms: dict[Perm, Perm] = self._generated_perms(given)
+        self._images = self._generated_images(given)
         for e, perm in given.items():
-            if self.perms[e] != perm:
+            if self.images_of(e) != perm.images:
                 raise ValueError(f"not a homomorphism at {e!r}")
 
-    def _generated_perms(self, given: Mapping[Perm, Perm]) -> dict[Perm, Perm]:
-        """Every element's permutation, composed from the generators' along
-        the product table.
+    @cached_property
+    def perms(self) -> dict[Perm, Perm]:
+        """Every element's permutation, made from its checked image list on
+        first read."""
+        return {
+            e: Perm._from_checked(tuple(images))
+            for e, images in zip(self.group.elements, self._images)
+        }
+
+    def images_of(self, e: Perm) -> tuple[int, ...]:
+        """The image tuple of ``e``'s permutation, without making the other
+        elements' permutations."""
+        return tuple(self._images[self.group.index(e)])
+
+    def _generated_images(self, given: Mapping[Perm, Perm]) -> list:
+        """Every element's image list, by element index, composed from the
+        generators' along the product table.
 
         Breadth first from the identity, which acts trivially: each element
         ``a`` is visited once, and each generator ``g`` sends it to ``g*a``
@@ -416,9 +431,9 @@ class GroupAction:
         against every element.  Composites of checked permutations are
         permutations, so they are not checked again.
 
-        Image lists of at most 256 points are composed as byte strings:
-        ``q.translate(p)``, ``p`` padded to 256 bytes, is ``p o q`` gathered
-        in C.
+        Image lists of at most 256 points are composed, and kept, as byte
+        strings: ``q.translate(p)``, ``p`` padded to 256 bytes, is ``p o q``
+        gathered in C.  Longer ones are tuples.
         """
         group = self.group
         elements = group.elements
@@ -447,7 +462,7 @@ class GroupAction:
                     raise ValueError(f"not a homomorphism at ({g!r}, {elements[a]!r})")
         if len(reached) != len(elements):
             raise ValueError("the generators do not generate the group")
-        return {e: Perm._from_checked(tuple(images[i])) for i, e in enumerate(elements)}
+        return images
 
     def fixed_points(self, e: Perm) -> tuple[Hashable, ...]:
         return tuple(self.points[i] for i in self.perms[e].fixed_points())
