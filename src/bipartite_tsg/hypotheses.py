@@ -441,28 +441,25 @@ def _choose_arcs(
 
 
 def _check_arcs_one_by_one(
-    e: Perm,
-    image: tuple[int, ...],
-    arcs: tuple[Arc, ...],
-    ends_v: tuple[int, ...],
-    ends_w: tuple[int, ...],
-    interiors: list[tuple[int, ...]],
+    e: Perm, image: tuple[int, ...], arcs: tuple[Arc, ...], number
 ) -> None:
     """Condition (3) for the element ``e``, whose slot map is ``image``,
     arc by arc: raise for the first arc it maps outside the family, or
     moves although it fixes the arc's endpoint pair setwise or one of its
     interior slots.  An arc is compared as the bitmasks of its endpoint
-    slots and of its interior slots, slot ``s`` being bit ``s``; a slot no
-    arc uses is a bit no arc of the family holds."""
+    slots and of its interior slots (``number`` gives a label's slot ``s``,
+    bit ``s``); a slot no arc uses is a bit no arc of the family holds."""
     bit = [1 << s for s in range(len(image))]
-    keys = []
-    for v, w, interior in zip(ends_v, ends_w, interiors):
+    spans = []  # each arc's endpoint slots, interior slots and bitmasks
+    for arc in arcs:
+        v, w = map(number, arc.endpoints)
+        interior = tuple(map(number, arc.interior))
         inside = 0
         for s in interior:
             inside |= bit[s]
-        keys.append((bit[v] | bit[w], inside))
-    family = set(keys)
-    for arc, v, w, interior, key in zip(arcs, ends_v, ends_w, interiors, keys):
+        spans.append((v, w, interior, (bit[v] | bit[w], inside)))
+    family = {key for *_, key in spans}
+    for arc, (v, w, interior, key) in zip(arcs, spans):
         image_end = bit[image[v]] | bit[image[w]]
         image_int = 0
         for s in interior:
@@ -508,16 +505,16 @@ def _check_arc_equivariance(
     are checked too, and if no arc check fails the broken composition is
     itself reported.
 
-    When no two arcs share their endpoint pair and no two interiors meet,
-    as in a family condition 2 chose, an element is first read on all arcs
-    at once, by gathers: it passes both halves when it sends each arc's
-    endpoint pair onto the endpoint pair of an arc ``t`` of the family and
-    the arc's interior slots into ``t``'s interior, of the same size, no two
-    interior slots onto one.  Then each arc goes onto ``t``, and an arc
-    whose endpoint pair or some interior slot stays put has ``t`` itself.
-    An element that does not pass so is checked arc by arc
-    (:func:`_check_arcs_one_by_one`), which finds the first arc it fails
-    on.
+    When no two arcs share their endpoint pair, as in a family condition 2
+    chose, an element is first read on all arcs at once, by gathers: it
+    passes both halves when it sends each arc's endpoint pair onto the
+    endpoint pair of an arc ``t`` of the family and the arc's interior slots
+    into ``t``'s interior, of the same size, and no two interior slots of
+    the family onto one (so no two interiors meet).  Then each arc goes
+    onto ``t``, and an arc whose endpoint pair or some interior slot stays
+    put has ``t`` itself.  An element that does not pass so is checked arc
+    by arc (:func:`_check_arcs_one_by_one`), which finds the first arc it
+    fails on.
     """
     model = assignment.model
     group = model.group
@@ -526,14 +523,13 @@ def _check_arc_equivariance(
     ends_v, ends_w = [
         tuple(map(number, side)) for side in zip(*(arc.endpoints for arc in arcs))
     ] or [(), ()]
-    interiors = [tuple(map(number, arc.interior)) for arc in arcs]
-    sizes = tuple(map(len, interiors))
-    inner = tuple(chain.from_iterable(interiors))
+    sizes = tuple(len(arc.interior) for arc in arcs)
+    inner = tuple(map(number, chain.from_iterable(arc.interior for arc in arcs)))
     inner_arc = tuple(chain.from_iterable(map(repeat, range(len(arcs)), sizes)))
     arc_at = dict(zip(zip(ends_w, ends_v), range(len(arcs))))  # either way round
     arc_at.update(zip(zip(ends_v, ends_w), range(len(arcs))))
     owner = dict(zip(inner, inner_arc))  # each interior slot's arc
-    distinct = len(arc_at) == 2 * len(arcs) and len(owner) == len(inner)
+    distinct = len(arc_at) == 2 * len(arcs)  # no endpoint pair held twice
     checked = set(map(group.index, group.generators))
     checked.update(r for _, r in group.conjugators)
     checked.update(x for g, a in table.broken for x in (a, group.product_table[g][a]))
@@ -552,7 +548,7 @@ def _check_arc_equivariance(
                 and len(set(inside)) == len(inside)
             ):
                 continue
-        _check_arcs_one_by_one(e, image, arcs, ends_v, ends_w, interiors)
+        _check_arcs_one_by_one(e, image, arcs, number)
     if table.broken:
         g, a = table.broken[0]
         raise HypothesisViolation(

@@ -383,6 +383,13 @@ def test_image_list_constructor_needs_every_generator():
         GroupAction.from_images(g, range(3), images)
 
 
+def test_images_of_reads_each_element_s_checked_permutation():
+    g = symmetric_group(4)
+    action = GroupAction.from_images(g, range(4), {e: e.images for e in g.generators})
+    assert all(action.images_of(e) == e.images for e in g)
+    assert all(action.perms[e] == e for e in g)
+
+
 def test_an_action_on_more_than_256_points_is_composed_and_checked_alike():
     # A4 on 75 copies of its 4 letters: image lists too long for the byte
     # strings that shorter ones are composed as.
@@ -395,6 +402,7 @@ def test_an_action_on_more_than_256_points_is_composed_and_checked_alike():
     lists = {e: images(e) for e in g.generators}
     action = GroupAction.from_images(g, points, lists)
     assert all(action.perms[e].images == tuple(images(e)) for e in g)
+    assert all(action.images_of(e) == tuple(images(e)) for e in g)
     row = lists[g.generators[0]]
     row[0], row[1] = row[1], row[0]
     with pytest.raises(ValueError, match="not a homomorphism"):
