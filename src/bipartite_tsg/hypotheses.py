@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .assignments import (
     Point,
@@ -53,7 +53,7 @@ from .bipartite import (
     embeds_in_proper_subset_of_circle,
 )
 from .perms import Perm, compose_images
-from .polyhedra import Axis
+from .polyhedra import Axis, axis_index
 
 __all__ = [
     "Arc",
@@ -278,18 +278,12 @@ class HypothesisReport:
 
 def _circle_of(
     assignment: VertexAssignment, axes: tuple[Axis, ...]
-) -> Sequence[int | None]:
+) -> tuple[int | None, ...]:
     """Per element index, the position in ``axes`` of the circle the element
     fixes pointwise, None if it fixes none: the model's own index
     (``axis_at``) when ``axes`` are the model's axes."""
     model = assignment.model
-    if axes is model.axes:
-        return model.axis_at
-    at: list[int | None] = [None] * model.group.order
-    for i, axis in enumerate(axes):
-        for e in axis.elements:
-            at[model.group.index(e)] = i
-    return at
+    return model.axis_at if axes is model.axes else axis_index(model.group, axes)
 
 
 def _check_common_fixed_circles(

@@ -206,7 +206,7 @@ class PolyhedralModel:
     parities: tuple[int, ...]  # per element index: +1 rotations, -1 skeleton-odd
     action: GroupAction  # on all labels: corners, edges, faces, centers
     axes: tuple[Axis, ...]
-    axis_at: tuple[int | None, ...]  # per element index: its position in axes
+    axis_at: tuple[int | None, ...]  # per element index: its axis, by axis_index
 
     @property
     def points(self) -> tuple[Label, ...]:
@@ -472,10 +472,6 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
         return vsum(corner_vectors[k] for k in faces[i])
 
     axes = _build_axes(group, dict(zip(group.elements, parities)), action, vector_of)
-    axis_at: list[int | None] = [None] * group.order
-    for i, entry in enumerate(axes):
-        for e in entry.elements:
-            axis_at[group.index(e)] = i
 
     model = PolyhedralModel(
         kind,
@@ -486,10 +482,20 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
         tuple(parities),
         action,
         axes,
-        tuple(axis_at),
+        axis_index(group, axes),
     )
     _sanity_check_axes(model)
     return model
+
+
+def axis_index(group: FiniteGroup, axes: tuple[Axis, ...]) -> tuple[int | None, ...]:
+    """Per element index of ``group``, the position in ``axes`` of the axis
+    holding the element, None for an element on none."""
+    at: list[int | None] = [None] * group.order
+    for i, axis in enumerate(axes):
+        for e in axis.elements:
+            at[group.index(e)] = i
+    return tuple(at)
 
 
 def _sanity_check_axes(model: PolyhedralModel) -> None:
