@@ -192,7 +192,7 @@ def layout_slots(layout: tuple) -> SlotTable:
             on_copy[name][at : at + count] = range(len(slots), len(slots) + count)
             source += range(k * labels + at, k * labels + at + count)
             slots += ((cls, name, i) for i in range(count))
-            keep = ~odd_bits if name in partner else -1
+            keep = ~odd_bits if partner.get(name, name) != name else -1
             fixers += (mask & keep for mask in model.fixers[at : at + count])
     even = [on_copy[name] for name, _ in copies]
     odd = [on_copy[partner.get(name, name)] for name, _ in copies]

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .assignments import (
@@ -52,7 +52,7 @@ from .bipartite import (
     embeds_in_circle,
     embeds_in_proper_subset_of_circle,
 )
-from .perms import Perm, compose_images
+from .perms import Perm
 from .polyhedra import Axis, axis_index
 
 __all__ = [
@@ -276,16 +276,6 @@ class HypothesisReport:
 # the five edge-routing conditions
 
 
-def _circle_of(
-    assignment: VertexAssignment, axes: tuple[Axis, ...]
-) -> tuple[int | None, ...]:
-    """Per element index, the position in ``axes`` of the circle the element
-    fixes pointwise, None if it fixes none: the model's own index
-    (``axis_at``) when ``axes`` are the model's axes."""
-    model = assignment.model
-    return model.axis_at if axes is model.axes else axis_index(model.group, axes)
-
-
 def _check_common_fixed_circles(
     assignment: VertexAssignment, axes: tuple[Axis, ...]
 ) -> ConditionResult:
@@ -299,7 +289,8 @@ def _check_common_fixed_circles(
     earlier vertex with either mask would have failed first."""
     n = assignment.n
     nontrivial = assignment.model.nontrivial
-    circle_of = _circle_of(assignment, axes)  # bit k is element index k + 1
+    # per element index, the position in axes of its circle; bit k is index k + 1
+    circle_of = axis_index(assignment.model.group, axes)
     # holders[part][mask]: the vertices of that part with that fixer mask
     holders: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
     for vertex, mask in assignment.fixers.items():
@@ -434,48 +425,6 @@ def _choose_arcs(
     )
 
 
-def _check_arcs_one_by_one(
-    e: Perm, image: tuple[int, ...], arcs: tuple[Arc, ...], number
-) -> None:
-    """Condition (3) for the element ``e``, whose slot map is ``image``,
-    arc by arc: raise for the first arc it maps outside the family, or
-    moves although it fixes the arc's endpoint pair setwise or one of its
-    interior slots.  An arc is compared as the bitmasks of its endpoint
-    slots and of its interior slots (``number`` gives a label's slot ``s``,
-    bit ``s``); a slot no arc uses is a bit no arc of the family holds."""
-    bit = [1 << s for s in range(len(image))]
-    spans = []  # each arc's endpoint slots, interior slots and bitmasks
-    for arc in arcs:
-        v, w = map(number, arc.endpoints)
-        interior = tuple(map(number, arc.interior))
-        inside = 0
-        for s in interior:
-            inside |= bit[s]
-        spans.append((v, w, interior, (bit[v] | bit[w], inside)))
-    family = {key for *_, key in spans}
-    for arc, (v, w, interior, key) in zip(arcs, spans):
-        image_end = bit[image[v]] | bit[image[w]]
-        image_int = 0
-        for s in interior:
-            image_int |= bit[image[s]]
-        moved = image_end, image_int
-        if moved not in family:
-            raise HypothesisViolation(
-                3,
-                {"element": repr(e), "arc": arc.as_dict()},
-                "an element maps a chosen arc outside the family",
-            )
-        if moved != key and (
-            image_end == key[0] or any(image[s] == s for s in interior)
-        ):
-            raise HypothesisViolation(
-                3,
-                {"element": repr(e), "arc": arc.as_dict()},
-                "an element stabilizing an arc's boundary or an interior "
-                "point does not map the arc to itself",
-            )
-
-
 def _check_arc_equivariance(
     assignment: VertexAssignment, arcs: tuple[Arc, ...]
 ) -> ConditionResult:
@@ -495,35 +444,24 @@ def _check_arc_equivariance(
     mapped into itself by every element, and an element stabilizes an arc
     and moves it exactly when its conjugate does so to the conjugate arc.
     So both halves are checked on the generators and on one element per
-    conjugacy class.  If some pair does not compose, both of its elements
-    are checked too, and if no arc check fails the broken composition is
-    itself reported.
-
-    When no two arcs share their endpoint pair, as in a family condition 2
-    chose, an element is first read on all arcs at once, by gathers: it
-    passes both halves when it sends each arc's endpoint pair onto the
-    endpoint pair of an arc ``t`` of the family and the arc's interior slots
-    into ``t``'s interior, of the same size, and no two interior slots of
-    the family onto one (so no two interiors meet).  Then each arc goes
-    onto ``t``, and an arc whose endpoint pair or some interior slot stays
-    put has ``t`` itself.  An element that does not pass so is checked arc
-    by arc (:func:`_check_arcs_one_by_one`), which finds the first arc it
-    fails on.
+    conjugacy class, arc by arc.  If some pair does not compose, both of
+    its elements are checked too, and if no arc check fails the broken
+    composition is itself reported.
     """
     model = assignment.model
     group = model.group
     table = assignment.slot_table
     number = table.number.__getitem__
-    ends_v, ends_w = [
-        tuple(map(number, side)) for side in zip(*(arc.endpoints for arc in arcs))
-    ] or [(), ()]
-    sizes = tuple(len(arc.interior) for arc in arcs)
-    inner = tuple(map(number, chain.from_iterable(arc.interior for arc in arcs)))
-    inner_arc = tuple(chain.from_iterable(map(repeat, range(len(arcs)), sizes)))
-    arc_at = dict(zip(zip(ends_w, ends_v), range(len(arcs))))  # either way round
-    arc_at.update(zip(zip(ends_v, ends_w), range(len(arcs))))
-    owner = dict(zip(inner, inner_arc))  # each interior slot's arc
-    distinct = len(arc_at) == 2 * len(arcs)  # no endpoint pair held twice
+    bit = [1 << s for s in range(len(table.slots))]
+    spans = []  # each arc's endpoint slots, interior slots and bitmasks
+    for arc in arcs:
+        v, w = map(number, arc.endpoints)
+        interior = tuple(map(number, arc.interior))
+        inside = 0
+        for s in interior:
+            inside |= bit[s]
+        spans.append((v, w, interior, (bit[v] | bit[w], inside)))
+    family = {key for *_, key in spans}
     checked = set(map(group.index, group.generators))
     checked.update(r for _, r in group.conjugators)
     checked.update(x for g, a in table.broken for x in (a, group.product_table[g][a]))
@@ -531,18 +469,27 @@ def _check_arc_equivariance(
         if a not in checked:
             continue
         image = table.images[a]
-        if distinct:
-            moved = zip(compose_images(image, ends_v), compose_images(image, ends_w))
-            targets = tuple(map(arc_at.get, moved))
-            inside = compose_images(image, inner)
-            if (
-                None not in targets
-                and compose_images(sizes, targets) == sizes
-                and tuple(map(owner.get, inside)) == compose_images(targets, inner_arc)
-                and len(set(inside)) == len(inside)
+        for arc, (v, w, interior, key) in zip(arcs, spans):
+            image_end = bit[image[v]] | bit[image[w]]
+            image_int = 0
+            for s in interior:
+                image_int |= bit[image[s]]
+            moved = image_end, image_int
+            if moved not in family:
+                raise HypothesisViolation(
+                    3,
+                    {"element": repr(e), "arc": arc.as_dict()},
+                    "an element maps a chosen arc outside the family",
+                )
+            if moved != key and (
+                image_end == key[0] or any(image[s] == s for s in interior)
             ):
-                continue
-        _check_arcs_one_by_one(e, image, arcs, number)
+                raise HypothesisViolation(
+                    3,
+                    {"element": repr(e), "arc": arc.as_dict()},
+                    "an element stabilizing an arc's boundary or an interior "
+                    "point does not map the arc to itself",
+                )
     if table.broken:
         g, a = table.broken[0]
         raise HypothesisViolation(
@@ -600,7 +547,7 @@ def _check_swap_circles(
 ) -> ConditionResult:
     """Condition (5): an element interchanging the endpoints of an edge has a
     nonempty fixed circle shared with no other element."""
-    circle_of = _circle_of(assignment, axes)
+    circle_of = axis_index(assignment.model.group, axes)
     index = assignment.model.group.index
     for e in interchangers:
         if circle_of[index(e)] is None:

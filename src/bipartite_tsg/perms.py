@@ -410,16 +410,18 @@ class GroupAction:
         """Every element's permutation, made from its checked image list on
         first read."""
         return {
-            e: Perm._from_checked(tuple(images))
+            e: Perm._from_checked(images)
             for e, images in zip(self.group.elements, self._images)
         }
 
     def images_of(self, e: Perm) -> tuple[int, ...]:
         """The image tuple of ``e``'s permutation, without making the other
         elements' permutations."""
-        return tuple(self._images[self.group.index(e)])
+        return self._images[self.group.index(e)]
 
-    def _generated_images(self, given: Mapping[Perm, Perm]) -> list:
+    def _generated_images(
+        self, given: Mapping[Perm, Perm]
+    ) -> list[tuple[int, ...]]:
         """Every element's image list, by element index, composed from the
         generators' along the product table.
 
@@ -430,30 +432,22 @@ class GroupAction:
         same one, so the homomorphism law is checked for every generator
         against every element.  Composites of checked permutations are
         permutations, so they are not checked again.
-
-        Image lists of at most 256 points are composed, and kept, as byte
-        strings: ``q.translate(p)``, ``p`` padded to 256 bytes, is ``p o q``
-        gathered in C.  Longer ones are tuples.
         """
         group = self.group
         elements = group.elements
-        degree = len(self.points)
-        small = degree <= 256
         steps = []
         for g in group.generators:
             if g not in given:
                 raise ValueError(f"no image list for the generator {g!r}")
-            pg = given[g].images
-            pg = bytes(pg).ljust(256, b"\0") if small else pg
-            steps.append((g, group.product_table[group.index(g)], pg))
+            steps.append((g, group.product_table[group.index(g)], given[g].images))
         start = group.index(group.identity)
-        images: list[bytes | tuple[int, ...] | None] = [None] * len(elements)
-        images[start] = bytes(range(degree)) if small else tuple(range(degree))
+        images: list[tuple[int, ...] | None] = [None] * len(elements)
+        images[start] = tuple(range(len(self.points)))
         reached = [start]
         for a in reached:  # appended to while it is read: a breadth-first queue
             image = images[a]
             for g, row, pg in steps:
-                composite = image.translate(pg) if small else compose_images(pg, image)
+                composite = compose_images(pg, image)
                 ga = row[a]
                 if images[ga] is None:
                     images[ga] = composite

@@ -405,6 +405,43 @@ def test_fixer_table_equals_a_scan_of_every_permutation(assignments):
         assert a.fixers == expected, pair
 
 
+def scanned_slot_fixers(table):
+    """Each slot's fixer mask read off the table's images: bit a - 1 for
+    each nontrivial element index a whose image keeps the slot."""
+    return tuple(
+        sum(1 << (a - 1) for a, image in enumerate(table.images) if a and image[s] == s)
+        for s in range(len(table.slots))
+    )
+
+
+def test_slot_fixers_equal_a_scan_of_the_slot_images(assignments):
+    for pair, a in assignments.items():
+        assert a.slot_table.fixers == scanned_slot_fixers(a.slot_table), pair
+
+
+def test_a_copy_named_as_its_own_swap_partner_keeps_its_fixers():
+    # Each block of skeleton-4 names the other copy as its swap partner.
+    # The block checks also accept a block naming its own copy; then its
+    # copy stays in place under every element, so the part-swapping
+    # elements keep the slots they fix.
+    a = place("A4", 16)
+    assert a.case_name == "skeleton-4"
+    blocks = tuple(
+        tuple(
+            dataclasses.replace(b, swap_partner=b.copy_name)
+            if isinstance(b, MarkerBlock)
+            else b
+            for b in part
+        )
+        for part in a.blocks
+    )
+    table = dataclasses.replace(a, blocks=blocks).slot_table
+    assert table is not a.slot_table
+    assert table.fixers == scanned_slot_fixers(table)
+    odd = [k for k, sign in enumerate(a.model.parities[1:]) if sign == -1]
+    assert any(mask >> k & 1 for mask in table.fixers for k in odd)
+
+
 def test_conjugate_elements_fix_equally_many_vertices(assignments):
     for a in assignments.values():
         for cls in a.model.group.conjugacy_classes():

@@ -600,33 +600,6 @@ def test_an_arc_whose_interior_folds_onto_fewer_slots_is_outside_the_family(
     assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
 
 
-def test_an_arc_and_its_reversed_twin_are_checked_arc_by_arc(
-    assignments, reports, monkeypatch
-):
-    from bipartite_tsg.hypotheses import Arc, _check_arc_equivariance
-
-    # A family of two arcs on one endpoint pair, listed the two ways round,
-    # with one interior slot each, and an element that swaps the endpoints
-    # and the two interior slots.  Each arc goes onto the other, which read
-    # on all arcs at once looks like a permutation of the family; but the
-    # element fixes each arc's endpoint pair and moves the arc, so a family
-    # holding an endpoint pair twice is checked arc by arc.
-    a = assignments[("A5", 42)]
-    arc, other = [x for x in reports[("A5", 42)].arcs if len(x.interior) == 1][:2]
-    v, w = arc.endpoints
-    twin = Arc(arc.axis_index, (w, v), other.interior)
-    e0 = a.axis_slots[arc.axis_index].elements[0]
-    table = a.slot_table
-    images = [slot_map(table, {})] * a.model.group.order
-    (s,), (t,) = arc.interior, other.interior
-    images[a.model.group.index(e0)] = slot_map(table, {v: w, w: v, s: t, t: s})
-    doctor_slot_table(monkeypatch, a, images)
-    with pytest.raises(HypothesisViolation) as exc:
-        _check_arc_equivariance(a, (arc, twin))
-    assert "stabilizing an arc's boundary" in str(exc.value)
-    assert exc.value.witness == {"element": repr(e0), "arc": arc.as_dict()}
-
-
 def test_image_on_unused_labels_is_outside_the_family(
     assignments, reports, monkeypatch
 ):
