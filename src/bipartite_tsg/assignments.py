@@ -192,7 +192,7 @@ def layout_slots(layout: tuple) -> SlotTable:
             on_copy[name][at : at + count] = range(len(slots), len(slots) + count)
             source += range(k * labels + at, k * labels + at + count)
             slots += ((cls, name, i) for i in range(count))
-            keep = ~odd_bits if partner.get(name, name) != name else -1
+            keep = ~odd_bits if _moves(partner, name) else -1
             fixers += (mask & keep for mask in model.fixers[at : at + count])
     even = [on_copy[name] for name, _ in copies]
     odd = [on_copy[partner.get(name, name)] for name, _ in copies]
@@ -221,6 +221,12 @@ def layout_slots(layout: tuple) -> SlotTable:
         _orbit_roots([images[g] for g in generators]),
         _axis_numbers(model, copies, partner, first),
     )
+
+
+def _moves(partner: dict[str, str], name: str) -> bool:
+    """Whether copy ``name`` trades places under the part-swapping
+    elements: it does when it names a swap partner other than itself."""
+    return partner.get(name, name) != name
 
 
 def _orbit_roots(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -257,7 +263,7 @@ def _axis_numbers(
     slot ``k`` and marker ``(cls, copy, i)`` is slot ``first[cls, copy] +
     i``."""
     ranked = [name for name, _ in sorted(copies, key=lambda it: it[1])]
-    unswapped = [name for name in ranked if name not in partner]
+    unswapped = [name for name in ranked if not _moves(partner, name)]
     out = []
     for axis in model.axes:
         if len(unswapped) > 1 and ("center", 0) not in axis.slots:

@@ -8,9 +8,12 @@ materializes an edge list.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .perms import Perm
 
@@ -73,61 +76,80 @@ def validate_automorphism(p: Perm, n: int) -> BipartiteAut:
 
 @dataclass(frozen=True)
 class CycleProfile:
-    """Cycle-length multisets of an automorphism, split by part.
+    """Cycle-length counts of an automorphism, split by part.
 
-    ``v_cycles`` and ``w_cycles`` are the lengths of cycles lying inside one
-    part (fixed vertices count as length-1 cycles); ``cross_cycles`` are the
-    lengths of cycles meeting both parts, which occur exactly when the
-    automorphism swaps the parts.  Multisets are stored as sorted tuples.
+    ``v_counts`` and ``w_counts`` count the cycles lying inside one part by
+    length (fixed vertices are cycles of length 1); ``cross_counts`` counts
+    the cycles meeting both parts, which occur exactly when the automorphism
+    swaps the parts.  Each is a tuple of ``(length, count)`` pairs, lengths
+    ascending and counts positive.
     """
 
     n: int
     r: int
-    v_cycles: tuple[int, ...]
-    w_cycles: tuple[int, ...]
-    cross_cycles: tuple[int, ...]
+    v_counts: tuple[tuple[int, int], ...]
+    w_counts: tuple[tuple[int, int], ...]
+    cross_counts: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        total = sum(self.v_cycles) + sum(self.w_cycles) + sum(self.cross_cycles)
+        total = 0
+        lengths = set()
+        for part in (self.v_counts, self.w_counts, self.cross_counts):
+            previous = 0
+            for length, count in part:
+                if length <= previous or count < 1:
+                    raise ValueError(
+                        "counts must be (length, count) pairs, lengths "
+                        "ascending and counts positive"
+                    )
+                previous = length
+                total += length * count
+                lengths.add(length)
         if total != 2 * self.n:
             raise ValueError(f"cycle lengths total {total}, expected {2 * self.n}")
-        lengths = {*self.v_cycles, *self.w_cycles, *self.cross_cycles}
-        if any(self.r % length for length in lengths):
+        # Every length divides r exactly when their lcm does.
+        order = lcm(*lengths)
+        if self.r % order:
             raise ValueError("a cycle length does not divide the order")
-        if lcm(*lengths) != self.r:
+        if order != self.r:
             raise ValueError("order is not the lcm of the cycle lengths")
 
     @property
     def swapping(self) -> bool:
-        return bool(self.cross_cycles)
+        return bool(self.cross_counts)
 
     def swapped(self) -> "CycleProfile":
         """The profile of the same permutation after relabeling V as W."""
-        return CycleProfile(self.n, self.r, self.w_cycles, self.v_cycles, self.cross_cycles)
+        return CycleProfile(
+            self.n, self.r, self.w_counts, self.v_counts, self.cross_counts
+        )
 
     @classmethod
-    def of_cycles(cls, n: int, cycles: Iterable[tuple[int, ...]]) -> "CycleProfile":
-        """The profile of a permutation of ``2n`` vertices from all its
-        cycles, fixed points included, each starting at its least point (as
-        :meth:`Perm.cycles` gives them).  The order is the lcm of the lengths.
-        A cycle lies in W when its least point does, in V when its greatest
-        point does, and meets both parts otherwise."""
-        on_v: list[int] = []
-        on_w: list[int] = []
-        cross: list[int] = []
-        for cycle in cycles:
-            if cycle[0] >= n:
-                on_w.append(len(cycle))
-            elif len(cycle) == 1 or max(cycle) < n:
-                on_v.append(len(cycle))
-            else:
-                cross.append(len(cycle))
-        on_v.sort()
-        on_w.sort()
-        cross.sort()
-        return cls(
-            n, lcm(*on_v, *on_w, *cross), tuple(on_v), tuple(on_w), tuple(cross)
-        )
+    def of_cycles(cls, n: int, cycles: Sequence[tuple[int, ...]]) -> "CycleProfile":
+        """The profile of an automorphism of ``K_{n,n}`` from all its
+        cycles, fixed points included, each starting at its least point and
+        sorted by it (as :meth:`Perm.cycles` gives them).  The order is the
+        lcm of the lengths.
+
+        The first cycle holds vertex 0.  When it leaves V, the automorphism
+        swaps the parts and every cycle meets both.  Otherwise each cycle
+        lies in one part: in V up to the first cycle whose least point is in
+        W, and in W from there on."""
+        first = cycles[0]
+        if len(first) > 1 and first[1] >= n:
+            v, w, cross = (), (), _length_counts(cycles)
+        else:
+            split = bisect_left(cycles, n, key=itemgetter(0))
+            v = _length_counts(cycles[:split])
+            w = _length_counts(cycles[split:])
+            cross = ()
+        r = lcm(*{length for part in (v, w, cross) for length, _ in part})
+        return cls(n, r, v, w, cross)
+
+
+def _length_counts(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
+    """``(length, count)`` pairs of the cycles, lengths ascending."""
+    return tuple(sorted(Counter(map(len, cycles)).items()))
 
 
 def cycle_profile(aut: BipartiteAut) -> CycleProfile:

@@ -134,6 +134,11 @@ def decide(n: int, group: str) -> Verdict:
     pipeline or its recipe data) becomes the verdict's diagnostic.  A
     disagreement with the closed-form classification raises
     :class:`InternalMismatch`, which carries the verdict.
+
+    The library puts no cap on ``n``, at ``2**63`` and past it too: a
+    call's work and its report keep one size for every ``n`` of a recipe,
+    apart from the digits of the numbers they hold.  The CLI's ``--cap``
+    bounds only the command's input.
     """
     necessity = necessity_verdict(n, group)
     construction = None

@@ -141,14 +141,17 @@ class ConditionResult:
 @dataclass(frozen=True)
 class PartSubset:
     """A set of vertices of one part, ``range(start, stop)``: ``members``
-    when not ``whole``, else every vertex of the part except ``members``."""
+    when not ``whole``, else every vertex of the part except ``members``.
+    ``size`` counts it as a plain ``int``: ``len()`` must fit an index-sized
+    integer, and a part of ``K_{n,n}`` need not."""
 
     start: int
     stop: int
     whole: bool
     members: frozenset[int]
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
         if self.whole:
             return self.stop - self.start - len(self.members)
         return len(self.members)
@@ -732,7 +735,7 @@ def forced_fix_closure(
     parts = tuple(
         PartSubset(p * n, p * n + n, p == whole, frozenset(members[p])) for p in (0, 1)
     )
-    shape = FixedSubgraphShape(*map(len, parts))
+    shape = FixedSubgraphShape(parts[0].size, parts[1].size)
     return ForcedFix(edge=(v, w), parts=parts, shape=shape)
 
 

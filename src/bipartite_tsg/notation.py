@@ -33,6 +33,11 @@ __all__ = [
 _LEXEME_RE = re.compile(r"[A-Za-z0-9_]+|\S")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 _VERTEX_RE = re.compile(r"([vw])([1-9][0-9]*)")
+# The signed number of each vertex token seen so far, ``vi`` -> ``i`` and
+# ``wi`` -> ``-i``, for ``i`` up to ``_REMEMBERED``: at most 4096 entries,
+# whatever ``n`` a text is parsed for.
+_REMEMBERED = 2048
+_NUMBERS: dict[str, int] = {}
 
 
 class NotationError(ValueError):
@@ -95,13 +100,33 @@ def _lexeme_error(
     return _unknown_token(lexeme, n, position)
 
 
+def _token_number(lexeme: str) -> int:
+    """The signed number of a vertex token by the ``_VERTEX_RE`` rule,
+    ``vi`` -> ``i`` and ``wi`` -> ``-i``; 0 for any other lexeme, and for a
+    token whose number is past the interpreter's digit limit.  A number up
+    to ``_REMEMBERED`` is kept in ``_NUMBERS`` for the next read."""
+    match = _VERTEX_RE.fullmatch(lexeme)
+    if match is None:
+        return 0
+    part, digits = match.groups()
+    try:
+        i = int(digits)
+    except ValueError:  # past the interpreter's digit limit
+        return 0
+    number = i if part == "v" else -i
+    if i <= _REMEMBERED:
+        _NUMBERS[lexeme] = number
+    return number
+
+
 def parse_cycles(text: str, n: int) -> Perm:
     """Parse cycle-notation text into a permutation of ``2n`` vertices.
 
     Raises :class:`UnbalancedParenthesis`, :class:`UnknownToken`, or
     :class:`DuplicateToken`, each carrying the character position.  The text
-    is lexed in one pass; an error's position is looked up from its lexeme
-    number only once the error is found.
+    is lexed in one pass, and each token is read with one look-up in the
+    token table (:func:`_token_number` on a miss); an error's position is
+    looked up from its lexeme number only once the error is found.
     """
     require_integer(n, "part size")
     if n < 1:
@@ -110,7 +135,7 @@ def parse_cycles(text: str, n: int) -> Perm:
     seen = bytearray(2 * n)
     in_cycle = False
     first = last = -1  # the open cycle's first and latest vertex
-    vertex = _VERTEX_RE.fullmatch
+    number = _NUMBERS.get
     for k, lexeme in enumerate(_LEXEME_RE.findall(text)):
         if lexeme == "(":
             if in_cycle:
@@ -128,17 +153,19 @@ def parse_cycles(text: str, n: int) -> Perm:
                 images[last] = first
             in_cycle = False
         else:
-            match = vertex(lexeme)
-            if match is None or not in_cycle:
+            i = number(lexeme)
+            if i is None:
+                i = _token_number(lexeme)
+            if not i or not in_cycle:
                 raise _lexeme_error(lexeme, n, _start(text, k), in_cycle)
-            part, i = match.groups()
-            try:
-                i = int(i)
-            except ValueError:  # past the interpreter's digit limit
-                raise _unknown_token(lexeme, n, _start(text, k)) from None
-            if i > n:
-                raise _unknown_token(lexeme, n, _start(text, k))
-            index = i - 1 if part == "v" else n + i - 1
+            if i > 0:
+                if i > n:
+                    raise _unknown_token(lexeme, n, _start(text, k))
+                index = i - 1
+            else:
+                if i < -n:
+                    raise _unknown_token(lexeme, n, _start(text, k))
+                index = n - i - 1
             if seen[index]:
                 raise DuplicateToken(
                     f"vertex {lexeme!r} appears more than once", _start(text, k)

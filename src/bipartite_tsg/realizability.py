@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterator
 
 from .bipartite import BipartiteAut, CycleProfile, cycle_profile
 
@@ -54,13 +53,6 @@ class RealizabilityResult:
             raise ValueError("realizable must mirror matched_cases")
 
 
-def _counts(lengths: tuple[int, ...]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for x in lengths:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def _all_full(counts: dict[int, int], r: int) -> bool:
     return all(length == r for length in counts)
 
@@ -76,8 +68,8 @@ def _without(counts: dict[int, int], length: int, k: int) -> dict[int, int]:
 def _preserving_cases(profile: CycleProfile) -> set[int]:
     """Case ids 1-8 matched by a part-preserving profile, taken literally."""
     r = profile.r
-    v = _counts(profile.v_cycles)
-    w = _counts(profile.w_cycles)
+    v = dict(profile.v_counts)
+    w = dict(profile.w_counts)
     matched: set[int] = set()
 
     if _all_full(v, r) and _all_full(w, r):
@@ -133,7 +125,7 @@ def _swapping_cases(profile: CycleProfile) -> set[int]:
     """Case ids matched by a part-swapping profile: 1 (all full cycles) and
     9 (one exceptional 4-cycle, everything else full)."""
     r = profile.r
-    cross = _counts(profile.cross_cycles)
+    cross = dict(profile.cross_counts)
     matched: set[int] = set()
     if _all_full(cross, r):
         matched.add(1)
@@ -173,57 +165,3 @@ def check_profile(profile: CycleProfile) -> RealizabilityResult:
 def check_realizable(aut: BipartiteAut) -> RealizabilityResult:
     """Match an automorphism's cycle profile against the nine allowed patterns."""
     return check_profile(cycle_profile(aut))
-
-
-def _multisets_summing_to(total: int, divisors: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing tuples over the divisor menu with the given sum."""
-
-    def rec(remaining: int, menu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for i, d in enumerate(menu):
-            if d <= remaining:
-                for rest in rec(remaining - d, menu[i:]):
-                    yield (d,) + rest
-
-    yield from rec(total, tuple(sorted(divisors, reverse=True)))
-
-
-def enumerate_realizable_profiles(n: int, r: int) -> list[CycleProfile]:
-    """Every cycle profile of an order-r automorphism of K_{n,n} that the
-    matcher accepts, enumerated deterministically.  Desk scale only."""
-    if n > 12 or r > 12:
-        raise ValueError("desk-scale enumeration only (n <= 12, r <= 12)")
-    divisors = tuple(d for d in range(1, r + 1) if r % d == 0)
-    results: list[CycleProfile] = []
-    seen: set[tuple] = set()
-    # Part-preserving candidates: one multiset per part, lcm over both = r.
-    for v_lengths in _multisets_summing_to(n, divisors):
-        for w_lengths in _multisets_summing_to(n, divisors):
-            if lcm(*(v_lengths + w_lengths)) != r:
-                continue
-            profile = CycleProfile(
-                n, r, tuple(sorted(v_lengths)), tuple(sorted(w_lengths)), ()
-            )
-            cases, _ = profile_cases(profile)
-            if cases:
-                key = (profile.v_cycles, profile.w_cycles, profile.cross_cycles)
-                if key not in seen:
-                    seen.add(key)
-                    results.append(profile)
-    # Part-swapping candidates: even lengths crossing the parts, total 2n.
-    even_divisors = tuple(d for d in divisors if d % 2 == 0)
-    if r % 2 == 0:
-        for cross_lengths in _multisets_summing_to(2 * n, even_divisors):
-            if lcm(*cross_lengths) != r:
-                continue
-            profile = CycleProfile(n, r, (), (), tuple(sorted(cross_lengths)))
-            cases, _ = profile_cases(profile)
-            if cases:
-                key = (profile.v_cycles, profile.w_cycles, profile.cross_cycles)
-                if key not in seen:
-                    seen.add(key)
-                    results.append(profile)
-    results.sort(key=lambda p: (p.cross_cycles, p.v_cycles, p.w_cycles))
-    return results

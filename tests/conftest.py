@@ -7,6 +7,9 @@ warm template skips still reaches it, whatever ran before.
 """
 
 import re
+from collections import Counter
+from math import lcm
+from typing import Iterator
 
 import pytest
 
@@ -269,8 +272,67 @@ def reference_cycle_profile(aut: BipartiteAut) -> CycleProfile:
         else:
             on_w.append(len(cycle))
     return CycleProfile(
-        n, aut.perm.order(), tuple(sorted(on_v)), tuple(sorted(on_w)), tuple(sorted(cross))
+        n, aut.perm.order(), counted(on_v), counted(on_w), counted(cross)
     )
+
+
+def counted(lengths) -> tuple[tuple[int, int], ...]:
+    """A multiset of cycle lengths as a profile's ``(length, count)``
+    pairs, lengths ascending."""
+    return tuple(sorted(Counter(lengths).items()))
+
+
+# --------------------------------------------------------------------------
+# Desk-scale enumeration of every realizable cycle profile: the oracle the
+# matcher and the necessity menu are checked against.
+
+
+def _multisets_summing_to(total: int, divisors: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing tuples over the divisor menu with the given sum."""
+
+    def rec(remaining: int, menu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for i, d in enumerate(menu):
+            if d <= remaining:
+                for rest in rec(remaining - d, menu[i:]):
+                    yield (d,) + rest
+
+    yield from rec(total, tuple(sorted(divisors, reverse=True)))
+
+
+def enumerate_realizable_profiles(n: int, r: int) -> list[CycleProfile]:
+    """Every cycle profile of an order-r automorphism of K_{n,n} that the
+    matcher accepts, enumerated deterministically.  Desk scale only."""
+    if n > 12 or r > 12:
+        raise ValueError("desk-scale enumeration only (n <= 12, r <= 12)")
+    divisors = tuple(d for d in range(1, r + 1) if r % d == 0)
+    results: list[CycleProfile] = []
+    seen: set[CycleProfile] = set()
+    # Part-preserving candidates: one multiset per part, lcm over both = r.
+    for v_lengths in _multisets_summing_to(n, divisors):
+        for w_lengths in _multisets_summing_to(n, divisors):
+            if lcm(*(v_lengths + w_lengths)) != r:
+                continue
+            profile = CycleProfile(n, r, counted(v_lengths), counted(w_lengths), ())
+            cases, _ = profile_cases(profile)
+            if cases and profile not in seen:
+                seen.add(profile)
+                results.append(profile)
+    # Part-swapping candidates: even lengths crossing the parts, total 2n.
+    even_divisors = tuple(d for d in divisors if d % 2 == 0)
+    if r % 2 == 0:
+        for cross_lengths in _multisets_summing_to(2 * n, even_divisors):
+            if lcm(*cross_lengths) != r:
+                continue
+            profile = CycleProfile(n, r, (), (), counted(cross_lengths))
+            cases, _ = profile_cases(profile)
+            if cases and profile not in seen:
+                seen.add(profile)
+                results.append(profile)
+    results.sort(key=lambda p: (p.cross_counts, p.v_counts, p.w_counts))
+    return results
 
 
 def reference_print_cycles(perm: Perm, n: int) -> str:

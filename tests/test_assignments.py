@@ -442,6 +442,20 @@ def test_a_copy_named_as_its_own_swap_partner_keeps_its_fixers():
     assert any(mask >> k & 1 for mask in table.fixers for k in odd)
 
 
+def test_a_copy_named_as_its_own_swap_partner_lies_on_the_part_swapping_circles():
+    # A copy that names itself as its swap partner stays in place under the
+    # part-swapping elements, as a copy naming none does, so their circles
+    # run through its slots.
+    kind, copies, swaps = place("A4", 16).template.layout
+    (name,) = {copy for copy, _ in copies} - {copy for copy, _ in swaps}
+    table = layout_slots((kind, copies, swaps | {(name, name)}))
+    assert table.axes == layout_slots((kind, copies, swaps)).axes
+    on_copy = {s for s, slot in enumerate(table.slots) if slot[1:2] == (name,)}
+    swapping = [axis for axis in table.axes if 0 not in axis]  # off the poles
+    assert swapping
+    assert all(on_copy & set(axis) for axis in swapping)
+
+
 def test_conjugate_elements_fix_equally_many_vertices(assignments):
     for a in assignments.values():
         for cls in a.model.group.conjugacy_classes():

@@ -117,9 +117,9 @@ def test_profile_of_preserving_automorphism():
     p = Perm.from_cycles(8, [(0, 1, 2), (4, 5)])
     profile = cycle_profile(validate_automorphism(p, 4))
     assert profile.r == 6
-    assert profile.v_cycles == (1, 3)
-    assert profile.w_cycles == (1, 1, 2)
-    assert profile.cross_cycles == ()
+    assert profile.v_counts == ((1, 1), (3, 1))
+    assert profile.w_counts == ((1, 2), (2, 1))
+    assert profile.cross_counts == ()
     assert not profile.swapping
 
 
@@ -127,25 +127,25 @@ def test_profile_of_swapping_automorphism():
     p = Perm.from_cycles(6, [(0, 3, 1, 4), (2, 5)])
     profile = cycle_profile(validate_automorphism(p, 3))
     assert profile.swapping
-    assert profile.cross_cycles == (2, 4)
-    assert profile.v_cycles == () and profile.w_cycles == ()
+    assert profile.cross_counts == ((2, 1), (4, 1))
+    assert profile.v_counts == () and profile.w_counts == ()
 
 
 def test_swapped_profile_exchanges_parts():
     p = Perm.from_cycles(6, [(0, 1, 2)])
     profile = cycle_profile(validate_automorphism(p, 3))
     flipped = profile.swapped()
-    assert flipped.v_cycles == profile.w_cycles
-    assert flipped.w_cycles == profile.v_cycles
+    assert flipped.v_counts == profile.w_counts
+    assert flipped.w_counts == profile.v_counts
 
 
 def test_profile_validation_rejects_bad_totals():
     with pytest.raises(ValueError):
-        CycleProfile(3, 2, (2,), (2,), ())  # totals 4, expected 6
+        CycleProfile(3, 2, ((2, 1),), ((2, 1),), ())  # totals 4, expected 6
     with pytest.raises(ValueError):
-        CycleProfile(3, 4, (3, 3), (), ())  # 3 does not divide 4
+        CycleProfile(3, 4, ((3, 2),), (), ())  # 3 does not divide 4
     with pytest.raises(ValueError):
-        CycleProfile(3, 6, (2, 1), (2, 1), ())  # lcm 2, not 6
+        CycleProfile(3, 6, ((1, 1), (2, 1)), ((1, 1), (2, 1)), ())  # lcm 2, not 6
 
 
 @given(st.permutations(range(8)))
@@ -154,7 +154,8 @@ def test_profile_totals_and_order_for_random_automorphisms(images):
     # automorphism of K_{8,8} acting on V only.
     p = Perm(tuple(images) + tuple(range(8, 16)))
     profile = cycle_profile(validate_automorphism(p, 8))
-    assert sum(profile.v_cycles) == 8 and sum(profile.w_cycles) == 8
+    assert sum(x * c for x, c in profile.v_counts) == 8
+    assert sum(x * c for x, c in profile.w_counts) == 8
     assert profile.r == p.order()
 
 

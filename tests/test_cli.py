@@ -147,6 +147,17 @@ def test_decide_and_verify_enforce_the_cap(capsys, command):
     assert "raise it with --cap" in err
 
 
+@pytest.mark.parametrize("command", ["decide", "verify"])
+def test_decide_and_verify_past_the_index_range_with_the_cap_raised(capsys, command):
+    n = 2**63  # admitted for A4; len() of a part this size overflows
+    code, out, err = run(
+        capsys, command, "--group", "A4", "--n", str(n), "--cap", str(n)
+    )
+    assert code == EXIT_DECIDED
+    assert err == ""
+    assert str(n) in out
+
+
 def test_verify_over_the_cap_writes_no_report(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run(

@@ -1,11 +1,13 @@
 """Cycle-notation parsing and printing for vertices of ``K_{n,n}``."""
 
 import re
+import tracemalloc
 
 import pytest
 from conftest import reference_parse_cycles
 from hypothesis import given, settings, strategies as st
 
+from bipartite_tsg import notation
 from bipartite_tsg.notation import (
     DuplicateToken,
     NotationError,
@@ -249,3 +251,77 @@ def test_parser_agrees_with_the_reference_on_cycle_texts(case):
     parsed = outcome(parse_cycles, text, n)
     assert isinstance(parsed, Perm)
     assert parsed == outcome(reference_parse_cycles, text, n)
+
+
+# ------------------------------------------------------------- token table
+
+
+def lexemes_for(n):
+    """Lexemes a text for part size ``n`` may hold: vertex tokens of every
+    width up to past ``n`` and past the table's range, malformed tokens
+    (``v0``, leading zeros, a non-ASCII digit, a suffix) and parentheses."""
+    numbers = st.one_of(
+        st.integers(min_value=0, max_value=n + 2),
+        st.integers(min_value=0, max_value=2 * notation._REMEMBERED + 10),
+    )
+    return st.one_of(
+        st.builds(lambda p, i: f"{p}{i}", st.sampled_from("vw"), numbers),
+        st.sampled_from(
+            ["(", ")", "(", ")", "v01", "w007", "v١", "v1x", "x1", "v_1", "$"]
+        ),
+    )
+
+
+@st.composite
+def token_texts(draw):
+    n = draw(st.integers(min_value=1, max_value=300))
+    parts = draw(st.lists(lexemes_for(n), max_size=60))
+    gaps = st.sampled_from(["", " ", "\n"])
+    return n, "".join(draw(gaps) + part for part in parts)
+
+
+@settings(max_examples=300)
+@given(token_texts())
+def test_parser_agrees_with_the_reference_on_texts_of_any_token(case):
+    n, text = case
+    assert outcome(parse_cycles, text, n) == outcome(reference_parse_cycles, text, n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(v250 w250)", "(v299)(w300 w1)", "(v2048 w2048)", "(v2049 w2049)"],
+)
+def test_tokens_seen_at_a_larger_part_size_are_checked_again(text):
+    for n in (3000, 300, 249, 2):
+        assert outcome(parse_cycles, text, n) == outcome(reference_parse_cycles, text, n)
+
+
+def test_the_token_table_never_exceeds_its_cap():
+    n = 3 * notation._REMEMBERED
+    text = "".join(f"(v{i} w{i})" for i in range(1, n + 1))
+    parse_cycles(text, n)
+    assert len(notation._NUMBERS) <= 2 * notation._REMEMBERED == 4096
+    assert f"v{notation._REMEMBERED}" in notation._NUMBERS
+    assert f"v{notation._REMEMBERED + 1}" not in notation._NUMBERS
+
+
+@pytest.mark.parametrize("involution", [False, True])
+def test_a_parse_keeps_no_part_sized_memory(involution):
+    # What a parse leaves behind is the token table, bounded whatever n is.
+    if involution:
+        n = 20_000
+        text = "".join(f"(v{i} w{i})" for i in range(1, n + 1))
+    else:
+        n = 100_000
+        text = "(v1 v2)(w1 w2)"
+    notation._NUMBERS.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        perm = parse_cycles(text, n)
+        del perm
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(notation._NUMBERS) <= 4096
+    assert held < 1_000_000, held

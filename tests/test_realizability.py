@@ -7,6 +7,7 @@ import time
 import pytest
 from conftest import (
     SAMPLE_PAIRS,
+    enumerate_realizable_profiles,
     reference_check_automorphism,
     reference_cycle_profile,
     reference_print_cycles,
@@ -22,7 +23,6 @@ from bipartite_tsg.realizability import (
     PartSizeTooSmall,
     RealizabilityResult,
     check_realizable,
-    enumerate_realizable_profiles,
     profile_cases,
 )
 
@@ -223,15 +223,8 @@ def assert_matcher_agrees_with_enumerator(n, perms):
         assert profile == reference_cycle_profile(a)
         r = p.order()
         if r not in enumerated:
-            enumerated[r] = {
-                (q.v_cycles, q.w_cycles, q.cross_cycles)
-                for q in enumerate_realizable_profiles(n, r)
-            }
-        expected = (
-            profile.v_cycles,
-            profile.w_cycles,
-            profile.cross_cycles,
-        ) in enumerated[r]
+            enumerated[r] = set(enumerate_realizable_profiles(n, r))
+        expected = profile in enumerated[r]
         assert check_realizable(a).realizable == expected
         checked += 1
     return checked
@@ -370,3 +363,13 @@ def test_invariance_under_part_exchange(pv, pw, swap):
     second = check_realizable(validate_automorphism(conjugate, n))
     assert first.realizable == second.realizable
     assert first.matched_cases == second.matched_cases
+
+
+def test_count_profiles_equal_the_reference_on_every_induced_automorphism(
+    assignments,
+):
+    for pair in SAMPLE_PAIRS:
+        a = assignments[pair]
+        for e in a.model.group:
+            aut = validate_automorphism(a.induced_perm(e), a.n)
+            assert cycle_profile(aut) == reference_cycle_profile(aut), (pair, e)
