@@ -111,12 +111,15 @@ LAYOUT_CACHE_SIZE = 64
 
 class FixedTable(NamedTuple):
     """What each element fixes of a core: its fixed counts in V and W by
-    element index (the identity's left empty), the class counts, and the
-    number of orbits of the core's vertices."""
+    element index (the identity's left empty), the class counts, the
+    number of orbits of the core's vertices, and ``masks[p][r]``: the fixer
+    mask (see :attr:`VertexAssignment.fixers`) of vertex ``r`` of part
+    ``p``, for each vertex some nontrivial element fixes."""
 
     counts: tuple[tuple[int, int], ...]
     class_counts: dict[str, tuple[int, int, tuple[int, int]]]
     orbits: int
+    masks: tuple[dict[int, int], dict[int, int]]
 
 
 _MARKER_COUNT_ATTR = {"corner": "corner_vectors", "edge": "edges", "face": "faces"}
@@ -381,30 +384,17 @@ class PlacementTemplate:
     A residue class's placements share one core of poles and marker blocks
     and differ only in ``m``.  No nontrivial element fixes a free point and
     no free point lies on an axis, so the core's checks are the same for
-    every ``m``, ``m = 0`` included, and the template keeps their results:
+    every ``m``, ``m = 0`` included.  They are kept in two kinds:
 
-    * ``transversal``: the checked action on the transversal;
-    * ``core_faithful``: whether the core's labels alone act faithfully,
-      which decides a placement without any free orbit;
-    * ``fixed``: the :class:`FixedTable` read from the layout's fixer masks
-      and slot orbits, and ``masks[p][r]``: the fixer mask (see
-      :attr:`VertexAssignment.fixers`) of vertex ``r`` of part ``p``, for
-      each vertex some nontrivial element fixes, all of them core vertices;
-    * ``row``: the matched counting row and its residue;
-    * ``routing``: the results of conditions 1-5
-      (``hypotheses.ConditionResult``) and the chosen arcs, in labels;
-    * ``neighbors[p][r]``: vertex ``r``'s forced neighbors in the other
-      part, as ``hypotheses._forced_neighbors`` reads them, filled as the
-      closures ask;
-    * ``report``: the fixed-count report, with the recipe whose stated
-      counts it compares with, filled by :func:`fixed_count_report`.
-
-    Each part is numbered from 0 here, so each entry is the same for every
-    ``m``.  The first placement that reads a check's field fills it, with
-    one assignment once the check has passed (``core_faithful`` just before
-    ``transversal``, ``masks`` just before ``fixed``).  A check that raises
-    leaves its field empty, so every later placement of the template makes
-    it again.
+    * the template's own facts, which read no recipe and no ``n``, each a
+      cached property made on its first read: :attr:`transversal` with
+      :attr:`core_faithful`, and :attr:`fixed`, the fixer masks with the
+      :class:`FixedTable`.  A fact that raises keeps nothing, so every
+      later read makes it again and fails again;
+    * ``checks``, the record of what a recipe's placements share of their
+      checks, made whole by ``hypotheses.check_recipe`` for the recipe it
+      was checked against and read through :func:`kept_checks`.  A
+      template gets one when a placement of it is first verified in full.
     """
 
     def __init__(
@@ -513,14 +503,136 @@ class PlacementTemplate:
         self.layout = (model.kind, copies, swaps)
         self.odd = tuple(a for a, sign in enumerate(model.parities) if sign == -1)
         self.lines = tuple(lines)
-        self.transversal: GroupAction | None = None
-        self.core_faithful: bool | None = None
-        self.masks: tuple[dict[int, int], dict[int, int]] | None = None
-        self.fixed: FixedTable | None = None
-        self.row: tuple[FixedProfile, int] | None = None
-        self.routing: tuple[tuple, tuple] | None = None
-        self.neighbors: tuple[dict, dict] = ({}, {})
-        self.report: tuple[Recipe, FixedCountReport] | None = None
+
+    def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
+        """Images of several point labels under one element: the one rule
+        for how an element moves a label, read by the transversal check, by
+        the vertex maps and by the forced closure.  A pole or marker is read
+        from the layout's slot table (:func:`layout_slots`); free point
+        ``("free", tag, k, j)`` goes to ``("free", tag, k, row_e[j])``,
+        ``row_e`` the element's row of the product table."""
+        group = self.model.group
+        a = group.index(e)
+        row = group.product_table[a]
+        table = layout_slots(self.layout)
+        slots, number, image = table.slots, table.number, table.images[a]
+        return tuple(
+            [
+                ("free", p[1], p[2], row[p[3]])
+                if p[0] == "free"
+                else slots[image[number[p]]]
+                for p in points
+            ]
+        )
+
+    @cached_property
+    def transversal(self) -> GroupAction:
+        """The action on the transversal (``transversal_labels``, see
+        :attr:`VertexAssignment.transversal`), checked.
+
+        Each generator's image list is read from :meth:`slot_images`, the
+        one rule for how an element moves a label; a label sent to no label
+        of the transversal raises ValueError naming both.
+        :meth:`GroupAction.from_images` checks those lists and composes
+        every other element's along the product table, checking the
+        homomorphism law on every generator x element pair.  The kernel of
+        the action is a normal subgroup, so the action (or its restriction
+        to the core's labels, an invariant set) is faithful exactly when no
+        nontrivial conjugacy class's least element acts as the identity.
+
+        The free orbits are regular: no nontrivial element fixes a free
+        point, since ``row_e[j] == j`` only for the identity.  This is the
+        lemma that makes every later check independent of ``m``: fixed
+        vertices, fixers, axis slots, arcs, conditions 1-5 and condition 4's
+        interchangers all lie in the core.  It is asserted here on the least
+        element of each nontrivial class; conjugators send free points to
+        free points, so it then holds for every nontrivial element.
+        """
+        labels = self.transversal_labels
+        group = self.model.group
+        index = dict(zip(labels, range(len(labels))))
+        images: dict[Perm, tuple[int, ...]] = {}
+        for e in group.generators:
+            moved = self.slot_images(e, labels)
+            row = tuple(map(index.get, moved))
+            if None in row:
+                i = row.index(None)
+                raise ValueError(
+                    f"action leaves the point set: {e!r} sends "
+                    f"{labels[i]!r} to {moved[i]!r}"
+                )
+            images[e] = row
+        checked = GroupAction.from_images(group, list(labels), images)
+        reps = [checked.images_of(cls[0]) for cls in group.conjugacy_classes()[1:]]
+        if tuple(range(len(labels))) in reps:
+            raise AssertionError("the action on the vertices is not faithful")
+        free = [i for i, p in enumerate(labels) if p[0] == "free"]
+        if any(any(map(eq, compose_images(rep, free), free)) for rep in reps):
+            raise AssertionError("a nontrivial element fixes a free point")
+        return checked
+
+    @cached_property
+    def core_faithful(self) -> bool:
+        """Whether the core's labels alone act faithfully, which decides a
+        placement without any free orbit (a free orbit acts faithfully)."""
+        core = [i for i, p in enumerate(self.transversal_labels) if p[0] != "free"]
+        checked, group = self.transversal, self.model.group
+        return all(
+            any(map(ne, compose_images(checked.images_of(cls[0]), core), core))
+            for cls in group.conjugacy_classes()[1:]  # [0] is {identity}
+        )
+
+    @cached_property
+    def fixed(self) -> FixedTable:
+        """What each element fixes of the core, with the fixed vertices'
+        masks, read once the action is checked.
+
+        No nontrivial element fixes a free point, so an element's fixed
+        vertices are the core labels whose slots it fixes, each in the same
+        part and the same order for every placement of the core.  One pass
+        over the core's slots reads their fixer masks from the layout's
+        slot table, grouped by mask: each element's counts are then the sum
+        over the masks holding its bit.  The masks follow the rule of the
+        table's images, which compose along the product table exactly when
+        its ``broken`` is empty (condition 3 reports a table that does not).
+
+        Every element's counts are read, so conjugates are checked to agree
+        (a part-swapping conjugator moves a fixed set across the parts);
+        classes sharing a label must agree too.  The core's orbits are the
+        distinct slot orbits among its slots.
+        """
+        self.transversal  # the action is checked first
+        table = layout_slots(self.layout)
+        model = self.model
+        core_slots = [table.number[label] for label in self.core_labels]
+        masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        held: dict[int, list[int]] = {}  # mask -> its holders in V and in W
+        for s, (p, r) in zip(core_slots, self.core_vertices):
+            mask = table.fixers[s]
+            if mask:
+                masks[p][r] = mask
+                held.setdefault(mask, [0, 0])[p] += 1
+        order = model.group.order
+        in_v, in_w = [0] * order, [0] * order  # index 0, the identity, left empty
+        for mask, (v, w) in held.items():
+            while mask:
+                a = (mask & -mask).bit_length()  # the lowest bit, a - 1, is element a
+                in_v[a] += v
+                in_w[a] += w
+                mask &= mask - 1
+        counts = tuple(zip(in_v, in_w))
+        by_label: dict[str, tuple[int, int, tuple[int, int]]] = {}
+        for label, rep_order, cls in _nontrivial_classes(model.kind):
+            found_counts = {counts[a] for a in cls}
+            if len(found_counts) != 1:
+                raise AssertionError(f"conjugate elements disagree in {label}")
+            computed = found_counts.pop()
+            rep_order, size, first = by_label.get(label, (rep_order, 0, computed))
+            if first != computed:
+                raise AssertionError(f"classes labelled {label} disagree")
+            by_label[label] = (rep_order, size + len(cls), computed)
+        orbits = len({table.orbit[s] for s in core_slots})
+        return FixedTable(counts, by_label, orbits, masks)
 
     def check_sizes(self, n: int, m: int) -> None:
         """Check that the blocks with ``m`` more orbits each fill ``n``
@@ -644,115 +756,38 @@ class VertexAssignment:
         with it."""
         return layout_slots(self.template.layout)
 
-    def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
-        """Images of several point labels under one element: the one rule
-        for how an element moves a label, read by the transversal check, by
-        the vertex maps and by the forced closure.  A pole or marker is read
-        from the :attr:`slot_table`; free point ``("free", tag, k, j)`` goes
-        to ``("free", tag, k, row_e[j])``, ``row_e`` the element's row of the
-        product table."""
-        group = self.model.group
-        a = group.index(e)
-        row = group.product_table[a]
-        table = self.slot_table
-        slots, number, image = table.slots, table.number, table.images[a]
-        return tuple(
-            [
-                ("free", p[1], p[2], row[p[3]])
-                if p[0] == "free"
-                else slots[image[number[p]]]
-                for p in points
-            ]
-        )
-
     @property
     def _free_orbits(self) -> int:
         """The number of free orbits, of every part."""
         orbits, growth = self.template.free_orbits
         return orbits + self.m * growth
 
-    @cached_property
+    @property
     def transversal(self) -> GroupAction:
         """The induced action on a transversal of the vertices, checked.
 
         The transversal is every core label (poles and markers) plus orbit
         0 of each free part of the blocks (V, W or the split orbits), in
         block order, whether or not that part holds an orbit at this
-        ``n``: :meth:`slot_images` moves a free label along the product
-        table whether or not it is a vertex.  Every free orbit is a
-        translate of its part's orbit 0: ``e`` sends ``("free", tag, k, j)``
-        to ``("free", tag, k, row_e[j])`` for every ``k``, so the action on
-        all ``2n`` vertices is a permutation and a homomorphism once this
-        one is, and it fixes a vertex exactly when this one fixes its twin
-        in the transversal.
-
-        The transversal and so its checked action are the same for every
-        ``m``, so the action is checked once per template and kept there
-        (see :meth:`_checked_transversal`), with whether the core's labels
-        alone act faithfully.  A free orbit acts faithfully, so only a
-        placement without any free orbit reads that.
+        ``n``.  Every free orbit is a translate of its part's orbit 0: ``e``
+        sends ``("free", tag, k, j)`` to ``("free", tag, k, row_e[j])`` for
+        every ``k``, so the action on all ``2n`` vertices is a permutation
+        and a homomorphism once this one is, and it fixes a vertex exactly
+        when this one fixes its twin in the transversal.  That action is the
+        template's fact; only faithfulness is checked per placement, since
+        a placement with a free orbit acts faithfully.
         """
         template = self.template
-        if template.transversal is None:
-            labels = list(template.transversal_labels)
-            checked, template.core_faithful = self._checked_transversal(labels)
-            template.transversal = checked
-        if not (template.core_faithful or self._free_orbits):
+        checked = template.transversal
+        if not (self._free_orbits or template.core_faithful):
             raise AssertionError("the action on the vertices is not faithful")
-        return template.transversal
-
-    def _checked_transversal(self, labels: list[Point]) -> tuple[GroupAction, bool]:
-        """The action on the transversal ``labels``, checked, and whether its
-        core labels alone act faithfully.
-
-        Each generator's image list is read from :meth:`slot_images`, the
-        one rule for how an element moves a label; a label sent to no label
-        of the transversal raises ValueError naming both.
-        :meth:`GroupAction.from_images` checks those lists and composes
-        every other element's along the product table, checking the
-        homomorphism law on every generator x element pair.  The kernel of
-        the action is a normal subgroup, so the action (or its restriction
-        to the core's labels, an invariant set) is faithful exactly when no
-        nontrivial conjugacy class's least element acts as the identity.
-
-        The free orbits are regular: no nontrivial element fixes a free
-        point, since ``row_e[j] == j`` only for the identity.  This is the
-        lemma that makes every later check independent of ``m``: fixed
-        vertices, fixers, axis slots, arcs, conditions 1-5 and condition 4's
-        interchangers all lie in the core.  It is asserted here on the least
-        element of each nontrivial class; conjugators send free points to
-        free points, so it then holds for every nontrivial element.
-        """
-        group = self.model.group
-        index = dict(zip(labels, range(len(labels))))
-        images: dict[Perm, tuple[int, ...]] = {}
-        for e in group.generators:
-            moved = self.slot_images(e, labels)
-            row = tuple(map(index.get, moved))
-            if None in row:
-                i = row.index(None)
-                raise ValueError(
-                    f"action leaves the point set: {e!r} sends "
-                    f"{labels[i]!r} to {moved[i]!r}"
-                )
-            images[e] = row
-        checked = GroupAction.from_images(group, labels, images)
-        classes = group.conjugacy_classes()[1:]  # [0] is {identity}
-        reps = [checked.images_of(cls[0]) for cls in classes]
-        if tuple(range(len(labels))) in reps:
-            raise AssertionError("the action on the vertices is not faithful")
-        free = [i for i, p in enumerate(labels) if p[0] == "free"]
-        if any(any(map(eq, compose_images(rep, free), free)) for rep in reps):
-            raise AssertionError("a nontrivial element fixes a free point")
-        core = [i for i, p in enumerate(labels) if p[0] != "free"]
-        faithful = all(any(map(ne, compose_images(rep, core), core)) for rep in reps)
-        return checked, faithful
+        return checked
 
     def induced_perm(self, e: Perm) -> Perm:
         """Permutation of the graph vertices 0..2n-1 induced by ``e``, read
-        label by label from :meth:`slot_images`.  The ``2n`` labels are
-        set at their vertices from the template's runs, W shifted by ``n``,
-        for this call only.  Once the transversal is checked it is a
+        label by label from :meth:`PlacementTemplate.slot_images`.  The
+        ``2n`` labels are set at their vertices from the template's runs, W
+        shifted by ``n``, for this call only.  Once the transversal is checked it is a
         permutation by construction; the images are still checked in one
         linear pass, so a numbering fault raises ValueError naming two
         labels sent to one vertex instead of passing on a map that is no
@@ -765,7 +800,7 @@ class VertexAssignment:
             for o in range(run.count + m * run.grows):
                 for j, p in enumerate(run.parts):
                     labels[at[j] + o * run.widths[p]] = run.label(o, j)
-        images = tuple(map(self.vertex_of, self.slot_images(e, labels)))
+        images = tuple(map(self.vertex_of, self.template.slot_images(e, labels)))
         source: list[int | None] = [None] * len(images)
         for i, vertex in enumerate(images):
             if vertex is None:
@@ -788,98 +823,32 @@ class VertexAssignment:
             )
         return aut
 
-    @cached_property
-    def _core_slots(self) -> list[int]:
-        """The slot of each core label, in block order, read on the core's
-        first check."""
-        number = self.slot_table.number
-        return [number[label] for label in self.template.core_labels]
-
-    @property
-    def _fixed(self) -> FixedTable:
-        """What each element fixes of the core, made and kept in the
-        template on the core's first call, with the fixed vertices' masks.
-
-        No nontrivial element fixes a free point, so an element's fixed
-        vertices are the core labels whose slots it fixes, each in the same
-        part and the same order for every placement of the core.  One pass
-        over the core's slots reads their fixer masks from the
-        :attr:`slot_table`, grouped by mask: each element's counts are then
-        the sum over the masks holding its bit.  The masks follow the rule
-        of the table's images, which compose along the product table
-        exactly when its ``broken`` is empty (condition 3 reports a table
-        that does not).
-
-        Every element's counts are read, so conjugates are checked to agree
-        (a part-swapping conjugator moves a fixed set across the parts);
-        classes sharing a label must agree too.  The core's orbits are the
-        distinct slot orbits among its slots.
-        """
-        template = self.template
-        if template.fixed is not None:
-            return template.fixed
-        self.transversal  # the action is checked first
-        table = self.slot_table
-        model = self.model
-        masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        held: dict[int, list[int]] = {}  # mask -> its holders in V and in W
-        for s, (p, r) in zip(self._core_slots, template.core_vertices):
-            mask = table.fixers[s]
-            if mask:
-                masks[p][r] = mask
-                held.setdefault(mask, [0, 0])[p] += 1
-        order = model.group.order
-        in_v, in_w = [0] * order, [0] * order  # index 0, the identity, left empty
-        for mask, (v, w) in held.items():
-            while mask:
-                a = (mask & -mask).bit_length()  # the lowest bit, a - 1, is element a
-                in_v[a] += v
-                in_w[a] += w
-                mask &= mask - 1
-        counts = tuple(zip(in_v, in_w))
-        by_label: dict[str, tuple[int, int, tuple[int, int]]] = {}
-        for label, rep_order, cls in _nontrivial_classes(model.kind):
-            found_counts = {counts[a] for a in cls}
-            if len(found_counts) != 1:
-                raise AssertionError(f"conjugate elements disagree in {label}")
-            computed = found_counts.pop()
-            rep_order, size, first = by_label.get(label, (rep_order, 0, computed))
-            if first != computed:
-                raise AssertionError(f"classes labelled {label} disagree")
-            by_label[label] = (rep_order, size + len(cls), computed)
-        orbits = len({table.orbit[s] for s in self._core_slots})
-        template.masks = masks
-        template.fixed = FixedTable(counts, by_label, orbits)
-        return template.fixed
-
     def fixed_counts(self, e: Perm) -> tuple[int, int]:
         """Number of fixed vertices of ``e`` in V and in W."""
         a = self.model.group.index(e)
-        return self._fixed.counts[a] if a else (self.n, self.n)
+        return self.template.fixed.counts[a] if a else (self.n, self.n)
 
     @cached_property
     def fixers(self) -> dict[int, int]:
         """Map each vertex fixed by a nontrivial element to the bitmask of
         the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
-        Read from the template's ``masks``, V's vertices then W's shifted
+        Read from the template's fixer masks, V's vertices then W's shifted
         by ``n``, each part in vertex order."""
-        self._fixed  # fills the masks on the core's first check
-        in_v, in_w = self.template.masks
+        in_v, in_w = self.template.fixed.masks
         return {**in_v, **{r + self.n: mask for r, mask in in_w.items()}}
 
     def fixer_mask(self, x: int) -> int:
         """The :attr:`fixers` mask of vertex ``x``, 0 if no nontrivial
-        element fixes it, read from the template's ``masks``."""
-        self._fixed  # fills the masks on the core's first check
+        element fixes it, read from the template's fixer masks."""
         p = int(x >= self.n)
-        return self.template.masks[p].get(x - p * self.n, 0)
+        return self.template.fixed.masks[p].get(x - p * self.n, 0)
 
     @property
     def class_counts(self) -> dict[str, tuple[int, int, tuple[int, int]]]:
         """Per nontrivial class label: the element order, the number of
         elements and their fixed counts in V and W.  The core's table, shared
         by every placement of the core: read it, do not change it."""
-        return self._fixed.class_counts
+        return self.template.fixed.class_counts
 
     # ------------------------------------------------------------ axis slots
 
@@ -888,9 +857,10 @@ class VertexAssignment:
         """The part, "V" or "W", of the vertex at each slot of the
         :attr:`slot_table`, None where no vertex sits: one gather over the
         core's slots, read on the core's first check."""
-        parts: list[str | None] = [None] * len(self.slot_table.slots)
-        for s, (p, _) in zip(self._core_slots, self.template.core_vertices):
-            parts[s] = "VW"[p]
+        table, template = self.slot_table, self.template
+        parts: list[str | None] = [None] * len(table.slots)
+        for label, (p, _) in zip(template.core_labels, template.core_vertices):
+            parts[table.number[label]] = "VW"[p]
         return parts
 
     @property
@@ -986,22 +956,23 @@ class FixedCountReport:
 def fixed_count_report(assignment: VertexAssignment) -> FixedCountReport:
     """Compare each class label's computed fixed-vertex counts with the
     stated table; disagreement with the stated value is reported, not
-    raised.  The report is kept in the placement's template with the recipe
-    it compares with."""
+    raised.  A placement whose action is not faithful has no report.  The
+    report is read from the check record kept for the placement's recipe
+    (:func:`kept_checks`), else made from the placement."""
     recipe = recipe_of(assignment)
-    template = assignment.template
-    kept = template.report
-    if kept is None or kept[0] is not recipe:
-        stated = recipe.stated
-        computed = assignment.class_counts
-        if set(computed) != set(stated):
-            raise AssertionError("class labels do not match the stated table")
-        rows = tuple(
-            ClassFixedCounts(label, order, size, counts, stated[label])
-            for label, (order, size, counts) in sorted(computed.items())
-        )
-        kept = template.report = (recipe, FixedCountReport(assignment.case_name, rows))
-    return kept[1]
+    assignment.transversal  # the per-placement faithfulness check
+    kept = kept_checks(assignment)
+    if kept is not None:
+        return kept.report
+    stated = recipe.stated
+    computed = assignment.class_counts
+    if set(computed) != set(stated):
+        raise AssertionError("class labels do not match the stated table")
+    rows = tuple(
+        ClassFixedCounts(label, order, size, counts, stated[label])
+        for label, (order, size, counts) in sorted(computed.items())
+    )
+    return FixedCountReport(assignment.case_name, rows)
 
 
 # --------------------------------------------------------------------------
@@ -1029,15 +1000,17 @@ def necessity_profile_of(
 
     Raises if no row matches or the row's residue differs from ``n``'s.
     The row is matched against the class counts, which depend only on the
-    core, so it is matched once per template and kept there; only the
-    residue is compared with ``n`` per call.  Every group a recipe serves
-    has one counting table, so the kept row holds for each.
+    core, so it is read from the check record kept for the placement's
+    recipe (:func:`kept_checks`) when there is one; only the residue is
+    compared with ``n`` per call.  Every group a recipe serves has one
+    counting table, so the kept row holds for each.
     """
     table_group = counting_table(assignment.target_group)
-    template = assignment.template
-    if template.row is None:
-        template.row = _matching_row(assignment.class_counts, table_group)
-    profile, residue = template.row
+    kept = kept_checks(assignment)
+    if kept is not None:
+        profile, residue = kept.row
+    else:
+        profile, residue = _matching_row(assignment.class_counts, table_group)
     modulus = TABLE_MODULUS[table_group]
     if residue != assignment.n % modulus:
         raise AssertionError(
@@ -1098,14 +1071,14 @@ def verify_fixed_counts(assignment: VertexAssignment) -> FixedCountReport:
     instantiate exactly one counting row of the target's table.
     """
 
-    _check_numbering(assignment)
+    check_numbering(assignment)
     report = fixed_count_report(assignment)
     necessity_profile_of(assignment)
     check_orbit_count(assignment)
     return report
 
 
-def _check_numbering(assignment: VertexAssignment) -> None:
+def check_numbering(assignment: VertexAssignment) -> None:
     """Check that the label and vertex rules agree on the last vertex of
     each part, in the last orbit of its last run, where a run whose later
     orbits are misnumbered sends two labels to one vertex (named)."""
@@ -1133,7 +1106,7 @@ def check_orbit_count(assignment: VertexAssignment) -> int:
         size * (v + w) for _, size, (v, w) in assignment.class_counts.values()
     )
     total, order = 2 * assignment.n + fixed, assignment.model.group.order
-    direct = assignment._fixed.orbits + assignment._free_orbits
+    direct = assignment.template.fixed.orbits + assignment._free_orbits
     if divmod(total, order) != (direct, 0):
         raise AssertionError(
             f"orbit count mismatch: direct {direct}, "
@@ -1468,6 +1441,17 @@ def recipe_of(assignment: VertexAssignment) -> Recipe:
             f"so it has no stated fixed counts and no recorded edges"
         )
     return recipe
+
+
+def kept_checks(assignment: VertexAssignment):
+    """The check record (``hypotheses.RecipeChecks``) kept in the
+    placement's template, if it was made for the recipe ``RECIPES`` now
+    holds under the placement's case; None otherwise, when every check is
+    made from the placement and nothing is kept."""
+    checks = getattr(assignment.template, "checks", None)
+    if checks is not None and checks.recipe is RECIPES.get(assignment.case_name):
+        return checks
+    return None
 
 
 #: Each recipe's :class:`PlacementTemplate`, by case name, made on the

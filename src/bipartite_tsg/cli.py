@@ -263,10 +263,18 @@ def _cmd_tables(args) -> int:
 # parser
 
 
+def _cap(text: str) -> int:
+    """A ``--cap`` value, refused as the command line is parsed unless it
+    is a count, 0 included."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a count (0 or more), not {text!r}")
+    return int(text)
+
+
 def _add_n_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
-        type=int,
+        type=_cap,
         default=DEFAULT_N_CAP,
         help=f"hard limit on --n (default {DEFAULT_N_CAP}; a call takes "
         "at most about 19 MB at any n)",
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true")
     p.add_argument(
         "--cap",
-        type=int,
+        type=_cap,
         default=500,
         help="hard limit on --max (default 500)",
     )

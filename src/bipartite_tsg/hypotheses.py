@@ -40,9 +40,15 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .assignments import (
-    Point,
-    VertexAssignment,
     FixedCountReport,
+    Point,
+    Recipe,
+    VertexAssignment,
+    check_numbering,
+    check_orbit_count,
+    fixed_count_report,
+    kept_checks,
+    necessity_profile_of,
     recipe_of,
     summarize_blocks,
     verify_fixed_counts,
@@ -52,6 +58,7 @@ from .bipartite import (
     embeds_in_circle,
     embeds_in_proper_subset_of_circle,
 )
+from .necessity import FixedProfile
 from .perms import Perm
 from .polyhedra import Axis, axis_index
 
@@ -64,8 +71,10 @@ __all__ = [
     "NoSuchEdge",
     "NoWitnessFound",
     "PartSubset",
+    "RecipeChecks",
     "SubgroupWitness",
     "check_edge_embedding_hypotheses",
+    "check_recipe",
     "check_subgroup_theorem",
     "forced_fix_closure",
     "subgroup_corollary_witness",
@@ -587,14 +596,14 @@ def check_edge_embedding_hypotheses(
     and a witness; on success returns a report with the chosen arc family.
 
     The report is given in point labels and reads only the placement's
-    core, so it is checked once per template and kept there (see
-    :class:`~.assignments.PlacementTemplate`); each placement reports it
-    under its own case name.
+    core, so it is read from the check record kept for the placement's
+    recipe (:func:`check_recipe`) when there is one, and checked in full
+    otherwise; each placement reports it under its own case name.
     """
-    template = assignment.template
-    if template.routing is None:
-        template.routing = _check_conditions(assignment)
-    return HypothesisReport(assignment.case_name, *template.routing)
+    kept = kept_checks(assignment)
+    if kept is not None:
+        return HypothesisReport(assignment.case_name, kept.conditions, kept.arcs)
+    return HypothesisReport(assignment.case_name, *_check_conditions(assignment))
 
 
 def _check_conditions(
@@ -636,50 +645,29 @@ def _forced_neighbors(
     element indices, none on a part-preserving model, so only ``x``'s images
     under those are computed.  ``h(h(x)) == x`` exactly when ``h * h`` is the
     identity or fixes ``x``, which ``x``'s fixer mask tells.
-
-    With each part numbered from 0 the answer is the same for every ``m``:
-    a core vertex's images and co-fixed vertices are core vertices, and a
-    free vertex's images lie in its own orbit, which no ``m`` moves since a
-    recipe's free block ends its part.  So it is kept per vertex in the
-    placement's template (``neighbors``) and shifted into place.  Only a
-    vertex the template holds at ``m = 1`` is kept, which bounds what is
-    kept.
     """
     n = assignment.n
     p = int(x >= n)
-    r = x - p * n
-    template = assignment.template
-    kept = template.neighbors[p]
-    found = kept.get(r)
-    if found is None:
-        stab = assignment.fixer_mask(x)
-        excluded = set()  # numbered within the opposite part
-        if odd:
-            model = assignment.model
-            elements, table = model.group.elements, model.group.product_table
-            label = (assignment.label_of(x),)
-            for a in odd:
-                square = table[a][a]  # index 0 is the identity, bit k is index k + 1
-                if square and not stab >> (square - 1) & 1:
-                    image = assignment.slot_images(elements[a], label)[0]
-                    y = assignment.vertex_of(image)
-                    if (y >= n) != p:
-                        excluded.add(y - (1 - p) * n)
-        if not stab:
-            found = True, frozenset(excluded)
-        else:
-            masks = template.masks[1 - p]
-            found = False, frozenset(
-                y
-                for y, mask in masks.items()
-                if mask & stab == stab and y not in excluded
-            )
-        size, growth = template.sizes[p]
-        if r < size + growth:
-            kept[r] = found
-    whole, members = found
-    shift = (1 - p) * n  # the opposite part's first vertex
-    return whole, {y + shift for y in members}
+    stab = assignment.fixer_mask(x)
+    excluded = set()
+    if odd:
+        model = assignment.model
+        elements, table = model.group.elements, model.group.product_table
+        label = (assignment.label_of(x),)
+        for a in odd:
+            square = table[a][a]  # index 0 is the identity, bit k is index k + 1
+            if square and not stab >> (square - 1) & 1:
+                image = assignment.template.slot_images(elements[a], label)[0]
+                y = assignment.vertex_of(image)
+                if (y >= n) != p:
+                    excluded.add(y)
+    if not stab:
+        return True, excluded
+    return False, {
+        y
+        for y, mask in assignment.fixers.items()
+        if (y >= n) != p and mask & stab == stab and y not in excluded
+    }
 
 
 def _check_edge(assignment: VertexAssignment, edge: tuple[int, int]) -> None:
@@ -710,6 +698,16 @@ def forced_fix_closure(
     an axis, so has a fixer.
     """
     _check_edge(assignment, edge)
+    edge = tuple(edge)
+    return _forced_fix(assignment, edge, *_closure(assignment, edge))
+
+
+def _closure(
+    assignment: VertexAssignment, edge: tuple[int, int]
+) -> tuple[tuple[frozenset[int], frozenset[int]], int | None]:
+    """The forced set of ``edge`` in each part, numbered within the part,
+    and the part forced whole (whose set then lists the vertices left
+    out), or None."""
     v, w = edge
     n = assignment.n
     odd = assignment.template.odd
@@ -723,20 +721,34 @@ def forced_fix_closure(
         if good_whole:
             members[q] = good - members[q]
             whole = q
-            if n - len(members[q]) < 3:
-                raise AssertionError(
-                    f"edge {(v, w)} forces all but {len(members[q])} of the "
-                    f"{n} vertices of a part, a shape that still embeds"
-                )
             break
         new = good - members[q]
         members[q] |= new
         queue.extend(sorted(new))
-    parts = tuple(
-        PartSubset(p * n, p * n + n, p == whole, frozenset(members[p])) for p in (0, 1)
+    return (frozenset(members[0]), frozenset(y - n for y in members[1])), whole
+
+
+def _forced_fix(
+    assignment: VertexAssignment,
+    edge: tuple[int, int],
+    members: tuple[frozenset[int], frozenset[int]],
+    whole: int | None,
+) -> ForcedFix:
+    """The :class:`ForcedFix` of ``edge`` whose forced set in each part is
+    ``members``, numbered within the part, or every vertex of part
+    ``whole`` but its ``members``, which must leave at least three."""
+    n = assignment.n
+    if whole is not None and n - len(members[whole]) < 3:
+        raise AssertionError(
+            f"edge {edge} forces all but {len(members[whole])} of the "
+            f"{n} vertices of a part, a shape that still embeds"
+        )
+    parts = (
+        PartSubset(0, n, whole == 0, members[0]),
+        PartSubset(n, 2 * n, whole == 1, frozenset(y + n for y in members[1])),
     )
     shape = FixedSubgraphShape(parts[0].size, parts[1].size)
-    return ForcedFix(edge=(v, w), parts=parts, shape=shape)
+    return ForcedFix(edge=edge, parts=parts, shape=shape)
 
 
 def _recorded_edge(
@@ -773,10 +785,19 @@ def check_subgroup_theorem(assignment: VertexAssignment) -> SubgroupWitness:
     being contained in it (condition 2).  Raises :class:`NoWitnessFound`
     if it does neither, and ValueError for a placement that follows no
     recipe or lacks a recorded label.
+
+    The forced set is the edge's closure kept in the recipe's check record
+    (:class:`RecipeChecks`), shifted to this ``n``, or else computed.
     """
     edge = _recorded_edge(assignment, "witness", recipe_of(assignment).witness)
+    kept = kept_checks(assignment)
+    key = (edge[0], edge[1] - assignment.n)
+    closure = next((c for k, *c in kept.witness if k == key), None) if kept else None
+    if closure is None:
+        forced = forced_fix_closure(assignment, edge)
+    else:
+        forced = _forced_fix(assignment, edge, *closure)
     # a closure whose shape embeds ran to completion
-    forced = forced_fix_closure(assignment, edge)
     if not embeds_in_circle(forced.shape):
         return SubgroupWitness(edge, forced, 1)
     # The shape embeds, so at most two vertices of each part are forced; a
@@ -838,6 +859,67 @@ def subgroup_corollary_witness(assignment: VertexAssignment) -> tuple[int, int]:
 # the full verification pipeline for one placement
 
 
+class RecipeChecks(NamedTuple):
+    """What every placement of one recipe shares of its checks, made by
+    :func:`check_recipe`: the ``recipe`` object checked against, the
+    counting ``row`` and its residue, the fixed-count ``report``,
+    conditions 1-5 and the ``arcs`` in labels, and ``witness``.
+
+    ``witness`` holds the closure of each recorded witness pair that joins
+    V to W, as ``(edge, members, whole)``: the edge, each part's forced
+    vertices (in part ``whole`` the vertices left out) and the part forced
+    whole, or None, all numbered within their parts.  It is the same for
+    every ``m`` by this lemma: every added free orbit is, within each part,
+    either wholly forced or not forced at all.  Free orbits are regular,
+    so no nontrivial element fixes a free vertex.  A forced vertex with a
+    nontrivial fixer forces only core vertices with the same fixers; one
+    with none, as a free endpoint, forces its whole opposite part but its
+    images, which lie in its own orbit, and stops the closure.  So an
+    orbit without an endpoint is forced only within a whole part.  Whether
+    a whole part keeps three vertices reads ``n``; every call checks it.
+    """
+
+    recipe: Recipe
+    row: tuple[FixedProfile, int]
+    report: FixedCountReport
+    conditions: tuple[ConditionResult, ...]
+    arcs: tuple[Arc, ...]
+    witness: tuple[tuple[tuple[int, int], tuple[frozenset, frozenset], int | None], ...]
+
+
+def check_recipe(assignment: VertexAssignment) -> RecipeChecks:
+    """Check a placement in full, in the order of
+    :func:`verify_construction` with its own checks of ``n`` in place, and
+    keep the :class:`RecipeChecks` of its recipe, whole, in its template.
+    A check that raises keeps nothing.  A witness pair whose labels are not
+    both vertices here, where a free block holds no orbit yet, is closed on
+    the placement with one more orbit in each free block."""
+    check_numbering(assignment)
+    report = fixed_count_report(assignment)
+    row = necessity_profile_of(assignment)
+    check_orbit_count(assignment)
+    conditions, arcs = _check_conditions(assignment)
+    recipe, template = recipe_of(assignment), assignment.template
+    grown = VertexAssignment._of_template(
+        template,
+        assignment.n + template.sizes[0][1],
+        assignment.target_group,
+        assignment.case_name,
+        assignment.m + 1,
+    )
+    witness = []
+    for pair in recipe.witness:
+        for a in (assignment, grown):
+            v, w = map(a.vertex_of, pair)
+            if v is not None and w is not None:
+                if v < a.n <= w:
+                    witness.append(((v, w - a.n), *_closure(a, (v, w))))
+                break
+    checks = RecipeChecks(recipe, row, report, conditions, arcs, tuple(witness))
+    template.checks = checks
+    return checks
+
+
 def verify_construction(assignment: VertexAssignment) -> HypothesisReport:
     """Run every check on a placement and return the combined report.
 
@@ -845,9 +927,16 @@ def verify_construction(assignment: VertexAssignment) -> HypothesisReport:
     counting rows of the necessity engine), the five edge-routing conditions
     with the chosen arcs, the exactness witness, and - when an order-24
     action serves the order-12 target - the step-down edge.
+
+    A placement whose recipe has a kept check record reads it, and runs
+    only the checks that read ``n``; otherwise :func:`check_recipe` makes
+    the record.
     """
-    counts = verify_fixed_counts(assignment)
-    base = check_edge_embedding_hypotheses(assignment)
+    checks = kept_checks(assignment)
+    if checks is None:
+        checks = check_recipe(assignment)
+    else:
+        verify_fixed_counts(assignment)
     witness = check_subgroup_theorem(assignment)
     corollary = None
     if (
@@ -856,11 +945,11 @@ def verify_construction(assignment: VertexAssignment) -> HypothesisReport:
     ):
         corollary = subgroup_corollary_witness(assignment)
     return HypothesisReport(
-        base.case_name,
-        base.conditions,
-        base.arcs,
+        assignment.case_name,
+        checks.conditions,
+        checks.arcs,
         summarize_blocks(assignment),
-        counts,
+        checks.report,
         witness,
         corollary,
     )

@@ -24,11 +24,8 @@ from .perms import (
     FiniteGroup,
     GroupAction,
     Perm,
-    alternating_group,
     compose_images,
-    coset_action,
     generate_group,
-    symmetric_group,
 )
 
 
@@ -533,100 +530,3 @@ def fixed_count_table(
             raise AssertionError("conjugate elements disagree on fixed counts")
         rows.append((rep, rep.order(), model.parity_of(rep), per_element[0]))
     return tuple(rows)
-
-
-# --------------------------------------------------------------------------
-# the independent coset-action oracle
-
-ClassSignature = tuple[tuple[int, int, tuple[int, int, int]], ...]
-# Sorted rows (element order, conjugacy class size, fixed counts per marker
-# class in corner/edge/face order) - the group-agnostic form under which the
-# two oracles can be compared.
-
-
-def incidence_fixed_signature(model: PolyhedralModel) -> ClassSignature:
-    """Class signature of a rotation model, from the geometric incidences."""
-    rows = []
-    classes = {cls[0]: len(cls) for cls in model.group.conjugacy_classes()}
-    for rep, order, parity, counts in fixed_count_table(model):
-        if parity != 1:
-            raise ValueError(
-                "the signature is defined for rotation-only models"
-            )
-        rows.append(
-            (order, classes[rep], (counts["corner"], counts["edge"], counts["face"]))
-        )
-    return tuple(sorted(rows))
-
-
-_MARKER_STABILIZER_ORDER = {
-    "tetrahedron": {"corner": 3, "edge": 2, "face": 3},
-    "cube": {"corner": 3, "edge": 2, "face": 4},
-    "dodecahedron": {"corner": 3, "edge": 2, "face": 5},
-}
-
-
-def _abstract_rotation_group(kind: str) -> FiniteGroup:
-    """The rotation group as an abstract permutation group, built without
-    reference to any geometry: the tetrahedral group permutes its 4 corners
-    evenly, the octahedral group permutes the cube's 4 long diagonals, and
-    the icosahedral group is the alternating group on 5 letters (acting on
-    the 5 inscribed compounds)."""
-    if kind == "tetrahedron":
-        return alternating_group(4)
-    if kind == "cube":
-        return symmetric_group(4)
-    if kind == "dodecahedron":
-        return alternating_group(5)
-    raise ValueError(f"no abstract rotation group for {kind!r}")
-
-
-def _cyclic_stabilizer(group: FiniteGroup, order: int) -> FiniteGroup:
-    """A cyclic subgroup generated by an element of the given order.
-
-    Where two conjugacy classes share the order (the octahedral involutions)
-    the marker stabilizer is the class whose elements move fewer letters:
-    an edge of the cube is stabilized by the half-turn exchanging just one
-    pair of diagonals, not by a face half-turn exchanging both pairs."""
-    candidates = group.elements_of_order(order)
-    generator = max(
-        candidates, key=lambda e: (len(e.fixed_points()), e.images)
-    )
-    powers = {generator}
-    current = generator
-    while True:
-        current = current * generator
-        if current in powers:
-            break
-        powers.add(current)
-    return FiniteGroup(powers)
-
-
-def build_coset_model(kind: str) -> ClassSignature:
-    """Class signature of a solid from pure group theory: each marker class
-    is the coset space of a cyclic stabilizer, and fixed counts are fixed
-    cosets.  Independent of the coordinate models, so agreement with
-    :func:`incidence_fixed_signature` cross-validates both."""
-    group = _abstract_rotation_group(kind)
-    stabilizer_orders = _MARKER_STABILIZER_ORDER[kind]
-    actions = {
-        marker: coset_action(group, _cyclic_stabilizer(group, order))
-        for marker, order in stabilizer_orders.items()
-    }
-    rows = []
-    for cls in group.conjugacy_classes():
-        rep = cls[0]
-        if rep.is_identity():
-            continue
-        per_element = {
-            g: tuple(
-                actions[marker].fixed_count(g)
-                for marker in ("corner", "edge", "face")
-            )
-            for g in cls
-        }
-        first = per_element[rep]
-        if any(v != first for v in per_element.values()):
-            raise AssertionError("conjugate elements disagree on fixed cosets")
-        rows.append((rep.order(), len(cls), first))
-    return tuple(sorted(rows))

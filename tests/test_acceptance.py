@@ -31,14 +31,15 @@ from bipartite_tsg.necessity import (
     s4_n6_analysis,
 )
 from bipartite_tsg.perms import GroupAction, Perm
-from bipartite_tsg.polyhedra import (
-    build_coset_model,
-    build_polyhedral_model,
-    incidence_fixed_signature,
-)
+from bipartite_tsg.polyhedra import build_polyhedral_model
 from bipartite_tsg.realizability import check_realizable
 
-from conftest import expanded_report, full_action
+from conftest import (
+    build_coset_model,
+    expanded_report,
+    full_action,
+    incidence_fixed_signature,
+)
 
 
 @contextmanager

@@ -15,6 +15,7 @@ from bipartite_tsg.assignments import (
     FreeOrbitBlock,
     MarkerBlock,
     NotRealizable,
+    PlacementTemplate,
     VertexAssignment,
     build_assignment,
     check_orbit_count,
@@ -582,6 +583,52 @@ def test_a_warm_decide_holds_memory_of_the_core_only(group, n):
     assert peak < 2**20, peak
 
 
+def _warm_decide_peak(group, n):
+    """The peak traced allocation, in bytes, of a warm ``decide``."""
+    decide(n, group)
+    tracemalloc.start()
+    try:
+        verdict = decide(n, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.realizable
+    return peak
+
+
+def _residue_pairs():
+    """Per group and admitted residue class (mod 24 for A4 and S4, whose
+    cube recipes go by ``n mod 24``, and mod 60 for A5): the smallest
+    admitted ``n >= 24`` of the class and the one at ``10**18`` or just
+    past it."""
+    out = []
+    for group in ("A4", "S4", "A5"):
+        modulus = 60 if group == "A5" else 24
+        for r in range(modulus):
+            large = 10**18 - 10**18 % modulus + r
+            if theorem_predicate(large, group):
+                small = next(
+                    n for n in range(24, 200)
+                    if n % modulus == r and theorem_predicate(n, group)
+                )
+                out.append((group, small, large))
+    return out
+
+
+#: How much more a warm ``decide`` near ``10**18`` may allocate at its peak
+#: than the same residue's near 40, in bytes.  The peaks are 1.9-4.7 KB near
+#: 40 and at most 0.9 KB more near ``10**18``: only the digits of the
+#: numbers grow.
+LARGE_N_EXTRA_PEAK = 2048
+
+
+@pytest.mark.parametrize("group, small, large", _residue_pairs(), ids=str)
+def test_a_warm_decide_near_10_to_18_allocates_as_near_40(group, small, large):
+    small_peak = _warm_decide_peak(group, small)
+    large_peak = _warm_decide_peak(group, large)
+    assert large_peak <= small_peak + LARGE_N_EXTRA_PEAK, (small_peak, large_peak)
+
+
 @pytest.mark.parametrize("group, n", [("A5", 100052), ("A4", 100008), ("S4", 100010)])
 def test_a_warm_report_holds_the_core_only(group, n):
     # The witness writes each part of its forced set as the closure keeps
@@ -820,14 +867,14 @@ def test_axis_slots_structure(assignments):
 def test_an_image_that_is_no_vertex_fails_the_build_and_the_decision(
     monkeypatch,
 ):
-    honest = VertexAssignment.slot_images
+    honest = PlacementTemplate.slot_images
     lost = ("corner", "nowhere", 0)
 
     def doctored(self, e, points):
         images = honest(self, e, points)
         return tuple(lost if p == ("center", 1) else q for p, q in zip(points, images))
 
-    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    monkeypatch.setattr(PlacementTemplate, "slot_images", doctored)
     message = (
         r"action leaves the point set: .* sends \('center', 1\) "
         r"to \('corner', 'nowhere', 0\)"

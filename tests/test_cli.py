@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from bipartite_tsg.assignments import RECIPES, VertexAssignment
+from bipartite_tsg.assignments import RECIPES, PlacementTemplate
 from bipartite_tsg.cli import (
     DEFAULT_N_CAP,
     EXIT_DECIDED,
@@ -145,6 +145,32 @@ def test_decide_and_verify_enforce_the_cap(capsys, command):
     assert code == EXIT_INPUT
     assert out == ""
     assert "raise it with --cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "--group", "A5", "--n", "60"),
+        ("verify", "--group", "A5", "--n", "60"),
+        ("sweep", "--group", "A5", "--max", "60"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_cap_is_refused_when_the_command_line_is_parsed(capsys, argv):
+    # A cap is a count: "-1" is an input error naming --cap, not a bound
+    # that every n exceeds.  A cap of 0 is valid and refuses every n > 0.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", "-1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT
+    assert out == ""
+    assert "argument --cap: must be a count (0 or more), not '-1'" in err
+    assert "exceeds the cap" not in err
+
+    code, out, err = run(capsys, *argv, "--cap", "0")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "60 exceeds the cap 0" in err
 
 
 @pytest.mark.parametrize("command", ["decide", "verify"])
@@ -400,13 +426,13 @@ def _step_down_within_v(monkeypatch):
 
 
 def _two_labels_to_one_image(monkeypatch):
-    honest = VertexAssignment.slot_images
+    honest = PlacementTemplate.slot_images
 
     def doctored(self, e, points):
         images = honest(self, e, points)
         return images[:1] * 2 + images[2:]
 
-    monkeypatch.setattr(VertexAssignment, "slot_images", doctored)
+    monkeypatch.setattr(PlacementTemplate, "slot_images", doctored)
 
 
 @pytest.mark.parametrize(

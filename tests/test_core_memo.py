@@ -1,7 +1,9 @@
 """The per-recipe records: each recipe's :class:`PlacementTemplate` keeps
-the transversal action, the fixed-count tables, the counting row and
-conditions 1-5, checked once on the recipe's first placement, and reusing
-them changes no report."""
+its own facts (the checked transversal action and the fixed-count tables)
+and one :class:`~bipartite_tsg.hypotheses.RecipeChecks` record (the counting
+row, the fixed-count report, conditions 1-5 and the witness closures), made
+by ``check_recipe`` on the recipe's first full verification; reusing them
+changes no report, and a check that fails keeps nothing."""
 
 import json
 import sys
@@ -16,9 +18,11 @@ from bipartite_tsg.assignments import (
     _TEMPLATES,
     RECIPES,
     FreeOrbitBlock,
+    PlacementTemplate,
     VertexAssignment,
     build_assignment,
     class_label,
+    kept_checks,
     layout_slots,
     place,
     recipe_case,
@@ -34,18 +38,17 @@ from bipartite_tsg.decide import (
 from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses, verify_construction
 from bipartite_tsg.necessity import counting_table
 
-from test_hypotheses import doctor_slot_table
-
-# What the ``checks`` fixture counts: the templates made, and each kept
-# check by the name of the template field it fills.
-CHECKS = ("template", "transversal", "fixed", "row", "routing", "report")
+# What the ``checks`` fixture counts: the templates made, the template's two
+# facts, each check the record keeps, and the records made.
+CHECKS = ("template", "transversal", "fixed", "row", "routing", "report", "record")
 
 
 @pytest.fixture
 def checks(monkeypatch):
     """How many times each of :data:`CHECKS` was made: the template on a
-    recipe's first placement or by the constructor, each check on the
-    template's first call."""
+    recipe's first placement or by the constructor, each fact on the
+    template's first read, each kept check and the record on the template's
+    first full verification."""
     made = Counter()
 
     def spy(owner, name, key):
@@ -58,11 +61,12 @@ def checks(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
 
     spy(assignments, "PlacementTemplate", "template")
-    spy(VertexAssignment, "_checked_transversal", "transversal")
+    spy(PlacementTemplate.__dict__["transversal"], "func", "transversal")
     spy(assignments, "FixedTable", "fixed")
     spy(assignments, "_matching_row", "row")
     spy(hypotheses, "_check_conditions", "routing")
     spy(assignments, "FixedCountReport", "report")
+    spy(hypotheses, "check_recipe", "record")
     return made
 
 
@@ -139,10 +143,24 @@ def test_placements_of_one_class_share_their_core_and_its_checks(checks):
     assert a.template is b.template and a.transversal is b.transversal
     g = a.model.group.generators[0]
     assert a.induced_perm(g).degree == 2 * 482 and b.induced_perm(g).degree == 2 * 542
+    verify_construction(a)  # makes the recipe's record
     first, second = map(check_edge_embedding_hypotheses, (a, b))
     assert first.case_name == second.case_name == "dodecahedron-2"
     assert first.conditions == second.conditions and first.arcs == second.arcs
     assert (checks["template"], checks["transversal"], checks["routing"]) == (1, 1, 1)
+    assert kept_checks(a) is kept_checks(b) is not None
+
+
+def test_a_single_stage_check_without_a_record_checks_in_full_and_keeps_nothing(
+    checks,
+):
+    a, b = place("A5", 482), place("A5", 542)
+    for x in (a, b):
+        assert check_edge_embedding_hypotheses(x).conditions
+        assert verify_fixed_counts(x).rows
+    assert (checks["routing"], checks["report"], checks["row"]) == (2, 2, 2)
+    assert checks["record"] == 0 and kept_checks(a) is kept_checks(b) is None
+    assert checks["transversal"] == checks["fixed"] == 1  # the template's facts
 
 
 def test_a_warm_decide_composes_no_permutation_of_every_vertex(monkeypatch):
@@ -204,8 +222,9 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
             decide(n, "S4")
     template = a.template
     assert build_assignment("S4", 28).template is template
-    assert template.transversal is a.transversal  # the check that passed is kept
-    assert template.fixed is template.masks is template.row is None
+    assert template.transversal is a.transversal  # the fact that passed is kept
+    assert "fixed" not in vars(template)  # the fact that failed is not
+    assert kept_checks(a) is None
 
 
 def test_an_empty_free_part_shares_its_core(checks):
@@ -271,8 +290,15 @@ def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbit
     # faithful; at n = 92 a free orbit in each part makes it faithful.
     small, large = place("A5", 32), place("A5", 92)
     assert small.template is large.template
-    identity = tuple(range(len(small.slot_table.slots)))
-    doctor_slot_table(monkeypatch, small, [identity] * small.model.group.order)
+    table = small.slot_table
+    identity = tuple(range(len(table.slots)))
+    doctored = table._replace(images=(identity,) * small.model.group.order)
+
+    def doctored_slots(layout):
+        honest = layout_slots(layout)
+        return doctored if honest is table else honest
+
+    monkeypatch.setattr(assignments, "layout_slots", doctored_slots)
     message = "the action on the vertices is not faithful"
     for _ in range(2):
         with pytest.raises(AssertionError, match=message):

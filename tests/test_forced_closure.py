@@ -10,6 +10,7 @@ run in full.
 """
 
 from collections import deque
+from dataclasses import replace
 from functools import cache
 from random import Random
 
@@ -22,11 +23,18 @@ from bipartite_tsg.assignments import (
     MarkerBlock,
     VertexAssignment,
     build_assignment,
+    kept_checks,
+    place,
     recipe_case,
 )
 from bipartite_tsg.bipartite import FixedSubgraphShape, embeds_in_circle
 from bipartite_tsg.decide import GROUPS, theorem_predicate
-from bipartite_tsg.hypotheses import _recorded_edge, forced_fix_closure
+from bipartite_tsg.hypotheses import (
+    _recorded_edge,
+    check_subgroup_theorem,
+    forced_fix_closure,
+    verify_construction,
+)
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
 from conftest import forced_vertices, full_action
@@ -293,3 +301,46 @@ def test_a_whole_part_that_could_still_embed_is_an_assertion(monkeypatch):
     monkeypatch.setattr(hypotheses, "_forced_neighbors", leaves_two)
     with pytest.raises(AssertionError, match=r"edge \(0, 90\) forces all but 88 of"):
         forced_fix_closure(a, (0, n))
+
+
+def _lemma_sizes(group):
+    """Every admitted ``n <= 1200`` of ``group``, and in each admitted
+    residue class (mod 24 for A4 and S4, whose cube recipes go by
+    ``n mod 24``, and mod 60 for A5) the ``n`` at 100000 and at ``10**18``
+    or just past them."""
+    modulus = 60 if group == "A5" else 24
+    sizes = [n for n in range(1, 1201) if theorem_predicate(n, group)]
+    for target in (100_000, 10**18):
+        base = target - target % modulus
+        sizes += [
+            base + r for r in range(modulus) if theorem_predicate(base + r, group)
+        ]
+    return sizes
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_the_kept_witness_closure_is_the_explicit_one_at_every_n(group, monkeypatch):
+    # The record keeps each recorded witness pair's closure in within-part
+    # numbers, made once per recipe; every placement shifts it by n.  By
+    # the lemma of RecipeChecks.witness this is the closure the explicit
+    # route computes at that n, with the same condition and psi.
+    sizes = _lemma_sizes(group)
+    placed = [place(group, n) for n in sizes]
+    kept = [verify_construction(a).subgroup_witness for a in placed]
+    for a, witness in zip(placed, kept):  # each edge's closure is in the record
+        v, w = witness.edge
+        assert (v, w - a.n) in [edge for edge, *_ in kept_checks(a).witness], a.n
+    # An equal copy of each recipe is another object, so no kept record is
+    # the live recipe's: the witness is then computed from the placement.
+    for case, recipe in RECIPES.items():
+        monkeypatch.setitem(RECIPES, case, replace(recipe))
+    seen = set()
+    for a, witness in zip(placed, kept):
+        explicit = check_subgroup_theorem(a)
+        assert explicit.forced == forced_fix_closure(a, explicit.edge), a.n
+        assert witness == explicit, a.n
+        seen.add((a.case_name, a.label_of(witness.edge[0]), witness.condition))
+    cases = {case for case, *_ in seen}
+    assert cases == {recipe_case(group, n) for n in sizes}
+    # every recorded pair of every two-pair recipe is met
+    assert len(seen) == sum(len(RECIPES[case].witness) for case in cases)

@@ -11,6 +11,7 @@ from bipartite_tsg.assignments import (
     RECIPES,
     CenterPair,
     MarkerBlock,
+    PlacementTemplate,
     VertexAssignment,
     _TEMPLATES,
     build_assignment,
@@ -435,7 +436,7 @@ def test_slot_images_match_apply(assignments, reports):
         ) + vertex_labels(a)
         for e in a.model.nontrivial:
             expected = tuple(apply(a, e, p) for p in labels)
-            assert a.slot_images(e, labels) == expected, (pair, e)
+            assert a.template.slot_images(e, labels) == expected, (pair, e)
     # Every slot of every layout, occupied or not, under every element.
     layouts = one_placement_per_layout()
     assert len(layouts) == 8
@@ -446,7 +447,7 @@ def test_slot_images_match_apply(assignments, reports):
         labels = table.slots + vertex_labels(a)
         for e in a.model.group:
             expected = tuple(apply(a, e, p) for p in labels)
-            assert a.slot_images(e, labels) == expected, (a.case_name, e)
+            assert a.template.slot_images(e, labels) == expected, (a.case_name, e)
 
 
 def test_slot_table_masks_and_orbits_equal_a_scan_of_its_images():
@@ -473,13 +474,13 @@ def test_condition_3_reads_no_slot_images(assignments, reports, monkeypatch):
 
     # Condition 3 gathers each element's map from the slot table.
     calls = []
-    honest = VertexAssignment.slot_images
+    honest = PlacementTemplate.slot_images
 
     def counting(self, e, points):
         calls.append(e)
         return honest(self, e, points)
 
-    monkeypatch.setattr(VertexAssignment, "slot_images", counting)
+    monkeypatch.setattr(PlacementTemplate, "slot_images", counting)
     for pair, report in reports.items():
         result = _check_arc_equivariance(assignments[pair], report.arcs)
         assert result.condition == 3

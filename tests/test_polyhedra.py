@@ -11,18 +11,21 @@ from bipartite_tsg.perms import generate_group
 from bipartite_tsg.polyhedra import (
     PHI,
     ZPhi,
-    build_coset_model,
     build_polyhedral_model,
     cross,
     dist2,
     dot,
     fixed_count_table,
-    incidence_fixed_signature,
     vec,
     vsum,
 )
 
-from conftest import MODEL_KINDS, label_image
+from conftest import (
+    MODEL_KINDS,
+    build_coset_model,
+    incidence_fixed_signature,
+    label_image,
+)
 
 ROTATION_KINDS = ("tetrahedron", "cube", "dodecahedron")
 
