@@ -5,11 +5,19 @@ second; internally ``vi`` is index ``i-1`` and ``wi`` is index ``n+i-1``.  A
 text is a sequence of parenthesized cycles with whitespace-separated tokens,
 e.g. ``"(v1 v2 v3)(w1 w2)"``.  Vertices not mentioned are fixed; the empty
 text is the identity.
+
+Two bounded module tables serve the per-token work, whatever ``n`` is: the
+token table ``_NUMBERS`` (at most 4096 entries, ``vi`` -> ``i`` and ``wi`` ->
+``-i``) read by the parser, and the name lists ``_V_NAMES``/``_W_NAMES`` (at
+most ``_REMEMBERED`` = 2048 names each, ``v1..`` and ``w1..``) read by the
+printer.  Both fill on first need; a token or a name past ``_REMEMBERED`` is
+read or written by rule.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from itertools import islice
 from typing import Iterable
 
@@ -31,6 +39,11 @@ __all__ = [
 # non-space character (parentheses included).  Whitespace between lexemes is
 # skipped, so the n-th match is the n-th lexeme of the text.
 _LEXEME_RE = re.compile(r"[A-Za-z0-9_]+|\S")
+# A text of token characters, parentheses and whitespace only.  Its lexemes
+# are the runs between whitespace once each parenthesis is spaced apart, and
+# ``str.split`` and the regex ``\s`` agree on every code point, so
+# ``_lexemes`` gives exactly ``_LEXEME_RE.findall`` on such a text.
+_PLAIN_RE = re.compile(r"[A-Za-z0-9_()\s]*")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 _VERTEX_RE = re.compile(r"([vw])([1-9][0-9]*)")
 # The signed number of each vertex token seen so far, ``vi`` -> ``i`` and
@@ -38,6 +51,11 @@ _VERTEX_RE = re.compile(r"([vw])([1-9][0-9]*)")
 # whatever ``n`` a text is parsed for.
 _REMEMBERED = 2048
 _NUMBERS: dict[str, int] = {}
+# ``_V_NAMES[i]`` is ``v{i+1}`` and ``_W_NAMES[i]`` is ``w{i+1}``, grown to the
+# largest part size printed so far and never past ``_REMEMBERED`` names each.
+_V_NAMES: list[str] = []
+_W_NAMES: list[str] = []
+_NAMES_LOCK = threading.Lock()
 
 
 class NotationError(ValueError):
@@ -78,6 +96,14 @@ def _unknown_token(token: str, n: int, position: int) -> UnknownToken:
     return UnknownToken(
         f"token {token!r} exceeds the part size n = {n}", position
     )
+
+
+def _lexemes(text: str) -> list[str]:
+    """The lexemes of ``text`` as ``_LEXEME_RE.findall`` gives them, by one
+    split when ``_PLAIN_RE`` accepts the text."""
+    if _PLAIN_RE.fullmatch(text) is None:
+        return _LEXEME_RE.findall(text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _start(text: str, k: int) -> int:
@@ -124,9 +150,10 @@ def parse_cycles(text: str, n: int) -> Perm:
 
     Raises :class:`UnbalancedParenthesis`, :class:`UnknownToken`, or
     :class:`DuplicateToken`, each carrying the character position.  The text
-    is lexed in one pass, and each token is read with one look-up in the
-    token table (:func:`_token_number` on a miss); an error's position is
-    looked up from its lexeme number only once the error is found.
+    is lexed in one pass (:func:`_lexemes`), and each token is read with one
+    look-up in the token table (:func:`_token_number` on a miss); an error's
+    position is looked up from its lexeme number only once the error is
+    found.
     """
     require_integer(n, "part size")
     if n < 1:
@@ -136,7 +163,7 @@ def parse_cycles(text: str, n: int) -> Perm:
     in_cycle = False
     first = last = -1  # the open cycle's first and latest vertex
     number = _NUMBERS.get
-    for k, lexeme in enumerate(_LEXEME_RE.findall(text)):
+    for k, lexeme in enumerate(_lexemes(text)):
         if lexeme == "(":
             if in_cycle:
                 raise UnbalancedParenthesis(
@@ -181,16 +208,36 @@ def parse_cycles(text: str, n: int) -> Perm:
     return Perm(images)
 
 
+def _grow_names(n: int) -> None:
+    """Extend ``_V_NAMES`` and ``_W_NAMES`` to ``n`` names each, for
+    ``n <= _REMEMBERED``; ``_W_NAMES`` is grown last, so a reader that finds
+    ``n`` names there finds them in ``_V_NAMES`` too."""
+    with _NAMES_LOCK:
+        for names, part in ((_V_NAMES, "v"), (_W_NAMES, "w")):
+            names.extend([f"{part}{i}" for i in range(len(names) + 1, n + 1)])
+
+
 def format_cycles(cycles: Iterable[tuple[int, ...]], n: int) -> str:
     """Cycle notation for the cycles of a permutation of ``2n`` vertices, in
-    the order given; cycles of length 1 (fixed vertices) are omitted."""
-    return "".join(
-        "("
-        + " ".join([f"v{x + 1}" if x < n else f"w{x - n + 1}" for x in cycle])
-        + ")"
-        for cycle in cycles
-        if len(cycle) > 1
-    )
+    the order given; cycles of length 1 (fixed vertices) are omitted.  Names
+    come from the bounded name lists for ``n <= _REMEMBERED``, else by the
+    :func:`token_of` rule."""
+    if n > _REMEMBERED:
+        bodies = [
+            " ".join([f"v{x + 1}" if x < n else f"w{x - n + 1}" for x in cycle])
+            for cycle in cycles
+            if len(cycle) > 1
+        ]
+    else:
+        if len(_W_NAMES) < n:
+            _grow_names(n)
+        v, w = _V_NAMES, _W_NAMES
+        bodies = [
+            " ".join([v[x] if x < n else w[x - n] for x in cycle])
+            for cycle in cycles
+            if len(cycle) > 1
+        ]
+    return f"({')('.join(bodies)})" if bodies else ""
 
 
 def print_cycles(perm: Perm, n: int) -> str:

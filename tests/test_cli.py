@@ -282,6 +282,25 @@ def test_check_automorphism_cmd_rejects_a_token_past_the_digit_limit():
     assert "exceeds the part size n = 3" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "n, cycles",
+    [
+        ("3", "(v1 \udcff)"),  # a byte the file system could not decode
+        ("3", "(v1\u3000v2)(w1 w2)"),  # an ideographic space
+        ("3", "(v\u0661 v2)"),  # an Arabic-Indic digit
+        ("3", f"(v1 {'1' * 5000})"),
+        ("3", f"(v1 {HUGE_TOKEN})"),
+        ("3", " \t\n\u2028 "),
+        ("3", ""),
+        ("100001", "(v1 v2)"),
+    ],
+)
+def test_no_check_aut_input_exits_with_an_internal_error(capsys, n, cycles):
+    code, _, err = run(capsys, "check-aut", "--n", n, "--cycles", cycles)
+    assert code in (EXIT_DECIDED, EXIT_INPUT)
+    assert "Traceback" not in err
+
+
 def test_check_aut_rejects_part_mixing(capsys):
     code, _, err = run(capsys, "check-aut", "--n", "3", "--cycles", "(v1 w1)")
     assert code == EXIT_INPUT

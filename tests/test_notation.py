@@ -1,10 +1,14 @@
 """Cycle-notation parsing and printing for vertices of ``K_{n,n}``."""
 
+import random
 import re
+import string
+import sys
+import threading
 import tracemalloc
 
 import pytest
-from conftest import reference_parse_cycles
+from conftest import reference_parse_cycles, reference_print_cycles
 from hypothesis import given, settings, strategies as st
 
 from bipartite_tsg import notation
@@ -13,6 +17,7 @@ from bipartite_tsg.notation import (
     NotationError,
     UnbalancedParenthesis,
     UnknownToken,
+    format_cycles,
     parse_cycles,
     print_cycles,
     token_of,
@@ -217,7 +222,11 @@ def outcome(parse, text, n):
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
-SYMBOLS = list("()vw0123456789_x\u00e9,") + [" ", "\t", "\n"]
+# Whitespace beyond the ASCII space, tab and newline: a vertical tab, a form
+# feed, a carriage return, a file separator, a next line, a line separator and
+# an ideographic space.
+MORE_SPACE = ["\x0b", "\x0c", "\r", "\x1c", "\x85", "\u2028", "\u3000"]
+SYMBOLS = list("()vw0123456789_x\u00e9,") + [" ", "\t", "\n"] + MORE_SPACE
 
 
 @settings(max_examples=400)
@@ -233,8 +242,8 @@ def cycle_texts(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     order = draw(st.permutations([token_of(x, n) for x in range(2 * n)]))
     cuts = sorted(draw(st.lists(st.integers(0, 2 * n), max_size=2 * n + 1)))
-    space = st.sampled_from(["", " ", "  ", "\t", "\n"])
-    gap = st.sampled_from([" ", "  ", "\t", "\n "])
+    space = st.sampled_from(["", " ", "  ", "\t", "\n"] + MORE_SPACE)
+    gap = st.sampled_from([" ", "  ", "\t", "\n "] + MORE_SPACE)
     text = draw(space)
     for a, b in zip([0] + cuts, cuts + [2 * n]):
         body = draw(space)
@@ -251,6 +260,29 @@ def test_parser_agrees_with_the_reference_on_cycle_texts(case):
     parsed = outcome(parse_cycles, text, n)
     assert isinstance(parsed, Perm)
     assert parsed == outcome(reference_parse_cycles, text, n)
+
+
+# --------------------------------------------------------------- split lexer
+
+# Every code point ``str.isspace`` (and so ``str.split``) treats as whitespace.
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+PLAIN = string.ascii_letters + string.digits + "_()"
+
+
+def test_the_plain_pattern_admits_token_characters_parentheses_and_whitespace():
+    admitted = [
+        chr(c)
+        for c in range(sys.maxunicode + 1)
+        if notation._PLAIN_RE.fullmatch(chr(c))
+    ]
+    assert sorted(admitted) == sorted(PLAIN + "".join(WHITESPACE))
+
+
+@settings(max_examples=400)
+@given(st.text(st.sampled_from(list("()vw0123456789_xZ") + WHITESPACE), max_size=40))
+def test_the_split_lexer_gives_the_regex_lexemes_on_every_plain_text(text):
+    assert notation._PLAIN_RE.fullmatch(text)
+    assert notation._lexemes(text) == notation._LEXEME_RE.findall(text)
 
 
 # ------------------------------------------------------------- token table
@@ -325,3 +357,115 @@ def test_a_parse_keeps_no_part_sized_memory(involution):
         tracemalloc.stop()
     assert len(notation._NUMBERS) <= 4096
     assert held < 1_000_000, held
+
+
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_parse_drops_its_lexemes_before_it_builds_the_permutation():
+    # Lexing and the permutation's check each take about as much memory;
+    # holding the lexeme list through the check would double the peak.
+    n = 20_000
+    text = "".join(f"(v{i} w{i})" for i in range(1, n + 1))
+    lexing = traced_peak(notation._LEXEME_RE.findall, text)
+    assert traced_peak(parse_cycles, text, n) < 2 * lexing
+
+
+# --------------------------------------------------------------- name table
+
+
+def part_permutations(n):
+    """A part-preserving and a part-swapping permutation of ``2n`` vertices,
+    each with cycles of many lengths."""
+    rng = random.Random(n)
+    on_v, on_w = list(range(n)), list(range(n, 2 * n))
+    rng.shuffle(on_v)
+    rng.shuffle(on_w)
+    return Perm(tuple(on_v + on_w)), Perm(tuple(on_w + on_v))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 3, 2047, 2048, 2049, 3 * notation._REMEMBERED]
+)
+def test_printing_agrees_with_the_reference_at_every_table_edge(n):
+    notation._V_NAMES.clear()
+    notation._W_NAMES.clear()
+    for perm in part_permutations(n):
+        text = reference_print_cycles(perm, n)
+        assert print_cycles(perm, n) == text
+        assert format_cycles(perm.cycles(include_fixed=True), n) == text
+        assert len(notation._V_NAMES) <= notation._REMEMBERED
+        assert len(notation._W_NAMES) <= notation._REMEMBERED
+
+
+def test_threads_grow_the_name_lists_without_losing_or_repeating_a_name():
+    sizes = list(range(3, 400, 9))
+    cases = [
+        (n, perm, reference_print_cycles(perm, n))
+        for n in sizes
+        for perm in part_permutations(n)
+    ]
+    wrong = []
+
+    def work(seed):
+        order = cases[:]
+        random.Random(seed).shuffle(order)
+        for n, perm, text in order:
+            if print_cycles(perm, n) != text:
+                wrong.append((n, text))
+
+    notation._V_NAMES.clear()
+    notation._W_NAMES.clear()
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert notation._V_NAMES == [f"v{i}" for i in range(1, max(sizes) + 1)]
+    assert notation._W_NAMES == [f"w{i}" for i in range(1, max(sizes) + 1)]
+
+
+@pytest.mark.parametrize("involution", [False, True])
+def test_a_print_keeps_no_part_sized_memory(involution):
+    if involution:
+        n = 20_000
+        perm = Perm(tuple(range(n, 2 * n)) + tuple(range(n)))
+    else:
+        n = 100_000
+        perm = Perm.from_cycles(2 * n, [(0, 1), (n, n + 1)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = print_cycles(perm, n)
+        del text
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(notation._V_NAMES) <= notation._REMEMBERED
+    assert len(notation._W_NAMES) <= notation._REMEMBERED
+    assert held < 1_000_000, held
+
+
+@pytest.mark.parametrize("n", [notation._REMEMBERED, 100_000])
+def test_a_sparse_print_allocates_nothing_sized_by_the_part(n):
+    # A list of n names, made per call, would take 16 kB at n = 2048.
+    cycles = Perm.from_cycles(2 * n, [(0, 1), (n, n + 1)]).cycles(
+        include_fixed=True
+    )
+    assert format_cycles(cycles, n) == "(v1 v2)(w1 w2)"  # fills the table
+    peak = traced_peak(format_cycles, cycles, n)
+    assert peak < 8_000, peak
