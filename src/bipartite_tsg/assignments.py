@@ -43,7 +43,7 @@ from .necessity import (
     necessity_verdict,
 )
 from .perms import GroupAction, Perm, compose_images
-from .polyhedra import Axis, PolyhedralModel, build_polyhedral_model
+from .polyhedra import PolyhedralModel, build_polyhedral_model
 
 Point = tuple
 # Point labels:
@@ -113,8 +113,10 @@ class FixedTable(NamedTuple):
     """What each element fixes of a core: its fixed counts in V and W by
     element index (the identity's left empty), the class counts, the
     number of orbits of the core's vertices, and ``masks[p][r]``: the fixer
-    mask (see :attr:`VertexAssignment.fixers`) of vertex ``r`` of part
-    ``p``, for each vertex some nontrivial element fixes."""
+    mask of vertex ``r`` of part ``p`` (W numbered from 0, not from ``n``),
+    for each vertex some nontrivial element fixes, each part in vertex
+    order.  Bit ``k`` of a mask stands for ``model.nontrivial[k]``, the
+    element of index ``k + 1``."""
 
     counts: tuple[tuple[int, int], ...]
     class_counts: dict[str, tuple[int, int, tuple[int, int]]]
@@ -144,9 +146,10 @@ class SlotTable(NamedTuple):
     ``k`` is ``model.nontrivial[k]``); ``orbit[s]``, the least slot of the
     orbit of ``s`` under the generators' rows; and ``axes``, each of the
     model's axes as slot numbers in circular order, with each marker
-    expanded to its concentric copies (see
-    :attr:`VertexAssignment.axis_slots`), or None when a part-swapping
-    circle would cross two or more copies, which no placement admits."""
+    expanded to its concentric copies (see :func:`_axis_numbers`), or None
+    when a part-swapping circle would cross two or more copies, which no
+    placement admits.  A placement reads its table in one place,
+    :attr:`PlacementTemplate.slot_table`."""
 
     slots: tuple[Point, ...]
     number: dict[Point, int]
@@ -386,11 +389,14 @@ class PlacementTemplate:
     no free point lies on an axis, so the core's checks are the same for
     every ``m``, ``m = 0`` included.  They are kept in two kinds:
 
-    * the template's own facts, which read no recipe and no ``n``, each a
-      cached property made on its first read: :attr:`transversal` with
-      :attr:`core_faithful`, and :attr:`fixed`, the fixer masks with the
-      :class:`FixedTable`.  A fact that raises keeps nothing, so every
-      later read makes it again and fails again;
+    * the template's own facts, which read no recipe and no ``n``:
+      :attr:`slot_table`, read from :func:`layout_slots`, which keeps it
+      per layout, and :attr:`slot_axes` from it; and, each a cached
+      property made on its first read, :attr:`transversal` with
+      :attr:`core_faithful`, :attr:`fixed`, the fixer masks with the
+      :class:`FixedTable`, and :attr:`slot_parts`.  A fact that raises
+      keeps nothing, so every later read makes it again and fails again.
+      A placement keeps no cache of its own and reads each of these here;
     * ``checks``, the record of what a recipe's placements share of their
       checks, made whole by ``hypotheses.check_recipe`` for the recipe it
       was checked against and read through :func:`kept_checks`.  A
@@ -504,17 +510,25 @@ class PlacementTemplate:
         self.odd = tuple(a for a, sign in enumerate(model.parities) if sign == -1)
         self.lines = tuple(lines)
 
+    @property
+    def slot_table(self) -> SlotTable:
+        """The :class:`SlotTable` of the template's layout: the one place a
+        placement reads it, for the transversal, the fixed counts and the
+        conditions.  :func:`layout_slots` keeps it, shared by every template
+        with the layout."""
+        return layout_slots(self.layout)
+
     def slot_images(self, e: Perm, points: tuple[Point, ...]) -> tuple[Point, ...]:
         """Images of several point labels under one element: the one rule
         for how an element moves a label, read by the transversal check, by
         the vertex maps and by the forced closure.  A pole or marker is read
-        from the layout's slot table (:func:`layout_slots`); free point
-        ``("free", tag, k, j)`` goes to ``("free", tag, k, row_e[j])``,
-        ``row_e`` the element's row of the product table."""
+        from the :attr:`slot_table`; free point ``("free", tag, k, j)`` goes
+        to ``("free", tag, k, row_e[j])``, ``row_e`` the element's row of the
+        product table."""
         group = self.model.group
         a = group.index(e)
         row = group.product_table[a]
-        table = layout_slots(self.layout)
+        table = self.slot_table
         slots, number, image = table.slots, table.number, table.images[a]
         return tuple(
             [
@@ -602,7 +616,7 @@ class PlacementTemplate:
         distinct slot orbits among its slots.
         """
         self.transversal  # the action is checked first
-        table = layout_slots(self.layout)
+        table = self.slot_table
         model = self.model
         core_slots = [table.number[label] for label in self.core_labels]
         masks: tuple[dict[int, int], dict[int, int]] = ({}, {})
@@ -633,6 +647,28 @@ class PlacementTemplate:
             by_label[label] = (rep_order, size + len(cls), computed)
         orbits = len({table.orbit[s] for s in core_slots})
         return FixedTable(counts, by_label, orbits, masks)
+
+    @cached_property
+    def slot_parts(self) -> list[str | None]:
+        """The part, "V" or "W", of the vertex at each slot of the
+        :attr:`slot_table`, None where no vertex sits: one gather over the
+        core's slots."""
+        number = self.slot_table.number
+        parts: list[str | None] = [None] * len(number)
+        for label, (p, _) in zip(self.core_labels, self.core_vertices):
+            parts[number[label]] = "VW"[p]
+        return parts
+
+    @property
+    def slot_axes(self) -> tuple[tuple[int, ...], ...]:
+        """The model's axes as slot numbers of the :attr:`slot_table`, each
+        marker expanded to its concentric copies (see
+        :func:`_axis_numbers`); a layout whose part-swapping circle would
+        cross two or more copies raises."""
+        axes = self.slot_table.axes
+        if axes is None:
+            raise AssertionError("a swap-invariant circle admits at most one copy")
+        return axes
 
     def check_sizes(self, n: int, m: int) -> None:
         """Check that the blocks with ``m`` more orbits each fill ``n``
@@ -749,13 +785,6 @@ class VertexAssignment:
 
     # ----------------------------------------------------------- group action
 
-    @cached_property
-    def slot_table(self) -> SlotTable:
-        """The :class:`SlotTable` of this placement's layout, built on the
-        first check of a core with that layout and shared by every placement
-        with it."""
-        return layout_slots(self.template.layout)
-
     @property
     def _free_orbits(self) -> int:
         """The number of free orbits, of every part."""
@@ -828,18 +857,10 @@ class VertexAssignment:
         a = self.model.group.index(e)
         return self.template.fixed.counts[a] if a else (self.n, self.n)
 
-    @cached_property
-    def fixers(self) -> dict[int, int]:
-        """Map each vertex fixed by a nontrivial element to the bitmask of
-        the elements fixing it: bit ``k`` stands for ``model.nontrivial[k]``.
-        Read from the template's fixer masks, V's vertices then W's shifted
-        by ``n``, each part in vertex order."""
-        in_v, in_w = self.template.fixed.masks
-        return {**in_v, **{r + self.n: mask for r, mask in in_w.items()}}
-
     def fixer_mask(self, x: int) -> int:
-        """The :attr:`fixers` mask of vertex ``x``, 0 if no nontrivial
-        element fixes it, read from the template's fixer masks."""
+        """The bitmask of the nontrivial elements fixing vertex ``x``, 0 if
+        none does, read from the template's fixer masks
+        (:attr:`FixedTable.masks`)."""
         p = int(x >= self.n)
         return self.template.fixed.masks[p].get(x - p * self.n, 0)
 
@@ -849,51 +870,6 @@ class VertexAssignment:
         elements and their fixed counts in V and W.  The core's table, shared
         by every placement of the core: read it, do not change it."""
         return self.template.fixed.class_counts
-
-    # ------------------------------------------------------------ axis slots
-
-    @cached_property
-    def slot_parts(self) -> list[str | None]:
-        """The part, "V" or "W", of the vertex at each slot of the
-        :attr:`slot_table`, None where no vertex sits: one gather over the
-        core's slots, read on the core's first check."""
-        table, template = self.slot_table, self.template
-        parts: list[str | None] = [None] * len(table.slots)
-        for label, (p, _) in zip(template.core_labels, template.core_vertices):
-            parts[table.number[label]] = "VW"[p]
-        return parts
-
-    @property
-    def slot_axes(self) -> tuple[tuple[int, ...], ...]:
-        """The model's axes as slot numbers of the :attr:`slot_table`, each
-        marker expanded to its concentric copies; a layout whose
-        part-swapping circle would cross two or more copies raises."""
-        axes = self.slot_table.axes
-        if axes is None:
-            raise AssertionError("a swap-invariant circle admits at most one copy")
-        return axes
-
-    @cached_property
-    def axis_slots(self) -> tuple[Axis, ...]:
-        """The model's axes with each marker expanded to its concentric
-        copies, and each slot's part: :attr:`slot_axes` and
-        :attr:`slot_parts` in labels.
-
-        Along a circle through the poles the copies are met by increasing
-        radial rank on the ray leaving pole 0 and by decreasing rank on the
-        ray leaving pole 1.  A part-swapping circle avoids the poles, and the
-        copies that the swap exchanges do not lie on it, so it holds the
-        unswapped copy, if any.
-        """
-        slots, parts = self.slot_table.slots, self.slot_parts
-        return tuple(
-            Axis(
-                axis.elements,
-                tuple(slots[s] for s in numbers),
-                tuple(parts[s] for s in numbers),
-            )
-            for axis, numbers in zip(self.model.axes, self.slot_axes)
-        )
 
 
 # --------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def _cmd_check_aut(args) -> int:
 def _cmd_verify(args) -> int:
     verdict = decide(_capped(args.n, args.cap, "part size"), args.group)
     payload = json.dumps(verdict.as_dict(), indent=2)
-    if args.report:
+    if args.report is not None:  # an empty path is a path that cannot be written
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")

@@ -296,17 +296,20 @@ def _check_common_fixed_circles(
     AND of the two vertices' fixer bitmasks, so the vertices of each part
     are grouped by mask, and each pair of a V mask and a W mask is judged
     once, by the circles of its bits, and counts for every pair of vertices
-    holding them.  Groups are met in the order of their first vertices, so
-    a failure names the first failing pair of an ordered V x W scan: an
-    earlier vertex with either mask would have failed first."""
+    holding them.  The masks are the template's
+    (:attr:`~.assignments.FixedTable.masks`), each part in vertex order,
+    so groups are met in the order of their first vertices and a failure
+    names the first failing pair of an ordered V x W scan: an earlier
+    vertex with either mask would have failed first."""
     n = assignment.n
     nontrivial = assignment.model.nontrivial
     # per element index, the position in axes of its circle; bit k is index k + 1
     circle_of = axis_index(assignment.model.group, axes)
     # holders[part][mask]: the vertices of that part with that fixer mask
     holders: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
-    for vertex, mask in assignment.fixers.items():
-        holders[vertex >= n].setdefault(mask, []).append(vertex)
+    for p, masks in enumerate(assignment.template.fixed.masks):
+        for r, mask in masks.items():
+            holders[p].setdefault(mask, []).append(r + p * n)
     on_one_circle: dict[int, bool] = {}
     pairs_checked = 0
     for v_mask, vs in holders[0].items():
@@ -383,14 +386,15 @@ def _choose_arcs(
     disjoint across the whole family.
 
     The ``circles`` are walked in slot numbers
-    (:attr:`~.assignments.VertexAssignment.slot_axes`), with each slot's
-    part gathered once per core
-    (:attr:`~.assignments.VertexAssignment.slot_parts`); the arcs are
+    (:attr:`~.assignments.PlacementTemplate.slot_axes`), with each slot's
+    part gathered once per template
+    (:attr:`~.assignments.PlacementTemplate.slot_parts`); the arcs are
     given in labels.  A V vertex and a W vertex of a circle are joined only
     along the gaps between them, so each pair takes its preferred such gap,
     V vertices in circle order, each with the W vertices in circle order."""
-    slots = assignment.slot_table.slots
-    part = assignment.slot_parts
+    template = assignment.template
+    slots = template.slot_table.slots
+    part = template.slot_parts
     chosen: list[tuple[int, int, int, tuple[int, ...]]] = []
     for axis_i, circle in enumerate(circles):
         occupied = [i for i, s in enumerate(circle) if part[s]]
@@ -445,10 +449,11 @@ def _check_arc_equivariance(
     interior points maps that arc to itself.
 
     Arcs are compared as the sets of their endpoints and of their interior
-    slots, each set a bitmask over the slots of the placement's
-    :attr:`~.assignments.VertexAssignment.slot_table` (slot ``s`` is bit
-    ``s``), and an element's map is its row of that table.  A slot no arc
-    uses is a bit no arc of the family holds.
+    slots, each set a bitmask over the slots of the template's
+    :attr:`~.assignments.PlacementTemplate.slot_table` (slot ``s`` is bit
+    ``s``), the table the transversal and the fixed counts read, and an
+    element's map is its row of that table.  A slot no arc uses is a bit no
+    arc of the family holds.
 
     The table's maps are checked to compose along the product table on
     every generator x element pair (its ``broken`` pairs), so they form an
@@ -462,7 +467,7 @@ def _check_arc_equivariance(
     """
     model = assignment.model
     group = model.group
-    table = assignment.slot_table
+    table = assignment.template.slot_table
     number = table.number.__getitem__
     bit = [1 << s for s in range(len(table.slots))]
     spans = []  # each arc's endpoint slots, interior slots and bitmasks
@@ -612,7 +617,7 @@ def _check_conditions(
     """Conditions 1-5 of one placement, checked in full, and the arcs.
     Conditions 1 and 5 read which elements share a circle from the model's
     axes; condition 2 walks the circles in slot numbers."""
-    circles = assignment.slot_axes  # a layout that admits none fails first
+    circles = assignment.template.slot_axes  # a layout that admits none fails first
     axes = assignment.model.axes
     results = [_check_common_fixed_circles(assignment, axes)]
     arcs, cond2 = _choose_arcs(assignment, circles)
@@ -663,11 +668,12 @@ def _forced_neighbors(
                     excluded.add(y)
     if not stab:
         return True, excluded
+    q = 1 - p  # the opposite part, numbered from q * n
     return False, {
-        y
-        for y, mask in assignment.fixers.items()
-        if (y >= n) != p and mask & stab == stab and y not in excluded
-    }
+        r + q * n
+        for r, mask in assignment.template.fixed.masks[q].items()
+        if mask & stab == stab
+    } - excluded
 
 
 def _check_edge(assignment: VertexAssignment, edge: tuple[int, int]) -> None:

@@ -182,15 +182,13 @@ class Axis:
     through the two global centers (even elements) carries one marker on
     each ray from the center, so its order is center 0, one ray's marker,
     center 1, the other ray's marker.  Odd skeleton circles avoid the
-    centers and list their markers in exact circular order.  A placement's
-    axis (:attr:`VertexAssignment.axis_slots`) has each marker expanded to
-    its concentric copies and ``parts`` giving "V"/"W" for each assigned
-    vertex and None for each bare geometric marker.
+    centers and list their markers in exact circular order.  A placement
+    reads each axis in slot numbers of its layout, each marker expanded to
+    its concentric copies (``assignments.PlacementTemplate.slot_axes``).
     """
 
     elements: tuple[Perm, ...]
     slots: tuple[tuple, ...]
-    parts: tuple[str | None, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -233,11 +231,6 @@ class PolyhedralModel:
         return tuple(
             p for p in self.action.fixed_points(g) if p[0] != "center"
         )
-
-    def axis_of(self, g: Perm) -> Axis | None:
-        """The fixed circle of a nontrivial element, None for glides."""
-        i = self.axis_at[self.group.index(g)]
-        return None if i is None else self.axes[i]
 
 
 def _rotation_matrices(kind: str) -> tuple[list[tuple[Mat, bool]], list[Vec]]:

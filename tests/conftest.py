@@ -128,13 +128,20 @@ def apply(a, e, point):
     return (marker_class, copy_name, label_image(model, e, (marker_class, m))[1])
 
 
+def fixers(a):
+    """Each vertex of placement ``a`` that a nontrivial element fixes, with
+    its fixer mask: the template's masks, V's then W's shifted by ``n``."""
+    in_v, in_w = a.template.fixed.masks
+    return {**in_v, **{r + a.n: mask for r, mask in in_w.items()}}
+
+
 def fixed_vertices(a, e):
     """The vertices ``e`` fixes in placement ``a``, ascending, as its fixer
     table gives them; the identity fixes every vertex."""
     if e.is_identity():
         return tuple(range(2 * a.n))
     k = a.model.nontrivial.index(e)
-    return tuple(sorted(x for x, mask in a.fixers.items() if mask >> k & 1))
+    return tuple(sorted(x for x, mask in fixers(a).items() if mask >> k & 1))
 
 
 def part_at(a, point):

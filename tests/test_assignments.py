@@ -41,6 +41,7 @@ from conftest import (
     SAMPLE_PAIRS,
     apply,
     fixed_vertices,
+    fixers,
     full_action,
     part_at,
     vertex_labels,
@@ -270,15 +271,15 @@ def test_translated_action_equals_the_action_checked_on_every_vertex(translated,
     a = translated[pair]
     group = a.model.group
     full = full_action(a)
-    fixers: dict[int, int] = {}
+    expected: dict[int, int] = {}
     for e in group:
         images = full.perms[e].images
         assert a.induced_perm(e).images == images, e
         assert fixed_vertices(a, e) == full.perms[e].fixed_points(), e
     for k, e in enumerate(a.model.nontrivial):
         for i in full.perms[e].fixed_points():
-            fixers[i] = fixers.get(i, 0) | 1 << k
-    assert a.fixers == fixers
+            expected[i] = expected.get(i, 0) | 1 << k
+    assert fixers(a) == expected
     assert check_orbit_count(a) == full.orbit_count()
 
 
@@ -403,7 +404,7 @@ def test_fixer_table_equals_a_scan_of_every_permutation(assignments):
         for k, e in enumerate(a.model.nontrivial):
             for i in a.induced_perm(e).fixed_points():
                 expected[i] = expected.get(i, 0) | 1 << k
-        assert a.fixers == expected, pair
+        assert fixers(a) == expected, pair
 
 
 def scanned_slot_fixers(table):
@@ -417,7 +418,8 @@ def scanned_slot_fixers(table):
 
 def test_slot_fixers_equal_a_scan_of_the_slot_images(assignments):
     for pair, a in assignments.items():
-        assert a.slot_table.fixers == scanned_slot_fixers(a.slot_table), pair
+        table = a.template.slot_table
+        assert table.fixers == scanned_slot_fixers(table), pair
 
 
 def test_a_copy_named_as_its_own_swap_partner_keeps_its_fixers():
@@ -436,8 +438,8 @@ def test_a_copy_named_as_its_own_swap_partner_keeps_its_fixers():
         )
         for part in a.blocks
     )
-    table = dataclasses.replace(a, blocks=blocks).slot_table
-    assert table is not a.slot_table
+    table = dataclasses.replace(a, blocks=blocks).template.slot_table
+    assert table is not a.template.slot_table
     assert table.fixers == scanned_slot_fixers(table)
     odd = [k for k, sign in enumerate(a.model.parities[1:]) if sign == -1]
     assert any(mask >> k & 1 for mask in table.fixers for k in odd)
@@ -842,25 +844,27 @@ def test_the_label_and_vertex_rules_invert_each_other():
 
 
 def test_axis_slots_structure(assignments):
+    # The template's circles in slot numbers, one per axis of the model,
+    # and the part of each slot on them.
     occupied = 0
     for pair, a in assignments.items():
-        assert [axis.elements for axis in a.axis_slots] == [
-            axis.elements for axis in a.model.axes
-        ], pair
-        for axis in a.axis_slots:
-            assert len(axis.slots) == len(axis.parts)
-            assert len(set(axis.slots)) == len(axis.slots)
+        template = a.template
+        slots, parts = template.slot_table.slots, template.slot_parts
+        assert len(template.slot_axes) == len(a.model.axes), pair
+        for axis, numbers in zip(a.model.axes, template.slot_axes):
+            points = [slots[s] for s in numbers]
+            assert len(set(numbers)) == len(numbers)
             # a part-preserving circle runs through both poles, pole 0 first
-            centers = [p for p in axis.slots if p[0] == "center"]
+            centers = [p for p in points if p[0] == "center"]
             if a.model.parity_of(axis.elements[0]) == 1:
                 assert centers == [("center", 0), ("center", 1)]
-                assert axis.slots[0] == ("center", 0)
+                assert points[0] == ("center", 0)
             else:
                 assert centers == []
-            for point, part in zip(axis.slots, axis.parts):
-                assert part in ("V", "W", None)
-                assert part_at(a, point) == part
-                occupied += part is not None
+            for point, s in zip(points, numbers):
+                assert parts[s] in ("V", "W", None)
+                assert part_at(a, point) == parts[s]
+                occupied += parts[s] is not None
     assert occupied
 
 
@@ -891,26 +895,29 @@ def test_an_image_that_is_no_vertex_fails_the_build_and_the_decision(
 
 def test_axis_lookup_matches_membership(assignments):
     a = assignments[("S4", 4)]
-    for e in a.model.group:
+    model = a.model
+    assert len(a.template.slot_axes) == len(model.axes)
+    for e, at in zip(model.group, model.axis_at):
         if e.is_identity():
             continue
-        holding = [axis for axis in a.axis_slots if e in axis.elements]
-        entry = a.model.axis_of(e)
-        if entry is None:
+        holding = [axis for axis in model.axes if e in axis.elements]
+        if at is None:
             assert holding == []
         else:
-            assert [axis.elements for axis in holding] == [entry.elements]
+            assert [axis.elements for axis in holding] == [model.axes[at].elements]
 
 
 def test_axis_markers_carry_every_concentric_copy(assignments):
     # skeleton-4 triple axes interleave the assigned inner and outer corner
     # copies around the bare 'base' copy (the skeleton surface itself).
     a = assignments[("S4", 4)]
+    slots = a.template.slot_table.slots
     triple = next(
-        axis for axis in a.axis_slots
+        numbers
+        for axis, numbers in zip(a.model.axes, a.template.slot_axes)
         if axis.elements and axis.elements[0].order() == 3
     )
-    copies = {p[1] for p in triple.slots if p[0] == "corner"}
+    copies = {slots[s][1] for s in triple if slots[s][0] == "corner"}
     assert copies == {"inner", "base", "outer"}
     assert a.vertex_of(("corner", "base", 0)) is None
     assert {part_at(a, ("corner", "inner", 0)),

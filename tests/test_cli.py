@@ -371,6 +371,60 @@ def test_verify_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+def test_verify_to_an_empty_report_path_is_an_input_error(capsys):
+    # An empty path is a path given, which no file can be written to; it
+    # does not fall back to printing the JSON.
+    code, out, err = run(
+        capsys, "verify", "--group", "A4", "--n", "16", "--report", ""
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: cannot write the report: ")
+
+
+BIG = 10**40 + 2  # dodecahedron-42 for A5
+HUGE_DIGITS = "1" * 5000  # past the digit limit of int()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "--group", "A5", "--n", str(BIG), "--cap", str(BIG)),
+        ("verify", "--group", "A4", "--n", str(2**64), "--cap", str(2**64)),
+        ("verify", "--group", "A4", "--n", "16", "--report", ""),
+        ("verify", "--group", "A4", "--n", "16", "--report", "."),
+        ("decide", "--group", "A4", "--n", HUGE_DIGITS),
+        ("verify", "--group", "A4", "--n", HUGE_DIGITS),
+        ("decide", "--group", "A4", "--n", "16", "--cap", HUGE_DIGITS),
+        ("verify", "--group", "A4", "--n", "16", "--cap", HUGE_DIGITS),
+        ("decide", "--group", "A4", "--n", "0"),
+        ("verify", "--group", "A4", "--n", "0"),
+    ],
+    ids=[
+        "decide-A5-10**40+2",
+        "verify-2**64",
+        "verify-empty-report",
+        "verify-report-directory",
+        "decide-n-5000-digits",
+        "verify-n-5000-digits",
+        "decide-cap-5000-digits",
+        "verify-cap-5000-digits",
+        "decide-n-0",
+        "verify-n-0",
+    ],
+)
+def test_no_decide_or_verify_input_exits_with_an_internal_error(capsys, argv):
+    # Each input is decided (0) or refused as an input error (2), by the
+    # command or when the command line is parsed, with no traceback.
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code in (EXIT_DECIDED, EXIT_INPUT)
+    assert "Traceback" not in err
+
+
 def test_verify_without_report_prints_json(capsys):
     code, out, _ = run(capsys, "verify", "--group", "S4", "--n", "9")
     assert code == EXIT_DECIDED

@@ -5,10 +5,11 @@ row, the fixed-count report, conditions 1-5 and the witness closures), made
 by ``check_recipe`` on the recipe's first full verification; reusing them
 changes no report, and a check that fails keeps nothing."""
 
+import importlib
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from threading import Thread
 
 import pytest
@@ -35,7 +36,12 @@ from bipartite_tsg.decide import (
     sweep,
     theorem_predicate,
 )
-from bipartite_tsg.hypotheses import check_edge_embedding_hypotheses, verify_construction
+from bipartite_tsg.hypotheses import (
+    HypothesisViolation,
+    _check_arc_equivariance,
+    check_edge_embedding_hypotheses,
+    verify_construction,
+)
 from bipartite_tsg.necessity import counting_table
 
 # What the ``checks`` fixture counts: the templates made, the template's two
@@ -194,7 +200,7 @@ def test_a_doctored_class_fixed_count_raises_on_every_call_and_is_not_kept(
     # class's counts disagree in V.  The table that fails is not kept, so
     # every placement of the recipe fails again.
     a = build_assignment("S4", 16)
-    model, table = a.model, a.slot_table
+    model, table = a.model, a.template.slot_table
     third_turn = next(
         cls[0]
         for cls in model.group.conjugacy_classes()
@@ -290,7 +296,7 @@ def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbit
     # faithful; at n = 92 a free orbit in each part makes it faithful.
     small, large = place("A5", 32), place("A5", 92)
     assert small.template is large.template
-    table = small.slot_table
+    table = small.template.slot_table
     identity = tuple(range(len(table.slots)))
     doctored = table._replace(images=(identity,) * small.model.group.order)
 
@@ -307,6 +313,73 @@ def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbit
     assert small.template.core_faithful is False
     with pytest.raises(InternalMismatch, match=message):
         decide(32, "A5")  # reads the kept record
+
+
+decide_module = importlib.import_module("bipartite_tsg.decide")
+PLACEMENT_FIELDS = {f.name for f in fields(VertexAssignment)}
+
+
+@pytest.mark.parametrize("group, n", [("A5", 62), ("A4", 16), ("S4", 32)])
+def test_a_placement_caches_nothing(monkeypatch, group, n):
+    # Every fact of a placement that reads neither n nor m is read from its
+    # template, so a placement holds its eight fields and nothing else: a
+    # constructed one after a cold full verification, and each one decide
+    # places, cold and warm.
+    assert len(PLACEMENT_FIELDS) == 8
+    p = place(group, n)
+    cold = VertexAssignment(n, group, p.case_name, p.model, p.copies, p.blocks)
+    verify_construction(cold)
+    assert set(vars(cold)) == PLACEMENT_FIELDS
+    made = []
+
+    def placing(*args):
+        made.append(place(*args))
+        return made[-1]
+
+    monkeypatch.setattr(decide_module, "place", placing)
+    _TEMPLATES.clear()
+    for _ in range(2):  # cold, then warm
+        decide(n, group)
+    assert len(made) == 2 and made[0].template is made[1].template
+    for a in made:
+        assert set(vars(a)) == PLACEMENT_FIELDS
+
+
+def test_one_doctored_slot_table_reaches_the_fixed_counts_and_condition_3(
+    monkeypatch,
+):
+    # A placement reads its layout's table in one place, so one doctored
+    # table is what both its fixed counts and condition 3 read.  An element
+    # that is neither a generator nor the least of its class is made to fix
+    # every slot, in its images and its fixer masks: its class's counts
+    # disagree, and its images no longer compose along the product table.
+    p = place("A5", 62)
+    arcs = verify_construction(p).arcs  # in labels, for any placement of the layout
+    a = VertexAssignment(p.n, p.target_group, p.case_name, p.model, p.copies, p.blocks)
+    group = a.model.group
+    table = a.template.slot_table
+    skipped = set(group.generators) | {cls[0] for cls in group.conjugacy_classes()}
+    e1 = next(e for e in a.model.nontrivial if e not in skipped)
+    r = group.index(e1)
+    images = list(table.images)
+    images[r] = tuple(range(len(table.slots)))
+    doctored = table._replace(
+        images=tuple(images),
+        fixers=tuple(mask | 1 << (r - 1) for mask in table.fixers),
+        broken=((group.index(group.generators[0]), r),),
+    )
+
+    def doctored_slots(layout):
+        honest = layout_slots(layout)
+        return doctored if honest is table else honest
+
+    monkeypatch.setattr(assignments, "layout_slots", doctored_slots)
+    assert a.template.slot_table is doctored
+    with pytest.raises(AssertionError, match="conjugate elements disagree"):
+        a.template.fixed
+    with pytest.raises(HypothesisViolation, match="does not compose") as exc:
+        _check_arc_equivariance(a, arcs)
+    assert exc.value.condition == 3
 
 
 def test_the_bench_sweep_checks_each_core_it_meets_once(checks):

@@ -37,7 +37,7 @@ from bipartite_tsg.hypotheses import (
 )
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import forced_vertices, full_action
+from conftest import fixers, forced_vertices, full_action
 
 SEEDED_PAIRS = 2
 
@@ -144,7 +144,7 @@ def _edges(a, case):
     edges = _recorded_edges(a, case)
     n = a.n
     pools = ([], [])
-    for x in sorted(a.fixers):
+    for x in sorted(fixers(a)):
         pools[x >= n].append(x)
     for p in (0, 1):
         free = [x for x in range(p * n, p * n + n) if a.label_of(x)[0] == "free"]
@@ -225,7 +225,7 @@ def one_sided_skeleton(m):
 )
 def test_odd_images_closing_as_the_explicit_closure(build, m):
     a = build(m)
-    assert a.fixers  # the edge markers on the half-turn axes
+    assert fixers(a)  # the edge markers on the half-turn axes
     neighbors = reference_neighbors(a)
     n = a.n
     rng = Random(f"odd images:{a.case_name}:{n}")

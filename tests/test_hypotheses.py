@@ -15,6 +15,7 @@ from bipartite_tsg.assignments import (
     VertexAssignment,
     _TEMPLATES,
     build_assignment,
+    layout_slots,
     place,
 )
 from bipartite_tsg.bipartite import embeds_in_circle
@@ -33,7 +34,7 @@ from bipartite_tsg.hypotheses import (
 from bipartite_tsg.perms import Perm, UnionFind
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import apply, part_at, vertex_labels
+from conftest import apply, fixers, part_at, vertex_labels
 from test_forced_closure import reference_closure, reference_neighbors
 
 
@@ -49,9 +50,11 @@ def slot_map(table, moves):
 
 
 def doctor_slot_table(monkeypatch, a, images):
-    """Give placement ``a``, for this test only, the slot table whose element
-    maps are ``images`` (by element index), with its broken pairs read off
-    the product table as generator x element composition failures."""
+    """Give the layout of placement ``a``, for this test only, the slot table
+    whose element maps are ``images`` (by element index), with its broken
+    pairs read off the product table as generator x element composition
+    failures.  It is doctored where every placement reads it,
+    ``layout_slots``."""
     group = a.model.group
     product = group.product_table
     broken = tuple(
@@ -60,8 +63,14 @@ def doctor_slot_table(monkeypatch, a, images):
         for x in range(group.order)
         if images[product[g][x]] != tuple(images[g][s] for s in images[x])
     )
-    table = a.slot_table._replace(images=tuple(images), broken=broken)
-    monkeypatch.setitem(a.__dict__, "slot_table", table)
+    honest = a.template.slot_table
+    table = honest._replace(images=tuple(images), broken=broken)
+
+    def doctored_slots(layout):
+        found = layout_slots(layout)
+        return table if found is honest else found
+
+    monkeypatch.setattr("bipartite_tsg.assignments.layout_slots", doctored_slots)
 
 
 # -------------------------------------------------------------- positive path
@@ -225,7 +234,7 @@ def reference_witness(a, edge):
     forced = forced_fix_closure(a, edge)
     if not embeds_in_circle(forced.shape):
         return 1, None
-    masks = [(x >= a.n, a.fixers.get(x, 0)) for x in forced.vertices]
+    masks = [(x >= a.n, a.fixer_mask(x)) for x in forced.vertices]
     for k, psi in enumerate(a.model.nontrivial):
         meet = [in_w for in_w, mask in masks if mask >> k & 1]
         if any(meet) and not all(meet) and len(meet) < len(masks):
@@ -241,7 +250,7 @@ def test_the_witness_finds_the_element_a_scan_finds(assignments, monkeypatch):
     found = set()
     for pair, a in assignments.items():
         recipe = RECIPES[a.case_name]
-        fixed = sorted(a.fixers)
+        fixed = sorted(fixers(a))
         vs, ws = [x for x in fixed if x < a.n], [x for x in fixed if x >= a.n]
         for edge in [(rng.choice(vs), rng.choice(ws)) for _ in range(20) if vs and ws]:
             labels = tuple(map(a.label_of, edge))
@@ -441,7 +450,7 @@ def test_slot_images_match_apply(assignments, reports):
     layouts = one_placement_per_layout()
     assert len(layouts) == 8
     for a in layouts.values():
-        table = a.slot_table
+        table = a.template.slot_table
         assert dict(zip(table.slots, range(len(table.slots)))) == table.number
         assert table.broken == ()
         labels = table.slots + vertex_labels(a)
@@ -455,13 +464,13 @@ def test_slot_table_masks_and_orbits_equal_a_scan_of_its_images():
     # roots (the direct orbit count reads them) against orbits joined by
     # union-find over the generators' rows, on every layout.
     for a in one_placement_per_layout().values():
-        table, group = a.slot_table, a.model.group
-        fixers = [0] * len(table.slots)
+        table, group = a.template.slot_table, a.model.group
+        scanned = [0] * len(table.slots)
         for k, e in enumerate(a.model.nontrivial):
             for s, image in enumerate(table.images[group.index(e)]):
                 if image == s:
-                    fixers[s] |= 1 << k
-        assert table.fixers == tuple(fixers), a.case_name
+                    scanned[s] |= 1 << k
+        assert table.fixers == tuple(scanned), a.case_name
         orbits = UnionFind(len(table.slots))
         for g in group.generators:
             for s, image in enumerate(table.images[group.index(g)]):
@@ -493,8 +502,9 @@ def scan_co_fixed_pairs(a, axes):
     whose common fixers lie on no single circle, as its witness (or None)."""
     circle = {e: i for i, axis in enumerate(axes) for e in axis.elements}
     pairs, first = 0, None
-    for v, v_mask in a.fixers.items():
-        for w, w_mask in a.fixers.items():
+    masks = fixers(a)
+    for v, v_mask in masks.items():
+        for w, w_mask in masks.items():
             common = v_mask & w_mask
             if not (v < a.n <= w and common):
                 continue
@@ -513,9 +523,9 @@ def test_condition_1_counts_the_pairs_a_vertex_scan_counts(assignments):
     from bipartite_tsg.hypotheses import _check_common_fixed_circles
 
     for pair, a in assignments.items():
-        pairs, first = scan_co_fixed_pairs(a, a.axis_slots)
+        pairs, first = scan_co_fixed_pairs(a, a.model.axes)
         assert first is None, pair
-        result = _check_common_fixed_circles(a, a.axis_slots)
+        result = _check_common_fixed_circles(a, a.model.axes)
         assert result.summary == (
             f"{pairs} co-fixed adjacent pairs, each on a single circle"
         ), pair
@@ -526,20 +536,19 @@ def test_condition_1_names_the_first_failing_pair_of_a_vertex_scan(
 ):
     from bipartite_tsg.hypotheses import _check_common_fixed_circles
 
-    # A doctored fixer table of three vertices of each part, in number
+    # Doctored fixer masks of three vertices of each part, in number
     # order: v1, v3, w2 and w3 are fixed by the elements x and y, v2 and w1
     # by z and t, and each pair of elements lies on two circles.  So every
     # pair of v1 or v3 with w2 or w3 fails, and so does (v2, w1); a scan of
     # V first names (v1, w2), the first vertices holding their masks.
     for pair, a in assignments.items():
-        axes = a.axis_slots
+        axes = a.model.axes
         bit = {e: 1 << k for k, e in enumerate(a.model.nontrivial)}
         x, y, z, t = (bit[axis.elements[0]] for axis in axes[:4])
-        v1, v2, v3, w1, w2, w3 = 0, 1, 2, a.n, a.n + 1, a.n + 2
-        doctored = {
-            v1: x | y, v2: z | t, v3: x | y, w1: z | t, w2: x | y, w3: x | y
-        }
-        monkeypatch.setitem(a.__dict__, "fixers", doctored)
+        v1, w2 = 0, a.n + 1  # the first V vertex and the second W vertex
+        masks = ({0: x | y, 1: z | t, 2: x | y}, {0: z | t, 1: x | y, 2: x | y})
+        fixed = a.template.fixed._replace(masks=masks)
+        monkeypatch.setitem(vars(a.template), "fixed", fixed)
         _, first = scan_co_fixed_pairs(a, axes)
         assert first["pair"] == [point_str(a.label_of(v1)), point_str(a.label_of(w2))]
         with pytest.raises(HypothesisViolation) as exc:
@@ -562,10 +571,10 @@ def test_stabilizer_moving_its_arc_violates_equivariance(
     arcs = reports[("A5", 42)].arcs
     arc, other = [x for x in arcs if x.interior][:2]
     twin = Arc(arc.axis_index, arc.endpoints, other.interior[:1])
-    e0 = a.axis_slots[arc.axis_index].elements[0]
+    e0 = a.model.axes[arc.axis_index].elements[0]
     assert all(apply(a, e0, p) == p for p in arc.endpoints)
 
-    table = a.slot_table
+    table = a.template.slot_table
     images = [slot_map(table, {})] * a.model.group.order
     images[a.model.group.index(e0)] = slot_map(
         table, dict.fromkeys(arc.interior, other.interior[0])
@@ -589,7 +598,7 @@ def test_an_arc_whose_interior_folds_onto_fewer_slots_is_outside_the_family(
     a = assignments[("A5", 50)]
     arc = next(x for x in reports[("A5", 50)].arcs if len(x.interior) == 3)
     e0 = a.model.nontrivial[0]
-    table = a.slot_table
+    table = a.template.slot_table
     images = [slot_map(table, {})] * a.model.group.order
     images[a.model.group.index(e0)] = slot_map(
         table, {arc.interior[0]: arc.interior[1]}
@@ -613,7 +622,7 @@ def test_image_on_unused_labels_is_outside_the_family(
     arc = reports[("A4", 6)].arcs[0]
     e0 = a.model.nontrivial[0]
     v, w = arc.endpoints
-    table = a.slot_table
+    table = a.template.slot_table
     unused = next(p for p in table.slots if p not in arc.endpoints + arc.interior)
     images = [slot_map(table, {})] * a.model.group.order
     images[a.model.group.index(e0)] = slot_map(table, {v: w, w: unused})
@@ -643,7 +652,7 @@ def test_an_arc_sent_onto_another_arc_s_ends_alone_is_outside_the_family(
         for k, size in enumerate(sizes)
     )
     e0 = a.model.nontrivial[0]
-    table = a.slot_table
+    table = a.template.slot_table
     images = [slot_map(table, {})] * a.model.group.order
     moves = dict(zip(source.endpoints, target.endpoints))
     images[a.model.group.index(e0)] = slot_map(table, moves)
@@ -673,8 +682,9 @@ def test_label_maps_that_do_not_compose_violate_equivariance(
         for e in a.model.nontrivial
         if e not in skipped and any(apply(a, e, p) != p for p in labels)
     )
-    images = list(a.slot_table.images)
-    images[group.index(e1)] = slot_map(a.slot_table, {})
+    table = a.template.slot_table
+    images = list(table.images)
+    images[group.index(e1)] = slot_map(table, {})
     doctor_slot_table(monkeypatch, a, images)
     with pytest.raises(HypothesisViolation) as exc:
         _check_arc_equivariance(a, arcs)
@@ -770,7 +780,7 @@ def test_shared_interchanger_circle_violates_condition_five(assignments):
         dataclasses.replace(axis, elements=axis.elements + (interchangers[-1],))
         if axis.elements and axis.elements[0] in interchangers
         else axis
-        for axis in a.axis_slots
+        for axis in a.model.axes
     )
     with pytest.raises(HypothesisViolation) as exc:
         _check_swap_circles(a, doctored, interchangers)
