@@ -28,7 +28,10 @@ def main() -> None:
     for line in summarize_blocks(assignment):
         print(f"  {line}")
     free = assignment.model.group.order * sum(
-        b.count for b in assignment.all_blocks() if isinstance(b, FreeOrbitBlock)
+        b.count
+        for part in assignment.blocks
+        for b in part
+        if isinstance(b, FreeOrbitBlock)
     )
     print(f"  ({free} of the 124 vertices sit in free orbits)\n")
 

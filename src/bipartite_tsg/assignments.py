@@ -546,8 +546,8 @@ class PlacementTemplate:
 
         Each generator's image list is read from :meth:`slot_images`, the
         one rule for how an element moves a label; a label sent to no label
-        of the transversal raises ValueError naming both.
-        :meth:`GroupAction.from_images` checks those lists and composes
+        of the transversal raises ValueError naming both.  The
+        :class:`GroupAction` constructor checks those lists and composes
         every other element's along the product table, checking the
         homomorphism law on every generator x element pair.  The kernel of
         the action is a normal subgroup, so the action (or its restriction
@@ -576,7 +576,7 @@ class PlacementTemplate:
                     f"{labels[i]!r} to {moved[i]!r}"
                 )
             images[e] = row
-        checked = GroupAction.from_images(group, list(labels), images)
+        checked = GroupAction(group, list(labels), images)
         reps = [checked.images_of(cls[0]) for cls in group.conjugacy_classes()[1:]]
         if tuple(range(len(labels))) in reps:
             raise AssertionError("the action on the vertices is not faithful")
@@ -751,9 +751,6 @@ class VertexAssignment:
         return a
 
     # ---------------------------------------------------------- point layout
-
-    def all_blocks(self) -> tuple[Block, ...]:
-        return tuple(b for group in self.blocks for b in group)
 
     def vertex_of(self, point: Point) -> int | None:
         """The vertex at ``point``, or None if no vertex is there."""

@@ -263,18 +263,38 @@ def _cmd_tables(args) -> int:
 # parser
 
 
-def _cap(text: str) -> int:
-    """A ``--cap`` value, refused as the command line is parsed unless it
-    is a count, 0 included."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a count (0 or more), not {text!r}")
-    return int(text)
+# The characters of a refused flag value that its message quotes.
+_QUOTED = 20
+
+
+def _integer(count: bool = False):
+    """The type of an integer flag: any text ``int`` reads, or for a count
+    only decimal digits, 0 included.  Any other text is refused as the
+    command line is parsed, in a message that says what the flag takes
+    (argparse names the flag) and quotes at most ``_QUOTED`` characters."""
+    what = "a count (0 or more)" if count else "an integer"
+
+    def parse(text: str) -> int:
+        if not count or text.isdecimal():
+            try:
+                return int(text)
+            except ValueError:  # not an integer, or past int()'s digit limit
+                pass
+        quoted = repr(text)
+        if len(text) > _QUOTED:
+            quoted = f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+        # the limit is 0 where int() has none (Python 3.10 before 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        bound = f" of at most {limit} digits" if 0 < limit < len(text) else ""
+        raise argparse.ArgumentTypeError(f"must be {what}{bound}, not {quoted}")
+
+    return parse
 
 
 def _add_n_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
-        type=_cap,
+        type=_integer(count=True),
         default=DEFAULT_N_CAP,
         help=f"hard limit on --n (default {DEFAULT_N_CAP}; a call takes "
         "at most about 19 MB at any n)",
@@ -294,20 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide one (n, group) pair")
     p.add_argument("--group", choices=GROUPS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer(), required=True)
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     _add_n_cap(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("sweep", help="decide every n up to a limit")
     p.add_argument("--group", choices=GROUPS, required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_integer(), required=True)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
     p.add_argument(
         "--cap",
-        type=_cap,
+        type=_integer(count=True),
         default=500,
         help="hard limit on --max (default 500)",
     )
@@ -317,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         "check-aut", help="check one automorphism given in cycle notation"
     )
     p.add_argument(
-        "--n", type=int, required=True, help=f"part size, at most {DEFAULT_N_CAP}"
+        "--n",
+        type=_integer(),
+        required=True,
+        help=f"part size, at most {DEFAULT_N_CAP}",
     )
     p.add_argument(
         "--cycles",
@@ -330,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the full pipeline and write the JSON report"
     )
     p.add_argument("--group", choices=GROUPS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer(), required=True)
     p.add_argument("--report", help="path for the JSON report")
     _add_n_cap(p)
     p.set_defaults(func=_cmd_verify)

@@ -149,15 +149,18 @@ def parse_cycles(text: str, n: int) -> Perm:
     """Parse cycle-notation text into a permutation of ``2n`` vertices.
 
     Raises :class:`UnbalancedParenthesis`, :class:`UnknownToken`, or
-    :class:`DuplicateToken`, each carrying the character position.  The text
-    is lexed in one pass (:func:`_lexemes`), and each token is read with one
-    look-up in the token table (:func:`_token_number` on a miss); an error's
-    position is looked up from its lexeme number only once the error is
-    found.
+    :class:`DuplicateToken`, each carrying the character position, and
+    ValueError for a text that is not a ``str`` or an ``n`` that is not a
+    positive integer.  The text is lexed in one pass (:func:`_lexemes`),
+    and each token is read with one look-up in the token table
+    (:func:`_token_number` on a miss); an error's position is looked up from
+    its lexeme number only once the error is found.
     """
     require_integer(n, "part size")
     if n < 1:
         raise ValueError(f"part size must be positive, got n = {n}")
+    if not isinstance(text, str):
+        raise ValueError(f"cycle text must be a string, got {type(text).__name__}")
     images = list(range(2 * n))
     seen = bytearray(2 * n)
     in_cycle = False

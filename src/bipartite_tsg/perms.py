@@ -9,8 +9,7 @@ enumeration deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import compress, count
 from math import lcm
@@ -173,18 +172,6 @@ class FiniteGroup:
     def index(self, p: Perm) -> int:
         return self._index[p]
 
-    def validate(self) -> None:
-        """Exhaustive group-axiom check (closure and inverses). Desk scale."""
-        for a in self.elements:
-            if a.inverse() not in self._element_set:
-                raise ValueError(f"inverse of {a} missing")
-            for b in self.elements:
-                if a * b not in self._element_set:
-                    raise ValueError(f"not closed: {a} * {b}")
-
-    def is_subgroup(self, sub: "FiniteGroup") -> bool:
-        return sub.degree == self.degree and all(h in self for h in sub.elements)
-
     @cached_property
     def product_table(self) -> tuple[tuple[int, ...], ...]:
         """Multiplication on element indices, built on first use:
@@ -213,16 +200,6 @@ class FiniteGroup:
         if len(reached) != len(self.elements):
             raise ValueError("the generators do not generate the group")
         return tuple(rows)
-
-    @cached_property
-    def _by_order(self) -> dict[int, tuple[Perm, ...]]:
-        out: dict[int, list[Perm]] = {}
-        for e in self.elements:
-            out.setdefault(e.order(), []).append(e)
-        return {k: tuple(es) for k, es in out.items()}
-
-    def elements_of_order(self, k: int) -> tuple[Perm, ...]:
-        return self._by_order.get(k, ())
 
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
         """Partition of the elements into conjugacy classes, each class sorted,
@@ -259,12 +236,6 @@ class FiniteGroup:
                     pairs[c] = (g, r)
         return tuple(pairs)
 
-    def subgroup(self, elements: Iterable[Perm]) -> "FiniteGroup":
-        sub = FiniteGroup(elements)
-        if not self.is_subgroup(sub):
-            raise ValueError("not a subgroup: elements escape the parent group")
-        return sub
-
 
 def generate_group(gens: Sequence[Perm]) -> FiniteGroup:
     """Close a generating set under multiplication.
@@ -292,104 +263,32 @@ def generate_group(gens: Sequence[Perm]) -> FiniteGroup:
     return FiniteGroup(elements, generators=tuple(gens))
 
 
-def symmetric_group(n: int) -> FiniteGroup:
-    if n <= 1:
-        return FiniteGroup([Perm.identity(max(n, 1))])
-    gens = [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])]
-    return generate_group(gens)
-
-
-def alternating_group(n: int) -> FiniteGroup:
-    if n <= 2:
-        return FiniteGroup([Perm.identity(max(n, 1))])
-    if n == 3:
-        return generate_group([Perm.from_cycles(3, [(0, 1, 2)])])
-    three_cycles = [Perm.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
-    return generate_group(three_cycles)
-
-
-class UnionFind:
-    """Plain union-find over range(n), used for direct orbit counting."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 class GroupAction:
     """A finite group acting on a finite labelled point set.
 
-    ``act_fn(element, label) -> label`` defines the action; every element is
-    converted to its image list on point indices, and :meth:`from_images`
-    takes such lists directly, for the generators and any other elements.
-    Either way each given list must be a permutation of the points and the
-    identity must act trivially.  Every element's permutation is then
-    composed from the generators' along the group's product table, which
-    verifies the homomorphism law act(g*a) = act(g) o act(a) for every
-    generator g against every element a and so pins the whole
-    multiplication table for a generated group; each given list must equal
-    the composed one.  The permutations of all elements (:attr:`perms`) are
-    made when first read; :meth:`images_of` reads one element's.
+    ``GroupAction(group, points, images)`` is the action in which ``e``
+    sends point ``i`` to ``images[e][i]``.  ``images`` must hold every
+    generator's list and may hold any other element's.  Each given list must
+    be a permutation of the points and the identity must act trivially.
+    Every element's permutation is then composed from the generators' along
+    the group's product table, which verifies the homomorphism law
+    act(g*a) = act(g) o act(a) for every generator g against every element a
+    and so pins the whole multiplication table for a generated group; each
+    given list must equal the composed one.  The permutations of all
+    elements (:attr:`perms`) are made when first read; :meth:`images_of`
+    reads one element's.
     """
 
     def __init__(
         self,
         group: FiniteGroup,
         points: Sequence[Hashable],
-        act_fn: Callable[[Perm, Hashable], Hashable],
-    ):
-        self._set_points(group, points)
-        index = self.point_index
-        images: dict[Perm, list[int]] = {}
-        for e in group.elements:
-            row = []
-            for p in self.points:
-                q = act_fn(e, p)
-                if q not in index:
-                    raise ValueError(f"action leaves the point set: {e!r} sends {p!r} to {q!r}")
-                row.append(index[q])
-            images[e] = row
-        self._set_perms(images)
-
-    @classmethod
-    def from_images(
-        cls,
-        group: FiniteGroup,
-        points: Sequence[Hashable],
         images: Mapping[Perm, Sequence[int]],
-    ) -> "GroupAction":
-        """The action in which ``e`` sends point ``i`` to ``images[e][i]``,
-        checked exactly as an ``act_fn`` action is.  ``images`` must hold
-        every generator's list; the lists of the elements it leaves out are
-        composed from the generators'."""
-        action = cls.__new__(cls)
-        action._set_points(group, points)
-        action._set_perms(images)
-        return action
-
-    def _set_points(self, group: FiniteGroup, points: Sequence[Hashable]) -> None:
+    ):
         self.group = group
         self.points: tuple[Hashable, ...] = tuple(points)
-        self.point_index = dict(zip(self.points, range(len(self.points))))
-        if len(self.point_index) != len(self.points):
+        if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate point labels")
-
-    def _set_perms(self, images: Mapping[Perm, Sequence[int]]) -> None:
-        group = self.group
         given: dict[Perm, Perm] = {}
         for e, row in images.items():
             perm = Perm(row)
@@ -460,61 +359,3 @@ class GroupAction:
 
     def fixed_points(self, e: Perm) -> tuple[Hashable, ...]:
         return tuple(self.points[i] for i in self.perms[e].fixed_points())
-
-    def fixed_count(self, e: Perm) -> int:
-        return len(self.perms[e].fixed_points())
-
-    @cached_property
-    def _orbits(self) -> tuple[tuple[Hashable, ...], ...]:
-        uf = UnionFind(len(self.points))
-        for e in self.group.generators:
-            for i, j in enumerate(self.perms[e].images):
-                uf.union(i, j)
-        buckets: dict[int, list[Hashable]] = {}
-        for i, p in enumerate(self.points):
-            buckets.setdefault(uf.find(i), []).append(p)
-        return tuple(tuple(b) for _, b in sorted(buckets.items()))
-
-    def orbits(self) -> tuple[tuple[Hashable, ...], ...]:
-        """The orbits under the generators, each in point order, ordered by
-        their first point; found once per action."""
-        return self._orbits
-
-    def orbit_count_unionfind(self) -> int:
-        return len(self._orbits)
-
-    def orbit_count_burnside(self) -> Fraction:
-        total = sum(self.fixed_count(e) for e in self.group.elements)
-        return Fraction(total, self.group.order)
-
-    def orbit_count(self) -> int:
-        """Orbit count computed two independent ways; they must agree and the
-        Burnside average must be an integer."""
-        direct = self.orbit_count_unionfind()
-        average = self.orbit_count_burnside()
-        if average.denominator != 1 or average != direct:
-            raise AssertionError(
-                f"orbit count mismatch: union-find {direct}, Burnside {average}"
-            )
-        return direct
-
-
-def coset_action(group: FiniteGroup, sub: FiniteGroup) -> GroupAction:
-    """Left multiplication of ``group`` on the left cosets of ``sub``.
-
-    Cosets are labelled by their least element.  Raises ValueError if ``sub``
-    is not a subgroup of ``group``.
-    """
-    if not group.is_subgroup(sub):
-        raise ValueError("H is not a subgroup of G")
-    rep_of: dict[Perm, Perm] = {}
-    reps = []
-    for g in group.elements:
-        if g in rep_of:
-            continue
-        coset = sorted(g * h for h in sub.elements)
-        rep = coset[0]
-        reps.append(rep)
-        for x in coset:
-            rep_of[x] = rep
-    return GroupAction(group, tuple(sorted(reps)), lambda e, r: rep_of[e * r])

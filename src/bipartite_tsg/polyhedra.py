@@ -448,7 +448,7 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
         + [("center", 0), ("center", 1)]
     )
     images = _label_images(group, parities, edges, faces, labels)
-    action = GroupAction.from_images(group, tuple(labels), images)
+    action = GroupAction(group, tuple(labels), images)
 
     corner_vectors = tuple(corners)
 
@@ -501,25 +501,3 @@ def _sanity_check_axes(model: PolyhedralModel) -> None:
     )
     if covered + glides != model.group.order - 1:
         raise AssertionError("every nontrivial element needs a fixed-set record")
-
-
-def fixed_count_table(
-    model: PolyhedralModel,
-) -> tuple[tuple[Perm, int, int, dict[str, int]], ...]:
-    """Fixed counts per point class, one row per conjugacy class:
-    (representative, order, parity, counts).  Conjugate elements must agree."""
-    rows = []
-    for cls in model.group.conjugacy_classes():
-        rep = cls[0]
-        if rep.is_identity():
-            continue
-        per_element = []
-        for g in cls:
-            counts = {"corner": 0, "edge": 0, "face": 0}
-            for p in model.fixed_specials(g):
-                counts[p[0]] += 1
-            per_element.append(counts)
-        if any(c != per_element[0] for c in per_element):
-            raise AssertionError("conjugate elements disagree on fixed counts")
-        rows.append((rep, rep.order(), model.parity_of(rep), per_element[0]))
-    return tuple(rows)

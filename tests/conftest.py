@@ -10,6 +10,7 @@ before.
 
 import re
 from collections import Counter
+from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
@@ -27,19 +28,8 @@ from bipartite_tsg.notation import (
     UnknownToken,
     token_of,
 )
-from bipartite_tsg.perms import (
-    FiniteGroup,
-    GroupAction,
-    Perm,
-    alternating_group,
-    coset_action,
-    symmetric_group,
-)
-from bipartite_tsg.polyhedra import (
-    PolyhedralModel,
-    build_polyhedral_model,
-    fixed_count_table,
-)
+from bipartite_tsg.perms import FiniteGroup, GroupAction, Perm, generate_group
+from bipartite_tsg.polyhedra import PolyhedralModel, build_polyhedral_model
 from bipartite_tsg.realizability import (
     CASE_DESCRIPTIONS,
     PartSizeTooSmall,
@@ -121,11 +111,16 @@ def apply(a, e, point):
     if model.parity_of(e) == -1:
         swap = {
             b.copy_name: b.swap_partner
-            for b in a.all_blocks()
+            for b in all_blocks(a)
             if isinstance(b, MarkerBlock) and b.swap_partner is not None
         }
         copy_name = swap.get(copy_name, copy_name)
     return (marker_class, copy_name, label_image(model, e, (marker_class, m))[1])
+
+
+def all_blocks(a):
+    """Every block of placement ``a``, V's then W's, in vertex order."""
+    return tuple(b for part in a.blocks for b in part)
 
 
 def fixers(a):
@@ -159,11 +154,11 @@ def vertex_labels(a):
 def full_action(a):
     """The action of placement ``a`` checked on all ``2n`` vertices: the
     generators' permutations from ``induced_perm``, every other element's
-    composed from them and checked by ``GroupAction.from_images``.  The
-    reference for what ``a`` reads from its transversal."""
+    composed from them and checked by :class:`GroupAction`.  The reference
+    for what ``a`` reads from its transversal."""
     group = a.model.group
     images = {g: a.induced_perm(g).images for g in group.generators}
-    return GroupAction.from_images(group, vertex_labels(a), images)
+    return GroupAction(group, vertex_labels(a), images)
 
 
 def forced_vertices(forced, n):
@@ -198,6 +193,159 @@ def expanded_report(report):
     }
     construction = {**report["construction"], "witness": {**witness, "forced": listed}}
     return {**report, "construction": construction}
+
+
+# --------------------------------------------------------------------------
+# Group and action oracles: the standard groups, exhaustive group checks,
+# actions given by a per-point rule, and orbit counts found two independent
+# ways.  The library's commands need none of them.
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    if n <= 1:
+        return FiniteGroup([Perm.identity(max(n, 1))])
+    gens = [Perm.from_cycles(n, [(0, 1)]), Perm.from_cycles(n, [tuple(range(n))])]
+    return generate_group(gens)
+
+
+def alternating_group(n: int) -> FiniteGroup:
+    if n <= 2:
+        return FiniteGroup([Perm.identity(max(n, 1))])
+    if n == 3:
+        return generate_group([Perm.from_cycles(3, [(0, 1, 2)])])
+    three_cycles = [Perm.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
+    return generate_group(three_cycles)
+
+
+def validate_group(group: FiniteGroup) -> None:
+    """Exhaustive group-axiom check (closure and inverses). Desk scale."""
+    for a in group.elements:
+        if a.inverse() not in group:
+            raise ValueError(f"inverse of {a} missing")
+        for b in group.elements:
+            if a * b not in group:
+                raise ValueError(f"not closed: {a} * {b}")
+
+
+def is_subgroup(group: FiniteGroup, sub: FiniteGroup) -> bool:
+    return sub.degree == group.degree and all(h in group for h in sub.elements)
+
+
+def subgroup(group: FiniteGroup, elements) -> FiniteGroup:
+    sub = FiniteGroup(elements)
+    if not is_subgroup(group, sub):
+        raise ValueError("not a subgroup: elements escape the parent group")
+    return sub
+
+
+def elements_of_order(group: FiniteGroup, k: int) -> tuple[Perm, ...]:
+    """The elements of order ``k``, in element order, from one pass that
+    groups every element by its order."""
+    by_order: dict[int, list[Perm]] = {}
+    for e in group.elements:
+        by_order.setdefault(e.order(), []).append(e)
+    return tuple(by_order.get(k, ()))
+
+
+class UnionFind:
+    """Plain union-find over range(n), used for direct orbit counting."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def action_of(group: FiniteGroup, points, act_fn) -> GroupAction:
+    """The action in which ``e`` sends the point ``p`` to ``act_fn(e, p)``.
+    Every element's image list is built here and checked by the library's
+    constructor; a point sent off the point set raises ValueError."""
+    points = tuple(points)
+    index = {p: i for i, p in enumerate(points)}
+    images = {}
+    for e in group.elements:
+        row = []
+        for p in points:
+            q = act_fn(e, p)
+            if q not in index:
+                raise ValueError(
+                    f"action leaves the point set: {e!r} sends {p!r} to {q!r}"
+                )
+            row.append(index[q])
+        images[e] = row
+    return GroupAction(group, points, images)
+
+
+def fixed_count(action: GroupAction, e: Perm) -> int:
+    return len(action.perms[e].fixed_points())
+
+
+def orbits_of(action: GroupAction) -> tuple[tuple, ...]:
+    """The orbits under the generators, found by union-find, each in point
+    order, ordered by their first point."""
+    uf = UnionFind(len(action.points))
+    for e in action.group.generators:
+        for i, j in enumerate(action.perms[e].images):
+            uf.union(i, j)
+    buckets: dict[int, list] = {}
+    for i, p in enumerate(action.points):
+        buckets.setdefault(uf.find(i), []).append(p)
+    return tuple(tuple(b) for _, b in sorted(buckets.items()))
+
+
+def orbit_count_unionfind(action: GroupAction) -> int:
+    return len(orbits_of(action))
+
+
+def orbit_count_burnside(action: GroupAction) -> Fraction:
+    total = sum(fixed_count(action, e) for e in action.group.elements)
+    return Fraction(total, action.group.order)
+
+
+def orbit_count(action: GroupAction) -> int:
+    """Orbit count computed two independent ways; they must agree and the
+    Burnside average must be an integer."""
+    direct = orbit_count_unionfind(action)
+    average = orbit_count_burnside(action)
+    if average.denominator != 1 or average != direct:
+        raise AssertionError(
+            f"orbit count mismatch: union-find {direct}, Burnside {average}"
+        )
+    return direct
+
+
+def coset_action(group: FiniteGroup, sub: FiniteGroup) -> GroupAction:
+    """Left multiplication of ``group`` on the left cosets of ``sub``.
+
+    Cosets are labelled by their least element.  Raises ValueError if ``sub``
+    is not a subgroup of ``group``.
+    """
+    if not is_subgroup(group, sub):
+        raise ValueError("H is not a subgroup of G")
+    rep_of: dict[Perm, Perm] = {}
+    reps = []
+    for g in group.elements:
+        if g in rep_of:
+            continue
+        coset = sorted(g * h for h in sub.elements)
+        rep = coset[0]
+        reps.append(rep)
+        for x in coset:
+            rep_of[x] = rep
+    return action_of(group, sorted(reps), lambda e, r: rep_of[e * r])
 
 
 # --------------------------------------------------------------------------
@@ -395,6 +543,28 @@ ClassSignature = tuple[tuple[int, int, tuple[int, int, int]], ...]
 # two oracles can be compared.
 
 
+def fixed_count_table(
+    model: PolyhedralModel,
+) -> tuple[tuple[Perm, int, int, dict[str, int]], ...]:
+    """Fixed counts per point class, one row per conjugacy class:
+    (representative, order, parity, counts).  Conjugate elements must agree."""
+    rows = []
+    for cls in model.group.conjugacy_classes():
+        rep = cls[0]
+        if rep.is_identity():
+            continue
+        per_element = []
+        for g in cls:
+            counts = {"corner": 0, "edge": 0, "face": 0}
+            for p in model.fixed_specials(g):
+                counts[p[0]] += 1
+            per_element.append(counts)
+        if any(c != per_element[0] for c in per_element):
+            raise AssertionError("conjugate elements disagree on fixed counts")
+        rows.append((rep, rep.order(), model.parity_of(rep), per_element[0]))
+    return tuple(rows)
+
+
 def incidence_fixed_signature(model: PolyhedralModel) -> ClassSignature:
     """Class signature of a rotation model, from the geometric incidences."""
     rows = []
@@ -439,7 +609,7 @@ def _cyclic_stabilizer(group: FiniteGroup, order: int) -> FiniteGroup:
     the marker stabilizer is the class whose elements move fewer letters:
     an edge of the cube is stabilized by the half-turn exchanging just one
     pair of diagonals, not by a face half-turn exchanging both pairs."""
-    candidates = group.elements_of_order(order)
+    candidates = elements_of_order(group, order)
     generator = max(
         candidates, key=lambda e: (len(e.fixed_points()), e.images)
     )
@@ -471,7 +641,7 @@ def build_coset_model(kind: str) -> ClassSignature:
             continue
         per_element = {
             g: tuple(
-                actions[marker].fixed_count(g)
+                fixed_count(actions[marker], g)
                 for marker in ("corner", "edge", "face")
             )
             for g in cls

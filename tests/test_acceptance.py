@@ -30,15 +30,21 @@ from bipartite_tsg.necessity import (
     s4_burnside_orbits,
     s4_n6_analysis,
 )
-from bipartite_tsg.perms import GroupAction, Perm
+from bipartite_tsg.perms import Perm
 from bipartite_tsg.polyhedra import build_polyhedral_model
 from bipartite_tsg.realizability import check_realizable
 
 from conftest import (
+    action_of,
     build_coset_model,
+    elements_of_order,
     expanded_report,
+    fixed_count,
     full_action,
     incidence_fixed_signature,
+    orbit_count_burnside,
+    orbit_count_unionfind,
+    orbits_of,
 )
 
 
@@ -178,14 +184,14 @@ def test_criterion_6_burnside_oracle_and_the_edge_marker_average():
             "tetrahedron", "tetrahedron-skeleton", "cube", "dodecahedron"
         ):
             action = build_polyhedral_model(kind).action
-            assert action.orbit_count_unionfind() == action.orbit_count_burnside()
+            assert orbit_count_unionfind(action) == orbit_count_burnside(action)
 
         # every sampled placement action, on all 2n vertices
         for (group, n) in (("A4", 16), ("S4", 32), ("A5", 62)):
             assignment = build_assignment(group, n)
             action = full_action(assignment)
-            direct = action.orbit_count_unionfind()
-            average = action.orbit_count_burnside()
+            direct = orbit_count_unionfind(action)
+            average = orbit_count_burnside(action)
             assert direct == average and average.denominator == 1
             assert check_orbit_count(assignment) == direct
 
@@ -193,18 +199,19 @@ def test_criterion_6_burnside_oracle_and_the_edge_marker_average():
         model = build_polyhedral_model("dodecahedron")
         edges = [p for p in model.action.points if p[0] == "edge"]
         assert len(edges) == 30
-        points, index, perms = model.points, model.action.point_index, model.action.perms
-        action = GroupAction(model.group, edges, lambda e, p: points[perms[e](index[p])])
+        points, perms = model.points, model.action.perms
+        index = {p: i for i, p in enumerate(points)}
+        action = action_of(model.group, edges, lambda e, p: points[perms[e](index[p])])
         by_order: dict[int, set[int]] = {}
         for e in model.group:
-            by_order.setdefault(e.order(), set()).add(action.fixed_count(e))
+            by_order.setdefault(e.order(), set()).add(fixed_count(action, e))
         assert by_order == {1: {30}, 2: {2}, 3: {0}, 5: {0}}
-        sizes = {o: len(model.group.elements_of_order(o)) for o in (2, 3, 5)}
+        sizes = {o: len(elements_of_order(model.group, o)) for o in (2, 3, 5)}
         assert sizes == {2: 15, 3: 20, 5: 24}
         total = Fraction(30 + 15 * 2 + 20 * 0 + 24 * 0, 60)
         assert total == 1
-        assert action.orbit_count_burnside() == total
-        assert action.orbit_count_unionfind() == 1
+        assert orbit_count_burnside(action) == total
+        assert orbit_count_unionfind(action) == 1
 
 
 def test_criterion_7_octahedral_exclusion_arithmetic_at_six():
@@ -296,7 +303,7 @@ def test_criterion_10_property_suite_over_the_construction_corpus():
                 )
 
             # orbit sizes divide the group order
-            for orbit in full_action(assignment).orbits():
+            for orbit in orbits_of(full_action(assignment)):
                 assert model.group.order % len(orbit) == 0, (group, n)
 
             # realizability is invariant under within-part relabeling

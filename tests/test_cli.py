@@ -425,6 +425,61 @@ def test_no_decide_or_verify_input_exits_with_an_internal_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("decide", "--group", "A4", "--n", HUGE_DIGITS), "--n"),
+        (("verify", "--group", "A4", "--n", HUGE_DIGITS), "--n"),
+        (("check-aut", "--n", HUGE_DIGITS, "--cycles", ""), "--n"),
+        (("sweep", "--group", "A4", "--max", HUGE_DIGITS), "--max"),
+        (("decide", "--group", "A4", "--n", "16", "--cap", HUGE_DIGITS), "--cap"),
+        (("verify", "--group", "A4", "--n", "16", "--cap", HUGE_DIGITS), "--cap"),
+        (("sweep", "--group", "A4", "--max", "12", "--cap", HUGE_DIGITS), "--cap"),
+    ],
+    ids=["decide-n", "verify-n", "check-aut-n", "sweep-max", "decide-cap",
+         "verify-cap", "sweep-cap"],
+)
+def test_an_integer_flag_past_the_digit_limit_is_refused_briefly(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and out == ""
+    assert len(err.encode()) < 300, err
+    assert f"argument {flag}: must be " in err
+    assert "of at most" in err and "(5000 characters)" in err
+    assert "_cap" not in err and "invalid" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--n", "12x", "argument --n: must be an integer, not '12x'"),
+        ("--n", "x" * 30, f"argument --n: must be an integer, not {'x' * 20!r}... "
+         "(30 characters)"),
+        ("--cap", "+5", "argument --cap: must be a count (0 or more), not '+5'"),
+    ],
+)
+def test_an_integer_flag_names_itself_and_says_why(capsys, flag, text, message):
+    argv = ["decide", "--group", "A4", "--n", "16", flag, text]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [" 16 ", "+16", "1_6", "\u0661\u0666"])
+def test_an_integer_flag_reads_what_int_reads(capsys, text):
+    code, out, _ = run(capsys, "decide", "--group", "A4", "--n", text)
+    assert code == EXIT_DECIDED
+    assert out.startswith("K_{16,16}")
+
+
+def test_check_automorphism_cmd_rejects_a_text_that_is_not_a_string():
+    for text in (None, b"(v1 v2)"):
+        with pytest.raises(ValueError, match="cycle text must be a string"):
+            check_automorphism_cmd(text, 3)
+
+
 def test_verify_without_report_prints_json(capsys):
     code, out, _ = run(capsys, "verify", "--group", "S4", "--n", "9")
     assert code == EXIT_DECIDED

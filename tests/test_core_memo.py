@@ -44,6 +44,8 @@ from bipartite_tsg.hypotheses import (
 )
 from bipartite_tsg.necessity import counting_table
 
+from conftest import all_blocks
+
 # What the ``checks`` fixture counts: the templates made, the template's two
 # facts, each check the record keeps, and the records made.
 CHECKS = ("template", "transversal", "fixed", "row", "routing", "report", "record")
@@ -256,7 +258,7 @@ def _cores_with_an_empty_free_part():
         (a.target_group, a.n, larger[case])
         for case, a in smallest.items()
         if case in larger
-        and any(isinstance(b, FreeOrbitBlock) and not b.count for b in a.all_blocks())
+        and any(isinstance(b, FreeOrbitBlock) and not b.count for b in all_blocks(a))
     ]
 
 

@@ -31,10 +31,10 @@ from bipartite_tsg.hypotheses import (
     subgroup_corollary_witness,
     verify_construction,
 )
-from bipartite_tsg.perms import Perm, UnionFind
+from bipartite_tsg.perms import Perm
 from bipartite_tsg.polyhedra import build_polyhedral_model
 
-from conftest import apply, fixers, part_at, vertex_labels
+from conftest import UnionFind, all_blocks, apply, fixers, part_at, vertex_labels
 from test_forced_closure import reference_closure, reference_neighbors
 
 
@@ -426,7 +426,7 @@ def one_placement_per_layout():
                 a = place(group, n)
                 swaps = frozenset(
                     (b.copy_name, b.swap_partner)
-                    for b in a.all_blocks()
+                    for b in all_blocks(a)
                     if isinstance(b, MarkerBlock) and b.swap_partner is not None
                 )
                 out.setdefault((a.model.kind, a.copies, swaps), a)

@@ -205,6 +205,13 @@ def test_non_integer_part_size_rejected(n):
         print_cycles(Perm.identity(2), n)
 
 
+@pytest.mark.parametrize("text", [b"(v1 v2)", None, 12, ["(v1 v2)"]])
+def test_a_text_that_is_not_a_string_is_rejected(text):
+    # refused as a bad n is, not by the regex engine's TypeError
+    with pytest.raises(ValueError, match="cycle text must be a string, got "):
+        parse_cycles(text, 3)
+
+
 def test_error_hierarchy():
     for cls in (DuplicateToken, UnknownToken, UnbalancedParenthesis):
         assert issubclass(cls, NotationError)

@@ -15,7 +15,6 @@ from bipartite_tsg.polyhedra import (
     cross,
     dist2,
     dot,
-    fixed_count_table,
     vec,
     vsum,
 )
@@ -23,8 +22,12 @@ from bipartite_tsg.polyhedra import (
 from conftest import (
     MODEL_KINDS,
     build_coset_model,
+    fixed_count_table,
     incidence_fixed_signature,
     label_image,
+    orbits_of,
+    subgroup,
+    validate_group,
 )
 
 ROTATION_KINDS = ("tetrahedron", "cube", "dodecahedron")
@@ -127,8 +130,8 @@ def even_elements(model):
 
 def test_skeleton_even_subgroup_is_the_tetrahedral_group(models):
     m = models["tetrahedron-skeleton"]
-    even = m.group.subgroup(even_elements(m))
-    even.validate()
+    even = subgroup(m.group, even_elements(m))
+    validate_group(even)
     assert even.order == 12
     assert all(e.order() in (1, 2, 3) for e in even)
 
@@ -153,7 +156,7 @@ def test_corners_all_same_radius(models):
 def test_group_acts_transitively_on_each_marker_class(models):
     for kind in ROTATION_KINDS:
         m = models[kind]
-        orbits = m.action.orbits()
+        orbits = orbits_of(m.action)
         by_class = {}
         for orbit in orbits:
             kinds = {p[0] for p in orbit}
