@@ -6,40 +6,47 @@ The package answers, for the three orientation-preserving polyhedral groups
 bipartite graphs on equal parts admit a spatial embedding with that
 symmetry group, and exhibits the combinatorial side of the constructions
 that realize the positive cases.
+
+Importing the package loads none of its modules.  Each exported name is
+listed in ``_EXPORTS`` with the module that defines it, and the first read
+of the name (``bipartite_tsg.decide``, ``from bipartite_tsg import decide``
+or ``import *``) imports that module and binds the name here (PEP 562).  So
+``import bipartite_tsg.necessity`` loads only ``necessity`` and the modules
+it imports.  No exported name is also the name of a module, since importing
+a module binds its name on the package.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .bipartite import (
-    BipartiteAut,
-    FixedSubgraphShape,
-    MixedParts,
-    fixed_shape,
-    validate_automorphism,
-)
-from .decide import (
-    GROUPS,
-    InternalMismatch,
-    SweepTable,
-    Verdict,
-    decide,
-    sweep,
-    theorem_predicate,
-)
-from .necessity import (
-    NecessityVerdict,
-    enumerate_profiles,
-    necessity_verdict,
-    partition_feasible,
-    s4_burnside_orbits,
-)
-from .notation import NotationError, parse_cycles, print_cycles
-from .realizability import (
-    CASE_DESCRIPTIONS,
-    PartSizeTooSmall,
-    RealizabilityResult,
-    check_realizable,
-)
+#: Each exported name and the module that defines it.
+_EXPORTS = {
+    "BipartiteAut": "bipartite",
+    "FixedSubgraphShape": "bipartite",
+    "MixedParts": "bipartite",
+    "fixed_shape": "bipartite",
+    "validate_automorphism": "bipartite",
+    "InternalMismatch": "decision",
+    "SweepTable": "decision",
+    "Verdict": "decision",
+    "decide": "decision",
+    "sweep": "decision",
+    "theorem_predicate": "decision",
+    "GROUPS": "necessity",
+    "NecessityVerdict": "necessity",
+    "enumerate_profiles": "necessity",
+    "necessity_verdict": "necessity",
+    "partition_feasible": "necessity",
+    "s4_burnside_orbits": "necessity",
+    "NotationError": "notation",
+    "parse_cycles": "notation",
+    "print_cycles": "notation",
+    "CASE_DESCRIPTIONS": "realizability",
+    "PartSizeTooSmall": "realizability",
+    "RealizabilityResult": "realizability",
+    "check_realizable": "realizability",
+}
 
 __all__ = [
     "BipartiteAut",
@@ -68,3 +75,18 @@ __all__ = [
     "theorem_predicate",
     "validate_automorphism",
 ]
+
+
+def __getattr__(name: str):
+    """Import an exported name's module on the name's first read; any other
+    name is missing, so that ``from bipartite_tsg import notation`` goes on
+    to import the module."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

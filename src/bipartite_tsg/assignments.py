@@ -1390,7 +1390,7 @@ def recipe_case(group: str, n: int) -> str:
     """Name of the recipe for an admitted ``(n, group)``: A5 by ``n mod 60``,
     A4/S4 by ``n mod 12`` for the skeleton and ``n mod 24`` for the cube,
     and the tetrahedron for A4 at ``n = 6``.  ``group`` and ``n`` are
-    validated as :func:`~.decide.decide` validates them."""
+    validated as :func:`~.decision.decide` validates them."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     require_count(n, "part size")

@@ -20,7 +20,7 @@ import json
 import sys
 
 from .bipartite import CycleProfile, validate_automorphism
-from .decide import GROUPS, InternalMismatch, Verdict, decide, sweep
+from .decision import GROUPS, InternalMismatch, Verdict, decide, sweep
 from .necessity import RULES, TABLE_MODULUS, counting_table, enumerate_profiles
 from .notation import NotationError, format_cycles, parse_cycles
 from .realizability import (

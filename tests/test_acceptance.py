@@ -17,7 +17,7 @@ from bipartite_tsg.assignments import (
     check_orbit_count,
     verify_fixed_counts,
 )
-from bipartite_tsg.decide import GROUPS, decide, sweep, theorem_predicate
+from bipartite_tsg.decision import GROUPS, decide, sweep, theorem_predicate
 from bipartite_tsg.hypotheses import (
     check_edge_embedding_hypotheses,
     check_subgroup_theorem,

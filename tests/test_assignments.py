@@ -29,8 +29,7 @@ from bipartite_tsg.assignments import (
     summarize_blocks,
     verify_fixed_counts,
 )
-from bipartite_tsg.bipartite import validate_automorphism
-from bipartite_tsg.decide import InternalMismatch, decide, theorem_predicate
+from bipartite_tsg.decision import InternalMismatch, decide, theorem_predicate
 from bipartite_tsg.hypotheses import verify_construction
 from bipartite_tsg.necessity import GROUPS, TABLE_MODULUS, necessity_verdict
 from bipartite_tsg.perms import GroupAction, Perm, generate_group

@@ -17,7 +17,7 @@ from bipartite_tsg.cli import (
     check_automorphism_cmd,
     main,
 )
-from bipartite_tsg.decide import InternalMismatch, decide
+from bipartite_tsg.decision import InternalMismatch, decide
 from bipartite_tsg.notation import UnknownToken
 
 cli_module = importlib.import_module("bipartite_tsg.cli")

@@ -29,7 +29,7 @@ from bipartite_tsg.assignments import (
     recipe_case,
     verify_fixed_counts,
 )
-from bipartite_tsg.decide import (
+from bipartite_tsg.decision import (
     GROUPS,
     InternalMismatch,
     decide,
@@ -317,7 +317,7 @@ def test_a_core_that_acts_unfaithfully_fails_only_a_placement_without_free_orbit
         decide(32, "A5")  # reads the kept record
 
 
-decide_module = importlib.import_module("bipartite_tsg.decide")
+decide_module = importlib.import_module("bipartite_tsg.decision")
 PLACEMENT_FIELDS = {f.name for f in fields(VertexAssignment)}
 
 

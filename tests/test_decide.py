@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bipartite_tsg.assignments import RECIPES
-from bipartite_tsg.decide import (
+from bipartite_tsg.decision import (
     GROUPS,
     InternalMismatch,
     decide,
@@ -19,9 +19,8 @@ from bipartite_tsg.decide import (
     theorem_predicate,
 )
 
-# the package re-exports the ``decide`` function under the same name as the
-# submodule, so reach the module itself for monkeypatching
-decide_module = importlib.import_module("bipartite_tsg.decide")
+# the modules themselves, for monkeypatching
+decide_module = importlib.import_module("bipartite_tsg.decision")
 necessity_module = importlib.import_module("bipartite_tsg.necessity")
 
 

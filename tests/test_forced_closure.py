@@ -28,7 +28,7 @@ from bipartite_tsg.assignments import (
     recipe_case,
 )
 from bipartite_tsg.bipartite import FixedSubgraphShape, embeds_in_circle
-from bipartite_tsg.decide import GROUPS, theorem_predicate
+from bipartite_tsg.decision import GROUPS, theorem_predicate
 from bipartite_tsg.hypotheses import (
     _recorded_edge,
     check_subgroup_theorem,

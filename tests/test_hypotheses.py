@@ -19,7 +19,7 @@ from bipartite_tsg.assignments import (
     place,
 )
 from bipartite_tsg.bipartite import embeds_in_circle
-from bipartite_tsg.decide import GROUPS, theorem_predicate
+from bipartite_tsg.decision import GROUPS, theorem_predicate
 from bipartite_tsg.hypotheses import (
     HypothesisViolation,
     NoSuchEdge,

@@ -1,17 +1,21 @@
-"""Every name a module of the package imports is used in that module, every
-import sits at a module's top level, every private name a module or one of
-its classes defines is read by some module, every public one is read or
+"""Every name a module of the package, a test or a demo imports is used in
+that file, every import sits at a module's top level, only the package's
+``__getattr__`` imports a module by name, every private name a module or one
+of its classes defines is read by some module, every public one is read or
 exported by some module unless it is kept, with its reason, for a reader
-outside the package, every local name a function binds is read, and each
-module imports only modules below it in one fixed order."""
+outside the package, every local name a function binds is read, each module
+imports only modules below it in one fixed order, and the package reads each
+exported name from the module that defines it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bipartite_tsg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bipartite_tsg"
 MODULES = sorted(SRC.glob("*.py"))
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -75,7 +79,11 @@ def test_the_checker_sees_an_unused_import():
     assert unused == {"field", "os", "Mapping"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)),
+)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {
@@ -116,10 +124,69 @@ def test_every_import_is_at_the_top_level(path):
     assert not local_imports(tree), f"{path.name} imports inside a body"
 
 
-def private_definitions(tree: ast.Module | ast.ClassDef) -> dict[str, int]:
-    """Each private name the module or class binds at its top level, a
-    ``_def``, a ``_Class`` or a ``_CONSTANT`` (in a class, a method, a
-    property or a class attribute), with the line that binds it."""
+_IMPORTERS = {"import_module", "__import__"}
+
+
+def dynamic_imports(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """Each call of ``import_module`` or ``__import__`` in the module, by any
+    name or alias, as the innermost function that makes it (``None`` at the
+    top level) and its line."""
+    importers = _IMPORTERS | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in _IMPORTERS and alias.asname
+    }
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                called = child.func
+                if getattr(called, "attr", getattr(called, "id", None)) in importers:
+                    out.append((function, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, None)
+    return out
+
+
+def test_the_checker_sees_a_dynamic_import():
+    tree = ast.parse(
+        "import importlib\n"
+        "from importlib import import_module as load\n"
+        "importlib.import_module('os')\n"
+        "def __getattr__(name):\n"
+        "    return load('.' + name, __name__)\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return [__import__(m) for m in 'ab']\n"
+        "def g():\n"
+        "    def h():\n"
+        "        return importlib.__import__('os')\n"
+        "    return import_module\n"
+    )
+    assert dynamic_imports(tree) == [
+        (None, 3), ("__getattr__", 5), ("f", 8), ("h", 11)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_package_getattr_imports_by_name(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {"__getattr__"} if path.stem == "__init__" else set()
+    calls = dynamic_imports(tree)
+    assert all(function in allowed for function, _ in calls), (
+        f"{path.name} imports a module by name: {calls}"
+    )
+
+
+def top_level_definitions(tree: ast.Module | ast.ClassDef) -> dict[str, int]:
+    """Each name the module or class binds at its top level by a ``def``, a
+    ``class`` or an assignment, not by an import, with the line that binds
+    it."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -130,10 +197,19 @@ def private_definitions(tree: ast.Module | ast.ClassDef) -> dict[str, int]:
             names = [node.target.id]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                out[name] = node.lineno
+        out.update(dict.fromkeys(names, node.lineno))
     return out
+
+
+def private_definitions(tree: ast.Module | ast.ClassDef) -> dict[str, int]:
+    """Each private name the module or class binds at its top level, a
+    ``_def``, a ``_Class`` or a ``_CONSTANT`` (in a class, a method, a
+    property or a class attribute), with the line that binds it."""
+    return {
+        name: line
+        for name, line in top_level_definitions(tree).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -398,7 +474,7 @@ IMPORT_ORDER = (
     "necessity",
     "assignments",
     "hypotheses",
-    "decide",
+    "decision",
     "cli",
 )
 
@@ -464,3 +540,32 @@ def test_each_module_imports_only_modules_below_it():
     }
     assert sorted(trees) == sorted(IMPORT_ORDER)
     assert upward_imports(trees, IMPORT_ORDER) == []
+
+
+def assigned(tree: ast.Module, name: str):
+    """The value the module assigns to ``name`` at its top level."""
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+    return ast.literal_eval(value)
+
+
+def test_each_exported_name_is_read_from_the_module_that_defines_it():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    table = assigned(init, "_EXPORTS")
+    assert set(table) == exported_names(init) - {"__version__"}
+    assert set(table.values()) <= set(IMPORT_ORDER)
+    trees = {
+        module: ast.parse((SRC / f"{module}.py").read_text())
+        for module in set(table.values())
+    }
+    misplaced = {
+        name: module
+        for name, module in table.items()
+        if name not in top_level_definitions(trees[module])
+        or name in imported_names(trees[module])
+    }
+    assert not misplaced, f"names not defined in their table module: {misplaced}"

@@ -15,7 +15,7 @@ from bipartite_tsg.assignments import (
     build_assignment,
     verify_fixed_counts,
 )
-from bipartite_tsg.decide import InternalMismatch, decide
+from bipartite_tsg.decision import InternalMismatch, decide
 from bipartite_tsg.hypotheses import (
     check_edge_embedding_hypotheses,
     check_subgroup_theorem,

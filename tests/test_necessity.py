@@ -14,7 +14,6 @@ from bipartite_tsg.necessity import (
     ICOSAHEDRAL_ORBIT_SIZES,
     RULES,
     TABLE_MODULUS,
-    A5SmallCase,
     FixedCount,
     FixedProfile,
     LinearForm,
