@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .perms import Perm
 
@@ -125,31 +125,47 @@ class CycleProfile:
         )
 
     @classmethod
+    def of_counts(
+        cls,
+        n: int,
+        on_v: Mapping[int, int],
+        on_w: Mapping[int, int],
+        swapping: bool,
+    ) -> "CycleProfile":
+        """The profile of an automorphism of ``K_{n,n}`` from the lengths of
+        all its cycles, fixed points included, as ``{length: count}``
+        tallies of the cycles whose least point is in V (``on_v``) and of
+        those whose least point is in W (``on_w``).  The order is the lcm of
+        the lengths.
+
+        When the automorphism swaps the parts, every cycle meets V and so is
+        led from V: ``on_v`` holds the cross counts, and an ``on_w`` count,
+        which would leave the lengths short of ``2n``, is rejected."""
+        v = tuple(sorted(on_v.items()))
+        w = tuple(sorted(on_w.items()))
+        cross = ()
+        if swapping:
+            v, w, cross = (), (), v
+        return cls(n, lcm(*on_v, *on_w), v, w, cross)
+
+    @classmethod
     def of_cycles(cls, n: int, cycles: Sequence[tuple[int, ...]]) -> "CycleProfile":
         """The profile of an automorphism of ``K_{n,n}`` from all its
         cycles, fixed points included, each starting at its least point and
-        sorted by it (as :meth:`Perm.cycles` gives them).  The order is the
-        lcm of the lengths.
+        sorted by it (as :meth:`Perm.cycles` gives them), counted into
+        :meth:`of_counts`.
 
-        The first cycle holds vertex 0.  When it leaves V, the automorphism
-        swaps the parts and every cycle meets both.  Otherwise each cycle
-        lies in one part: in V up to the first cycle whose least point is in
-        W, and in W from there on."""
+        The cycles led from V end at the first cycle whose least point is in
+        W.  The first cycle holds vertex 0; the automorphism swaps the parts
+        when that cycle leaves V."""
+        split = bisect_left(cycles, n, key=itemgetter(0))
         first = cycles[0]
-        if len(first) > 1 and first[1] >= n:
-            v, w, cross = (), (), _length_counts(cycles)
-        else:
-            split = bisect_left(cycles, n, key=itemgetter(0))
-            v = _length_counts(cycles[:split])
-            w = _length_counts(cycles[split:])
-            cross = ()
-        r = lcm(*{length for part in (v, w, cross) for length, _ in part})
-        return cls(n, r, v, w, cross)
-
-
-def _length_counts(cycles: Sequence[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
-    """``(length, count)`` pairs of the cycles, lengths ascending."""
-    return tuple(sorted(Counter(map(len, cycles)).items()))
+        return cls.of_counts(
+            n,
+            Counter(map(len, cycles[:split])),
+            Counter(map(len, cycles[split:])),
+            len(first) > 1 and first[1] >= n,
+        )
 
 
 def cycle_profile(aut: BipartiteAut) -> CycleProfile:

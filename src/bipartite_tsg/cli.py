@@ -22,7 +22,7 @@ import sys
 from .bipartite import CycleProfile, validate_automorphism
 from .decision import GROUPS, InternalMismatch, Verdict, decide, sweep
 from .necessity import RULES, TABLE_MODULUS, counting_table, enumerate_profiles
-from .notation import NotationError, format_cycles, parse_cycles
+from .notation import NotationError, parse_cycles, walk_cycles
 from .realizability import (
     CASE_DESCRIPTIONS,
     PartSizeTooSmall,
@@ -137,13 +137,14 @@ def check_automorphism_cmd(
     the nine realizable patterns.  Returns the result and a report dict."""
     perm = parse_cycles(text, n)
     aut = validate_automorphism(perm, n)
-    # The only walk over the cycles: profile, order and text all read it.
-    cycles = perm.cycles(include_fixed=True)
-    profile = CycleProfile.of_cycles(n, cycles)
+    # The only walk over the cycles names them and counts their lengths;
+    # the profile, and so the order, is built from its counts.
+    printed, on_v, on_w = walk_cycles(perm, n)
+    profile = CycleProfile.of_counts(n, on_v, on_w, aut.part_behavior == "swaps")
     result = check_profile(profile)
     report = {
         "n": n,
-        "cycles": format_cycles(cycles, n) or "(identity)",
+        "cycles": printed or "(identity)",
         "order": profile.r,
         "part_behavior": aut.part_behavior,
         "realizable": result.realizable,

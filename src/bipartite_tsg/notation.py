@@ -12,6 +12,10 @@ token table ``_NUMBERS`` (at most 4096 entries, ``vi`` -> ``i`` and ``wi`` ->
 most ``_REMEMBERED`` = 2048 names each, ``v1..`` and ``w1..``) read by the
 printer.  Both fill on first need; a token or a name past ``_REMEMBERED`` is
 read or written by rule.
+
+The printer is one walk over the permutation (:func:`walk_cycles`): it names
+each vertex as it steps onto it and counts each cycle's length when the
+cycle closes, so a check reads its text and its cycle profile from one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import re
 import threading
 from itertools import islice
-from typing import Iterable
 
 from .bipartite import require_integer
 from .perms import Perm
@@ -29,10 +32,10 @@ __all__ = [
     "NotationError",
     "UnbalancedParenthesis",
     "UnknownToken",
-    "format_cycles",
     "parse_cycles",
     "print_cycles",
     "token_of",
+    "walk_cycles",
 ]
 
 # One lexeme per match: a run of token characters, or any other single
@@ -220,36 +223,65 @@ def _grow_names(n: int) -> None:
             names.extend([f"{part}{i}" for i in range(len(names) + 1, n + 1)])
 
 
-def format_cycles(cycles: Iterable[tuple[int, ...]], n: int) -> str:
-    """Cycle notation for the cycles of a permutation of ``2n`` vertices, in
-    the order given; cycles of length 1 (fixed vertices) are omitted.  Names
-    come from the bounded name lists for ``n <= _REMEMBERED``, else by the
-    :func:`token_of` rule."""
-    if n > _REMEMBERED:
-        bodies = [
-            " ".join([f"v{x + 1}" if x < n else f"w{x - n + 1}" for x in cycle])
-            for cycle in cycles
-            if len(cycle) > 1
-        ]
-    else:
-        if len(_W_NAMES) < n:
-            _grow_names(n)
-        v, w = _V_NAMES, _W_NAMES
-        bodies = [
-            " ".join([v[x] if x < n else w[x - n] for x in cycle])
-            for cycle in cycles
-            if len(cycle) > 1
-        ]
-    return f"({')('.join(bodies)})" if bodies else ""
+def walk_cycles(perm: Perm, n: int) -> tuple[str, dict[int, int], dict[int, int]]:
+    """One walk over the cycles of a permutation of ``2n`` vertices: its
+    normal-form text (as :func:`print_cycles` gives it) and two
+    ``{length: count}`` tallies of its cycle lengths, one for the cycles whose
+    least vertex is in V and one for those whose least vertex is in W.
 
+    Start vertices are visited in increasing order, marked in one
+    ``bytearray(2n)``, so each cycle is found from its least vertex.  The
+    walk names each vertex as it steps onto it, from the bounded name lists,
+    or by the :func:`token_of` rule past ``_REMEMBERED``, and counts the
+    cycle's length when the cycle closes.  A fixed vertex is counted as a
+    cycle of length 1 and is never named.
 
-def print_cycles(perm: Perm, n: int) -> str:
-    """Normal-form cycle notation: cycles sorted by smallest vertex, each
-    cycle starting at its smallest vertex, fixed vertices omitted.  The
-    identity prints as the empty string."""
+    Raises ValueError for an ``n`` that is not an integer or a permutation
+    whose degree is not ``2n``.
+    """
     require_integer(n, "part size")
     if perm.degree != 2 * n:
         raise ValueError(
             f"permutation degree {perm.degree} does not match 2n = {2 * n}"
         )
-    return format_cycles(perm.cycles(), n)
+    cap = _REMEMBERED
+    if len(_W_NAMES) < min(n, cap):
+        _grow_names(min(n, cap))
+    v, w = _V_NAMES, _W_NAMES
+    images = perm.images
+    seen = bytearray(2 * n)
+    on_v: dict[int, int] = {}
+    on_w: dict[int, int] = {}
+    bodies = []
+    for start in range(2 * n):
+        if seen[start]:
+            continue
+        x = images[start]
+        if x == start:
+            length = 1
+        else:
+            names = []
+            x = start
+            while True:
+                seen[x] = 1
+                if x < n:
+                    names.append(v[x] if x < cap else f"v{x + 1}")
+                else:
+                    i = x - n
+                    names.append(w[i] if i < cap else f"w{i + 1}")
+                x = images[x]
+                if x == start:
+                    break
+            bodies.append(" ".join(names))
+            length = len(names)
+        tally = on_v if start < n else on_w
+        tally[length] = tally.get(length, 0) + 1
+    return (f"({')('.join(bodies)})" if bodies else ""), on_v, on_w
+
+
+def print_cycles(perm: Perm, n: int) -> str:
+    """Normal-form cycle notation: cycles sorted by smallest vertex, each
+    cycle starting at its smallest vertex, fixed vertices omitted.  The
+    identity prints as the empty string.  The text of :func:`walk_cycles`,
+    with its argument checks."""
+    return walk_cycles(perm, n)[0]

@@ -131,6 +131,17 @@ def test_profile_of_swapping_automorphism():
     assert profile.v_counts == () and profile.w_counts == ()
 
 
+def test_profile_of_counts_reads_a_swap_from_the_v_tally_only():
+    profile = CycleProfile.of_counts(3, {4: 1, 2: 1}, {}, swapping=True)
+    assert profile == CycleProfile(3, 4, (), (), ((2, 1), (4, 1)))
+    assert CycleProfile.of_counts(3, {4: 1, 2: 1}, {}, swapping=False) == (
+        CycleProfile(3, 4, ((2, 1), (4, 1)), (), ())
+    )
+    # Every cycle of a swap meets V, so none is led from W.
+    with pytest.raises(ValueError, match="cycle lengths total 4, expected 6"):
+        CycleProfile.of_counts(3, {4: 1}, {2: 1}, swapping=True)
+
+
 def test_swapped_profile_exchanges_parts():
     p = Perm.from_cycles(6, [(0, 1, 2)])
     profile = cycle_profile(validate_automorphism(p, 3))

@@ -293,12 +293,32 @@ def test_check_automorphism_cmd_rejects_a_token_past_the_digit_limit():
         ("3", " \t\n\u2028 "),
         ("3", ""),
         ("100001", "(v1 v2)"),
+        # past the bounded name lists: named by rule, mixing the parts, and
+        # an identity
+        ("2049", "(v2049 v1)(w1 w2049)"),
+        ("2049", "(v2049 w2049)"),
+        ("4097", ""),
     ],
 )
 def test_no_check_aut_input_exits_with_an_internal_error(capsys, n, cycles):
     code, _, err = run(capsys, "check-aut", "--n", n, "--cycles", cycles)
     assert code in (EXIT_DECIDED, EXIT_INPUT)
     assert "Traceback" not in err
+
+
+def test_check_aut_names_the_vertices_past_the_name_lists(capsys):
+    _, report = check_automorphism_cmd("(v2049 v1)(w1 w2049)", 2049)
+    assert report["cycles"] == "(v1 v2049)(w1 w2049)"
+    code, out, _ = run(
+        capsys, "check-aut", "--n", "2049", "--cycles", "(v2049 v1)(w2049 w1)"
+    )
+    assert code == EXIT_DECIDED
+    assert out.splitlines()[0].endswith(": (v1 v2049)(w1 w2049)")
+    code, _, err = run(
+        capsys, "check-aut", "--n", "2049", "--cycles", "(v2049 w2049)"
+    )
+    assert code == EXIT_INPUT
+    assert "input error" in err
 
 
 def test_check_aut_rejects_part_mixing(capsys):

@@ -8,19 +8,24 @@ import threading
 import tracemalloc
 
 import pytest
-from conftest import reference_parse_cycles, reference_print_cycles
+from conftest import (
+    reference_cycle_profile,
+    reference_parse_cycles,
+    reference_print_cycles,
+)
 from hypothesis import given, settings, strategies as st
 
 from bipartite_tsg import notation
+from bipartite_tsg.bipartite import CycleProfile, cycle_profile, validate_automorphism
 from bipartite_tsg.notation import (
     DuplicateToken,
     NotationError,
     UnbalancedParenthesis,
     UnknownToken,
-    format_cycles,
     parse_cycles,
     print_cycles,
     token_of,
+    walk_cycles,
 )
 from bipartite_tsg.perms import Perm
 
@@ -407,7 +412,6 @@ def test_printing_agrees_with_the_reference_at_every_table_edge(n):
     for perm in part_permutations(n):
         text = reference_print_cycles(perm, n)
         assert print_cycles(perm, n) == text
-        assert format_cycles(perm.cycles(include_fixed=True), n) == text
         assert len(notation._V_NAMES) <= notation._REMEMBERED
         assert len(notation._W_NAMES) <= notation._REMEMBERED
 
@@ -469,10 +473,65 @@ def test_a_print_keeps_no_part_sized_memory(involution):
 
 @pytest.mark.parametrize("n", [notation._REMEMBERED, 100_000])
 def test_a_sparse_print_allocates_nothing_sized_by_the_part(n):
-    # A list of n names, made per call, would take 16 kB at n = 2048.
-    cycles = Perm.from_cycles(2 * n, [(0, 1), (n, n + 1)]).cycles(
-        include_fixed=True
-    )
-    assert format_cycles(cycles, n) == "(v1 v2)(w1 w2)"  # fills the table
-    peak = traced_peak(format_cycles, cycles, n)
-    assert peak < 8_000, peak
+    # A list of n names, made per call, would take 16 kB at n = 2048.  The
+    # walk's visit mask takes 2n bytes: inside 8 kB at n = 2048, and named
+    # in the bound past it.
+    perm = Perm.from_cycles(2 * n, [(0, 1), (n, n + 1)])
+    assert print_cycles(perm, n) == "(v1 v2)(w1 w2)"  # fills the table
+    peak = traced_peak(print_cycles, perm, n)
+    limit = 8_000 if n <= notation._REMEMBERED else 2 * n + 8_000
+    assert peak < limit, peak
+
+
+# ----------------------------------------------------------------- the walk
+
+WALK_SIZES = st.one_of(st.integers(1, 8), st.sampled_from([2047, 2048, 2049]))
+WALK_KINDS = (
+    "identity",
+    "V fixed",
+    "transposition",
+    "involution",
+    "preserving",
+    "swapping",
+)
+
+
+@st.composite
+def walked_automorphisms(draw):
+    """``(perm, n)``: an automorphism of ``K_{n,n}`` of one of the kinds in
+    ``WALK_KINDS``, shuffled by a drawn seed; the involution and the
+    swapping kind swap the parts, and so does the transposition at n = 1."""
+    n = draw(WALK_SIZES)
+    kind = draw(st.sampled_from(WALK_KINDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    on_v, on_w = list(range(n)), list(range(n, 2 * n))
+    if kind == "V fixed":
+        rng.shuffle(on_w)
+    elif kind == "transposition":
+        if n == 1:
+            on_v, on_w = on_w, on_v
+        else:
+            part = rng.choice((on_v, on_w))
+            i, j = rng.sample(range(n), 2)
+            part[i], part[j] = part[j], part[i]
+    elif kind == "involution":
+        on_v, on_w = on_w, on_v
+    elif kind != "identity":
+        rng.shuffle(on_v)
+        rng.shuffle(on_w)
+        if kind == "swapping":
+            on_v, on_w = on_w, on_v
+    return Perm(tuple(on_v + on_w)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(walked_automorphisms())
+def test_the_walk_agrees_with_the_reference_printer_and_profile(case):
+    perm, n = case
+    aut = validate_automorphism(perm, n)
+    text, on_v, on_w = walk_cycles(perm, n)
+    assert text == reference_print_cycles(perm, n) == print_cycles(perm, n)
+    profile = CycleProfile.of_counts(n, on_v, on_w, aut.part_behavior == "swaps")
+    assert profile == reference_cycle_profile(aut) == cycle_profile(aut)
+    assert len(notation._V_NAMES) <= notation._REMEMBERED
+    assert len(notation._W_NAMES) <= notation._REMEMBERED

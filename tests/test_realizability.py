@@ -15,6 +15,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bipartite_tsg import cli
 from bipartite_tsg.bipartite import cycle_profile, validate_automorphism
 from bipartite_tsg.cli import check_automorphism_cmd
 from bipartite_tsg.perms import Perm
@@ -304,16 +305,19 @@ def test_a_check_walks_the_cycles_once(assignments, monkeypatch):
     a = assignments[("A5", 62)]
     text = reference_print_cycles(a.induced_perm(a.model.nontrivial[0]), a.n)
     check_automorphism_cmd(text, a.n)  # warm
-    calls = []
-    walk = Perm.cycles
+    calls = {"walk_cycles": 0, "Perm.cycles": 0}
 
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return walk(self, *args, **kwargs)
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(Perm, "cycles", counting)
+        return counting
+
+    monkeypatch.setattr(cli, "walk_cycles", counted("walk_cycles", cli.walk_cycles))
+    monkeypatch.setattr(Perm, "cycles", counted("Perm.cycles", Perm.cycles))
     check_automorphism_cmd(text, a.n)
-    assert 0 < len(calls) <= 1
+    assert calls == {"walk_cycles": 1, "Perm.cycles": 0}
 
 
 # --------------------------------------------------------- invariance property
