@@ -118,12 +118,6 @@ class CycleProfile:
     def swapping(self) -> bool:
         return bool(self.cross_counts)
 
-    def swapped(self) -> "CycleProfile":
-        """The profile of the same permutation after relabeling V as W."""
-        return CycleProfile(
-            self.n, self.r, self.w_counts, self.v_counts, self.cross_counts
-        )
-
     @classmethod
     def of_counts(
         cls,

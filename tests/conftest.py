@@ -8,6 +8,7 @@ doctors a check a warm template skips still reaches it, whatever ran
 before.
 """
 
+import itertools
 import re
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +35,6 @@ from bipartite_tsg.realizability import (
     CASE_DESCRIPTIONS,
     PartSizeTooSmall,
     RealizabilityResult,
-    profile_cases,
 )
 
 MODEL_KINDS = ("tetrahedron", "tetrahedron-skeleton", "cube", "dodecahedron")
@@ -451,6 +451,118 @@ def counted(lengths) -> tuple[tuple[int, int], ...]:
 
 
 # --------------------------------------------------------------------------
+# The nine patterns matched literally, case by case: each case checks that
+# every cycle it does not set aside is full.  The oracle the library's
+# matcher, which matches on the set-aside cycles, is compared with.
+
+
+def _all_full(counts: dict[int, int], r: int) -> bool:
+    return all(length == r for length in counts)
+
+
+def _without(counts: dict[int, int], length: int, k: int) -> dict[int, int]:
+    out = dict(counts)
+    out[length] -= k
+    if out[length] == 0:
+        del out[length]
+    return out
+
+
+def _preserving_cases(profile: CycleProfile) -> set[int]:
+    """Case ids 1-8 matched by a part-preserving profile, taken literally."""
+    r = profile.r
+    v = dict(profile.v_counts)
+    w = dict(profile.w_counts)
+    matched: set[int] = set()
+
+    if _all_full(v, r) and _all_full(w, r):
+        matched.add(1)
+
+    fv, fw = v.get(1, 0), w.get(1, 0)
+    if r > 1:
+        # (2): V holds m*r fixed vertices, m >= 1; everything else is full.
+        if fv and fv % r == 0 and _all_full(_without(v, 1, fv), r) and _all_full(w, r):
+            matched.add(2)
+        # (3): one fixed vertex in each part, or two in each part.
+        for c in (1, 2):
+            if (
+                fv == c
+                and fw == c
+                and _all_full(_without(v, 1, c), r)
+                and _all_full(_without(w, 1, c), r)
+            ):
+                matched.add(3)
+        # (4): some j-cycles in V for a single proper divisor j of r.
+        for j in v:
+            if 2 <= j < r and r % j == 0 and _all_full(_without(v, j, v[j]), r) and _all_full(w, r):
+                matched.add(4)
+        # (5): j-cycles and k-cycles in V with lcm(j, k) = r.
+        for j, k in itertools.combinations(sorted(v), 2):
+            if 2 <= j < r and 2 <= k < r and lcm(j, k) == r:
+                rest = _without(_without(v, j, v[j]), k, v[k])
+                if _all_full(rest, r) and _all_full(w, r):
+                    matched.add(5)
+        # (6): j-cycles in V, k-cycles in W, lcm(j, k) = r.
+        for j in v:
+            for k in w:
+                if 2 <= j < r and 2 <= k < r and lcm(j, k) == r:
+                    if _all_full(_without(v, j, v[j]), r) and _all_full(
+                        _without(w, k, w[k]), r
+                    ):
+                        matched.add(6)
+        # (7): exactly one 2-cycle in each part.
+        if r > 2 and v.get(2, 0) == 1 and w.get(2, 0) == 1:
+            if _all_full(_without(v, 2, 1), r) and _all_full(_without(w, 2, 1), r):
+                matched.add(7)
+        # (8): r/2 odd; one 2-cycle in each part plus some r/2-cycles in V.
+        if r % 2 == 0 and (r // 2) % 2 == 1:
+            half = r // 2  # odd, so never 2: the cells never collide
+            if v.get(2, 0) == 1 and w.get(2, 0) == 1 and v.get(half, 0) >= 1:
+                rest_v = _without(_without(v, 2, 1), half, v[half])
+                if _all_full(rest_v, r) and _all_full(_without(w, 2, 1), r):
+                    matched.add(8)
+    return matched
+
+
+def _swapping_cases(profile: CycleProfile) -> set[int]:
+    """Case ids matched by a part-swapping profile: 1 (all full cycles) and
+    9 (one exceptional 4-cycle, everything else full)."""
+    r = profile.r
+    cross = dict(profile.cross_counts)
+    matched: set[int] = set()
+    if _all_full(cross, r):
+        matched.add(1)
+    if cross.get(4, 0) >= 1 and _all_full(_without(cross, 4, 1), r):
+        matched.add(9)
+    return matched
+
+
+def reference_profile_cases(profile: CycleProfile) -> tuple[frozenset[int], str | None]:
+    """``profile_cases`` matched literally: the relabeled profile is built
+    with the parts' counts exchanged and matched again."""
+    if profile.swapping:
+        as_given = _swapping_cases(profile)
+        relabeled = as_given  # cross cycles are unchanged by relabeling
+    else:
+        as_given = _preserving_cases(profile)
+        relabeled = _preserving_cases(
+            CycleProfile(
+                profile.n,
+                profile.r,
+                profile.w_counts,
+                profile.v_counts,
+                profile.cross_counts,
+            )
+        )
+    cases = frozenset(as_given | relabeled)
+    if as_given:
+        return cases, "as-given"
+    if relabeled:
+        return cases, "parts-swapped"
+    return cases, None
+
+
+# --------------------------------------------------------------------------
 # Desk-scale enumeration of every realizable cycle profile: the oracle the
 # matcher and the necessity menu are checked against.
 
@@ -472,7 +584,8 @@ def _multisets_summing_to(total: int, divisors: tuple[int, ...]) -> Iterator[tup
 
 def enumerate_realizable_profiles(n: int, r: int) -> list[CycleProfile]:
     """Every cycle profile of an order-r automorphism of K_{n,n} that the
-    matcher accepts, enumerated deterministically.  Desk scale only."""
+    literal matcher accepts, enumerated deterministically.  Desk scale
+    only."""
     if n > 12 or r > 12:
         raise ValueError("desk-scale enumeration only (n <= 12, r <= 12)")
     divisors = tuple(d for d in range(1, r + 1) if r % d == 0)
@@ -484,7 +597,7 @@ def enumerate_realizable_profiles(n: int, r: int) -> list[CycleProfile]:
             if lcm(*(v_lengths + w_lengths)) != r:
                 continue
             profile = CycleProfile(n, r, counted(v_lengths), counted(w_lengths), ())
-            cases, _ = profile_cases(profile)
+            cases, _ = reference_profile_cases(profile)
             if cases and profile not in seen:
                 seen.add(profile)
                 results.append(profile)
@@ -495,7 +608,7 @@ def enumerate_realizable_profiles(n: int, r: int) -> list[CycleProfile]:
             if lcm(*cross_lengths) != r:
                 continue
             profile = CycleProfile(n, r, (), (), counted(cross_lengths))
-            cases, _ = profile_cases(profile)
+            cases, _ = reference_profile_cases(profile)
             if cases and profile not in seen:
                 seen.add(profile)
                 results.append(profile)
@@ -516,8 +629,8 @@ def reference_check_automorphism(text: str, n: int):
     aut = validate_automorphism(perm, n)
     if n <= 2:
         raise PartSizeTooSmall(f"criterion requires n > 2, got n = {n}")
-    cases, orientation = profile_cases(reference_cycle_profile(aut))
-    result = RealizabilityResult(bool(cases), cases, orientation)
+    cases, orientation = reference_profile_cases(reference_cycle_profile(aut))
+    result = RealizabilityResult(cases, orientation)
     report = {
         "n": n,
         "cycles": reference_print_cycles(perm, n) or "(identity)",

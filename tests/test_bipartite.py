@@ -142,14 +142,6 @@ def test_profile_of_counts_reads_a_swap_from_the_v_tally_only():
         CycleProfile.of_counts(3, {4: 1}, {2: 1}, swapping=True)
 
 
-def test_swapped_profile_exchanges_parts():
-    p = Perm.from_cycles(6, [(0, 1, 2)])
-    profile = cycle_profile(validate_automorphism(p, 3))
-    flipped = profile.swapped()
-    assert flipped.v_counts == profile.w_counts
-    assert flipped.w_counts == profile.v_counts
-
-
 def test_profile_validation_rejects_bad_totals():
     with pytest.raises(ValueError):
         CycleProfile(3, 2, ((2, 1),), ((2, 1),), ())  # totals 4, expected 6

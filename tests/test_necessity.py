@@ -8,6 +8,7 @@ from conftest import enumerate_realizable_profiles
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bipartite_tsg.bipartite import CycleProfile
 from bipartite_tsg.necessity import (
     BURNSIDE_COEFFS,
     GROUP_ORDER,
@@ -27,6 +28,7 @@ from bipartite_tsg.necessity import (
     s4_burnside_orbits,
     s4_n6_analysis,
 )
+from bipartite_tsg.realizability import profile_cases
 
 
 def table_as_strings(group):
@@ -149,6 +151,35 @@ def test_the_order_menu_and_its_mirror_are_the_realizable_fixed_counts(order):
     assert seen == _menu_pairs(order, 12) == {(1, 1), (2, 2)} | {
         pair for m in multiples for pair in ((m, 0), (0, m))
     }
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_the_order_menu_is_what_the_patterns_accept_as_given(order):
+    """Hold a fixed vertices in V and b in W, a, b <= 3 * order with
+    a = b (mod order), and fill the rest of each part with full cycles.  The
+    pairs the patterns accept under the given labeling are the menu's
+    options, a multiple of the order taken as 0 to 3 times it."""
+
+    def values(count):
+        if count.kind == "exact":
+            return {count.value}
+        return {k * count.value for k in range(4)}
+
+    def part(fixed, n):
+        full = ((order, (n - fixed) // order),)  # at least one full cycle
+        return ((1, fixed),) + full if fixed else full
+
+    menu = set()
+    for v, w in _order_options(order):
+        menu |= set(itertools.product(values(v), values(w)))
+    accepted = set()
+    for a, b in itertools.product(range(3 * order + 1), repeat=2):
+        if (a - b) % order == 0:
+            n = 4 * order + a % order
+            profile = CycleProfile(n, order, part(a, n), part(b, n), ())
+            if profile_cases(profile)[1] == "as-given":
+                accepted.add((a, b))
+    assert accepted == menu
 
 
 @pytest.mark.parametrize("group", ["A4", "A5"])

@@ -3,26 +3,30 @@
 import itertools
 import random
 import time
+from collections import Counter
+from math import lcm
 
 import pytest
 from conftest import (
     SAMPLE_PAIRS,
+    _multisets_summing_to,
+    counted,
     enumerate_realizable_profiles,
     reference_check_automorphism,
     reference_cycle_profile,
     reference_print_cycles,
+    reference_profile_cases,
 )
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bipartite_tsg import cli
-from bipartite_tsg.bipartite import cycle_profile, validate_automorphism
+from bipartite_tsg.bipartite import CycleProfile, cycle_profile, validate_automorphism
 from bipartite_tsg.cli import check_automorphism_cmd
 from bipartite_tsg.perms import Perm
 from bipartite_tsg.realizability import (
     CASE_DESCRIPTIONS,
     PartSizeTooSmall,
-    RealizabilityResult,
     check_realizable,
     profile_cases,
 )
@@ -44,13 +48,6 @@ def test_small_parts_rejected():
     for n in (1, 2):
         with pytest.raises(PartSizeTooSmall):
             check_realizable(validate_automorphism(Perm.identity(2 * n), n))
-
-
-def test_result_consistency_enforced():
-    with pytest.raises(ValueError):
-        RealizabilityResult(True, frozenset(), None)
-    with pytest.raises(ValueError):
-        RealizabilityResult(False, frozenset({1}), "as-given")
 
 
 def test_case_descriptions_cover_all_nine():
@@ -165,6 +162,19 @@ def test_two_exceptional_4_cycles_rejected():
     assert not result.realizable
 
 
+def test_two_2_cycles_beside_the_half_order_cycles_rejected():
+    # r = 6: V = (2, 2, 2, 2, 3, 3), W = (2, 6, 6).  Case 8 allows one
+    # 2-cycle in V beside the 3-cycles, not four.
+    result = check_realizable(
+        aut(
+            14,
+            (0, 1), (2, 3), (4, 5), (6, 7), (8, 9, 10), (11, 12, 13),
+            w(14, 1, 2), w(14, 3, 4, 5, 6, 7, 8), w(14, 9, 10, 11, 12, 13, 14),
+        )
+    )
+    assert not result.realizable
+
+
 def test_mixed_divisors_in_both_parts_rejected():
     # V = (2, 4), W = (2, 2, 2): W is single-divisor but V is not full.
     result = check_realizable(
@@ -187,6 +197,76 @@ def test_enumerated_profiles_all_match():
     for profile in enumerate_realizable_profiles(6, 6):
         cases, orientation = profile_cases(profile)
         assert cases and orientation is not None
+
+
+def profiles_up_to(n_max):
+    """Every cycle profile with part size at most ``n_max``: each pair of
+    partitions of the parts, and each partition of ``2n`` into even cycles
+    crossing them."""
+    for n in range(1, n_max + 1):
+        parts = list(_multisets_summing_to(n, tuple(range(1, n + 1))))
+        for v_lengths, w_lengths in itertools.product(parts, repeat=2):
+            r = lcm(*v_lengths, *w_lengths)
+            yield CycleProfile(n, r, counted(v_lengths), counted(w_lengths), ())
+        for halves in parts:
+            cross = [2 * length for length in halves]
+            yield CycleProfile(n, lcm(*cross), (), (), counted(cross))
+
+
+def test_matcher_equals_the_literal_reference_on_every_profile_up_to_ten():
+    """Cases and orientation agree on all 3720 profiles with n <= 10."""
+    checked = 0
+    for profile in profiles_up_to(10):
+        assert profile_cases(profile) == reference_profile_cases(profile), profile
+        checked += 1
+    assert checked == 3720
+
+
+@st.composite
+def padded_profiles(draw):
+    """A profile at large n: a few cycles of divisor lengths of r in each
+    part, or crossing them, padded with full r-cycles to n <= 10^6."""
+    r = draw(st.integers(1, 60))
+    divisors = [d for d in range(1, r + 1) if r % d == 0]
+
+    def short(menu):
+        """Up to two lengths, each with one to three cycles, or as many
+        times r / length, which fill whole multiples of r."""
+        lengths = draw(st.lists(st.sampled_from(menu), max_size=2, unique=True))
+        return Counter(
+            {
+                j: draw(st.integers(1, 3)) * draw(st.sampled_from((1, r // j)))
+                for j in lengths
+            }
+        )
+
+    def size(counts):
+        return sum(length * k for length, k in counts.items())
+
+    def padded(counts, total):
+        counts[r] += (total - size(counts)) // r
+        return tuple(sorted((+counts).items()))
+
+    if r % 2 == 0 and draw(st.booleans()):
+        x = short([d for d in divisors if d % 2 == 0])
+        half = size(x) // 2  # 2n - size(x) is a multiple of r
+        n = half + r // 2 * draw(st.integers(0, (10**6 - half) // (r // 2)))
+        profile = ((), (), padded(x, 2 * n))
+    else:
+        v, w = short(divisors), short(divisors)
+        w[1] += (size(v) - size(w)) % r  # fixed vertices level the parts mod r
+        low = max(size(v), size(w))
+        n = low + r * draw(st.integers(0, (10**6 - low) // r))
+        profile = (padded(v, n), padded(w, n), ())
+    lengths = [length for counts in profile for length, _ in counts]
+    assume(lengths and lcm(*lengths) == r)
+    return CycleProfile(n, r, *profile)
+
+
+@settings(max_examples=400)
+@given(padded_profiles())
+def test_matcher_equals_the_literal_reference_at_large_n(profile):
+    assert profile_cases(profile) == reference_profile_cases(profile)
 
 
 def automorphisms(n):
