@@ -42,7 +42,7 @@ from .necessity import (
     enumerate_profiles,
     necessity_verdict,
 )
-from .perms import GroupAction, Perm, compose_images
+from .perms import GroupAction, Perm, compose_along, compose_images
 from .polyhedra import PolyhedralModel, build_polyhedral_model
 
 Point = tuple
@@ -137,9 +137,12 @@ class SlotTable(NamedTuple):
     ``slots`` lists both poles, then every marker of each class on each copy
     (class by class, copies in the layout's order), whether or not a vertex
     sits there; ``number`` gives each label's position.  ``images[a][s]`` is
-    the slot that element ``a`` (by index) sends slot ``s`` to.  ``broken``
-    lists the (generator, element) index pairs whose images do not compose
-    along the product table, none for an honest model.
+    the slot that element ``a`` (by index) sends slot ``s`` to: the
+    generators' by the layout's rule, every other element's composed from
+    them along the product table (:func:`~.perms.compose_along`).
+    ``broken`` lists the (generator, element) index pairs whose images do
+    not compose along the product table, that walk's disagreeing pairs, none
+    for an honest layout.
 
     Made once per layout with them: ``fixers[s]``, the bitmask of the
     elements fixing slot ``s``, bit ``a - 1`` for element ``a`` (so bit
@@ -171,11 +174,14 @@ def layout_slots(layout: tuple) -> SlotTable:
     Marker ``(cls, copy, i)`` goes under element ``a`` to the slot of the
     model label that ``a`` sends ``(cls, i)`` to, on ``copy``'s swap partner
     when ``a`` swaps the parts and on ``copy`` otherwise; a pole goes to the
-    pole that ``a`` sends its center to.  So an element's images are two
+    pole that ``a`` sends its center to.  So a generator's images are two
     gathers: its label permutation read through each copy's slot numbering,
-    then those read at each slot's copy and label.  By the same rule a slot
-    is fixed by the elements that fix its label (the model's ``fixers``)
-    and keep its copy in place."""
+    then those read at each slot's copy and label.  Every other element's
+    are composed from the generators' along the product table; the pairs on
+    which they do not compose are the table's ``broken``, none when the swap
+    partners pair up, and then every element's images follow the same rule.
+    By that rule a slot is fixed by the elements that fix its label (the
+    model's ``fixers``) and keep its copy in place."""
     kind, copies, swaps = layout
     model = build_polyhedral_model(kind)
     partner = dict(swaps)
@@ -202,29 +208,25 @@ def layout_slots(layout: tuple) -> SlotTable:
             fixers += (mask & keep for mask in model.fixers[at : at + count])
     even = [on_copy[name] for name, _ in copies]
     odd = [on_copy[partner.get(name, name)] for name, _ in copies]
-    images = []
-    for e, sign in zip(model.group.elements, model.parities):
-        moved = model.action.perms[e].images  # its permutation of the labels
-        through = chain.from_iterable(
-            compose_images(c, moved) for c in (even if sign == 1 else odd)
-        )
-        images.append(compose_images(tuple(through), source))
     group = model.group
-    product = group.product_table
+    rows = []  # each generator's images, by the two gathers
+    for e in group.generators:
+        moved = model.action.images_of(e)  # its permutation of the labels
+        through = chain.from_iterable(
+            compose_images(c, moved) for c in (even if model.parity_of(e) == 1 else odd)
+        )
+        rows.append(compose_images(tuple(through), source))
     generators = tuple(map(group.index, group.generators))
-    broken = tuple(
-        (g, a)
-        for g in generators
-        for a, image in enumerate(images)
-        if images[product[g][a]] != compose_images(images[g], image)
+    images, broken = compose_along(
+        [group.product_table[g] for g in generators], rows, group.index(group.identity)
     )
     return SlotTable(
         tuple(slots),
         dict(zip(slots, range(len(slots)))),
         tuple(images),
-        broken,
+        tuple((generators[k], a) for k, a in broken),
         tuple(fixers),
-        _orbit_roots([images[g] for g in generators]),
+        _orbit_roots(rows),
         _axis_numbers(model, copies, partner, first),
     )
 
@@ -607,8 +609,9 @@ class PlacementTemplate:
         over the core's slots reads their fixer masks from the layout's
         slot table, grouped by mask: each element's counts are then the sum
         over the masks holding its bit.  The masks follow the rule of the
-        table's images, which compose along the product table exactly when
-        its ``broken`` is empty (condition 3 reports a table that does not).
+        generators' images, which every element's images follow exactly
+        when the table's ``broken`` is empty (condition 3 reports a table
+        that does not).
 
         Every element's counts are read, so conjugates are checked to agree
         (a part-swapping conjugator moves a fixed set across the parts);

@@ -22,13 +22,8 @@ import sys
 from .bipartite import CycleProfile, validate_automorphism
 from .decision import GROUPS, InternalMismatch, Verdict, decide, sweep
 from .necessity import RULES, TABLE_MODULUS, counting_table, enumerate_profiles
-from .notation import NotationError, parse_cycles, walk_cycles
-from .realizability import (
-    CASE_DESCRIPTIONS,
-    PartSizeTooSmall,
-    RealizabilityResult,
-    check_profile,
-)
+from .notation import parse_cycles, walk_cycles
+from .realizability import CASE_DESCRIPTIONS, RealizabilityResult, check_profile
 
 EXIT_DECIDED = 0
 EXIT_INPUT = 2
@@ -376,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalMismatch as exc:
         print(f"internal verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (NotationError, PartSizeTooSmall) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,6 +24,43 @@ def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*q)(p)
 
 
+def compose_along(
+    rows: Sequence[Sequence[int]],
+    generator_images: Sequence[Sequence[int]],
+    start: int,
+) -> tuple[list[tuple[int, ...] | None], list[tuple[int, int]]]:
+    """Every element's image list composed from the generators' along the
+    product table, and the pairs on which the lists do not compose.
+
+    ``rows[k]`` is generator ``k``'s row of the product table (``rows[k][a]``
+    is the index of ``g_k * a``) and ``generator_images[k]`` its image list;
+    ``start`` is the identity's index, which acts trivially.  Breadth first
+    from the identity, each element ``a`` is visited once, and each
+    generator ``g_k`` sends it to ``g_k * a`` with the list
+    ``generator_images[k] o images[a]``.  The first pair to reach an element
+    assigns its list; every later pair ``(k, a)`` whose composite differs
+    from it is returned, in the order of the walk.  So the lists form an
+    action exactly when no pair is returned, and an element the generators
+    do not reach keeps None.
+    """
+    images: list[tuple[int, ...] | None] = [None] * len(rows[0])
+    images[start] = tuple(range(len(generator_images[0])))
+    steps = list(enumerate(zip(rows, generator_images)))
+    broken = []
+    reached = [start]
+    for a in reached:  # appended to while it is read: a breadth-first queue
+        image = images[a]
+        for k, (row, pg) in steps:
+            composite = compose_images(pg, image)
+            ga = row[a]
+            if images[ga] is None:
+                images[ga] = composite
+                reached.append(ga)
+            elif images[ga] != composite:
+                broken.append((k, a))
+    return images, broken
+
+
 class Perm:
     """An immutable permutation of range(degree), stored as its image tuple.
 
@@ -177,27 +214,19 @@ class FiniteGroup:
         """Multiplication on element indices, built on first use:
         ``product_table[a][b]`` is the index of ``elements[a] * elements[b]``.
 
-        Only the generators' rows are composed element by element.  Every
-        other row is reached breadth first from the identity's, and the row
-        of ``g * a`` is the row of ``a`` read through the row of ``g``:
-        ``row(g*a)[b] = row_g[row_a[b]]``, the index of ``g * (a * b)``.
-        Raises ValueError if the generators do not reach every element."""
+        Only the generators' rows are composed element by element.  They are
+        the generators' image lists in the action of the group on its own
+        element indices, so every other row is composed from them by
+        :func:`compose_along`: ``row(g*a)[b] = row_g[row_a[b]]``, the index
+        of ``g * (a * b)``.  Raises ValueError if the generators do not
+        reach every element."""
         index = {e.images: i for i, e in enumerate(self.elements)}
         steps = [
             tuple(index[compose_images(g.images, b.images)] for b in self.elements)
             for g in self.generators
         ]
-        start = index[self.identity.images]
-        rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
-        rows[start] = tuple(range(len(self.elements)))
-        reached = [start]
-        for a in reached:  # appended to while it is read: a breadth-first queue
-            for row in steps:
-                ga = row[a]
-                if rows[ga] is None:
-                    rows[ga] = compose_images(row, rows[a])
-                    reached.append(ga)
-        if len(reached) != len(self.elements):
+        rows, _ = compose_along(steps, steps, index[self.identity.images])
+        if None in rows:
             raise ValueError("the generators do not generate the group")
         return tuple(rows)
 
@@ -270,11 +299,12 @@ class GroupAction:
     sends point ``i`` to ``images[e][i]``.  ``images`` must hold every
     generator's list and may hold any other element's.  Each given list must
     be a permutation of the points and the identity must act trivially.
-    Every element's permutation is then composed from the generators' along
-    the group's product table, which verifies the homomorphism law
+    Every element's list is then composed from the generators' by
+    :func:`compose_along`, which checks the homomorphism law
     act(g*a) = act(g) o act(a) for every generator g against every element a
     and so pins the whole multiplication table for a generated group; each
-    given list must equal the composed one.  The permutations of all
+    given list must equal the composed one.  Generators that do not reach
+    every element fail in the group's product table.  The permutations of all
     elements (:attr:`perms`) are made when first read; :meth:`images_of`
     reads one element's.
     """
@@ -299,7 +329,21 @@ class GroupAction:
             given[e] = perm
         if group.identity in given and not given[group.identity].is_identity():
             raise ValueError("identity does not act trivially")
-        self._images = self._generated_images(given)
+        for g in group.generators:
+            if g not in given:
+                raise ValueError(f"no image list for the generator {g!r}")
+        table = group.product_table
+        self._images, broken = compose_along(
+            [table[group.index(g)] for g in group.generators],
+            [given[g].images for g in group.generators],
+            group.index(group.identity),
+        )
+        if broken:
+            k, a = broken[0]
+            raise ValueError(
+                f"not a homomorphism at ({group.generators[k]!r}, "
+                f"{group.elements[a]!r})"
+            )
         for e, perm in given.items():
             if self.images_of(e) != perm.images:
                 raise ValueError(f"not a homomorphism at {e!r}")
@@ -317,45 +361,6 @@ class GroupAction:
         """The image tuple of ``e``'s permutation, without making the other
         elements' permutations."""
         return self._images[self.group.index(e)]
-
-    def _generated_images(
-        self, given: Mapping[Perm, Perm]
-    ) -> list[tuple[int, ...]]:
-        """Every element's image list, by element index, composed from the
-        generators' along the product table.
-
-        Breadth first from the identity, which acts trivially: each element
-        ``a`` is visited once, and each generator ``g`` sends it to ``g*a``
-        with the permutation ``act(g) o act(a)``.  The first pair to reach an
-        element assigns its permutation and every later pair must give the
-        same one, so the homomorphism law is checked for every generator
-        against every element.  Composites of checked permutations are
-        permutations, so they are not checked again.
-        """
-        group = self.group
-        elements = group.elements
-        steps = []
-        for g in group.generators:
-            if g not in given:
-                raise ValueError(f"no image list for the generator {g!r}")
-            steps.append((g, group.product_table[group.index(g)], given[g].images))
-        start = group.index(group.identity)
-        images: list[tuple[int, ...] | None] = [None] * len(elements)
-        images[start] = tuple(range(len(self.points)))
-        reached = [start]
-        for a in reached:  # appended to while it is read: a breadth-first queue
-            image = images[a]
-            for g, row, pg in steps:
-                composite = compose_images(pg, image)
-                ga = row[a]
-                if images[ga] is None:
-                    images[ga] = composite
-                    reached.append(ga)
-                elif images[ga] != composite:
-                    raise ValueError(f"not a homomorphism at ({g!r}, {elements[a]!r})")
-        if len(reached) != len(elements):
-            raise ValueError("the generators do not generate the group")
-        return images
 
     def fixed_points(self, e: Perm) -> tuple[Hashable, ...]:
         return tuple(self.points[i] for i in self.perms[e].fixed_points())

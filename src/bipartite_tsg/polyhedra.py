@@ -353,17 +353,19 @@ def _build_axes(
 
 
 def _label_images(
-    group: FiniteGroup,
-    parities: list[int],
+    generators: Iterable[tuple[Perm, int]],
     edges: list[tuple[int, int]],
     faces: list[tuple[int, ...]],
     labels: list[Label],
 ) -> dict[Perm, list[int]]:
-    """Each element's image list on ``labels`` (corners, edges, faces, then
-    the two centers), built a point class at a time: a corner goes to the
-    element's image of it, an edge or face to the edge or face on the images
-    of its corners, and an odd element swaps the centers."""
-    n_corners = len(group.identity.images)
+    """Each generator's image list on ``labels`` (corners, edges, faces,
+    then the two centers), given the generator with its determinant sign,
+    built a point class at a time: a corner goes to the generator's image of
+    it, an edge or face to the edge or face on the images of its corners,
+    and a generator of sign -1 swaps the centers.  The
+    :class:`~.perms.GroupAction` constructor composes every other element's
+    list from these."""
+    n_corners = len(labels) - len(edges) - len(faces) - 2
     edge_index = {}
     for i, (a, b) in enumerate(edges, start=n_corners):
         edge_index[a, b] = edge_index[b, a] = i
@@ -374,7 +376,7 @@ def _label_images(
     face_corners = [itemgetter(*f) for f in faces]
     centers = len(labels) - 2
     images = {}
-    for e, sign in zip(group.elements, parities):
+    for e, sign in generators:
         g = e.images
         row = list(g)
         row += map(edge_index.get, zip(*(compose_images(g, end) for end in ends)))
@@ -411,19 +413,6 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
     gen_parity = [mat_det(m).sign() for m, _ in generators]
     group = generate_group(gen_perms)
 
-    # parity extends multiplicatively from the generators along the closure
-    table = group.product_table
-    steps = [(table[group.index(g)], sign) for g, sign in zip(gen_perms, gen_parity)]
-    start = group.index(group.identity)
-    parities = [0] * group.order
-    parities[start] = 1
-    reached = [start]
-    for a in reached:  # appended to while it is read: a breadth-first queue
-        for row, sign in steps:
-            if not parities[row[a]]:
-                parities[row[a]] = sign * parities[a]
-                reached.append(row[a])
-
     edges = sorted(_closest_pairs(corners))
     faces = _girth_cycles(n_corners, edges, _FACE_LENGTH[kind])
     exp_corners, exp_edges, exp_faces, exp_order = _EXPECTED[kind]
@@ -447,8 +436,13 @@ def build_polyhedral_model(kind: str) -> PolyhedralModel:
         + [("face", i) for i in range(len(faces))]
         + [("center", 0), ("center", 1)]
     )
-    images = _label_images(group, parities, edges, faces, labels)
+    images = _label_images(zip(gen_perms, gen_parity), edges, faces, labels)
     action = GroupAction(group, tuple(labels), images)
+    # an element is odd exactly when it swaps the two centers
+    center = len(labels) - 2
+    parities = [
+        1 if action.images_of(e)[center] == center else -1 for e in group.elements
+    ]
 
     corner_vectors = tuple(corners)
 

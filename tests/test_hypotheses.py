@@ -433,6 +433,36 @@ def one_placement_per_layout():
     return out
 
 
+def composition_failures(table, group):
+    """The generator x element index pairs whose images in ``table`` do not
+    compose along the product table, read off every pair."""
+    product = group.product_table
+    return {
+        (g, a)
+        for g in map(group.index, group.generators)
+        for a, image in enumerate(table.images)
+        if table.images[product[g][a]] != tuple(table.images[g][s] for s in image)
+    }
+
+
+def test_a_layout_whose_swap_partners_do_not_pair_up_lists_its_own_broken_pairs():
+    # a -> b -> c -> a: a part-swapping element moves every copy, and two
+    # of them do not bring a copy back, so the generators' images do not
+    # form an action.  The table's own broken list names exactly the pairs
+    # that fail to compose; the mutual layout of the same copies has none.
+    copies = (("a", 1), ("b", 2), ("c", 3))
+    group = build_polyhedral_model("tetrahedron-skeleton").group
+    cycle = frozenset({("a", "b"), ("b", "c"), ("c", "a")})
+    table = layout_slots(("tetrahedron-skeleton", copies, cycle))
+    assert table.broken
+    assert len(set(table.broken)) == len(table.broken)
+    assert set(table.broken) == composition_failures(table, group)
+    mutual = frozenset({("a", "c"), ("c", "a")})
+    table = layout_slots(("tetrahedron-skeleton", copies, mutual))
+    assert table.broken == ()
+    assert composition_failures(table, group) == set()
+
+
 def test_slot_images_match_apply(assignments, reports):
     # Every arc slot label, plus every vertex point so the free-point branch
     # is covered as well.

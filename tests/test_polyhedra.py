@@ -215,24 +215,25 @@ def test_every_element_moves_every_label_by_the_per_label_rule(models):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_a_doctored_label_list_fails_the_model_build(monkeypatch, kind):
-    # Two edges exchanged in the list of the last element that is no
-    # generator: it is still compared with the list composed from the
-    # generators', so the build fails.
+def test_a_doctored_label_list_fails_the_model_build(monkeypatch, models, kind):
+    # Only the generators' label lists are built.  Two edges exchanged in
+    # one generator's list still make a permutation, but the lists no
+    # longer compose along the product table, so the build fails; each
+    # generator is doctored in turn.
     honest = polyhedra._label_images
+    generators = models[kind].group.generators
+    for doctored_generator in generators:
 
-    def doctored(group, parities, edges, faces, labels):
-        images = honest(group, parities, edges, faces, labels)
-        e = next(x for x in reversed(group.elements) if x not in group.generators)
-        row = list(images[e])
-        i, j = [k for k, label in enumerate(labels) if label[0] == "edge"][:2]
-        row[i], row[j] = row[j], row[i]
-        images[e] = row
-        return images
+        def doctored(gens, edges, faces, labels):
+            images = honest(gens, edges, faces, labels)
+            row = images[doctored_generator]
+            i, j = [k for k, label in enumerate(labels) if label[0] == "edge"][:2]
+            row[i], row[j] = row[j], row[i]
+            return images
 
-    monkeypatch.setattr(polyhedra, "_label_images", doctored)
-    with pytest.raises(ValueError, match="not a homomorphism"):
-        build_polyhedral_model.__wrapped__(kind)  # past the cache
+        monkeypatch.setattr(polyhedra, "_label_images", doctored)
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            build_polyhedral_model.__wrapped__(kind)  # past the cache
 
 
 def test_the_axis_index_names_each_element_s_axis(models):
