@@ -124,11 +124,10 @@ class FixedTable(NamedTuple):
     masks: tuple[dict[int, int], dict[int, int]]
 
 
-_MARKER_COUNT_ATTR = {"corner": "corner_vectors", "edge": "edges", "face": "faces"}
-
-
 def _marker_count(model: PolyhedralModel, marker_class: str) -> int:
-    return len(getattr(model, _MARKER_COUNT_ATTR[marker_class]))
+    if marker_class == "corner":
+        return model.group.degree
+    return len(model.edges if marker_class == "edge" else model.faces)
 
 
 class SlotTable(NamedTuple):
@@ -197,7 +196,7 @@ def layout_slots(layout: tuple) -> SlotTable:
     source = [labels - 2, labels - 1]  # each slot as copy * labels + label
     # each copy's slot of each label; the centers are the poles on every copy
     on_copy = {name: [0] * (labels - 2) + [0, 1] for name, _ in copies}
-    for cls in _MARKER_COUNT_ATTR:
+    for cls in ("corner", "edge", "face"):
         count, at = _marker_count(model, cls), start[cls]
         for k, (name, _) in enumerate(copies):
             first[cls, name] = len(slots)

@@ -8,7 +8,8 @@ Subcommands::
     verify     --group {A4,S4,A5} --n N [--report out.json] [--cap N]
     tables     --group {A4,S4,A5}
 
-Exit codes: 0 = decided (whatever the answer), 2 = input error,
+Exit codes: 0 = decided (whatever the answer), 1 = standard output
+closed before all of it was written (as by ``| head``), 2 = input error,
 3 = internal verification mismatch (the pipeline disagrees with the
 closed-form classification - always a bug, never bad input).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bipartite import CycleProfile, validate_automorphism
@@ -26,6 +28,7 @@ from .notation import parse_cycles, walk_cycles
 from .realizability import CASE_DESCRIPTIONS, RealizabilityResult, check_profile
 
 EXIT_DECIDED = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
@@ -367,7 +370,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (``... | head``).  Point it at
+        # devnull, so that the flush at exit writes the rest nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except InternalMismatch as exc:
         print(f"internal verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -1,22 +1,22 @@
 """Exact combinatorial models of the regular tetrahedron, cube and
 dodecahedron with their orientation-preserving symmetry groups.
 
-Corners carry exact coordinates in the ring Z[phi] of the golden ratio, as
-integer pairs, so that edges, faces and rotation axes are derived, never
-hand-typed: edges are the closest corner pairs, faces are the girth cycles
-of the edge graph, and each rotation's axis is read off from its fixed
-incidence markers.  A fourth model, "tetrahedron-skeleton", extends the
-tetrahedral group to the full S4 action on the 1-skeleton, where odd
-permutations exchange the inside and outside of the tetrahedron (so they
-swap the two center markers, and the odd order-4 elements fix no point at
-all).
+Each solid is given by two or three generators as corner permutations,
+checked: its faces are the orbit of one face (the first generator's first
+cycle) and its edges the orbit of that face's sides; the corner, edge,
+face and element counts must be the solid's, and every edge must bound two
+faces.  Each rotation's axis is read off from its fixed incidence markers.
+A fourth model, "tetrahedron-skeleton", extends the tetrahedral group to
+the full S4 action on the 1-skeleton, where odd permutations exchange the
+inside and outside of the tetrahedron (so they swap the two center
+markers, and the odd order-4 elements fix no point at all).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, cmp_to_key
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable
 
@@ -28,147 +28,38 @@ from .perms import (
     generate_group,
 )
 
-
-class ZPhi:
-    """Exact element a + b*phi of the ring Z[phi], where phi = (1 + sqrt 5) / 2
-    is the golden ratio and phi^2 = phi + 1."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other: "ZPhi") -> "ZPhi":
-        return ZPhi(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "ZPhi":
-        return ZPhi(-self.a, -self.b)
-
-    def __sub__(self, other: "ZPhi") -> "ZPhi":
-        return ZPhi(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "ZPhi") -> "ZPhi":
-        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
-        bd = self.b * other.b
-        return ZPhi(self.a * other.a + bd, self.a * other.b + self.b * other.a + bd)
-
-    def half(self) -> "ZPhi":
-        """The element halved; raises ValueError unless it is twice an
-        element of Z[phi], that is unless both components are even."""
-        if self.a % 2 or self.b % 2:
-            raise ValueError(f"{self!r} is not divisible by 2 in Z[phi]")
-        return ZPhi(self.a >> 1, self.b >> 1)
-
-    def sign(self) -> int:
-        """Exact sign of a + b*phi = ((2a + b) + b*sqrt 5) / 2."""
-        x, y = 2 * self.a + self.b, self.b
-        if x * y >= 0:  # same sign, or one term zero
-            head = x or y
-        else:  # opposite signs: the larger square wins (sqrt 5 is irrational: no tie)
-            head = x if x * x > 5 * y * y else y
-        return (head > 0) - (head < 0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZPhi) and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"ZPhi({self.a}, {self.b})"
-
-
-PHI = ZPhi(0, 1)  # the golden ratio
-
-Vec = tuple[ZPhi, ZPhi, ZPhi]
-Mat = tuple[Vec, Vec, Vec]
-
-
-def vec(x: int, y: int, z: int) -> Vec:
-    return (ZPhi(x), ZPhi(y), ZPhi(z))
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def vsum(vecs: Iterable[Vec]) -> Vec:
-    total = vec(0, 0, 0)
-    for v in vecs:
-        total = vadd(total, v)
-    return total
-
-
-def dot(u: Vec, v: Vec) -> ZPhi:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def cross(u: Vec, v: Vec) -> Vec:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def dist2(u: Vec, v: Vec) -> ZPhi:
-    d = (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-    return dot(d, d)
-
-
-def mat_apply(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)  # type: ignore[return-value]
-
-
-def mat_det(m: Mat) -> ZPhi:
-    return dot(m[0], cross(m[1], m[2]))
-
-
 # point-class label helpers: labels are ("corner", i), ("edge", i),
 # ("face", i), ("center", 0 | 1)
 Label = tuple[str, int]
 
 
-def _closest_pairs(points: list[Vec]) -> list[tuple[int, int]]:
-    best: ZPhi | None = None
-    pairs = []
-    for i, j in itertools.combinations(range(len(points)), 2):
-        d = dist2(points[i], points[j])
-        if best is None or (d - best).sign() < 0:
-            best = d
-            pairs = [(i, j)]
-        elif d == best:
-            pairs.append((i, j))
-    return pairs
+def _canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """A corner cycle read from its least corner, in the direction of the
+    lesser second corner: one name per face, and (least, greatest) per
+    edge."""
+    k = cycle.index(min(cycle))
+    rotated = cycle[k:] + cycle[:k]
+    return min(rotated, rotated[:1] + rotated[:0:-1])
 
 
-def _girth_cycles(n_points: int, edges: list[tuple[int, int]], length: int) -> list[tuple[int, ...]]:
-    """All simple cycles of the given length, canonicalized (min corner
-    first, lexicographically smaller direction)."""
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n_points)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    found: set[tuple[int, ...]] = set()
-
-    def canonical(cycle: tuple[int, ...]) -> tuple[int, ...]:
-        k = cycle.index(min(cycle))
-        rotated = cycle[k:] + cycle[:k]
-        reverse = (rotated[0],) + tuple(reversed(rotated[1:]))
-        return min(rotated, reverse)
-
-    def extend(path: list[int]):
-        if len(path) == length:
-            if path[0] in adjacency[path[-1]]:
-                found.add(canonical(tuple(path)))
-            return
-        for nxt in adjacency[path[-1]]:
-            if nxt > path[0] and nxt not in path:
-                extend(path + [nxt])
-
-    for start in range(n_points):
-        extend([start])
+def _orbit(
+    seed: tuple[int, ...], generators: list[Perm], size: int
+) -> list[tuple[int, ...]]:
+    """The canonical images of a corner cycle under the group the generators
+    generate, sorted.  Raises AssertionError unless there are ``size`` of
+    them, as soon as there are more."""
+    found = {_canonical(seed)}
+    queue = list(found)
+    for cycle in queue:  # appended to while it is read: a breadth-first queue
+        for g in generators:
+            image = _canonical(compose_images(g.images, cycle))
+            if image not in found:
+                found.add(image)
+                queue.append(image)
+        if len(found) > size:
+            break
+    if len(found) != size:
+        raise AssertionError(f"the orbit of {seed} does not have {size} members")
     return sorted(found)
 
 
@@ -182,9 +73,10 @@ class Axis:
     through the two global centers (even elements) carries one marker on
     each ray from the center, so its order is center 0, one ray's marker,
     center 1, the other ray's marker.  Odd skeleton circles avoid the
-    centers and list their markers in exact circular order.  A placement
-    reads each axis in slot numbers of its layout, each marker expanded to
-    its concentric copies (``assignments.PlacementTemplate.slot_axes``).
+    centers and list their markers in circular order, each next to the two
+    it is incident with.  A placement reads each axis in slot numbers of its
+    layout, each marker expanded to its concentric copies
+    (``assignments.PlacementTemplate.slot_axes``).
     """
 
     elements: tuple[Perm, ...]
@@ -194,7 +86,6 @@ class Axis:
 @dataclass(frozen=True)
 class PolyhedralModel:
     kind: str
-    corner_vectors: tuple[Vec, ...]
     edges: tuple[tuple[int, int], ...]
     faces: tuple[tuple[int, ...], ...]
     group: FiniteGroup  # permutations of the corners
@@ -233,41 +124,27 @@ class PolyhedralModel:
         )
 
 
-def _rotation_matrices(kind: str) -> tuple[list[tuple[Mat, bool]], list[Vec]]:
-    """Generators of the solid's symmetry group and its corners.  Each
-    generator is a pair (matrix, doubled); a doubled matrix is twice the
-    symmetry, so that its entries lie in Z[phi], and its images are halved."""
-    r3: Mat = (vec(0, 0, 1), vec(1, 0, 0), vec(0, 1, 0))  # cyclic x->y->z->x
-    if kind in ("tetrahedron", "tetrahedron-skeleton"):
-        corners = [vec(1, 1, 1), vec(1, -1, -1), vec(-1, 1, -1), vec(-1, -1, 1)]
-        r2: Mat = (vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, 1))
-        gens = [(r3, False), (r2, False)]
-        if kind == "tetrahedron-skeleton":
-            swap_xy: Mat = (vec(0, 1, 0), vec(1, 0, 0), vec(0, 0, 1))
-            gens.append((swap_xy, False))
-        return gens, corners
-    if kind == "cube":
-        corners = [vec(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
-        r4: Mat = (vec(0, -1, 0), vec(1, 0, 0), vec(0, 0, 1))  # quarter turn about z
-        return [(r4, False), (r3, False)], corners
-    if kind == "dodecahedron":
-        zero, one, inv_phi = ZPhi(0), ZPhi(1), ZPhi(-1, 1)  # 1/phi = phi - 1
-        corners = [vec(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                a, b = ZPhi(0, s1), ZPhi(-s2, s2)  # s1 * phi, s2 * (phi - 1)
-                corners += [(zero, a, b), (b, zero, a), (a, b, zero)]
-        r5_doubled: Mat = (  # twice a fifth turn
-            (inv_phi, -PHI, one),
-            (PHI, one, inv_phi),
-            (-one, inv_phi, PHI),
-        )
-        return [(r5_doubled, True), (r3, False)], corners
-    raise ValueError(f"unknown polyhedron kind {kind!r}")
-
-
-_FACE_LENGTH = {"tetrahedron": 3, "tetrahedron-skeleton": 3, "cube": 4, "dodecahedron": 5}
-_EXPECTED = {
+# Each kind's generators as corner permutations in cycle form, each with the
+# sign it gives the centers: -1 (the centers swapped) only for the
+# skeleton's odd generator.  The first generator's first cycle is a face.
+_TETRAHEDRAL = (
+    ([(1, 2, 3)], 1),  # a third turn about corner 0
+    ([(0, 3), (1, 2)], 1),  # a half turn about the midpoints of edges 03, 12
+)
+_GENERATORS = {
+    "tetrahedron": _TETRAHEDRAL,
+    "tetrahedron-skeleton": _TETRAHEDRAL + (([(1, 2)], -1),),  # corners 1, 2 swapped
+    "cube": (
+        ([(0, 4, 6, 2), (1, 5, 7, 3)], 1),  # a quarter turn about face 0462
+        ([(1, 4, 2), (3, 5, 6)], 1),  # a third turn about corners 0, 7
+    ),
+    "dodecahedron": (
+        # a fifth turn about face 0 8 4 12 9, a third turn about corners 0, 7
+        ([(0, 8, 4, 12, 9), (1, 5, 19, 14, 13), (2, 10, 11, 16, 6), (3, 15, 18, 7, 17)], 1),
+        ([(1, 4, 2), (3, 5, 6), (8, 9, 10), (11, 12, 13), (14, 15, 16), (17, 18, 19)], 1),
+    ),
+}
+_EXPECTED = {  # corners, edges, faces, group order
     "tetrahedron": (4, 6, 4, 12),
     "tetrahedron-skeleton": (4, 6, 4, 24),
     "cube": (8, 12, 6, 24),
@@ -275,43 +152,31 @@ _EXPECTED = {
 }
 
 
-def _angular_order(markers: list[Label], vectors: list[Vec]) -> tuple[Label, ...]:
-    """Exact circular order of coplanar points around the origin."""
-    u = vectors[0]
-    w = next(v for v in vectors if cross(u, v) != vec(0, 0, 0))
-    normal = cross(u, w)
-    coords = []
-    for label, v in zip(markers, vectors):
-        if dot(v, normal).sign():
-            raise ValueError(f"{label!r} is not coplanar with the circle")
-        x = dot(v, u)
-        y = dot(cross(normal, u), v)  # component along the in-plane normal of u
-        coords.append((label, x, y))
-
-    def half(x: ZPhi, y: ZPhi) -> int:
-        # 0 for angle in [0, pi), 1 for [pi, 2 pi)
-        if y.sign() > 0 or (y.sign() == 0 and x.sign() > 0):
-            return 0
-        return 1
-
-    def compare(p, q):
-        _, x1, y1 = p
-        _, x2, y2 = q
-        h1, h2 = half(x1, y1), half(x2, y2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        s = (x1 * y2 - x2 * y1).sign()
-        return -s  # positive cross product means p comes first
-
-    ordered = sorted(coords, key=cmp_to_key(compare))
-    return tuple(label for label, _, _ in ordered)
+def _circle_order(markers: tuple[Label, ...], corners_of) -> tuple[Label, ...]:
+    """An odd skeleton circle's markers in circular order: each is incident
+    with its two neighbours (a corner on an edge or a face, an edge on a
+    face), and the incidences among the markers close into one cycle, read
+    from the least marker towards its lesser neighbour."""
+    on = {m: corners_of(m) for m in markers}
+    neighbours = {
+        m: sorted(k for k in markers if on[m] < on[k] or on[k] < on[m])
+        for m in markers
+    }
+    if any(len(n) != 2 for n in neighbours.values()):
+        raise AssertionError("a circle's marker is not incident with two others")
+    order = [min(markers)]
+    step = neighbours[order[0]][0]
+    while step != order[0]:
+        order.append(step)
+        a, b = neighbours[step]
+        step = b if a == order[-2] else a
+    if len(order) != len(markers):
+        raise AssertionError("the circle's incidences do not close into one cycle")
+    return tuple(order)
 
 
 def _build_axes(
-    group: FiniteGroup,
-    parity: dict[Perm, int],
-    action: GroupAction,
-    vector_of,
+    group: FiniteGroup, parity: dict[Perm, int], action: GroupAction, corners_of
 ) -> tuple[Axis, ...]:
     by_fixed: dict[tuple[Label, ...], list[Perm]] = {}
     for g in group:
@@ -334,20 +199,11 @@ def _build_axes(
             continue
         if parities == {1}:
             # rotation axis through the two centers: one marker per ray
-            u = vector_of(fixed[0])
-            pos, neg = [], []
-            for label in fixed:
-                v = vector_of(label)
-                c = cross(u, v)
-                if c != vec(0, 0, 0):
-                    raise AssertionError("axis markers must be collinear")
-                (pos if dot(u, v).sign() > 0 else neg).append(label)
-            if len(pos) != 1 or len(neg) != 1:
+            if len(fixed) != 2:
                 raise AssertionError("rotation axes carry one marker per ray")
-            slots = (("center", 0), pos[0], ("center", 1), neg[0])
+            slots = (("center", 0), fixed[0], ("center", 1), fixed[1])
         else:
-            vectors = [vector_of(label) for label in fixed]
-            slots = _angular_order(list(fixed), vectors)
+            slots = _circle_order(fixed, corners_of)
         entries.append(Axis(tuple(sorted(elements)), slots))
     return tuple(entries)
 
@@ -359,10 +215,10 @@ def _label_images(
     labels: list[Label],
 ) -> dict[Perm, list[int]]:
     """Each generator's image list on ``labels`` (corners, edges, faces,
-    then the two centers), given the generator with its determinant sign,
-    built a point class at a time: a corner goes to the generator's image of
-    it, an edge or face to the edge or face on the images of its corners,
-    and a generator of sign -1 swaps the centers.  The
+    then the two centers), given the generator with its center sign, built
+    a point class at a time: a corner goes to the generator's image of it,
+    an edge or face to the edge or face on the images of its corners, and a
+    generator of sign -1 swaps the centers.  The
     :class:`~.perms.GroupAction` constructor composes every other element's
     list from these."""
     n_corners = len(labels) - len(edges) - len(faces) - 2
@@ -394,72 +250,39 @@ def _label_images(
 
 @cache
 def build_polyhedral_model(kind: str) -> PolyhedralModel:
-    generators, corners = _rotation_matrices(kind)
-    n_corners = len(corners)
-    index = {v: i for i, v in enumerate(corners)}
-
-    def corner_perm(m: Mat, doubled: bool) -> Perm:
-        images = []
-        for v in corners:
-            w = mat_apply(m, v)
-            if doubled:
-                w = (w[0].half(), w[1].half(), w[2].half())
-            if w not in index:
-                raise ValueError("matrix does not preserve the corner set")
-            images.append(index[w])
-        return Perm(images)
-
-    gen_perms = [corner_perm(m, doubled) for m, doubled in generators]
-    gen_parity = [mat_det(m).sign() for m, _ in generators]
-    group = generate_group(gen_perms)
-
-    edges = sorted(_closest_pairs(corners))
-    faces = _girth_cycles(n_corners, edges, _FACE_LENGTH[kind])
-    exp_corners, exp_edges, exp_faces, exp_order = _EXPECTED[kind]
-    if (n_corners, len(edges), len(faces), group.order) != (
-        exp_corners,
-        exp_edges,
-        exp_faces,
-        exp_order,
-    ):
-        raise AssertionError(f"derived {kind} model has wrong class sizes")
-    edge_count: dict[tuple[int, int], int] = {e: 0 for e in edges}
-    for f in faces:
-        for a, b in zip(f, f[1:] + f[:1]):
-            edge_count[(min(a, b), max(a, b))] += 1
-    if set(edge_count.values()) != {2}:
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown polyhedron kind {kind!r}")
+    n_corners, n_edges, n_faces, order = _EXPECTED[kind]
+    generators = [(Perm.from_cycles(n_corners, c), s) for c, s in _GENERATORS[kind]]
+    gen_perms = [g for g, _ in generators]
+    face = tuple(_GENERATORS[kind][0][0][0])
+    # The orbits are checked before the group is closed, which wrong
+    # generators can make large.
+    faces = _orbit(face, gen_perms, n_faces)
+    edges = _orbit(face[:2], gen_perms, n_edges)
+    sides = Counter(_canonical(side) for f in faces for side in zip(f, f[1:] + f[:1]))
+    if sides != dict.fromkeys(edges, 2):
         raise AssertionError("every edge must bound exactly two faces")
+    group = generate_group(gen_perms)
+    if group.order != order:
+        raise AssertionError(f"the {kind} group does not have {order} elements")
 
-    labels: list[Label] = (
-        [("corner", i) for i in range(n_corners)]
-        + [("edge", i) for i in range(len(edges))]
-        + [("face", i) for i in range(len(faces))]
-        + [("center", 0), ("center", 1)]
-    )
-    images = _label_images(zip(gen_perms, gen_parity), edges, faces, labels)
+    sizes = {"corner": n_corners, "edge": n_edges, "face": n_faces, "center": 2}
+    labels = [(cls, i) for cls, size in sizes.items() for i in range(size)]
+    images = _label_images(generators, edges, faces, labels)
     action = GroupAction(group, tuple(labels), images)
     # an element is odd exactly when it swaps the two centers
     center = len(labels) - 2
-    parities = [
-        1 if action.images_of(e)[center] == center else -1 for e in group.elements
-    ]
+    parities = [1 if action.images_of(e)[center] == center else -1 for e in group]
 
-    corner_vectors = tuple(corners)
-
-    def vector_of(label: Label) -> Vec:
+    def corners_of(label: Label) -> set[int]:
         cls, i = label
-        if cls == "corner":
-            return corner_vectors[i]
-        if cls == "edge":
-            a, b = edges[i]
-            return vadd(corner_vectors[a], corner_vectors[b])
-        return vsum(corner_vectors[k] for k in faces[i])
+        return {i} if cls == "corner" else set((edges if cls == "edge" else faces)[i])
 
-    axes = _build_axes(group, dict(zip(group.elements, parities)), action, vector_of)
+    axes = _build_axes(group, dict(zip(group.elements, parities)), action, corners_of)
 
     model = PolyhedralModel(
         kind,
-        corner_vectors,
         tuple(edges),
         tuple(faces),
         group,
@@ -488,10 +311,6 @@ def _sanity_check_axes(model: PolyhedralModel) -> None:
         covered += len(entry.elements)
         if len(set(entry.slots)) != len(entry.slots):
             raise AssertionError("axis sequence repeats a slot")
-    glides = sum(
-        1
-        for g, i in zip(model.group, model.axis_at)
-        if i is None and not g.is_identity()
-    )
+    glides = model.axis_at.count(None) - 1  # the identity lies on no axis
     if covered + glides != model.group.order - 1:
         raise AssertionError("every nontrivial element needs a fixed-set record")

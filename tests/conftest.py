@@ -739,7 +739,7 @@ def _cyclic_stabilizer(group: FiniteGroup, order: int) -> FiniteGroup:
 def build_coset_model(kind: str) -> ClassSignature:
     """Class signature of a solid from pure group theory: each marker class
     is the coset space of a cyclic stabilizer, and fixed counts are fixed
-    cosets.  Independent of the coordinate models, so agreement with
+    cosets.  Independent of the permutation models, so agreement with
     :func:`incidence_fixed_signature` cross-validates both."""
     group = _abstract_rotation_group(kind)
     stabilizer_orders = _MARKER_STABILIZER_ORDER[kind]

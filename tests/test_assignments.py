@@ -776,7 +776,7 @@ def numbered_labels(a):
     block's orbits in order (free orbits numbered along their tag), and an
     orbit's labels by index, a split orbit's even elements in V."""
     model = a.model
-    sizes = {"corner": len(model.corner_vectors), "edge": len(model.edges),
+    sizes = {"corner": model.group.degree, "edge": len(model.edges),
              "face": len(model.faces)}
     parts, numbered = ([], []), {}
     for b in all_blocks(a):

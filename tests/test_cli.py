@@ -11,6 +11,7 @@ import pytest
 from bipartite_tsg.assignments import RECIPES, PlacementTemplate
 from bipartite_tsg.cli import (
     DEFAULT_N_CAP,
+    EXIT_CLOSED_OUTPUT,
     EXIT_DECIDED,
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -605,7 +606,37 @@ def test_a_fault_in_the_pipeline_or_its_recipes_exits_with_three(
 
 
 def test_exit_codes_are_stable():
-    assert (EXIT_DECIDED, EXIT_INPUT, EXIT_MISMATCH) == (0, 2, 3)
+    assert (EXIT_DECIDED, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_MISMATCH) == (
+        0, 1, 2, 3,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--group", "A5", "--max", "5000", "--cap", "5000", "--csv"),
+        ("sweep", "--group", "A5", "--max", "3000", "--cap", "3000", "--json"),
+        (
+            "check-aut", "--n", "17000",
+            "--cycles", "(" + " ".join(f"v{i}" for i in range(1, 17001)) + ")",
+        ),
+    ],
+    ids=["sweep-csv", "sweep-json", "check-aut"],
+)
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(argv):
+    # Each print is more than 64 KB, more than a pipe holds, so the command
+    # is still writing when the reader stops after the first bytes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bipartite_tsg.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_OUTPUT
+    assert err == b""  # no traceback, nor a note of an exception ignored at exit
 
 
 def test_console_script_entry_point():

@@ -372,8 +372,6 @@ KEPT_PUBLIC = {
     "vertices per element, kept until decide checks every class's profile",
     "s4_n6_analysis": "the octahedral n = 6 demo's branches; a denial that "
     "explains itself is to read it",
-    "Perm.from_cycles": "the permutation's cycle-form constructor, read by "
-    "the tests; the benchmark builds its check-aut inputs with its own copy",
     "FixedCountReport.discrepancies": "the benchmark's discrepancy counter "
     "reads it, and verdicts are to show it",
 }

@@ -1,6 +1,7 @@
 """Counting-based necessity: profile tables, Burnside forms, exclusions."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,31 @@ def test_tables_against_independent_integrality_oracle():
                         assert (n + weighted) % order == 0, (
                             group, residue, side, t, n,
                         )
+
+
+@pytest.mark.parametrize(
+    "group, kinds",
+    [
+        ("A4", ["tetrahedron"]),
+        ("S4", ["cube", "tetrahedron-skeleton"]),
+        ("A5", ["dodecahedron"]),
+    ],
+)
+def test_the_burnside_literals_are_the_models_class_sizes(models, group, kinds):
+    # The necessity side keeps its literals, so a denial builds no model;
+    # the models' elements, counted by order, must agree with them.  In S4
+    # "2" counts the involutions that are squares and "m2" the others.
+    for kind in kinds:
+        m = models[kind]
+        squares = {e * e for e in m.group}
+        sizes = Counter()
+        for e in m.nontrivial:
+            order = str(e.order())
+            if order == "2" and group == "S4" and e not in squares:
+                order = "m2"
+            sizes[order] += 1
+        assert m.group.order == GROUP_ORDER[group], kind
+        assert dict(sizes) == BURNSIDE_COEFFS[group], kind
 
 
 # --------------------------------------------------- the octahedral n = 6 case

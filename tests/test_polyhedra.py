@@ -7,17 +7,8 @@ import itertools
 import pytest
 
 from bipartite_tsg import polyhedra
-from bipartite_tsg.perms import generate_group
-from bipartite_tsg.polyhedra import (
-    PHI,
-    ZPhi,
-    build_polyhedral_model,
-    cross,
-    dist2,
-    dot,
-    vec,
-    vsum,
-)
+from bipartite_tsg.perms import Perm, generate_group
+from bipartite_tsg.polyhedra import build_polyhedral_model
 
 from conftest import (
     MODEL_KINDS,
@@ -33,45 +24,11 @@ from conftest import (
 ROTATION_KINDS = ("tetrahedron", "cube", "dodecahedron")
 
 
-# ------------------------------------------------------------ exact arithmetic
-
-
-def test_golden_ratio_identity():
-    assert PHI * PHI == PHI + ZPhi(1)
-    assert PHI * (PHI - ZPhi(1)) == ZPhi(1)
-
-
-def test_zphi_is_exact():
-    # phi * (1 - phi) = -1: no floating point in sight.
-    assert PHI * (ZPhi(1) - PHI) == ZPhi(-1)
-    assert (PHI + PHI - ZPhi(1)) * (PHI + PHI - ZPhi(1)) == ZPhi(5)  # sqrt 5 squared
-    assert ZPhi(3, -2).sign() == -1  # 3 - 2 phi = 2 - sqrt 5
-    assert ZPhi(-2, 2).sign() == 1  # 2 phi - 2 = sqrt 5 - 1
-    assert ZPhi(0).sign() == 0
-
-
-def test_the_exact_sign_agrees_with_floating_point():
-    # A nonzero a + b phi times its conjugate is a nonzero integer, so on
-    # this grid it is at least 1/50 away from zero: far beyond float error.
-    phi = (1 + 5**0.5) / 2
-    for a, b in itertools.product(range(-30, 31), repeat=2):
-        value = a + b * phi
-        assert ZPhi(a, b).sign() == (value > 0) - (value < 0), (a, b)
-
-
-def test_halving_is_exact_and_an_odd_component_raises():
-    assert ZPhi(4, -2).half() == ZPhi(2, -1)
-    assert ZPhi(-6, 0).half() == ZPhi(-3)
-    for odd in (ZPhi(1), ZPhi(0, 3), ZPhi(-3, 2), ZPhi(2, -1)):
-        with pytest.raises(ValueError, match="not divisible by 2"):
-            odd.half()
-
-
 # ----------------------------------------------------------- model structure
 
 
 def marker_class_sizes(model):
-    return (len(model.corner_vectors), len(model.edges), len(model.faces))
+    return (model.group.degree, len(model.edges), len(model.faces))
 
 
 def test_marker_class_sizes(models):
@@ -136,23 +93,6 @@ def test_skeleton_even_subgroup_is_the_tetrahedral_group(models):
     assert all(e.order() in (1, 2, 3) for e in even)
 
 
-def test_edges_all_same_length(models):
-    for kind in ROTATION_KINDS:
-        m = models[kind]
-        lengths = {
-            dist2(m.corner_vectors[a], m.corner_vectors[b]) for a, b in m.edges
-        }
-        assert len(lengths) == 1, kind
-
-
-def test_corners_all_same_radius(models):
-    origin = vec(0, 0, 0)
-    for kind in ROTATION_KINDS:
-        m = models[kind]
-        norms = {dist2(v, origin) for v in m.corner_vectors}
-        assert len(norms) == 1, kind
-
-
 def test_group_acts_transitively_on_each_marker_class(models):
     for kind in ROTATION_KINDS:
         m = models[kind]
@@ -162,7 +102,7 @@ def test_group_acts_transitively_on_each_marker_class(models):
             kinds = {p[0] for p in orbit}
             assert len(kinds) == 1, "an orbit mixes marker classes"
             by_class.setdefault(kinds.pop(), []).append(len(orbit))
-        assert by_class["corner"] == [len(m.corner_vectors)]
+        assert by_class["corner"] == [m.group.degree]
         assert by_class["edge"] == [len(m.edges)]
         assert by_class["face"] == [len(m.faces)]
         assert by_class["center"] == [1, 1]
@@ -170,8 +110,10 @@ def test_group_acts_transitively_on_each_marker_class(models):
 
 # The SHA-256 of each model's combinatorial content: its edges and faces,
 # its group's elements and generators, the parities, each axis (elements,
-# slots, parts), and the action's labels and permutations.  Whatever number
-# type the build derives them in, the models must come out the same.
+# slots, parts), and the action's labels and permutations.  The digests were
+# frozen when the models were derived from exact corner coordinates; built
+# from generator permutations they must come out the same, every label with
+# its number.
 MODEL_SHA256 = {
     "tetrahedron": "11a7d2ddf18d1f5e69d80d9b57d9d5632c95833ae4d82d7a7d95df816d0645cc",
     "tetrahedron-skeleton": "29d96928491b2c76d5688af5ba889c3ec6ddf6d1439e20a6f10b5b98e1a4b270",
@@ -236,6 +178,40 @@ def test_a_doctored_label_list_fails_the_model_build(monkeypatch, models, kind):
             build_polyhedral_model.__wrapped__(kind)  # past the cache
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_two_corner_images_swapped_in_a_generator_fail_the_build(
+    monkeypatch, models, kind
+):
+    # Every pair of corners in every generator in turn: the doctored
+    # generators make no solid of the kind's counts, or no group of its
+    # order, or no action on its markers.
+    honest = polyhedra._GENERATORS[kind]
+    degree = models[kind].group.degree
+    for k, (cycles, sign) in enumerate(honest):
+        images = Perm.from_cycles(degree, cycles).images
+        for a, b in itertools.combinations(range(degree), 2):
+            swapped = list(images)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            doctored = (*honest[:k], (Perm(swapped).cycles(), sign), *honest[k + 1:])
+            monkeypatch.setitem(polyhedra._GENERATORS, kind, doctored)
+            with pytest.raises((AssertionError, ValueError)):
+                build_polyhedral_model.__wrapped__(kind)  # past the cache
+
+
+def test_the_skeleton_s_odd_generator_given_sign_plus_one_fails_the_build(
+    monkeypatch,
+):
+    # The centers then stay put under every element, so the odd order-4
+    # elements become rotations that fix no marker.
+    *even, (cycles, sign) = polyhedra._GENERATORS["tetrahedron-skeleton"]
+    assert sign == -1
+    monkeypatch.setitem(
+        polyhedra._GENERATORS, "tetrahedron-skeleton", (*even, (cycles, 1))
+    )
+    with pytest.raises(AssertionError, match="fixed-point-free rotation"):
+        build_polyhedral_model.__wrapped__("tetrahedron-skeleton")
+
+
 def test_the_axis_index_names_each_element_s_axis(models):
     for kind, m in models.items():
         for e, at in zip(m.group, m.axis_at):
@@ -295,14 +271,6 @@ def test_axis_markers_are_fixed_by_their_elements(models):
                 assert set(entry.slots) <= set(m.action.fixed_points(e))
 
 
-def _vector(m, label):
-    cls, i = label
-    if cls == "corner":
-        return m.corner_vectors[i]
-    ends = m.edges[i] if cls == "edge" else m.faces[i]
-    return vsum(m.corner_vectors[k] for k in ends)
-
-
 def test_a_circle_through_the_poles_lists_pole_ray_pole_ray(models):
     for kind, m in models.items():
         for entry in m.axes:
@@ -311,9 +279,25 @@ def test_a_circle_through_the_poles_lists_pole_ray_pole_ray(models):
                 continue
             first, ray, second, other_ray = entry.slots
             assert (first, second) == (("center", 0), ("center", 1))
-            u, v = _vector(m, ray), _vector(m, other_ray)
-            assert cross(u, v) == vec(0, 0, 0)  # one line through the center
-            assert dot(u, v).sign() < 0  # on opposite rays
+            # markers on opposite rays lie on opposite sides: no shared corner
+            assert not corners_of(m, ray) & corners_of(m, other_ray), (kind, entry)
+
+
+def corners_of(m, label):
+    cls, i = label
+    return {i} if cls == "corner" else set((m.edges if cls == "edge" else m.faces)[i])
+
+
+def test_consecutive_markers_of_an_odd_circle_are_incident(models):
+    m = models["tetrahedron-skeleton"]
+    odd = [entry for entry in m.axes if m.parity_of(entry.elements[0]) == -1]
+    assert len(odd) == 6
+    for entry in odd:
+        slots = entry.slots
+        assert sorted(p[0] for p in slots) == ["corner"] * 2 + ["edge"] * 2 + ["face"] * 2
+        for p, q in zip(slots, slots[1:] + slots[:1]):
+            a, b = corners_of(m, p), corners_of(m, q)
+            assert a < b or b < a, (entry.slots, p, q)
 
 
 # ------------------------------------------------------------ fixed-count table
@@ -363,7 +347,7 @@ def test_incidence_signature_rejects_the_skeleton(models):
 @pytest.mark.parametrize("kind", ROTATION_KINDS)
 def test_geometric_and_coset_oracles_agree(models, kind):
     """The same (order, class size, fixed counts) rows must come out of the
-    coordinate geometry and out of pure group theory on coset spaces."""
+    models' incidence action and out of pure group theory on coset spaces."""
     assert incidence_fixed_signature(models[kind]) == build_coset_model(kind)
 
 
